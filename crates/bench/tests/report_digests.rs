@@ -1,0 +1,95 @@
+//! Cross-commit behaviour pins: FNV-1a digests of whole `numfabric-run …
+//! --json` reports. The replay tests in `tests/determinism.rs` prove a
+//! build agrees with *itself*; these prove it agrees with the commit the
+//! digests were recorded at, so "byte-identical to the parent" is a test
+//! and not a claim. They live in this package (not the facade's
+//! `tests/determinism.rs`) because only the package that owns a binary can
+//! name it through `CARGO_BIN_EXE_*`.
+//!
+//! A digest may change only in a commit that says why. The recorded set
+//! spans every route-selection path: healthy ECMP on all three fabric
+//! families, symmetric cable-cut re-selection with and without restore
+//! (`recovery`), asymmetric `down-fwd` re-selection, seeded wire loss, the
+//! churn driver and the sweep engine's default mini-grid.
+
+use std::process::Command;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Run `numfabric-run <args> --json` and digest its stdout.
+fn report_digest(args: &str) -> u64 {
+    let out = Command::new(env!("CARGO_BIN_EXE_numfabric-run"))
+        .args(args.split_whitespace())
+        .arg("--json")
+        .output()
+        .expect("spawn numfabric-run");
+    assert!(
+        out.status.success(),
+        "numfabric-run `{args}` exited {:?}: {}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        !out.stdout.is_empty(),
+        "numfabric-run `{args}` printed nothing"
+    );
+    fnv1a(&out.stdout)
+}
+
+/// `(command line, digest)`, recorded at commit adab581 (the parent of the
+/// route-index change).
+const PINS: &[(&str, u64)] = &[
+    (
+        "incast --topology fat-tree:k=4 --fanin 4 --size 100000",
+        0xa34b_9956_bb5c_da6a,
+    ),
+    (
+        "shuffle --topology oversub:4:1 --hosts 4 --size 50000",
+        0x671e_8461_49f4_3fc2,
+    ),
+    (
+        "stride --topology leaf-spine --millis 2",
+        0x0c6d_9d28_3aa3_9b26,
+    ),
+    ("churn --millis 4 --drain-millis 40", 0x9d5d_04d9_0964_e1bf),
+    ("recovery", 0x6e92_224f_d986_ba49),
+    ("recovery --restore-us 3000", 0x5eb7_7dd8_43cb_21c0),
+    (
+        "stride --topology fat-tree:k=4 --millis 2 --impair down-fwd@500:64,up@1200:64",
+        0x7184_7d17_45a9_7190,
+    ),
+    (
+        "incast --topology fat-tree:k=4 --fanin 4 --size 100000 --protocol dctcp \
+         --impair loss@0:22=0.02",
+        0xe22a_f794_0ec7_6ae2,
+    ),
+    ("sweep", 0xa2ba_6b87_6070_5b33),
+];
+
+#[test]
+fn json_reports_are_byte_identical_to_the_recorded_commit() {
+    let moved: Vec<String> = PINS
+        .iter()
+        .filter_map(|&(args, want)| {
+            let got = report_digest(args);
+            (got != want).then(|| format!("`{args}`: recorded {want:#018x}, got {got:#018x}"))
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "report bytes moved:\n{}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn the_digest_is_fnv1a_64() {
+    // Reference vectors from the FNV specification.
+    assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+}

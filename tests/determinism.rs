@@ -4,6 +4,11 @@
 //! reproduce **bit-identical** results run-to-run (see the crate docs of
 //! `numfabric::sim`). Every scaling PR is measured against this baseline:
 //! parallelism or batching changes must preserve it or explicitly revise it.
+//!
+//! These are *replay* pins (a build agrees with itself). The cross-commit
+//! pins — FNV-1a digests of whole `numfabric-run … --json` reports recorded
+//! at a named parent commit — live in `crates/bench/tests/report_digests.rs`,
+//! the package that owns the binary.
 
 use numfabric::baselines::{pfabric_network, PfabricAgent, PfabricConfig};
 use numfabric::core::{numfabric_network, NumFabricAgent, NumFabricConfig};
