@@ -13,7 +13,7 @@ use numfabric_num::{weighted_max_min, FluidFlow, FluidNetwork, Oracle};
 use numfabric_sim::event::{Event, EventQueue};
 use numfabric_sim::packet::{Packet, DEFAULT_PAYLOAD_BYTES};
 use numfabric_sim::queue::{PfabricQueue, QueueDiscipline, StfqQueue};
-use numfabric_sim::topology::{LeafSpineConfig, Route, Topology};
+use numfabric_sim::topology::{FatTreeConfig, LeafSpineConfig, Route, Topology};
 use numfabric_sim::{RouteTable, SimTime};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -188,8 +188,51 @@ fn bench_packet_sim(c: &mut Criterion) {
     group.finish();
 }
 
+/// `Topology::host_route` on the two 128-host benchmark fabrics. *Cold* is
+/// the first query on a freshly built topology — it pays for the route
+/// index's adjacency and one destination table (the fabric build is in the
+/// measured closure too; subtract `build_only`). *Warm* is the steady
+/// state of flow admission: a table read and a walk, no allocation.
+/// Diagnostic only — the headline is `setup_s` on the `shuffle-ft8`
+/// benchmark row.
+fn bench_host_route(c: &mut Criterion) {
+    let mut group = c.benchmark_group("host_route");
+    let mut on = |name: &str, build: fn() -> Topology| {
+        group.bench_function(BenchmarkId::new("build_only", name), |b| {
+            b.iter(|| black_box(build()))
+        });
+        group.bench_function(BenchmarkId::new("cold", name), |b| {
+            b.iter(|| {
+                let topo = build();
+                let hosts = topo.hosts();
+                black_box(topo.host_route(hosts[0], hosts[hosts.len() - 1], 5))
+            })
+        });
+        group.bench_function(BenchmarkId::new("warm_1k_pairs", name), |b| {
+            let topo = build();
+            let hosts = topo.hosts().to_vec();
+            let n = hosts.len();
+            for (i, &dst) in hosts.iter().enumerate() {
+                black_box(topo.host_route(hosts[(i + 1) % n], dst, 0));
+            }
+            b.iter(|| {
+                for i in 0..1_000 {
+                    let (src, dst) = (hosts[(i * 37) % n], hosts[(i * 37 + 1 + i % (n - 1)) % n]);
+                    black_box(topo.host_route(src, dst, i));
+                }
+            })
+        });
+    };
+    on("ft8", || Topology::fat_tree(&FatTreeConfig::new(8)));
+    on("leaf_spine_128", || {
+        Topology::leaf_spine(&LeafSpineConfig::paper_default())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_host_route,
     bench_event_queue,
     bench_stfq,
     bench_solvers,

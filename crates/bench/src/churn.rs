@@ -33,7 +33,7 @@ use crate::fabric::{
 use crate::protocols::Protocol;
 use crate::report::{churn_report_json, print_table, ChurnSummary, ClassStats};
 use numfabric_num::utility::LogUtility;
-use numfabric_sim::{FlowId, Network, SimDuration, SimTime};
+use numfabric_sim::{FlowId, Network, SimDuration, SimTime, Topology};
 use numfabric_workloads::churn::{foreground_background, ChurnConfig, ChurnStream};
 use numfabric_workloads::ideal::empty_network_fct;
 use numfabric_workloads::impairments::ImpairmentSchedule;
@@ -56,6 +56,10 @@ const HARVEST_SLICE: SimDuration = SimDuration::from_millis(2);
 pub struct ChurnRun {
     /// Fabric to run on.
     pub topology: TopologySpec,
+    /// Build the fabric at the paper's scale (`--full`: 128-host
+    /// leaf-spine) instead of the reduced 32-host shape; fat-trees are
+    /// sized by `k` alone.
+    pub full: bool,
     /// Total offered load on the host access links, in `(0, 1)`.
     pub load: f64,
     /// Share of the load carried by the latency-sensitive foreground
@@ -75,6 +79,7 @@ impl ChurnRun {
     pub fn reduced(load: f64, seed: u64) -> Self {
         Self {
             topology: TopologySpec::LeafSpine,
+            full: false,
             load,
             fg_share: 0.25,
             arrival_window: SimDuration::from_millis(40),
@@ -112,6 +117,26 @@ fn harvest(net: &mut Network, live: &mut Vec<LiveFlow>, classes: &mut [ClassStat
     });
 }
 
+/// The arrival-stream parameters of `run` on its built fabric. ECMP choices
+/// are drawn over the widest equal-cost fan-out any destination offers the
+/// first host — the spine count on a leaf-spine, `(k/2)²` on a fat-tree —
+/// which `host_route` folds onto the narrower path sets of closer pairs.
+fn churn_config(topo: &Topology, run: &ChurnRun) -> ChurnConfig {
+    let hosts = topo.hosts();
+    let fanout = hosts[1..]
+        .iter()
+        .map(|&dst| topo.num_host_routes(hosts[0], dst))
+        .max()
+        .unwrap_or(1);
+    ChurnConfig {
+        load: run.load,
+        duration: run.arrival_window,
+        seed: run.seed,
+        num_spines: fanout,
+        host_link_bps: topo.links()[0].capacity_bps,
+    }
+}
+
 /// Run one churn workload to completion and return the streaming summary.
 ///
 /// `partitions` and `partition_threads` are pure execution knobs: the
@@ -145,20 +170,13 @@ pub fn run_churn_impaired(
     partitions: usize,
     partition_threads: usize,
 ) -> ChurnSummary {
-    let topo = run.topology.build(false);
+    let topo = run.topology.build(run.full);
     let hosts: Vec<_> = topo.hosts().to_vec();
-    let host_bps = topo.links()[0].capacity_bps;
     let mix = foreground_background(run.fg_share);
-    let config = ChurnConfig {
-        load: run.load,
-        duration: run.arrival_window,
-        seed: run.seed,
-        num_spines: topo.spines().len().max(1),
-        host_link_bps: host_bps,
-    };
+    let config = churn_config(&topo, run);
 
     let utility = Arc::new(LogUtility::new());
-    let mut net = protocol.build_network(topo.clone());
+    let mut net = protocol.build_network(topo);
     net.set_partitions(partitions);
     net.set_partition_threads(partition_threads);
     net.set_impairment_seed(run.seed);
@@ -181,8 +199,6 @@ pub fn run_churn_impaired(
                 break;
             }
             let a = stream.next().expect("peeked head must exist");
-            let route = topo.host_route(a.arrival.src, a.arrival.dst, a.arrival.spine_choice);
-            let empty_fct = empty_network_fct(&topo, &route, a.arrival.size_bytes);
             let id = net.add_flow(
                 a.arrival.src,
                 a.arrival.dst,
@@ -192,6 +208,9 @@ pub fn run_churn_impaired(
                 None,
                 protocol.make_agent(utility.clone()),
             );
+            // The route admission just pinned — one lookup per arrival.
+            let route = net.route(net.flow_spec(id).route);
+            let empty_fct = empty_network_fct(net.topology(), route, a.arrival.size_bytes);
             live.push(LiveFlow {
                 id,
                 class: a.class,
@@ -239,9 +258,10 @@ pub fn churn(opts: &ScenarioOptions) {
     let protocol = Protocol::from_options(opts);
     let partitions = partitions_from_options(opts);
     let partition_threads = partition_threads_from_options(opts);
-    let impairments = impairments_from_options(opts, &spec.build(false));
+    let impairments = impairments_from_options(opts, &spec.build(opts.full()));
     let run = ChurnRun {
         topology: spec,
+        full: opts.full(),
         load,
         fg_share,
         arrival_window: SimDuration::from_millis(millis),
@@ -337,6 +357,7 @@ mod tests {
     fn quick_run(seed: u64) -> ChurnRun {
         ChurnRun {
             topology: TopologySpec::LeafSpine,
+            full: false,
             load: 0.5,
             fg_share: 0.25,
             arrival_window: SimDuration::from_millis(8),
@@ -379,6 +400,35 @@ mod tests {
             summary.offered
         );
         assert!(summary.peak_concurrent >= summary.flow_slots);
+    }
+
+    #[test]
+    fn fat_tree_churn_loads_every_core_switch() {
+        // The driver used to draw ECMP choices over `spines().len().max(1)`
+        // — 1 on every fat-tree — so all churn flows rode path 0 and three
+        // of a k = 4 fabric's four cores stayed dark.
+        let run = ChurnRun {
+            topology: TopologySpec::FatTree { k: 4 },
+            ..quick_run(3)
+        };
+        let topo = run.topology.build(run.full);
+        let config = churn_config(&topo, &run);
+        assert_eq!(config.num_spines, 4, "(k/2)^2 inter-pod paths");
+        let mix = foreground_background(run.fg_share);
+        let mut core_flows = vec![0usize; topo.nodes().len()];
+        for a in ChurnStream::new(topo.hosts(), &mix, &config) {
+            let route = topo.host_route(a.arrival.src, a.arrival.dst, a.arrival.spine_choice);
+            for &l in route.links() {
+                core_flows[topo.links()[l].to] += 1;
+            }
+        }
+        for &core in topo.cores() {
+            assert!(core_flows[core] > 0, "core {core} carries no churn flow");
+        }
+        // And the driver itself runs on it.
+        let protocol = Protocol::NumFabric(NumFabricConfig::default());
+        let summary = run_churn(&protocol, &run, 1, 1);
+        assert!(summary.completed > 0, "offered {}", summary.offered);
     }
 
     #[test]

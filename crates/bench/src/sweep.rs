@@ -214,6 +214,7 @@ pub fn run_cell_partitioned(
         SweepScenario::Churn => {
             let run = ChurnRun {
                 topology: cell.topology,
+                full: false,
                 load: cell.load,
                 fg_share: 0.25,
                 arrival_window: CHURN_WINDOW,

@@ -10,7 +10,8 @@
 //!   leaf-spine builder matching the paper's fabrics (128 servers, 8 leaves,
 //!   4 or 16 spines, 10/40 Gbps links, ~16 µs RTT), an oversubscribed
 //!   leaf-spine variant, k-ary fat-trees with edge/aggregation/core tiers,
-//!   and a generalized ECMP enumerator over multi-tier equal-cost path sets.
+//!   and generalized ECMP over multi-tier equal-cost path sets, answered
+//!   from a lazily built per-topology route index.
 //! * **Output-queued switches** ([`network`], [`queue`]) — one queue per
 //!   egress link, with pluggable disciplines: drop-tail FIFO, Start-Time Fair
 //!   Queueing (the WFQ approximation NUMFabric's Swift layer uses), an

@@ -1521,10 +1521,7 @@ impl Network {
             if self.shared.link_health[id].asymmetric_down {
                 continue;
             }
-            let spec = &self.shared.topo.links()[id];
-            if let Some(twin) = self.shared.topo.link_between(spec.to, spec.from) {
-                banned.insert(twin);
-            }
+            banned.extend(self.shared.topo.reverse_link(id));
         }
         let mut rerouted: Vec<(FlowId, bool)> = Vec::new();
         for flow in 0..self.shared.specs.len() {

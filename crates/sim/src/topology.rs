@@ -13,13 +13,56 @@
 //! Links are unidirectional; the builders create both directions of every
 //! physical cable. Routes are precomputed per flow (the simulator does not
 //! model hop-by-hop forwarding-table lookups), which matches how the paper
-//! pins each flow or subflow to a path chosen by ECMP hashing. ECMP itself
-//! is modeled by [`Topology::equal_cost_node_paths`]: every shortest path
-//! between two hosts, enumerated in a deterministic order, with
-//! [`Topology::host_route`] pinning a flow to one of them by choice index.
+//! pins each flow or subflow to a path chosen by ECMP hashing.
+//!
+//! # ECMP: the ordering contract
+//!
+//! The equal-cost paths between two hosts are *all* shortest paths, ordered
+//! **lexicographically by node id** (at every hop the lower-numbered next
+//! node comes first). [`Topology::host_route`] pins a flow to path number
+//! `choice % n` of the `n` paths ([`Topology::num_host_routes`]);
+//! [`Topology::host_routes`] lists them all in that order. Where parallel
+//! links join the same two nodes a route takes the **lowest link id**
+//! (the first-match rule of [`Topology::link_between`]). On a leaf-spine
+//! fabric this yields one path per spine, in spine order, for inter-rack
+//! pairs; on a k-ary fat-tree `(k/2)²` paths for inter-pod pairs and `k/2`
+//! for intra-pod pairs. Seeded scenarios pin flows by `choice`, so this
+//! order is part of every report's bytes.
+//!
+//! # The route index
+//!
+//! Routing is a lookup, as it is in a switch. The first route query on a
+//! topology builds a private route index (held in a [`OnceLock`], so a
+//! shared `&Topology` stays `Send + Sync`): per-node adjacency sorted by
+//! `(neighbour, link id)` and a per-link reverse-twin table. Per
+//! destination, the first query towards it runs one breadth-first search
+//! and keeps, for every node, its hop distance to the destination and the
+//! number of shortest paths from there (saturating at `u32::MAX` on
+//! adversarial graphs). `host_route` then walks straight to path number
+//! `choice % n`: at each hop it scans the neighbours one hop closer in
+//! ascending id order, subtracting each one's path count until the
+//! remaining index falls inside a neighbour's sub-DAG. Nothing is
+//! enumerated and nothing is allocated (routes of up to
+//! [`ROUTE_INLINE_HOPS`] links are inline). A single-homed destination
+//! shares the table of its attachment switch, so a fabric keeps one 8-byte
+//! entry per (node, edge switch), not per (node, host).
+//!
+//! The index is **lazy** — building a topology or a `Network` costs
+//! nothing extra; the index is born on the first query — and it is
+//! **invalidated by mutation**: [`Topology::add_node`] and
+//! [`Topology::add_link`] drop it, and the next query rebuilds it. A cloned
+//! topology owns an independent copy.
+//!
+//! Failure re-selection ([`Topology::host_route_avoiding`] and friends) runs
+//! the same search and the same walker over a *valley-free* state graph
+//! that skips banned links; its tables depend on the ban set and are not
+//! cached.
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::collections::{HashSet, VecDeque};
+use std::sync::OnceLock;
 
 /// Identifier of a node (host or switch).
 pub type NodeId = usize;
@@ -209,6 +252,299 @@ impl std::hash::Hash for Route {
     }
 }
 
+/// One adjacency entry: `link` joins the owning node and `peer`.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    peer: u32,
+    link: u32,
+}
+
+/// Marks "no link" in [`RouteIndex::twin`] and "no node yet" in
+/// [`Search::hops`]; node and link counts are asserted to stay below it.
+const NONE: u32 = u32::MAX;
+
+/// Compressed adjacency lists: the hops of node `n` are
+/// `hops[start[n]..start[n + 1]]`, sorted by `(peer, link)` — so the first
+/// entry per peer carries the lowest link id, [`Topology::link_between`]'s
+/// first-match rule.
+#[derive(Debug, Clone)]
+struct Adjacency {
+    start: Vec<u32>,
+    hops: Vec<Hop>,
+}
+
+impl Adjacency {
+    /// Adjacency over `nodes` nodes from `(owner, peer)` pairs in link-id
+    /// order.
+    fn new(nodes: usize, ends: impl Iterator<Item = (NodeId, NodeId)>) -> Self {
+        let mut sorted: Vec<(NodeId, NodeId, LinkId)> = ends
+            .enumerate()
+            .map(|(link, (owner, peer))| (owner, peer, link))
+            .collect();
+        sorted.sort_unstable();
+        let mut start = vec![0u32; nodes + 1];
+        for &(owner, _, _) in &sorted {
+            start[owner + 1] += 1;
+        }
+        for n in 0..nodes {
+            start[n + 1] += start[n];
+        }
+        let hops = sorted
+            .into_iter()
+            .map(|(_, peer, link)| Hop {
+                peer: peer as u32,
+                link: link as u32,
+            })
+            .collect();
+        Adjacency { start, hops }
+    }
+
+    fn of(&self, node: NodeId) -> &[Hop] {
+        &self.hops[self.start[node] as usize..self.start[node + 1] as usize]
+    }
+}
+
+/// Where a search state stands relative to the search's goal: hop distance
+/// and number of shortest paths (saturating). Eight bytes — the per-
+/// destination tables are the bulk of the route index, and the small
+/// benchmark rows peak at a few MiB.
+#[derive(Debug, Clone, Copy)]
+struct ToGoal {
+    hops: u32,
+    paths: u32,
+}
+
+const UNREACHABLE: ToGoal = ToGoal {
+    hops: u32::MAX,
+    paths: 0,
+};
+
+/// The lazily built routing state of a [`Topology`] (see the module docs).
+#[derive(Debug, Clone)]
+struct RouteIndex {
+    /// Links leaving each node.
+    out: Adjacency,
+    /// Links entering each node.
+    into: Adjacency,
+    /// Per link, the lowest-id link in the opposite direction, or [`NONE`].
+    twin: Vec<u32>,
+    /// Per destination node, every node's [`ToGoal`] on the healthy
+    /// fabric; filled by the first query towards that destination.
+    to_dst: Vec<OnceLock<Box<[ToGoal]>>>,
+}
+
+impl RouteIndex {
+    fn new(nodes: usize, links: &[LinkSpec]) -> Self {
+        assert!(
+            nodes < NONE as usize && links.len() < NONE as usize,
+            "route index supports fewer than 2^32 - 1 nodes and links"
+        );
+        let out = Adjacency::new(nodes, links.iter().map(|l| (l.from, l.to)));
+        let into = Adjacency::new(nodes, links.iter().map(|l| (l.to, l.from)));
+        let twin = links
+            .iter()
+            .map(|l| first_link_to(out.of(l.to), l.from).map_or(NONE, |id| id as u32))
+            .collect();
+        RouteIndex {
+            out,
+            into,
+            twin,
+            to_dst: vec![OnceLock::new(); nodes],
+        }
+    }
+
+    /// The goal to search towards for destination `dst`, and the final link
+    /// from that goal onto `dst` if the goal is not `dst` itself. A node
+    /// with a single in-neighbour (every single-homed host) is only
+    /// reachable through it, and no shortest path *to* that neighbour
+    /// passes through the node, so the node shares its neighbour's table:
+    /// one hop further, same path count.
+    fn approach(&self, dst: NodeId) -> (NodeId, Option<LinkId>) {
+        let hops = self.into.of(dst);
+        match (hops.first(), hops.last()) {
+            (Some(first), Some(last)) if first.peer == last.peer => {
+                (first.peer as usize, Some(first.link as usize))
+            }
+            _ => (dst, None),
+        }
+    }
+}
+
+/// The lowest-id link to `to` among `hops` (sorted by `(peer, link)`).
+fn first_link_to(hops: &[Hop], to: NodeId) -> Option<LinkId> {
+    let at = hops.partition_point(|h| (h.peer as usize) < to);
+    hops.get(at)
+        .filter(|h| h.peer as usize == to)
+        .map(|h| h.link as usize)
+}
+
+/// A shortest-path search over the route index: the one BFS helper and the
+/// one DAG walker behind every route query.
+///
+/// With `banned: None` the states are the nodes and every hop is allowed:
+/// plain shortest paths on the healthy fabric. With `banned: Some(set)` the
+/// search is **valley-free** over the links outside `set`: state
+/// `2·node + phase`, phase 0 while still ascending tiers and 1 once
+/// descending; a hop either rises (staying in phase 0) or falls (entering
+/// or staying in phase 1), and flat hops are not allowed. From any one
+/// state each neighbour is reachable in at most one phase, so ordering next
+/// hops by neighbour id orders paths lexicographically by node id in both
+/// modes.
+#[derive(Clone, Copy)]
+struct Search<'a> {
+    nodes: &'a [Node],
+    index: &'a RouteIndex,
+    banned: Option<&'a HashSet<LinkId>>,
+}
+
+impl<'a> Search<'a> {
+    fn phases(&self) -> usize {
+        if self.banned.is_some() {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// The state a packet in state `at` is in after hopping to node `to`,
+    /// or `None` if the search does not allow the hop.
+    fn step(&self, at: usize, to: NodeId) -> Option<usize> {
+        if self.banned.is_none() {
+            return Some(to);
+        }
+        let (from, descending) = (at / 2, at % 2 == 1);
+        let (tier_from, tier_to) = (self.nodes[from].kind.tier(), self.nodes[to].kind.tier());
+        if tier_to > tier_from && !descending {
+            Some(2 * to)
+        } else if tier_to < tier_from {
+            Some(2 * to + 1)
+        } else {
+            None
+        }
+    }
+
+    /// The usable hops among `hops`, one per distinct neighbour (its
+    /// lowest-id usable link), in ascending neighbour order.
+    fn hops(&self, hops: &'a [Hop]) -> impl Iterator<Item = Hop> + 'a {
+        let banned = self.banned;
+        let mut last_peer = NONE;
+        hops.iter().copied().filter(move |hop| {
+            let usable = hop.peer != last_peer
+                && banned.is_none_or(|set| !set.contains(&(hop.link as usize)));
+            if usable {
+                last_peer = hop.peer;
+            }
+            usable
+        })
+    }
+
+    /// Breadth-first search backwards from `goal`: every state's distance
+    /// to it and its number of shortest paths there.
+    fn table_to(&self, goal: usize) -> Vec<ToGoal> {
+        let phases = self.phases();
+        let mut table = vec![UNREACHABLE; self.nodes.len() * phases];
+        table[goal] = ToGoal { hops: 0, paths: 1 };
+        let mut frontier = VecDeque::from([goal]);
+        while let Some(at) = frontier.pop_front() {
+            // `here` is final: only states one hop closer to the goal add
+            // to it, and all of those were popped before `at`.
+            let here = table[at];
+            let node = at / phases;
+            for hop in self.hops(self.index.into.of(node)) {
+                // A predecessor is any state of the in-neighbour whose step
+                // onto `node` lands in `at`.
+                for phase in 0..phases {
+                    let prev = hop.peer as usize * phases + phase;
+                    if self.step(prev, node) != Some(at) {
+                        continue;
+                    }
+                    let entry = &mut table[prev];
+                    if entry.hops == u32::MAX {
+                        *entry = ToGoal {
+                            hops: here.hops + 1,
+                            paths: here.paths,
+                        };
+                        frontier.push_back(prev);
+                    } else if entry.hops == here.hops + 1 {
+                        entry.paths = entry.paths.saturating_add(here.paths);
+                    }
+                }
+            }
+        }
+        table
+    }
+
+    /// Append to `route` the links of shortest path number `k` from `at` to
+    /// `goal`, in lexicographic node order: at each hop, skip whole
+    /// sub-DAGs (by their path counts) until `k` falls inside one. Exact
+    /// for every `k` below the saturation point of the counts.
+    fn walk(&self, table: &[ToGoal], mut at: usize, goal: usize, mut k: u32, route: &mut Route) {
+        debug_assert!(k < table[at].paths);
+        while at != goal {
+            let closer = table[at].hops - 1;
+            let mut chosen = None;
+            for hop in self.hops(self.index.out.of(at / self.phases())) {
+                let Some(next) = self.step(at, hop.peer as usize) else {
+                    continue;
+                };
+                let ahead = table[next];
+                if ahead.hops != closer {
+                    continue;
+                }
+                if k < ahead.paths {
+                    chosen = Some((hop.link, next));
+                    break;
+                }
+                k -= ahead.paths;
+            }
+            let (link, next) = chosen.expect("path counts cover every index below the total");
+            route.push(link as usize);
+            at = next;
+        }
+    }
+}
+
+/// The equal-cost paths one search found between a pair of hosts: how many
+/// there are, and any one of them by number.
+struct PathSet<'a> {
+    search: Search<'a>,
+    /// Cached per destination on the healthy fabric, owned when the search
+    /// went around a ban set.
+    table: Cow<'a, [ToGoal]>,
+    start: usize,
+    goal: usize,
+    /// The final link from `goal` onto the destination, when the search
+    /// stopped at the destination's attachment switch.
+    last: Option<LinkId>,
+}
+
+impl PathSet<'_> {
+    fn len(&self) -> u32 {
+        self.table[self.start].paths
+    }
+
+    /// Path number `k < len()` in lexicographic node order.
+    fn route(&self, k: u32) -> Route {
+        let mut route = Route::new();
+        self.search
+            .walk(&self.table, self.start, self.goal, k, &mut route);
+        if let Some(last) = self.last {
+            route.push(last);
+        }
+        route
+    }
+
+    /// Path number `choice % len()`, or `None` if there is no path.
+    fn pinned(&self, choice: usize) -> Option<Route> {
+        let len = self.len() as usize;
+        (len > 0).then(|| self.route((choice % len) as u32))
+    }
+
+    fn all(&self) -> Vec<Route> {
+        (0..self.len()).map(|k| self.route(k)).collect()
+    }
+}
+
 /// A static network topology.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Topology {
@@ -220,6 +556,8 @@ pub struct Topology {
     aggregations: Vec<NodeId>,
     spines: Vec<NodeId>,
     cores: Vec<NodeId>,
+    /// Built by the first route query, dropped by every mutation.
+    index: OnceLock<RouteIndex>,
 }
 
 /// Parameters for [`Topology::leaf_spine`].
@@ -355,6 +693,7 @@ impl Topology {
 
     /// Add a node of the given kind; returns its id.
     pub fn add_node(&mut self, kind: NodeKind, name: impl Into<String>) -> NodeId {
+        self.index = OnceLock::new();
         let id = self.nodes.len();
         self.nodes.push(Node {
             kind,
@@ -389,6 +728,7 @@ impl Topology {
             capacity_bps.is_finite() && capacity_bps > 0.0,
             "capacity must be positive"
         );
+        self.index = OnceLock::new();
         self.links.push(LinkSpec {
             from,
             to,
@@ -452,9 +792,26 @@ impl Topology {
         self.links.len()
     }
 
-    /// Find the link from `from` to `to`, if one exists.
+    /// The route index, built on first use (see the module docs).
+    fn index(&self) -> &RouteIndex {
+        self.index
+            .get_or_init(|| RouteIndex::new(self.nodes.len(), &self.links))
+    }
+
+    /// Find the link from `from` to `to`, if one exists; the lowest link id
+    /// if several do.
     pub fn link_between(&self, from: NodeId, to: NodeId) -> Option<LinkId> {
-        self.links.iter().position(|l| l.from == from && l.to == to)
+        if from >= self.nodes.len() {
+            return None;
+        }
+        first_link_to(self.index().out.of(from), to)
+    }
+
+    /// The link in the opposite direction of `link` — the other half of its
+    /// cable — if one exists; the lowest link id if several do.
+    pub fn reverse_link(&self, link: LinkId) -> Option<LinkId> {
+        let twin = self.index().twin[link];
+        (twin != NONE).then_some(twin as usize)
     }
 
     /// Build a route as the concatenation of links along the node sequence
@@ -572,277 +929,112 @@ impl Topology {
             NodeKind::Host,
             "{host} is not a host"
         );
-        self.links
+        self.index()
+            .out
+            .of(host)
             .iter()
-            .find(|l| l.from == host)
-            .map(|l| l.to)
+            .min_by_key(|hop| hop.link)
+            .map(|hop| hop.peer as usize)
             .filter(|&n| self.nodes[n].kind == NodeKind::Leaf)
     }
 
-    /// All equal-cost (shortest) paths from `src` to `dst`, as node
-    /// sequences, in a deterministic order: paths are enumerated
-    /// depth-first with next hops visited in ascending node-id order, so the
-    /// result is lexicographically sorted. On a leaf-spine fabric this yields
-    /// one path per spine (in spine order) for inter-rack pairs; on a
-    /// fat-tree, `(k/2)²` paths for inter-pod pairs and `k/2` for
-    /// intra-pod/inter-edge pairs. In the hierarchical fabrics built by
-    /// [`Topology::leaf_spine`] and [`Topology::fat_tree`] every shortest
-    /// path is automatically valley-free (tiers rise monotonically to a
-    /// single peak, then fall).
+    /// A search over the healthy fabric (`banned: None`) or a valley-free
+    /// search over the links outside `banned`.
+    fn search<'a>(&'a self, banned: Option<&'a HashSet<LinkId>>) -> Search<'a> {
+        Search {
+            nodes: &self.nodes,
+            index: self.index(),
+            banned,
+        }
+    }
+
+    fn assert_host_pair(&self, src: NodeId, dst: NodeId) {
+        assert_eq!(self.nodes[src].kind, NodeKind::Host, "{src} is not a host");
+        assert_eq!(self.nodes[dst].kind, NodeKind::Host, "{dst} is not a host");
+        assert_ne!(src, dst, "a path needs distinct endpoints");
+    }
+
+    /// The equal-cost paths between two hosts on the healthy fabric, read
+    /// from the destination's cached table (filled on its first query).
     ///
     /// # Panics
-    /// Panics if `src == dst` or no path exists.
-    pub fn equal_cost_node_paths(&self, src: NodeId, dst: NodeId) -> Vec<Vec<NodeId>> {
-        assert_ne!(src, dst, "a path needs distinct endpoints");
-        let n = self.nodes.len();
-        let mut out_adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let mut in_adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for l in &self.links {
-            out_adj[l.from].push(l.to);
-            in_adj[l.to].push(l.from);
-        }
-        for a in &mut out_adj {
-            a.sort_unstable();
-            a.dedup();
-        }
-
-        let bfs = |start: NodeId, adj: &[Vec<NodeId>]| -> Vec<u32> {
-            let mut dist = vec![u32::MAX; n];
-            dist[start] = 0;
-            let mut frontier = std::collections::VecDeque::from([start]);
-            while let Some(u) = frontier.pop_front() {
-                for &v in &adj[u] {
-                    if dist[v] == u32::MAX {
-                        dist[v] = dist[u] + 1;
-                        frontier.push_back(v);
-                    }
-                }
-            }
-            dist
+    /// Panics if either endpoint is not a host, they are equal, or no path
+    /// exists.
+    fn healthy(&self, src: NodeId, dst: NodeId) -> PathSet<'_> {
+        self.assert_host_pair(src, dst);
+        let search = self.search(None);
+        let (goal, last) = search.index.approach(dst);
+        let table =
+            search.index.to_dst[goal].get_or_init(|| search.table_to(goal).into_boxed_slice());
+        let paths = PathSet {
+            search,
+            table: Cow::Borrowed(table),
+            start: src,
+            goal,
+            last,
         };
-        let dist_from_src = bfs(src, &out_adj);
-        let dist_to_dst = bfs(dst, &in_adj);
-        let total = dist_from_src[dst];
-        assert_ne!(total, u32::MAX, "no path from {src} to {dst}");
-
-        // Depth-first enumeration over the shortest-path DAG: from `u`, a hop
-        // to `v` stays on some shortest path iff it advances the distance
-        // from the source and the remaining distance to the destination
-        // matches exactly. Iterative DFS with per-level neighbor cursors;
-        // neighbors are visited in ascending node-id order, so the paths come
-        // out lexicographically sorted.
-        let on_dag = |u: NodeId, v: NodeId| {
-            dist_from_src[v] == dist_from_src[u] + 1
-                && dist_to_dst[v] != u32::MAX
-                && dist_from_src[v] + dist_to_dst[v] == total
-        };
-        let mut paths = Vec::new();
-        let mut path = vec![src];
-        let mut cursors = vec![0usize];
-        while let Some(&u) = path.last() {
-            if u == dst {
-                paths.push(path.clone());
-                path.pop();
-                cursors.pop();
-                continue;
-            }
-            let cursor = cursors.last_mut().expect("one cursor per path node");
-            match out_adj[u][*cursor..].iter().position(|&v| on_dag(u, v)) {
-                Some(offset) => {
-                    let v = out_adj[u][*cursor + offset];
-                    *cursor += offset + 1;
-                    path.push(v);
-                    cursors.push(0);
-                }
-                None => {
-                    path.pop();
-                    cursors.pop();
-                }
-            }
-        }
+        assert!(paths.len() > 0, "no path from {src} to {dst}");
         paths
     }
 
-    /// The route from `src` host to `dst` host pinned to equal-cost path
-    /// number `choice % num_paths` (ECMP hash stand-in). On a leaf-spine
-    /// fabric this is exactly the legacy behavior: inter-rack flows pick
-    /// spine `choice % spines`, intra-rack flows route through the shared
-    /// leaf regardless of `choice`.
+    /// Number of equal-cost (shortest) paths between two hosts — the range
+    /// [`Topology::host_route`] folds its `choice` into. One table read
+    /// once the destination's table is warm. Saturates at `u32::MAX`.
     ///
     /// # Panics
-    /// Panics if `src` or `dst` is not a host, or `src == dst`.
+    /// Panics if `src` or `dst` is not a host, `src == dst`, or no path
+    /// exists.
+    pub fn num_host_routes(&self, src: NodeId, dst: NodeId) -> usize {
+        self.healthy(src, dst).len() as usize
+    }
+
+    /// The route from `src` host to `dst` host pinned to equal-cost path
+    /// number `choice % num_paths` (ECMP hash stand-in) in the module's
+    /// lexicographic path order. On a leaf-spine fabric inter-rack flows
+    /// pick spine `choice % spines` and intra-rack flows route through the
+    /// shared leaf regardless of `choice`.
+    ///
+    /// # Panics
+    /// Panics if `src` or `dst` is not a host, `src == dst`, or no path
+    /// exists.
     pub fn host_route(&self, src: NodeId, dst: NodeId, choice: usize) -> Route {
-        let paths = self.host_node_paths(src, dst);
-        self.route_via(&paths[choice % paths.len()])
+        self.healthy(src, dst)
+            .pinned(choice)
+            .expect("`healthy` checked that a path exists")
     }
 
     /// All distinct equal-cost routes from `src` to `dst` (one per spine for
     /// inter-rack leaf-spine pairs, `(k/2)²` for inter-pod fat-tree pairs, a
-    /// single route for same-switch pairs). Subflows of a multipath flow are
-    /// spread across these.
-    pub fn host_routes(&self, src: NodeId, dst: NodeId) -> Vec<Route> {
-        self.host_node_paths(src, dst)
-            .iter()
-            .map(|p| self.route_via(p))
-            .collect()
-    }
-
-    /// Equal-cost node paths between two *hosts* (panics on non-host
-    /// endpoints, preserving the original `host_route` contract).
-    fn host_node_paths(&self, src: NodeId, dst: NodeId) -> Vec<Vec<NodeId>> {
-        assert_eq!(self.nodes[src].kind, NodeKind::Host, "{src} is not a host");
-        assert_eq!(self.nodes[dst].kind, NodeKind::Host, "{dst} is not a host");
-        self.equal_cost_node_paths(src, dst)
-    }
-
-    /// All shortest **valley-free** paths from `src` to `dst` over the links
-    /// that survive `down`, as node sequences in the same deterministic
-    /// (lexicographic) order as [`Topology::equal_cost_node_paths`].
-    ///
-    /// This is the route re-selection primitive of the impairment layer: a
-    /// directed link is unusable if it is in `down` *or its reverse twin is*
-    /// (a flow cannot use a path its ACKs cannot retrace), and paths must
-    /// ascend the tier hierarchy monotonically to a single peak and then
-    /// descend (up/down routing — no valleys, no flat hops). On a healthy
-    /// hierarchical fabric every shortest path is valley-free, so an empty
-    /// `down` set reproduces `equal_cost_node_paths` exactly.
-    ///
-    /// Returns an empty list when the failure set disconnects the pair (in
-    /// the valley-free sense).
+    /// single route for same-switch pairs), in the module's lexicographic
+    /// path order. Subflows of a multipath flow are spread across these.
     ///
     /// # Panics
-    /// Panics if `src == dst`.
-    pub fn surviving_node_paths(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        down: &std::collections::HashSet<LinkId>,
-    ) -> Vec<Vec<NodeId>> {
-        self.surviving_node_paths_directed(src, dst, &self.twin_expanded(down))
+    /// As [`Topology::host_route`].
+    pub fn host_routes(&self, src: NodeId, dst: NodeId) -> Vec<Route> {
+        self.healthy(src, dst).all()
     }
 
     /// Expand `down` with each member's reverse twin — the conservative ban
-    /// set for symmetric failures. Asymmetric ([`crate::impairment::
-    /// LinkChange::DownFwd`]) failures skip this expansion and ban only the
-    /// dead direction.
-    fn twin_expanded(
-        &self,
-        down: &std::collections::HashSet<LinkId>,
-    ) -> std::collections::HashSet<LinkId> {
+    /// set for symmetric failures (a flow cannot use a path its ACKs cannot
+    /// retrace). Asymmetric ([`crate::impairment::LinkChange::DownFwd`])
+    /// failures skip this expansion and ban only the dead direction.
+    fn twin_expanded(&self, down: &HashSet<LinkId>) -> HashSet<LinkId> {
         let mut banned = down.clone();
-        for &id in down {
-            let spec = &self.links[id];
-            if let Some(twin) = self.link_between(spec.to, spec.from) {
-                banned.insert(twin);
-            }
-        }
+        banned.extend(down.iter().filter_map(|&id| self.reverse_link(id)));
         banned
     }
 
-    /// [`Topology::surviving_node_paths`] with the ban set taken **literally**:
-    /// a directed link is unusable exactly when it is in `banned`, with no
-    /// reverse-twin expansion. This is the asymmetric-failure primitive —
-    /// the caller decides per failed link whether its twin is banned too.
-    pub fn surviving_node_paths_directed(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        banned: &std::collections::HashSet<LinkId>,
-    ) -> Vec<Vec<NodeId>> {
-        assert_ne!(src, dst, "a path needs distinct endpoints");
-        let n = self.nodes.len();
-        let usable = |id: LinkId| !banned.contains(&id);
-        // Valley-free search state: (node, phase) with phase 0 = still
-        // ascending tiers, phase 1 = descending. A hop either rises (staying
-        // in phase 0), or falls (entering / staying in phase 1); flat hops
-        // are not valley-free and the hierarchical builders create none.
-        let state = |node: NodeId, phase: usize| node * 2 + phase;
-        let mut fwd: Vec<Vec<usize>> = vec![Vec::new(); 2 * n];
-        for (id, l) in self.links.iter().enumerate() {
-            if !usable(id) {
-                continue;
-            }
-            let (tf, tt) = (self.nodes[l.from].kind.tier(), self.nodes[l.to].kind.tier());
-            if tt > tf {
-                fwd[state(l.from, 0)].push(state(l.to, 0));
-            } else if tt < tf {
-                fwd[state(l.from, 0)].push(state(l.to, 1));
-                fwd[state(l.from, 1)].push(state(l.to, 1));
-            }
-        }
-        let mut rev: Vec<Vec<usize>> = vec![Vec::new(); 2 * n];
-        for (s, outs) in fwd.iter().enumerate() {
-            for &t in outs {
-                rev[t].push(s);
-            }
-        }
-        for adj in fwd.iter_mut().chain(rev.iter_mut()) {
-            adj.sort_unstable();
-            adj.dedup();
-        }
-
-        let bfs = |start: usize, adj: &[Vec<usize>]| -> Vec<u32> {
-            let mut dist = vec![u32::MAX; 2 * n];
-            dist[start] = 0;
-            let mut frontier = std::collections::VecDeque::from([start]);
-            while let Some(u) = frontier.pop_front() {
-                for &v in &adj[u] {
-                    if dist[v] == u32::MAX {
-                        dist[v] = dist[u] + 1;
-                        frontier.push_back(v);
-                    }
-                }
-            }
-            dist
-        };
-        // `dst` is only reachable in the descending phase (its final hop
-        // falls onto it; hosts have the lowest tier).
-        let (start, goal) = (state(src, 0), state(dst, 1));
-        let dist_from_src = bfs(start, &fwd);
-        let dist_to_dst = bfs(goal, &rev);
-        let total = dist_from_src[goal];
-        if total == u32::MAX {
-            return Vec::new();
-        }
-
-        // Same iterative DFS as `equal_cost_node_paths`, over the state
-        // graph; the phase is a function of the node/tier sequence, so
-        // distinct state paths are distinct node paths.
-        let on_dag = |u: usize, v: usize| {
-            dist_from_src[v] == dist_from_src[u] + 1
-                && dist_to_dst[v] != u32::MAX
-                && dist_from_src[v] + dist_to_dst[v] == total
-        };
-        let mut paths = Vec::new();
-        let mut path = vec![start];
-        let mut cursors = vec![0usize];
-        while let Some(&u) = path.last() {
-            if u == goal {
-                paths.push(path.iter().map(|&s| s / 2).collect());
-                path.pop();
-                cursors.pop();
-                continue;
-            }
-            let cursor = cursors.last_mut().expect("one cursor per path node");
-            match fwd[u][*cursor..].iter().position(|&v| on_dag(u, v)) {
-                Some(offset) => {
-                    let v = fwd[u][*cursor + offset];
-                    *cursor += offset + 1;
-                    path.push(v);
-                    cursors.push(0);
-                }
-                None => {
-                    path.pop();
-                    cursors.pop();
-                }
-            }
-        }
-        paths
-    }
-
     /// All surviving equal-cost routes between two hosts after the links in
-    /// `down` failed (see [`Topology::surviving_node_paths`]); empty when
-    /// the pair is disconnected.
+    /// `down` (and their reverse twins) failed: the shortest **valley-free**
+    /// paths over the remaining links, in lexicographic node order. Paths
+    /// must ascend the tier hierarchy monotonically to a single peak and
+    /// then descend (up/down routing — no valleys, no flat hops). On a
+    /// healthy hierarchical fabric every shortest path is valley-free, so an
+    /// empty `down` set reproduces [`Topology::host_routes`] exactly. Empty
+    /// when the failures disconnect the pair (in the valley-free sense).
+    ///
+    /// Where parallel links join two nodes a route takes the lowest
+    /// *surviving* link id.
     ///
     /// # Panics
     /// Panics if `src` or `dst` is not a host, or `src == dst`.
@@ -850,37 +1042,35 @@ impl Topology {
         &self,
         src: NodeId,
         dst: NodeId,
-        down: &std::collections::HashSet<LinkId>,
+        down: &HashSet<LinkId>,
     ) -> Vec<Route> {
         self.host_routes_avoiding_directed(src, dst, &self.twin_expanded(down))
     }
 
-    /// [`Topology::host_routes_avoiding`] with the ban set taken literally
-    /// (no reverse-twin expansion) — see
-    /// [`Topology::surviving_node_paths_directed`].
+    /// [`Topology::host_routes_avoiding`] with the ban set taken
+    /// **literally**: a directed link is unusable exactly when it is in
+    /// `banned`, with no reverse-twin expansion. This is the
+    /// asymmetric-failure primitive — the caller decides per failed link
+    /// whether its twin is banned too.
     pub fn host_routes_avoiding_directed(
         &self,
         src: NodeId,
         dst: NodeId,
-        banned: &std::collections::HashSet<LinkId>,
+        banned: &HashSet<LinkId>,
     ) -> Vec<Route> {
-        assert_eq!(self.nodes[src].kind, NodeKind::Host, "{src} is not a host");
-        assert_eq!(self.nodes[dst].kind, NodeKind::Host, "{dst} is not a host");
-        self.surviving_node_paths_directed(src, dst, banned)
-            .iter()
-            .map(|p| self.route_via(p))
-            .collect()
+        self.survivors(src, dst, banned).all()
     }
 
     /// The surviving route pinned to ECMP choice `choice % num_surviving`,
     /// or `None` when the failures disconnect the pair. With an empty `down`
-    /// set this is exactly [`Topology::host_route`].
+    /// set this is exactly [`Topology::host_route`] on a hierarchical
+    /// fabric.
     pub fn host_route_avoiding(
         &self,
         src: NodeId,
         dst: NodeId,
         choice: usize,
-        down: &std::collections::HashSet<LinkId>,
+        down: &HashSet<LinkId>,
     ) -> Option<Route> {
         self.host_route_avoiding_directed(src, dst, choice, &self.twin_expanded(down))
     }
@@ -893,14 +1083,31 @@ impl Topology {
         src: NodeId,
         dst: NodeId,
         choice: usize,
-        banned: &std::collections::HashSet<LinkId>,
+        banned: &HashSet<LinkId>,
     ) -> Option<Route> {
-        let routes = self.host_routes_avoiding_directed(src, dst, banned);
-        if routes.is_empty() {
-            return None;
+        self.survivors(src, dst, banned).pinned(choice)
+    }
+
+    /// The shortest valley-free paths from host `src` to host `dst` over the
+    /// links outside `banned`: one uncached search.
+    fn survivors<'a>(
+        &'a self,
+        src: NodeId,
+        dst: NodeId,
+        banned: &'a HashSet<LinkId>,
+    ) -> PathSet<'a> {
+        self.assert_host_pair(src, dst);
+        let search = self.search(Some(banned));
+        // A route leaves `src` ascending and can only land on `dst` (a
+        // host, the lowest tier) descending.
+        let goal = 2 * dst + 1;
+        PathSet {
+            search,
+            table: Cow::Owned(search.table_to(goal)),
+            start: 2 * src,
+            goal,
+            last: None,
         }
-        let pick = choice % routes.len();
-        Some(routes.into_iter().nth(pick).expect("index is in range"))
     }
 
     /// The reverse of `route` (the path ACKs take), assuming every link has a
@@ -910,29 +1117,27 @@ impl Topology {
             .links()
             .iter()
             .rev()
-            .map(|&l| {
-                let spec = &self.links[l];
-                self.link_between(spec.to, spec.from)
-                    .expect("every link must have a reverse twin for ACK routing")
-            })
+            .map(|&l| self.ack_link(l))
             .collect()
+    }
+
+    /// The link ACKs of data on `link` travel.
+    fn ack_link(&self, link: LinkId) -> LinkId {
+        self.reverse_link(link)
+            .expect("every link must have a reverse twin for ACK routing")
     }
 
     /// Base (zero-queue) round-trip time along `route` and back for a packet
     /// of `data_bytes` and an ACK of `ack_bytes`: propagation both ways plus
     /// serialization at every hop.
     pub fn base_rtt(&self, route: &Route, data_bytes: u64, ack_bytes: u64) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for &l in route.links() {
-            let spec = &self.links[l];
-            total += spec.delay + SimDuration::transmission(data_bytes, spec.capacity_bps);
-        }
-        let reverse = self.reverse_route(route);
-        for &l in reverse.links() {
-            let spec = &self.links[l];
-            total += spec.delay + SimDuration::transmission(ack_bytes, spec.capacity_bps);
-        }
-        total
+        let hop = |link: LinkId, bytes: u64| {
+            let spec = &self.links[link];
+            spec.delay + SimDuration::transmission(bytes, spec.capacity_bps)
+        };
+        route.links().iter().fold(SimDuration::ZERO, |total, &l| {
+            total + hop(l, data_bytes) + hop(self.ack_link(l), ack_bytes)
+        })
     }
 
     /// Deterministically assign every node to one of `partitions` spatial
@@ -1181,7 +1386,7 @@ mod tests {
 
     #[test]
     fn leaf_spine_routes_match_legacy_construction() {
-        // The generalized ECMP enumerator must reproduce the original
+        // Generalized ECMP must reproduce the original
         // leaf-spine routes exactly (same links, same spine order), because
         // seeded scenarios pin flows by `spine_choice`.
         let topo = Topology::leaf_spine(&LeafSpineConfig::small(16, 4, 3));

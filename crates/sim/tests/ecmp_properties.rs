@@ -1,4 +1,4 @@
-//! Property tests for the generalized ECMP enumerator.
+//! Property tests for generalized ECMP routing.
 //!
 //! Two families of pins:
 //!

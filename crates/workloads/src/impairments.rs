@@ -79,9 +79,7 @@ impl ImpairmentSchedule {
         restore_at: Option<SimTime>,
     ) -> Self {
         let mut schedule = Self::new();
-        let spec = &topo.links()[forward];
-        let twin = topo.link_between(spec.to, spec.from);
-        for link in std::iter::once(forward).chain(twin) {
+        for link in std::iter::once(forward).chain(topo.reverse_link(forward)) {
             schedule.push(fail_at, link, LinkChange::Down);
             if let Some(at) = restore_at {
                 schedule.push(at, link, LinkChange::Up);
@@ -195,7 +193,7 @@ pub fn fabric_cables(topo: &Topology) -> Vec<(LinkId, LinkId)> {
         .filter_map(|(id, l)| {
             let switch_pair =
                 topo.nodes()[l.from].kind.is_switch() && topo.nodes()[l.to].kind.is_switch();
-            let twin = topo.link_between(l.to, l.from)?;
+            let twin = topo.reverse_link(id)?;
             (switch_pair && id < twin).then_some((id, twin))
         })
         .collect()
