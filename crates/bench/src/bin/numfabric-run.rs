@@ -13,7 +13,7 @@
 //! not a new binary.
 
 use numfabric_bench::registry;
-use numfabric_workloads::registry::ScenarioOptions;
+use numfabric_workloads::registry::{DispatchError, ScenarioOptions};
 use std::process::ExitCode;
 
 fn print_list() {
@@ -53,8 +53,14 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("error: {err}");
-            eprintln!("hint: `numfabric-run --list` shows every scenario");
-            ExitCode::FAILURE
+            match err {
+                // A usage error, like every malformed option value.
+                DispatchError::UnknownOption { .. } => ExitCode::from(2),
+                DispatchError::UnknownScenario { .. } => {
+                    eprintln!("hint: `numfabric-run --list` shows every scenario");
+                    ExitCode::FAILURE
+                }
+            }
         }
     }
 }

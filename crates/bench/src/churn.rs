@@ -26,17 +26,13 @@
 //! [`Network::try_retire_flow`]: numfabric_sim::Network::try_retire_flow
 //! [`QuantileSketch`]: crate::report::QuantileSketch
 
-use crate::fabric::{
-    cli_error, exit_if_wedged, impairments_from_options, parse_load_fraction,
-    partition_threads_from_options, partitions_from_options,
-};
-use crate::protocols::Protocol;
+use crate::fabric::{cli_error, exit_if_wedged, parse_load_fraction};
+use crate::protocols::{Protocol, RunSetup};
 use crate::report::{churn_report_json, print_table, ChurnSummary, ClassStats};
 use numfabric_num::utility::LogUtility;
 use numfabric_sim::{FlowId, Network, SimDuration, SimTime, Topology};
 use numfabric_workloads::churn::{foreground_background, ChurnConfig, ChurnStream};
 use numfabric_workloads::ideal::empty_network_fct;
-use numfabric_workloads::impairments::ImpairmentSchedule;
 use numfabric_workloads::registry::ScenarioOptions;
 use numfabric_workloads::TopologySpec;
 use std::sync::Arc;
@@ -137,50 +133,23 @@ fn churn_config(topo: &Topology, run: &ChurnRun) -> ChurnConfig {
     }
 }
 
-/// Run one churn workload to completion and return the streaming summary.
+/// Run one churn workload to completion on a network built with `setup`
+/// and return the streaming summary.
 ///
-/// `partitions` and `partition_threads` are pure execution knobs: the
+/// The partition and thread counts in `setup` are pure execution knobs: the
 /// summary (and the report rendered from it) is bit-identical for every
 /// value, because batch boundaries, the harvest schedule and the retire
 /// decisions are all derived from simulation content, never from
-/// scheduling.
-pub fn run_churn(
-    protocol: &Protocol,
-    run: &ChurnRun,
-    partitions: usize,
-    partition_threads: usize,
-) -> ChurnSummary {
-    run_churn_impaired(
-        protocol,
-        run,
-        &ImpairmentSchedule::new(),
-        partitions,
-        partition_threads,
-    )
-}
-
-/// [`run_churn`] with an [`ImpairmentSchedule`] injected before the run
-/// starts — the sweep engine's impairment axis applies to churn cells
-/// through this, and impaired replays stay bit-identical because the
+/// scheduling — and impaired replays stay bit-identical because the
 /// loss/jitter draws come from per-link streams.
-pub fn run_churn_impaired(
-    protocol: &Protocol,
-    run: &ChurnRun,
-    impairments: &ImpairmentSchedule,
-    partitions: usize,
-    partition_threads: usize,
-) -> ChurnSummary {
+pub fn run_churn(protocol: &Protocol, run: &ChurnRun, setup: &RunSetup) -> ChurnSummary {
     let topo = run.topology.build(run.full);
     let hosts: Vec<_> = topo.hosts().to_vec();
     let mix = foreground_background(run.fg_share);
     let config = churn_config(&topo, run);
 
     let utility = Arc::new(LogUtility::new());
-    let mut net = protocol.build_network(topo);
-    net.set_partitions(partitions);
-    net.set_partition_threads(partition_threads);
-    net.set_impairment_seed(run.seed);
-    impairments.apply(&mut net);
+    let mut net = protocol.build_network_with(topo, setup);
 
     let mut classes: Vec<ClassStats> = mix.iter().map(|c| ClassStats::new(c.name)).collect();
     let mut live: Vec<LiveFlow> = Vec::new();
@@ -256,9 +225,7 @@ pub fn churn(opts: &ScenarioOptions) {
     let seed: u64 = opts.parsed_or("--seed", 1);
     let json = opts.flag("--json");
     let protocol = Protocol::from_options(opts);
-    let partitions = partitions_from_options(opts);
-    let partition_threads = partition_threads_from_options(opts);
-    let impairments = impairments_from_options(opts, &spec.build(opts.full()));
+    let setup = RunSetup::from_options(opts, &spec.build(opts.full()), seed);
     let run = ChurnRun {
         topology: spec,
         full: opts.full(),
@@ -279,7 +246,7 @@ pub fn churn(opts: &ScenarioOptions) {
         );
     }
     let start = std::time::Instant::now();
-    let summary = run_churn_impaired(&protocol, &run, &impairments, partitions, partition_threads);
+    let summary = run_churn(&protocol, &run, &setup);
     let wall = start.elapsed();
     if json {
         println!(
@@ -369,7 +336,7 @@ mod tests {
     #[test]
     fn churn_completes_flows_and_reports_per_class_stats() {
         let protocol = Protocol::NumFabric(NumFabricConfig::default());
-        let summary = run_churn(&protocol, &quick_run(5), 1, 1);
+        let summary = run_churn(&protocol, &quick_run(5), &RunSetup::default());
         assert!(summary.offered > 20, "offered = {}", summary.offered);
         assert!(
             summary.completed * 10 >= summary.offered * 5,
@@ -392,7 +359,7 @@ mod tests {
         let protocol = Protocol::NumFabric(NumFabricConfig::default());
         let mut run = quick_run(7);
         run.arrival_window = SimDuration::from_millis(30);
-        let summary = run_churn(&protocol, &run, 1, 1);
+        let summary = run_churn(&protocol, &run, &RunSetup::default());
         assert!(
             (summary.flow_slots as u64) < summary.offered / 2,
             "slab never recycled: {} slots for {} flows",
@@ -427,7 +394,7 @@ mod tests {
         }
         // And the driver itself runs on it.
         let protocol = Protocol::NumFabric(NumFabricConfig::default());
-        let summary = run_churn(&protocol, &run, 1, 1);
+        let summary = run_churn(&protocol, &run, &RunSetup::default());
         assert!(summary.completed > 0, "offered {}", summary.offered);
     }
 
@@ -435,26 +402,22 @@ mod tests {
     fn churn_summary_is_partition_invariant() {
         let protocol = Protocol::NumFabric(NumFabricConfig::default());
         let run = quick_run(11);
-        let base = churn_report_json(
-            "t",
-            "p",
-            run.load,
-            8,
-            run.seed,
-            &run_churn(&protocol, &run, 1, 1),
-        )
-        .render();
+        let report = |partitions, partition_threads| {
+            let setup = RunSetup {
+                partitions,
+                partition_threads,
+                ..RunSetup::default()
+            };
+            let summary = run_churn(&protocol, &run, &setup);
+            churn_report_json("t", "p", run.load, 8, run.seed, &summary).render()
+        };
+        let base = report(1, 1);
         for (partitions, threads) in [(2, 1), (4, 2)] {
-            let other = churn_report_json(
-                "t",
-                "p",
-                run.load,
-                8,
-                run.seed,
-                &run_churn(&protocol, &run, partitions, threads),
-            )
-            .render();
-            assert_eq!(base, other, "diverged at {partitions}x{threads}");
+            assert_eq!(
+                base,
+                report(partitions, threads),
+                "diverged at {partitions}x{threads}"
+            );
         }
     }
 }

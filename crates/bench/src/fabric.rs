@@ -9,7 +9,7 @@
 //! the fluid NUM oracle (stride) — the cross-check that pins the packet
 //! simulation against the fluid solution on non-leaf-spine fabrics.
 
-use crate::protocols::Protocol;
+use crate::protocols::{Protocol, RunSetup};
 use crate::report::{
     mean, percentile, print_table, steady_state_report_json, transfer_report_json,
 };
@@ -17,7 +17,6 @@ use numfabric_num::utility::LogUtility;
 use numfabric_sim::topology::Topology;
 use numfabric_sim::{SimDuration, SimTime};
 use numfabric_workloads::convergence::oracle_rates_bps;
-use numfabric_workloads::impairments::ImpairmentSchedule;
 use numfabric_workloads::registry::ScenarioOptions;
 use numfabric_workloads::scenarios::{incast_pairs, shuffle_pairs, stride_pairs, PathSpec};
 use numfabric_workloads::TopologySpec;
@@ -55,52 +54,18 @@ impl TransferSummary {
 }
 
 /// Inject one finite flow of `size_bytes` per pair at `t = 0` and run until
-/// `deadline`. All flows use proportional fairness, matching the dynamic
-/// workload drivers.
+/// `deadline` on a network built with `setup`. All flows use proportional
+/// fairness, matching the dynamic workload drivers.
 pub fn run_transfers(
     protocol: &Protocol,
     topo: Topology,
     pairs: &[PathSpec],
     size_bytes: u64,
     deadline: SimDuration,
-) -> TransferSummary {
-    run_transfers_impaired(
-        protocol,
-        topo,
-        pairs,
-        size_bytes,
-        deadline,
-        &ImpairmentSchedule::new(),
-        0,
-        1,
-        1,
-    )
-}
-
-/// [`run_transfers`] with an [`ImpairmentSchedule`] injected before the run
-/// starts; `impair_seed` seeds the network's loss/jitter draws so impaired
-/// replays stay bit-identical. `partitions` decomposes the network into
-/// per-partition event cores and `partition_threads` runs them on that many
-/// worker threads — with per-link impairment streams the report is
-/// bit-identical for every partition and thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_transfers_impaired(
-    protocol: &Protocol,
-    topo: Topology,
-    pairs: &[PathSpec],
-    size_bytes: u64,
-    deadline: SimDuration,
-    impairments: &ImpairmentSchedule,
-    impair_seed: u64,
-    partitions: usize,
-    partition_threads: usize,
+    setup: &RunSetup,
 ) -> TransferSummary {
     let utility = Arc::new(LogUtility::new());
-    let mut net = protocol.build_network(topo);
-    net.set_partitions(partitions);
-    net.set_partition_threads(partition_threads);
-    net.set_impairment_seed(impair_seed);
-    impairments.apply(&mut net);
+    let mut net = protocol.build_network_with(topo, setup);
     let ids: Vec<_> = pairs
         .iter()
         .map(|p| {
@@ -166,52 +131,21 @@ impl SteadyStateSummary {
     }
 }
 
-/// Start one long-lived flow per pair, run for `run_for`, and report the
-/// measured rates next to the fluid oracle's allocation for the identical
-/// flow population (same routes, proportional fairness).
+/// Start one long-lived flow per pair on a network built with `setup`, run
+/// for `run_for`, and report the measured rates next to the fluid oracle's
+/// allocation for the identical flow population (same routes, proportional
+/// fairness). The oracle is always the *healthy* fluid allocation — under a
+/// persistent impairment the measured rates document the concession, and the
+/// dedicated `recovery` scenario compares against the post-failure oracle.
 pub fn run_steady_state(
     protocol: &Protocol,
     topo: Topology,
     pairs: &[PathSpec],
     run_for: SimDuration,
-) -> SteadyStateSummary {
-    run_steady_state_impaired(
-        protocol,
-        topo,
-        pairs,
-        run_for,
-        &ImpairmentSchedule::new(),
-        0,
-        1,
-        1,
-    )
-}
-
-/// [`run_steady_state`] with an [`ImpairmentSchedule`] injected before the
-/// run starts. The oracle is still the *healthy* fluid allocation — under a
-/// persistent impairment the measured rates document the concession, and the
-/// dedicated `recovery` scenario compares against the post-failure oracle.
-/// `partitions` decomposes the network into per-partition event cores and
-/// `partition_threads` runs them on that many worker threads — with per-link
-/// impairment streams the report is bit-identical for every partition and
-/// thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_steady_state_impaired(
-    protocol: &Protocol,
-    topo: Topology,
-    pairs: &[PathSpec],
-    run_for: SimDuration,
-    impairments: &ImpairmentSchedule,
-    impair_seed: u64,
-    partitions: usize,
-    partition_threads: usize,
+    setup: &RunSetup,
 ) -> SteadyStateSummary {
     let utility = Arc::new(LogUtility::new());
-    let mut net = protocol.build_network(topo.clone());
-    net.set_partitions(partitions);
-    net.set_partition_threads(partition_threads);
-    net.set_impairment_seed(impair_seed);
-    impairments.apply(&mut net);
+    let mut net = protocol.build_network_with(topo.clone(), setup);
     let ids: Vec<_> = pairs
         .iter()
         .map(|p| {
@@ -251,27 +185,15 @@ fn spec_from_options(opts: &ScenarioOptions) -> TopologySpec {
     opts.parsed_or("--topology", TopologySpec::LeafSpine)
 }
 
-/// Parse `--partitions` (default 1): the number of per-partition event cores
-/// the network is decomposed into. Zero is rejected; the knob never changes
-/// report bytes — including randomized impairment draws, which are keyed per
-/// link — so any value is safe for replay.
-pub(crate) fn partitions_from_options(opts: &ScenarioOptions) -> usize {
-    let partitions: usize = opts.parsed_or("--partitions", 1);
-    if partitions == 0 {
-        cli_error("--partitions must be at least 1");
+/// Parse `--size` (defaulting to `default`). A zero-byte transfer can never
+/// complete, so it is a usage error (the rule `SweepSpec::validate` applies
+/// to `--sizes`), not a run that reports itself wedged at the deadline.
+fn size_from_options(opts: &ScenarioOptions, default: u64) -> u64 {
+    let size: u64 = opts.parsed_or("--size", default);
+    if size == 0 {
+        cli_error("--size must be at least 1 byte");
     }
-    partitions
-}
-
-/// Parse `--partition-threads` (default 1): the number of worker threads the
-/// per-partition event cores run on each epoch. Zero is rejected; like
-/// `--partitions`, the knob never changes report bytes.
-pub(crate) fn partition_threads_from_options(opts: &ScenarioOptions) -> usize {
-    let threads: usize = opts.parsed_or("--partition-threads", 1);
-    if threads == 0 {
-        cli_error("--partition-threads must be at least 1");
-    }
-    threads
+    size
 }
 
 /// Parse `--load` (defaulting to `default`) and validate it is a finite
@@ -287,32 +209,6 @@ pub(crate) fn parse_load_fraction(opts: &ScenarioOptions, default: f64) -> f64 {
         ));
     }
     load
-}
-
-/// Parse `--impair` into an [`ImpairmentSchedule`] (empty when absent) and
-/// validate every referenced link against the built fabric. Malformed specs
-/// and out-of-range links exit 2 like every other usage error.
-pub(crate) fn impairments_from_options(
-    opts: &ScenarioOptions,
-    topo: &Topology,
-) -> ImpairmentSchedule {
-    let Some(raw) = opts.value("--impair") else {
-        if opts.flag("--impair") {
-            cli_error("option --impair: missing value");
-        }
-        return ImpairmentSchedule::new();
-    };
-    let schedule: ImpairmentSchedule = raw.parse().unwrap_or_else(|e| cli_error(e));
-    for event in &schedule.events {
-        if event.link >= topo.links().len() {
-            cli_error(format!(
-                "--impair references link {} but this fabric has links 0..{}",
-                event.link,
-                topo.links().len()
-            ));
-        }
-    }
-    schedule
 }
 
 /// Report a semantically invalid option combination and exit non-zero —
@@ -399,7 +295,7 @@ fn print_transfer_summary(label: &str, summary: &TransferSummary) {
 pub fn incast(opts: &ScenarioOptions) {
     let spec = spec_from_options(opts);
     let fan_in: usize = opts.parsed_or("--fanin", 8);
-    let size: u64 = opts.parsed_or("--size", 500_000);
+    let size = size_from_options(opts, 500_000);
     let seed: u64 = opts.parsed_or("--seed", 1);
     let json = opts.flag("--json");
     let protocol = Protocol::from_options(opts);
@@ -412,9 +308,7 @@ pub fn incast(opts: &ScenarioOptions) {
         ));
     }
     let pairs = incast_pairs(&topo, fan_in, seed);
-    let impairments = impairments_from_options(opts, &topo);
-    let partitions = partitions_from_options(opts);
-    let partition_threads = partition_threads_from_options(opts);
+    let setup = RunSetup::from_options(opts, &topo, seed);
     let host_bps = topo.links()[0].capacity_bps;
     let topology = spec.describe(&topo);
     if !json {
@@ -426,17 +320,7 @@ pub fn incast(opts: &ScenarioOptions) {
         );
     }
     let deadline = transfer_deadline(fan_in as u64 * size, host_bps);
-    let summary = run_transfers_impaired(
-        &protocol,
-        topo,
-        &pairs,
-        size,
-        deadline,
-        &impairments,
-        seed,
-        partitions,
-        partition_threads,
-    );
+    let summary = run_transfers(&protocol, topo, &pairs, size, deadline, &setup);
     if json {
         println!(
             "{}",
@@ -466,7 +350,7 @@ pub fn incast(opts: &ScenarioOptions) {
 /// machine-readable report instead of tables.
 pub fn shuffle(opts: &ScenarioOptions) {
     let spec = spec_from_options(opts);
-    let size: u64 = opts.parsed_or("--size", 100_000);
+    let size = size_from_options(opts, 100_000);
     let seed: u64 = opts.parsed_or("--seed", 1);
     let json = opts.flag("--json");
     let protocol = Protocol::from_options(opts);
@@ -480,9 +364,7 @@ pub fn shuffle(opts: &ScenarioOptions) {
         ));
     }
     let pairs = shuffle_pairs(&topo, Some(participants), seed);
-    let impairments = impairments_from_options(opts, &topo);
-    let partitions = partitions_from_options(opts);
-    let partition_threads = partition_threads_from_options(opts);
+    let setup = RunSetup::from_options(opts, &topo, seed);
     let host_bps = topo.links()[0].capacity_bps;
     let topology = spec.describe(&topo);
     if !json {
@@ -498,17 +380,7 @@ pub fn shuffle(opts: &ScenarioOptions) {
     // slower for cross-rack traffic.
     let slowdown = worst_oversubscription(&topo);
     let deadline = transfer_deadline((participants as u64 - 1) * size, host_bps / slowdown);
-    let summary = run_transfers_impaired(
-        &protocol,
-        topo,
-        &pairs,
-        size,
-        deadline,
-        &impairments,
-        seed,
-        partitions,
-        partition_threads,
-    );
+    let summary = run_transfers(&protocol, topo, &pairs, size, deadline, &setup);
     if json {
         println!(
             "{}",
@@ -553,9 +425,7 @@ pub fn stride(opts: &ScenarioOptions) {
         ));
     }
     let pairs = stride_pairs(&topo, stride_by, seed);
-    let impairments = impairments_from_options(opts, &topo);
-    let partitions = partitions_from_options(opts);
-    let partition_threads = partition_threads_from_options(opts);
+    let setup = RunSetup::from_options(opts, &topo, seed);
     let topology = spec.describe(&topo);
     if !json {
         println!(
@@ -565,15 +435,12 @@ pub fn stride(opts: &ScenarioOptions) {
             pairs.len(),
         );
     }
-    let summary = run_steady_state_impaired(
+    let summary = run_steady_state(
         &protocol,
         topo,
         &pairs,
         SimDuration::from_millis(millis),
-        &impairments,
-        seed,
-        partitions,
-        partition_threads,
+        &setup,
     );
     if json {
         println!(
@@ -647,7 +514,14 @@ mod tests {
         let pairs = incast_pairs(&topo, 4, 7);
         let protocol = Protocol::NumFabric(NumFabricConfig::default());
         let deadline = transfer_deadline(4 * 200_000, 10e9);
-        let summary = run_transfers(&protocol, topo, &pairs, 200_000, deadline);
+        let summary = run_transfers(
+            &protocol,
+            topo,
+            &pairs,
+            200_000,
+            deadline,
+            &RunSetup::default(),
+        );
         assert!(summary.all_completed(), "{summary:?}");
         // 4 x 200 kB through one 10 Gbps NIC: goodput within a factor of the
         // line rate once overheads and convergence are accounted for.
@@ -695,7 +569,13 @@ mod tests {
         let topo = Topology::fat_tree(&FatTreeConfig::new(4));
         let pairs = stride_pairs(&topo, 8, 3);
         let protocol = Protocol::NumFabric(NumFabricConfig::default());
-        let summary = run_steady_state(&protocol, topo, &pairs, SimDuration::from_millis(4));
+        let summary = run_steady_state(
+            &protocol,
+            topo,
+            &pairs,
+            SimDuration::from_millis(4),
+            &RunSetup::default(),
+        );
         assert_eq!(summary.rates_bps.len(), 16);
         assert_eq!(summary.oracle_bps.len(), 16);
         assert!(summary.rates_bps.iter().all(|&r| r > 0.0));

@@ -1,10 +1,11 @@
 //! Every figure of the paper's evaluation as a registry-dispatchable
 //! function, plus generic `semi-dynamic` and `dynamic` drivers.
 //!
-//! The `figNN` binaries in `src/bin/` are thin wrappers over these
-//! functions; the `numfabric-run` binary lists and dispatches all of them by
-//! name through [`registry`]. Adding a workload means writing one function
-//! here and one [`ScenarioSpec`] entry in [`registry`] — not a new binary.
+//! The `numfabric-run` binary lists and dispatches all of them by name
+//! through [`registry`], which also enforces each entry's usage string: an
+//! option the string does not declare is refused. Adding a workload means
+//! writing one function here and one [`ScenarioSpec`] entry in [`registry`]
+//! — not a new binary.
 
 use crate::dynamic::bdp_bytes;
 use crate::report::{
@@ -122,14 +123,8 @@ pub fn registry() -> ScenarioRegistry {
     registry.register(ScenarioSpec {
         name: "sweep",
         summary: "Parameter-sweep grid (scenarios x topologies x protocols x loads x sizes x impairments) on a thread pool",
-        usage: "[--scenarios incast,shuffle,stride] [--topologies leaf-spine,fat-tree:k=4,oversub:4:1] [--protocols numfabric,dctcp,...] [--loads 0.5,...] [--sizes BYTES,...] [--impairments none,flap,loss,jitter] [--replicates N] [--seed S] [--threads N: worker threads, bit-identical report for any value] [--partitions N: per-partition event cores] [--partition-threads T: worker threads per epoch; both bit-identical for any value] [--json]",
+        usage: "[--scenarios incast,shuffle,stride] [--topologies leaf-spine,fat-tree:k=4,oversub:4:1] [--protocols numfabric,dctcp,...] [--loads 0.5,...] [--sizes BYTES,...] [--impairments none,flap,loss,jitter] [--replicates N] [--seed S] [--threads N: worker threads, bit-identical report for any value] [--partitions N: per-partition event cores] [--partition-threads T: worker threads per epoch; both bit-identical for any value] [--json] (axes are plural: --scenario/--topology/--protocol/--load/--size/--impair are refused with a pointer to the plural)",
         run: crate::sweep::sweep,
-    });
-    registry.register(ScenarioSpec {
-        name: "bench",
-        summary: "Perf measurement: event-core throughput and end-to-end scenario wall-clock, written to BENCH_<rev>.json",
-        usage: "[--events N] [--rev REV] [--compare OLD.json: print per-metric deltas, exit 1 on >15% gated events/sec regression] [--json]",
-        run: crate::perf::bench,
     });
     registry.register(ScenarioSpec {
         name: "semi-dynamic",
@@ -144,11 +139,6 @@ pub fn registry() -> ScenarioRegistry {
         run: dynamic,
     });
     registry
-}
-
-/// Map a `--protocol` option value to a scheme with default parameters.
-fn protocol_from_options(opts: &ScenarioOptions) -> Protocol {
-    Protocol::from_options(opts)
 }
 
 // ---------------------------------------------------------------------------
@@ -981,7 +971,7 @@ pub fn semi_dynamic(opts: &ScenarioOptions) {
     } else {
         SemiDynamicRun::reduced(events, seed)
     };
-    let protocol = protocol_from_options(opts);
+    let protocol = Protocol::from_options(opts);
     println!(
         "Semi-dynamic run: {} on {} events, seed {}, {} scale\n",
         protocol.name(),
@@ -1026,7 +1016,7 @@ pub fn dynamic(opts: &ScenarioOptions) {
         run.drain = SimDuration::from_millis(300);
     }
     let arrivals = generate_arrivals(&run, dist.as_ref());
-    let protocol = protocol_from_options(opts);
+    let protocol = Protocol::from_options(opts);
     println!(
         "Dynamic run: {} on the {} workload at {:.0}% load, {} flows\n",
         protocol.name(),
@@ -1071,7 +1061,6 @@ mod tests {
             "recovery",
             "churn",
             "sweep",
-            "bench",
             "semi-dynamic",
             "dynamic",
         ] {
@@ -1083,12 +1072,12 @@ mod tests {
     #[test]
     fn protocol_option_maps_names() {
         let opt = |v: &str| ScenarioOptions::new(vec!["--protocol".into(), v.into()]);
-        assert_eq!(protocol_from_options(&opt("dgd")).name(), "DGD");
-        assert_eq!(protocol_from_options(&opt("rcp")).name(), "RCP*");
-        assert_eq!(protocol_from_options(&opt("dctcp")).name(), "DCTCP");
-        assert_eq!(protocol_from_options(&opt("pfabric")).name(), "pFabric");
+        assert_eq!(Protocol::from_options(&opt("dgd")).name(), "DGD");
+        assert_eq!(Protocol::from_options(&opt("rcp")).name(), "RCP*");
+        assert_eq!(Protocol::from_options(&opt("dctcp")).name(), "DCTCP");
+        assert_eq!(Protocol::from_options(&opt("pfabric")).name(), "pFabric");
         assert_eq!(
-            protocol_from_options(&ScenarioOptions::default()).name(),
+            Protocol::from_options(&ScenarioOptions::default()).name(),
             "NUMFabric"
         );
     }

@@ -4,12 +4,15 @@
 //! NUMFabric paper's evaluation (§6). The library half contains the shared
 //! drivers; every scenario is registered by name in [`figures::registry`]
 //! and dispatched by the single `numfabric-run` binary
-//! (`cargo run --release -p numfabric-bench --bin numfabric-run -- --list`).
-//! The per-figure `figNN` binaries are kept as thin wrappers. Criterion
-//! micro-benchmarks live in `benches/`.
+//! (`cargo run --release -p numfabric-bench --bin numfabric-run -- --list`),
+//! the crate's only binary. Criterion micro-benchmarks live in `benches/`
+//! as diagnostics; performance numbers come from the standalone
+//! `benchmark/` package (see its README).
 //!
 //! * [`protocols`] — build any of the compared schemes (NUMFabric, DGD,
-//!   RCP*, DCTCP, pFabric) on a given topology.
+//!   RCP*, DCTCP, pFabric) on a given topology, and [`RunSetup`]: the
+//!   impairments, impairment seed, partition and thread counts every driver
+//!   applies through the one [`Protocol::build_network_with`].
 //! * [`semi_dynamic`] — the §6.1 controlled convergence experiment
 //!   (Figures 4a, 4b/c and 6).
 //! * [`dynamic`] — Poisson-arrival workloads with Oracle and empty-network
@@ -24,14 +27,11 @@
 //!   cable mid-run and measure each protocol's time to re-converge onto the
 //!   post-failure fluid allocation.
 //! * [`figures`] — every figure/table as a registry-dispatchable function.
-//! * [`perf`] — the `bench` scenario: event-core throughput and end-to-end
-//!   scenario wall-clock, written to `BENCH_<rev>.json` for the perf
-//!   trajectory.
 //! * [`report`] — percentiles, CDFs, Fig. 5 bins, table printing, and the
 //!   streaming bounded-stats layer: [`QuantileSketch`] (1 % relative-error
 //!   geometric buckets, exactly mergeable) and per-class accumulators.
-//! * [`sweep`] — the deterministic parallel sweep engine: a work-stealing
-//!   thread pool executes a `SweepSpec` grid (scenarios × topologies ×
+//! * [`sweep`] — the deterministic parallel sweep engine: scoped worker
+//!   threads sharing one cursor execute a `SweepSpec` grid (scenarios × topologies ×
 //!   protocols × loads × sizes × seeds) cell-by-cell and aggregates the
 //!   results into one JSON document + markdown comparison table whose bytes
 //!   are independent of `--threads`.
@@ -48,26 +48,18 @@ pub mod churn;
 pub mod dynamic;
 pub mod fabric;
 pub mod figures;
-pub mod perf;
 pub mod protocols;
 pub mod recovery;
 pub mod report;
 pub mod semi_dynamic;
 pub mod sweep;
 
-pub use churn::{run_churn, run_churn_impaired, ChurnRun};
+pub use churn::{run_churn, ChurnRun};
 pub use dynamic::{generate_arrivals, run_dynamic, DynamicFlowResult, DynamicRun, Objective};
-pub use fabric::{
-    run_steady_state, run_steady_state_impaired, run_transfers, run_transfers_impaired,
-    SteadyStateSummary, TransferSummary,
-};
+pub use fabric::{run_steady_state, run_transfers, SteadyStateSummary, TransferSummary};
 pub use figures::registry;
-pub use perf::{bench_report_json, event_core_timing, Timing};
-pub use protocols::Protocol;
+pub use protocols::{Protocol, RunSetup};
 pub use recovery::{run_recovery, RecoveryConfig, RecoveryResult};
 pub use report::{churn_report_json, ChurnSummary, ClassStats, QuantileSketch};
 pub use semi_dynamic::{rate_timeseries, run_semi_dynamic, SemiDynamicResult, SemiDynamicRun};
-pub use sweep::{
-    execute_cells, execute_cells_partitioned, markdown_table, run_cell, run_cell_partitioned,
-    sweep_report_json, CellResult,
-};
+pub use sweep::{execute_cells, markdown_table, run_cell, sweep_report_json, CellResult};

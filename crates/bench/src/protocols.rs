@@ -2,6 +2,7 @@
 //! agents for any of the schemes the paper evaluates, so every experiment
 //! can be run protocol-by-protocol on an identical workload.
 
+use crate::fabric::cli_error;
 use numfabric_baselines::{
     dctcp_network, dgd_network, pfabric_network, rcp_star_network, DctcpAgent, DctcpConfig,
     DgdAgent, DgdConfig, PfabricAgent, PfabricConfig, RcpStarAgent, RcpStarConfig,
@@ -12,7 +13,74 @@ use numfabric_num::utility::UtilityRef;
 use numfabric_sim::network::Network;
 use numfabric_sim::topology::Topology;
 use numfabric_sim::transport::FlowAgent;
+use numfabric_workloads::impairments::ImpairmentSchedule;
 use numfabric_workloads::registry::ScenarioOptions;
+
+/// How a run is impaired and executed: everything the drivers apply to a
+/// freshly built network before the first flow is added. The two execution
+/// knobs never change a report byte — impairment draws come from per-link
+/// streams — so any value is safe for replay.
+#[derive(Debug, Clone)]
+pub struct RunSetup {
+    /// Timed link changes injected before the run starts.
+    pub impairments: ImpairmentSchedule,
+    /// Seeds the network's loss/jitter draws.
+    pub impairment_seed: u64,
+    /// Number of per-partition event cores the network is decomposed into.
+    pub partitions: usize,
+    /// Number of worker threads the partition cores run on each epoch.
+    pub partition_threads: usize,
+}
+
+impl Default for RunSetup {
+    /// A healthy run on one event core.
+    fn default() -> Self {
+        Self {
+            impairments: ImpairmentSchedule::new(),
+            impairment_seed: 0,
+            partitions: 1,
+            partition_threads: 1,
+        }
+    }
+}
+
+impl RunSetup {
+    /// Parse `--impair` (validated against `topo`'s links), `--partitions`
+    /// and `--partition-threads`; `seed` is the scenario's `--seed`.
+    /// Malformed specs, out-of-range links and zero counts exit 2 like every
+    /// other usage error.
+    pub fn from_options(opts: &ScenarioOptions, topo: &Topology, seed: u64) -> RunSetup {
+        let at_least_one = |name: &str| {
+            let n: usize = opts.parsed_or(name, 1);
+            if n == 0 {
+                cli_error(format!("{name} must be at least 1"));
+            }
+            n
+        };
+        let impairments = match opts.value("--impair") {
+            Some(raw) => raw.parse().unwrap_or_else(|e| cli_error(e)),
+            None if opts.flag("--impair") => cli_error("option --impair: missing value"),
+            None => ImpairmentSchedule::new(),
+        };
+        if let Some(event) = impairments
+            .events
+            .iter()
+            .find(|e| e.link >= topo.links().len())
+        {
+            cli_error(format!(
+                "--impair references link {} but this fabric has links 0..{}",
+                event.link,
+                topo.links().len()
+            ));
+        }
+        RunSetup {
+            impairments,
+            impairment_seed: seed,
+            partitions: at_least_one("--partitions"),
+            partition_threads: at_least_one("--partition-threads"),
+        }
+    }
+}
 
 /// A transport scheme under test.
 #[derive(Debug, Clone)]
@@ -57,6 +125,17 @@ impl Protocol {
         }
     }
 
+    /// [`Protocol::build_network`], then apply `setup` — the one place a
+    /// driver's network is partitioned, threaded, seeded and impaired.
+    pub fn build_network_with(&self, topo: Topology, setup: &RunSetup) -> Network {
+        let mut net = self.build_network(topo);
+        net.set_partitions(setup.partitions);
+        net.set_partition_threads(setup.partition_threads);
+        net.set_impairment_seed(setup.impairment_seed);
+        setup.impairments.apply(&mut net);
+        net
+    }
+
     /// Build one flow agent. `utility` is used by the utility-driven schemes
     /// (NUMFabric, DGD); RCP* realizes α-fairness through its own switch
     /// algorithm and DCTCP/pFabric have fixed objectives.
@@ -92,11 +171,10 @@ impl Protocol {
     pub fn from_options(opts: &ScenarioOptions) -> Protocol {
         let name = opts.value("--protocol").unwrap_or("numfabric");
         Protocol::from_name(name).unwrap_or_else(|| {
-            eprintln!(
-                "error: invalid value `{name}` for option `--protocol`: expected {}",
+            cli_error(format!(
+                "invalid value `{name}` for option `--protocol`: expected {}",
                 Protocol::NAMES
-            );
-            std::process::exit(2);
+            ))
         })
     }
 

@@ -17,10 +17,8 @@
 //! routes, ties to the lowest link id — so a `recovery` run is a pure
 //! function of its options, like every other scenario.
 
-use crate::fabric::{
-    cli_error, exit_if_wedged, partition_threads_from_options, partitions_from_options,
-};
-use crate::protocols::Protocol;
+use crate::fabric::{cli_error, exit_if_wedged};
+use crate::protocols::{Protocol, RunSetup};
 use crate::report::{print_table, Json};
 use numfabric_num::utility::{LogUtility, UtilityRef};
 use numfabric_sim::topology::{LinkId, Topology};
@@ -53,13 +51,6 @@ pub struct RecoveryConfig {
     /// instant through the end of the regime, and for at least this many
     /// samples.
     pub sustain: usize,
-    /// Number of per-partition event cores the network is decomposed into.
-    /// A cable cut is a deterministic impairment, so the report is
-    /// bit-identical for every partition count.
-    pub partitions: usize,
-    /// Number of worker threads the partition cores run on each epoch.
-    /// Like `partitions`, never changes a report byte.
-    pub partition_threads: usize,
 }
 
 impl Default for RecoveryConfig {
@@ -74,8 +65,6 @@ impl Default for RecoveryConfig {
             tolerance: 0.20,
             quorum: 0.75,
             sustain: 3,
-            partitions: 1,
-            partition_threads: 1,
         }
     }
 }
@@ -185,12 +174,15 @@ fn fraction_within(rates: &[f64], oracle: &[f64], tol: f64) -> f64 {
 }
 
 /// Run the recovery experiment for one protocol and measure its
-/// time-to-reconverge.
+/// time-to-reconverge. The cable cut is scheduled on top of whatever `setup`
+/// already impairs; a cut is deterministic, so the result is bit-identical
+/// for every partition and thread count in `setup`.
 pub fn run_recovery(
     protocol: &Protocol,
     topo: Topology,
     pairs: &[PathSpec],
     config: &RecoveryConfig,
+    setup: &RunSetup,
 ) -> RecoveryResult {
     let (victim_forward, victim_reverse) = busiest_cable(&topo, pairs);
     let schedule =
@@ -204,9 +196,7 @@ pub fn run_recovery(
         &[victim_forward, victim_reverse].into_iter().collect(),
     );
 
-    let mut net = protocol.build_network(topo);
-    net.set_partitions(config.partitions);
-    net.set_partition_threads(config.partition_threads);
+    let mut net = protocol.build_network_with(topo, setup);
     schedule.apply(&mut net);
     let ids: Vec<_> = pairs
         .iter()
@@ -378,10 +368,9 @@ pub fn recovery(opts: &ScenarioOptions) {
         fail_at: SimTime::from_micros(fail_us),
         restore_at: restore_us.map(SimTime::from_micros),
         run_for: SimDuration::from_millis(millis),
-        partitions: partitions_from_options(opts),
-        partition_threads: partition_threads_from_options(opts),
         ..RecoveryConfig::default()
     };
+    let setup = RunSetup::from_options(opts, &topo, seed);
     if config.fail_at + config.sample_every * config.sustain as u64 > SimTime::ZERO + config.run_for
     {
         cli_error(format!(
@@ -401,7 +390,7 @@ pub fn recovery(opts: &ScenarioOptions) {
     }
     let results: Vec<RecoveryResult> = protocols
         .iter()
-        .map(|p| run_recovery(p, topo.clone(), &pairs, &config))
+        .map(|p| run_recovery(p, topo.clone(), &pairs, &config, &setup))
         .collect();
 
     if json {
@@ -496,7 +485,7 @@ mod tests {
             run_for: SimDuration::from_millis(5),
             ..RecoveryConfig::default()
         };
-        let result = run_recovery(&protocol, topo, &pairs, &config);
+        let result = run_recovery(&protocol, topo, &pairs, &config, &RunSetup::default());
         assert_eq!(result.flows, 16);
         let reconverge = result
             .reconverge_after_failure
@@ -518,7 +507,7 @@ mod tests {
             run_for: SimDuration::from_millis(6),
             ..RecoveryConfig::default()
         };
-        let result = run_recovery(&protocol, topo, &pairs, &config);
+        let result = run_recovery(&protocol, topo, &pairs, &config, &RunSetup::default());
         assert!(result.reconverge_after_restore.is_some());
         assert!(result.final_fraction_within >= 0.75);
     }
@@ -531,8 +520,14 @@ mod tests {
             run_for: SimDuration::from_millis(3),
             ..RecoveryConfig::default()
         };
-        let a = run_recovery(&protocol, topo.clone(), &pairs, &config);
-        let b = run_recovery(&protocol, topo, &pairs, &config);
+        let a = run_recovery(
+            &protocol,
+            topo.clone(),
+            &pairs,
+            &config,
+            &RunSetup::default(),
+        );
+        let b = run_recovery(&protocol, topo, &pairs, &config, &RunSetup::default());
         assert_eq!(a.victim_forward, b.victim_forward);
         assert_eq!(a.samples.len(), b.samples.len());
         for (sa, sb) in a.samples.iter().zip(&b.samples) {

@@ -1,12 +1,11 @@
-//! Small reporting helpers shared by the figure-regeneration binaries:
-//! percentiles, CDFs, size bins, aligned-column table printing, and the
-//! structured JSON reports behind `numfabric-run ... --json`.
+//! Small reporting helpers shared by the scenario drivers: percentiles,
+//! CDFs, size bins, aligned-column table printing, and the structured JSON
+//! reports behind `numfabric-run ... --json`.
 //!
 //! The JSON layer is deliberately minimal and hand-rolled: the offline
 //! `serde` shim provides no real serialization (see `crates/compat`), and
 //! the reports are flat records of strings, numbers and number arrays — a
-//! [`Json`] value tree with a spec-compliant renderer covers everything the
-//! `BENCH_*.json` perf-trajectory consumers need.
+//! [`Json`] value tree with a spec-compliant renderer covers them.
 
 use crate::fabric::{SteadyStateSummary, TransferSummary};
 use numfabric_sim::SimDuration;
@@ -496,219 +495,6 @@ impl Json {
     }
 }
 
-/// A parsed JSON value — the read-side twin of [`Json`], with owned object
-/// keys. Backs `numfabric-run bench --compare`, which must read a committed
-/// `BENCH_<rev>.json` back in; the offline `serde` shim deserializes
-/// nothing, so parsing is hand-rolled like rendering. Integers and floats
-/// both parse to `f64` (the perf documents hold nothing above 2^53).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParsedJson {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number.
-    Num(f64),
-    /// A string (escapes resolved).
-    Str(String),
-    /// An array.
-    Arr(Vec<ParsedJson>),
-    /// An object, in document order.
-    Obj(Vec<(String, ParsedJson)>),
-}
-
-impl ParsedJson {
-    /// Parse a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
-    pub fn parse(text: &str) -> Result<ParsedJson, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// Object field lookup (`None` on non-objects and missing keys).
-    pub fn get(&self, key: &str) -> Option<&ParsedJson> {
-        match self {
-            ParsedJson::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            ParsedJson::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            ParsedJson::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[ParsedJson]> {
-        match self {
-            ParsedJson::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected '{}' at byte {} (found {:?})",
-            b as char,
-            *pos,
-            bytes.get(*pos).map(|&c| c as char)
-        ))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<ParsedJson, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(ParsedJson::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
-                fields.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(ParsedJson::Obj(fields));
-                    }
-                    other => return Err(format!("expected ',' or '}}', found {other:?}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(ParsedJson::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(ParsedJson::Arr(items));
-                    }
-                    other => return Err(format!("expected ',' or ']', found {other:?}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(ParsedJson::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", ParsedJson::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", ParsedJson::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", ParsedJson::Null),
-        Some(_) => {
-            let start = *pos;
-            if bytes.get(*pos) == Some(&b'-') {
-                *pos += 1;
-            }
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&bytes[start..*pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(ParsedJson::Num)
-                .ok_or_else(|| format!("invalid number at byte {start}"))
-        }
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: ParsedJson,
-) -> Result<ParsedJson, String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    let mut chars = std::str::from_utf8(&bytes[*pos..])
-        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?
-        .char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => {
-                *pos += i + 1;
-                return Ok(out);
-            }
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '/')) => out.push('/'),
-                Some((_, 'b')) => out.push('\u{8}'),
-                Some((_, 'f')) => out.push('\u{c}'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'u')) => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let (_, h) = chars.next().ok_or("truncated \\u escape")?;
-                        code = code * 16 + h.to_digit(16).ok_or("invalid \\u escape")?;
-                    }
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                }
-                other => return Err(format!("invalid escape {other:?}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".into())
-}
-
 /// The structured report of a finite-transfer scenario run (incast,
 /// shuffle): scenario identity, per-flow FCTs and the aggregate summary.
 pub fn transfer_report_json(
@@ -801,79 +587,6 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parser_round_trips_the_renderer() {
-        // Every shape the renderer can emit must come back structurally
-        // intact (Int and Num both surface as ParsedJson::Num).
-        let doc = Json::Obj(vec![
-            ("rev", Json::str("abc\"\\\n")),
-            ("count", Json::Int(42)),
-            ("rate", Json::Num(1234.5)),
-            ("nan", Json::Num(f64::NAN)),
-            ("ok", Json::Bool(true)),
-            ("items", Json::Arr(vec![Json::Num(-1.5e3), Json::Null])),
-            ("empty_obj", Json::Obj(vec![])),
-            ("empty_arr", Json::Arr(vec![])),
-        ]);
-        let parsed = ParsedJson::parse(&doc.render()).expect("rendered JSON must parse");
-        assert_eq!(
-            parsed.get("rev").and_then(ParsedJson::as_str),
-            Some("abc\"\\\n")
-        );
-        assert_eq!(parsed.get("count").and_then(ParsedJson::as_f64), Some(42.0));
-        assert_eq!(
-            parsed.get("rate").and_then(ParsedJson::as_f64),
-            Some(1234.5)
-        );
-        assert_eq!(parsed.get("nan"), Some(&ParsedJson::Null));
-        assert_eq!(parsed.get("ok"), Some(&ParsedJson::Bool(true)));
-        let items = parsed.get("items").and_then(ParsedJson::as_arr).unwrap();
-        assert_eq!(items, &[ParsedJson::Num(-1500.0), ParsedJson::Null]);
-        assert_eq!(parsed.get("empty_obj"), Some(&ParsedJson::Obj(vec![])));
-        assert_eq!(parsed.get("empty_arr"), Some(&ParsedJson::Arr(vec![])));
-        assert_eq!(parsed.get("missing"), None);
-    }
-
-    #[test]
-    fn parser_accepts_pretty_printed_documents() {
-        let text = "\n{\n  \"a\": [1, 2.5e1,\t-3],\n  \"b\": {\"u\": \"\\u0041\"}\n}\n";
-        let parsed = ParsedJson::parse(text).unwrap();
-        let a = parsed.get("a").and_then(ParsedJson::as_arr).unwrap();
-        assert_eq!(
-            a,
-            &[
-                ParsedJson::Num(1.0),
-                ParsedJson::Num(25.0),
-                ParsedJson::Num(-3.0)
-            ]
-        );
-        assert_eq!(
-            parsed
-                .get("b")
-                .and_then(|b| b.get("u"))
-                .and_then(ParsedJson::as_str),
-            Some("A")
-        );
-    }
-
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "{\"a\":}",
-            "[1,]",
-            "\"unterminated",
-            "{} trailing",
-            "12..3",
-        ] {
-            assert!(
-                ParsedJson::parse(bad).is_err(),
-                "accepted malformed {bad:?}"
-            );
-        }
-    }
 
     #[test]
     fn percentile_and_mean_basics() {
@@ -1083,8 +796,6 @@ mod tests {
         for forbidden in ["wall", "elapsed", "walltime"] {
             assert!(!json.contains(forbidden), "wall-clock leaked into {json}");
         }
-        // The report parses back with the shared parser.
-        assert!(ParsedJson::parse(&json).is_ok());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The deterministic parallel sweep engine: execute a [`SweepSpec`] grid on
-//! a work-stealing thread pool and aggregate the per-cell results into one
+//! a pool of worker threads and aggregate the per-cell results into one
 //! structured report.
 //!
 //! The determinism contract extends the simulator's: every [`SweepCell`] is
@@ -10,28 +10,24 @@
 //! `--threads`**. Thread count and wall-clock never appear in the JSON
 //! report; they are printed separately in the human-readable mode.
 //!
-//! The pool is a classic work-stealing arrangement built on `std::thread` +
-//! channels: cells are dealt round-robin onto one deque per worker, each
-//! worker pops its own deque from the front and steals from the *back* of a
-//! victim's deque when its own runs dry, and finished cells flow back over
-//! an `mpsc` channel. Stealing keeps the pool busy when cell costs are
-//! skewed (a 240-flow shuffle next to an 8-flow incast), which is the
-//! common shape of these grids.
+//! The pool is scoped threads sharing one atomic cursor: each worker claims
+//! the next unclaimed cell index until the grid is exhausted, so a worker
+//! stuck on an expensive cell (a 240-flow shuffle next to an 8-flow incast)
+//! never strands the cells behind it.
 
-use crate::churn::{run_churn_impaired, ChurnRun};
+use crate::churn::{run_churn, ChurnRun};
 use crate::fabric::{
-    run_steady_state_impaired, run_transfers_impaired, transfer_deadline, worst_oversubscription,
+    cli_error, run_steady_state, run_transfers, transfer_deadline, worst_oversubscription,
     SteadyStateSummary, TransferSummary,
 };
-use crate::protocols::Protocol;
+use crate::protocols::{Protocol, RunSetup};
 use crate::report::{mean, percentile, ChurnSummary, Json};
 use numfabric_sim::SimDuration;
 use numfabric_workloads::registry::ScenarioOptions;
 use numfabric_workloads::scenarios::{incast_pairs, shuffle_pairs, stride_pairs};
 use numfabric_workloads::sweep::{SweepCell, SweepScenario, SweepSpec};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// How long each steady-state (stride) cell runs. Long enough for every
@@ -128,24 +124,12 @@ impl CellResult {
 /// axis — sizes come from the mix's heavy-tail distributions. The
 /// impairment axis expands its named profile into a schedule on the cell's
 /// own fabric, seeded and windowed by the cell, before the simulation
-/// starts.
+/// starts — so of `setup` only the partition and thread counts apply, and
+/// like `--threads` they never change a byte of the result.
 ///
 /// Errors only on an unknown protocol name — everything else about a cell
 /// is valid by construction of [`SweepSpec::expand`].
-pub fn run_cell(cell: &SweepCell) -> Result<CellResult, String> {
-    run_cell_partitioned(cell, 1, 1)
-}
-
-/// [`run_cell`] with the cell's network decomposed into `partitions` event
-/// cores running on `partition_threads` worker threads. Like `--threads`,
-/// both are pure execution knobs: the cell result is bit-identical for
-/// every value — including under randomized loss/jitter profiles, whose
-/// draws come from per-*link* streams.
-pub fn run_cell_partitioned(
-    cell: &SweepCell,
-    partitions: usize,
-    partition_threads: usize,
-) -> Result<CellResult, String> {
+pub fn run_cell(cell: &SweepCell, setup: &RunSetup) -> Result<CellResult, String> {
     let protocol = Protocol::from_name(&cell.protocol).ok_or_else(|| {
         format!(
             "unknown protocol `{}` in sweep cell {}",
@@ -155,23 +139,18 @@ pub fn run_cell_partitioned(
     let topo = cell.topology.build(false);
     let hosts = topo.hosts().len();
     let host_bps = topo.links()[0].capacity_bps;
+    let impaired_over = |window: SimDuration| RunSetup {
+        impairments: cell.impairment.schedule(&topo, cell.seed, window),
+        impairment_seed: cell.seed,
+        ..setup.clone()
+    };
     Ok(match cell.scenario {
         SweepScenario::Incast => {
             let fan_in = ((cell.load * (hosts - 1) as f64).round() as usize).clamp(1, hosts - 1);
             let pairs = incast_pairs(&topo, fan_in, cell.seed);
             let deadline = transfer_deadline(fan_in as u64 * cell.size_bytes, host_bps);
-            let impairments = cell.impairment.schedule(&topo, cell.seed, deadline);
-            let summary = run_transfers_impaired(
-                &protocol,
-                topo,
-                &pairs,
-                cell.size_bytes,
-                deadline,
-                &impairments,
-                cell.seed,
-                partitions,
-                partition_threads,
-            );
+            let setup = impaired_over(deadline);
+            let summary = run_transfers(&protocol, topo, &pairs, cell.size_bytes, deadline, &setup);
             CellResult::from_transfers(cell.clone(), &summary)
         }
         SweepScenario::Shuffle => {
@@ -182,33 +161,14 @@ pub fn run_cell_partitioned(
                 (participants as u64 - 1) * cell.size_bytes,
                 host_bps / slowdown,
             );
-            let impairments = cell.impairment.schedule(&topo, cell.seed, deadline);
-            let summary = run_transfers_impaired(
-                &protocol,
-                topo,
-                &pairs,
-                cell.size_bytes,
-                deadline,
-                &impairments,
-                cell.seed,
-                partitions,
-                partition_threads,
-            );
+            let setup = impaired_over(deadline);
+            let summary = run_transfers(&protocol, topo, &pairs, cell.size_bytes, deadline, &setup);
             CellResult::from_transfers(cell.clone(), &summary)
         }
         SweepScenario::Stride => {
             let pairs = stride_pairs(&topo, hosts / 2, cell.seed);
-            let impairments = cell.impairment.schedule(&topo, cell.seed, STEADY_STATE_RUN);
-            let summary = run_steady_state_impaired(
-                &protocol,
-                topo,
-                &pairs,
-                STEADY_STATE_RUN,
-                &impairments,
-                cell.seed,
-                partitions,
-                partition_threads,
-            );
+            let setup = impaired_over(STEADY_STATE_RUN);
+            let summary = run_steady_state(&protocol, topo, &pairs, STEADY_STATE_RUN, &setup);
             CellResult::from_steady_state(cell.clone(), &summary)
         }
         SweepScenario::Churn => {
@@ -221,23 +181,10 @@ pub fn run_cell_partitioned(
                 drain: CHURN_DRAIN,
                 seed: cell.seed,
             };
-            let impairments = cell.impairment.schedule(&topo, cell.seed, CHURN_WINDOW);
-            let summary =
-                run_churn_impaired(&protocol, &run, &impairments, partitions, partition_threads);
+            let summary = run_churn(&protocol, &run, &impaired_over(CHURN_WINDOW));
             CellResult::from_churn(cell.clone(), &summary)
         }
     })
-}
-
-/// Execute every cell on a work-stealing pool of `threads` workers and
-/// return the results **in cell-index order** — the order, and therefore
-/// the aggregate built from it, is independent of the thread count and of
-/// which worker ran which cell.
-///
-/// `threads` is clamped to `1..=cells.len()`; with one thread the cells run
-/// inline on the caller's thread through the identical per-cell path.
-pub fn execute_cells(cells: Vec<SweepCell>, threads: usize) -> Result<Vec<CellResult>, String> {
-    execute_cells_partitioned(cells, threads, 1, 1)
 }
 
 /// Extract a human-readable message from a caught panic payload (the two
@@ -251,137 +198,61 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// Run one cell with panics converted into structured errors that name the
-/// cell and its scenario. Without this, a panicking cell unwinds its worker
-/// mid-`lock()` and poisons the shared work deques — every *other* worker
-/// then dies with an opaque "queue poisoned" panic and the identity of the
-/// cell that actually failed is lost.
-fn run_cell_caught(
-    cell: &SweepCell,
-    partitions: usize,
-    partition_threads: usize,
-) -> Result<CellResult, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_cell_partitioned(cell, partitions, partition_threads)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(format!(
-            "sweep cell {} ({}) panicked: {}",
-            cell.index,
-            cell.scenario,
-            panic_message(payload.as_ref())
-        ))
-    })
+/// cell and its scenario, so one failing cell neither takes its worker (and
+/// the cells that worker would have claimed) down nor loses its identity.
+fn run_cell_caught(cell: &SweepCell, setup: &RunSetup) -> Result<CellResult, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_cell(cell, setup))).unwrap_or_else(
+        |payload| {
+            Err(format!(
+                "sweep cell {} ({}) panicked: {}",
+                cell.index,
+                cell.scenario,
+                panic_message(payload.as_ref())
+            ))
+        },
+    )
 }
 
-/// [`execute_cells`] with every cell's network decomposed into `partitions`
-/// event cores on `partition_threads` worker threads — the parallelism
-/// knobs compose: `--threads` spreads whole cells across workers,
-/// `--partitions`/`--partition-threads` decompose each cell's fabric, and
-/// none of them changes a byte of the aggregate.
-pub fn execute_cells_partitioned(
+/// Execute every cell on `threads` workers and return the results **in
+/// cell-index order** — the order, and therefore the aggregate built from
+/// it, is independent of the thread count and of which worker ran which
+/// cell. Every cell runs even when some fail, and the reported error is the
+/// lowest-index one, so the error path does not depend on scheduling either.
+///
+/// `threads` is clamped to `1..=cells.len()`; with one thread the cells run
+/// inline on the caller's thread through the identical per-cell path. The
+/// parallelism knobs compose: `threads` spreads whole cells across workers,
+/// `setup`'s partition and thread counts decompose each cell's fabric.
+pub fn execute_cells(
     cells: Vec<SweepCell>,
     threads: usize,
-    partitions: usize,
-    partition_threads: usize,
+    setup: &RunSetup,
 ) -> Result<Vec<CellResult>, String> {
-    if cells.is_empty() {
-        return Ok(Vec::new());
-    }
-    let threads = threads.clamp(1, cells.len());
-    if threads == 1 {
-        // Same contract as the pool: run every cell, report the
-        // lowest-index error.
-        let mut results = Vec::with_capacity(cells.len());
-        let mut first_error = None;
-        for cell in &cells {
-            match run_cell_caught(cell, partitions, partition_threads) {
-                Ok(r) => results.push(r),
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
-            }
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut finished = Vec::new();
+        loop {
+            // Relaxed: the cursor hands out indices and publishes nothing
+            // else — cells are shared before the spawn, results by the join.
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(cell) = cells.get(index) else {
+                return finished;
+            };
+            finished.push((index, run_cell_caught(cell, setup)));
         }
-        return match first_error {
-            Some(e) => Err(e),
-            None => Ok(results),
-        };
-    }
-
-    // One deque per worker, cells dealt round-robin. Workers pop their own
-    // deque from the front and steal from the back of the others, so an
-    // expensive cell at one worker's front doesn't strand the cells queued
-    // behind it. Cell panics are caught in `run_cell_caught`, so a deque
-    // mutex can only be poisoned by a panic in this pool code itself;
-    // recovering the guard keeps the other workers draining rather than
-    // cascading an unrelated failure.
-    fn unpoisoned(q: &Mutex<VecDeque<usize>>) -> std::sync::MutexGuard<'_, VecDeque<usize>> {
-        q.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-    let queues: Vec<Arc<Mutex<VecDeque<usize>>>> = (0..threads)
-        .map(|w| {
-            Arc::new(Mutex::new(
-                (w..cells.len()).step_by(threads).collect::<VecDeque<_>>(),
-            ))
-        })
-        .collect();
-    let cells = Arc::new(cells);
-    let (tx, rx) = mpsc::channel::<(usize, Result<CellResult, String>)>();
-
-    let workers: Vec<_> = (0..threads)
-        .map(|me| {
-            let queues = queues.clone();
-            let cells = Arc::clone(&cells);
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                loop {
-                    // Own work first (front), then steal (back).
-                    let job = unpoisoned(&queues[me]).pop_front();
-                    let job = job.or_else(|| {
-                        (1..queues.len())
-                            .find_map(|d| unpoisoned(&queues[(me + d) % queues.len()]).pop_back())
-                    });
-                    let Some(index) = job else { return };
-                    let result = run_cell_caught(&cells[index], partitions, partition_threads);
-                    if tx.send((index, result)).is_err() {
-                        return;
-                    }
-                }
-            })
-        })
-        .collect();
-    drop(tx);
-
-    // Every cell runs even when some fail, and the reported error is the
-    // lowest-index one — so the error path, like the success path, does not
-    // depend on scheduling or thread count.
-    let mut slots: Vec<Option<CellResult>> = vec![None; cells.len()];
-    let mut first_error: Option<(usize, String)> = None;
-    for (index, result) in rx {
-        match result {
-            Ok(r) => slots[index] = Some(r),
-            Err(e) => {
-                if first_error.as_ref().is_none_or(|(i, _)| index < *i) {
-                    first_error = Some((index, e));
-                }
-            }
-        }
-    }
-    for worker in workers {
-        if let Err(payload) = worker.join() {
-            return Err(format!(
-                "sweep pool worker panicked: {}",
-                panic_message(payload.as_ref())
-            ));
-        }
-    }
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| slot.ok_or(format!("sweep cell {i} produced no result")))
-        .collect()
+    };
+    let mut finished = match threads.clamp(1, cells.len().max(1)) {
+        1 => worker(),
+        threads => std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("cell panics are caught per cell"))
+                .collect()
+        }),
+    };
+    finished.sort_by_key(|&(index, _)| index);
+    finished.into_iter().map(|(_, result)| result).collect()
 }
 
 /// The aggregated report of a sweep: the spec's axes and every per-cell
@@ -514,22 +385,21 @@ pub fn markdown_table(results: &[CellResult]) -> String {
 /// execute it on the pool, and print the aggregate (markdown table by
 /// default, the structured JSON document with `--json`).
 pub fn sweep(opts: &ScenarioOptions) {
-    let spec = SweepSpec::try_from_options(opts).unwrap_or_else(|e| crate::fabric::cli_error(e));
+    let spec = SweepSpec::try_from_options(opts).unwrap_or_else(|e| cli_error(e));
     for name in &spec.protocols {
         if Protocol::from_name(name).is_none() {
-            crate::fabric::cli_error(format!(
+            cli_error(format!(
                 "invalid value `{name}` for option `--protocols`: expected {}",
                 Protocol::NAMES
             ));
         }
     }
-    let cells = spec
-        .expand()
-        .unwrap_or_else(|e| crate::fabric::cli_error(e));
+    let cells = spec.expand().unwrap_or_else(|e| cli_error(e));
     let default_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads: usize = opts.parsed_or("--threads", default_threads);
-    let partitions = crate::fabric::partitions_from_options(opts);
-    let partition_threads = crate::fabric::partition_threads_from_options(opts);
+    // Impairments are a per-cell axis here (`--impair` is refused above), so
+    // the fabric is only what `from_options` would validate one against.
+    let setup = RunSetup::from_options(opts, &spec.topologies[0].build(false), spec.base_seed);
     let json = opts.flag("--json");
     if !json {
         println!(
@@ -546,8 +416,7 @@ pub fn sweep(opts: &ScenarioOptions) {
         );
     }
     let start = Instant::now();
-    let results = execute_cells_partitioned(cells, threads, partitions, partition_threads)
-        .unwrap_or_else(|e| crate::fabric::cli_error(e));
+    let results = execute_cells(cells, threads, &setup).unwrap_or_else(|e| cli_error(e));
     let wall = start.elapsed();
     if json {
         println!("{}", sweep_report_json(&spec, &results).render());
@@ -571,6 +440,15 @@ mod tests {
     use numfabric_workloads::impairments::ImpairmentProfile;
     use numfabric_workloads::sweep::derive_cell_seed;
 
+    /// `run_cell` / `execute_cells` on one healthy event core.
+    fn run(cell: &SweepCell) -> Result<CellResult, String> {
+        run_cell(cell, &RunSetup::default())
+    }
+
+    fn execute(cells: Vec<SweepCell>, threads: usize) -> Result<Vec<CellResult>, String> {
+        execute_cells(cells, threads, &RunSetup::default())
+    }
+
     fn mini_cell(scenario: SweepScenario, index: usize) -> SweepCell {
         SweepCell {
             index,
@@ -587,7 +465,7 @@ mod tests {
 
     #[test]
     fn incast_cell_runs_and_reports_fcts() {
-        let result = run_cell(&mini_cell(SweepScenario::Incast, 0)).unwrap();
+        let result = run(&mini_cell(SweepScenario::Incast, 0)).unwrap();
         // load 0.25 of 15 eligible senders on the 16-host fat-tree: 4 senders.
         assert_eq!(result.flows, 4);
         assert_eq!(result.completed, Some(4));
@@ -598,7 +476,7 @@ mod tests {
 
     #[test]
     fn stride_cell_reports_oracle_error_not_fcts() {
-        let result = run_cell(&mini_cell(SweepScenario::Stride, 1)).unwrap();
+        let result = run(&mini_cell(SweepScenario::Stride, 1)).unwrap();
         assert_eq!(result.flows, 16);
         assert_eq!(result.completed, None);
         assert!(result.median_fct_seconds.is_none());
@@ -616,8 +494,8 @@ mod tests {
         ] {
             let mut cell = mini_cell(SweepScenario::Incast, 2);
             cell.impairment = profile;
-            let a = run_cell(&cell).unwrap();
-            let b = run_cell(&cell).unwrap();
+            let a = run(&cell).unwrap();
+            let b = run(&cell).unwrap();
             assert_eq!(a.flows, b.flows, "{profile:?}");
             assert_eq!(a.completed, b.completed, "{profile:?}");
             assert_eq!(
@@ -637,10 +515,10 @@ mod tests {
     fn unknown_protocol_is_an_error_not_a_panic() {
         let mut cell = mini_cell(SweepScenario::Incast, 0);
         cell.protocol = "tcp-reno".to_string();
-        let err = run_cell(&cell).unwrap_err();
+        let err = run(&cell).unwrap_err();
         assert!(err.contains("tcp-reno"));
         // And the pool surfaces it instead of hanging.
-        let err = execute_cells(vec![cell], 4).unwrap_err();
+        let err = execute(vec![cell], 4).unwrap_err();
         assert!(err.contains("tcp-reno"));
     }
 
@@ -656,7 +534,7 @@ mod tests {
             .collect();
         cells[2].topology = TopologySpec::FatTree { k: 3 };
         for threads in [1, 2, 4] {
-            let err = execute_cells(cells.clone(), threads).unwrap_err();
+            let err = execute(cells.clone(), threads).unwrap_err();
             assert!(
                 err.contains("sweep cell 2") && err.contains("incast") && err.contains("panicked"),
                 "threads={threads}: {err}"
@@ -678,7 +556,7 @@ mod tests {
         cells[1].protocol = "bad-one".to_string();
         cells[3].protocol = "bad-three".to_string();
         for threads in [1, 2, 4] {
-            let err = execute_cells(cells.clone(), threads).unwrap_err();
+            let err = execute(cells.clone(), threads).unwrap_err();
             assert!(
                 err.contains("bad-one") && err.contains("cell 1"),
                 "threads={threads}: {err}"
@@ -691,20 +569,20 @@ mod tests {
         let cells: Vec<SweepCell> = (0..4)
             .map(|i| mini_cell(SweepScenario::Incast, i))
             .collect();
-        let results = execute_cells(cells, 3).unwrap();
+        let results = execute(cells, 3).unwrap();
         let indices: Vec<usize> = results.iter().map(|r| r.cell.index).collect();
         assert_eq!(indices, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn empty_grid_is_an_empty_report() {
-        assert!(execute_cells(Vec::new(), 8).unwrap().is_empty());
+        assert!(execute(Vec::new(), 8).unwrap().is_empty());
     }
 
     #[test]
     fn markdown_table_has_one_row_per_cell_and_dashes_where_not_applicable() {
-        let transfer = run_cell(&mini_cell(SweepScenario::Incast, 0)).unwrap();
-        let steady = run_cell(&mini_cell(SweepScenario::Stride, 1)).unwrap();
+        let transfer = run(&mini_cell(SweepScenario::Incast, 0)).unwrap();
+        let steady = run(&mini_cell(SweepScenario::Stride, 1)).unwrap();
         let table = markdown_table(&[transfer, steady]);
         let rows: Vec<&str> = table.lines().collect();
         assert_eq!(rows.len(), 2 + 2, "header + separator + 2 cells");

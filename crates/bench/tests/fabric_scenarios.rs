@@ -14,7 +14,7 @@
 //!    waits that remain, so the old ~25% reverse-path concession is gone.
 
 use numfabric_baselines::DctcpConfig;
-use numfabric_bench::{run_steady_state, run_transfers, Protocol};
+use numfabric_bench::{run_steady_state, run_transfers, Protocol, RunSetup};
 use numfabric_core::NumFabricConfig;
 use numfabric_sim::SimDuration;
 use numfabric_workloads::scenarios::{incast_pairs, shuffle_pairs, stride_pairs};
@@ -46,6 +46,7 @@ fn incast_completes_under_xwi_and_dctcp_on_both_fabrics() {
                 &pairs,
                 100_000,
                 SimDuration::from_millis(40),
+                &RunSetup::default(),
             );
             assert!(
                 summary.all_completed(),
@@ -77,6 +78,7 @@ fn shuffle_completes_under_xwi_and_dctcp_on_both_fabrics() {
                 &pairs,
                 50_000,
                 SimDuration::from_millis(40),
+                &RunSetup::default(),
             );
             assert!(
                 summary.all_completed(),
@@ -99,7 +101,13 @@ fn fat_tree_incast_steady_state_matches_fluid_oracle() {
     let topo = TopologySpec::FatTree { k: 4 }.build(false);
     let pairs = incast_pairs(&topo, 8, 5);
     let protocol = Protocol::NumFabric(NumFabricConfig::default());
-    let summary = run_steady_state(&protocol, topo, &pairs, SimDuration::from_millis(10));
+    let summary = run_steady_state(
+        &protocol,
+        topo,
+        &pairs,
+        SimDuration::from_millis(10),
+        &RunSetup::default(),
+    );
     // Oracle: the receiver NIC (10 Gbps) split 8 ways.
     for &o in &summary.oracle_bps {
         assert!((o - 1.25e9).abs() < 1e7, "oracle rate {o}");
@@ -123,7 +131,13 @@ fn fat_tree_stride_steady_state_matches_fluid_oracle() {
     let topo = TopologySpec::FatTree { k: 4 }.build(false);
     let pairs = stride_pairs(&topo, 4, 2);
     let protocol = Protocol::NumFabric(NumFabricConfig::default());
-    let summary = run_steady_state(&protocol, topo, &pairs, SimDuration::from_millis(10));
+    let summary = run_steady_state(
+        &protocol,
+        topo,
+        &pairs,
+        SimDuration::from_millis(10),
+        &RunSetup::default(),
+    );
     assert!(
         summary.fraction_within(0.10) >= 0.9,
         "only {:.0}% of flows within 10%: rates {:?} vs oracle {:?}",
@@ -147,7 +161,13 @@ fn fat_tree_bidirectional_stride_stays_within_documented_tolerance() {
     let topo = TopologySpec::FatTree { k: 4 }.build(false);
     let pairs = stride_pairs(&topo, 8, 1);
     let protocol = Protocol::NumFabric(NumFabricConfig::default());
-    let summary = run_steady_state(&protocol, topo, &pairs, SimDuration::from_millis(10));
+    let summary = run_steady_state(
+        &protocol,
+        topo,
+        &pairs,
+        SimDuration::from_millis(10),
+        &RunSetup::default(),
+    );
     for (i, (&r, &o)) in summary
         .rates_bps
         .iter()
@@ -179,7 +199,13 @@ fn oversubscribed_stride_steady_state_matches_fluid_oracle() {
     // Stride of 8 pushes every flow across racks (8 hosts per leaf).
     let pairs = stride_pairs(&topo, 8, 2);
     let protocol = Protocol::NumFabric(NumFabricConfig::default());
-    let summary = run_steady_state(&protocol, topo, &pairs, SimDuration::from_millis(12));
+    let summary = run_steady_state(
+        &protocol,
+        topo,
+        &pairs,
+        SimDuration::from_millis(12),
+        &RunSetup::default(),
+    );
     // Aggregate demand 32 x 10G onto 8 x 10G of uplink capacity: the oracle
     // must allocate roughly a quarter of the NIC rate per flow.
     let oracle_mean = summary.oracle_bps.iter().sum::<f64>() / summary.oracle_bps.len() as f64;

@@ -75,9 +75,7 @@ pub use impairments::{
     fabric_cables, ImpairmentEvent, ImpairmentProfile, ImpairmentSchedule, InvalidImpairment,
     InvalidProfile,
 };
-pub use registry::{
-    InvalidOption, ScenarioOptions, ScenarioRegistry, ScenarioSpec, UnknownScenario,
-};
+pub use registry::{DispatchError, InvalidOption, ScenarioOptions, ScenarioRegistry, ScenarioSpec};
 pub use scenarios::{
     incast_pairs, permutation_pairs, random_pairs, shuffle_pairs, stride_pairs, EventKind,
     NetworkEvent, PathSpec, SemiDynamicConfig, SemiDynamicScenario,

@@ -30,11 +30,6 @@ impl ScenarioOptions {
         Self { args }
     }
 
-    /// Options from the process arguments (skipping the program name).
-    pub fn from_env() -> Self {
-        Self::new(std::env::args().skip(1).collect())
-    }
-
     /// Whether the bare flag `name` (e.g. `--full`) is present.
     pub fn flag(&self, name: &str) -> bool {
         self.args.iter().any(|a| a == name)
@@ -142,27 +137,58 @@ pub struct ScenarioSpec {
     pub run: ScenarioFn,
 }
 
-/// Error returned when dispatching an unknown scenario name.
+/// Why [`ScenarioRegistry::run`] refused to dispatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownScenario {
-    /// The name that failed to resolve.
-    pub name: String,
-    /// All registered names, for the error message.
-    pub known: Vec<&'static str>,
+pub enum DispatchError {
+    /// No scenario is registered under the name.
+    UnknownScenario {
+        /// The name that failed to resolve.
+        name: String,
+        /// All registered names, for the error message.
+        known: Vec<&'static str>,
+    },
+    /// An argument spelled `--something` that the scenario's usage string
+    /// does not declare — a typo must never silently run the default.
+    UnknownOption {
+        /// The scenario that was asked for.
+        scenario: &'static str,
+        /// The offending token.
+        option: String,
+        /// The scenario's usage string.
+        usage: &'static str,
+    },
 }
 
-impl fmt::Display for UnknownScenario {
+impl fmt::Display for DispatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown scenario `{}`; known scenarios: {}",
-            self.name,
-            self.known.join(", ")
-        )
+        match self {
+            DispatchError::UnknownScenario { name, known } => write!(
+                f,
+                "unknown scenario `{name}`; known scenarios: {}",
+                known.join(", ")
+            ),
+            DispatchError::UnknownOption {
+                scenario,
+                option,
+                usage,
+            } => write!(
+                f,
+                "unknown option {option} for scenario {scenario}\nusage: numfabric-run {scenario} {usage}"
+            ),
+        }
     }
 }
 
-impl std::error::Error for UnknownScenario {}
+impl std::error::Error for DispatchError {}
+
+/// Whether `usage` declares `option`: cut at every character that cannot be
+/// part of an option name, one of the pieces is exactly `option`. The usage
+/// string is the only table of a scenario's options.
+fn usage_declares(usage: &str, option: &str) -> bool {
+    usage
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .any(|piece| piece == option)
+}
 
 /// A set of named scenarios, dispatched by name.
 #[derive(Default)]
@@ -200,18 +226,30 @@ impl ScenarioRegistry {
         self.entries.iter().find(|s| s.name == name)
     }
 
-    /// Run the scenario registered under `name`.
-    pub fn run(&self, name: &str, options: &ScenarioOptions) -> Result<(), UnknownScenario> {
-        match self.get(name) {
-            Some(spec) => {
-                (spec.run)(options);
-                Ok(())
-            }
-            None => Err(UnknownScenario {
+    /// Run the scenario registered under `name`, after checking that every
+    /// `--option` among the arguments is one its usage string declares.
+    /// Values (`loss@0:0=0.01`, `-0.3`) never start with `--` and are not
+    /// checked here.
+    pub fn run(&self, name: &str, options: &ScenarioOptions) -> Result<(), DispatchError> {
+        let Some(spec) = self.get(name) else {
+            return Err(DispatchError::UnknownScenario {
                 name: name.to_string(),
                 known: self.entries.iter().map(|s| s.name).collect(),
-            }),
+            });
+        };
+        let unknown = options
+            .args
+            .iter()
+            .find(|arg| arg.starts_with("--") && !usage_declares(spec.usage, arg));
+        if let Some(option) = unknown {
+            return Err(DispatchError::UnknownOption {
+                scenario: spec.name,
+                option: option.clone(),
+                usage: spec.usage,
+            });
         }
+        (spec.run)(options);
+        Ok(())
     }
 }
 
@@ -248,8 +286,65 @@ mod tests {
         let err = registry
             .run("nope", &ScenarioOptions::default())
             .unwrap_err();
-        assert_eq!(err.known, vec!["a", "b"]);
+        assert!(
+            matches!(&err, DispatchError::UnknownScenario { known, .. } if known == &["a", "b"])
+        );
         assert!(err.to_string().contains("unknown scenario `nope`"));
+    }
+
+    #[test]
+    fn undeclared_options_are_refused_before_the_scenario_runs() {
+        fn must_not_run(_: &ScenarioOptions) {
+            panic!("dispatched despite an unknown option");
+        }
+        let mut registry = ScenarioRegistry::new();
+        registry.register(ScenarioSpec {
+            name: "c",
+            summary: "third",
+            usage: "[--seed S] [--full]",
+            run: must_not_run,
+        });
+        let err = registry
+            .run("c", &opts(&["--seed", "5", "--sede", "5"]))
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unknown option --sede for scenario c\nusage: numfabric-run c [--seed S] [--full]"
+        );
+        let registry = two_entry_registry();
+        assert!(registry.run("a", &opts(&["--full"])).is_err());
+        assert!(registry.run("b", &opts(&["--full"])).is_ok());
+    }
+
+    #[test]
+    fn usage_matcher_compares_whole_option_names() {
+        let usage = "[--protocol ...|--compare a,b] [--load F] [--impair SPEC] \
+                     [--partitions N: event cores] [--partition-threads T: workers; any value]";
+        for declared in [
+            "--protocol",
+            "--compare",
+            "--load",
+            "--impair",
+            "--partitions",
+            "--partition-threads",
+        ] {
+            assert!(usage_declares(usage, declared), "{declared}");
+        }
+        for undeclared in [
+            "--partition",
+            "--partition-thread",
+            "--loads",
+            "--",
+            "--impai",
+        ] {
+            assert!(!usage_declares(usage, undeclared), "{undeclared}");
+        }
+        assert!(!usage_declares("", "--full"));
+        // Only `--tokens` are options: values pass through unchecked.
+        let registry = two_entry_registry();
+        assert!(registry
+            .run("b", &opts(&["--full", "loss@0:0=0.01", "-0.3", "7"]))
+            .is_ok());
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //!   grids ([`workloads::sweep`]): `SweepSpec` expands scenario × topology
 //!   × protocol × load × size × seed axes into self-contained cells, each
 //!   deterministically seeded from `(base_seed, cell_index)`, which the
-//!   `numfabric-bench` sweep engine executes on a work-stealing thread pool
+//!   `numfabric-bench` sweep engine executes on a pool of worker threads
 //!   (`numfabric-run sweep`) with `--threads`-independent aggregate output.
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and the
-//! `numfabric-bench` crate for the binaries that regenerate every table and
-//! figure of the paper's evaluation.
+//! `numfabric-bench` crate for `numfabric-run`, the one binary that
+//! regenerates every table and figure of the paper's evaluation.
 //!
 //! ## Quick start
 //!

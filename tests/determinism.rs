@@ -588,14 +588,19 @@ fn pfabric_worst_drop_replay_is_bit_identical() {
 /// combination. Everything observable — per-class sketches, slab
 /// high-water, goodput — is folded into the rendered bytes.
 fn churn_engine_report(seed: u64, partitions: usize, partition_threads: usize) -> String {
-    use numfabric_bench::{churn_report_json, run_churn, ChurnRun, Protocol};
+    use numfabric_bench::{churn_report_json, run_churn, ChurnRun, Protocol, RunSetup};
     let protocol = Protocol::NumFabric(NumFabricConfig::default());
     let run = ChurnRun {
         arrival_window: SimDuration::from_millis(6),
         drain: SimDuration::from_millis(40),
         ..ChurnRun::reduced(0.6, seed)
     };
-    let summary = run_churn(&protocol, &run, partitions, partition_threads);
+    let setup = RunSetup {
+        partitions,
+        partition_threads,
+        ..RunSetup::default()
+    };
+    let summary = run_churn(&protocol, &run, &setup);
     assert!(summary.completed > 0, "churn run completed no flows");
     churn_report_json(
         &run.topology.to_string(),
