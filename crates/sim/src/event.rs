@@ -78,10 +78,12 @@ pub enum Event {
         /// The packet itself.
         packet: Packet,
     },
-    /// A link finished serializing its current packet and can start on the
-    /// next one in its queue.
+    /// A link's wake-up: scheduled at the end of a serialization only when
+    /// a packet is waiting behind the one on the wire, so the link can start
+    /// on it. An idle link ends its serialization without any event (see
+    /// `try_transmit` in [`crate::network`]).
     TransmitComplete {
-        /// The link that became free.
+        /// The link to wake.
         link: LinkId,
     },
     /// A timer owned by a flow's transport agent fired.

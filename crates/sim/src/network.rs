@@ -6,7 +6,9 @@
 //! [`LinkController`]s. The engine models:
 //!
 //! * store-and-forward output-queued switches (one queue per egress link),
-//! * link serialization and propagation delay,
+//! * link serialization and propagation delay (the end of a serialization
+//!   is a recorded position on the link, not an event: a link is woken only
+//!   when a packet is waiting — see `try_transmit`),
 //! * packet drops decided by the queue disciplines,
 //! * per-flow and per-link statistics, destination-side EWMA rate tracking,
 //!   and flow-completion-time bookkeeping.
@@ -124,6 +126,20 @@ fn key_primary(seq: u64) -> u64 {
     (seq >> KEY_SECONDARY_BITS) & ((1 << KEY_PRIMARY_BITS) - 1)
 }
 
+/// Hard, release-build check that a link or flow id fits a key's primary
+/// field. Run once where the id is minted (network construction, flow
+/// admission): link free positions compare content keys, so an id that
+/// overflowed the field would silently alias another link's or flow's
+/// position. The per-event `debug_assert!`s in [`event_key`] stay
+/// debug-only.
+fn assert_fits_key(what: &str, id: usize) {
+    assert!(
+        (id as u64) < (1 << KEY_PRIMARY_BITS),
+        "{what} {id} does not fit an event key's {KEY_PRIMARY_BITS}-bit id field (limit 2^{KEY_PRIMARY_BITS} = {})",
+        1u64 << KEY_PRIMARY_BITS
+    );
+}
+
 fn event_key(kind: u64, primary: u64, secondary: u64) -> u64 {
     debug_assert!(kind < 8, "event kind out of range");
     debug_assert!(primary < (1 << KEY_PRIMARY_BITS), "primary id out of range");
@@ -176,6 +192,11 @@ struct Shared {
     link_caps: Vec<f64>,
     /// Current impairment state of each link.
     link_health: Vec<LinkHealth>,
+    /// The instant the last inclusive stretch ran through: every wheel
+    /// event at it, wake-ups included, has been handled, so whatever is
+    /// dispatched at that instant afterwards (a link change or flow start
+    /// scheduled for "now" between runs) sits behind all of them.
+    settled_at: Option<SimTime>,
 }
 
 /// One link's mutable runtime, owned by the partition of its tail node.
@@ -185,7 +206,17 @@ struct LinkState {
     /// dropped by a discipline, always served before the data queue.
     control_lane: VecDeque<Packet>,
     controller: Option<Box<dyn LinkController>>,
-    busy: bool,
+    /// The link's **free position**: the `(time, content key)` at which the
+    /// serialization in progress ends — its end instant paired with this
+    /// link's `TransmitComplete` key. The link is occupied for exactly the
+    /// events dispatched strictly before that position (see
+    /// [`try_transmit`]). The initial `(ZERO, 0)` is the smallest position
+    /// there is, so a link that has never transmitted is free everywhere,
+    /// `t = 0` included.
+    free: (SimTime, u64),
+    /// Whether a wake-up ([`Event::TransmitComplete`]) is scheduled at
+    /// `free`: at most one per serialization, cleared when it fires.
+    wake_pending: bool,
     /// SplitMix64 state for randomized impairments (loss, jitter) on this
     /// link, derived from `(impairment_seed, link)`. The stream advances
     /// only when this link transmits while impaired, and a link's
@@ -201,10 +232,23 @@ impl LinkState {
             queue,
             control_lane: VecDeque::new(),
             controller: None,
-            busy: false,
+            free: (SimTime::ZERO, 0),
+            wake_pending: false,
             rng,
             stats: LinkStats::default(),
         }
+    }
+
+    /// Whether any packet, data or control, is waiting for the wire.
+    fn has_backlog(&self) -> bool {
+        !(self.control_lane.is_empty() && self.queue.is_empty())
+    }
+
+    /// Schedule this link's wake-up at its free position.
+    fn schedule_wake_up(&mut self, events: &mut EventQueue, link: LinkId) {
+        debug_assert!(!self.wake_pending, "one wake-up per serialization");
+        self.wake_pending = true;
+        events.schedule_seeded(self.free.0, Event::TransmitComplete { link }, self.free.1);
     }
 }
 
@@ -309,6 +353,10 @@ struct PartitionCore {
     /// This partition's local clock (the time of its last handled event,
     /// or the last sync point).
     clock: SimTime,
+    /// Content key of the event being dispatched (0 at a sync point, which
+    /// precedes every wheel event of its instant): with `clock`, the
+    /// position [`try_transmit`] compares against a link's free position.
+    cur_key: u64,
     events_processed: u64,
     /// When enabled, every handled event is recorded as `(time, key)` —
     /// the conformance trace the determinism proptests compare across
@@ -341,6 +389,7 @@ impl PartitionCore {
             inbox_releases: Vec::new(),
             outbound: (0..partitions).map(|_| OutBundle::default()).collect(),
             clock: SimTime::ZERO,
+            cur_key: 0,
             events_processed: 0,
             trace: None,
             batch_dispatch: true,
@@ -407,17 +456,16 @@ fn advance_core_per_event(
         }
         let (time, id, event) = core.events.pop_entry().expect("peeked event must exist");
         core.clock = time;
-        core.events_processed += 1;
-        if let Some(trace) = &mut core.trace {
-            trace.push((time, id.as_u64()));
-        }
+        record_dispatch(core, time, id);
         handle_event(shared, core, id, event);
     }
 }
 
-/// Record one handled event exactly as the per-event path would.
+/// Record one handled event and publish its key as the core's current
+/// dispatch position — shared by both dispatch paths.
 #[inline]
 fn record_dispatch(core: &mut PartitionCore, time: SimTime, id: EventId) {
+    core.cur_key = id.as_u64();
     core.events_processed += 1;
     if let Some(trace) = &mut core.trace {
         trace.push((time, id.as_u64()));
@@ -566,10 +614,13 @@ fn handle_event(shared: &Shared, core: &mut PartitionCore, id: EventId, event: E
         Event::FlowTimer { flow, tag } => dispatch_timer(shared, core, flow, tag, id),
         Event::LinkTimer { link, tag } => handle_link_timer(core, link, tag),
         Event::TransmitComplete { link } => {
+            // The wake-up sits exactly at the link's free position, so the
+            // link reads free; on a link that went down meanwhile (backlog
+            // dropped) `try_transmit` is a no-op.
             core.links[link]
                 .as_mut()
-                .expect("transmit-complete on owning core")
-                .busy = false;
+                .expect("wake-up on owning core")
+                .wake_pending = false;
             try_transmit(shared, core, link);
         }
         Event::Arrival { link, packet } => handle_arrival(shared, core, link, packet),
@@ -689,14 +740,40 @@ fn enqueue_on_link(shared: &Shared, core: &mut PartitionCore, link: LinkId, mut 
     try_transmit(shared, core, link);
 }
 
+/// Start serializing the link's next packet, if the link is up, free and
+/// has one.
+///
+/// No flag marks the link occupied and no event marks the end of a
+/// serialization: the link records its free position `(end instant, its
+/// wake-up key)` and is occupied iff the event being dispatched sits
+/// strictly before it in the wheel's own `(time, content key)` order. So at
+/// the end instant itself start- and timer-driven sends (kinds 0/4, below
+/// the wake-up's kind 5) still queue and leave the choice to the
+/// discipline, while arrivals (kind 6) find the link free — on every
+/// partitioning, because content keys do not depend on it. The one
+/// exception is the settled instant (`Shared::settled_at`): a previous run
+/// already handled every event there, so whatever is dispatched at it now
+/// is behind the link's end of serialization whatever its key.
+///
+/// A wake-up is scheduled at the free position only when something waits
+/// behind the packet on the wire: here if backlog remains after the
+/// dequeue, otherwise by the first caller that finds the link occupied with
+/// backlog and no wake-up pending.
 fn try_transmit(shared: &Shared, core: &mut PartitionCore, link: LinkId) {
     let now = core.clock;
     let health = shared.link_health[link];
+    if !health.up {
+        return;
+    }
     let (packet, tx_time, lost, jitter) = {
         let ls = core.links[link].as_mut().expect("transmit on owning core");
-        if ls.busy || !health.up {
+        if (now, core.cur_key) < ls.free && (now < ls.free.0 || shared.settled_at != Some(now)) {
+            if !ls.wake_pending && ls.has_backlog() {
+                ls.schedule_wake_up(&mut core.events, link);
+            }
             return;
         }
+        debug_assert!(!ls.wake_pending, "a free link has no wake-up pending");
         // Price controllers see the *data* backlog, control lane excluded:
         // control bytes are invisible to the queue-based price signal,
         // exactly like a separate hardware class.
@@ -711,10 +788,17 @@ fn try_transmit(shared: &Shared, core: &mut PartitionCore, link: LinkId) {
         if let Some(ctrl) = &mut ls.controller {
             ctrl.on_dequeue(&mut packet, now, backlog);
         }
-        ls.busy = true;
         ls.stats.bytes_transmitted += packet.wire_bytes as u64;
         ls.stats.packets_transmitted += 1;
         let tx_time = SimDuration::transmission(packet.wire_bytes as u64, shared.link_caps[link]);
+        debug_assert!(!tx_time.is_zero(), "a packet occupies the link ≥ 1 ns");
+        ls.free = (
+            now + tx_time,
+            event_key(KIND_TRANSMIT_COMPLETE, link as u64, 0),
+        );
+        if ls.has_backlog() {
+            ls.schedule_wake_up(&mut core.events, link);
+        }
         // Randomized impairments: one draw per decision from this link's
         // own stream, taken only while the link is impaired — unimpaired
         // runs never touch the stream, and the draw sequence follows the
@@ -728,11 +812,6 @@ fn try_transmit(shared: &Shared, core: &mut PartitionCore, link: LinkId) {
         };
         (packet, tx_time, lost, jitter)
     };
-    core.events.schedule_seeded(
-        now + tx_time,
-        Event::TransmitComplete { link },
-        event_key(KIND_TRANSMIT_COMPLETE, link as u64, 0),
-    );
     if lost {
         // Corrupted on the wire: it occupied the link for its full
         // serialization time but never arrives.
@@ -948,6 +1027,10 @@ impl Network {
     }
 
     /// Build a network with explicit engine configuration.
+    ///
+    /// # Panics
+    /// Panics if the topology has 2^22 links or more: event keys carry a
+    /// 22-bit link id.
     pub fn with_config(
         topo: Topology,
         queue_factory: impl Fn(LinkId) -> Box<dyn QueueDiscipline>,
@@ -955,6 +1038,7 @@ impl Network {
     ) -> Self {
         let num_nodes = topo.nodes().len();
         let num_links = topo.links().len();
+        assert_fits_key("link count", num_links);
         let link_caps = topo.links().iter().map(|s| s.capacity_bps).collect();
         let shared = Shared {
             topo,
@@ -965,6 +1049,7 @@ impl Network {
             link_cut: vec![false; num_links],
             link_caps,
             link_health: vec![LinkHealth::default(); num_links],
+            settled_at: None,
         };
         let mut core = PartitionCore::new(0, 1, num_links);
         for link in 0..num_links {
@@ -1164,6 +1249,10 @@ impl Network {
     }
 
     /// Add a flow with an explicit route (for custom topologies).
+    ///
+    /// # Panics
+    /// Panics if the route is empty, or if 2^22 flow slots are already live
+    /// (event keys carry a 22-bit flow id; retired slots are reused).
     #[allow(clippy::too_many_arguments)]
     pub fn add_flow_on_route(
         &mut self,
@@ -1213,6 +1302,7 @@ impl Network {
             }
             None => {
                 let id = self.shared.specs.len();
+                assert_fits_key("flow slot", id);
                 self.shared.specs.push(spec);
                 (id, false)
             }
@@ -1607,8 +1697,12 @@ impl Network {
             .partition(|e| e.at == g);
         self.globals = rest;
         due.sort_by_key(|e| e.order);
+        // A sync point precedes every wheel event of its instant: position
+        // `(g, 0)`, so a link whose serialization ends exactly at `g` is
+        // still occupied for the changes below (unless `g` is settled).
         for core in &mut self.parts {
             core.clock = g;
+            core.cur_key = 0;
         }
         for e in due {
             self.sync_events += 1;
@@ -1641,6 +1735,7 @@ impl Network {
             }
         }
         self.clock = self.clock.max(until);
+        self.shared.settled_at = Some(self.clock);
     }
 
     /// Run the simulation for `duration` beyond the current time.
@@ -1672,6 +1767,7 @@ impl Network {
         if let Some(t) = core_max {
             self.clock = self.clock.max(t);
         }
+        self.shared.settled_at = Some(self.clock);
     }
 
     /// Run every partition through epochs until all pending work lies
@@ -2795,6 +2891,23 @@ mod tests {
             lag <= 16 * 1460,
             "ACKs lag delivery by {lag} bytes — control lane not serving"
         );
+    }
+
+    // The two hard key-range checks call `assert_fits_key` where the id is
+    // minted; building 2^22 links or flows to trip them end to end would
+    // cost gigabytes, so the limit itself is what is pinned here.
+    #[test]
+    #[should_panic(expected = "link count 4194304 does not fit an event key's 22-bit id field")]
+    fn a_link_count_beyond_the_key_field_is_a_hard_error() {
+        assert_fits_key("link count", (1 << KEY_PRIMARY_BITS) - 1);
+        assert_fits_key("link count", 1 << KEY_PRIMARY_BITS);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow slot 4194304 does not fit an event key's 22-bit id field")]
+    fn a_flow_slot_beyond_the_key_field_is_a_hard_error() {
+        assert_fits_key("flow slot", (1 << KEY_PRIMARY_BITS) - 1);
+        assert_fits_key("flow slot", 1 << KEY_PRIMARY_BITS);
     }
 
     #[test]

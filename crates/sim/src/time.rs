@@ -100,13 +100,17 @@ impl SimDuration {
     }
 
     /// The time it takes to serialize `bytes` bytes onto a link of
-    /// `capacity_bps` bits per second.
+    /// `capacity_bps` bits per second. A non-empty packet occupies the link
+    /// for at least one clock tick (1 ns) however fast the link is — a
+    /// 40-byte ACK at ≳ 640 Gb/s would otherwise round to zero and let a
+    /// link start unboundedly many transmissions in one instant.
     ///
     /// # Panics
     /// Panics if `capacity_bps` is not strictly positive.
     pub fn transmission(bytes: u64, capacity_bps: f64) -> Self {
         assert!(capacity_bps > 0.0, "link capacity must be positive");
-        SimDuration(((bytes as f64 * 8.0 / capacity_bps) * 1e9).round() as u64)
+        let nanos = ((bytes as f64 * 8.0 / capacity_bps) * 1e9).round() as u64;
+        SimDuration(nanos.max(u64::from(bytes > 0)))
     }
 
     /// Raw nanoseconds.
@@ -227,6 +231,18 @@ mod tests {
         // 1500-byte packet at 10 Gbps = 1.2 µs; at 40 Gbps = 0.3 µs.
         assert_eq!(SimDuration::transmission(1500, 10e9).as_nanos(), 1200);
         assert_eq!(SimDuration::transmission(1500, 40e9).as_nanos(), 300);
+    }
+
+    #[test]
+    fn a_non_empty_packet_never_serializes_in_zero_time() {
+        // 40 bytes at 1 Tb/s is 0.32 ns: rounds to zero without the clamp.
+        assert_eq!(SimDuration::transmission(40, 1e12).as_nanos(), 1);
+        assert_eq!(SimDuration::transmission(1, 1e15).as_nanos(), 1);
+        // Only an empty packet takes no time, and the clamp never stretches
+        // a serialization that already rounds to a tick or more.
+        assert_eq!(SimDuration::transmission(0, 10e9), SimDuration::ZERO);
+        assert_eq!(SimDuration::transmission(40, 400e9).as_nanos(), 1);
+        assert_eq!(SimDuration::transmission(40, 100e9).as_nanos(), 3);
     }
 
     #[test]
