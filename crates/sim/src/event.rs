@@ -61,11 +61,12 @@
 //! path. The [`crate::timer::TimerService`] builds flow-timer bookkeeping on
 //! top of this, so stopping a flow structurally removes its pending timers.
 
+use crate::hash::FixedHashSet;
 use crate::packet::{FlowId, Packet};
 use crate::time::SimTime;
 use crate::topology::LinkId;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// The kinds of events the simulator processes.
 #[derive(Debug)]
@@ -293,9 +294,9 @@ pub struct EventQueue {
     rejoins: VecDeque<Key>,
     /// Sequence numbers of cancellable events that are still pending (not
     /// fired, not cancelled) — what makes [`Self::cancel`] O(1).
-    cancellable_pending: HashSet<u64>,
+    cancellable_pending: FixedHashSet<u64>,
     /// Sequence numbers of cancelled-but-not-yet-drained events.
-    cancelled: HashSet<u64>,
+    cancelled: FixedHashSet<u64>,
     /// Scratch buffer reused by cascades (avoids per-cascade allocation).
     scratch: Vec<Key>,
     /// Wheel cursor: `now <= cursor <= `the earliest pending wheel event.
@@ -334,8 +335,8 @@ impl EventQueue {
             batch_open: false,
             open_time: 0,
             rejoins: VecDeque::new(),
-            cancellable_pending: HashSet::new(),
-            cancelled: HashSet::new(),
+            cancellable_pending: FixedHashSet::default(),
+            cancelled: FixedHashSet::default(),
             scratch: Vec::new(),
             cursor: 0,
             now: 0,
@@ -1211,8 +1212,8 @@ impl Ord for HeapEntry {
 #[derive(Default)]
 pub struct HeapEventQueue {
     heap: BinaryHeap<HeapEntry>,
-    cancellable_pending: HashSet<u64>,
-    cancelled: HashSet<u64>,
+    cancellable_pending: FixedHashSet<u64>,
+    cancelled: FixedHashSet<u64>,
     next_seq: u64,
     now: u64,
     live: usize,

@@ -87,6 +87,7 @@
 
 pub mod event;
 pub mod flow;
+mod hash;
 pub mod impairment;
 pub mod network;
 pub mod packet;

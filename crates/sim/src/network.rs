@@ -79,6 +79,7 @@ use crate::topology::{LinkId, NodeId, Route, Topology};
 use crate::tracer::EwmaRateTracer;
 use crate::transport::{AckMode, FlowAgent, LinkController};
 use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Snapshot of one link's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -375,16 +376,30 @@ struct PartitionCore {
 
 impl PartitionCore {
     fn new(index: usize, partitions: usize, num_links: usize) -> Self {
+        let links = (0..num_links).map(|_| None).collect();
+        Self::with_storage(index, partitions, links, EventQueue::new())
+    }
+
+    /// A core with no events handled and no flows, built around a given
+    /// link table (its length is the network's link count) and an empty
+    /// wheel.
+    fn with_storage(
+        index: usize,
+        partitions: usize,
+        links: Vec<Option<LinkState>>,
+        events: EventQueue,
+    ) -> Self {
+        debug_assert!(events.is_empty());
         Self {
             index,
-            events: EventQueue::new(),
+            events,
             timers: TimerService::new(),
-            links: (0..num_links).map(|_| None).collect(),
+            link_drops: vec![0; links.len()],
+            links,
             senders: Vec::new(),
             receivers: Vec::new(),
             flow_drops: Vec::new(),
             flow_packets: Vec::new(),
-            link_drops: vec![0; num_links],
             inbox: Vec::new(),
             inbox_releases: Vec::new(),
             outbound: (0..partitions).map(|_| OutBundle::default()).collect(),
@@ -1122,28 +1137,49 @@ impl Network {
             .min();
         // Migrate pending events (setup-time controller timers) and link
         // runtimes into the new per-partition cores, keeping keys intact.
+        let mut old_parts = std::mem::take(&mut self.parts);
         let mut pending: Vec<(SimTime, u64, Event, bool)> = Vec::new();
-        let mut link_states: Vec<Option<LinkState>> = (0..num_links).map(|_| None).collect();
-        for core in &mut self.parts {
-            pending.extend(core.events.drain_entries());
-            for (l, slot) in core.links.iter_mut().enumerate() {
-                if let Some(ls) = slot.take() {
-                    link_states[l] = Some(ls);
-                }
+        for core in &mut old_parts {
+            let drained = core.events.drain_entries();
+            if pending.is_empty() {
+                pending = drained;
+            } else {
+                pending.extend(drained);
             }
         }
         pending.sort_by_key(|&(t, seq, ..)| (t, seq));
-        self.parts = (0..partitions)
-            .map(|p| {
-                let mut core = PartitionCore::new(p, partitions, num_links);
-                core.trace = self.trace_enabled.then(Vec::new);
-                core.batch_dispatch = self.batch_dispatch;
-                core
-            })
-            .collect();
-        for (l, slot) in link_states.iter_mut().enumerate() {
-            if let Some(ls) = slot.take() {
-                self.parts[self.shared.link_part[l]].links[l] = Some(ls);
+        // Partition 0 recycles the first old core's link table and wheel
+        // (rewound by `EventQueue::reset`), so set-up allocates only the
+        // cores it adds. Rebuilding every core, plus staging copies, made
+        // set-up's transient heap large enough for the allocator to return
+        // it to the OS and re-fault it on every build.
+        let mut old_parts = old_parts.into_iter();
+        let first = old_parts.next().expect("a network always has a partition");
+        let mut wheel = first.events;
+        wheel.reset();
+        self.parts = std::iter::once(PartitionCore::with_storage(
+            0,
+            partitions,
+            first.links,
+            wheel,
+        ))
+        .chain((1..partitions).map(|p| PartitionCore::new(p, partitions, num_links)))
+        .map(|mut core| {
+            core.trace = self.trace_enabled.then(Vec::new);
+            core.batch_dispatch = self.batch_dispatch;
+            core
+        })
+        .collect();
+        for (l, &p) in self.shared.link_part.iter().enumerate() {
+            if p != 0 {
+                self.parts[p].links[l] = self.parts[0].links[l].take();
+            }
+        }
+        for mut core in old_parts {
+            for (l, slot) in core.links.iter_mut().enumerate() {
+                if let Some(ls) = slot.take() {
+                    self.parts[self.shared.link_part[l]].links[l] = Some(ls);
+                }
             }
         }
         for (at, seq, event, cancellable) in pending {
@@ -1857,20 +1893,20 @@ impl Network {
             .map(|core| core.events.peek_key().map(|(t, _)| t))
             .collect();
         let part_worker: Vec<usize> = (0..nparts).map(|p| p / chunk_size).collect();
+        let chunks = nparts.div_ceil(chunk_size);
+        let mailboxes: Vec<(Mailbox<EpochCmd>, Mailbox<EpochReply>)> = (0..chunks)
+            .map(|_| (Mailbox::new(), Mailbox::new()))
+            .collect();
         std::thread::scope(|scope| {
-            let mut channels: Vec<(
-                std::sync::mpsc::Sender<EpochCmd>,
-                std::sync::mpsc::Receiver<EpochReply>,
-            )> = Vec::with_capacity(workers);
+            // Closing the boxes — on the way out, or while a coordinator
+            // panic unwinds — is what stops the workers.
+            let _stop = CloseOnDrop(&mailboxes);
             let mut rest = parts;
-            while !rest.is_empty() {
+            for boxes in &mailboxes {
                 let take = chunk_size.min(rest.len());
                 let (chunk, tail) = rest.split_at_mut(take);
                 rest = tail;
-                let (cmd_tx, cmd_rx) = std::sync::mpsc::channel::<EpochCmd>();
-                let (reply_tx, reply_rx) = std::sync::mpsc::channel::<EpochReply>();
-                channels.push((cmd_tx, reply_rx));
-                scope.spawn(move || worker_loop(shared, chunk, cmd_rx, reply_tx));
+                scope.spawn(move || worker_loop(shared, chunk, boxes));
             }
             loop {
                 // The earliest actionable instant: pending wheel heads plus
@@ -1892,26 +1928,25 @@ impl Network {
                 }
                 let barrier = lookahead.map(|la| t + la);
                 let mut deliveries: Vec<Vec<(usize, OutBundle)>> =
-                    (0..channels.len()).map(|_| Vec::new()).collect();
+                    (0..mailboxes.len()).map(|_| Vec::new()).collect();
                 for (p, bundle) in pending.iter_mut().enumerate() {
                     if !bundle.is_empty() {
                         deliveries[part_worker[p]].push((p, std::mem::take(bundle)));
                     }
                 }
-                for (w, (cmd_tx, _)) in channels.iter().enumerate() {
-                    cmd_tx
-                        .send(EpochCmd::Epoch {
-                            barrier,
-                            bound,
-                            inclusive,
-                            deliveries: std::mem::take(&mut deliveries[w]),
-                        })
-                        .expect("partition worker exited unexpectedly");
+                for (w, (cmds, _)) in mailboxes.iter().enumerate() {
+                    let sent = cmds.send(EpochCmd {
+                        barrier,
+                        bound,
+                        inclusive,
+                        deliveries: std::mem::take(&mut deliveries[w]),
+                    });
+                    assert!(sent, "partition worker {w} exited unexpectedly");
                 }
-                for (w, (_, reply_rx)) in channels.iter().enumerate() {
-                    let reply = reply_rx
+                for (w, (_, replies)) in mailboxes.iter().enumerate() {
+                    let reply = replies
                         .recv()
-                        .unwrap_or_else(|_| panic!("partition worker {w} panicked"));
+                        .unwrap_or_else(|| panic!("partition worker {w} panicked"));
                     for (p, next) in reply.next_times {
                         next_times[p] = next;
                     }
@@ -1920,9 +1955,6 @@ impl Network {
                         pending[dest].releases.extend(bundle.releases);
                     }
                 }
-            }
-            for (cmd_tx, _) in &channels {
-                let _ = cmd_tx.send(EpochCmd::Done);
             }
         });
         // Re-deposit boundary traffic that lies beyond the bound for the
@@ -2134,14 +2166,11 @@ fn event_partition(shared: &Shared, event: &Event) -> usize {
 
 /// One epoch's worth of work for a worker: the barrier, the stretch bound,
 /// and the boundary deliveries addressed to the worker's partitions.
-enum EpochCmd {
-    Epoch {
-        barrier: Option<SimTime>,
-        bound: SimTime,
-        inclusive: bool,
-        deliveries: Vec<(usize, OutBundle)>,
-    },
-    Done,
+struct EpochCmd {
+    barrier: Option<SimTime>,
+    bound: SimTime,
+    inclusive: bool,
+    deliveries: Vec<(usize, OutBundle)>,
 }
 
 /// A worker's report after one epoch: each owned partition's next pending
@@ -2151,52 +2180,129 @@ struct EpochReply {
     outbound: Vec<(usize, OutBundle)>,
 }
 
+/// A one-message rendezvous between the coordinator and one epoch worker
+/// (the protocol never has more than one message in flight each way),
+/// built on a mutex and a condition variable so that neither sending nor
+/// waiting allocates. `std::sync::mpsc` allocates waker entries only when a
+/// receiver happens to block, which made a threaded run's allocation count
+/// depend on thread timing.
+struct Mailbox<T> {
+    slot: Mutex<Mail<T>>,
+    changed: Condvar,
+}
+
+enum Mail<T> {
+    Empty,
+    Full(T),
+    /// The other side is gone: no message will arrive or be taken.
+    Closed,
+}
+
+impl<T> Mailbox<T> {
+    fn new() -> Self {
+        Self {
+            slot: Mutex::new(Mail::Empty),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Every update leaves the slot valid, so a poisoned lock is still sound.
+    fn lock(&self) -> MutexGuard<'_, Mail<T>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hand over `msg`; `false` if the box is closed.
+    fn send(&self, msg: T) -> bool {
+        let mut slot = self.lock();
+        if matches!(*slot, Mail::Closed) {
+            return false;
+        }
+        debug_assert!(matches!(*slot, Mail::Empty), "one message in flight");
+        *slot = Mail::Full(msg);
+        self.changed.notify_one();
+        true
+    }
+
+    /// Wait for the next message; `None` once the box is closed.
+    fn recv(&self) -> Option<T> {
+        let mut slot = self.lock();
+        loop {
+            match std::mem::replace(&mut *slot, Mail::Empty) {
+                Mail::Full(msg) => return Some(msg),
+                Mail::Closed => {
+                    *slot = Mail::Closed;
+                    return None;
+                }
+                Mail::Empty => {
+                    slot = self
+                        .changed
+                        .wait(slot)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            }
+        }
+    }
+
+    fn close(&self) {
+        *self.lock() = Mail::Closed;
+        self.changed.notify_all();
+    }
+}
+
+/// Closes both boxes of every `(commands, replies)` pair when dropped,
+/// including during a panic, so the other side of each never waits forever.
+struct CloseOnDrop<'a>(&'a [(Mailbox<EpochCmd>, Mailbox<EpochReply>)]);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        for (cmds, replies) in self.0 {
+            cmds.close();
+            replies.close();
+        }
+    }
+}
+
 /// A long-lived epoch worker: owns a contiguous chunk of partition cores
-/// for the duration of one stretch and advances them on command. Runs the
-/// exact same per-core calls as the inline loop.
+/// for the duration of one stretch and advances them on command until its
+/// boxes close. Runs the exact same per-core calls as the inline loop.
 fn worker_loop(
     shared: &Shared,
     chunk: &mut [PartitionCore],
-    cmds: std::sync::mpsc::Receiver<EpochCmd>,
-    replies: std::sync::mpsc::Sender<EpochReply>,
+    boxes: &(Mailbox<EpochCmd>, Mailbox<EpochReply>),
 ) {
+    // On exit — a panic included — the coordinator must not wait for us.
+    let _exit = CloseOnDrop(std::slice::from_ref(boxes));
+    let (cmds, replies) = boxes;
     let base = chunk[0].index;
-    while let Ok(cmd) = cmds.recv() {
-        match cmd {
-            EpochCmd::Done => break,
-            EpochCmd::Epoch {
-                barrier,
-                bound,
-                inclusive,
-                deliveries,
-            } => {
-                for (part, bundle) in deliveries {
-                    let core = &mut chunk[part - base];
-                    core.inbox.extend(bundle.events);
-                    core.inbox_releases.extend(bundle.releases);
-                }
-                let mut next_times = Vec::with_capacity(chunk.len());
-                let mut outbound: Vec<(usize, OutBundle)> = Vec::new();
-                for core in chunk.iter_mut() {
-                    deliver_boundary(core);
-                    let next = advance_core(shared, core, barrier, bound, inclusive);
-                    next_times.push((core.index, next));
-                    for (dest, bundle) in core.outbound.iter_mut().enumerate() {
-                        if !bundle.is_empty() {
-                            outbound.push((dest, std::mem::take(bundle)));
-                        }
-                    }
-                }
-                if replies
-                    .send(EpochReply {
-                        next_times,
-                        outbound,
-                    })
-                    .is_err()
-                {
-                    break;
+    while let Some(EpochCmd {
+        barrier,
+        bound,
+        inclusive,
+        deliveries,
+    }) = cmds.recv()
+    {
+        for (part, bundle) in deliveries {
+            let core = &mut chunk[part - base];
+            core.inbox.extend(bundle.events);
+            core.inbox_releases.extend(bundle.releases);
+        }
+        let mut next_times = Vec::with_capacity(chunk.len());
+        let mut outbound: Vec<(usize, OutBundle)> = Vec::new();
+        for core in chunk.iter_mut() {
+            deliver_boundary(core);
+            let next = advance_core(shared, core, barrier, bound, inclusive);
+            next_times.push((core.index, next));
+            for (dest, bundle) in core.outbound.iter_mut().enumerate() {
+                if !bundle.is_empty() {
+                    outbound.push((dest, std::mem::take(bundle)));
                 }
             }
+        }
+        if !replies.send(EpochReply {
+            next_times,
+            outbound,
+        }) {
+            break;
         }
     }
 }

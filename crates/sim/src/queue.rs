@@ -13,9 +13,11 @@
 //!
 //! All disciplines are byte-capacity bounded (the paper uses 1 MB per port).
 
+use crate::hash::FixedHashMap;
 use crate::packet::{FlowId, Packet};
 use crate::time::SimTime;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Default per-port buffer size used in the paper's simulations (1 MB).
 pub const DEFAULT_BUFFER_BYTES: usize = 1_000_000;
@@ -175,33 +177,137 @@ impl QueueDiscipline for EcnFifo {
 }
 
 // ---------------------------------------------------------------------------
-// Start-Time Fair Queueing (WFQ approximation used by Swift)
+// Slot slab and heap entries shared by the heap-ordered disciplines
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct StfqEntry {
-    virtual_start: f64,
-    seq: u64,
+/// Packet storage of [`StfqQueue`] and [`PfabricQueue`]: a `Vec` of slots,
+/// each holding `(seq, packet)` or a link of the LIFO free list threaded
+/// through the vacant slots. A heap entry carries its packet's slot beside
+/// its ordering key, so serving the heap's top is one indexed `take` — no
+/// hashing. Freed slots are reused first, so the slab stays sized to the
+/// queue's peak depth, and since the free list lives in the slots
+/// themselves, only that peak ever allocates.
+///
+/// The stored `seq` — not slot occupancy — is a packet's identity: a pFabric
+/// tombstone can name a slot that was freed and since reused by a later
+/// packet, and it must still read as dead.
+#[derive(Debug, Default)]
+struct PacketSlab {
+    slots: Vec<Slot>,
+    /// First vacant slot, if any.
+    free_head: Option<u32>,
+    live: usize,
 }
 
-impl Eq for StfqEntry {}
+/// One slot of a [`PacketSlab`].
+#[derive(Debug)]
+enum Slot {
+    Full {
+        seq: u64,
+        packet: Packet,
+    },
+    /// Vacant; `next` is the next vacant slot, if any.
+    Vacant {
+        next: Option<u32>,
+    },
+}
 
-impl PartialOrd for StfqEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl PacketSlab {
+    /// Store `packet` under `seq`; returns its slot.
+    fn insert(&mut self, seq: u64, packet: Packet) -> u32 {
+        self.live += 1;
+        let full = Slot::Full { seq, packet };
+        let Some(slot) = self.free_head else {
+            let slot = u32::try_from(self.slots.len()).expect("more than 2^32 queued packets");
+            self.slots.push(full);
+            return slot;
+        };
+        match std::mem::replace(&mut self.slots[slot as usize], full) {
+            Slot::Vacant { next } => self.free_head = next,
+            Slot::Full { .. } => unreachable!("the free list names an occupied slot"),
+        }
+        slot
+    }
+
+    /// Whether `slot` still holds the packet stored under `seq`.
+    fn holds(&self, slot: u32, seq: u64) -> bool {
+        matches!(self.slots[slot as usize], Slot::Full { seq: stored, .. } if stored == seq)
+    }
+
+    /// Take the packet stored under `seq` out of `slot`, freeing the slot;
+    /// `None` if the slot is vacant or holds another packet.
+    fn take(&mut self, slot: u32, seq: u64) -> Option<Packet> {
+        if !self.holds(slot, seq) {
+            return None;
+        }
+        let vacant = Slot::Vacant {
+            next: self.free_head,
+        };
+        match std::mem::replace(&mut self.slots[slot as usize], vacant) {
+            Slot::Full { packet, .. } => {
+                self.free_head = Some(slot);
+                self.live -= 1;
+                Some(packet)
+            }
+            Slot::Vacant { .. } => unreachable!("checked occupied above"),
+        }
+    }
+
+    /// Number of packets stored.
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    /// `(slot, seq, packet)` of every stored packet, in slot order.
+    fn iter(&self) -> impl Iterator<Item = (u32, u64, &Packet)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, stored)| match stored {
+                Slot::Full { seq, packet } => Some((slot as u32, *seq, packet)),
+                Slot::Vacant { .. } => None,
+            })
+    }
+}
+
+/// A heap entry: ordered by `(key, seq)` — the scheduling key (STFQ virtual
+/// start, pFabric priority), then arrival order — and carrying the slab
+/// slot of its packet. `Ord` is ascending; min-heaps wrap it in `Reverse`.
+#[derive(Debug, Clone, Copy)]
+struct SlotEntry {
+    key: f64,
+    seq: u64,
+    slot: u32,
+}
+
+impl Ord for SlotEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // `total_cmp`: a total order even for keys `partial_cmp` cannot
+        // compare. NaN keys are rejected at enqueue, and every seq is
+        // distinct, so no two entries compare equal.
+        self.key
+            .total_cmp(&other.key)
+            .then_with(|| self.seq.cmp(&other.seq))
+    }
+}
+
+impl PartialOrd for SlotEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for StfqEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on (virtual_start, seq): invert the comparison.
-        other
-            .virtual_start
-            .partial_cmp(&self.virtual_start)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| other.seq.cmp(&self.seq))
+impl PartialEq for SlotEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
     }
 }
+
+impl Eq for SlotEntry {}
+
+// ---------------------------------------------------------------------------
+// Start-Time Fair Queueing (WFQ approximation used by Swift)
+// ---------------------------------------------------------------------------
 
 /// Start-Time Fair Queueing (Goyal, Vin & Cheng), the practical WFQ
 /// approximation the paper sketches for NUMFabric switches (§5).
@@ -218,14 +324,22 @@ impl Ord for StfqEntry {
 /// field. Packets are served in increasing order of virtual start time.
 /// Control packets (`virtualPacketLen == 0`) are scheduled at the current
 /// virtual time, i.e. ahead of any backlogged data.
+///
+/// Layout: a min-heap of `(virtual start, seq, slot)` entries over a slot
+/// slab of packets, so enqueue and dequeue hash nothing; only the per-flow
+/// virtual finish times live in a (fixed-seed) map.
+///
+/// # Panics
+/// [`QueueDiscipline::enqueue`] panics, naming the flow, on a packet whose
+/// `virtualPacketLen` is NaN.
 #[derive(Debug)]
 pub struct StfqQueue {
     /// Min-heap of queued packets keyed by virtual start.
-    heap: BinaryHeap<StfqEntry>,
-    /// Packet storage, keyed by the heap entry's sequence number.
-    packets: HashMap<u64, Packet>,
+    heap: BinaryHeap<Reverse<SlotEntry>>,
+    /// The queued packets, addressed by their heap entries' slots.
+    packets: PacketSlab,
     /// Per-flow virtual finish time of the last *enqueued* packet.
-    last_finish: HashMap<FlowId, f64>,
+    last_finish: FixedHashMap<FlowId, f64>,
     /// The port's virtual time: virtual start of the most recently dequeued packet.
     virtual_time: f64,
     capacity_bytes: usize,
@@ -238,8 +352,8 @@ impl StfqQueue {
     pub fn new(capacity_bytes: usize) -> Self {
         Self {
             heap: BinaryHeap::new(),
-            packets: HashMap::new(),
-            last_finish: HashMap::new(),
+            packets: PacketSlab::default(),
+            last_finish: FixedHashMap::default(),
             virtual_time: 0.0,
             capacity_bytes,
             backlog: 0,
@@ -260,46 +374,50 @@ impl StfqQueue {
 
 impl QueueDiscipline for StfqQueue {
     fn enqueue(&mut self, packet: Packet, _now: SimTime) -> EnqueueOutcome {
+        let len = packet.header.virtual_packet_len;
+        assert!(
+            !len.is_nan(),
+            "STFQ: flow {} enqueued a packet whose virtualPacketLen is NaN",
+            packet.flow
+        );
         if self.backlog + packet.wire_bytes as usize > self.capacity_bytes {
             return EnqueueOutcome::Dropped(packet);
         }
         // Control packets (virtualPacketLen == 0) are scheduled at the current
         // virtual time: they jump ahead of backlogged data but never delay the
         // virtual clock.
-        let (start, finish) = if packet.is_data() && packet.header.virtual_packet_len > 0.0 {
-            let prev_finish = self
+        let start = if packet.is_data() && len > 0.0 {
+            let finish = self
                 .last_finish
-                .get(&packet.flow)
-                .copied()
-                .unwrap_or(self.virtual_time);
-            let start = self.virtual_time.max(prev_finish);
-            let finish = start + packet.header.virtual_packet_len;
-            self.last_finish.insert(packet.flow, finish);
-            (start, finish)
+                .entry(packet.flow)
+                .or_insert(self.virtual_time);
+            let start = self.virtual_time.max(*finish);
+            *finish = start + len;
+            start
         } else {
-            (self.virtual_time, self.virtual_time)
+            self.virtual_time
         };
-        let _ = finish;
         self.backlog += packet.wire_bytes as usize;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(StfqEntry {
-            virtual_start: start,
+        let slot = self.packets.insert(seq, packet);
+        self.heap.push(Reverse(SlotEntry {
+            key: start,
             seq,
-        });
-        self.packets.insert(seq, packet);
+            slot,
+        }));
         EnqueueOutcome::Accepted
     }
 
     fn dequeue(&mut self, _now: SimTime) -> Option<Packet> {
-        let entry = self.heap.pop()?;
+        let Reverse(entry) = self.heap.pop()?;
         let packet = self
             .packets
-            .remove(&entry.seq)
-            .expect("heap entry without stored packet");
+            .take(entry.slot, entry.seq)
+            .expect("STFQ heap entry without its packet");
         self.backlog -= packet.wire_bytes as usize;
         // Advance the port's virtual time to the served packet's virtual start.
-        self.virtual_time = self.virtual_time.max(entry.virtual_start);
+        self.virtual_time = self.virtual_time.max(entry.key);
         Some(packet)
     }
 
@@ -320,86 +438,40 @@ impl QueueDiscipline for StfqQueue {
 // pFabric priority queue
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PfabricEntry {
-    priority: f64,
-    seq: u64,
-}
-
-impl Eq for PfabricEntry {}
-
-impl PartialOrd for PfabricEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PfabricEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on (priority, seq): smallest remaining size first, FIFO ties.
-        other
-            .priority
-            .partial_cmp(&self.priority)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Max-heap twin of [`PfabricEntry`]: pops the *largest* (priority, seq)
-/// first, so the eviction candidate is found in O(log n) instead of a full
-/// scan. Priority ties evict the youngest (largest seq) packet, which makes
-/// the victim choice deterministic (the previous scan broke ties by hash-map
-/// iteration order).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PfabricWorstEntry {
-    priority: f64,
-    seq: u64,
-}
-
-impl Eq for PfabricWorstEntry {}
-
-impl PartialOrd for PfabricWorstEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PfabricWorstEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.priority
-            .partial_cmp(&other.priority)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| self.seq.cmp(&other.seq))
-    }
-}
-
 /// pFabric's switch behaviour: dequeue the packet with the smallest priority
 /// value (remaining flow size); when the buffer is full, drop the queued
 /// packet with the *largest* priority value to admit a higher-priority
 /// arrival (or drop the arrival if it is itself the lowest priority).
 ///
-/// Both the serve order and the evict order are tracked by heaps with *lazy
-/// tombstone deletion*: evicting or serving a packet leaves a stale entry in
-/// the other heap, which is skipped (and discarded) when it surfaces, and a
-/// heap is rebuilt from the live packets once tombstones outnumber them 2:1
-/// (tombstones at the "far end" of a heap would otherwise never surface and
-/// accumulate for the queue's lifetime). Every operation is O(log live)
-/// amortized — the previous implementation rebuilt the serve heap with
-/// `BinaryHeap::retain` (O(n)) on every worst-drop and scanned all queued
-/// packets (O(n)) to find the victim.
+/// Layout: the packets sit in a slot slab; two heaps of `(priority, seq,
+/// slot)` entries order them — a min-heap for serving and a max-heap for
+/// eviction, whose priority ties evict the youngest (largest seq) packet.
+/// Both heaps use *lazy tombstone deletion*: evicting or serving a packet
+/// leaves a stale entry in the other heap, which is skipped (and discarded)
+/// when it surfaces. An entry is live only while its slot still holds the
+/// packet with the entry's seq — the slot may have been reused by a later
+/// packet. A heap is rebuilt from the live packets once tombstones
+/// outnumber them 2:1 (tombstones at the "far end" of a heap would
+/// otherwise never surface and accumulate for the queue's lifetime). Every
+/// operation is O(log live) amortized, and none hashes.
+///
+/// # Panics
+/// [`QueueDiscipline::enqueue`] panics, naming the flow, on a packet whose
+/// `pfabric_priority` is NaN.
 #[derive(Debug)]
 pub struct PfabricQueue {
     /// Serve order: min-heap on (priority, seq).
-    heap: BinaryHeap<PfabricEntry>,
+    heap: BinaryHeap<Reverse<SlotEntry>>,
     /// Evict order: max-heap on (priority, seq).
-    worst: BinaryHeap<PfabricWorstEntry>,
-    /// Live packets; a heap entry whose seq is absent here is a tombstone.
-    packets: HashMap<u64, Packet>,
-    /// Persistent rebuild workspace: live `(priority, seq)` pairs are
-    /// gathered here once per prune, so a rebuild walks the (cache-hostile)
-    /// packet map a single time even when both heaps need rebuilding, and
-    /// steady-state pruning allocates nothing after warm-up.
-    rebuild_scratch: Vec<(f64, u64)>,
+    worst: BinaryHeap<SlotEntry>,
+    /// Live packets; a heap entry whose slot no longer holds its seq is a
+    /// tombstone.
+    packets: PacketSlab,
+    /// Persistent rebuild workspace: live entries are gathered here once
+    /// per prune, so a rebuild walks the slab a single time even when both
+    /// heaps need rebuilding, and steady-state pruning allocates nothing
+    /// after warm-up.
+    rebuild_scratch: Vec<SlotEntry>,
     capacity_bytes: usize,
     backlog: usize,
     next_seq: u64,
@@ -412,7 +484,7 @@ impl PfabricQueue {
         Self {
             heap: BinaryHeap::new(),
             worst: BinaryHeap::new(),
-            packets: HashMap::new(),
+            packets: PacketSlab::default(),
             rebuild_scratch: Vec::new(),
             capacity_bytes,
             backlog: 0,
@@ -424,18 +496,19 @@ impl PfabricQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.backlog += packet.wire_bytes as usize;
-        let priority = packet.header.pfabric_priority;
-        self.heap.push(PfabricEntry { priority, seq });
-        self.worst.push(PfabricWorstEntry { priority, seq });
-        self.packets.insert(seq, packet);
+        let key = packet.header.pfabric_priority;
+        let slot = self.packets.insert(seq, packet);
+        let entry = SlotEntry { key, seq, slot };
+        self.heap.push(Reverse(entry));
+        self.worst.push(entry);
     }
 
-    /// The (priority, seq) of the worst live packet, discarding any stale
-    /// eviction-heap entries on the way.
-    fn worst_queued(&mut self) -> Option<(f64, u64)> {
-        while let Some(entry) = self.worst.peek() {
-            if self.packets.contains_key(&entry.seq) {
-                return Some((entry.priority, entry.seq));
+    /// The eviction-heap entry of the worst live packet, discarding any
+    /// stale entries on the way.
+    fn worst_queued(&mut self) -> Option<SlotEntry> {
+        while let Some(&entry) = self.worst.peek() {
+            if self.packets.holds(entry.slot, entry.seq) {
+                return Some(entry);
             }
             self.worst.pop();
         }
@@ -446,7 +519,7 @@ impl PfabricQueue {
     /// them: served packets' eviction-heap entries (lowest priorities) and
     /// evicted packets' serve-heap entries (highest priorities) sit at the
     /// far end of their heap and would never surface to be discarded lazily.
-    /// Each rebuild is O(live) and runs at most once per O(live) stale-making
+    /// Each rebuild is O(slab) and runs at most once per O(live) stale-making
     /// operations, so the amortized cost stays O(1); pop order is unaffected
     /// because every (priority, seq) key is distinct.
     fn maybe_prune(&mut self) {
@@ -457,45 +530,43 @@ impl PfabricQueue {
             return;
         }
         self.rebuild_scratch.clear();
-        self.rebuild_scratch.extend(
-            self.packets
-                .iter()
-                .map(|(&seq, p)| (p.header.pfabric_priority, seq)),
-        );
+        self.rebuild_scratch
+            .extend(self.packets.iter().map(|(slot, seq, p)| SlotEntry {
+                key: p.header.pfabric_priority,
+                seq,
+                slot,
+            }));
         if serve_stale {
             self.heap.clear();
-            self.heap.extend(
-                self.rebuild_scratch
-                    .iter()
-                    .map(|&(priority, seq)| PfabricEntry { priority, seq }),
-            );
+            self.heap
+                .extend(self.rebuild_scratch.iter().copied().map(Reverse));
         }
         if worst_stale {
             self.worst.clear();
-            self.worst.extend(
-                self.rebuild_scratch
-                    .iter()
-                    .map(|&(priority, seq)| PfabricWorstEntry { priority, seq }),
-            );
+            self.worst.extend(self.rebuild_scratch.iter().copied());
         }
     }
 }
 
 impl QueueDiscipline for PfabricQueue {
     fn enqueue(&mut self, packet: Packet, _now: SimTime) -> EnqueueOutcome {
+        let priority = packet.header.pfabric_priority;
+        assert!(
+            !priority.is_nan(),
+            "pFabric: flow {} enqueued a packet whose priority is NaN",
+            packet.flow
+        );
         if self.backlog + packet.wire_bytes as usize <= self.capacity_bytes {
             self.insert(packet);
             return EnqueueOutcome::Accepted;
         }
         // Buffer full: find the worst queued packet.
         match self.worst_queued() {
-            Some((worst_priority, worst_seq))
-                if packet.header.pfabric_priority < worst_priority =>
-            {
+            Some(worst) if priority < worst.key => {
                 // Evict the victim; its serve-heap entry becomes a tombstone.
                 let victim = self
                     .packets
-                    .remove(&worst_seq)
+                    .take(worst.slot, worst.seq)
                     .expect("victim packet must exist");
                 self.backlog -= victim.wire_bytes as usize;
                 self.worst.pop();
@@ -515,17 +586,13 @@ impl QueueDiscipline for PfabricQueue {
     }
 
     fn dequeue(&mut self, _now: SimTime) -> Option<Packet> {
-        let entry = loop {
-            let entry = self.heap.pop()?;
-            if self.packets.contains_key(&entry.seq) {
-                break entry;
+        let packet = loop {
+            let Reverse(entry) = self.heap.pop()?;
+            if let Some(packet) = self.packets.take(entry.slot, entry.seq) {
+                break packet;
             }
             // Tombstone for an evicted packet; skip it.
         };
-        let packet = self
-            .packets
-            .remove(&entry.seq)
-            .expect("checked for existence above");
         self.backlog -= packet.wire_bytes as usize;
         self.maybe_prune();
         Some(packet)
@@ -546,6 +613,8 @@ mod tests {
     use crate::packet::{Packet, DEFAULT_PAYLOAD_BYTES};
     use crate::routes::{RouteId, RouteTable};
     use crate::topology::Route;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn route() -> RouteId {
         RouteTable::new().intern(Route::from_links(vec![0]))
@@ -688,6 +757,175 @@ mod tests {
         assert!(!q.last_finish.contains_key(&0));
     }
 
+    #[test]
+    #[should_panic(expected = "flow 3 enqueued a packet whose virtualPacketLen is NaN")]
+    fn stfq_rejects_nan_virtual_length_naming_the_flow() {
+        let mut q = StfqQueue::new(1_000_000);
+        q.enqueue(data(0, 1.0), now());
+        q.enqueue(data(3, f64::NAN), now());
+    }
+
+    /// Heap entry of [`StfqReference`], with the pre-slab ordering
+    /// (`partial_cmp`, inverted for a min-heap).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct ReferenceEntry {
+        virtual_start: f64,
+        seq: u64,
+    }
+
+    impl Eq for ReferenceEntry {}
+
+    impl PartialOrd for ReferenceEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for ReferenceEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .virtual_start
+                .partial_cmp(&self.virtual_start)
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// The map-based STFQ queue the slot slab replaced, kept as the
+    /// executable reference model: packets in a `HashMap` keyed by the heap
+    /// entry's seq.
+    struct StfqReference {
+        heap: BinaryHeap<ReferenceEntry>,
+        packets: HashMap<u64, Packet>,
+        last_finish: HashMap<FlowId, f64>,
+        virtual_time: f64,
+        capacity_bytes: usize,
+        backlog: usize,
+        next_seq: u64,
+    }
+
+    impl StfqReference {
+        fn new(capacity_bytes: usize) -> Self {
+            Self {
+                heap: BinaryHeap::new(),
+                packets: HashMap::new(),
+                last_finish: HashMap::new(),
+                virtual_time: 0.0,
+                capacity_bytes,
+                backlog: 0,
+                next_seq: 0,
+            }
+        }
+
+        fn enqueue(&mut self, packet: Packet) -> bool {
+            if self.backlog + packet.wire_bytes as usize > self.capacity_bytes {
+                return false;
+            }
+            let start = if packet.is_data() && packet.header.virtual_packet_len > 0.0 {
+                let prev_finish = self
+                    .last_finish
+                    .get(&packet.flow)
+                    .copied()
+                    .unwrap_or(self.virtual_time);
+                let start = self.virtual_time.max(prev_finish);
+                self.last_finish
+                    .insert(packet.flow, start + packet.header.virtual_packet_len);
+                start
+            } else {
+                self.virtual_time
+            };
+            self.backlog += packet.wire_bytes as usize;
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(ReferenceEntry {
+                virtual_start: start,
+                seq,
+            });
+            self.packets.insert(seq, packet);
+            true
+        }
+
+        fn dequeue(&mut self) -> Option<Packet> {
+            let entry = self.heap.pop()?;
+            let packet = self.packets.remove(&entry.seq).expect("stored packet");
+            self.backlog -= packet.wire_bytes as usize;
+            self.virtual_time = self.virtual_time.max(entry.virtual_start);
+            Some(packet)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The slab queue serves exactly what the map-based reference
+        /// serves, in the same order, with the same backlog and virtual
+        /// clock, over random enqueue / dequeue / `release_flow` sequences:
+        /// up to 300 flows, weights from a 3-value set (so equal virtual
+        /// starts are common), ACKs, and data packets with
+        /// `virtualPacketLen == 0`.
+        #[test]
+        fn stfq_slab_matches_hashmap_reference(
+            seed in 0u64..u64::MAX,
+            flows in 1usize..300,
+            capacity_packets in 4usize..200,
+            ops in 200usize..3000,
+        ) {
+            let capacity = capacity_packets * 1500;
+            let mut q = StfqQueue::new(capacity);
+            let mut reference = StfqReference::new(capacity);
+            let mut state = seed;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 17
+            };
+            for op in 0..ops {
+                let r = next();
+                match r % 10 {
+                    0..=4 => {
+                        let flow = (next() % flows as u64) as FlowId;
+                        let mut p = match next() % 8 {
+                            0 => Packet::ack(flow, route()),
+                            1 => {
+                                let mut p = data(flow, 1.0);
+                                p.header.virtual_packet_len = 0.0;
+                                p
+                            }
+                            w => data(flow, [1.0, 2.0, 4.0][(w % 3) as usize]),
+                        };
+                        p.seq = op as u64;
+                        let accepted = q.enqueue(p.clone(), now()).accepted();
+                        prop_assert_eq!(accepted, reference.enqueue(p), "op {}", op);
+                    }
+                    5..=8 => {
+                        let a = q.dequeue(now()).map(|p| (p.flow, p.seq));
+                        let b = reference.dequeue().map(|p| (p.flow, p.seq));
+                        prop_assert_eq!(a, b, "serve order diverged at op {}", op);
+                    }
+                    _ => {
+                        let flow = (next() % flows as u64) as FlowId;
+                        q.release_flow(flow);
+                        reference.last_finish.remove(&flow);
+                    }
+                }
+                prop_assert_eq!(q.backlog_bytes(), reference.backlog);
+                prop_assert_eq!(q.backlog_packets(), reference.packets.len());
+                prop_assert_eq!(
+                    q.virtual_time().to_bits(),
+                    reference.virtual_time.to_bits()
+                );
+            }
+            loop {
+                match (q.dequeue(now()), reference.dequeue()) {
+                    (Some(x), Some(y)) => prop_assert_eq!((x.flow, x.seq), (y.flow, y.seq)),
+                    (None, None) => break,
+                    (a, b) => panic!("drain diverged: {a:?} vs {b:?}"),
+                }
+            }
+            prop_assert_eq!(q.virtual_time().to_bits(), reference.virtual_time.to_bits());
+        }
+    }
+
     fn pfabric_pkt(flow: FlowId, priority: f64) -> Packet {
         let mut p = Packet::data(flow, 0, DEFAULT_PAYLOAD_BYTES, route());
         p.header.pfabric_priority = priority;
@@ -736,6 +974,37 @@ mod tests {
         assert_eq!(order, vec![2, 3]);
     }
 
+    /// The slot-reuse trap: a tombstone whose slab slot now holds a
+    /// *different* live packet must stay a tombstone. Here flow 0's serve
+    /// entry (priority 100) is orphaned by eviction, its slot is reused by
+    /// flow 3 (priority 500), and the orphan surfaces while flow 4
+    /// (priority 200) waits; a liveness check by slot occupancy alone would
+    /// serve flow 3 in flow 0's place, ahead of flow 4.
+    #[test]
+    fn pfabric_tombstone_stays_dead_after_its_slot_is_reused() {
+        let mut q = PfabricQueue::new(3_000);
+        q.enqueue(pfabric_pkt(0, 100.0), now()); // slot 0
+        q.enqueue(pfabric_pkt(1, 10.0), now()); // slot 1
+        let evicted = q.enqueue(pfabric_pkt(2, 1.0), now()); // evicts flow 0; slot 0
+        assert!(matches!(evicted, EnqueueOutcome::AcceptedWithVictim(v) if v.flow == 0));
+        assert_eq!(q.dequeue(now()).map(|p| p.flow), Some(2)); // frees slot 0
+        q.enqueue(pfabric_pkt(3, 500.0), now()); // reuses slot 0
+        assert_eq!(q.dequeue(now()).map(|p| p.flow), Some(1)); // frees slot 1
+        q.enqueue(pfabric_pkt(4, 200.0), now()); // reuses slot 1
+        let order: Vec<FlowId> = std::iter::from_fn(|| q.dequeue(now()))
+            .map(|p| p.flow)
+            .collect();
+        assert_eq!(order, vec![4, 3]);
+        assert_eq!(q.backlog_bytes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "flow 5 enqueued a packet whose priority is NaN")]
+    fn pfabric_rejects_nan_priority_naming_the_flow() {
+        let mut q = PfabricQueue::new(1_000_000);
+        q.enqueue(pfabric_pkt(5, f64::NAN), now());
+    }
+
     /// A straightforward O(n)-scan pFabric model with the same semantics the
     /// tombstone queue implements: serve smallest (priority, arrival), evict
     /// largest (priority, arrival).
@@ -768,11 +1037,7 @@ mod tests {
                 .queued
                 .iter()
                 .enumerate()
-                .max_by(|(_, a), (_, b)| {
-                    a.0.partial_cmp(&b.0)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then_with(|| a.1.cmp(&b.1))
-                })
+                .max_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
                 .map(|(i, &(p, _, _))| (i, p));
             match worst {
                 Some((i, worst_priority)) if packet.header.pfabric_priority < worst_priority => {
@@ -793,11 +1058,11 @@ mod tests {
         }
 
         fn dequeue(&mut self) -> Option<Packet> {
-            let best = self.queued.iter().enumerate().min_by(|(_, a), (_, b)| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.1.cmp(&b.1))
-            })?;
+            let best = self
+                .queued
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))?;
             let i = best.0;
             let (_, _, packet) = self.queued.remove(i);
             self.backlog -= packet.wire_bytes as usize;

@@ -14,8 +14,8 @@
 //! share a handful of leaf-spine paths, so the arena stays tiny even for
 //! very large workloads.
 
+use crate::hash::FixedHashMap;
 use crate::topology::{LinkId, Partitioning, Route, Topology};
-use std::collections::HashMap;
 
 /// A copyable handle to a route interned in a [`RouteTable`].
 ///
@@ -35,7 +35,7 @@ impl RouteId {
 #[derive(Debug, Default)]
 pub struct RouteTable {
     routes: Vec<Route>,
-    interned: HashMap<Route, RouteId>,
+    interned: FixedHashMap<Route, RouteId>,
 }
 
 impl RouteTable {

@@ -9,72 +9,14 @@
 //!    adjacency; the small benchmark rows peak at a few MiB, so a fatter
 //!    index shows up as a `peak_rss_mb` regression.
 //!
-//! Only the test's own thread is counted, so the harness cannot disturb the
-//! numbers.
+//! Allocations are counted by the shared counting allocator in
+//! `alloc_counter/`.
 
+mod alloc_counter;
+
+use alloc_counter::counted;
 use numfabric_sim::topology::{FatTreeConfig, Topology};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
-
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-struct CountingAllocator;
-
-fn count(allocations: u64, bytes: i64) {
-    // Statistics only: nothing is published through these counters.
-    if COUNTING.with(Cell::get) {
-        ALLOCATIONS.fetch_add(allocations, Relaxed);
-        LIVE_BYTES.fetch_add(bytes, Relaxed);
-    }
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters touch no allocator state
-// and the thread-local is const-initialised and has no destructor, so
-// reading it never allocates.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(1, layout.size() as i64);
-        // SAFETY: the caller guarantees `layout` has non-zero size.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, -(layout.size() as i64));
-        // SAFETY: the caller guarantees `ptr` came from this allocator —
-        // that is, from `System` — with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(1, new_size as i64 - layout.size() as i64);
-        // SAFETY: the caller guarantees `ptr`/`layout` as for `dealloc` and
-        // a non-zero `new_size` that does not overflow when aligned.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Run `work` with this thread counted; returns `(allocations, live bytes
-/// gained)`.
-fn counted(work: impl FnOnce()) -> (u64, i64) {
-    let before = (ALLOCATIONS.load(Relaxed), LIVE_BYTES.load(Relaxed));
-    COUNTING.with(|c| c.set(true));
-    work();
-    COUNTING.with(|c| c.set(false));
-    (
-        ALLOCATIONS.load(Relaxed) - before.0,
-        LIVE_BYTES.load(Relaxed) - before.1,
-    )
-}
 
 #[test]
 fn warm_route_queries_allocate_nothing_and_the_index_stays_small() {
