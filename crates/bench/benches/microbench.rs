@@ -1,5 +1,6 @@
-//! Micro-benchmarks of the substrates: event queue, STFQ scheduler, weighted
-//! max-min solver, NUM oracle, and end-to-end packet simulation throughput.
+//! Micro-benchmarks of the substrates: route lookup and interning, event
+//! queue, STFQ scheduler, weighted max-min solver, NUM oracle, and end-to-end
+//! packet simulation throughput.
 //! These back the engineering claims (the simulator and solvers are fast
 //! enough to run the paper-scale experiments) and catch performance
 //! regressions.
@@ -230,9 +231,48 @@ fn bench_host_route(c: &mut Criterion) {
     group.finish();
 }
 
+/// Enumerate and re-intern every ECMP host route of a sample of fat-tree:k=8
+/// host pairs. Fat-tree host routes are at most 6 hops, so with the inline
+/// route representation interning allocates only on first sight of each
+/// distinct route, and lookups hash inline arrays instead of chasing heap
+/// pointers.
+fn bench_route_intern_churn(c: &mut Criterion) {
+    let topo = Topology::fat_tree(&FatTreeConfig::new(8));
+    let hosts = topo.hosts().to_vec();
+    // A representative slice of host pairs: every route set from host 0's
+    // pod corner plus a stride sample across pods.
+    let pairs: Vec<_> = hosts
+        .iter()
+        .step_by(7)
+        .flat_map(|&src| hosts.iter().step_by(13).map(move |&dst| (src, dst)))
+        .filter(|(s, d)| s != d)
+        .collect();
+    let mut group = c.benchmark_group("route_intern_churn");
+    group.sample_size(10);
+    group.bench_function("fat_tree_k8_ecmp_intern", |b| {
+        b.iter(|| {
+            let mut table = RouteTable::new();
+            let mut interned = 0u64;
+            // Two passes: the first populates the table (allocating per
+            // distinct route), the second is pure inline-hash lookups.
+            for _ in 0..2 {
+                for &(src, dst) in &pairs {
+                    for route in topo.host_routes(src, dst) {
+                        black_box(table.intern(route));
+                        interned += 1;
+                    }
+                }
+            }
+            black_box((interned, table.len()))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_host_route,
+    bench_route_intern_churn,
     bench_event_queue,
     bench_stfq,
     bench_solvers,

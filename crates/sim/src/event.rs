@@ -98,8 +98,6 @@ pub enum Event {
     LinkTimer {
         /// The owning link.
         link: LinkId,
-        /// Controller-chosen tag.
-        tag: u64,
     },
     /// A flow reaches its scheduled start time.
     FlowStart {
@@ -146,25 +144,6 @@ struct Key {
     cancellable: bool,
 }
 
-/// An opaque claim on one event of an open dispatch batch (see
-/// [`EventQueue::begin_batch`]). Redeem with [`EventQueue::claim`]; the
-/// embedded sequence number is exposed for merge ordering against rejoins.
-#[derive(Clone, Copy)]
-pub struct BatchTicket(Key);
-
-impl BatchTicket {
-    /// The `(time, seq)` tie-breaking sequence number of the claimed event.
-    pub fn seq(&self) -> u64 {
-        self.0.seq
-    }
-
-    /// The kind/payload discriminant without claiming: `true` if this
-    /// ticket's payload is a packet arrival (the groupable hot path).
-    pub fn is_arrival(&self) -> bool {
-        self.0.idx & POOL_ARRIVAL != 0
-    }
-}
-
 /// Top bit of [`Key::idx`]: set for the arrival pool, clear for the small
 /// pool. The low 31 bits are the index within the pool.
 const POOL_ARRIVAL: u32 = 1 << 31;
@@ -185,7 +164,6 @@ enum SmallEvent {
     },
     LinkTimer {
         link: LinkId,
-        tag: u64,
     },
     FlowStart {
         flow: FlowId,
@@ -204,7 +182,7 @@ impl SmallEvent {
         match self {
             SmallEvent::TransmitComplete { link } => Event::TransmitComplete { link },
             SmallEvent::FlowTimer { flow, tag } => Event::FlowTimer { flow, tag },
-            SmallEvent::LinkTimer { link, tag } => Event::LinkTimer { link, tag },
+            SmallEvent::LinkTimer { link } => Event::LinkTimer { link },
             SmallEvent::FlowStart { flow } => Event::FlowStart { flow },
             SmallEvent::FlowStop { flow } => Event::FlowStop { flow },
             SmallEvent::LinkChange { link, change } => Event::LinkChange { link, change },
@@ -282,16 +260,6 @@ pub struct EventQueue {
     batch: VecDeque<Key>,
     /// Timestamp shared by every entry in `batch`.
     batch_time: u64,
-    /// Whether a dispatch batch opened by [`Self::begin_batch`] is active.
-    batch_open: bool,
-    /// Timestamp of the open dispatch batch (only meaningful while
-    /// `batch_open`; independent of `batch_time`, because the open batch
-    /// may have been drained from the early heap while the wheel batch
-    /// holds later entries).
-    open_time: u64,
-    /// Same-timestamp events scheduled while the dispatch batch was open,
-    /// sorted by `seq`; the dispatcher interleaves them with its tickets.
-    rejoins: VecDeque<Key>,
     /// Sequence numbers of cancellable events that are still pending (not
     /// fired, not cancelled) — what makes [`Self::cancel`] O(1).
     cancellable_pending: FixedHashSet<u64>,
@@ -332,9 +300,6 @@ impl EventQueue {
             early: BinaryHeap::new(),
             batch: VecDeque::new(),
             batch_time: 0,
-            batch_open: false,
-            open_time: 0,
-            rejoins: VecDeque::new(),
             cancellable_pending: FixedHashSet::default(),
             cancelled: FixedHashSet::default(),
             scratch: Vec::new(),
@@ -375,9 +340,6 @@ impl EventQueue {
         self.early.clear();
         self.batch.clear();
         self.batch_time = 0;
-        self.batch_open = false;
-        self.open_time = 0;
-        self.rejoins.clear();
         self.cancellable_pending.clear();
         self.cancelled.clear();
         self.scratch.clear();
@@ -418,7 +380,7 @@ impl EventQueue {
                 self.store_small(SmallEvent::TransmitComplete { link })
             }
             Event::FlowTimer { flow, tag } => self.store_small(SmallEvent::FlowTimer { flow, tag }),
-            Event::LinkTimer { link, tag } => self.store_small(SmallEvent::LinkTimer { link, tag }),
+            Event::LinkTimer { link } => self.store_small(SmallEvent::LinkTimer { link }),
             Event::FlowStart { flow } => self.store_small(SmallEvent::FlowStart { flow }),
             Event::FlowStop { flow } => self.store_small(SmallEvent::FlowStop { flow }),
             Event::LinkChange { link, change } => {
@@ -553,14 +515,7 @@ impl EventQueue {
         if cancellable {
             self.cancellable_pending.insert(seq);
         }
-        if self.batch_open && t == self.open_time {
-            // A mid-dispatch handler scheduled back into the open batch:
-            // park it in the rejoin queue at its seq-sorted position (after
-            // any equal seq, for FIFO among content-keyed duplicates); the
-            // dispatcher interleaves rejoins with its remaining tickets.
-            let pos = self.rejoins.partition_point(|k| k.seq <= seq);
-            self.rejoins.insert(pos, key);
-        } else if !self.batch.is_empty() && t == self.batch_time {
+        if !self.batch.is_empty() && t == self.batch_time {
             // Joins the batch currently being drained. With the queue's own
             // counter `seq` is always the largest so far and this is a plain
             // append; externally seeded sequence numbers (boundary messages
@@ -651,117 +606,6 @@ impl EventQueue {
         }
     }
 
-    /// Open a same-timestamp dispatch batch: move *every* pending entry at
-    /// the next event time into `out` as opaque [`BatchTicket`]s, sorted by
-    /// sequence number, and return that time. Returns `None` (leaving `out`
-    /// empty) when the queue is exhausted.
-    ///
-    /// The tickets are claims, not pops: the clock, the live count and the
-    /// cancellation bookkeeping are untouched until [`Self::claim`] redeems
-    /// a ticket, so a handler running mid-batch can still [`Self::cancel`]
-    /// a later ticket of the same batch and observe exactly the per-event
-    /// semantics. Events scheduled *at the batch time* while the batch is
-    /// open rejoin through the queue (see [`Self::rejoin_front_seq`] /
-    /// [`Self::claim_rejoin`]); the dispatcher merges tickets and rejoins by
-    /// sequence number, which reproduces the per-event pop order exactly.
-    /// Close with [`Self::end_batch`].
-    pub fn begin_batch(&mut self, out: &mut Vec<BatchTicket>) -> Option<SimTime> {
-        debug_assert!(!self.batch_open, "begin_batch while a batch is open");
-        debug_assert!(out.is_empty());
-        let t = self.peek_time()?.as_nanos();
-        // After peek_time the live head sits at the front of the early heap
-        // or the wheel batch. The two never split one timestamp: early
-        // entries are strictly behind the cursor and the wheel batch is at
-        // or ahead of it, so the time-`t` group lives wholly in one of them.
-        let early_first = self.early.peek().is_some_and(|e| e.time == t);
-        if early_first {
-            while let Some(e) = self.early.peek() {
-                if e.time != t {
-                    break;
-                }
-                let key = self.early.pop().expect("peeked entry exists");
-                if self.reap_if_cancelled(&key) {
-                    continue;
-                }
-                out.push(BatchTicket(key));
-            }
-            // The early heap yields (time, seq) order directly.
-        } else {
-            debug_assert_eq!(self.batch_time, t);
-            while let Some(b) = self.batch.front() {
-                debug_assert_eq!(b.time, t);
-                let key = self.batch.pop_front().expect("front entry exists");
-                if self.reap_if_cancelled(&key) {
-                    continue;
-                }
-                out.push(BatchTicket(key));
-            }
-        }
-        if out.is_empty() {
-            // Every entry at `t` was a tombstone; recurse for the next time.
-            return self.begin_batch(out);
-        }
-        debug_assert!(out.windows(2).all(|w| w[0].0.seq < w[1].0.seq));
-        self.batch_open = true;
-        self.open_time = t;
-        Some(SimTime::from_nanos(t))
-    }
-
-    /// Redeem a ticket from the open batch: exactly the effect of
-    /// [`Self::pop_entry`] returning this entry, or `None` if the entry was
-    /// cancelled after the batch opened.
-    pub fn claim(&mut self, ticket: BatchTicket) -> Option<(EventId, Event)> {
-        let key = ticket.0;
-        if self.reap_if_cancelled(&key) {
-            return None;
-        }
-        if key.cancellable {
-            self.cancellable_pending.remove(&key.seq);
-        }
-        self.live -= 1;
-        self.now = key.time;
-        let event = self.take_payload(key.idx);
-        Some((EventId(key.seq), event))
-    }
-
-    /// The sequence number of the earliest not-yet-claimed event that joined
-    /// the open batch after it was opened (a same-timestamp schedule by a
-    /// mid-batch handler), if any.
-    pub fn rejoin_front_seq(&self) -> Option<u64> {
-        debug_assert!(self.batch_open);
-        self.rejoins.front().map(|k| k.seq)
-    }
-
-    /// Claim the earliest rejoin of the open batch (see
-    /// [`Self::rejoin_front_seq`]); `None` if it was cancelled in the
-    /// meantime.
-    pub fn claim_rejoin(&mut self) -> Option<(EventId, Event)> {
-        debug_assert!(self.batch_open);
-        let key = self
-            .rejoins
-            .pop_front()
-            .expect("claim_rejoin on empty rejoin queue");
-        self.claim(BatchTicket(key))
-    }
-
-    /// Close the batch opened by [`Self::begin_batch`]. Unclaimed rejoins
-    /// (the dispatcher normally drains them all) re-enter the queue through
-    /// the ordinary insertion path and pop normally.
-    pub fn end_batch(&mut self) {
-        debug_assert!(self.batch_open);
-        self.batch_open = false;
-        while let Some(key) = self.rejoins.pop_front() {
-            if !self.batch.is_empty() && key.time == self.batch_time {
-                let pos = self.batch.partition_point(|k| k.seq <= key.seq);
-                self.batch.insert(pos, key);
-            } else if key.time < self.cursor {
-                self.early.push(key);
-            } else {
-                self.insert_into_wheel(key);
-            }
-        }
-    }
-
     /// The timestamp of the next pending event, if any.
     ///
     /// Takes `&mut self` because looking ahead may cascade higher wheel
@@ -801,27 +645,6 @@ impl EventQueue {
                 return None;
             }
         }
-    }
-
-    /// The `(time, seq)` ordering key of the next pending event, if any —
-    /// what the partitioned network's merge loop compares across wheels to
-    /// pick the globally next event. Purges cancelled tombstones like
-    /// [`Self::peek_time`].
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        // `peek_time` leaves the live head at the front of either the early
-        // heap or the batch, so the key is read off whichever front wins.
-        self.peek_time()?;
-        let early_first = match (self.early.peek(), self.batch.front()) {
-            (Some(e), Some(b)) => e.time < b.time,
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        let key = if early_first {
-            self.early.peek().copied()
-        } else {
-            self.batch.front().copied()
-        };
-        key.map(|k| (SimTime::from_nanos(k.time), k.seq))
     }
 
     /// Remove every pending entry, returning `(time, seq, event,

@@ -100,7 +100,7 @@ pub mod topology;
 pub mod tracer;
 pub mod transport;
 
-pub use event::{BatchTicket, Event, EventId, EventQueue, HeapEventQueue};
+pub use event::{Event, EventId, EventQueue, HeapEventQueue};
 pub use flow::{FlowPhase, FlowSpec, FlowStats};
 pub use impairment::{derive_link_seed, LinkChange, LinkHealth};
 pub use network::{AgentCtx, LinkStats, Network, NetworkConfig};

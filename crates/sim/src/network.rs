@@ -67,7 +67,7 @@
 //! the frozen `Shared` tables, and the borrow checker enforces exactly
 //! that split.
 
-use crate::event::{BatchTicket, Event, EventId, EventQueue};
+use crate::event::{Event, EventId, EventQueue};
 use crate::flow::{FlowPhase, FlowSpec, FlowStats};
 use crate::impairment::{derive_link_seed, splitmix64_unit, LinkChange, LinkHealth};
 use crate::packet::{FlowId, Packet, PacketHeader, PacketKind, SeqNo, HEADER_BYTES, MTU_BYTES};
@@ -119,13 +119,6 @@ const KIND_ARRIVAL: u64 = 6;
 
 const KEY_SECONDARY_BITS: u32 = 39;
 const KEY_PRIMARY_BITS: u32 = 22;
-
-/// The primary id (link or flow) embedded in a content-derived key. Every
-/// event a `Network` schedules carries such a key as its seq, so the batch
-/// dispatcher can group same-link arrivals without claiming their payloads.
-fn key_primary(seq: u64) -> u64 {
-    (seq >> KEY_SECONDARY_BITS) & ((1 << KEY_PRIMARY_BITS) - 1)
-}
 
 /// Hard, release-build check that a link or flow id fits a key's primary
 /// field. Run once where the id is minted (network construction, flow
@@ -363,15 +356,6 @@ struct PartitionCore {
     /// the conformance trace the determinism proptests compare across
     /// partition/thread counts.
     trace: Option<Vec<(SimTime, u64)>>,
-    /// Dispatch same-timestamp batches through [`advance_core_batched`]
-    /// (the default). Disabled by the differential tests to pin the batched
-    /// path bit-identical to the per-event reference path.
-    batch_dispatch: bool,
-    /// Arena-style dispatch scratch, reused across every batch of the
-    /// simulation (taken/restored around each epoch, never reallocated in
-    /// steady state).
-    scratch_tickets: Vec<BatchTicket>,
-    scratch_run: Vec<(EventId, Packet)>,
 }
 
 impl PartitionCore {
@@ -407,9 +391,6 @@ impl PartitionCore {
             cur_key: 0,
             events_processed: 0,
             trace: None,
-            batch_dispatch: true,
-            scratch_tickets: Vec::new(),
-            scratch_run: Vec::new(),
         }
     }
 }
@@ -439,7 +420,8 @@ fn deliver_boundary(core: &mut PartitionCore) {
 }
 
 /// Run one partition up to the epoch barrier (exclusive) and the stretch
-/// bound. Returns the time of the next pending event, if any.
+/// bound, popping and dispatching one event at a time in the wheel's
+/// `(time, key)` order. Returns the time of the next pending event, if any.
 fn advance_core(
     shared: &Shared,
     core: &mut PartitionCore,
@@ -447,178 +429,20 @@ fn advance_core(
     bound: SimTime,
     inclusive: bool,
 ) -> Option<SimTime> {
-    if core.batch_dispatch {
-        advance_core_batched(shared, core, barrier, bound, inclusive)
-    } else {
-        advance_core_per_event(shared, core, barrier, bound, inclusive)
-    }
-}
-
-/// The per-event reference path: peek, bound-check, pop and dispatch one
-/// event at a time. Kept verbatim as the executable specification the
-/// batched path is differentially tested against.
-fn advance_core_per_event(
-    shared: &Shared,
-    core: &mut PartitionCore,
-    barrier: Option<SimTime>,
-    bound: SimTime,
-    inclusive: bool,
-) -> Option<SimTime> {
     loop {
-        let (t, _) = core.events.peek_key()?;
+        let t = core.events.peek_time()?;
         if beyond(t, bound, inclusive) || barrier.is_some_and(|b| t >= b) {
             return Some(t);
         }
         let (time, id, event) = core.events.pop_entry().expect("peeked event must exist");
+        // Publish the event's key as the core's dispatch position.
         core.clock = time;
-        record_dispatch(core, time, id);
+        core.cur_key = id.as_u64();
+        core.events_processed += 1;
+        if let Some(trace) = &mut core.trace {
+            trace.push((time, id.as_u64()));
+        }
         handle_event(shared, core, id, event);
-    }
-}
-
-/// Record one handled event and publish its key as the core's current
-/// dispatch position — shared by both dispatch paths.
-#[inline]
-fn record_dispatch(core: &mut PartitionCore, time: SimTime, id: EventId) {
-    core.cur_key = id.as_u64();
-    core.events_processed += 1;
-    if let Some(trace) = &mut core.trace {
-        trace.push((time, id.as_u64()));
-    }
-}
-
-/// Fire every same-timestamp event a handler scheduled *during* the open
-/// batch whose key sorts before `next_seq` (exclusive — tickets win seq
-/// ties, because equal keys dispatch in schedule order and every ticket was
-/// scheduled before the batch opened).
-fn drain_rejoins_before(shared: &Shared, core: &mut PartitionCore, time: SimTime, next_seq: u64) {
-    while core
-        .events
-        .rejoin_front_seq()
-        .is_some_and(|rs| rs < next_seq)
-    {
-        if let Some((id, event)) = core.events.claim_rejoin() {
-            record_dispatch(core, time, id);
-            handle_event(shared, core, id, event);
-        }
-    }
-}
-
-/// The batched dispatch path: drain each same-timestamp group in one pass,
-/// check the bound/barrier once per group instead of once per event, and
-/// hand consecutive same-link arrivals to [`handle_arrival_run`] with the
-/// top-level match and link-health lookup hoisted out of the loop.
-///
-/// Bit-identity with [`advance_core_per_event`] holds by construction:
-/// tickets are dispatched in seq order, same-timestamp events scheduled by
-/// handlers mid-batch (rejoins) are interleaved at their exact seq position
-/// before every dispatch, and claiming a ticket early only mutates queue
-/// bookkeeping that no handler can observe (arrivals are never
-/// cancellable). The differential proptests in `tests/event_core.rs` pin
-/// this equivalence on adversarial tie-heavy schedules.
-fn advance_core_batched(
-    shared: &Shared,
-    core: &mut PartitionCore,
-    barrier: Option<SimTime>,
-    bound: SimTime,
-    inclusive: bool,
-) -> Option<SimTime> {
-    let mut tickets = std::mem::take(&mut core.scratch_tickets);
-    let result = loop {
-        let Some((t, _)) = core.events.peek_key() else {
-            break None;
-        };
-        if beyond(t, bound, inclusive) || barrier.is_some_and(|b| t >= b) {
-            break Some(t);
-        }
-        tickets.clear();
-        let time = core
-            .events
-            .begin_batch(&mut tickets)
-            .expect("peeked event must open a batch");
-        debug_assert_eq!(time, t);
-        core.clock = time;
-        let mut i = 0;
-        while i < tickets.len() {
-            let ticket = tickets[i];
-            drain_rejoins_before(shared, core, time, ticket.seq());
-            if ticket.is_arrival() {
-                // Content keys group same-link arrivals contiguously in seq
-                // order; claim the whole run, then dispatch it with the
-                // link's (epoch-frozen) health resolved once.
-                let link = key_primary(ticket.seq()) as LinkId;
-                let mut run = std::mem::take(&mut core.scratch_run);
-                run.clear();
-                while let Some(tk) = tickets.get(i) {
-                    if !tk.is_arrival() || key_primary(tk.seq()) as LinkId != link {
-                        break;
-                    }
-                    i += 1;
-                    if let Some((id, event)) = core.events.claim(*tk) {
-                        match event {
-                            Event::Arrival { link: l, packet } => {
-                                debug_assert_eq!(l, link);
-                                run.push((id, packet));
-                            }
-                            _ => unreachable!("arrival-pool ticket must claim an arrival"),
-                        }
-                    }
-                }
-                handle_arrival_run(shared, core, time, link, &mut run);
-                core.scratch_run = run;
-            } else {
-                i += 1;
-                if let Some((id, event)) = core.events.claim(ticket) {
-                    record_dispatch(core, time, id);
-                    handle_event(shared, core, id, event);
-                }
-            }
-        }
-        // Tickets are exhausted; flush remaining rejoins in seq order
-        // (handlers may keep scheduling at the batch timestamp).
-        while core.events.rejoin_front_seq().is_some() {
-            if let Some((id, event)) = core.events.claim_rejoin() {
-                record_dispatch(core, time, id);
-                handle_event(shared, core, id, event);
-            }
-        }
-        core.events.end_batch();
-    };
-    core.scratch_tickets = tickets;
-    result
-}
-
-/// Dispatch a claimed run of same-timestamp arrivals on one link. The link
-/// health check is hoisted out of the loop (link changes are coordinator
-/// sync events, so health is frozen while any batch is open), and the
-/// top-level event match is skipped entirely. Same-timestamp events that
-/// the handlers schedule mid-run are interleaved at their seq position.
-fn handle_arrival_run(
-    shared: &Shared,
-    core: &mut PartitionCore,
-    time: SimTime,
-    link: LinkId,
-    run: &mut Vec<(EventId, Packet)>,
-) {
-    let up = shared.link_health[link].up;
-    for (id, mut packet) in run.drain(..) {
-        drain_rejoins_before(shared, core, time, id.as_u64());
-        record_dispatch(core, time, id);
-        if !up {
-            core.link_drops[link] += 1;
-            core.flow_drops[packet.flow] += 1;
-            core.flow_packets[packet.flow] -= 1;
-            continue;
-        }
-        packet.advance_hop();
-        if let Some(next) = packet.next_link(&shared.routes) {
-            enqueue_on_link(shared, core, next, packet);
-            continue;
-        }
-        match packet.kind {
-            PacketKind::Data | PacketKind::Syn => receiver_deliver(shared, core, packet),
-            PacketKind::Ack => sender_ack(shared, core, packet),
-        }
     }
 }
 
@@ -627,7 +451,7 @@ fn handle_event(shared: &Shared, core: &mut PartitionCore, id: EventId, event: E
         Event::FlowStart { flow } => handle_flow_start(shared, core, flow),
         Event::FlowStop { flow } => handle_flow_stop(shared, core, flow),
         Event::FlowTimer { flow, tag } => dispatch_timer(shared, core, flow, tag, id),
-        Event::LinkTimer { link, tag } => handle_link_timer(core, link, tag),
+        Event::LinkTimer { link } => handle_link_timer(core, link),
         Event::TransmitComplete { link } => {
             // The wake-up sits exactly at the link's free position, so the
             // link reads free; on a link that went down meanwhile (backlog
@@ -699,7 +523,7 @@ fn dispatch_timer(shared: &Shared, core: &mut PartitionCore, flow: FlowId, tag: 
     with_agent(shared, core, flow, |agent, ctx| agent.on_timer(tag, ctx));
 }
 
-fn handle_link_timer(core: &mut PartitionCore, link: LinkId, tag: u64) {
+fn handle_link_timer(core: &mut PartitionCore, link: LinkId) {
     let next = {
         let ls = core.links[link]
             .as_mut()
@@ -711,9 +535,11 @@ fn handle_link_timer(core: &mut PartitionCore, link: LinkId, tag: u64) {
         }
     };
     if let Some(delay) = next {
-        let seq = event_key(KIND_LINK_TIMER, link as u64, tag & 0x7F_FFFF_FFFF);
-        core.events
-            .schedule_seeded(core.clock + delay, Event::LinkTimer { link, tag }, seq);
+        core.events.schedule_seeded(
+            core.clock + delay,
+            Event::LinkTimer { link },
+            event_key(KIND_LINK_TIMER, link as u64, 0),
+        );
     }
 }
 
@@ -1011,7 +837,6 @@ pub struct Network {
     /// Link changes applied so far (counted into `events_processed`).
     sync_events: u64,
     trace_enabled: bool,
-    batch_dispatch: bool,
     /// Flow ids whose slots were retired by [`Network::try_retire_flow`]
     /// and are free for reuse by the next [`Network::add_flow`]. LIFO, so
     /// churn workloads keep re-touching the same hot slots and the slab's
@@ -1085,7 +910,6 @@ impl Network {
             global_order: 0,
             sync_events: 0,
             trace_enabled: false,
-            batch_dispatch: true,
             free_flows: Vec::new(),
         }
     }
@@ -1166,7 +990,6 @@ impl Network {
         .chain((1..partitions).map(|p| PartitionCore::new(p, partitions, num_links)))
         .map(|mut core| {
             core.trace = self.trace_enabled.then(Vec::new);
-            core.batch_dispatch = self.batch_dispatch;
             core
         })
         .collect();
@@ -1244,7 +1067,7 @@ impl Network {
         if let Some(delay) = initial {
             self.parts[p].events.schedule_seeded(
                 self.clock + delay,
-                Event::LinkTimer { link, tag: 0 },
+                Event::LinkTimer { link },
                 event_key(KIND_LINK_TIMER, link as u64, 0),
             );
         }
@@ -1780,32 +1603,6 @@ impl Network {
         self.run_until(until);
     }
 
-    /// Run until no events remain (only sensible for workloads where every
-    /// flow has a finite size). Same epoch structure as [`Self::run_until`],
-    /// without the time bound.
-    pub fn run_to_completion(&mut self) {
-        loop {
-            match self.next_global_time() {
-                Some(g) => {
-                    self.run_stretch(g, false);
-                    self.clock = g;
-                    self.apply_globals_at(g);
-                }
-                None => {
-                    // A far bound used only in comparisons (never added to).
-                    let far = SimTime::ZERO + SimDuration::from_nanos(u64::MAX);
-                    self.run_stretch(far, true);
-                    break;
-                }
-            }
-        }
-        let core_max = self.parts.iter().map(|c| c.clock).max();
-        if let Some(t) = core_max {
-            self.clock = self.clock.max(t);
-        }
-        self.shared.settled_at = Some(self.clock);
-    }
-
     /// Run every partition through epochs until all pending work lies
     /// beyond `bound`. A "stretch" is the span between two sync points.
     fn run_stretch(&mut self, bound: SimTime, inclusive: bool) {
@@ -1848,7 +1645,7 @@ impl Network {
             }
             let mut t_min: Option<SimTime> = None;
             for core in &mut self.parts {
-                if let Some((t, _)) = core.events.peek_key() {
+                if let Some(t) = core.events.peek_time() {
                     t_min = Some(t_min.map_or(t, |m: SimTime| m.min(t)));
                 }
             }
@@ -1890,7 +1687,7 @@ impl Network {
             .collect();
         let mut next_times: Vec<Option<SimTime>> = parts
             .iter_mut()
-            .map(|core| core.events.peek_key().map(|(t, _)| t))
+            .map(|core| core.events.peek_time())
             .collect();
         let part_worker: Vec<usize> = (0..nparts).map(|p| p / chunk_size).collect();
         let chunks = nparts.div_ceil(chunk_size);
@@ -2107,23 +1904,6 @@ impl Network {
     pub fn pending_timer_count(&self, flow: FlowId) -> usize {
         let p = self.shared.node_part[self.shared.specs[flow].src];
         self.parts[p].timers.pending_count(flow)
-    }
-
-    /// Choose the dispatch strategy: batched same-timestamp dispatch (the
-    /// default, faster) or the per-event reference path. The two are
-    /// bit-identical by contract — every report byte and event trace is the
-    /// same either way — which the differential tests assert by running
-    /// both. Safe to change at any time.
-    pub fn set_batch_dispatch(&mut self, enabled: bool) {
-        self.batch_dispatch = enabled;
-        for core in &mut self.parts {
-            core.batch_dispatch = enabled;
-        }
-    }
-
-    /// Whether batched same-timestamp dispatch is active.
-    pub fn batch_dispatch(&self) -> bool {
-        self.batch_dispatch
     }
 
     /// Record every handled event as a `(time, key)` pair, per partition —

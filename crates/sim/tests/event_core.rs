@@ -9,7 +9,6 @@
 //! far-future (overflow-level) timestamps.
 
 use numfabric_sim::event::{Event, EventId, EventQueue, HeapEventQueue};
-use numfabric_sim::BatchTicket;
 use numfabric_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -151,22 +150,21 @@ proptest! {
     }
 }
 
-// ---- batched dispatch vs per-event pop ------------------------------------
+// ---- handlers scheduling and cancelling mid-drain -------------------------
 //
-// The batch API (begin_batch / claim / claim_rejoin / end_batch) must
-// reproduce pop_entry's dispatch order bit-for-bit, including when handlers
-// running *inside* a batch schedule new same-timestamp events (rejoins) or
-// cancel not-yet-claimed tickets of the same batch. The harness below models
-// a handler as a deterministic policy keyed by a shared RNG: both drains see
-// identical policy decisions exactly as long as their dispatch orders match,
-// so any ordering divergence snowballs into a trace mismatch.
+// A dispatch loop's handlers schedule and cancel while the queue drains: at
+// the current instant (joining the same-timestamp group being popped), just
+// ahead of it, and cancelling events that may belong to that very group.
+// The harness drains the wheel and the heap in lockstep on a tie-heavy
+// population and applies every handler decision to both, so the first pop
+// that differs fails the run.
 
 /// The "handler": on every dispatched event, maybe schedule (often at the
-/// *current* timestamp, exercising the rejoin path), maybe cancel an
-/// outstanding cancellable id (possibly one still pending in the open batch).
+/// *current* timestamp), maybe cancel an outstanding cancellable id
+/// (possibly one still pending in the group being drained).
 struct DispatchPolicy {
     rng: ChaCha8Rng,
-    handles: Vec<EventId>,
+    handles: Vec<(EventId, EventId)>,
     next_flow: usize,
     budget: usize,
 }
@@ -181,156 +179,105 @@ impl DispatchPolicy {
         }
     }
 
-    fn on_dispatch(&mut self, q: &mut EventQueue) {
-        match self.rng.gen_range(0u32..100) {
-            // Same-timestamp schedule: in batch mode this joins the open
-            // batch as a rejoin and must fire at its exact seq position.
-            0..=29 if self.budget > 0 => {
-                self.budget -= 1;
-                let flow = self.next_flow;
-                self.next_flow += 1;
-                q.schedule(q.now(), start(flow));
-            }
+    fn on_dispatch(&mut self, wheel: &mut EventQueue, heap: &mut HeapEventQueue) {
+        let (delay_ns, cancellable) = match self.rng.gen_range(0u32..100) {
+            // Same-timestamp schedule: joins the group being drained and
+            // must pop at its exact seq position.
+            0..=29 if self.budget > 0 => (0, false),
             // Tie-prone near-future schedule.
-            30..=49 if self.budget > 0 => {
-                self.budget -= 1;
-                let flow = self.next_flow;
-                self.next_flow += 1;
-                let at = q.now() + SimDuration::from_nanos(self.rng.gen_range(0u64..6) * 200);
-                q.schedule(at, start(flow));
-            }
+            30..=49 if self.budget > 0 => (self.rng.gen_range(0u64..6) * 200, false),
             // Cancellable schedule, sometimes at the current instant.
-            50..=64 if self.budget > 0 => {
-                self.budget -= 1;
-                let flow = self.next_flow;
-                self.next_flow += 1;
-                let at = q.now() + SimDuration::from_nanos(self.rng.gen_range(0u64..4) * 400);
-                self.handles.push(q.schedule_cancellable(at, start(flow)));
-            }
-            // Cancel something outstanding — possibly an unclaimed ticket or
-            // rejoin of the batch currently being dispatched.
+            50..=64 if self.budget > 0 => (self.rng.gen_range(0u64..4) * 400, true),
+            // Cancel something outstanding — possibly a not-yet-popped
+            // member of the group currently being drained.
             65..=79 if !self.handles.is_empty() => {
                 let i = self.rng.gen_range(0..self.handles.len());
-                q.cancel(self.handles.swap_remove(i));
+                let (a, b) = self.handles.swap_remove(i);
+                assert_eq!(wheel.cancel(a), heap.cancel(b), "cancel diverged");
+                return;
             }
-            _ => {}
+            _ => return,
+        };
+        self.budget -= 1;
+        let flow = self.next_flow;
+        self.next_flow += 1;
+        let at = wheel.now() + SimDuration::from_nanos(delay_ns);
+        if cancellable {
+            let ids = (
+                wheel.schedule_cancellable(at, start(flow)),
+                heap.schedule_cancellable(at, start(flow)),
+            );
+            assert_eq!(ids.0, ids.1, "seq allocation diverged");
+            self.handles.push(ids);
+        } else {
+            let ids = (
+                wheel.schedule(at, start(flow)),
+                heap.schedule(at, start(flow)),
+            );
+            assert_eq!(ids.0, ids.1, "seq allocation diverged");
         }
     }
 }
 
 /// Seed both queues with an identical tie-heavy population.
-fn seed_population(q: &mut EventQueue, seed: u64, events: usize) {
+fn seed_population(wheel: &mut EventQueue, heap: &mut HeapEventQueue, seed: u64, events: usize) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     for flow in 0..events {
         // Quantized to 500 ns over a 10 µs window: long same-timestamp runs.
         let at = SimTime::from_nanos(rng.gen_range(0u64..20) * 500);
         if rng.gen_bool(0.2) {
-            q.schedule_cancellable(at, start(flow));
+            wheel.schedule_cancellable(at, start(flow));
+            heap.schedule_cancellable(at, start(flow));
         } else {
-            q.schedule(at, start(flow));
+            wheel.schedule(at, start(flow));
+            heap.schedule(at, start(flow));
         }
     }
 }
 
-/// Drain via the batch API, merging tickets and rejoins by seq (tickets win
-/// ties: equal keys dispatch in schedule order and every ticket predates the
-/// batch), invoking the policy after every dispatched event — exactly the
-/// network dispatcher's structure.
-fn drain_batched(
-    q: &mut EventQueue,
-    policy: &mut DispatchPolicy,
-    trace: &mut Vec<(u64, u64, usize)>,
-) {
-    let mut tickets: Vec<BatchTicket> = Vec::new();
-    loop {
-        tickets.clear();
-        let Some(time) = q.begin_batch(&mut tickets) else {
-            break;
-        };
-        let t = time.as_nanos();
-        let mut i = 0;
-        loop {
-            let ticket_seq = tickets.get(i).map(|tk| tk.seq());
-            let take_ticket = match (ticket_seq, q.rejoin_front_seq()) {
-                (Some(ts), Some(rs)) => ts <= rs,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let claimed = if take_ticket {
-                let tk = tickets[i];
-                i += 1;
-                q.claim(tk)
-            } else {
-                q.claim_rejoin()
-            };
-            if let Some((id, event)) = claimed {
-                trace.push((t, id.as_u64(), flow_of(&event)));
-                policy.on_dispatch(q);
+/// Drain both queues with `pop_entry`, the network dispatcher's structure,
+/// invoking the policy after every dispatched event.
+fn mid_drain_differential_run(seed: u64, events: usize, budget: usize) {
+    let mut wheel = EventQueue::new();
+    let mut heap = HeapEventQueue::new();
+    seed_population(&mut wheel, &mut heap, seed, events);
+    let mut policy = DispatchPolicy::new(seed, budget);
+    for k in 0.. {
+        match (wheel.pop_entry(), heap.pop_entry()) {
+            (None, None) => break,
+            (Some((ta, ia, ea)), Some((tb, ib, eb))) => {
+                assert_eq!(
+                    (ta, ia, flow_of(&ea)),
+                    (tb, ib, flow_of(&eb)),
+                    "dispatch {k} diverged"
+                );
+                assert_eq!(wheel.now(), heap.now());
             }
+            (a, b) => panic!(
+                "dispatch {k} presence diverged: wheel={:?} heap={:?}",
+                a.map(|(t, i, _)| (t, i)),
+                b.map(|(t, i, _)| (t, i))
+            ),
         }
-        q.end_batch();
+        policy.on_dispatch(&mut wheel, &mut heap);
+        assert_eq!(wheel.len(), heap.len(), "len diverged after dispatch {k}");
     }
-}
-
-/// Drain via plain pop_entry with the same policy: the reference order.
-fn drain_per_event(
-    q: &mut EventQueue,
-    policy: &mut DispatchPolicy,
-    trace: &mut Vec<(u64, u64, usize)>,
-) {
-    while let Some((time, id, event)) = q.pop_entry() {
-        trace.push((time.as_nanos(), id.as_u64(), flow_of(&event)));
-        policy.on_dispatch(q);
-    }
-}
-
-fn batch_differential_run(seed: u64, events: usize, budget: usize) {
-    let mut q_batch = EventQueue::new();
-    let mut q_pop = EventQueue::new();
-    seed_population(&mut q_batch, seed, events);
-    seed_population(&mut q_pop, seed, events);
-
-    let mut trace_batch = Vec::new();
-    let mut trace_pop = Vec::new();
-    drain_batched(
-        &mut q_batch,
-        &mut DispatchPolicy::new(seed, budget),
-        &mut trace_batch,
-    );
-    drain_per_event(
-        &mut q_pop,
-        &mut DispatchPolicy::new(seed, budget),
-        &mut trace_pop,
-    );
-
-    assert!(q_batch.is_empty() && q_pop.is_empty());
-    assert_eq!(
-        trace_batch.len(),
-        trace_pop.len(),
-        "dispatch counts diverged"
-    );
-    for (k, (a, b)) in trace_batch.iter().zip(&trace_pop).enumerate() {
-        assert_eq!(
-            a, b,
-            "dispatch {k} diverged: batched {a:?} vs per-event {b:?}"
-        );
-    }
+    assert!(wheel.is_empty() && heap.is_empty());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
-    fn batched_dispatch_matches_per_event_pop(seed in 0u64..u64::MAX) {
-        batch_differential_run(seed, 300, 200);
+    fn wheel_matches_heap_with_mid_drain_handlers(seed in 0u64..u64::MAX) {
+        mid_drain_differential_run(seed, 300, 200);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
     #[test]
-    fn batched_dispatch_matches_per_event_pop_long(seed in 0u64..u64::MAX) {
-        batch_differential_run(seed ^ 0xbadc_0ffe, 3_000, 2_000);
+    fn wheel_matches_heap_with_mid_drain_handlers_long(seed in 0u64..u64::MAX) {
+        mid_drain_differential_run(seed ^ 0xbadc_0ffe, 3_000, 2_000);
     }
 }
 

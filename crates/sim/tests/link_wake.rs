@@ -7,9 +7,8 @@
 //! Each test pins one trap of that rule with hand-computed dequeue
 //! sequences, and the last two are the exact work-counter gate: an idle
 //! paced path handles **zero** wake-ups, a saturated one exactly one per
-//! packet that waited. Every scenario runs on a small
-//! `partitions × threads × {batched, per-event}` matrix and must read the
-//! same on all of it.
+//! packet that waited. Every scenario runs on a small `partitions ×
+//! threads` matrix and must read the same on all of it.
 //!
 //! Fabric used throughout: `LeafSpineConfig::small(8, 2, 2)` — hosts 0–3 on
 //! leaf 0, hosts 4–7 on leaf 1, 10 Gb/s host links (a 1500-byte packet
@@ -33,9 +32,8 @@ const KIND_FLOW_TIMER: u64 = 4;
 const KIND_WAKE_UP: u64 = 5;
 const KIND_ARRIVAL: u64 = 6;
 
-/// `(partitions, threads, batched dispatch)` cells every scenario runs on.
-const ENGINES: [(usize, usize, bool); 4] =
-    [(1, 1, true), (1, 1, false), (2, 2, true), (4, 1, false)];
+/// `(partitions, threads)` cells every scenario runs on.
+const ENGINES: [(usize, usize); 3] = [(1, 1), (2, 2), (4, 1)];
 
 /// One data packet leaving a queue for the wire, as its link's controller
 /// saw it.
@@ -157,8 +155,8 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(engine: (usize, usize, bool), queue: impl Fn() -> Box<dyn QueueDiscipline>) -> Self {
-        let (partitions, threads, batched) = engine;
+    fn new(engine: (usize, usize), queue: impl Fn() -> Box<dyn QueueDiscipline>) -> Self {
+        let (partitions, threads) = engine;
         let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
         let hosts = topo.hosts().to_vec();
         let mut net = Network::new(topo, |_| queue());
@@ -172,7 +170,6 @@ impl Rig {
         });
         net.set_partitions(partitions);
         net.set_partition_threads(threads);
-        net.set_batch_dispatch(batched);
         net.set_event_trace(true);
         Self { net, hosts, log }
     }
@@ -336,7 +333,7 @@ fn the_first_packet_at_time_zero_goes_straight_to_the_wire() {
 ///
 /// Returns the uplink's wire order, its wake-up instants and its drop count.
 fn flap(
-    engine: (usize, usize, bool),
+    engine: (usize, usize),
     up_at: u64,
     send_at: u64,
     queued_before_down: bool,

@@ -98,36 +98,16 @@ fn traced_run(
     partitions: usize,
     threads: usize,
 ) -> Vec<Vec<(SimTime, u64)>> {
-    traced_run_dispatch(flows, window, partitions, threads, true).0
-}
-
-/// Per-flow report observables: delivered bytes, completion, drops.
-type FlowDigest = Vec<(u64, bool, u64)>;
-
-/// Like [`traced_run`], with the dispatch strategy explicit (batched
-/// same-timestamp dispatch vs the per-event reference path). Also returns a
-/// digest of every observable the report layer reads — delivered bytes,
-/// completion, drops per flow — so the dispatch strategy is pinned all the
-/// way to report bytes, not just to pop order.
-fn traced_run_dispatch(
-    flows: usize,
-    window: usize,
-    partitions: usize,
-    threads: usize,
-    batch: bool,
-) -> (Vec<Vec<(SimTime, u64)>>, FlowDigest, u64) {
     let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
     let hosts = topo.hosts().to_vec();
     let mut net = Network::new(topo, |_| Box::new(DropTailFifo::with_default_buffer()));
     net.set_partitions(partitions);
     net.set_partition_threads(threads);
-    net.set_batch_dispatch(batch);
     net.set_event_trace(true);
-    let mut ids = Vec::new();
     for i in 0..flows {
         let src = hosts[i % hosts.len()];
         let dst = hosts[(i + hosts.len() / 2) % hosts.len()];
-        ids.push(net.add_flow(
+        net.add_flow(
             src,
             dst,
             None,
@@ -135,73 +115,10 @@ fn traced_run_dispatch(
             i,
             None,
             Box::new(SimpleWindowAgent::new(window)),
-        ));
+        );
     }
     net.run_until(SimTime::ZERO + SimDuration::from_micros(300));
-    let digest = ids
-        .iter()
-        .map(|&f| {
-            let s = net.flow_stats(f);
-            (s.bytes_delivered, s.fct().is_some(), s.packets_dropped)
-        })
-        .collect();
-    let events = net.events_processed();
-    (net.take_event_traces(), digest, events)
-}
-
-/// Batched same-timestamp dispatch is a pure dispatch-strategy change: on
-/// every cell of the partitions × threads matrix the batched path must
-/// reproduce the per-event reference path bit for bit — the same per-core
-/// `(time, key)` event traces, the same processed-event count, and the same
-/// per-flow report observables.
-#[test]
-fn batched_dispatch_matches_per_event_across_the_matrix() {
-    for &partitions in &[1usize, 2, 4] {
-        for &threads in &[1usize, 2] {
-            let (trace_ref, digest_ref, events_ref) =
-                traced_run_dispatch(6, 3, partitions, threads, false);
-            let (trace_batch, digest_batch, events_batch) =
-                traced_run_dispatch(6, 3, partitions, threads, true);
-            assert!(
-                trace_ref.iter().map(|t| t.len()).sum::<usize>() > 0,
-                "reference run popped no events"
-            );
-            assert_eq!(
-                trace_ref, trace_batch,
-                "event traces diverged at {partitions} partitions x {threads} threads"
-            );
-            assert_eq!(
-                events_ref, events_batch,
-                "event counts diverged at {partitions} partitions x {threads} threads"
-            );
-            assert_eq!(
-                digest_ref, digest_batch,
-                "flow observables diverged at {partitions} partitions x {threads} threads"
-            );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// The same dispatch-strategy invariance under proptest-chosen flow
-    /// mixes, window sizes and matrix cells.
-    #[test]
-    fn prop_batched_dispatch_matches_per_event(
-        flows in 1usize..=8,
-        window in 1usize..=4,
-        partitions in 1usize..=4,
-        threads in 1usize..=2,
-    ) {
-        let (trace_ref, digest_ref, events_ref) =
-            traced_run_dispatch(flows, window, partitions, threads, false);
-        let (trace_batch, digest_batch, events_batch) =
-            traced_run_dispatch(flows, window, partitions, threads, true);
-        prop_assert_eq!(trace_ref, trace_batch);
-        prop_assert_eq!(events_ref, events_batch);
-        prop_assert_eq!(digest_ref, digest_batch);
-    }
+    net.take_event_traces()
 }
 
 proptest! {
