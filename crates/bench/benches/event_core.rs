@@ -85,8 +85,9 @@ fn bench_timer_cancel_churn(c: &mut Criterion) {
             timers.register_flow();
             let mut fired = 0u64;
             for i in 0..100_000u64 {
-                let keep = timers.arm(&mut q, 0, churn_delay(i), 1);
-                let drop = timers.arm(&mut q, 0, churn_delay(i ^ 0xabcd), 2);
+                let now = q.now();
+                let keep = timers.arm(&mut q, now, 2 * i, 0, churn_delay(i), 1);
+                let drop = timers.arm(&mut q, now, 2 * i + 1, 0, churn_delay(i ^ 0xabcd), 2);
                 timers.cancel(&mut q, drop);
                 let _ = keep;
                 let (_, id, event) = q.pop_entry().expect("one timer pending");

@@ -40,10 +40,11 @@
 //! [`Network::set_partitions`] splits the fabric into spatial partitions
 //! (via [`Topology::partition`]), each owning a disjoint subset of nodes
 //! with its own timing wheel, [`TimerService`], link runtimes and endpoint
-//! state. Cross-partition deliveries travel as boundary messages released
-//! at conservative time barriers (lookahead = the minimum propagation delay
-//! over boundary links), and [`Network::set_partition_threads`] runs the
-//! partitions' epochs concurrently on a pool of long-lived worker threads.
+//! state. One epoch loop runs every stretch: cross-partition deliveries are
+//! held by the coordinator and released at conservative time barriers
+//! (lookahead = the minimum propagation delay over boundary links), and
+//! [`Network::set_partition_threads`] only chooses whether the epochs run
+//! on the calling thread or concurrently on scoped worker threads.
 //!
 //! Determinism does not rest on a shared counter or on any cross-partition
 //! ordering. Instead every event carries a **content-derived key**: a pure
@@ -296,6 +297,18 @@ impl OutBundle {
     fn is_empty(&self) -> bool {
         self.events.is_empty() && self.releases.is_empty()
     }
+
+    /// Move `other`'s traffic onto the end of this bundle, leaving `other`
+    /// empty. Into an empty bundle the two just trade buffers: nothing is
+    /// copied, and once the buffers have grown nothing is allocated.
+    fn absorb(&mut self, other: &mut OutBundle) {
+        if self.is_empty() {
+            std::mem::swap(self, other);
+        } else {
+            self.events.append(&mut other.events);
+            self.releases.append(&mut other.releases);
+        }
+    }
 }
 
 /// A link change waiting to apply at coordinator level. Not a wheel event:
@@ -310,9 +323,9 @@ struct GlobalEvent {
 }
 
 /// One spatial partition's event core: its own timing wheel, timer
-/// bookkeeping, link runtimes, endpoint state and boundary mailboxes.
-/// `Send` (asserted at compile time below) so an epoch can run on a worker
-/// thread.
+/// bookkeeping, link runtimes, endpoint state and outgoing boundary
+/// traffic. `Send` (asserted at compile time below) so an epoch can run on
+/// a worker thread.
 struct PartitionCore {
     index: usize,
     events: EventQueue,
@@ -337,12 +350,8 @@ struct PartitionCore {
     /// Per-link drop counts charged by this partition for links it does
     /// *not* own (in-flight packets lost at a downed link's head end).
     link_drops: Vec<u64>,
-    /// Boundary messages addressed *to* this partition, delivered into the
-    /// wheel at the next barrier.
-    inbox: Vec<(SimTime, u64, Event)>,
-    inbox_releases: Vec<(LinkId, FlowId)>,
-    /// Boundary traffic produced by this partition this epoch, per
-    /// destination partition.
+    /// Boundary traffic produced by this partition since the coordinator
+    /// last collected it, per destination partition.
     outbound: Vec<OutBundle>,
     /// This partition's local clock (the time of its last handled event,
     /// or the last sync point).
@@ -384,8 +393,6 @@ impl PartitionCore {
             receivers: Vec::new(),
             flow_drops: Vec::new(),
             flow_packets: Vec::new(),
-            inbox: Vec::new(),
-            inbox_releases: Vec::new(),
             outbound: (0..partitions).map(|_| OutBundle::default()).collect(),
             clock: SimTime::ZERO,
             cur_key: 0,
@@ -398,24 +405,34 @@ impl PartitionCore {
 // ---- per-partition event handling -----------------------------------------
 //
 // Everything below runs with `&Shared` + `&mut PartitionCore`: the exact
-// capability a worker thread holds during an epoch. The inline (single
-// thread) and threaded paths call the same functions, which is the whole
-// equivalence argument for thread-count invariance.
+// capability a worker thread holds during an epoch. Every epoch, on the
+// calling thread or on a worker, runs these functions through the one
+// `epoch_step`, which is the whole equivalence argument for thread-count
+// invariance.
 
 /// `true` when `t` lies outside the stretch bound.
 fn beyond(t: SimTime, bound: SimTime, inclusive: bool) -> bool {
     t > bound || (!inclusive && t == bound)
 }
 
-/// Merge this partition's released boundary messages into its wheel.
-fn deliver_boundary(core: &mut PartitionCore) {
-    for (link, flow) in std::mem::take(&mut core.inbox_releases) {
+/// Merge boundary traffic released to this partition into its wheel,
+/// leaving `bundle` empty (its buffers are kept for reuse).
+fn deliver_boundary(core: &mut PartitionCore, bundle: &mut OutBundle) {
+    for (link, flow) in bundle.releases.drain(..) {
         if let Some(ls) = core.links[link].as_mut() {
             ls.queue.release_flow(flow);
         }
     }
-    for (at, seq, event) in std::mem::take(&mut core.inbox) {
+    for (at, seq, event) in bundle.events.drain(..) {
         core.events.schedule_seeded(at, event, seq);
+    }
+}
+
+/// Move boundary traffic from one set of per-destination bundles onto the
+/// end of another's, destination by destination.
+fn merge_traffic(into: &mut [OutBundle], from: &mut [OutBundle]) {
+    for (to, from) in into.iter_mut().zip(from) {
+        to.absorb(from);
     }
 }
 
@@ -812,10 +829,10 @@ fn with_agent(
 ///
 /// A `Network` owns every piece of its simulation state and is `Send`
 /// (asserted at compile time below): move it to a worker thread and run it
-/// there. Concurrent sweeps exploit this — one fully-owned `Network` per
-/// thread — and [`Network::set_partition_threads`] additionally threads the
-/// inside of a single simulation, without any change to the determinism
-/// contract (see the module docs).
+/// there. Concurrent sweeps exploit this, one `Network` per thread. It is
+/// also the epoch coordinator: it owns all boundary traffic and runs every
+/// stretch through one epoch loop, on scoped workers when
+/// [`Network::set_partition_threads`] asks (see the module docs).
 pub struct Network {
     shared: Shared,
     /// The per-partition event cores. Always at least one; index 0 is the
@@ -827,6 +844,13 @@ pub struct Network {
     lookahead: Option<SimDuration>,
     /// Worker threads for epoch execution (1 = inline).
     threads: usize,
+    /// Boundary traffic not yet delivered, per destination partition. The
+    /// coordinator owns it across epochs *and* stretches: traffic due
+    /// beyond one stretch's bound waits here for the next.
+    pending: Vec<OutBundle>,
+    /// One [`Epoch`] per chunk of partitions, kept between stretches so
+    /// their buffers are reused.
+    epochs: Vec<Epoch>,
     clock: SimTime,
     config: NetworkConfig,
     /// The base impairment seed; per-link streams derive from it.
@@ -898,11 +922,13 @@ impl Network {
                 derive_link_seed(0, link),
             ));
         }
-        Self {
+        let mut net = Self {
             shared,
             parts: vec![core],
             lookahead: None,
             threads: 1,
+            pending: Vec::new(),
+            epochs: Vec::new(),
             clock: SimTime::ZERO,
             config,
             impair_seed: 0,
@@ -911,7 +937,9 @@ impl Network {
             sync_events: 0,
             trace_enabled: false,
             free_flows: Vec::new(),
-        }
+        };
+        net.deal_chunks();
+        net
     }
 
     /// Re-split the network into `partitions` spatial domains (see the
@@ -1005,6 +1033,7 @@ impl Network {
                 }
             }
         }
+        self.deal_chunks();
         for (at, seq, event, cancellable) in pending {
             let p = event_partition(&self.shared, &event);
             let wheel = &mut self.parts[p].events;
@@ -1022,6 +1051,23 @@ impl Network {
     /// never a byte of output, so there is no setup-phase restriction.
     pub fn set_partition_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
+        self.deal_chunks();
+    }
+
+    /// Deal the partitions to `min(threads, partitions)` contiguous chunks
+    /// and return the chunk size. Also sizes the coordinator's buffers to
+    /// match — a bundle per partition in `pending` and in each chunk's
+    /// [`Epoch`] — so when set-up calls this a run finds them in place.
+    fn deal_chunks(&mut self) -> usize {
+        let nparts = self.parts.len();
+        let chunk_size = nparts.div_ceil(self.threads.min(nparts));
+        self.pending.resize_with(nparts, OutBundle::default);
+        self.epochs
+            .resize_with(nparts.div_ceil(chunk_size), Epoch::default);
+        for epoch in &mut self.epochs {
+            epoch.traffic.resize_with(nparts, OutBundle::default);
+        }
+        chunk_size
     }
 
     /// The number of spatial partitions this network is decomposed into.
@@ -1605,161 +1651,66 @@ impl Network {
 
     /// Run every partition through epochs until all pending work lies
     /// beyond `bound`. A "stretch" is the span between two sync points.
+    ///
+    /// Every stretch runs the one [`epoch_loop`], whatever `--partitions ×
+    /// --partition-threads`: the partitions are dealt to `min(threads,
+    /// partitions)` contiguous chunks, one [`Epoch`] each. Only *where*
+    /// [`epoch_step`] runs differs: on this thread when one chunk covers
+    /// every partition, otherwise on one scoped worker per chunk.
     fn run_stretch(&mut self, bound: SimTime, inclusive: bool) {
-        // Boundary traffic produced at the previous sync point (restores
-        // re-kicking transmission, reroute-triggered retransmits crossing
-        // cuts) must be visible before the first epoch's min is computed.
-        self.route_outbound();
-        if self.threads > 1 && self.parts.len() > 1 {
-            self.run_stretch_threaded(bound, inclusive);
-        } else {
-            self.run_stretch_inline(bound, inclusive);
+        let chunk_size = self.deal_chunks();
+        let Self {
+            shared,
+            parts,
+            pending,
+            epochs,
+            lookahead,
+            ..
+        } = self;
+        let (shared, lookahead) = (&*shared, *lookahead);
+        for (epoch, chunk) in epochs.iter_mut().zip(parts.chunks_mut(chunk_size)) {
+            epoch.bound = bound;
+            epoch.inclusive = inclusive;
+            epoch.next = chunk
+                .iter_mut()
+                .filter_map(|core| {
+                    // Boundary traffic produced at the last sync point (a
+                    // restore re-kicking transmission, reroute retransmits
+                    // crossing a cut) counts before the first barrier.
+                    merge_traffic(pending, &mut core.outbound);
+                    core.events.peek_time()
+                })
+                .min();
         }
-    }
-
-    /// Move every core's accumulated outbound bundles into the destination
-    /// cores' inboxes.
-    fn route_outbound(&mut self) {
-        let mut moved: Vec<(usize, OutBundle)> = Vec::new();
-        for core in &mut self.parts {
-            for (dest, bundle) in core.outbound.iter_mut().enumerate() {
-                if !bundle.is_empty() {
-                    moved.push((dest, std::mem::take(bundle)));
-                }
-            }
+        if epochs.len() == 1 {
+            epoch_loop(pending, epochs, chunk_size, lookahead, |epochs| {
+                epochs[0] = epoch_step(shared, parts, std::mem::take(&mut epochs[0]));
+            });
+            return;
         }
-        for (dest, bundle) in moved {
-            self.parts[dest].inbox.extend(bundle.events);
-            self.parts[dest].inbox_releases.extend(bundle.releases);
-        }
-    }
-
-    /// The sequential stretch loop: deliver boundary messages, advance
-    /// every partition to the epoch barrier, exchange outbound bundles,
-    /// repeat. The threaded path runs the *same* per-core calls, just on
-    /// workers — that equivalence is the thread-invariance argument.
-    fn run_stretch_inline(&mut self, bound: SimTime, inclusive: bool) {
-        loop {
-            for core in &mut self.parts {
-                deliver_boundary(core);
-            }
-            let mut t_min: Option<SimTime> = None;
-            for core in &mut self.parts {
-                if let Some(t) = core.events.peek_time() {
-                    t_min = Some(t_min.map_or(t, |m: SimTime| m.min(t)));
-                }
-            }
-            let Some(t) = t_min else {
-                break;
-            };
-            if beyond(t, bound, inclusive) {
-                break;
-            }
-            let barrier = self.lookahead.map(|la| t + la);
-            for core in &mut self.parts {
-                advance_core(&self.shared, core, barrier, bound, inclusive);
-            }
-            self.route_outbound();
-        }
-    }
-
-    /// The threaded stretch loop: long-lived workers each own a contiguous
-    /// chunk of partitions; per epoch the coordinator hands every worker a
-    /// command (barrier + that chunk's boundary deliveries), the workers
-    /// advance their cores concurrently, and replies are merged in worker
-    /// order — a deterministic rendezvous, so the merge order never depends
-    /// on thread scheduling.
-    fn run_stretch_threaded(&mut self, bound: SimTime, inclusive: bool) {
-        let nparts = self.parts.len();
-        let workers = self.threads.min(nparts);
-        let chunk_size = nparts.div_ceil(workers);
-        let lookahead = self.lookahead;
-        let shared = &self.shared;
-        let parts: &mut [PartitionCore] = &mut self.parts;
-        // Undelivered boundary traffic per destination partition, held by
-        // the coordinator between epochs.
-        let mut pending: Vec<OutBundle> = parts
-            .iter_mut()
-            .map(|core| OutBundle {
-                events: std::mem::take(&mut core.inbox),
-                releases: std::mem::take(&mut core.inbox_releases),
-            })
-            .collect();
-        let mut next_times: Vec<Option<SimTime>> = parts
-            .iter_mut()
-            .map(|core| core.events.peek_time())
-            .collect();
-        let part_worker: Vec<usize> = (0..nparts).map(|p| p / chunk_size).collect();
-        let chunks = nparts.div_ceil(chunk_size);
-        let mailboxes: Vec<(Mailbox<EpochCmd>, Mailbox<EpochReply>)> = (0..chunks)
+        let mailboxes: Vec<(Mailbox<Epoch>, Mailbox<Epoch>)> = (0..epochs.len())
             .map(|_| (Mailbox::new(), Mailbox::new()))
             .collect();
         std::thread::scope(|scope| {
             // Closing the boxes — on the way out, or while a coordinator
             // panic unwinds — is what stops the workers.
             let _stop = CloseOnDrop(&mailboxes);
-            let mut rest = parts;
-            for boxes in &mailboxes {
-                let take = chunk_size.min(rest.len());
-                let (chunk, tail) = rest.split_at_mut(take);
-                rest = tail;
+            for (boxes, chunk) in mailboxes.iter().zip(parts.chunks_mut(chunk_size)) {
                 scope.spawn(move || worker_loop(shared, chunk, boxes));
             }
-            loop {
-                // The earliest actionable instant: pending wheel heads plus
-                // boundary events not yet delivered.
-                let mut t_min: Option<SimTime> = None;
-                for t in next_times.iter().flatten() {
-                    t_min = Some(t_min.map_or(*t, |m: SimTime| m.min(*t)));
+            epoch_loop(pending, epochs, chunk_size, lookahead, |epochs| {
+                for ((cmds, _), epoch) in mailboxes.iter().zip(epochs.iter_mut()) {
+                    // A worker that is gone closed both its boxes, so the
+                    // reply wait below names it.
+                    cmds.send(std::mem::take(epoch));
                 }
-                for bundle in &pending {
-                    for (at, _, _) in &bundle.events {
-                        t_min = Some(t_min.map_or(*at, |m: SimTime| m.min(*at)));
-                    }
-                }
-                let Some(t) = t_min else {
-                    break;
-                };
-                if beyond(t, bound, inclusive) {
-                    break;
-                }
-                let barrier = lookahead.map(|la| t + la);
-                let mut deliveries: Vec<Vec<(usize, OutBundle)>> =
-                    (0..mailboxes.len()).map(|_| Vec::new()).collect();
-                for (p, bundle) in pending.iter_mut().enumerate() {
-                    if !bundle.is_empty() {
-                        deliveries[part_worker[p]].push((p, std::mem::take(bundle)));
-                    }
-                }
-                for (w, (cmds, _)) in mailboxes.iter().enumerate() {
-                    let sent = cmds.send(EpochCmd {
-                        barrier,
-                        bound,
-                        inclusive,
-                        deliveries: std::mem::take(&mut deliveries[w]),
-                    });
-                    assert!(sent, "partition worker {w} exited unexpectedly");
-                }
-                for (w, (_, replies)) in mailboxes.iter().enumerate() {
-                    let reply = replies
+                for (w, ((_, replies), epoch)) in mailboxes.iter().zip(epochs).enumerate() {
+                    *epoch = replies
                         .recv()
                         .unwrap_or_else(|| panic!("partition worker {w} panicked"));
-                    for (p, next) in reply.next_times {
-                        next_times[p] = next;
-                    }
-                    for (dest, bundle) in reply.outbound {
-                        pending[dest].events.extend(bundle.events);
-                        pending[dest].releases.extend(bundle.releases);
-                    }
                 }
-            }
+            });
         });
-        // Re-deposit boundary traffic that lies beyond the bound for the
-        // next stretch; losing it here would silently drop packets.
-        for (p, bundle) in pending.into_iter().enumerate() {
-            self.parts[p].inbox.extend(bundle.events);
-            self.parts[p].inbox_releases.extend(bundle.releases);
-        }
     }
 
     // ---- statistics -------------------------------------------------------
@@ -1882,20 +1833,13 @@ impl Network {
     }
 
     /// Number of events currently pending across every partition's wheel,
-    /// boundary mailboxes, and the coordinator's link-change schedule.
-    /// Structurally cancelled timers (see [`AgentCtx::cancel_timer`]) do
-    /// not count.
+    /// undelivered boundary traffic, and the coordinator's link-change
+    /// schedule. Structurally cancelled timers (see
+    /// [`AgentCtx::cancel_timer`]) do not count.
     pub fn pending_events(&self) -> usize {
         self.globals.len()
-            + self
-                .parts
-                .iter()
-                .map(|c| {
-                    c.events.len()
-                        + c.inbox.len()
-                        + c.outbound.iter().map(|b| b.events.len()).sum::<usize>()
-                })
-                .sum::<usize>()
+            + self.parts.iter().map(|c| c.events.len()).sum::<usize>()
+            + self.pending.iter().map(|b| b.events.len()).sum::<usize>()
     }
 
     /// Number of armed, un-fired timers of `flow`. Stopping or completing a
@@ -1942,22 +1886,81 @@ fn event_partition(shared: &Shared, event: &Event) -> usize {
     }
 }
 
-// ---- the worker protocol --------------------------------------------------
+// ---- the epoch protocol ---------------------------------------------------
 
-/// One epoch's worth of work for a worker: the barrier, the stretch bound,
-/// and the boundary deliveries addressed to the worker's partitions.
-struct EpochCmd {
+/// One epoch of one chunk of partitions: the command on the way to whatever
+/// runs the chunk, the reply on the way back. The same value makes the
+/// round trip every epoch and is kept between stretches, so a steady-state
+/// epoch allocates nothing.
+#[derive(Default)]
+struct Epoch {
+    /// Advance to events strictly before this instant (`None`: no link is
+    /// cut, so the epoch spans the stretch).
     barrier: Option<SimTime>,
     bound: SimTime,
     inclusive: bool,
-    deliveries: Vec<(usize, OutBundle)>,
+    /// Boundary traffic, one bundle per destination partition: on the way
+    /// out the traffic for the chunk's partitions, on the way back the
+    /// traffic the chunk produced.
+    traffic: Vec<OutBundle>,
+    /// The chunk's earliest pending event time.
+    next: Option<SimTime>,
 }
 
-/// A worker's report after one epoch: each owned partition's next pending
-/// event time, and the boundary traffic its partitions produced.
-struct EpochReply {
-    next_times: Vec<(usize, Option<SimTime>)>,
-    outbound: Vec<(usize, OutBundle)>,
+/// The epoch loop every stretch runs, to the bound its epochs carry. Each
+/// epoch starts at the earliest pending instant `t` (wheel heads plus
+/// undelivered boundary traffic) and stops the stretch once `t` lies beyond
+/// the bound. Otherwise it hands every chunk its boundary traffic and the
+/// barrier `t + lookahead`, lets `execute` run [`epoch_step`] on every
+/// chunk, and merges the traffic they produced into `pending` in chunk
+/// order — a fixed order, so the merge never depends on which thread
+/// finished first.
+fn epoch_loop(
+    pending: &mut [OutBundle],
+    epochs: &mut [Epoch],
+    chunk_size: usize,
+    lookahead: Option<SimDuration>,
+    mut execute: impl FnMut(&mut [Epoch]),
+) {
+    let (bound, inclusive) = (epochs[0].bound, epochs[0].inclusive);
+    loop {
+        let boundary = pending
+            .iter()
+            .flat_map(|b| b.events.iter().map(|&(at, ..)| at));
+        let t = match epochs.iter().filter_map(|e| e.next).chain(boundary).min() {
+            Some(t) if !beyond(t, bound, inclusive) => t,
+            _ => return,
+        };
+        for (p, bundle) in pending.iter_mut().enumerate() {
+            epochs[p / chunk_size].traffic[p].absorb(bundle);
+        }
+        for epoch in epochs.iter_mut() {
+            epoch.barrier = lookahead.map(|la| t + la);
+        }
+        execute(epochs);
+        for epoch in epochs.iter_mut() {
+            merge_traffic(pending, &mut epoch.traffic);
+        }
+    }
+}
+
+/// One epoch of one contiguous chunk of partition cores, and the only code
+/// that advances a core: deliver the boundary traffic `epoch` carries for
+/// the chunk, run each core to the barrier, and return `epoch` carrying
+/// the traffic the chunk produced and its earliest pending event time.
+fn epoch_step(shared: &Shared, chunk: &mut [PartitionCore], mut epoch: Epoch) -> Epoch {
+    for core in chunk.iter_mut() {
+        deliver_boundary(core, &mut epoch.traffic[core.index]);
+    }
+    epoch.next = chunk
+        .iter_mut()
+        .filter_map(|core| {
+            let next = advance_core(shared, core, epoch.barrier, epoch.bound, epoch.inclusive);
+            merge_traffic(&mut epoch.traffic, &mut core.outbound);
+            next
+        })
+        .min();
+    epoch
 }
 
 /// A one-message rendezvous between the coordinator and one epoch worker
@@ -2031,7 +2034,7 @@ impl<T> Mailbox<T> {
 
 /// Closes both boxes of every `(commands, replies)` pair when dropped,
 /// including during a panic, so the other side of each never waits forever.
-struct CloseOnDrop<'a>(&'a [(Mailbox<EpochCmd>, Mailbox<EpochReply>)]);
+struct CloseOnDrop<'a>(&'a [(Mailbox<Epoch>, Mailbox<Epoch>)]);
 
 impl Drop for CloseOnDrop<'_> {
     fn drop(&mut self) {
@@ -2042,46 +2045,19 @@ impl Drop for CloseOnDrop<'_> {
     }
 }
 
-/// A long-lived epoch worker: owns a contiguous chunk of partition cores
-/// for the duration of one stretch and advances them on command until its
-/// boxes close. Runs the exact same per-core calls as the inline loop.
+/// An epoch worker: owns a contiguous chunk of partition cores for the
+/// duration of one stretch and runs [`epoch_step`] on each epoch it is
+/// sent, until its boxes close.
 fn worker_loop(
     shared: &Shared,
     chunk: &mut [PartitionCore],
-    boxes: &(Mailbox<EpochCmd>, Mailbox<EpochReply>),
+    boxes: &(Mailbox<Epoch>, Mailbox<Epoch>),
 ) {
     // On exit — a panic included — the coordinator must not wait for us.
     let _exit = CloseOnDrop(std::slice::from_ref(boxes));
     let (cmds, replies) = boxes;
-    let base = chunk[0].index;
-    while let Some(EpochCmd {
-        barrier,
-        bound,
-        inclusive,
-        deliveries,
-    }) = cmds.recv()
-    {
-        for (part, bundle) in deliveries {
-            let core = &mut chunk[part - base];
-            core.inbox.extend(bundle.events);
-            core.inbox_releases.extend(bundle.releases);
-        }
-        let mut next_times = Vec::with_capacity(chunk.len());
-        let mut outbound: Vec<(usize, OutBundle)> = Vec::new();
-        for core in chunk.iter_mut() {
-            deliver_boundary(core);
-            let next = advance_core(shared, core, barrier, bound, inclusive);
-            next_times.push((core.index, next));
-            for (dest, bundle) in core.outbound.iter_mut().enumerate() {
-                if !bundle.is_empty() {
-                    outbound.push((dest, std::mem::take(bundle)));
-                }
-            }
-        }
-        if !replies.send(EpochReply {
-            next_times,
-            outbound,
-        }) {
+    while let Some(epoch) = cmds.recv() {
+        if !replies.send(epoch_step(shared, chunk, epoch)) {
             break;
         }
     }
@@ -2226,7 +2202,7 @@ impl AgentCtx<'_> {
         let now = self.core.clock;
         let core = &mut *self.core;
         core.timers
-            .arm_seeded(&mut core.events, now, seq, self.flow, delay, tag)
+            .arm(&mut core.events, now, seq, self.flow, delay, tag)
     }
 
     /// Cancel a timer previously armed with [`Self::set_timer`]. Returns
@@ -2260,8 +2236,7 @@ const _: () = {
     assert_send::<Network>();
     assert_send::<PartitionCore>();
     assert_sync::<Shared>();
-    assert_send::<EpochCmd>();
-    assert_send::<EpochReply>();
+    assert_send::<Epoch>();
     assert_send::<EventQueue>();
     assert_send::<crate::timer::TimerService>();
     assert_send::<Topology>();

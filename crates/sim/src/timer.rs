@@ -77,40 +77,24 @@ impl TimerService {
         self.pending[flow].clear();
     }
 
-    /// Arm a timer: after `delay`, `flow`'s agent receives
+    /// Arm a timer: `delay` after `now`, `flow`'s agent receives
     /// [`crate::transport::FlowAgent::on_timer`] with `tag` — unless the
-    /// handle is cancelled first.
+    /// handle is cancelled first. `key` is the timer's event key and must be
+    /// unique among armed timers; the network derives it from the flow id
+    /// plus a per-sender arm counter, so the timer merges deterministically
+    /// for any partition and thread count.
+    #[allow(clippy::too_many_arguments)]
     pub fn arm(
         &mut self,
         events: &mut EventQueue,
-        flow: FlowId,
-        delay: SimDuration,
-        tag: u64,
-    ) -> TimerHandle {
-        let at = events.now() + delay;
-        let id = events.schedule_cancellable(at, Event::FlowTimer { flow, tag });
-        self.pending[flow].push(id);
-        TimerHandle { flow, id }
-    }
-
-    /// [`Self::arm`] under an external clock and event key. The partitioned
-    /// network uses this: a partition's wheel clock lags the global clock
-    /// between barriers, so the delay is anchored at the core's own `now`,
-    /// and `seq` is a content-derived key (flow id plus a per-sender arm
-    /// counter) so the timer merges deterministically for any partition and
-    /// thread count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn arm_seeded(
-        &mut self,
-        events: &mut EventQueue,
         now: SimTime,
-        seq: u64,
+        key: u64,
         flow: FlowId,
         delay: SimDuration,
         tag: u64,
     ) -> TimerHandle {
         let at = now + delay;
-        let id = events.schedule_cancellable_seeded(at, Event::FlowTimer { flow, tag }, seq);
+        let id = events.schedule_cancellable_seeded(at, Event::FlowTimer { flow, tag }, key);
         self.pending[flow].push(id);
         TimerHandle { flow, id }
     }
@@ -162,7 +146,18 @@ impl TimerService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
+
+    /// Arm a timer `us` µs after t = 0, keyed by its tag (unique per test).
+    fn arm(
+        timers: &mut TimerService,
+        events: &mut EventQueue,
+        flow: FlowId,
+        us: u64,
+        tag: u64,
+    ) -> TimerHandle {
+        let delay = SimDuration::from_micros(us);
+        timers.arm(events, SimTime::ZERO, tag, flow, delay, tag)
+    }
 
     fn pop_tags(events: &mut EventQueue, timers: &mut TimerService) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
@@ -183,8 +178,8 @@ mod tests {
         let mut events = EventQueue::new();
         let mut timers = TimerService::new();
         timers.register_flow();
-        timers.arm(&mut events, 0, SimDuration::from_micros(5), 7);
-        timers.arm(&mut events, 0, SimDuration::from_micros(2), 8);
+        arm(&mut timers, &mut events, 0, 5, 7);
+        arm(&mut timers, &mut events, 0, 2, 8);
         assert_eq!(timers.pending_count(0), 2);
         let fired = pop_tags(&mut events, &mut timers);
         assert_eq!(fired, vec![(2_000, 8), (5_000, 7)]);
@@ -196,8 +191,8 @@ mod tests {
         let mut events = EventQueue::new();
         let mut timers = TimerService::new();
         timers.register_flow();
-        let keep = timers.arm(&mut events, 0, SimDuration::from_micros(3), 1);
-        let drop = timers.arm(&mut events, 0, SimDuration::from_micros(1), 2);
+        let keep = arm(&mut timers, &mut events, 0, 3, 1);
+        let drop = arm(&mut timers, &mut events, 0, 1, 2);
         assert!(timers.cancel(&mut events, drop));
         assert!(
             !timers.cancel(&mut events, drop),
@@ -218,9 +213,9 @@ mod tests {
         timers.register_flow();
         timers.register_flow();
         for tag in 0..3 {
-            timers.arm(&mut events, 0, SimDuration::from_micros(tag + 1), tag);
+            arm(&mut timers, &mut events, 0, tag + 1, tag);
         }
-        let other = timers.arm(&mut events, 1, SimDuration::from_micros(9), 42);
+        let other = arm(&mut timers, &mut events, 1, 9, 42);
         assert_eq!(timers.cancel_all(&mut events, 0), 3);
         assert_eq!(timers.pending_count(0), 0);
         assert_eq!(events.len(), 1, "flow 1's timer must survive");
