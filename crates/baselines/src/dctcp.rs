@@ -122,9 +122,10 @@ impl FlowAgent for DctcpAgent {
     }
 
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>) {
-        self.highest_ack = self.highest_ack.max(packet.header.ack_bytes);
+        let ack = packet.ack_header().expect("on_ack is handed ACKs");
+        self.highest_ack = self.highest_ack.max(ack.ack_bytes);
         self.acks_total += 1;
-        if packet.header.ecn_echo {
+        if ack.ecn_echo {
             self.acks_marked += 1;
             // React at most once per window (per RTT), like TCP/DCTCP.
             if !self.cut_this_window {
@@ -144,7 +145,7 @@ impl FlowAgent for DctcpAgent {
             self.cwnd_bytes +=
                 (DEFAULT_PAYLOAD_BYTES as f64 * DEFAULT_PAYLOAD_BYTES as f64) / self.cwnd_bytes;
         }
-        if packet.header.ack_bytes >= self.window_end_seq {
+        if ack.ack_bytes >= self.window_end_seq {
             self.end_of_window_update();
         }
         self.send_available(ctx);

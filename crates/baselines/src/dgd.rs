@@ -103,8 +103,8 @@ impl LinkController for DgdPriceController {
 
     fn on_dequeue(&mut self, packet: &mut Packet, _now: SimTime, _queue_bytes: usize) {
         self.bytes_serviced += packet.wire_bytes as u64;
-        packet.header.path_price += self.price;
-        packet.header.path_len += 1;
+        packet.stamps.path_price += self.price;
+        packet.stamps.path_len += 1;
     }
 
     fn initial_timer(&self) -> Option<SimDuration> {
@@ -215,9 +215,10 @@ impl FlowAgent for DgdAgent {
     }
 
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>) {
-        self.highest_ack = self.highest_ack.max(packet.header.ack_bytes);
-        if packet.header.reflected_path_len > 0 {
-            self.path_price = packet.header.reflected_path_price;
+        let ack = packet.ack_header().expect("on_ack is handed ACKs");
+        self.highest_ack = self.highest_ack.max(ack.ack_bytes);
+        if ack.reflected_path_len > 0 {
+            self.path_price = ack.reflected_path_price;
         }
         self.recompute_rate(ctx);
         if self.pacing_timer.is_none() {

@@ -154,7 +154,7 @@ impl FlowAgent for PfabricAgent {
     }
 
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>) {
-        if let Some((payload, _)) = self.outstanding.remove(&packet.header.ack_seq) {
+        if let Some((payload, _)) = self.outstanding.remove(&packet.seq) {
             self.acked_payload += payload as u64;
         }
         self.send_new_data(ctx);

@@ -124,8 +124,8 @@ impl LinkController for RcpStarController {
 
     fn on_dequeue(&mut self, packet: &mut Packet, _now: SimTime, _queue_bytes: usize) {
         self.bytes_serviced += packet.wire_bytes as u64;
-        packet.header.rcp_feedback += self.share_gbps.max(1e-9).powf(-self.config.alpha);
-        packet.header.path_len += 1;
+        packet.stamps.rcp_feedback += self.share_gbps.max(1e-9).powf(-self.config.alpha);
+        packet.stamps.path_len += 1;
     }
 
     fn initial_timer(&self) -> Option<SimDuration> {
@@ -224,9 +224,10 @@ impl FlowAgent for RcpStarAgent {
     }
 
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>) {
-        self.highest_ack = self.highest_ack.max(packet.header.ack_bytes);
-        if packet.header.reflected_path_len > 0 {
-            self.feedback = packet.header.reflected_rcp_feedback;
+        let ack = packet.ack_header().expect("on_ack is handed ACKs");
+        self.highest_ack = self.highest_ack.max(ack.ack_bytes);
+        if ack.reflected_path_len > 0 {
+            self.feedback = ack.reflected_rcp_feedback;
         }
         self.recompute_rate(ctx);
         if self.pacing_timer.is_none() {
@@ -288,11 +289,12 @@ mod tests {
             DEFAULT_PAYLOAD_BYTES,
             numfabric_sim::RouteTable::new()
                 .intern(numfabric_sim::topology::Route::from_links(vec![0])),
+            Default::default(),
         );
         ctrl.on_dequeue(&mut p, SimTime::ZERO, 0);
         // Share starts at 10 Gbps → feedback = 10^-2 = 0.01.
-        assert!((p.header.rcp_feedback - 0.01).abs() < 1e-12);
-        assert_eq!(p.header.path_len, 1);
+        assert!((p.stamps.rcp_feedback - 0.01).abs() < 1e-12);
+        assert_eq!(p.stamps.path_len, 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use numfabric_num::fluid::{FluidAlgorithm, XwiFluid};
 use numfabric_num::utility::LogUtility;
 use numfabric_num::{weighted_max_min, FluidFlow, FluidNetwork, Oracle};
 use numfabric_sim::event::{Event, EventQueue};
-use numfabric_sim::packet::{Packet, DEFAULT_PAYLOAD_BYTES};
+use numfabric_sim::packet::{DataHeader, Packet, DEFAULT_PAYLOAD_BYTES};
 use numfabric_sim::queue::{PfabricQueue, QueueDiscipline, StfqQueue};
 use numfabric_sim::topology::{FatTreeConfig, LeafSpineConfig, Route, Topology};
 use numfabric_sim::{RouteTable, SimTime};
@@ -45,8 +45,17 @@ fn bench_stfq(c: &mut Criterion) {
         b.iter(|| {
             let mut q = StfqQueue::new(10_000_000);
             for i in 0..1_000u64 {
-                let mut p = Packet::data((i % 8) as usize, i * 1460, DEFAULT_PAYLOAD_BYTES, route);
-                p.header.virtual_packet_len = 1500.0 / ((i % 8) + 1) as f64;
+                let header = DataHeader {
+                    virtual_packet_len: 1500.0 / ((i % 8) + 1) as f64,
+                    ..DataHeader::default()
+                };
+                let p = Packet::data(
+                    (i % 8) as usize,
+                    i * 1460,
+                    DEFAULT_PAYLOAD_BYTES,
+                    route,
+                    header,
+                );
                 q.enqueue(p, SimTime::ZERO);
             }
             let mut served = 0;
@@ -107,8 +116,17 @@ fn bench_pfabric_churn(c: &mut Criterion) {
             let mut q = PfabricQueue::new(64 * 1500);
             let mut outcomes = 0u64;
             for (i, &prio) in priorities.iter().enumerate() {
-                let mut p = Packet::data(i % 32, i as u64 * 1460, DEFAULT_PAYLOAD_BYTES, route);
-                p.header.pfabric_priority = prio;
+                let header = DataHeader {
+                    pfabric_priority: prio,
+                    ..DataHeader::default()
+                };
+                let p = Packet::data(
+                    i % 32,
+                    i as u64 * 1460,
+                    DEFAULT_PAYLOAD_BYTES,
+                    route,
+                    header,
+                );
                 if q.enqueue(p, SimTime::ZERO).accepted() {
                     outcomes += 1;
                 }

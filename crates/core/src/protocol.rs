@@ -268,11 +268,12 @@ impl FlowAgent for NumFabricAgent {
 
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>) {
         let previous_ack = self.highest_ack;
-        self.highest_ack = self.highest_ack.max(packet.header.ack_bytes);
+        let ack = packet.ack_header().expect("on_ack is handed ACKs");
+        self.highest_ack = self.highest_ack.max(ack.ack_bytes);
         let acked_now = self.highest_ack.saturating_sub(previous_ack);
 
         // Swift rate estimation from the reflected inter-packet time.
-        if let Some(ipt) = packet.header.inter_packet_time {
+        if let Some(ipt) = ack.inter_packet_time {
             let sample_bytes = if acked_now > 0 {
                 acked_now
             } else {
@@ -285,9 +286,9 @@ impl FlowAgent for NumFabricAgent {
         }
 
         // xWI weight computation from the reflected path price.
-        if packet.header.reflected_path_len > 0 {
-            self.path_price = packet.header.reflected_path_price;
-            self.path_len_hint = packet.header.reflected_path_len;
+        if ack.reflected_path_len > 0 {
+            self.path_price = ack.reflected_path_price;
+            self.path_len_hint = ack.reflected_path_len;
         }
         self.recompute_weight();
         self.send_available(ctx);

@@ -94,15 +94,15 @@ impl XwiPriceController {
 
 impl LinkController for XwiPriceController {
     fn on_enqueue(&mut self, packet: &mut Packet, _now: SimTime) {
-        if packet.is_data() {
-            self.min_residual = self.min_residual.min(packet.header.normalized_residual);
+        if let Some(data) = packet.data_header() {
+            self.min_residual = self.min_residual.min(data.normalized_residual);
         }
     }
 
     fn on_dequeue(&mut self, packet: &mut Packet, _now: SimTime, _queue_bytes: usize) {
         self.bytes_serviced += packet.wire_bytes as u64;
-        packet.header.path_price += self.price;
-        packet.header.path_len += 1;
+        packet.stamps.path_price += self.price;
+        packet.stamps.path_len += 1;
     }
 
     fn initial_timer(&self) -> Option<SimDuration> {
@@ -128,17 +128,22 @@ mod tests {
     use super::*;
     use numfabric_sim::packet::DEFAULT_PAYLOAD_BYTES;
     use numfabric_sim::topology::Route;
-    use numfabric_sim::RouteTable;
+    use numfabric_sim::{AckHeader, DataHeader, RouteId, RouteTable};
 
     fn controller() -> XwiPriceController {
         XwiPriceController::new(&NumFabricConfig::default(), 10e9)
     }
 
+    fn route() -> RouteId {
+        RouteTable::new().intern(Route::from_links(vec![0]))
+    }
+
     fn data_packet(residual: f64) -> Packet {
-        let route = RouteTable::new().intern(Route::from_links(vec![0]));
-        let mut p = Packet::data(0, 0, DEFAULT_PAYLOAD_BYTES, route);
-        p.header.normalized_residual = residual;
-        p
+        let header = DataHeader {
+            normalized_residual: residual,
+            ..DataHeader::default()
+        };
+        Packet::data(0, 0, DEFAULT_PAYLOAD_BYTES, route(), header)
     }
 
     /// Simulate one price-update interval in which `packets` MTU packets were
@@ -227,22 +232,24 @@ mod tests {
         run_interval(&mut ctrl, 25, 0.4);
         let price = ctrl.price();
         let mut p = data_packet(0.0);
-        p.header.path_price = 0.15;
-        p.header.path_len = 2;
+        p.stamps.path_price = 0.15;
+        p.stamps.path_len = 2;
         ctrl.on_dequeue(&mut p, SimTime::ZERO, 0);
-        assert!((p.header.path_price - (0.15 + price)).abs() < 1e-12);
-        assert_eq!(p.header.path_len, 3);
+        assert!((p.stamps.path_price - (0.15 + price)).abs() < 1e-12);
+        assert_eq!(p.stamps.path_len, 3);
     }
 
     #[test]
     fn control_packets_do_not_affect_the_minimum_residual() {
         let mut ctrl = controller();
-        let mut ack = Packet::ack(0, RouteTable::new().intern(Route::from_links(vec![0])));
-        ack.header.normalized_residual = -100.0;
+        // An ACK carries no residual and a SYN none either; had either counted
+        // as a zero residual, the price would have stayed at zero instead of
+        // following the data packets' 0.4.
+        let mut ack = Packet::ack(0, 0, route(), AckHeader::default());
+        let mut syn = Packet::syn(0, route());
         ctrl.on_enqueue(&mut ack, SimTime::ZERO);
+        ctrl.on_enqueue(&mut syn, SimTime::ZERO);
         run_interval(&mut ctrl, 25, 0.4);
-        // If the ACK's residual had been tracked the price would have dropped
-        // to zero; instead it follows the data packets' 0.4 residual.
         assert!(ctrl.price() > 0.1);
     }
 

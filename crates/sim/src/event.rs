@@ -120,6 +120,11 @@ pub enum Event {
     },
 }
 
+// Size budget: an arrival moves by value into the payload pool and out at
+// dispatch, and a copy above 128 B compiles to a `memcpy` call (see the
+// `Packet` budget in `crate::packet` for the measured cost).
+const _: () = assert!(std::mem::size_of::<Event>() <= 120);
+
 /// Identity of a scheduled event: its insertion sequence number, which also
 /// serves as the FIFO tie-breaker for equal timestamps. Returned by the
 /// `schedule` methods and consumed by [`EventQueue::cancel`].
@@ -1380,7 +1385,13 @@ mod tests {
                         at,
                         Event::Arrival {
                             link: 3,
-                            packet: crate::packet::Packet::data(0, 0, 1000, route),
+                            packet: crate::packet::Packet::data(
+                                0,
+                                0,
+                                1000,
+                                route,
+                                Default::default(),
+                            ),
                         },
                     );
                 }

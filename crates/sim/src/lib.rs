@@ -104,7 +104,7 @@ pub use event::{Event, EventId, EventQueue, HeapEventQueue};
 pub use flow::{FlowPhase, FlowSpec, FlowStats};
 pub use impairment::{derive_link_seed, LinkChange, LinkHealth};
 pub use network::{AgentCtx, LinkStats, Network, NetworkConfig};
-pub use packet::{FlowId, Packet, PacketHeader, PacketKind};
+pub use packet::{AckHeader, DataHeader, FlowId, Packet, PacketKind, Stamps};
 pub use queue::{DropTailFifo, EcnFifo, PfabricQueue, QueueDiscipline, StfqQueue};
 pub use routes::{RouteId, RouteTable};
 pub use time::{SimDuration, SimTime};

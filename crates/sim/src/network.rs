@@ -71,7 +71,9 @@
 use crate::event::{Event, EventId, EventQueue};
 use crate::flow::{FlowPhase, FlowSpec, FlowStats};
 use crate::impairment::{derive_link_seed, splitmix64_unit, LinkChange, LinkHealth};
-use crate::packet::{FlowId, Packet, PacketHeader, PacketKind, SeqNo, HEADER_BYTES, MTU_BYTES};
+use crate::packet::{
+    AckHeader, DataHeader, FlowId, Packet, PacketKind, SeqNo, HEADER_BYTES, MTU_BYTES,
+};
 use crate::queue::QueueDiscipline;
 use crate::routes::{RouteId, RouteTable};
 use crate::time::{SimDuration, SimTime};
@@ -125,8 +127,8 @@ const KEY_PRIMARY_BITS: u32 = 22;
 /// field. Run once where the id is minted (network construction, flow
 /// admission): link free positions compare content keys, so an id that
 /// overflowed the field would silently alias another link's or flow's
-/// position. The per-event `debug_assert!`s in [`event_key`] stay
-/// debug-only.
+/// position. The per-event `debug_assert!`s in [`event_key`] and
+/// [`arrival_key`] stay debug-only.
 fn assert_fits_key(what: &str, id: usize) {
     assert!(
         (id as u64) < (1 << KEY_PRIMARY_BITS),
@@ -150,16 +152,16 @@ fn event_key(kind: u64, primary: u64, secondary: u64) -> u64 {
 /// harmless — equal-key arrivals on one link leave its serializing queue in
 /// a deterministic order and FIFO-tie-break in that order.
 fn arrival_key(link: LinkId, packet: &Packet) -> u64 {
-    let rank: u64 = match packet.kind {
-        PacketKind::Syn => 0,
-        PacketKind::Data => 1,
-        PacketKind::Ack => 2,
+    let (rank, ident): (u64, u64) = match &packet.kind {
+        PacketKind::Syn => (0, packet.seq),
+        PacketKind::Data(_) => (1, packet.seq),
+        PacketKind::Ack(ack) => (2, ack.ack_bytes),
     };
-    let ident = match packet.kind {
-        PacketKind::Ack => packet.header.ack_bytes,
-        _ => packet.seq,
-    };
-    let secondary = (rank << 37) | ((packet.flow as u64 & 0x3F_FFFF) << 15) | (ident & 0x7FFF);
+    debug_assert!(
+        (packet.flow as u64) < (1 << KEY_PRIMARY_BITS),
+        "flow id out of range"
+    );
+    let secondary = (rank << 37) | ((packet.flow as u64) << 15) | (ident & 0x7FFF);
     event_key(KIND_ARRIVAL, link as u64, secondary)
 }
 
@@ -716,8 +718,8 @@ fn handle_arrival(shared: &Shared, core: &mut PartitionCore, link: LinkId, mut p
     }
     // Delivered to the end host.
     match packet.kind {
-        PacketKind::Data | PacketKind::Syn => receiver_deliver(shared, core, packet),
-        PacketKind::Ack => sender_ack(shared, core, packet),
+        PacketKind::Data(_) | PacketKind::Syn => receiver_deliver(shared, core, packet),
+        PacketKind::Ack(AckHeader { ack_bytes, .. }) => sender_ack(shared, core, ack_bytes, packet),
     }
 }
 
@@ -755,15 +757,20 @@ fn receiver_deliver(shared: &Shared, core: &mut PartitionCore, packet: Packet) {
         (rx.bytes_delivered, inter, ack_seq)
     };
     let reverse = shared.specs[flow].reverse_route;
-    let mut ack = Packet::ack(flow, reverse);
-    ack.header.sent_time = now;
-    ack.header.ack_bytes = delivered;
-    ack.header.ack_seq = ack_seq;
-    ack.header.reflected_path_price = packet.header.path_price;
-    ack.header.reflected_path_len = packet.header.path_len;
-    ack.header.reflected_rcp_feedback = packet.header.rcp_feedback;
-    ack.header.ecn_echo = packet.header.ecn_marked;
-    ack.header.inter_packet_time = inter;
+    let stamps = packet.stamps;
+    let ack = Packet::ack(
+        flow,
+        ack_seq,
+        reverse,
+        AckHeader {
+            ack_bytes: delivered,
+            inter_packet_time: inter,
+            reflected_path_price: stamps.path_price,
+            reflected_rcp_feedback: stamps.rcp_feedback,
+            reflected_path_len: stamps.path_len,
+            ecn_echo: stamps.ecn_marked,
+        },
+    );
     core.flow_packets[flow] += 1;
     let first = shared.routes.links(reverse)[0];
     enqueue_on_link(shared, core, first, ack);
@@ -771,12 +778,12 @@ fn receiver_deliver(shared: &Shared, core: &mut PartitionCore, packet: Packet) {
 
 /// An ACK reached the source host: advance the acked high-water mark,
 /// detect sender-side completion, and otherwise hand the ACK to the agent.
-fn sender_ack(shared: &Shared, core: &mut PartitionCore, packet: Packet) {
+fn sender_ack(shared: &Shared, core: &mut PartitionCore, ack_bytes: u64, packet: Packet) {
     let flow = packet.flow;
     core.flow_packets[flow] -= 1;
     let completed_now = {
         let sender = core.senders[flow].as_mut().expect("sender on source core");
-        sender.bytes_acked = sender.bytes_acked.max(packet.header.ack_bytes);
+        sender.bytes_acked = sender.bytes_acked.max(ack_bytes);
         if sender.phase != FlowPhase::Active {
             return;
         }
@@ -2160,17 +2167,18 @@ impl AgentCtx<'_> {
     }
 
     /// Send a data packet of `payload_bytes` starting at byte offset `seq`,
-    /// customizing the header with `modify`. Returns the wire size sent.
+    /// setting its data-only header fields with `modify`. Returns the wire
+    /// size sent.
     pub fn send_data(
         &mut self,
         seq: SeqNo,
         payload_bytes: u32,
-        modify: impl FnOnce(&mut PacketHeader),
+        modify: impl FnOnce(&mut DataHeader),
     ) -> u32 {
         let route = self.shared.specs[self.flow].route;
-        let mut packet = Packet::data(self.flow, seq, payload_bytes, route);
-        packet.header.sent_time = self.core.clock;
-        modify(&mut packet.header);
+        let mut header = DataHeader::default();
+        modify(&mut header);
+        let packet = Packet::data(self.flow, seq, payload_bytes, route, header);
         let wire = packet.wire_bytes;
         {
             let sender = self.sender_mut();

@@ -157,8 +157,10 @@ impl EcnFifo {
 
 impl QueueDiscipline for EcnFifo {
     fn enqueue(&mut self, mut packet: Packet, now: SimTime) -> EnqueueOutcome {
-        if packet.header.ecn_capable && self.inner.backlog_bytes() >= self.marking_threshold_bytes {
-            packet.header.ecn_marked = true;
+        if packet.data_header().is_some_and(|h| h.ecn_capable)
+            && self.inner.backlog_bytes() >= self.marking_threshold_bytes
+        {
+            packet.stamps.ecn_marked = true;
         }
         self.inner.enqueue(packet, now)
     }
@@ -374,7 +376,7 @@ impl StfqQueue {
 
 impl QueueDiscipline for StfqQueue {
     fn enqueue(&mut self, packet: Packet, _now: SimTime) -> EnqueueOutcome {
-        let len = packet.header.virtual_packet_len;
+        let len = packet.data_header().map_or(0.0, |h| h.virtual_packet_len);
         assert!(
             !len.is_nan(),
             "STFQ: flow {} enqueued a packet whose virtualPacketLen is NaN",
@@ -383,10 +385,10 @@ impl QueueDiscipline for StfqQueue {
         if self.backlog + packet.wire_bytes as usize > self.capacity_bytes {
             return EnqueueOutcome::Dropped(packet);
         }
-        // Control packets (virtualPacketLen == 0) are scheduled at the current
-        // virtual time: they jump ahead of backlogged data but never delay the
-        // virtual clock.
-        let start = if packet.is_data() && len > 0.0 {
+        // Control packets (and data with virtualPacketLen == 0) are scheduled
+        // at the current virtual time: they jump ahead of backlogged data but
+        // never delay the virtual clock.
+        let start = if len > 0.0 {
             let finish = self
                 .last_finish
                 .entry(packet.flow)
@@ -496,7 +498,7 @@ impl PfabricQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.backlog += packet.wire_bytes as usize;
-        let key = packet.header.pfabric_priority;
+        let key = packet.pfabric_priority();
         let slot = self.packets.insert(seq, packet);
         let entry = SlotEntry { key, seq, slot };
         self.heap.push(Reverse(entry));
@@ -532,7 +534,7 @@ impl PfabricQueue {
         self.rebuild_scratch.clear();
         self.rebuild_scratch
             .extend(self.packets.iter().map(|(slot, seq, p)| SlotEntry {
-                key: p.header.pfabric_priority,
+                key: p.pfabric_priority(),
                 seq,
                 slot,
             }));
@@ -550,7 +552,7 @@ impl PfabricQueue {
 
 impl QueueDiscipline for PfabricQueue {
     fn enqueue(&mut self, packet: Packet, _now: SimTime) -> EnqueueOutcome {
-        let priority = packet.header.pfabric_priority;
+        let priority = packet.pfabric_priority();
         assert!(
             !priority.is_nan(),
             "pFabric: flow {} enqueued a packet whose priority is NaN",
@@ -610,7 +612,7 @@ impl QueueDiscipline for PfabricQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Packet, DEFAULT_PAYLOAD_BYTES};
+    use crate::packet::{AckHeader, DataHeader, Packet, DEFAULT_PAYLOAD_BYTES, MTU_BYTES};
     use crate::routes::{RouteId, RouteTable};
     use crate::topology::Route;
     use proptest::prelude::*;
@@ -620,10 +622,22 @@ mod tests {
         RouteTable::new().intern(Route::from_links(vec![0]))
     }
 
+    fn packet(flow: FlowId, header: DataHeader) -> Packet {
+        Packet::data(flow, 0, DEFAULT_PAYLOAD_BYTES, route(), header)
+    }
+
     fn data(flow: FlowId, weight: f64) -> Packet {
-        let mut p = Packet::data(flow, 0, DEFAULT_PAYLOAD_BYTES, route());
-        p.header.virtual_packet_len = p.wire_bytes as f64 / weight;
-        p
+        packet(
+            flow,
+            DataHeader {
+                virtual_packet_len: MTU_BYTES as f64 / weight,
+                ..DataHeader::default()
+            },
+        )
+    }
+
+    fn ack(flow: FlowId) -> Packet {
+        Packet::ack(flow, 0, route(), AckHeader::default())
     }
 
     fn now() -> SimTime {
@@ -658,8 +672,13 @@ mod tests {
     #[test]
     fn ecn_marks_only_above_threshold_and_only_capable_packets() {
         let mut q = EcnFifo::new(100_000, 3_000);
-        let mut capable = data(0, 1.0);
-        capable.header.ecn_capable = true;
+        let capable = packet(
+            0,
+            DataHeader {
+                ecn_capable: true,
+                ..DataHeader::default()
+            },
+        );
         // Below threshold: no mark.
         assert!(q.enqueue(capable.clone(), now()).accepted());
         assert!(q.enqueue(capable.clone(), now()).accepted());
@@ -668,7 +687,7 @@ mod tests {
         let not_capable = data(1, 1.0);
         assert!(q.enqueue(not_capable, now()).accepted());
         let marks: Vec<bool> = std::iter::from_fn(|| q.dequeue(now()))
-            .map(|p| p.header.ecn_marked)
+            .map(|p| p.stamps.ecn_marked)
             .collect();
         assert_eq!(marks, vec![false, false, true, false]);
     }
@@ -715,8 +734,7 @@ mod tests {
         for _ in 0..5 {
             q.enqueue(data(0, 1.0), now());
         }
-        let ack = Packet::ack(7, route());
-        q.enqueue(ack, now());
+        q.enqueue(ack(7), now());
         // The ACK was enqueued last but its virtual start equals the current
         // virtual time, so it is served before data packets whose virtual
         // start is strictly later. (The first data packet also has virtual
@@ -821,15 +839,15 @@ mod tests {
             if self.backlog + packet.wire_bytes as usize > self.capacity_bytes {
                 return false;
             }
-            let start = if packet.is_data() && packet.header.virtual_packet_len > 0.0 {
+            let len = packet.data_header().map_or(0.0, |h| h.virtual_packet_len);
+            let start = if len > 0.0 {
                 let prev_finish = self
                     .last_finish
                     .get(&packet.flow)
                     .copied()
                     .unwrap_or(self.virtual_time);
                 let start = self.virtual_time.max(prev_finish);
-                self.last_finish
-                    .insert(packet.flow, start + packet.header.virtual_packet_len);
+                self.last_finish.insert(packet.flow, start + len);
                 start
             } else {
                 self.virtual_time
@@ -885,12 +903,8 @@ mod tests {
                     0..=4 => {
                         let flow = (next() % flows as u64) as FlowId;
                         let mut p = match next() % 8 {
-                            0 => Packet::ack(flow, route()),
-                            1 => {
-                                let mut p = data(flow, 1.0);
-                                p.header.virtual_packet_len = 0.0;
-                                p
-                            }
+                            0 => ack(flow),
+                            1 => packet(flow, DataHeader::default()),
                             w => data(flow, [1.0, 2.0, 4.0][(w % 3) as usize]),
                         };
                         p.seq = op as u64;
@@ -927,9 +941,13 @@ mod tests {
     }
 
     fn pfabric_pkt(flow: FlowId, priority: f64) -> Packet {
-        let mut p = Packet::data(flow, 0, DEFAULT_PAYLOAD_BYTES, route());
-        p.header.pfabric_priority = priority;
-        p
+        packet(
+            flow,
+            DataHeader {
+                pfabric_priority: priority,
+                ..DataHeader::default()
+            },
+        )
     }
 
     #[test]
@@ -1029,7 +1047,7 @@ mod tests {
             if self.backlog + packet.wire_bytes as usize <= self.capacity_bytes {
                 self.backlog += packet.wire_bytes as usize;
                 self.queued
-                    .push((packet.header.pfabric_priority, self.next_seq, packet));
+                    .push((packet.pfabric_priority(), self.next_seq, packet));
                 self.next_seq += 1;
                 return EnqueueOutcome::Accepted;
             }
@@ -1040,13 +1058,13 @@ mod tests {
                 .max_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
                 .map(|(i, &(p, _, _))| (i, p));
             match worst {
-                Some((i, worst_priority)) if packet.header.pfabric_priority < worst_priority => {
+                Some((i, worst_priority)) if packet.pfabric_priority() < worst_priority => {
                     let (_, _, victim) = self.queued.remove(i);
                     self.backlog -= victim.wire_bytes as usize;
                     if self.backlog + packet.wire_bytes as usize <= self.capacity_bytes {
                         self.backlog += packet.wire_bytes as usize;
                         self.queued
-                            .push((packet.header.pfabric_priority, self.next_seq, packet));
+                            .push((packet.pfabric_priority(), self.next_seq, packet));
                         self.next_seq += 1;
                         EnqueueOutcome::AcceptedWithVictim(victim)
                     } else {

@@ -48,7 +48,17 @@ impl RouteTable {
     /// route was interned before. Routes at most [`crate::topology::ROUTE_INLINE_HOPS`]
     /// hops long are stored inline, so interning a fabric path allocates
     /// nothing beyond the table's own growth.
+    ///
+    /// # Panics
+    /// Panics, in release builds too, on a route longer than `u16::MAX`
+    /// links: a packet's hop index is a `u16`, and incrementing it past
+    /// its range would wrap silently.
     pub fn intern(&mut self, route: Route) -> RouteId {
+        assert!(
+            route.len() <= u16::MAX as usize,
+            "a route of {} links is longer than a packet's u16 hop index can address",
+            route.len()
+        );
         if let Some(&id) = self.interned.get(&route) {
             return id;
         }
@@ -131,6 +141,14 @@ mod tests {
             assert_eq!(id.index(), i);
         }
         assert_eq!(table.len(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "a route of 65536 links is longer than a packet's u16 hop index")]
+    fn a_route_beyond_the_hop_index_is_a_hard_error() {
+        let mut table = RouteTable::new();
+        table.intern(Route::from_links(vec![0; u16::MAX as usize]));
+        table.intern(Route::from_links(vec![0; u16::MAX as usize + 1]));
     }
 
     #[test]

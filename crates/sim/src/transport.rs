@@ -5,11 +5,11 @@
 //! * a [`FlowAgent`] per flow — the **sender-side** end-host logic
 //!   ([`FlowAgent::on_ack`], [`FlowAgent::on_timer`]). The receiver side is
 //!   universal and lives in the engine: every data arrival updates delivery
-//!   counters and reflects an ACK carrying the cumulative delivered byte
-//!   count plus every feedback field of the data packet's header (path
-//!   price/length, RCP feedback, ECN mark, inter-packet arrival time). The
-//!   only receiver knob a protocol has is [`FlowAgent::ack_mode`], which
-//!   selects how the echoed `ack_seq` is formed. NUMFabric's Swift/xWI
+//!   counters and reflects an ACK whose [`crate::packet::AckHeader`] carries
+//!   the cumulative delivered byte count, the inter-packet arrival time and
+//!   the data packet's stamps (path price/length, RCP feedback, ECN mark).
+//!   The only receiver knob a protocol has is [`FlowAgent::ack_mode`], which
+//!   selects how the ACK's `seq` is formed. NUMFabric's Swift/xWI
 //!   sender, DGD, RCP*, DCTCP and pFabric are all implemented as
 //!   `FlowAgent`s (in `numfabric-core` and `numfabric-baselines`).
 //! * optionally a [`LinkController`] per link — the switch-side logic that
@@ -31,17 +31,17 @@ use crate::network::AgentCtx;
 use crate::packet::Packet;
 use crate::time::{SimDuration, SimTime};
 
-/// How the engine's universal receiver forms the echoed `ack_seq` of the
-/// ACK it reflects for every delivered data packet. (`ack_bytes` is always
-/// the cumulative delivered byte count, whatever the mode.)
+/// How the engine's universal receiver forms the `seq` of the ACK it
+/// reflects for every delivered data packet. (`ack_bytes` is always the
+/// cumulative delivered byte count, whatever the mode.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AckMode {
-    /// `ack_seq = packet.seq + payload`: the byte offset one past the
+    /// ACK `seq` = data `seq + payload`: the byte offset one past the
     /// delivered segment, TCP-style. The default; what window- and
     /// rate-based senders expect.
     #[default]
     Cumulative,
-    /// `ack_seq = packet.seq`: echo the delivered packet's own sequence
+    /// ACK `seq` = data `seq`: echo the delivered packet's own sequence
     /// number, SACK-style. pFabric uses this to retire exactly the
     /// outstanding segment the ACK names.
     PerPacket,
@@ -58,7 +58,7 @@ pub trait FlowAgent: Send {
     /// and transmits more data.
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>);
 
-    /// How the engine's receiver echoes `ack_seq` for this flow. Captured
+    /// How the engine's receiver forms this flow's ACK `seq`. Captured
     /// once when the flow is added.
     fn ack_mode(&self) -> AckMode {
         AckMode::Cumulative
@@ -95,8 +95,9 @@ pub trait LinkController: Send {
     /// update (Figure 3 of the paper).
     fn on_enqueue(&mut self, packet: &mut Packet, now: SimTime);
 
-    /// A packet is being dequeued for transmission. xWI stamps `pathPrice`
-    /// and `pathLen` here and counts serviced bytes; RCP* adds `R_l^{-α}`.
+    /// A packet (data or control) is being dequeued for transmission. xWI
+    /// stamps `pathPrice` and `pathLen` into [`Packet::stamps`] here and
+    /// counts serviced bytes; RCP* adds `R_l^{-α}`.
     fn on_dequeue(&mut self, packet: &mut Packet, now: SimTime, queue_bytes: usize);
 
     /// The delay until the controller's first periodic timer, or `None` if it

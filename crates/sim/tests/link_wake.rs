@@ -78,7 +78,7 @@ impl LinkController for Recorder {
             seq: packet.seq,
             at_ns: now.as_nanos(),
             backlog: queue_bytes,
-            marked: packet.header.ecn_marked,
+            marked: packet.stamps.ecn_marked,
             waited: enqueued < now,
         });
     }

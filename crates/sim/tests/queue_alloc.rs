@@ -18,10 +18,10 @@ mod alloc_counter;
 use alloc_counter::counted;
 use numfabric_sim::packet::DEFAULT_PAYLOAD_BYTES;
 use numfabric_sim::queue::{PfabricQueue, QueueDiscipline, StfqQueue};
-use numfabric_sim::routes::RouteTable;
+use numfabric_sim::routes::{RouteId, RouteTable};
 use numfabric_sim::topology::{FatTreeConfig, Route, Topology};
 use numfabric_sim::{
-    AgentCtx, FlowAgent, FlowId, Network, Packet, SimDuration, SimTime, TimerHandle,
+    AgentCtx, DataHeader, FlowAgent, FlowId, Network, Packet, SimDuration, SimTime, TimerHandle,
 };
 
 /// A deterministic pseudo-random stream (64-bit LCG, high bits).
@@ -35,13 +35,24 @@ fn lcg(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
+/// A full-size data packet of `flow` with STFQ length `len` and pFabric
+/// priority `priority`.
+fn packet(route: RouteId, flow: FlowId, len: f64, priority: f64) -> Packet {
+    let header = DataHeader {
+        virtual_packet_len: len,
+        pfabric_priority: priority,
+        ..DataHeader::default()
+    };
+    Packet::data(flow, 0, DEFAULT_PAYLOAD_BYTES, route, header)
+}
+
 /// `cycles` rounds of the steady-state pattern on `queue`: offer two
 /// packets of random flows (out of 32), STFQ lengths and pFabric
 /// priorities, then serve one. On a full buffer one offer is dropped (or,
 /// under pFabric, evicts the worst packet), so the depth holds.
 fn cycle(
     queue: &mut dyn QueueDiscipline,
-    packet: &Packet,
+    route: RouteId,
     next: &mut impl FnMut() -> u64,
     cycles: usize,
 ) {
@@ -49,10 +60,12 @@ fn cycle(
     for _ in 0..cycles {
         for _ in 0..2 {
             let r = next();
-            let mut p = packet.clone();
-            p.flow = (r % 32) as FlowId;
-            p.header.virtual_packet_len = 1500.0 / (1 + r % 3) as f64;
-            p.header.pfabric_priority = ((r >> 8) % 64) as f64;
+            let p = packet(
+                route,
+                (r % 32) as FlowId,
+                1500.0 / (1 + r % 3) as f64,
+                ((r >> 8) % 64) as f64,
+            );
             std::hint::black_box(queue.enqueue(p, now));
         }
         std::hint::black_box(queue.dequeue(now));
@@ -62,7 +75,6 @@ fn cycle(
 #[test]
 fn steady_state_enqueue_dequeue_allocates_nothing() {
     let route = RouteTable::new().intern(Route::from_links(vec![0]));
-    let packet = Packet::data(0, 0, DEFAULT_PAYLOAD_BYTES, route);
     let disciplines: [(&str, Box<dyn QueueDiscipline>); 2] = [
         ("STFQ", Box::new(StfqQueue::new(64 * 1500))),
         ("pFabric", Box::new(PfabricQueue::new(24 * 1500))),
@@ -72,14 +84,11 @@ fn steady_state_enqueue_dequeue_allocates_nothing() {
         // Fill to the buffer, then warm up at that depth: every slab slot,
         // heap, free list and per-flow entry reaches its peak size.
         for _ in 0..64 {
-            let mut p = packet.clone();
-            p.header.virtual_packet_len = 1500.0;
-            p.header.pfabric_priority = 32.0;
-            queue.enqueue(p, SimTime::ZERO);
+            queue.enqueue(packet(route, 0, 1500.0, 32.0), SimTime::ZERO);
         }
-        cycle(queue.as_mut(), &packet, &mut next, 5_000);
+        cycle(queue.as_mut(), route, &mut next, 5_000);
         let depth = queue.backlog_packets();
-        let (allocations, _) = counted(|| cycle(queue.as_mut(), &packet, &mut next, 10_000));
+        let (allocations, _) = counted(|| cycle(queue.as_mut(), route, &mut next, 10_000));
         assert_eq!(
             queue.backlog_packets(),
             depth,
