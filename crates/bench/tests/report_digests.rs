@@ -10,7 +10,9 @@
 //! spans every route-selection path: healthy ECMP on all three fabric
 //! families, symmetric cable-cut re-selection with and without restore
 //! (`recovery`), asymmetric `down-fwd` re-selection, seeded wire loss, the
-//! churn driver and the sweep engine's default mini-grid.
+//! churn driver and the sweep engine's default mini-grid. A second set
+//! digests the plain-text tables of two hand-built-topology figures and of
+//! the generic `dynamic` and `semi-dynamic` drivers.
 
 use std::process::Command;
 
@@ -20,11 +22,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Run `numfabric-run <args> --json` and digest its stdout.
-fn report_digest(args: &str) -> u64 {
+/// Run `numfabric-run <args>` and digest its stdout.
+fn stdout_digest(args: &str) -> u64 {
     let out = Command::new(env!("CARGO_BIN_EXE_numfabric-run"))
         .args(args.split_whitespace())
-        .arg("--json")
         .output()
         .expect("spawn numfabric-run");
     assert!(
@@ -38,6 +39,21 @@ fn report_digest(args: &str) -> u64 {
         "numfabric-run `{args}` printed nothing"
     );
     fnv1a(&out.stdout)
+}
+
+/// Run `numfabric-run <args> --json` and digest its stdout.
+fn report_digest(args: &str) -> u64 {
+    stdout_digest(&format!("{args} --json"))
+}
+
+/// Every pin whose digest differs from the recorded one, described.
+fn moved_pins(pins: &[(&str, u64)], digest: fn(&str) -> u64) -> Vec<String> {
+    pins.iter()
+        .filter_map(|&(args, want)| {
+            let got = digest(args);
+            (got != want).then(|| format!("`{args}`: recorded {want:#018x}, got {got:#018x}"))
+        })
+        .collect()
 }
 
 /// `(command line, digest)`, recorded at commit adab581 (the parent of the
@@ -70,20 +86,33 @@ const PINS: &[(&str, u64)] = &[
     ("sweep", 0xa2ba_6b87_6070_5b33),
 ];
 
+/// `(command line, digest)` of plain stdout — the figure and generic-driver
+/// tables, which refuse `--json` — recorded at commit f7c3791 (the parent of
+/// the one-driver change). `dynamic --protocol dgd` is the pin that notices
+/// recycled flow slots: DGD's pacing-timer keys carry the flow id, so a
+/// reused id reorders same-instant timers.
+const STDOUT_PINS: &[(&str, u64)] = &[
+    ("fig9", 0xdac2_fab0_951f_11bd),
+    ("fig10", 0x4c40_4d99_67c5_1f4a),
+    ("dynamic --load 0.3", 0x4aef_e3cd_f22a_d752),
+    ("dynamic --protocol dgd --load 0.7", 0x5577_2566_d430_6e99),
+    ("semi-dynamic --events 2", 0x83d2_593a_680f_e133),
+];
+
 #[test]
 fn json_reports_are_byte_identical_to_the_recorded_commit() {
-    let moved: Vec<String> = PINS
-        .iter()
-        .filter_map(|&(args, want)| {
-            let got = report_digest(args);
-            (got != want).then(|| format!("`{args}`: recorded {want:#018x}, got {got:#018x}"))
-        })
-        .collect();
+    let moved = moved_pins(PINS, report_digest);
     assert!(
         moved.is_empty(),
         "report bytes moved:\n{}",
         moved.join("\n")
     );
+}
+
+#[test]
+fn figure_tables_are_byte_identical_to_the_recorded_commit() {
+    let moved = moved_pins(STDOUT_PINS, stdout_digest);
+    assert!(moved.is_empty(), "table bytes moved:\n{}", moved.join("\n"));
 }
 
 #[test]
