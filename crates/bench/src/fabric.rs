@@ -3,24 +3,24 @@
 //! leaf-spine, oversubscribed leaf-spine, k-ary fat-tree) under any
 //! protocol.
 //!
-//! The drivers come in two flavors: [`run_transfers`] injects finite flows
-//! and reports completion statistics (incast, shuffle), and
-//! [`run_steady_state`] runs long-lived flows and compares measured rates to
-//! the fluid NUM oracle (stride) — the cross-check that pins the packet
+//! Each scenario is a List [`Experiment`] of fixed pairs at t = 0 plus a
+//! formatter: incast and shuffle inject finite flows and report completion
+//! statistics ([`TransferSummary`]); stride runs long-lived flows and
+//! compares measured rates to the fluid NUM oracle
+//! ([`SteadyStateSummary`]) — the cross-check that pins the packet
 //! simulation against the fluid solution on non-leaf-spine fabrics.
 
+use crate::experiment::{run_experiment, Experiment, FlowRecord, Flows, ListFlow};
 use crate::protocols::{Protocol, RunSetup};
 use crate::report::{
     mean, percentile, print_table, steady_state_report_json, transfer_report_json,
 };
-use numfabric_num::utility::LogUtility;
 use numfabric_sim::topology::Topology;
-use numfabric_sim::{SimDuration, SimTime};
-use numfabric_workloads::convergence::oracle_rates_bps;
+use numfabric_sim::SimDuration;
 use numfabric_workloads::registry::ScenarioOptions;
-use numfabric_workloads::scenarios::{incast_pairs, shuffle_pairs, stride_pairs, PathSpec};
+use numfabric_workloads::scenarios::{incast_pairs, shuffle_pairs, stride_pairs};
 use numfabric_workloads::TopologySpec;
-use std::sync::Arc;
+use std::collections::HashSet;
 
 /// Completion statistics of a finite-transfer run.
 #[derive(Debug, Clone)]
@@ -38,6 +38,27 @@ pub struct TransferSummary {
 }
 
 impl TransferSummary {
+    /// The completion statistics of a List run's finite flows.
+    pub fn of(records: &[FlowRecord]) -> Self {
+        let mut fcts = Vec::new();
+        let mut completed_bytes = 0u64;
+        let mut makespan: Option<SimDuration> = None;
+        for r in records {
+            if let Some(fct) = r.fct {
+                fcts.push(fct.as_secs_f64());
+                completed_bytes += r.size_bytes.unwrap_or(0);
+                makespan = Some(makespan.map_or(fct, |m| m.max(fct)));
+            }
+        }
+        TransferSummary {
+            flows: records.len(),
+            completed: fcts.len(),
+            fcts,
+            completed_bytes,
+            makespan,
+        }
+    }
+
     /// Aggregate goodput of the completed transfers in bits per second
     /// (payload bytes over the makespan).
     pub fn aggregate_goodput_bps(&self) -> f64 {
@@ -53,54 +74,6 @@ impl TransferSummary {
     }
 }
 
-/// Inject one finite flow of `size_bytes` per pair at `t = 0` and run until
-/// `deadline` on a network built with `setup`. All flows use proportional
-/// fairness, matching the dynamic workload drivers.
-pub fn run_transfers(
-    protocol: &Protocol,
-    topo: Topology,
-    pairs: &[PathSpec],
-    size_bytes: u64,
-    deadline: SimDuration,
-    setup: &RunSetup,
-) -> TransferSummary {
-    let utility = Arc::new(LogUtility::new());
-    let mut net = protocol.build_network_with(topo, setup);
-    let ids: Vec<_> = pairs
-        .iter()
-        .map(|p| {
-            net.add_flow(
-                p.src,
-                p.dst,
-                Some(size_bytes),
-                SimTime::ZERO,
-                p.spine_choice,
-                None,
-                protocol.make_agent(utility.clone()),
-            )
-        })
-        .collect();
-    net.run_until(SimTime::ZERO + deadline);
-
-    let mut fcts = Vec::new();
-    let mut completed_bytes = 0u64;
-    let mut makespan: Option<SimDuration> = None;
-    for &id in &ids {
-        if let Some(fct) = net.flow_stats(id).fct() {
-            fcts.push(fct.as_secs_f64());
-            completed_bytes += size_bytes;
-            makespan = Some(makespan.map_or(fct, |m| m.max(fct)));
-        }
-    }
-    TransferSummary {
-        flows: ids.len(),
-        completed: fcts.len(),
-        fcts,
-        completed_bytes,
-        makespan,
-    }
-}
-
 /// Measured vs oracle steady-state rates of long-lived flows.
 #[derive(Debug, Clone)]
 pub struct SteadyStateSummary {
@@ -111,6 +84,18 @@ pub struct SteadyStateSummary {
 }
 
 impl SteadyStateSummary {
+    /// The final rates of `exp`'s long-lived List flows (its run's
+    /// `records`) beside the static NUM oracle's allocation for the same
+    /// population on healthy routes. Under a persistent impairment the
+    /// measured rates document the concession; the dedicated `recovery`
+    /// scenario compares against the post-failure oracle.
+    pub fn of(exp: &Experiment, records: &[FlowRecord]) -> Self {
+        SteadyStateSummary {
+            rates_bps: records.iter().map(|r| r.rate_bps).collect(),
+            oracle_bps: exp.oracle_bps(&HashSet::new()),
+        }
+    }
+
     /// Fraction of flows whose measured rate is within `tol` (relative) of
     /// the oracle allocation.
     pub fn fraction_within(&self, tol: f64) -> f64 {
@@ -128,54 +113,6 @@ impl SteadyStateSummary {
         let measured: f64 = self.rates_bps.iter().sum();
         let oracle: f64 = self.oracle_bps.iter().sum();
         measured / oracle.max(1.0)
-    }
-}
-
-/// Start one long-lived flow per pair on a network built with `setup`, run
-/// for `run_for`, and report the measured rates next to the fluid oracle's
-/// allocation for the identical flow population (same routes, proportional
-/// fairness). The oracle is always the *healthy* fluid allocation — under a
-/// persistent impairment the measured rates document the concession, and the
-/// dedicated `recovery` scenario compares against the post-failure oracle.
-pub fn run_steady_state(
-    protocol: &Protocol,
-    topo: Topology,
-    pairs: &[PathSpec],
-    run_for: SimDuration,
-    setup: &RunSetup,
-) -> SteadyStateSummary {
-    let utility = Arc::new(LogUtility::new());
-    let mut net = protocol.build_network_with(topo.clone(), setup);
-    let ids: Vec<_> = pairs
-        .iter()
-        .map(|p| {
-            net.add_flow(
-                p.src,
-                p.dst,
-                None,
-                SimTime::ZERO,
-                p.spine_choice,
-                None,
-                protocol.make_agent(utility.clone()),
-            )
-        })
-        .collect();
-    net.run_until(SimTime::ZERO + run_for);
-    let rates_bps: Vec<f64> = ids.iter().map(|&id| net.flow_rate_estimate(id)).collect();
-
-    let fluid_flows: Vec<_> = pairs
-        .iter()
-        .map(|p| {
-            (
-                topo.host_route(p.src, p.dst, p.spine_choice),
-                utility.clone() as numfabric_num::utility::UtilityRef,
-            )
-        })
-        .collect();
-    let oracle_bps = oracle_rates_bps(&topo, &fluid_flows);
-    SteadyStateSummary {
-        rates_bps,
-        oracle_bps,
     }
 }
 
@@ -320,25 +257,46 @@ pub fn incast(opts: &ScenarioOptions) {
         );
     }
     let deadline = transfer_deadline(fan_in as u64 * size, host_bps);
-    let summary = run_transfers(&protocol, topo, &pairs, size, deadline, &setup);
+    let flows = Flows::List(ListFlow::pairs(&pairs, Some(size)));
+    let exp = Experiment {
+        setup,
+        ..Experiment::new(protocol, topo, flows, deadline)
+    };
+    let expected = format!(
+        "Expected shape: the receiver's access link is the bottleneck, so aggregate goodput\n\
+         approaches its line rate ({:.0} Gbps) and FCTs stack up roughly linearly with fan-in.",
+        host_bps / 1e9
+    );
+    report_transfers("incast", &exp, &topology, seed, json, &expected);
+}
+
+/// Run a finite-transfer List experiment and print its report — one JSON
+/// document with `json`, else the summary table and the `expected` shape —
+/// then exit 1 if any transfer missed the deadline.
+fn report_transfers(
+    scenario: &str,
+    exp: &Experiment,
+    topology: &str,
+    seed: u64,
+    json: bool,
+    expected: &str,
+) {
+    let summary = TransferSummary::of(&run_experiment(exp).flows);
+    let size = exp.list()[0].size_bytes.expect("transfers are finite");
+    let protocol = exp.protocol.name();
     if json {
         println!(
             "{}",
-            transfer_report_json("incast", &topology, protocol.name(), size, seed, &summary)
-                .render()
+            transfer_report_json(scenario, topology, protocol, size, seed, &summary).render()
         );
     } else {
-        print_transfer_summary("incast", &summary);
-        println!(
-            "\nExpected shape: the receiver's access link is the bottleneck, so aggregate goodput\n\
-             approaches its line rate ({:.0} Gbps) and FCTs stack up roughly linearly with fan-in.",
-            host_bps / 1e9
-        );
+        print_transfer_summary(scenario, &summary);
+        println!("\n{expected}");
     }
     exit_if_wedged(
         !summary.all_completed(),
         format!(
-            "incast run wedged: {}/{} transfers unfinished at the deadline",
+            "{scenario} run wedged: {}/{} transfers unfinished at the deadline",
             summary.flows - summary.completed,
             summary.flows
         ),
@@ -380,29 +338,15 @@ pub fn shuffle(opts: &ScenarioOptions) {
     // slower for cross-rack traffic.
     let slowdown = worst_oversubscription(&topo);
     let deadline = transfer_deadline((participants as u64 - 1) * size, host_bps / slowdown);
-    let summary = run_transfers(&protocol, topo, &pairs, size, deadline, &setup);
-    if json {
-        println!(
-            "{}",
-            transfer_report_json("shuffle", &topology, protocol.name(), size, seed, &summary)
-                .render()
-        );
-    } else {
-        print_transfer_summary("shuffle", &summary);
-        println!(
-            "\nExpected shape: on full-bisection fabrics the NICs bound the shuffle; oversubscribed\n\
-             fabrics shift the bottleneck into the spine uplinks and stretch the makespan by ~the\n\
-             oversubscription ratio for cross-rack traffic."
-        );
-    }
-    exit_if_wedged(
-        !summary.all_completed(),
-        format!(
-            "shuffle run wedged: {}/{} transfers unfinished at the deadline",
-            summary.flows - summary.completed,
-            summary.flows
-        ),
-    );
+    let flows = Flows::List(ListFlow::pairs(&pairs, Some(size)));
+    let exp = Experiment {
+        setup,
+        ..Experiment::new(protocol, topo, flows, deadline)
+    };
+    let expected = "Expected shape: on full-bisection fabrics the NICs bound the shuffle; oversubscribed\n\
+                    fabrics shift the bottleneck into the spine uplinks and stretch the makespan by ~the\n\
+                    oversubscription ratio for cross-rack traffic.";
+    report_transfers("shuffle", &exp, &topology, seed, json, expected);
 }
 
 /// The stride-permutation scenario: host `i` sends to host `(i + stride) mod
@@ -435,17 +379,17 @@ pub fn stride(opts: &ScenarioOptions) {
             pairs.len(),
         );
     }
-    let summary = run_steady_state(
-        &protocol,
-        topo,
-        &pairs,
-        SimDuration::from_millis(millis),
-        &setup,
-    );
+    let flows = Flows::List(ListFlow::pairs(&pairs, None));
+    let exp = Experiment {
+        setup,
+        ..Experiment::new(protocol, topo, flows, SimDuration::from_millis(millis))
+    };
+    let summary = SteadyStateSummary::of(&exp, &run_experiment(&exp).flows);
     if json {
+        let protocol = exp.protocol.name();
         println!(
             "{}",
-            steady_state_report_json("stride", &topology, protocol.name(), seed, millis, &summary)
+            steady_state_report_json("stride", &topology, protocol, seed, millis, &summary)
                 .render()
         );
         exit_if_wedged_steady_state(&summary);
@@ -514,15 +458,11 @@ mod tests {
         let pairs = incast_pairs(&topo, 4, 7);
         let protocol = Protocol::NumFabric(NumFabricConfig::default());
         let deadline = transfer_deadline(4 * 200_000, 10e9);
-        let summary = run_transfers(
-            &protocol,
-            topo,
-            &pairs,
-            200_000,
-            deadline,
-            &RunSetup::default(),
-        );
+        let flows = Flows::List(ListFlow::pairs(&pairs, Some(200_000)));
+        let exp = Experiment::new(protocol, topo, flows, deadline);
+        let summary = TransferSummary::of(&run_experiment(&exp).flows);
         assert!(summary.all_completed(), "{summary:?}");
+        assert_eq!(summary.completed_bytes, 4 * 200_000);
         // 4 x 200 kB through one 10 Gbps NIC: goodput within a factor of the
         // line rate once overheads and convergence are accounted for.
         let goodput = summary.aggregate_goodput_bps();
@@ -569,13 +509,9 @@ mod tests {
         let topo = Topology::fat_tree(&FatTreeConfig::new(4));
         let pairs = stride_pairs(&topo, 8, 3);
         let protocol = Protocol::NumFabric(NumFabricConfig::default());
-        let summary = run_steady_state(
-            &protocol,
-            topo,
-            &pairs,
-            SimDuration::from_millis(4),
-            &RunSetup::default(),
-        );
+        let flows = Flows::List(ListFlow::pairs(&pairs, None));
+        let exp = Experiment::new(protocol, topo, flows, SimDuration::from_millis(4));
+        let summary = SteadyStateSummary::of(&exp, &run_experiment(&exp).flows);
         assert_eq!(summary.rates_bps.len(), 16);
         assert_eq!(summary.oracle_bps.len(), 16);
         assert!(summary.rates_bps.iter().all(|&r| r > 0.0));

@@ -4,33 +4,35 @@
 //! The `numfabric-run` binary lists and dispatches all of them by name
 //! through [`registry`], which also enforces each entry's usage string: an
 //! option the string does not declare is refused. Adding a workload means
-//! writing one function here and one [`ScenarioSpec`] entry in [`registry`]
-//! — not a new binary.
+//! an [`Experiment`] plus a formatter here and one [`ScenarioSpec`] entry
+//! in [`registry`] — not a new binary and not a new driver loop. Figures
+//! 8–10 (subflow aggregates, explicit routes on hand-built topologies)
+//! drive their networks directly.
 
-use crate::dynamic::bdp_bytes;
+use crate::experiment::{run_experiment, Experiment, Flows, ListFlow, Objective, Pace};
+use crate::fabric::{cli_error, parse_load_fraction};
 use crate::report::{
-    mean, percentile, print_cdf, print_table, quartiles, times_ms, FIG5_BIN_LABELS,
+    fig5_bin, mean, percentile, print_cdf, print_table, quartiles, times_ms, FIG5_BIN_LABELS,
 };
-use crate::{
-    generate_arrivals, rate_timeseries, run_dynamic, run_semi_dynamic, DynamicRun, Objective,
-    Protocol, SemiDynamicRun,
-};
+use crate::Protocol;
 use numfabric_baselines::{DctcpConfig, DgdConfig, PfabricConfig, RcpStarConfig};
 use numfabric_core::protocol::{install_numfabric, numfabric_network};
 use numfabric_core::{AggregateState, NumFabricAgent, NumFabricConfig};
 use numfabric_num::bandwidth_function::{single_link_allocation, BandwidthFunction};
 use numfabric_num::fluid::{iterations_to_oracle, DgdFluid, RcpStarFluid, XwiFluid};
-use numfabric_num::utility::{AlphaFair, BandwidthFunctionUtility, LogUtility};
+use numfabric_num::utility::{BandwidthFunctionUtility, LogUtility};
 use numfabric_num::{FluidFlow, FluidNetwork, Oracle};
 use numfabric_sim::queue::StfqQueue;
 use numfabric_sim::topology::{LeafSpineConfig, NodeKind, Topology};
 use numfabric_sim::{Network, SimDuration, SimTime};
+use numfabric_workloads::arrivals::{poisson_arrivals, PoissonWorkloadConfig};
+use numfabric_workloads::convergence::{convergence_stats, ConvergenceCriterion};
 use numfabric_workloads::distributions::{EmpiricalCdf, FlowSizeDistribution};
 use numfabric_workloads::registry::{ScenarioOptions, ScenarioRegistry, ScenarioSpec};
-use numfabric_workloads::scenarios::permutation_pairs;
+use numfabric_workloads::scenarios::{permutation_pairs, SemiDynamicConfig, SemiDynamicScenario};
+use numfabric_workloads::TopologySpec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 
 /// The registry of every runnable scenario: the paper's figures and tables
 /// plus the generic semi-dynamic / dynamic drivers.
@@ -142,43 +144,141 @@ pub fn registry() -> ScenarioRegistry {
 }
 
 // ---------------------------------------------------------------------------
+// Shared experiments
+// ---------------------------------------------------------------------------
+
+/// §6.1's semi-dynamic experiment, each event measured to convergence:
+/// `events` 20-flow events over 200 candidate paths on the reduced 32-host
+/// leaf-spine (5 ms warm-up; an event converges once its flows hold within
+/// tolerance for 2 ms, within 12 ms) — or, with `full`, 100-flow events
+/// over 1000 paths on the paper's 128-host fabric (10 ms warm-up, 5 ms
+/// hold, 25 ms wait).
+fn semi_dynamic_experiment(
+    protocol: Protocol,
+    objective: Objective,
+    events: usize,
+    seed: u64,
+    full: bool,
+) -> Experiment {
+    let topo = TopologySpec::LeafSpine.build(full);
+    let (config, criterion, max_wait, warmup) = if full {
+        let config = SemiDynamicConfig {
+            num_events: events,
+            ..SemiDynamicConfig::paper_default(seed)
+        };
+        (config, ConvergenceCriterion::default(), 25, 10)
+    } else {
+        let config = SemiDynamicConfig::scaled(200, 20, events, seed);
+        let hold = SimDuration::from_millis(2);
+        let criterion = ConvergenceCriterion {
+            hold,
+            ..Default::default()
+        };
+        (config, criterion, 12, 5)
+    };
+    let flows = Flows::Events {
+        scenario: SemiDynamicScenario::generate(&topo, &config),
+        warmup: SimDuration::from_millis(warmup),
+        pace: Pace::Converge {
+            criterion,
+            max_wait: SimDuration::from_millis(max_wait),
+        },
+    };
+    Experiment {
+        objective,
+        ..Experiment::new(protocol, topo, flows, SimDuration::ZERO)
+    }
+}
+
+/// The `scheme | converged | median | p95` row of a semi-dynamic run.
+fn convergence_row(scheme: &str, times: &[Option<SimDuration>]) -> Vec<String> {
+    let stats = convergence_stats(times);
+    let us = |d: Option<SimDuration>| {
+        d.map_or_else(|| "-".into(), |d| format!("{:.0} us", d.as_micros_f64()))
+    };
+    vec![
+        scheme.to_string(),
+        format!("{}/{}", stats.converged, stats.total),
+        us(stats.median),
+        us(stats.p95),
+    ]
+}
+
+/// The Poisson List experiment of Figures 5 and 7 and `dynamic`: arrivals
+/// of `dist` at `load` for 20 ms on the reduced 32-host leaf-spine, drained
+/// for 120 ms — or, with `full`, for 50 ms on the paper's 128-host fabric,
+/// drained for 300 ms. ECMP choices are drawn over the spines.
+fn poisson_experiment(
+    protocol: Protocol,
+    objective: Objective,
+    dist: &dyn FlowSizeDistribution,
+    load: f64,
+    seed: u64,
+    full: bool,
+) -> Experiment {
+    let topo = TopologySpec::LeafSpine.build(full);
+    let (window, drain) = if full { (50, 300) } else { (20, 120) };
+    let config = PoissonWorkloadConfig {
+        load,
+        host_link_bps: topo.links()[0].capacity_bps,
+        duration: SimDuration::from_millis(window),
+        seed,
+        num_spines: topo.spines().len(),
+    };
+    let arrivals = poisson_arrivals(topo.hosts(), dist, &config);
+    let flows = Flows::List(arrivals.iter().map(ListFlow::from).collect());
+    let horizon = SimDuration::from_millis(window + drain);
+    Experiment {
+        objective,
+        ..Experiment::new(protocol, topo, flows, horizon)
+    }
+}
+
+/// Parse `--workload` (default `websearch`). Any other value is a usage
+/// error, like a malformed `--protocol`.
+fn workload_from_options(opts: &ScenarioOptions) -> EmpiricalCdf {
+    match opts.value("--workload").unwrap_or("websearch") {
+        "websearch" => EmpiricalCdf::web_search(),
+        "enterprise" => EmpiricalCdf::enterprise(),
+        other => cli_error(format!(
+            "invalid value `{other}` for option `--workload`: expected websearch|enterprise"
+        )),
+    }
+}
+
+/// The bandwidth-delay product of the fabric's host links: 8 propagation
+/// delays of cross-rack base RTT (Fig. 5 uses 20 kB for the paper's
+/// 10 Gbps / 16 µs fabric).
+fn bdp_bytes(topo: &Topology) -> f64 {
+    let host_link = &topo.links()[0];
+    let rtt = 8.0 * host_link.delay.as_secs_f64();
+    host_link.capacity_bps * rtt / 8.0
+}
+
+// ---------------------------------------------------------------------------
 // Figure 4a
 // ---------------------------------------------------------------------------
 
 fn fig4a_packet_level(events: usize, full: bool) {
-    let run = if full {
-        SemiDynamicRun::paper_scale(events, 1)
-    } else {
-        SemiDynamicRun::reduced(events, 1)
+    let protocol = Protocol::NumFabric(NumFabricConfig::default());
+    let pf = Objective::ProportionalFairness;
+    let mut exp = semi_dynamic_experiment(protocol, pf, events, 1, full);
+    let Flows::Events { scenario, .. } = &exp.flows else {
+        unreachable!("a semi-dynamic experiment plays events")
     };
     println!(
-        "Figure 4a (packet level, {} scale): {} events, {} candidate paths\n",
+        "Figure 4a (packet level, {} scale): {events} events, {} candidate paths\n",
         if full { "paper" } else { "reduced" },
-        run.scenario.num_events,
-        run.scenario.num_paths
+        scenario.paths.len()
     );
 
-    let utility = Arc::new(LogUtility::new());
     let mut rows = Vec::new();
     let mut all: Vec<(String, Vec<f64>)> = Vec::new();
     for protocol in Protocol::convergence_contenders() {
-        let result = run_semi_dynamic(&protocol, &run, utility.clone());
-        let ms = times_ms(&result.times);
-        rows.push(vec![
-            result.protocol.clone(),
-            format!("{}/{}", result.stats.converged, result.stats.total),
-            result
-                .stats
-                .median
-                .map(|d| format!("{:.0} us", d.as_micros_f64()))
-                .unwrap_or_else(|| "-".into()),
-            result
-                .stats
-                .p95
-                .map(|d| format!("{:.0} us", d.as_micros_f64()))
-                .unwrap_or_else(|| "-".into()),
-        ]);
-        all.push((result.protocol, ms));
+        exp.protocol = protocol;
+        let times = run_experiment(&exp).convergence;
+        rows.push(convergence_row(exp.protocol.name(), &times));
+        all.push((exp.protocol.name().to_string(), times_ms(&times)));
     }
     print_table(&["scheme", "converged", "median", "p95"], &rows);
     println!();
@@ -296,18 +396,28 @@ fn coefficient_of_variation(series: &[(f64, f64)], from_ms: f64) -> f64 {
 /// Figure 4b/4c: the rate of a typical DCTCP flow vs a typical NUMFabric
 /// flow across several network events, measured with the 80 µs EWMA filter.
 pub fn fig4bc(_opts: &ScenarioOptions) {
-    let run = SemiDynamicRun::reduced(6, 7);
-    let utility = Arc::new(LogUtility::new());
-    let spacing = SimDuration::from_millis(4);
-    let sample = SimDuration::from_micros(50);
+    // One tracked flow sampled every 50 µs while the events play out 4 ms
+    // apart.
+    let protocol = Protocol::Dctcp(DctcpConfig::default());
+    let mut exp = semi_dynamic_experiment(protocol, Objective::ProportionalFairness, 6, 7, false);
+    if let Flows::Events { pace, .. } = &mut exp.flows {
+        *pace = Pace::Every(SimDuration::from_millis(4));
+    }
+    exp.sample_every = Some(SimDuration::from_micros(50));
 
     println!("Figure 4b/4c: rate of one tracked flow across network events\n");
     let mut summaries = Vec::new();
-    for (label, protocol) in [
-        ("DCTCP", Protocol::Dctcp(DctcpConfig::default())),
-        ("NUMFabric", Protocol::NumFabric(NumFabricConfig::default())),
+    for protocol in [
+        Protocol::Dctcp(DctcpConfig::default()),
+        Protocol::NumFabric(NumFabricConfig::default()),
     ] {
-        let series = rate_timeseries(&protocol, &run, utility.clone(), spacing, sample);
+        exp.protocol = protocol;
+        let label = exp.protocol.name();
+        let series: Vec<(f64, f64)> = run_experiment(&exp)
+            .samples
+            .iter()
+            .map(|s| (s.at.as_secs_f64() * 1e3, s.rates_bps[0]))
+            .collect();
         println!("{label} rate time series (time_ms, rate_gbps):");
         let step = (series.len() / 60).max(1);
         for (i, (t, r)) in series.iter().enumerate() {
@@ -337,28 +447,17 @@ pub fn fig4bc(_opts: &ScenarioOptions) {
 /// flow-size bin (in BDPs), for NUMFabric, DGD and RCP* under the dynamic
 /// workloads.
 pub fn fig5(opts: &ScenarioOptions) {
-    let workload = opts.value("--workload").unwrap_or("websearch").to_string();
-    let load = crate::fabric::parse_load_fraction(opts, 0.6);
-    let full = opts.full();
-
-    let dist: Box<dyn FlowSizeDistribution> = match workload.as_str() {
-        "enterprise" => Box::new(EmpiricalCdf::enterprise()),
-        _ => Box::new(EmpiricalCdf::web_search()),
-    };
-
-    let mut run = DynamicRun::reduced(load, 21);
-    if full {
-        run.topology = LeafSpineConfig::paper_default();
-        run.arrival_window = SimDuration::from_millis(50);
-        run.drain = SimDuration::from_millis(300);
-    }
-    let arrivals = generate_arrivals(&run, dist.as_ref());
-    let bdp = bdp_bytes(&run.topology);
+    let dist = workload_from_options(opts);
+    let load = parse_load_fraction(opts, 0.6);
+    let protocol = Protocol::NumFabric(NumFabricConfig::default());
+    let pf = Objective::ProportionalFairness;
+    let mut exp = poisson_experiment(protocol, pf, &dist, load, 21, opts.full());
+    let bdp = bdp_bytes(&exp.topology);
     println!(
         "Figure 5 ({} workload, load {:.0}%): {} flows, BDP = {:.0} kB\n",
         dist.name(),
         load * 100.0,
-        arrivals.len(),
+        exp.list().len(),
         bdp / 1e3
     );
 
@@ -368,20 +467,21 @@ pub fn fig5(opts: &ScenarioOptions) {
         .collect();
     let mut headers = vec!["size (BDPs)"];
 
+    // The Oracle: ideal fluid completion times of the identical arrivals.
+    let ideal_fcts = exp.ideal_fcts();
     for protocol in Protocol::convergence_contenders() {
         headers.push(match protocol.name() {
             "NUMFabric" => "NUMFabric  p25/med/p75",
             "DGD" => "DGD  p25/med/p75",
             _ => "RCP*  p25/med/p75",
         });
-        let results = run_dynamic(&protocol, &run, &arrivals, Objective::ProportionalFairness);
+        exp.protocol = protocol;
+        let records = run_experiment(&exp).flows;
         // Bin by flow size in BDPs.
         let mut bins: Vec<Vec<f64>> = vec![Vec::new(); FIG5_BIN_LABELS.len()];
-        for r in &results {
-            if let (Some(dev), Some(bin)) = (
-                r.rate_deviation(),
-                crate::report::fig5_bin(r.size_in_bdp(bdp)),
-            ) {
+        for (r, &ideal) in records.iter().zip(&ideal_fcts) {
+            let size_bdp = r.size_bytes.expect("Poisson flows are finite") as f64 / bdp;
+            if let (Some(dev), Some(bin)) = (r.rate_deviation(ideal), fig5_bin(size_bdp)) {
                 bins[bin].push(dev);
             }
         }
@@ -392,12 +492,12 @@ pub fn fig5(opts: &ScenarioOptions) {
             };
             rows[bin].push(cell);
         }
-        let finished = results.iter().filter(|r| r.fct.is_some()).count();
+        let finished = records.iter().filter(|r| r.fct.is_some()).count();
         eprintln!(
             "  [{}] {}/{} flows completed",
-            protocol.name(),
+            exp.protocol.name(),
             finished,
-            results.len()
+            records.len()
         );
     }
 
@@ -419,16 +519,14 @@ fn fig6_median_convergence(
     seed: u64,
     events: usize,
 ) -> (String, String) {
-    let run = SemiDynamicRun::reduced(events, seed);
     let protocol = Protocol::NumFabric(config);
-    let result = run_semi_dynamic(&protocol, &run, Arc::new(AlphaFair::new(alpha)));
-    let median = result
-        .stats
+    let exp = semi_dynamic_experiment(protocol, Objective::AlphaFair(alpha), events, seed, false);
+    let stats = convergence_stats(&run_experiment(&exp).convergence);
+    let median = stats
         .median
         .map(|d| format!("{:.0} us", d.as_micros_f64()))
         .unwrap_or_else(|| "did not converge".into());
-    let converged = format!("{}/{}", result.stats.converged, result.stats.total);
-    (median, converged)
+    (median, format!("{}/{}", stats.converged, stats.total))
 }
 
 fn fig6_sweep_dt(events: usize) {
@@ -503,11 +601,14 @@ pub fn fig6(opts: &ScenarioOptions) {
         Some("dt") => fig6_sweep_dt(events),
         Some("interval") => fig6_sweep_interval(events),
         Some("alpha") => fig6_sweep_alpha(events),
-        _ => {
+        None => {
             fig6_sweep_dt(events);
             fig6_sweep_interval(events);
             fig6_sweep_alpha(events);
         }
+        Some(other) => cli_error(format!(
+            "invalid value `{other}` for option `--sweep`: expected dt|interval|alpha"
+        )),
     }
 }
 
@@ -533,21 +634,24 @@ pub fn fig7(opts: &ScenarioOptions) {
 
     let mut rows = Vec::new();
     for &load in &loads {
-        let run = DynamicRun::reduced(load, 31);
-        let arrivals = generate_arrivals(&run, &dist);
-
-        let mut cells = vec![
-            format!("{:.0}%", load * 100.0),
-            format!("{}", arrivals.len()),
-        ];
+        // `--full` adds loads but keeps the reduced 32-host fabric.
+        let protocol = Protocol::NumFabric(nf_config.clone());
+        let fct_min = Objective::FctMinimization;
+        let mut exp = poisson_experiment(protocol, fct_min, &dist, load, 31, false);
+        let flows = exp.list().len();
+        let mut cells = vec![format!("{:.0}%", load * 100.0), format!("{flows}")];
         let mut means = Vec::new();
         for protocol in [
             Protocol::NumFabric(nf_config.clone()),
             Protocol::Pfabric(PfabricConfig::default()),
         ] {
-            let results = run_dynamic(&protocol, &run, &arrivals, Objective::FctMinimization);
-            let normalized: Vec<f64> = results.iter().filter_map(|r| r.normalized_fct()).collect();
-            let unfinished = results.len() - normalized.len();
+            exp.protocol = protocol;
+            let normalized: Vec<f64> = run_experiment(&exp)
+                .flows
+                .iter()
+                .filter_map(|r| r.normalized_fct())
+                .collect();
+            let unfinished = flows - normalized.len();
             let m = mean(&normalized).unwrap_or(f64::NAN);
             means.push(m);
             cells.push(format!("{m:.2}{}", if unfinished > 0 { "*" } else { "" }));
@@ -966,71 +1070,51 @@ pub fn semi_dynamic(opts: &ScenarioOptions) {
     let full = opts.full();
     let events: usize = opts.parsed_or("--events", if full { 100 } else { 8 });
     let seed: u64 = opts.parsed_or("--seed", 1);
-    let run = if full {
-        SemiDynamicRun::paper_scale(events, seed)
-    } else {
-        SemiDynamicRun::reduced(events, seed)
-    };
     let protocol = Protocol::from_options(opts);
+    let exp = semi_dynamic_experiment(
+        protocol,
+        Objective::ProportionalFairness,
+        events,
+        seed,
+        full,
+    );
     println!(
         "Semi-dynamic run: {} on {} events, seed {}, {} scale\n",
-        protocol.name(),
+        exp.protocol.name(),
         events,
         seed,
         if full { "paper" } else { "reduced" }
     );
-    let result = run_semi_dynamic(&protocol, &run, Arc::new(LogUtility::new()));
+    let times = run_experiment(&exp).convergence;
     print_table(
         &["scheme", "converged", "median", "p95"],
-        &[vec![
-            result.protocol.clone(),
-            format!("{}/{}", result.stats.converged, result.stats.total),
-            result
-                .stats
-                .median
-                .map(|d| format!("{:.0} us", d.as_micros_f64()))
-                .unwrap_or_else(|| "-".into()),
-            result
-                .stats
-                .p95
-                .map(|d| format!("{:.0} us", d.as_micros_f64()))
-                .unwrap_or_else(|| "-".into()),
-        ]],
+        &[convergence_row(exp.protocol.name(), &times)],
     );
 }
 
 /// Generic Poisson-arrival dynamic workload for one protocol (pick with
 /// `--protocol`, `--workload`, `--load`).
 pub fn dynamic(opts: &ScenarioOptions) {
-    let load = crate::fabric::parse_load_fraction(opts, 0.6);
+    let load = parse_load_fraction(opts, 0.6);
     let seed: u64 = opts.parsed_or("--seed", 21);
-    let dist: Box<dyn FlowSizeDistribution> = match opts.value("--workload").unwrap_or("websearch")
-    {
-        "enterprise" => Box::new(EmpiricalCdf::enterprise()),
-        _ => Box::new(EmpiricalCdf::web_search()),
-    };
-    let mut run = DynamicRun::reduced(load, seed);
-    if opts.full() {
-        run.topology = LeafSpineConfig::paper_default();
-        run.arrival_window = SimDuration::from_millis(50);
-        run.drain = SimDuration::from_millis(300);
-    }
-    let arrivals = generate_arrivals(&run, dist.as_ref());
+    let dist = workload_from_options(opts);
     let protocol = Protocol::from_options(opts);
+    let pf = Objective::ProportionalFairness;
+    let exp = poisson_experiment(protocol, pf, &dist, load, seed, opts.full());
     println!(
         "Dynamic run: {} on the {} workload at {:.0}% load, {} flows\n",
-        protocol.name(),
+        exp.protocol.name(),
         dist.name(),
         load * 100.0,
-        arrivals.len()
+        exp.list().len()
     );
-    let results = run_dynamic(&protocol, &run, &arrivals, Objective::ProportionalFairness);
-    let normalized: Vec<f64> = results.iter().filter_map(|r| r.normalized_fct()).collect();
-    let finished = results.iter().filter(|r| r.fct.is_some()).count();
+    let records = run_experiment(&exp).flows;
+    let normalized: Vec<f64> = records.iter().filter_map(|r| r.normalized_fct()).collect();
+    let finished = records.iter().filter(|r| r.fct.is_some()).count();
     print_table(
         &["flows", "completed", "mean norm. FCT", "p95 norm. FCT"],
         &[vec![
-            format!("{}", results.len()),
+            format!("{}", records.len()),
             format!("{finished}"),
             format!("{:.2}", mean(&normalized).unwrap_or(f64::NAN)),
             format!("{:.2}", percentile(&normalized, 0.95).unwrap_or(f64::NAN)),
@@ -1080,6 +1164,12 @@ mod tests {
             Protocol::from_options(&ScenarioOptions::default()).name(),
             "NUMFabric"
         );
+    }
+
+    #[test]
+    fn bdp_matches_paper_value() {
+        let bdp = bdp_bytes(&Topology::leaf_spine(&LeafSpineConfig::paper_default()));
+        assert!((bdp - 20_000.0).abs() < 1.0, "bdp = {bdp}");
     }
 
     #[test]

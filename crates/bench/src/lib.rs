@@ -9,17 +9,19 @@
 //! as diagnostics; performance numbers come from the standalone
 //! `benchmark/` package (see its README).
 //!
+//! * [`experiment`] — the one driver: an [`Experiment`] (topology,
+//!   protocol, [`RunSetup`], objective, flows, horizon, rate grid) and
+//!   [`run_experiment`], which every scenario, sweep cell and figure but
+//!   the bespoke Figures 8–10 runs through. Flows are a List (injected up
+//!   front, never retired), a Stream (batched, harvested and recycled) or
+//!   semi-dynamic Events.
 //! * [`protocols`] — build any of the compared schemes (NUMFabric, DGD,
 //!   RCP*, DCTCP, pFabric) on a given topology, and [`RunSetup`]: the
-//!   impairments, impairment seed, partition and thread counts every driver
-//!   applies through the one [`Protocol::build_network_with`].
-//! * [`semi_dynamic`] — the §6.1 controlled convergence experiment
-//!   (Figures 4a, 4b/c and 6).
-//! * [`dynamic`] — Poisson-arrival workloads with Oracle and empty-network
-//!   references (Figures 5 and 7).
-//! * [`churn`] — the production-scale trace-driven churn driver: streaming
-//!   arrivals + flow-slab recycling + fixed-size per-class sketches keep
-//!   peak memory O(concurrent flows) over million-flow horizons.
+//!   impairments, impairment seed, partition and thread counts every
+//!   network is built with through the one [`Protocol::build_network_with`].
+//! * [`churn`] — the production-scale churn scenario: streaming arrivals +
+//!   flow-slab recycling + fixed-size per-class sketches keep peak memory
+//!   O(concurrent flows) over million-flow horizons.
 //! * [`fabric`] — the generalized-fabric scenario family (incast, shuffle,
 //!   stride) runnable on leaf-spine, oversubscribed and fat-tree fabrics,
 //!   with optional `--impair` failure/degradation schedules.
@@ -45,21 +47,21 @@
 #![deny(unsafe_code)]
 
 pub mod churn;
-pub mod dynamic;
+pub mod experiment;
 pub mod fabric;
 pub mod figures;
 pub mod protocols;
 pub mod recovery;
 pub mod report;
-pub mod semi_dynamic;
 pub mod sweep;
 
-pub use churn::{run_churn, ChurnRun};
-pub use dynamic::{generate_arrivals, run_dynamic, DynamicFlowResult, DynamicRun, Objective};
-pub use fabric::{run_steady_state, run_transfers, SteadyStateSummary, TransferSummary};
+pub use churn::churn_flows;
+pub use experiment::{
+    run_experiment, Experiment, FlowRecord, Flows, ListFlow, Objective, Outcome, Pace,
+};
+pub use fabric::{SteadyStateSummary, TransferSummary};
 pub use figures::registry;
 pub use protocols::{Protocol, RunSetup};
-pub use recovery::{run_recovery, RecoveryConfig, RecoveryResult};
+pub use recovery::{recovery_experiment, RecoveryConfig, RecoveryResult};
 pub use report::{churn_report_json, ChurnSummary, ClassStats, QuantileSketch};
-pub use semi_dynamic::{rate_timeseries, run_semi_dynamic, SemiDynamicResult, SemiDynamicRun};
 pub use sweep::{execute_cells, markdown_table, run_cell, sweep_report_json, CellResult};

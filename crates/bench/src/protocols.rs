@@ -114,21 +114,17 @@ impl Protocol {
     }
 
     /// Build a simulator network with this scheme's queue discipline and
-    /// switch-side controllers installed on every link.
-    pub fn build_network(&self, topo: Topology) -> Network {
-        match self {
+    /// switch-side controllers installed on every link, then apply `setup`
+    /// — the one place a driver's network is built, partitioned, threaded,
+    /// seeded and impaired.
+    pub fn build_network_with(&self, topo: Topology, setup: &RunSetup) -> Network {
+        let mut net = match self {
             Protocol::NumFabric(cfg) => numfabric_network(topo, cfg),
             Protocol::Dgd(cfg) => dgd_network(topo, cfg),
             Protocol::RcpStar(cfg) => rcp_star_network(topo, cfg),
             Protocol::Dctcp(cfg) => dctcp_network(topo, cfg),
             Protocol::Pfabric(cfg) => pfabric_network(topo, cfg),
-        }
-    }
-
-    /// [`Protocol::build_network`], then apply `setup` — the one place a
-    /// driver's network is partitioned, threaded, seeded and impaired.
-    pub fn build_network_with(&self, topo: Topology, setup: &RunSetup) -> Network {
-        let mut net = self.build_network(topo);
+        };
         net.set_partitions(setup.partitions);
         net.set_partition_threads(setup.partition_threads);
         net.set_impairment_seed(setup.impairment_seed);
@@ -207,7 +203,7 @@ mod tests {
             Protocol::Pfabric(PfabricConfig::default()),
         ] {
             let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
-            let mut net = protocol.build_network(topo);
+            let mut net = protocol.build_network_with(topo, &RunSetup::default());
             let hosts: Vec<_> = net.topology().hosts().to_vec();
             let util: UtilityRef = Arc::new(LogUtility::new());
             let flow = net.add_flow(

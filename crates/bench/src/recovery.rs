@@ -17,20 +17,33 @@
 //! routes, ties to the lowest link id — so a `recovery` run is a pure
 //! function of its options, like every other scenario.
 
+use crate::experiment::{run_experiment, Experiment, Flows, ListFlow, Outcome};
 use crate::fabric::{cli_error, exit_if_wedged};
 use crate::protocols::{Protocol, RunSetup};
 use crate::report::{print_table, Json};
-use numfabric_num::utility::{LogUtility, UtilityRef};
 use numfabric_sim::topology::{LinkId, Topology};
 use numfabric_sim::{SimDuration, SimTime};
-use numfabric_workloads::convergence::oracle_rates_bps;
 use numfabric_workloads::impairments::{fabric_cables, ImpairmentSchedule};
 use numfabric_workloads::registry::ScenarioOptions;
 use numfabric_workloads::scenarios::{stride_pairs, PathSpec};
 use numfabric_workloads::TopologySpec;
-use std::sync::Arc;
+use std::collections::HashSet;
 
-/// How the recovery run is sampled and judged.
+/// Rate-sampling period.
+const SAMPLE_EVERY: SimDuration = SimDuration::from_micros(25);
+
+/// Relative tolerance a flow must be within of its oracle rate.
+const TOLERANCE: f64 = 0.20;
+
+/// Fraction of flows that must be within tolerance to count as converged.
+const QUORUM: f64 = 0.75;
+
+/// Minimum number of samples the quorum must cover. Reconvergence has
+/// settling-time semantics: the quorum must hold from the reported instant
+/// through the end of the regime, and for at least this many samples.
+const SUSTAIN: usize = 3;
+
+/// When the cable fails and comes back, and how long the run lasts.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryConfig {
     /// When the victim cable goes down.
@@ -39,32 +52,15 @@ pub struct RecoveryConfig {
     pub restore_at: Option<SimTime>,
     /// Total simulated time.
     pub run_for: SimDuration,
-    /// Rate-sampling period.
-    pub sample_every: SimDuration,
-    /// Relative tolerance a flow must be within of its oracle rate.
-    pub tolerance: f64,
-    /// Fraction of flows that must be within tolerance to count as
-    /// converged.
-    pub quorum: f64,
-    /// Minimum number of samples the quorum must cover. Reconvergence has
-    /// settling-time semantics: the quorum must hold from the reported
-    /// instant through the end of the regime, and for at least this many
-    /// samples.
-    pub sustain: usize,
 }
 
 impl Default for RecoveryConfig {
-    /// Fail at 1.5 ms, no restore, 6 ms run, 25 µs samples; converged =
-    /// 75% of flows within 20% of the oracle for 3 consecutive samples.
+    /// Fail at 1.5 ms, no restore, 6 ms run.
     fn default() -> Self {
         Self {
             fail_at: SimTime::from_micros(1_500),
             restore_at: None,
             run_for: SimDuration::from_millis(6),
-            sample_every: SimDuration::from_micros(25),
-            tolerance: 0.20,
-            quorum: 0.75,
-            sustain: 3,
         }
     }
 }
@@ -124,152 +120,107 @@ pub fn busiest_cable(topo: &Topology, pairs: &[PathSpec]) -> (LinkId, LinkId) {
         .expect("topology has no fabric cables")
 }
 
-/// Oracle rates for the current regime: healthy routes, or the surviving
-/// ECMP re-selection while `down` is non-empty. Flows partitioned by the
-/// failure (no surviving route) get an oracle rate of zero — they cannot
-/// make progress, and counting them against convergence would let a
-/// partition masquerade as slow recovery.
-fn regime_oracle(
-    topo: &Topology,
-    pairs: &[PathSpec],
-    utility: &Arc<LogUtility>,
-    down: &std::collections::HashSet<LinkId>,
-) -> Vec<f64> {
-    let mut routed = Vec::new();
-    let mut slots = Vec::new();
-    for p in pairs {
-        let route = if down.is_empty() {
-            Some(topo.host_route(p.src, p.dst, p.spine_choice))
-        } else {
-            topo.host_route_avoiding(p.src, p.dst, p.spine_choice, down)
-        };
-        slots.push(route.is_some());
-        if let Some(route) = route {
-            routed.push((route, utility.clone() as UtilityRef));
-        }
-    }
-    let mut solved = oracle_rates_bps(topo, &routed).into_iter();
-    slots
-        .into_iter()
-        .map(|has_route| {
-            if has_route {
-                solved.next().expect("oracle rate per routed flow")
-            } else {
-                0.0
-            }
-        })
-        .collect()
-}
-
-/// Fraction of flows whose measured rate is within `tol` of the oracle.
-/// A zero-oracle (partitioned) flow counts as within tolerance only when it
-/// is actually stalled.
-fn fraction_within(rates: &[f64], oracle: &[f64], tol: f64) -> f64 {
+/// Fraction of flows whose measured rate is within [`TOLERANCE`] of the
+/// oracle. A zero-oracle (partitioned) flow counts as within tolerance only
+/// when it is actually stalled.
+fn fraction_within(rates: &[f64], oracle: &[f64]) -> f64 {
     let ok = rates
         .iter()
         .zip(oracle)
-        .filter(|(&r, &o)| (r - o).abs() <= tol * o.max(1.0))
+        .filter(|(&r, &o)| (r - o).abs() <= TOLERANCE * o.max(1.0))
         .count();
     ok as f64 / rates.len().max(1) as f64
 }
 
-/// Run the recovery experiment for one protocol and measure its
-/// time-to-reconverge. The cable cut is scheduled on top of whatever `setup`
-/// already impairs; a cut is deterministic, so the result is bit-identical
-/// for every partition and thread count in `setup`.
-pub fn run_recovery(
-    protocol: &Protocol,
+/// The recovery experiment for `protocol`: one long-lived flow per pair,
+/// rates sampled every 25 µs, and the busiest cable cut (both directions)
+/// at `config.fail_at` on top of whatever `setup` already impairs. A cut is
+/// deterministic, so the run is bit-identical for every partition and
+/// thread count in `setup`.
+pub fn recovery_experiment(
+    protocol: Protocol,
     topo: Topology,
     pairs: &[PathSpec],
     config: &RecoveryConfig,
-    setup: &RunSetup,
-) -> RecoveryResult {
-    let (victim_forward, victim_reverse) = busiest_cable(&topo, pairs);
-    let schedule =
-        ImpairmentSchedule::cable_cut(&topo, victim_forward, config.fail_at, config.restore_at);
-    let utility = Arc::new(LogUtility::new());
-    let healthy_oracle = regime_oracle(&topo, pairs, &utility, &Default::default());
-    let failed_oracle = regime_oracle(
-        &topo,
-        pairs,
-        &utility,
-        &[victim_forward, victim_reverse].into_iter().collect(),
-    );
-
-    let mut net = protocol.build_network_with(topo, setup);
-    schedule.apply(&mut net);
-    let ids: Vec<_> = pairs
-        .iter()
-        .map(|p| {
-            net.add_flow(
-                p.src,
-                p.dst,
-                None,
-                SimTime::ZERO,
-                p.spine_choice,
-                None,
-                protocol.make_agent(utility.clone()),
-            )
-        })
-        .collect();
-
-    let end = SimTime::ZERO + config.run_for;
-    let mut samples = Vec::new();
-    let mut t = SimTime::ZERO + config.sample_every;
-    let mut final_rates = vec![0.0; ids.len()];
-    while t <= end {
-        net.run_until(t);
-        let rates: Vec<f64> = ids.iter().map(|&id| net.flow_rate_estimate(id)).collect();
-        let cable_down = t >= config.fail_at && config.restore_at.is_none_or(|restore| t < restore);
-        let oracle = if cable_down {
-            &failed_oracle
-        } else {
-            &healthy_oracle
-        };
-        samples.push(RecoverySample {
-            at: t,
-            fraction_within: fraction_within(&rates, oracle, config.tolerance),
-        });
-        final_rates = rates;
-        t += config.sample_every;
+    mut setup: RunSetup,
+) -> Experiment {
+    let (victim, _) = busiest_cable(&topo, pairs);
+    let cut = ImpairmentSchedule::cable_cut(&topo, victim, config.fail_at, config.restore_at);
+    setup.impairments.events.extend(cut.events);
+    let flows = Flows::List(ListFlow::pairs(pairs, None));
+    Experiment {
+        setup,
+        sample_every: Some(SAMPLE_EVERY),
+        ..Experiment::new(protocol, topo, flows, config.run_for)
     }
+}
 
-    // Time-to-reconverge, with settling-time semantics: the quorum must
-    // hold from the reported sample all the way to the END of the regime
-    // (and cover at least `sustain` samples). Any-window detection would
-    // be fooled by the first instants after a failure, when the rate
-    // EWMAs still show the pre-failure allocation and can transiently
-    // agree with the new regime's oracle before the queues even react.
-    let reconverged_at = |from: SimTime, until: Option<SimTime>| -> Option<SimDuration> {
-        let window: Vec<&RecoverySample> = samples
+impl RecoveryResult {
+    /// Judge a [`recovery_experiment`]'s rate samples against the oracle of
+    /// the regime active at each sample: the healthy allocation before the
+    /// failure and after the restore, the allocation over the surviving
+    /// routes while the cable is down.
+    pub fn judge(exp: &Experiment, outcome: &Outcome, config: &RecoveryConfig) -> Self {
+        let pairs: Vec<PathSpec> = exp.list().iter().map(|f| f.path).collect();
+        let (victim_forward, victim_reverse) = busiest_cable(&exp.topology, &pairs);
+        let healthy_oracle = exp.oracle_bps(&HashSet::new());
+        let failed_oracle = exp.oracle_bps(&HashSet::from([victim_forward, victim_reverse]));
+        let cable_down =
+            |t: SimTime| t >= config.fail_at && config.restore_at.is_none_or(|restore| t < restore);
+        let samples: Vec<RecoverySample> = outcome
+            .samples
             .iter()
-            .filter(|s| s.at >= from && until.is_none_or(|u| s.at < u))
+            .map(|s| {
+                let oracle = if cable_down(s.at) {
+                    &failed_oracle
+                } else {
+                    &healthy_oracle
+                };
+                RecoverySample {
+                    at: s.at,
+                    fraction_within: fraction_within(&s.rates_bps, oracle),
+                }
+            })
             .collect();
-        let holds_from = window
-            .iter()
-            .rposition(|s| s.fraction_within < config.quorum)
-            .map_or(0, |i| i + 1);
-        (window.len() - holds_from >= config.sustain.max(1)).then(|| window[holds_from].at - from)
-    };
-    let reconverge_after_failure = reconverged_at(config.fail_at, config.restore_at);
-    let reconverge_after_restore = config.restore_at.and_then(|r| reconverged_at(r, None));
 
-    let final_oracle = if config.restore_at.is_some() {
-        &healthy_oracle
-    } else {
-        &failed_oracle
-    };
-    let oracle_total: f64 = final_oracle.iter().sum();
-    RecoveryResult {
-        protocol: protocol.name().to_string(),
-        flows: ids.len(),
-        victim_forward,
-        victim_reverse,
-        reconverge_after_failure,
-        reconverge_after_restore,
-        final_fraction_within: samples.last().map_or(0.0, |s| s.fraction_within),
-        final_throughput_ratio: final_rates.iter().sum::<f64>() / oracle_total.max(1.0),
-        samples,
+        // Time-to-reconverge, with settling-time semantics: the quorum must
+        // hold from the reported sample all the way to the END of the regime
+        // (and cover at least `SUSTAIN` samples). Any-window detection would
+        // be fooled by the first instants after a failure, when the rate
+        // EWMAs still show the pre-failure allocation and can transiently
+        // agree with the new regime's oracle before the queues even react.
+        let reconverged_at = |from: SimTime, until: Option<SimTime>| -> Option<SimDuration> {
+            let window: Vec<&RecoverySample> = samples
+                .iter()
+                .filter(|s| s.at >= from && until.is_none_or(|u| s.at < u))
+                .collect();
+            let holds_from = window
+                .iter()
+                .rposition(|s| s.fraction_within < QUORUM)
+                .map_or(0, |i| i + 1);
+            (window.len() - holds_from >= SUSTAIN).then(|| window[holds_from].at - from)
+        };
+        let final_oracle = if config.restore_at.is_some() {
+            &healthy_oracle
+        } else {
+            &failed_oracle
+        };
+        let final_total: f64 = outcome
+            .samples
+            .last()
+            .map_or(0.0, |s| s.rates_bps.iter().sum());
+        let oracle_total: f64 = final_oracle.iter().sum();
+        RecoveryResult {
+            protocol: exp.protocol.name().to_string(),
+            flows: pairs.len(),
+            victim_forward,
+            victim_reverse,
+            reconverge_after_failure: reconverged_at(config.fail_at, config.restore_at),
+            reconverge_after_restore: config.restore_at.and_then(|r| reconverged_at(r, None)),
+            final_fraction_within: samples.last().map_or(0.0, |s| s.fraction_within),
+            final_throughput_ratio: final_total / oracle_total.max(1.0),
+            samples,
+        }
     }
 }
 
@@ -368,11 +319,9 @@ pub fn recovery(opts: &ScenarioOptions) {
         fail_at: SimTime::from_micros(fail_us),
         restore_at: restore_us.map(SimTime::from_micros),
         run_for: SimDuration::from_millis(millis),
-        ..RecoveryConfig::default()
     };
     let setup = RunSetup::from_options(opts, &topo, seed);
-    if config.fail_at + config.sample_every * config.sustain as u64 > SimTime::ZERO + config.run_for
-    {
+    if config.fail_at + SAMPLE_EVERY * SUSTAIN as u64 > SimTime::ZERO + config.run_for {
         cli_error(format!(
             "--fail-us {fail_us} leaves no room to observe recovery in a {millis} ms run"
         ));
@@ -389,8 +338,11 @@ pub fn recovery(opts: &ScenarioOptions) {
         );
     }
     let results: Vec<RecoveryResult> = protocols
-        .iter()
-        .map(|p| run_recovery(p, topo.clone(), &pairs, &config, &setup))
+        .into_iter()
+        .map(|p| {
+            let exp = recovery_experiment(p, topo.clone(), &pairs, &config, setup.clone());
+            RecoveryResult::judge(&exp, &run_experiment(&exp), &config)
+        })
         .collect();
 
     if json {
@@ -465,6 +417,14 @@ mod tests {
         (topo, pairs)
     }
 
+    /// The NUMFabric recovery run under `config`, judged.
+    fn recover(config: &RecoveryConfig) -> RecoveryResult {
+        let (topo, pairs) = setup();
+        let protocol = Protocol::NumFabric(NumFabricConfig::default());
+        let exp = recovery_experiment(protocol, topo, &pairs, config, RunSetup::default());
+        RecoveryResult::judge(&exp, &run_experiment(&exp), config)
+    }
+
     #[test]
     fn busiest_cable_is_deterministic_and_switch_to_switch() {
         let (topo, pairs) = setup();
@@ -478,14 +438,11 @@ mod tests {
 
     #[test]
     fn numfabric_reconverges_after_a_cable_cut() {
-        let (topo, pairs) = setup();
-        let protocol = Protocol::NumFabric(NumFabricConfig::default());
-        let config = RecoveryConfig {
+        let result = recover(&RecoveryConfig {
             fail_at: SimTime::from_micros(1_500),
             run_for: SimDuration::from_millis(5),
             ..RecoveryConfig::default()
-        };
-        let result = run_recovery(&protocol, topo, &pairs, &config, &RunSetup::default());
+        });
         assert_eq!(result.flows, 16);
         let reconverge = result
             .reconverge_after_failure
@@ -499,35 +456,22 @@ mod tests {
 
     #[test]
     fn restoration_reconverges_back_onto_the_healthy_oracle() {
-        let (topo, pairs) = setup();
-        let protocol = Protocol::NumFabric(NumFabricConfig::default());
-        let config = RecoveryConfig {
+        let result = recover(&RecoveryConfig {
             fail_at: SimTime::from_micros(1_000),
             restore_at: Some(SimTime::from_micros(2_500)),
             run_for: SimDuration::from_millis(6),
-            ..RecoveryConfig::default()
-        };
-        let result = run_recovery(&protocol, topo, &pairs, &config, &RunSetup::default());
+        });
         assert!(result.reconverge_after_restore.is_some());
         assert!(result.final_fraction_within >= 0.75);
     }
 
     #[test]
     fn recovery_runs_are_replay_identical() {
-        let (topo, pairs) = setup();
-        let protocol = Protocol::NumFabric(NumFabricConfig::default());
         let config = RecoveryConfig {
             run_for: SimDuration::from_millis(3),
             ..RecoveryConfig::default()
         };
-        let a = run_recovery(
-            &protocol,
-            topo.clone(),
-            &pairs,
-            &config,
-            &RunSetup::default(),
-        );
-        let b = run_recovery(&protocol, topo, &pairs, &config, &RunSetup::default());
+        let (a, b) = (recover(&config), recover(&config));
         assert_eq!(a.victim_forward, b.victim_forward);
         assert_eq!(a.samples.len(), b.samples.len());
         for (sa, sb) in a.samples.iter().zip(&b.samples) {

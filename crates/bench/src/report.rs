@@ -307,7 +307,7 @@ impl ClassStats {
 /// high-water marks, and the per-class accumulators. Deliberately carries
 /// no wall-clock measurement — the report must be a pure function of the
 /// configuration so the determinism matrix can compare raw bytes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChurnSummary {
     /// Flows offered by the arrival trace within the horizon.
     pub offered: u64,

@@ -15,16 +15,16 @@
 //! stuck on an expensive cell (a 240-flow shuffle next to an 8-flow incast)
 //! never strands the cells behind it.
 
-use crate::churn::{run_churn, ChurnRun};
+use crate::churn::churn_flows;
+use crate::experiment::{run_experiment, Experiment, Flows, ListFlow};
 use crate::fabric::{
-    cli_error, run_steady_state, run_transfers, transfer_deadline, worst_oversubscription,
-    SteadyStateSummary, TransferSummary,
+    cli_error, transfer_deadline, worst_oversubscription, SteadyStateSummary, TransferSummary,
 };
 use crate::protocols::{Protocol, RunSetup};
 use crate::report::{mean, percentile, ChurnSummary, Json};
 use numfabric_sim::SimDuration;
 use numfabric_workloads::registry::ScenarioOptions;
-use numfabric_workloads::scenarios::{incast_pairs, shuffle_pairs, stride_pairs};
+use numfabric_workloads::scenarios::{incast_pairs, shuffle_pairs, stride_pairs, PathSpec};
 use numfabric_workloads::sweep::{SweepCell, SweepScenario, SweepSpec};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -139,19 +139,15 @@ pub fn run_cell(cell: &SweepCell, setup: &RunSetup) -> Result<CellResult, String
     let topo = cell.topology.build(false);
     let hosts = topo.hosts().len();
     let host_bps = topo.links()[0].capacity_bps;
-    let impaired_over = |window: SimDuration| RunSetup {
-        impairments: cell.impairment.schedule(&topo, cell.seed, window),
-        impairment_seed: cell.seed,
-        ..setup.clone()
-    };
-    Ok(match cell.scenario {
+    let transfers = |pairs: &[PathSpec]| Flows::List(ListFlow::pairs(pairs, Some(cell.size_bytes)));
+    // The workload, its horizon, and the window the impairment profile
+    // spans (a churn cell's arrivals, every other cell's whole run).
+    let (flows, horizon, impaired_window) = match cell.scenario {
         SweepScenario::Incast => {
             let fan_in = ((cell.load * (hosts - 1) as f64).round() as usize).clamp(1, hosts - 1);
             let pairs = incast_pairs(&topo, fan_in, cell.seed);
             let deadline = transfer_deadline(fan_in as u64 * cell.size_bytes, host_bps);
-            let setup = impaired_over(deadline);
-            let summary = run_transfers(&protocol, topo, &pairs, cell.size_bytes, deadline, &setup);
-            CellResult::from_transfers(cell.clone(), &summary)
+            (transfers(&pairs), deadline, deadline)
         }
         SweepScenario::Shuffle => {
             let participants = ((cell.load * hosts as f64).round() as usize).clamp(2, hosts);
@@ -161,29 +157,37 @@ pub fn run_cell(cell: &SweepCell, setup: &RunSetup) -> Result<CellResult, String
                 (participants as u64 - 1) * cell.size_bytes,
                 host_bps / slowdown,
             );
-            let setup = impaired_over(deadline);
-            let summary = run_transfers(&protocol, topo, &pairs, cell.size_bytes, deadline, &setup);
-            CellResult::from_transfers(cell.clone(), &summary)
+            (transfers(&pairs), deadline, deadline)
         }
         SweepScenario::Stride => {
             let pairs = stride_pairs(&topo, hosts / 2, cell.seed);
-            let setup = impaired_over(STEADY_STATE_RUN);
-            let summary = run_steady_state(&protocol, topo, &pairs, STEADY_STATE_RUN, &setup);
-            CellResult::from_steady_state(cell.clone(), &summary)
+            let flows = Flows::List(ListFlow::pairs(&pairs, None));
+            (flows, STEADY_STATE_RUN, STEADY_STATE_RUN)
         }
         SweepScenario::Churn => {
-            let run = ChurnRun {
-                topology: cell.topology,
-                full: false,
-                load: cell.load,
-                fg_share: 0.25,
-                arrival_window: CHURN_WINDOW,
-                drain: CHURN_DRAIN,
-                seed: cell.seed,
-            };
-            let summary = run_churn(&protocol, &run, &impaired_over(CHURN_WINDOW));
-            CellResult::from_churn(cell.clone(), &summary)
+            let flows = churn_flows(&topo, cell.load, 0.25, CHURN_WINDOW, cell.seed);
+            (flows, CHURN_WINDOW + CHURN_DRAIN, CHURN_WINDOW)
         }
+    };
+    let setup = RunSetup {
+        impairments: cell.impairment.schedule(&topo, cell.seed, impaired_window),
+        impairment_seed: cell.seed,
+        ..setup.clone()
+    };
+    let exp = Experiment {
+        setup,
+        ..Experiment::new(protocol, topo, flows, horizon)
+    };
+    let outcome = run_experiment(&exp);
+    let cell = cell.clone();
+    Ok(match cell.scenario {
+        SweepScenario::Incast | SweepScenario::Shuffle => {
+            CellResult::from_transfers(cell, &TransferSummary::of(&outcome.flows))
+        }
+        SweepScenario::Stride => {
+            CellResult::from_steady_state(cell, &SteadyStateSummary::of(&exp, &outcome.flows))
+        }
+        SweepScenario::Churn => CellResult::from_churn(cell, &outcome.churn),
     })
 }
 

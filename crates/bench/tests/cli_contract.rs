@@ -50,6 +50,20 @@ fn unknown_options_exit_two_and_name_the_option() {
 }
 
 #[test]
+fn unknown_option_values_exit_two_and_name_the_accepted_ones() {
+    for scenario in ["fig5", "dynamic"] {
+        assert_usage_error(
+            &[scenario, "--workload", "bogus"],
+            "invalid value `bogus` for option `--workload`: expected websearch|enterprise",
+        );
+    }
+    assert_usage_error(
+        &["fig6", "--sweep", "bogus"],
+        "invalid value `bogus` for option `--sweep`: expected dt|interval|alpha",
+    );
+}
+
+#[test]
 fn sweep_still_points_singular_axes_at_the_plural() {
     assert_usage_error(&["sweep", "--topology", "fat-tree:k=4"], "--topologies");
     assert_usage_error(&["sweep", "--impair", "flap"], "--impairments");

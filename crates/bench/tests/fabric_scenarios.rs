@@ -14,10 +14,12 @@
 //!    waits that remain, so the old ~25% reverse-path concession is gone.
 
 use numfabric_baselines::DctcpConfig;
-use numfabric_bench::{run_steady_state, run_transfers, Protocol, RunSetup};
+use numfabric_bench::{
+    run_experiment, Experiment, Flows, ListFlow, Protocol, SteadyStateSummary, TransferSummary,
+};
 use numfabric_core::NumFabricConfig;
-use numfabric_sim::SimDuration;
-use numfabric_workloads::scenarios::{incast_pairs, shuffle_pairs, stride_pairs};
+use numfabric_sim::{SimDuration, Topology};
+use numfabric_workloads::scenarios::{incast_pairs, shuffle_pairs, stride_pairs, PathSpec};
 use numfabric_workloads::TopologySpec;
 
 fn fabrics() -> Vec<TopologySpec> {
@@ -25,6 +27,21 @@ fn fabrics() -> Vec<TopologySpec> {
         TopologySpec::FatTree { k: 4 },
         TopologySpec::Oversubscribed { ratio: 4.0 },
     ]
+}
+
+/// One `size`-byte transfer per pair, run for 40 ms.
+fn transfers(protocol: Protocol, topo: Topology, pairs: &[PathSpec], size: u64) -> TransferSummary {
+    let flows = Flows::List(ListFlow::pairs(pairs, Some(size)));
+    let exp = Experiment::new(protocol, topo, flows, SimDuration::from_millis(40));
+    TransferSummary::of(&run_experiment(&exp).flows)
+}
+
+/// One long-lived NUMFabric flow per pair, run for `millis`.
+fn steady_state(topo: Topology, pairs: &[PathSpec], millis: u64) -> SteadyStateSummary {
+    let protocol = Protocol::NumFabric(NumFabricConfig::default());
+    let flows = Flows::List(ListFlow::pairs(pairs, None));
+    let exp = Experiment::new(protocol, topo, flows, SimDuration::from_millis(millis));
+    SteadyStateSummary::of(&exp, &run_experiment(&exp).flows)
 }
 
 fn protocols() -> Vec<Protocol> {
@@ -40,26 +57,18 @@ fn incast_completes_under_xwi_and_dctcp_on_both_fabrics() {
         for protocol in protocols() {
             let topo = spec.build(false);
             let pairs = incast_pairs(&topo, 4, 7);
-            let summary = run_transfers(
-                &protocol,
-                topo,
-                &pairs,
-                100_000,
-                SimDuration::from_millis(40),
-                &RunSetup::default(),
-            );
+            let name = protocol.name();
+            let summary = transfers(protocol, topo, &pairs, 100_000);
             assert!(
                 summary.all_completed(),
-                "{} on {spec}: {}/{} incast transfers completed",
-                protocol.name(),
+                "{name} on {spec}: {}/{} incast transfers completed",
                 summary.completed,
                 summary.flows
             );
             let goodput = summary.aggregate_goodput_bps();
             assert!(
                 goodput > 1e9,
-                "{} on {spec}: goodput {goodput:.3e} bps implausibly low",
-                protocol.name()
+                "{name} on {spec}: goodput {goodput:.3e} bps implausibly low"
             );
         }
     }
@@ -72,18 +81,11 @@ fn shuffle_completes_under_xwi_and_dctcp_on_both_fabrics() {
             let topo = spec.build(false);
             let pairs = shuffle_pairs(&topo, Some(4), 3);
             assert_eq!(pairs.len(), 12);
-            let summary = run_transfers(
-                &protocol,
-                topo,
-                &pairs,
-                50_000,
-                SimDuration::from_millis(40),
-                &RunSetup::default(),
-            );
+            let name = protocol.name();
+            let summary = transfers(protocol, topo, &pairs, 50_000);
             assert!(
                 summary.all_completed(),
-                "{} on {spec}: {}/{} shuffle transfers completed",
-                protocol.name(),
+                "{name} on {spec}: {}/{} shuffle transfers completed",
                 summary.completed,
                 summary.flows
             );
@@ -100,14 +102,7 @@ fn shuffle_completes_under_xwi_and_dctcp_on_both_fabrics() {
 fn fat_tree_incast_steady_state_matches_fluid_oracle() {
     let topo = TopologySpec::FatTree { k: 4 }.build(false);
     let pairs = incast_pairs(&topo, 8, 5);
-    let protocol = Protocol::NumFabric(NumFabricConfig::default());
-    let summary = run_steady_state(
-        &protocol,
-        topo,
-        &pairs,
-        SimDuration::from_millis(10),
-        &RunSetup::default(),
-    );
+    let summary = steady_state(topo, &pairs, 10);
     // Oracle: the receiver NIC (10 Gbps) split 8 ways.
     for &o in &summary.oracle_bps {
         assert!((o - 1.25e9).abs() < 1e7, "oracle rate {o}");
@@ -130,14 +125,7 @@ fn fat_tree_incast_steady_state_matches_fluid_oracle() {
 fn fat_tree_stride_steady_state_matches_fluid_oracle() {
     let topo = TopologySpec::FatTree { k: 4 }.build(false);
     let pairs = stride_pairs(&topo, 4, 2);
-    let protocol = Protocol::NumFabric(NumFabricConfig::default());
-    let summary = run_steady_state(
-        &protocol,
-        topo,
-        &pairs,
-        SimDuration::from_millis(10),
-        &RunSetup::default(),
-    );
+    let summary = steady_state(topo, &pairs, 10);
     assert!(
         summary.fraction_within(0.10) >= 0.9,
         "only {:.0}% of flows within 10%: rates {:?} vs oracle {:?}",
@@ -160,14 +148,7 @@ fn fat_tree_stride_steady_state_matches_fluid_oracle() {
 fn fat_tree_bidirectional_stride_stays_within_documented_tolerance() {
     let topo = TopologySpec::FatTree { k: 4 }.build(false);
     let pairs = stride_pairs(&topo, 8, 1);
-    let protocol = Protocol::NumFabric(NumFabricConfig::default());
-    let summary = run_steady_state(
-        &protocol,
-        topo,
-        &pairs,
-        SimDuration::from_millis(10),
-        &RunSetup::default(),
-    );
+    let summary = steady_state(topo, &pairs, 10);
     for (i, (&r, &o)) in summary
         .rates_bps
         .iter()
@@ -198,14 +179,7 @@ fn oversubscribed_stride_steady_state_matches_fluid_oracle() {
     let topo = TopologySpec::Oversubscribed { ratio: 4.0 }.build(false);
     // Stride of 8 pushes every flow across racks (8 hosts per leaf).
     let pairs = stride_pairs(&topo, 8, 2);
-    let protocol = Protocol::NumFabric(NumFabricConfig::default());
-    let summary = run_steady_state(
-        &protocol,
-        topo,
-        &pairs,
-        SimDuration::from_millis(12),
-        &RunSetup::default(),
-    );
+    let summary = steady_state(topo, &pairs, 12);
     // Aggregate demand 32 x 10G onto 8 x 10G of uplink capacity: the oracle
     // must allocate roughly a quarter of the NIC rate per flow.
     let oracle_mean = summary.oracle_bps.iter().sum::<f64>() / summary.oracle_bps.len() as f64;

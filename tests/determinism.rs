@@ -588,29 +588,25 @@ fn pfabric_worst_drop_replay_is_bit_identical() {
 /// combination. Everything observable — per-class sketches, slab
 /// high-water, goodput — is folded into the rendered bytes.
 fn churn_engine_report(seed: u64, partitions: usize, partition_threads: usize) -> String {
-    use numfabric_bench::{churn_report_json, run_churn, ChurnRun, Protocol, RunSetup};
+    use numfabric::workloads::TopologySpec;
+    use numfabric_bench::{
+        churn_flows, churn_report_json, run_experiment, Experiment, Protocol, RunSetup,
+    };
+    let topo = TopologySpec::LeafSpine.build(false);
+    let window = SimDuration::from_millis(6);
+    let flows = churn_flows(&topo, 0.6, 0.25, window, seed);
     let protocol = Protocol::NumFabric(NumFabricConfig::default());
-    let run = ChurnRun {
-        arrival_window: SimDuration::from_millis(6),
-        drain: SimDuration::from_millis(40),
-        ..ChurnRun::reduced(0.6, seed)
+    let exp = Experiment {
+        setup: RunSetup {
+            partitions,
+            partition_threads,
+            ..RunSetup::default()
+        },
+        ..Experiment::new(protocol, topo, flows, window + SimDuration::from_millis(40))
     };
-    let setup = RunSetup {
-        partitions,
-        partition_threads,
-        ..RunSetup::default()
-    };
-    let summary = run_churn(&protocol, &run, &setup);
+    let summary = run_experiment(&exp).churn;
     assert!(summary.completed > 0, "churn run completed no flows");
-    churn_report_json(
-        &run.topology.to_string(),
-        protocol.name(),
-        run.load,
-        6,
-        seed,
-        &summary,
-    )
-    .render()
+    churn_report_json("leaf-spine", exp.protocol.name(), 0.6, 6, seed, &summary).render()
 }
 
 #[test]
