@@ -357,6 +357,9 @@ pub fn stride(opts: &ScenarioOptions) {
     let spec = spec_from_options(opts);
     let seed: u64 = opts.parsed_or("--seed", 1);
     let millis: u64 = opts.parsed_or("--millis", 8);
+    if millis == 0 {
+        cli_error("--millis must be at least 1");
+    }
     let json = opts.flag("--json");
     let protocol = Protocol::from_options(opts);
     let topo = spec.build(opts.full());

@@ -371,7 +371,7 @@ fn fig4a_fluid_level(instances: usize) {
 /// reports fluid-model iteration counts on random instances.
 pub fn fig4a(opts: &ScenarioOptions) {
     let full = opts.full();
-    let events: usize = opts.parsed_or("--events", if full { 100 } else { 8 });
+    let events = events_option(opts, if full { 100 } else { 8 });
     fig4a_packet_level(events, full);
     if opts.flag("--fluid") {
         fig4a_fluid_level(20);
@@ -593,10 +593,20 @@ fn fig6_sweep_alpha(events: usize) {
     );
 }
 
+/// The `--events N` option of the semi-dynamic figures: zero events would
+/// print an empty table, so it is a usage error.
+fn events_option(opts: &ScenarioOptions, default: usize) -> usize {
+    let events: usize = opts.parsed_or("--events", default);
+    if events == 0 {
+        cli_error("--events must be at least 1");
+    }
+    events
+}
+
 /// Figure 6: NUMFabric parameter sensitivity (`--sweep dt|interval|alpha`,
 /// default all three).
 pub fn fig6(opts: &ScenarioOptions) {
-    let events: usize = opts.parsed_or("--events", 5);
+    let events = events_option(opts, 5);
     match opts.value("--sweep") {
         Some("dt") => fig6_sweep_dt(events),
         Some("interval") => fig6_sweep_interval(events),
@@ -1068,7 +1078,7 @@ pub fn table2(_opts: &ScenarioOptions) {
 /// `--protocol`).
 pub fn semi_dynamic(opts: &ScenarioOptions) {
     let full = opts.full();
-    let events: usize = opts.parsed_or("--events", if full { 100 } else { 8 });
+    let events = events_option(opts, if full { 100 } else { 8 });
     let seed: u64 = opts.parsed_or("--seed", 1);
     let protocol = Protocol::from_options(opts);
     let exp = semi_dynamic_experiment(

@@ -1,9 +1,9 @@
 //! The `numfabric-run` usage contract, end to end: a scenario's usage string
 //! is the enforced list of its options (anything else exits 2 naming the
-//! offender), a zero-byte transfer is a usage error rather than a wedged
-//! run, and every command line the README and the CI workflow show still
-//! exits 0. Exit codes are only observable from outside the process, hence
-//! an integration test.
+//! offender), a zero-byte transfer or a zero-length run is a usage error
+//! rather than a wedged run or an empty report, and every command line the
+//! README and the CI workflow show still exits 0. Exit codes are only
+//! observable from outside the process, hence an integration test.
 
 use std::process::{Command, Output};
 
@@ -73,6 +73,14 @@ fn sweep_still_points_singular_axes_at_the_plural() {
 fn a_zero_byte_transfer_is_a_usage_error_not_a_wedge() {
     for scenario in ["incast", "shuffle"] {
         assert_usage_error(&[scenario, "--size", "0"], "--size must be at least 1 byte");
+    }
+}
+
+#[test]
+fn a_zero_length_run_is_a_usage_error_not_an_empty_report() {
+    assert_usage_error(&["stride", "--millis", "0"], "--millis must be at least 1");
+    for scenario in ["fig4a", "fig6", "semi-dynamic"] {
+        assert_usage_error(&[scenario, "--events", "0"], "--events must be at least 1");
     }
 }
 

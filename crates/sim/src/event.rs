@@ -14,8 +14,8 @@
 //!
 //! * **Levels.** `LEVELS` wheels of `SLOTS` (a power of two) buckets
 //!   each. A level-`l` slot spans `SLOTS^l` nanosecond ticks, so level 0
-//!   resolves single nanoseconds and the whole hierarchy covers
-//!   `SLOTS^LEVELS` ns (≈ 68 simulated seconds) ahead of the cursor.
+//!   resolves single nanoseconds and the top level reaches the end of the
+//!   `u64` clock: every timestamp has a slot, and there is no horizon.
 //!   Scheduling picks the level from the magnitude of the delay
 //!   (`floor(log2(delta) / log2(SLOTS))`) and the slot from the absolute
 //!   timestamp's bits — both O(1).
@@ -24,15 +24,12 @@
 //!   down (their remaining delay now fits the finer wheel). Each event
 //!   cascades at most `LEVELS − 1` times, so scheduling stays amortized
 //!   O(1).
-//! * **Overflow.** Timestamps beyond the wheel horizon wait in a
-//!   `(time, seq)`-ordered overflow heap; whenever the cursor advances they
-//!   cascade into the near wheels as soon as they come within the horizon.
-//! * **Early inserts.** [`EventQueue::peek_time`] may advance the internal
-//!   cursor past quiet stretches. Events later scheduled *behind* the cursor
-//!   (but never behind [`EventQueue::now`] — scheduling into the past still
-//!   panics) are kept in a small `(time, seq)`-ordered side heap that is
-//!   always drained first; this is what lets scenario drivers peek ahead,
-//!   stop, and then add flows at the current wall-clock time.
+//! * **The front.** Every pending key at or behind the cursor waits in one
+//!   deque sorted by `(time, seq)`: the same-timestamp bucket last drained
+//!   from the wheel, plus anything scheduled behind the cursor after
+//!   [`EventQueue::peek_time`] advanced it (but never behind
+//!   [`EventQueue::now`] — scheduling into the past still panics). Pops
+//!   read the front and refill it from the wheel only when it is empty.
 //! * **SoA payload pools.** [`Event`]s are large (a [`Packet`] rides
 //!   inline), and an `enum` slab would pad every timer to packet size. The
 //!   payloads are split structure-of-arrays style into two free-listed
@@ -40,18 +37,18 @@
 //!   path) and a compact pool for everything else (timers, transmit
 //!   completions, flow starts/stops, link changes — a few words each). The
 //!   pool is encoded in the top bit of the payload index, so everything
-//!   that moves through wheel slots, cascades and heaps is still a 24-byte
+//!   that moves through wheel slots, cascades and the front is a 24-byte
 //!   key `(time, seq, packed pool index)`, and popping a timer no longer
 //!   drags a cacheline-spanning union through memory.
 //!
 //! # Determinism contract: bucket FIFO == seq FIFO
 //!
 //! Every scheduled event gets a monotonically increasing sequence number,
-//! and a same-timestamp **batch** is drained in one pass and sorted by that
-//! sequence number before dispatch. The observable pop order is therefore
-//! lexicographic `(time, seq)` — bit-identical to the binary-heap
-//! implementation this replaced ([`HeapEventQueue`], kept as the executable
-//! reference model for differential tests and benchmarks).
+//! and a same-timestamp bucket is drained into the front in one pass and
+//! sorted by that sequence number before dispatch. The observable pop order
+//! is therefore lexicographic `(time, seq)` — bit-identical to the
+//! binary-heap implementation this replaced ([`HeapEventQueue`], kept as
+//! the executable reference model for differential tests and benchmarks).
 //!
 //! # Cancellation
 //!
@@ -138,8 +135,8 @@ impl EventId {
     }
 }
 
-/// What moves through wheel slots, cascades and the side heaps: the
-/// ordering key plus the packed pool index of the payload (see
+/// What moves through wheel slots, cascades and the front: the ordering
+/// key plus the packed pool index of the payload (see
 /// [`POOL_ARRIVAL`]).
 #[derive(Clone, Copy)]
 struct Key {
@@ -195,40 +192,15 @@ impl SmallEvent {
     }
 }
 
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Key {}
-
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// log2 of the number of slots per wheel level.
 const LEVEL_BITS: u32 = 6;
 /// Slots per wheel level.
 const SLOTS: usize = 1 << LEVEL_BITS;
 /// Bitmask extracting a slot index from a timestamp.
 const SLOT_MASK: u64 = (SLOTS - 1) as u64;
-/// Number of wheel levels.
-const LEVELS: usize = 6;
-/// Ticks (nanoseconds) covered by the whole hierarchy ahead of the cursor.
-const HORIZON: u64 = 1 << (LEVEL_BITS * LEVELS as u32);
+/// Number of wheel levels: enough that the top level's slots span the
+/// whole `u64` nanosecond clock (`LEVEL_BITS * LEVELS >= 64`).
+const LEVELS: usize = 11;
 
 /// A deterministic priority queue of simulation events, implemented as a
 /// hierarchical timing wheel (see the module docs for the layout and the
@@ -243,7 +215,7 @@ pub struct EventQueue {
     /// — whose lower bound is its actual minimum, not its range start —
     /// never needs scanning.
     slot_min: Vec<[u64; SLOTS]>,
-    /// Total keys across all wheel levels (excludes overflow/early/batch).
+    /// Total keys across all wheel levels (excludes the front).
     wheel_count: usize,
     /// Arrival payloads (the hot path), written at schedule time and taken
     /// at pop time. Indexed by `Key::idx & POOL_IDX_MASK` when the
@@ -256,15 +228,11 @@ pub struct EventQueue {
     small: Vec<Option<SmallEvent>>,
     /// Free small-pool indices.
     small_free: Vec<u32>,
-    /// Events beyond the wheel horizon, ordered by `(time, seq)`.
-    overflow: BinaryHeap<Key>,
-    /// Events scheduled behind the cursor (but at/after `now`), ordered by
-    /// `(time, seq)`. Always drained before the wheel.
-    early: BinaryHeap<Key>,
-    /// The current same-timestamp batch, sorted by `seq`.
-    batch: VecDeque<Key>,
-    /// Timestamp shared by every entry in `batch`.
-    batch_time: u64,
+    /// Every pending key at or behind the cursor (`now <= time <=
+    /// cursor`), sorted by `(time, seq)`: the bucket last drained from the
+    /// wheel plus whatever was scheduled behind the cursor. Always popped
+    /// before the wheel.
+    front: VecDeque<Key>,
     /// Sequence numbers of cancellable events that are still pending (not
     /// fired, not cancelled) — what makes [`Self::cancel`] O(1).
     cancellable_pending: FixedHashSet<u64>,
@@ -272,7 +240,7 @@ pub struct EventQueue {
     cancelled: FixedHashSet<u64>,
     /// Scratch buffer reused by cascades (avoids per-cascade allocation).
     scratch: Vec<Key>,
-    /// Wheel cursor: `now <= cursor <= `the earliest pending wheel event.
+    /// Wheel cursor: `now <= cursor <=` the earliest pending wheel event.
     cursor: u64,
     /// Timestamp of the last popped event (the public clock).
     now: u64,
@@ -301,10 +269,7 @@ impl EventQueue {
             arrivals_free: Vec::new(),
             small: Vec::new(),
             small_free: Vec::new(),
-            overflow: BinaryHeap::new(),
-            early: BinaryHeap::new(),
-            batch: VecDeque::new(),
-            batch_time: 0,
+            front: VecDeque::new(),
             cancellable_pending: FixedHashSet::default(),
             cancelled: FixedHashSet::default(),
             scratch: Vec::new(),
@@ -322,7 +287,7 @@ impl EventQueue {
 
     /// Remove every pending event and rewind the clock to zero, retaining
     /// every internal allocation (wheel slots, payload pools, free lists,
-    /// heaps) at peak capacity. This is what lets one queue be reused across
+    /// front) at peak capacity. This is what lets one queue be reused across
     /// sweep cells or repartitions with zero steady-state allocation —
     /// before this existed, callers dropped the queue and re-grew a fresh
     /// one from empty every cell.
@@ -341,10 +306,7 @@ impl EventQueue {
         self.arrivals_free.clear();
         self.small.clear();
         self.small_free.clear();
-        self.overflow.clear();
-        self.early.clear();
-        self.batch.clear();
-        self.batch_time = 0;
+        self.front.clear();
         self.cancellable_pending.clear();
         self.cancelled.clear();
         self.scratch.clear();
@@ -470,11 +432,15 @@ impl EventQueue {
     }
 
     /// Schedule `event` at `at` under an externally allocated sequence
-    /// number. This is the partitioned-network entry point: the `Network`
-    /// owns one global `seq` counter shared by every partition's wheel, so
-    /// the cross-partition merge order `(time, seq)` is identical to the
-    /// single-queue pop order. The queue's own counter is untouched — do
-    /// not mix seeded and unseeded scheduling on one queue.
+    /// number — the only way a `Network` schedules. Its keys are derived
+    /// from event content and shared by every partition's wheel, so the
+    /// cross-partition merge order `(time, seq)` is identical to the
+    /// single-queue pop order. Equal keys pop in schedule order when they
+    /// share a slot (scheduled under one cursor position) or the front
+    /// (scheduled behind the cursor); equal keys scheduled into the wheel
+    /// under different cursor positions may land on different levels, and
+    /// the finer level drains first. The queue's own counter is untouched
+    /// — do not mix seeded and unseeded scheduling on one queue.
     ///
     /// # Panics
     /// Panics if `at` is in the past (before the last popped event).
@@ -520,20 +486,16 @@ impl EventQueue {
         if cancellable {
             self.cancellable_pending.insert(seq);
         }
-        if !self.batch.is_empty() && t == self.batch_time {
-            // Joins the batch currently being drained. With the queue's own
-            // counter `seq` is always the largest so far and this is a plain
-            // append; externally seeded sequence numbers (boundary messages
-            // drained at a barrier) may be smaller than a direct insert that
-            // raced ahead, so insert at the seq-sorted position — *after*
-            // any equal seq, so content-keyed duplicates pop in FIFO
+        if t < self.cursor || self.front.back().is_some_and(|k| k.time == t) {
+            // Behind the cursor (which a peek may have advanced), or joining
+            // the bucket being drained. With the queue's own counter at the
+            // bucket's time this is a plain append; seeded keys (boundary
+            // messages drained at a barrier, inserts after a peek) may sort
+            // earlier, so insert at the `(time, seq)`-sorted position —
+            // *after* any equal key, so content-keyed duplicates pop in FIFO
             // (schedule) order.
-            let pos = self.batch.partition_point(|k| k.seq <= seq);
-            self.batch.insert(pos, key);
-        } else if t < self.cursor {
-            // Behind the wheel cursor (which may have advanced during a
-            // peek): the side heap serves these before the wheel.
-            self.early.push(key);
+            let pos = self.front.partition_point(|k| (k.time, k.seq) <= (t, seq));
+            self.front.insert(pos, key);
         } else {
             self.insert_into_wheel(key);
         }
@@ -577,26 +539,21 @@ impl EventQueue {
     /// Pop the next event together with its [`EventId`] (used by the network
     /// engine to tie fired timers back to their bookkeeping).
     pub fn pop_entry(&mut self) -> Option<(SimTime, EventId, Event)> {
+        let key = self.pop_key()?;
+        let event = self.take_payload(key.idx);
+        Some((SimTime::from_nanos(key.time), EventId(key.seq), event))
+    }
+
+    /// Take the earliest live key off the front (refilling it from the
+    /// wheel when empty) and advance the clock to it.
+    fn pop_key(&mut self) -> Option<Key> {
         loop {
-            // The early heap always precedes the wheel (its times are behind
-            // the cursor) and never ties with the batch (equal times join
-            // the batch at schedule time).
-            let early_first = match (self.early.peek(), self.batch.front()) {
-                (Some(e), Some(b)) => e.time < b.time,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            let key = if early_first {
-                self.early.pop()
-            } else if self.batch.front().is_some() {
-                self.batch.pop_front()
-            } else {
-                if !self.refill_batch() {
+            let Some(key) = self.front.pop_front() else {
+                if !self.refill_front() {
                     return None;
                 }
                 continue;
             };
-            let key = key.expect("selected source is non-empty");
             if self.reap_if_cancelled(&key) {
                 continue;
             }
@@ -606,8 +563,7 @@ impl EventQueue {
             }
             self.live -= 1;
             self.now = key.time;
-            let event = self.take_payload(key.idx);
-            return Some((SimTime::from_nanos(key.time), EventId(key.seq), event));
+            return Some(key);
         }
     }
 
@@ -617,38 +573,18 @@ impl EventQueue {
     /// levels into nearer ones; the observable pop order is unaffected.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         loop {
-            // Purge cancelled tombstones from both candidate fronts so the
-            // reported time is that of a live event.
-            if let Some(e) = self.early.peek() {
-                if e.cancellable && !self.cancelled.is_empty() && self.cancelled.contains(&e.seq) {
-                    let e = self.early.pop().expect("peeked entry exists");
-                    let reaped = self.reap_if_cancelled(&e);
-                    debug_assert!(reaped);
-                    continue;
+            // Purge cancelled tombstones so the reported time is that of a
+            // live event.
+            let Some(&key) = self.front.front() else {
+                if !self.refill_front() {
+                    return None;
                 }
-            }
-            if let Some(b) = self.batch.front() {
-                if b.cancellable && !self.cancelled.is_empty() && self.cancelled.contains(&b.seq) {
-                    let b = self.batch.pop_front().expect("front entry exists");
-                    let reaped = self.reap_if_cancelled(&b);
-                    debug_assert!(reaped);
-                    continue;
-                }
-            }
-            let early_first = match (self.early.peek(), self.batch.front()) {
-                (Some(e), Some(b)) => e.time < b.time,
-                (Some(_), None) => true,
-                (None, _) => false,
+                continue;
             };
-            if early_first {
-                return self.early.peek().map(|e| SimTime::from_nanos(e.time));
+            if !self.reap_if_cancelled(&key) {
+                return Some(SimTime::from_nanos(key.time));
             }
-            if let Some(b) = self.batch.front() {
-                return Some(SimTime::from_nanos(b.time));
-            }
-            if !self.refill_batch() {
-                return None;
-            }
+            self.front.pop_front();
         }
     }
 
@@ -660,31 +596,7 @@ impl EventQueue {
     pub(crate) fn drain_entries(&mut self) -> Vec<(SimTime, u64, Event, bool)> {
         let saved_now = self.now;
         let mut out = Vec::with_capacity(self.live);
-        loop {
-            let early_first = match (self.early.peek(), self.batch.front()) {
-                (Some(e), Some(b)) => e.time < b.time,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            let key = if early_first {
-                self.early.pop()
-            } else if self.batch.front().is_some() {
-                self.batch.pop_front()
-            } else {
-                if !self.refill_batch() {
-                    break;
-                }
-                continue;
-            };
-            let key = key.expect("selected source is non-empty");
-            if self.reap_if_cancelled(&key) {
-                continue;
-            }
-            if key.cancellable {
-                self.cancellable_pending.remove(&key.seq);
-            }
-            self.live -= 1;
-            self.now = key.time;
+        while let Some(key) = self.pop_key() {
             let event = self.take_payload(key.idx);
             out.push((
                 SimTime::from_nanos(key.time),
@@ -745,9 +657,10 @@ impl EventQueue {
                         k.time,
                         k.seq
                     );
-                    let revolution = 1u64 << (shift + LEVEL_BITS);
+                    // The top level's revolution spans the whole clock.
+                    let revolution = 1u64.checked_shl(shift + LEVEL_BITS);
                     assert!(
-                        k.time - self.cursor < revolution,
+                        revolution.is_none_or(|r| k.time - self.cursor < r),
                         "level {level} slot {slot}: entry t={} seq={} beyond one revolution of cursor {}",
                         k.time,
                         k.seq,
@@ -762,14 +675,30 @@ impl EventQueue {
             }
         }
         assert_eq!(counted, self.wheel_count, "wheel_count out of sync");
-        for k in &self.batch {
-            assert_eq!(k.time, self.batch_time, "batch entry off batch_time");
+        for k in &self.front {
+            assert!(
+                self.now <= k.time && k.time <= self.cursor,
+                "front entry t={} seq={} outside [now {}, cursor {}]",
+                k.time,
+                k.seq,
+                self.now,
+                self.cursor
+            );
+            assert!(
+                self.payload_exists(k.idx),
+                "key seq={} points at an empty pool slot",
+                k.seq
+            );
         }
-        for k in self.early.iter() {
-            assert!(k.time >= self.now, "early entry behind now");
-        }
-        for k in self.overflow.iter() {
-            assert!(k.time >= self.cursor, "overflow entry behind cursor");
+        for (a, b) in self.front.iter().zip(self.front.iter().skip(1)) {
+            assert!(
+                (a.time, a.seq) <= (b.time, b.seq),
+                "front out of (time, seq) order: (t={},seq={}) before (t={},seq={})",
+                a.time,
+                a.seq,
+                b.time,
+                b.seq
+            );
         }
     }
 
@@ -780,35 +709,26 @@ impl EventQueue {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "cursor={} now={} live={} batch_time={}",
-            self.cursor, self.now, self.live, self.batch_time
+            "cursor={} now={} live={}",
+            self.cursor, self.now, self.live
         );
-        let fmt = |ks: &[Key]| -> String {
-            ks.iter()
-                .map(|k| format!("(t={},seq={})", k.time, k.seq))
+        fn fmt<'a>(ks: impl Iterator<Item = &'a Key>) -> String {
+            ks.map(|k| format!("(t={},seq={})", k.time, k.seq))
                 .collect::<Vec<_>>()
                 .join(" ")
-        };
+        }
         for level in 0..LEVELS {
             for slot in 0..SLOTS {
                 if !self.levels[level][slot].is_empty() {
                     let _ = writeln!(
                         s,
                         "  L{level} slot {slot}: {}",
-                        fmt(&self.levels[level][slot])
+                        fmt(self.levels[level][slot].iter())
                     );
                 }
             }
         }
-        let heap_fmt = |it: std::collections::binary_heap::Iter<'_, Key>| -> String {
-            it.map(|k| format!("(t={},seq={})", k.time, k.seq))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        let _ = writeln!(s, "  overflow: {}", heap_fmt(self.overflow.iter()));
-        let _ = writeln!(s, "  early: {}", heap_fmt(self.early.iter()));
-        let batch: Vec<Key> = self.batch.iter().copied().collect();
-        let _ = writeln!(s, "  batch: {}", fmt(&batch));
+        let _ = writeln!(s, "  front: {}", fmt(self.front.iter()));
         s
     }
 
@@ -823,10 +743,6 @@ impl EventQueue {
             self.cursor
         );
         let delta = key.time - self.cursor;
-        if delta >= HORIZON {
-            self.overflow.push(key);
-            return;
-        }
         let level = if delta == 0 {
             0
         } else {
@@ -909,6 +825,9 @@ impl EventQueue {
             if rotated != 0 {
                 let distance = rotated.trailing_zeros() as u64;
                 let slot = ((base_slot + distance) & SLOT_MASK) as usize;
+                // Cannot wrap: wheel keys never sit behind the cursor, so a
+                // slot ahead of it starts at or before `u64::MAX`.
+                debug_assert!((self.cursor >> shift) + distance <= u64::MAX >> shift);
                 let start = ((self.cursor >> shift) + distance) << shift;
                 consider(start, level, slot, &mut best);
             }
@@ -916,45 +835,24 @@ impl EventQueue {
         best
     }
 
-    /// Refill `batch` with the next same-timestamp group of events, sorted
-    /// by sequence number. Returns `false` when the queue is exhausted.
-    fn refill_batch(&mut self) -> bool {
-        debug_assert!(self.batch.is_empty());
+    /// Refill the empty front with the wheel's next same-timestamp bucket,
+    /// sorted by sequence number. Returns `false` when the queue is
+    /// exhausted.
+    fn refill_front(&mut self) -> bool {
+        debug_assert!(self.front.is_empty());
         let mut iterations = 0u64;
         loop {
             // Defensive livelock guard: every iteration either returns,
-            // empties a structure, or strictly lowers an event's level, so
+            // empties a bucket, or strictly lowers an event's level, so
             // legitimate runs stay far below this bound.
             iterations += 1;
             assert!(
                 iterations <= 1_000_000,
-                "refill_batch livelock: cursor={} occupancy={:?} live={} overflow={} early={}",
+                "refill_front livelock: cursor={} occupancy={:?} live={}",
                 self.cursor,
                 self.occupancy,
-                self.live,
-                self.overflow.len(),
-                self.early.len()
+                self.live
             );
-            // Cascade due overflow entries into the wheels. If the wheels
-            // are empty the cursor can jump straight to the overflow front
-            // (nothing pends before it).
-            if self.wheel_count == 0 {
-                match self.overflow.peek() {
-                    Some(top) => self.cursor = self.cursor.max(top.time),
-                    None => return false,
-                }
-            }
-            while let Some(top) = self.overflow.peek() {
-                if top.time - self.cursor >= HORIZON {
-                    break;
-                }
-                let key = self.overflow.pop().expect("peeked entry exists");
-                if self.reap_if_cancelled(&key) {
-                    continue;
-                }
-                self.insert_into_wheel(key);
-            }
-
             let tick0 = self.level0_first_tick();
             // A higher-level slot whose bound sits at or before the best
             // level-0 tick may hide an earlier event (or a tie): cascade it
@@ -968,8 +866,9 @@ impl EventQueue {
                 }
             }
             let Some(tick) = tick0 else {
-                // Only cancelled events remained; loop to re-check overflow.
-                continue;
+                // No occupied slot on any level: the wheel is empty.
+                debug_assert_eq!(self.wheel_count, 0);
+                return false;
             };
 
             let slot = (tick & SLOT_MASK) as usize;
@@ -983,20 +882,20 @@ impl EventQueue {
                 if self.reap_if_cancelled(&key) {
                     continue;
                 }
-                self.batch.push_back(key);
+                self.front.push_back(key);
             }
             self.scratch = bucket;
             self.cursor = tick;
-            if self.batch.is_empty() {
+            if self.front.is_empty() {
                 continue; // the whole bucket had been cancelled
             }
             // Bucket FIFO == seq FIFO: direct inserts and cascades may have
             // interleaved, so restore the heap's (time, seq) order within
-            // the same-timestamp batch. Nearly always already sorted. The
+            // the same-timestamp bucket. Nearly always already sorted. The
             // sort must be *stable*: seeded (content-derived) keys may
-            // repeat, and equal keys keep their schedule order.
-            self.batch_time = tick;
-            self.batch.make_contiguous().sort_by_key(|k| k.seq);
+            // repeat, and equal keys keep the order they reached the bucket
+            // in.
+            self.front.make_contiguous().sort_by_key(|k| k.seq);
             return true;
         }
     }
@@ -1005,13 +904,16 @@ impl EventQueue {
 struct HeapEntry {
     time: u64,
     seq: u64,
+    /// Insertion counter: equal seeded keys pop in schedule order, the
+    /// order the wheel keeps among equal keys sharing a slot or its front.
+    order: u64,
     cancellable: bool,
     event: Event,
 }
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for HeapEntry {}
@@ -1024,10 +926,8 @@ impl PartialOrd for HeapEntry {
 
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // BinaryHeap is a max-heap; invert so the earliest key pops first.
+        (other.time, other.seq, other.order).cmp(&(self.time, self.seq, self.order))
     }
 }
 
@@ -1043,6 +943,8 @@ pub struct HeapEventQueue {
     cancellable_pending: FixedHashSet<u64>,
     cancelled: FixedHashSet<u64>,
     next_seq: u64,
+    /// Entries ever pushed (the FIFO tie-breaker, see [`HeapEntry`]).
+    pushed: u64,
     now: u64,
     live: usize,
 }
@@ -1074,14 +976,42 @@ impl HeapEventQueue {
         self.schedule_entry(at, event, true)
     }
 
+    /// Schedule `event` at `at` under an externally allocated sequence
+    /// number; same contract as [`EventQueue::schedule_seeded`]. Equal
+    /// `(time, seq)` keys pop in schedule order.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past (before the last popped event).
+    pub fn schedule_seeded(&mut self, at: SimTime, event: Event, seq: u64) -> EventId {
+        self.schedule_entry_with_seq(at, event, false, seq)
+    }
+
+    /// [`Self::schedule_seeded`] with cancellation via [`Self::cancel`].
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past (before the last popped event).
+    pub fn schedule_cancellable_seeded(&mut self, at: SimTime, event: Event, seq: u64) -> EventId {
+        self.schedule_entry_with_seq(at, event, true, seq)
+    }
+
     fn schedule_entry(&mut self, at: SimTime, event: Event, cancellable: bool) -> EventId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.schedule_entry_with_seq(at, event, cancellable, seq)
+    }
+
+    fn schedule_entry_with_seq(
+        &mut self,
+        at: SimTime,
+        event: Event,
+        cancellable: bool,
+        seq: u64,
+    ) -> EventId {
         assert!(
             at.as_nanos() >= self.now,
             "cannot schedule an event in the past: {at} < {}",
             self.now()
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.live += 1;
         if cancellable {
             self.cancellable_pending.insert(seq);
@@ -1089,9 +1019,11 @@ impl HeapEventQueue {
         self.heap.push(HeapEntry {
             time: at.as_nanos(),
             seq,
+            order: self.pushed,
             cancellable,
             event,
         });
+        self.pushed += 1;
         EventId(seq)
     }
 
@@ -1259,21 +1191,19 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cascade_through_the_overflow_level() {
-        // 100 s and 200 s are far beyond the 2^36 ns (~68.7 s) wheel
-        // horizon; both must wait in the overflow level and cascade into the
-        // near wheels in (time, seq) order, interleaved with near events.
+    fn far_future_events_cascade_down_from_the_top_levels() {
+        // 100 s and 200 s (~2^36.5 and ~2^37.5 ns) sit on level 6; both
+        // must cascade level by level into the near wheels in (time, seq)
+        // order, interleaved with near events.
         let mut q = EventQueue::new();
         let far_a = SimTime::from_secs_f64(100.0);
         let far_b = SimTime::from_secs_f64(200.0);
         q.schedule(far_b, start(0));
         q.schedule(far_a, start(1));
-        q.schedule(far_a, start(2)); // tie inside the overflow level
+        q.schedule(far_a, start(2)); // tie inside one top-level slot
         q.schedule(SimTime::from_micros(3), start(3));
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop().map(|(t, _)| t), Some(SimTime::from_micros(3)));
-        // After draining the near event the overflow front comes within the
-        // horizon and cascades in.
         q.schedule(SimTime::from_secs_f64(99.0), start(4));
         assert_eq!(
             popped_flows(&mut q),
@@ -1282,6 +1212,59 @@ mod tests {
                 (100_000_000_000, 1),
                 (100_000_000_000, 2),
                 (200_000_000_000, 0),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_event_at_the_end_of_the_clock_pops_last() {
+        // u64::MAX ns lands on the top level (10); it must wait there while
+        // near and 100 s events drain, then cascade all the way down.
+        let mut q = EventQueue::new();
+        let end = SimTime::from_nanos(u64::MAX);
+        q.schedule(end, start(0));
+        q.schedule(SimTime::from_secs_f64(100.0), start(1));
+        q.schedule(SimTime::from_nanos(5), start(2));
+        q.schedule(end, start(3));
+        q.debug_validate();
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(5)));
+        assert_eq!(q.pop().map(|(t, _)| t.as_nanos()), Some(5));
+        q.schedule(SimTime::from_micros(1), start(4));
+        assert_eq!(
+            popped_flows(&mut q),
+            vec![
+                (1_000, 4),
+                (100_000_000_000, 1),
+                (u64::MAX, 0),
+                (u64::MAX, 3)
+            ]
+        );
+        assert_eq!(q.now(), end);
+        q.debug_validate();
+    }
+
+    #[test]
+    fn seeded_duplicates_behind_the_cursor_pop_in_schedule_order() {
+        // A peek drains the 5 ms bucket into the front and moves the cursor
+        // there. Two later schedules behind it share one content key; a
+        // third joins the peeked instant with a smaller key. The duplicates
+        // pop in schedule order, and all three ahead of the peeked event.
+        let mut q = EventQueue::new();
+        let peeked = SimTime::from_millis(5);
+        q.schedule_seeded(peeked, start(0), 10);
+        assert_eq!(q.peek_time(), Some(peeked));
+        q.schedule_seeded(SimTime::from_millis(1), start(1), 7);
+        q.schedule_seeded(SimTime::from_millis(1), start(2), 7);
+        q.schedule_seeded(peeked, start(3), 3);
+        q.debug_validate();
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(1)));
+        assert_eq!(
+            popped_flows(&mut q),
+            vec![
+                (1_000_000, 1),
+                (1_000_000, 2),
+                (5_000_000, 3),
+                (5_000_000, 0)
             ]
         );
     }
@@ -1456,7 +1439,7 @@ mod tests {
     fn heap_reference_matches_on_a_smoke_sequence() {
         let mut wheel = EventQueue::new();
         let mut heap = HeapEventQueue::new();
-        let times = [7u64, 3, 3, 900_000, 3, 64, 65, 4096, 1 << 37, 12];
+        let times = [7u64, 3, 3, 900_000, 3, 64, 65, 4096, 1 << 37, 12, u64::MAX];
         for (i, &t) in times.iter().enumerate() {
             let at = SimTime::from_nanos(t);
             wheel.schedule(at, start(i));

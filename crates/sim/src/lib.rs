@@ -26,8 +26,8 @@
 //!   per-link counters.
 //!
 //! * **Event core** ([`event`], [`timer`]) — a hierarchical timing-wheel
-//!   scheduler (same-timestamp batches drained in one pass, overflow level
-//!   for far-future timestamps) and a handle-based [`timer::TimerService`]:
+//!   scheduler (same-timestamp buckets drained in one pass, levels
+//!   spanning the whole `u64` clock) and a handle-based [`timer::TimerService`]:
 //!   agents arm timers through [`network::AgentCtx::set_timer`] and stopping
 //!   or completing a flow structurally cancels whatever is still pending.
 //!

@@ -6,7 +6,8 @@
 //! must be bit-identical between the two implementations on *any* sequence
 //! of schedule / schedule_cancellable / cancel / pop / peek operations,
 //! including timestamp ties, zero-delay schedules, pacing-like spacings and
-//! far-future (overflow-level) timestamps.
+//! far-future (top-level) timestamps — and likewise for the seeded entry
+//! points a `Network` uses, where keys may repeat.
 
 use numfabric_sim::event::{Event, EventId, EventQueue, HeapEventQueue};
 use numfabric_sim::{SimDuration, SimTime};
@@ -62,7 +63,7 @@ fn differential_run(seed: u64, ops: usize) {
                 assert_eq!(a, b);
                 handles.push((a, b));
             }
-            // Far-future schedule, some beyond the 2^36 ns wheel horizon.
+            // Far-future schedule, up to ~2^37.5 ns (wheel level 6).
             70..=74 => {
                 let delta = SimDuration::from_secs_f64(rng.gen_range(1.0f64..200.0));
                 let at = wheel.now() + delta;
@@ -278,6 +279,169 @@ proptest! {
     #[test]
     fn wheel_matches_heap_with_mid_drain_handlers_long(seed in 0u64..u64::MAX) {
         mid_drain_differential_run(seed ^ 0xbadc_0ffe, 3_000, 2_000);
+    }
+}
+
+// ---- the network's entry points: seeded keys ------------------------------
+//
+// A `Network` schedules only through `schedule_seeded` and
+// `schedule_cancellable_seeded`, under content-derived keys: plain events
+// may repeat a key at one instant, cancellable ones are unique. Seeded and
+// unseeded scheduling never mix on one queue, so this run uses the seeded
+// entry points only.
+//
+// Equal keys pop in schedule order when they were scheduled under one
+// cursor position (they share a slot) or behind the cursor (they share the
+// front). Equal keys scheduled into the wheel under *different* cursor
+// positions can sit on different levels, and the finer one drains first;
+// the heap model does not reproduce that, so wheel-bound repeats draw
+// their keys from a space private to the current cursor epoch.
+
+/// Keys repeated behind the cursor: a tiny space, so equal `(time, key)`
+/// pairs are common.
+const REPEATED_KEYS: u64 = 8;
+
+/// One randomized differential run through the seeded entry points.
+fn seeded_differential_run(seed: u64, ops: usize) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed_ed00);
+    let mut wheel = EventQueue::new();
+    let mut heap = HeapEventQueue::new();
+    let mut handles: Vec<(EventId, EventId)> = Vec::new();
+    // Peeks and pops are the only operations that move the wheel cursor;
+    // `epoch` counts them so wheel-bound repeats stay within one position.
+    let mut epoch = 1u64;
+    // Cancellable keys are unique and disjoint from every repeated one.
+    let mut next_unique_key = 1u64 << 40;
+
+    for op in 0..ops {
+        let now = wheel.now().as_nanos();
+        let epoch_key = epoch * REPEATED_KEYS + rng.gen_range(0..REPEATED_KEYS);
+        let plain: Option<(u64, u64)> = match rng.gen_range(0u32..100) {
+            // Tie-prone near-future schedule under a repeated key.
+            0..=34 => Some((now.saturating_add(rng.gen_range(0u64..20) * 400), epoch_key)),
+            // Behind the cursor right after a peek (the peek drains the next
+            // bucket into the front and moves the cursor to it), often at
+            // the peeked instant itself.
+            35..=49 => {
+                let peeked = wheel.peek_time();
+                assert_eq!(peeked, heap.peek_time(), "peek diverged at op {op}");
+                epoch += 1;
+                peeked.map(|p| {
+                    let p = p.as_nanos();
+                    let at = if rng.gen_bool(0.4) {
+                        p
+                    } else {
+                        rng.gen_range(now..=p)
+                    };
+                    (at, rng.gen_range(0..REPEATED_KEYS))
+                })
+            }
+            // Far-future absolute timestamps, up to the end of the clock.
+            50..=54 => {
+                let at = match rng.gen_range(0u32..3) {
+                    0 => (u64::MAX - rng.gen_range(0u64..3)).max(now),
+                    1 => rng.gen_range(now..=u64::MAX),
+                    _ => now.saturating_add(rng.gen_range(1u64..200) * 1_000_000_000),
+                };
+                Some((at, epoch_key))
+            }
+            // Unique-keyed cancellable schedule (the RTO / link-timer shape).
+            55..=69 => {
+                let delta = rng.gen_range(0u64..100) * 1_000;
+                let at = SimTime::from_nanos(now.saturating_add(delta));
+                let key = next_unique_key;
+                next_unique_key += 1;
+                let a = wheel.schedule_cancellable_seeded(at, start(op), key);
+                let b = heap.schedule_cancellable_seeded(at, start(op), key);
+                assert_eq!(a, b, "id diverged at op {op}");
+                handles.push((a, b));
+                None
+            }
+            // Cancel a random outstanding handle (possibly already fired).
+            70..=77 => {
+                if !handles.is_empty() {
+                    let i = rng.gen_range(0..handles.len());
+                    let (a, b) = handles.swap_remove(i);
+                    assert_eq!(
+                        wheel.cancel(a),
+                        heap.cancel(b),
+                        "cancel diverged at op {op}"
+                    );
+                }
+                None
+            }
+            // Peek.
+            78..=82 => {
+                assert_eq!(
+                    wheel.peek_time(),
+                    heap.peek_time(),
+                    "peek diverged at op {op}"
+                );
+                epoch += 1;
+                None
+            }
+            // Pop a small burst.
+            _ => {
+                epoch += 1;
+                for _ in 0..rng.gen_range(1usize..6) {
+                    let state = wheel.debug_dump();
+                    match (wheel.pop_entry(), heap.pop_entry()) {
+                        (None, None) => break,
+                        (Some((ta, ia, ea)), Some((tb, ib, eb))) => {
+                            assert_eq!(
+                                (ta, ia, flow_of(&ea)),
+                                (tb, ib, flow_of(&eb)),
+                                "pop diverged at op {op}; pre-pop state:\n{state}"
+                            );
+                            assert_eq!(wheel.now(), heap.now());
+                        }
+                        (a, b) => panic!(
+                            "pop presence diverged at op {op}: wheel={:?} heap={:?}",
+                            a.map(|(t, i, _)| (t, i)),
+                            b.map(|(t, i, _)| (t, i))
+                        ),
+                    }
+                }
+                None
+            }
+        };
+        if let Some((at, key)) = plain {
+            let at = SimTime::from_nanos(at);
+            let a = wheel.schedule_seeded(at, start(op), key);
+            let b = heap.schedule_seeded(at, start(op), key);
+            assert_eq!(a, b, "id diverged at op {op}");
+        }
+        assert_eq!(wheel.len(), heap.len(), "len diverged at op {op}");
+        wheel.debug_validate();
+    }
+
+    loop {
+        let state = wheel.debug_dump();
+        match (wheel.pop_entry(), heap.pop_entry()) {
+            (None, None) => break,
+            (a, b) => assert_eq!(
+                a.map(|(t, i, e)| (t, i, flow_of(&e))),
+                b.map(|(t, i, e)| (t, i, flow_of(&e))),
+                "drain diverged; pre-pop state:\n{state}"
+            ),
+        }
+    }
+    assert!(wheel.is_empty() && heap.is_empty());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn seeded_wheel_matches_heap_reference(seed in 0u64..u64::MAX) {
+        seeded_differential_run(seed, 400);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+    #[test]
+    fn seeded_wheel_matches_heap_reference_long_runs(seed in 0u64..u64::MAX) {
+        seeded_differential_run(seed ^ 0xfeed_f00d, 6_000);
     }
 }
 
