@@ -5,8 +5,7 @@
 //! drivers; every scenario is registered by name in [`figures::registry`]
 //! and dispatched by the single `numfabric-run` binary
 //! (`cargo run --release -p numfabric-bench --bin numfabric-run -- --list`),
-//! the crate's only binary. Criterion micro-benchmarks live in `benches/`
-//! as diagnostics; performance numbers come from the standalone
+//! the crate's only binary. Performance numbers come from the standalone
 //! `benchmark/` package (see its README).
 //!
 //! * [`experiment`] — the one driver: an [`Experiment`] (topology,

@@ -491,7 +491,7 @@ impl FluidAlgorithm for RcpStarFluid {
 
 /// Run `alg` until its rates are within `rel_tol` of the oracle solution for
 /// its own network, returning the iteration count (`None` if `max_iters` is
-/// exhausted first). Convenience wrapper used by tests and benches.
+/// exhausted first). Convenience wrapper used by tests and figures.
 pub fn iterations_to_oracle<A: FluidAlgorithm>(
     alg: &mut A,
     oracle: &OracleSolution,

@@ -47,8 +47,8 @@
 //! and a same-timestamp bucket is drained into the front in one pass and
 //! sorted by that sequence number before dispatch. The observable pop order
 //! is therefore lexicographic `(time, seq)` — bit-identical to the
-//! binary-heap implementation this replaced ([`HeapEventQueue`], kept as
-//! the executable reference model for differential tests and benchmarks).
+//! binary-heap implementation this replaced, which lives on as the
+//! reference model of the differential tests (`tests/heap_reference/`).
 //!
 //! # Cancellation
 //!
@@ -62,8 +62,7 @@ use crate::hash::FixedHashSet;
 use crate::packet::{FlowId, Packet};
 use crate::time::SimTime;
 use crate::topology::LinkId;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// The kinds of events the simulator processes.
 #[derive(Debug)]
@@ -317,10 +316,10 @@ impl EventQueue {
     }
 
     /// `(arrival pool entries, small pool entries)` currently allocated —
-    /// the memory footprint of the payload stores, free or live. Test-only
-    /// diagnostic for the bounded-memory regression tests.
-    #[doc(hidden)]
-    pub fn debug_pool_sizes(&self) -> (usize, usize) {
+    /// the memory footprint of the payload stores, free or live, for the
+    /// bounded-memory regression tests.
+    #[cfg(test)]
+    fn debug_pool_sizes(&self) -> (usize, usize) {
         (self.arrivals.len(), self.small.len())
     }
 
@@ -901,197 +900,6 @@ impl EventQueue {
     }
 }
 
-struct HeapEntry {
-    time: u64,
-    seq: u64,
-    /// Insertion counter: equal seeded keys pop in schedule order, the
-    /// order the wheel keeps among equal keys sharing a slot or its front.
-    order: u64,
-    cancellable: bool,
-    event: Event,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest key pops first.
-        (other.time, other.seq, other.order).cmp(&(self.time, self.seq, self.order))
-    }
-}
-
-/// The binary-heap event queue the timing wheel replaced, kept as the
-/// executable reference model: differential tests (`tests/event_core.rs`)
-/// and the `event_core` benchmark pin the wheel's observable behaviour —
-/// lexicographic `(time, seq)` pop order, cancellation semantics, clock
-/// advancement — against this implementation. Events are stored inline in
-/// the heap entries, exactly as the pre-wheel implementation did.
-#[derive(Default)]
-pub struct HeapEventQueue {
-    heap: BinaryHeap<HeapEntry>,
-    cancellable_pending: FixedHashSet<u64>,
-    cancelled: FixedHashSet<u64>,
-    next_seq: u64,
-    /// Entries ever pushed (the FIFO tie-breaker, see [`HeapEntry`]).
-    pushed: u64,
-    now: u64,
-    live: usize,
-}
-
-impl HeapEventQueue {
-    /// An empty queue at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current simulation time (the timestamp of the last popped event).
-    pub fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.now)
-    }
-
-    /// Schedule `event` at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past (before the last popped event).
-    pub fn schedule(&mut self, at: SimTime, event: Event) -> EventId {
-        self.schedule_entry(at, event, false)
-    }
-
-    /// Schedule a cancellable event at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past (before the last popped event).
-    pub fn schedule_cancellable(&mut self, at: SimTime, event: Event) -> EventId {
-        self.schedule_entry(at, event, true)
-    }
-
-    /// Schedule `event` at `at` under an externally allocated sequence
-    /// number; same contract as [`EventQueue::schedule_seeded`]. Equal
-    /// `(time, seq)` keys pop in schedule order.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past (before the last popped event).
-    pub fn schedule_seeded(&mut self, at: SimTime, event: Event, seq: u64) -> EventId {
-        self.schedule_entry_with_seq(at, event, false, seq)
-    }
-
-    /// [`Self::schedule_seeded`] with cancellation via [`Self::cancel`].
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past (before the last popped event).
-    pub fn schedule_cancellable_seeded(&mut self, at: SimTime, event: Event, seq: u64) -> EventId {
-        self.schedule_entry_with_seq(at, event, true, seq)
-    }
-
-    fn schedule_entry(&mut self, at: SimTime, event: Event, cancellable: bool) -> EventId {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.schedule_entry_with_seq(at, event, cancellable, seq)
-    }
-
-    fn schedule_entry_with_seq(
-        &mut self,
-        at: SimTime,
-        event: Event,
-        cancellable: bool,
-        seq: u64,
-    ) -> EventId {
-        assert!(
-            at.as_nanos() >= self.now,
-            "cannot schedule an event in the past: {at} < {}",
-            self.now()
-        );
-        self.live += 1;
-        if cancellable {
-            self.cancellable_pending.insert(seq);
-        }
-        self.heap.push(HeapEntry {
-            time: at.as_nanos(),
-            seq,
-            order: self.pushed,
-            cancellable,
-            event,
-        });
-        self.pushed += 1;
-        EventId(seq)
-    }
-
-    /// Cancel a pending cancellable event; same contract as
-    /// [`EventQueue::cancel`].
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.cancellable_pending.remove(&id.0) {
-            return false;
-        }
-        self.cancelled.insert(id.0);
-        self.live -= 1;
-        true
-    }
-
-    /// Pop the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.pop_entry().map(|(t, _, e)| (t, e))
-    }
-
-    /// Pop the next event together with its [`EventId`].
-    pub fn pop_entry(&mut self) -> Option<(SimTime, EventId, Event)> {
-        while let Some(entry) = self.heap.pop() {
-            if entry.cancellable && !self.cancelled.is_empty() && self.cancelled.remove(&entry.seq)
-            {
-                continue;
-            }
-            if entry.cancellable {
-                self.cancellable_pending.remove(&entry.seq);
-            }
-            self.live -= 1;
-            self.now = entry.time;
-            return Some((
-                SimTime::from_nanos(entry.time),
-                EventId(entry.seq),
-                entry.event,
-            ));
-        }
-        None
-    }
-
-    /// The timestamp of the next pending event, if any. (`&mut self` to
-    /// mirror [`EventQueue::peek_time`]; tombstones are purged here.)
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if entry.cancellable
-                && !self.cancelled.is_empty()
-                && self.cancelled.contains(&entry.seq)
-            {
-                let entry = self.heap.pop().expect("peeked entry exists");
-                self.cancelled.remove(&entry.seq);
-                continue;
-            }
-            return Some(SimTime::from_nanos(entry.time));
-        }
-        None
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether there are no pending events.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1432,34 +1240,6 @@ mod tests {
             q.schedule(SimTime::from_nanos(1), start(0));
             assert_eq!(q.pop().map(|(t, _)| t.as_nanos()), Some(1));
             q.reset();
-        }
-    }
-
-    #[test]
-    fn heap_reference_matches_on_a_smoke_sequence() {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapEventQueue::new();
-        let times = [7u64, 3, 3, 900_000, 3, 64, 65, 4096, 1 << 37, 12, u64::MAX];
-        for (i, &t) in times.iter().enumerate() {
-            let at = SimTime::from_nanos(t);
-            wheel.schedule(at, start(i));
-            heap.schedule(at, start(i));
-        }
-        loop {
-            assert_eq!(wheel.peek_time(), heap.peek_time());
-            let (a, b) = (wheel.pop_entry(), heap.pop_entry());
-            match (a, b) {
-                (None, None) => break,
-                (Some((ta, ia, _)), Some((tb, ib, _))) => {
-                    assert_eq!((ta, ia), (tb, ib));
-                    assert_eq!(wheel.now(), heap.now());
-                }
-                (a, b) => panic!(
-                    "queues diverged: wheel popped {:?}, heap popped {:?}",
-                    a.map(|(t, i, _)| (t, i)),
-                    b.map(|(t, i, _)| (t, i))
-                ),
-            }
         }
     }
 }

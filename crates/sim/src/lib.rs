@@ -36,8 +36,8 @@
 //! function of the event's content (flow id, link id, packet rank — see
 //! [`network`]), and the engine itself uses no randomness; the timing wheel
 //! preserves the binary heap's `(time, key)` pop order exactly (pinned by
-//! differential tests against [`event::HeapEventQueue`]). Randomized link
-//! impairments draw from per-*link* SplitMix64 streams
+//! differential tests against a heap reference model under `tests/`).
+//! Randomized link impairments draw from per-*link* SplitMix64 streams
 //! ([`impairment::derive_link_seed`]), so even lossy/jittered runs are a
 //! pure function of the seed. Workload generators (in `numfabric-workloads`)
 //! inject randomness only through explicitly seeded RNGs.
@@ -100,7 +100,7 @@ pub mod topology;
 pub mod tracer;
 pub mod transport;
 
-pub use event::{Event, EventId, EventQueue, HeapEventQueue};
+pub use event::{Event, EventId, EventQueue};
 pub use flow::{FlowPhase, FlowSpec, FlowStats};
 pub use impairment::{derive_link_seed, LinkChange, LinkHealth};
 pub use network::{AgentCtx, LinkStats, Network, NetworkConfig};

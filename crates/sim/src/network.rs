@@ -102,14 +102,29 @@ pub struct LinkStats {
 // ---- content-derived event keys -------------------------------------------
 //
 // Each event's wheel key encodes what the event *is*, not when it was
-// allocated: `(kind << 61) | (primary << 39) | secondary`. Keys need not be
-// unique (except flow timers, whose cancellation set is keyed by seq):
-// events with equal `(time, key)` can only originate from the same owning
-// partition in a deterministic schedule order, and the wheel's FIFO
-// tie-break preserves that order. Because the key is derived from content,
-// it is identical whichever partition schedules it and whether the epoch
-// ran inline or on a worker thread — this is what replaced the globally
-// shared sequence counter.
+// allocated: `(kind << 61) | (primary << 39) | secondary`. Because the key
+// is derived from content, it is identical whichever partition schedules
+// it and whether the epoch ran inline or on a worker thread — this is what
+// replaced the globally shared sequence counter.
+//
+// Keys are unique per instant, so dispatch order never rests on the
+// wheel's tie-break (`advance_core` checks this in debug builds). Per kind:
+// - flow start / stop: one start per flow id, and a recycled id starts only
+//   after its previous flow completed, strictly later; callers of
+//   `Network::stop_flow` stop a flow once.
+// - flow timer: the secondary field is the sender's arm count, so every arm
+//   of a flow has its own key (the timer service's cancellation set relies
+//   on it too).
+// - link timer / wake-up: a link holds one controller timer and one
+//   wake-up at a time, each re-armed only when it fires, and a wake-up sits
+//   at the end of a serialization, which lasts at least 1 ns.
+// - arrival: a link serializes one packet at a time, at least 1 ns each,
+//   and its propagation delay is fixed, so without jitter no two arrivals
+//   on one link share an instant. Jitter moves arrival times, so there
+//   two arrivals can meet; their keys still differ unless they agree in
+//   kind rank, flow and the 15 low bits of seq that `arrival_key` keeps —
+//   a retransmission meeting its original, two duplicate ACKs, or data
+//   offsets a multiple of 32 KiB apart.
 
 const KIND_FLOW_START: u64 = 0;
 const KIND_FLOW_STOP: u64 = 1;
@@ -362,6 +377,10 @@ struct PartitionCore {
     /// precedes every wheel event of its instant): with `clock`, the
     /// position [`try_transmit`] compares against a link's free position.
     cur_key: u64,
+    /// `(time, key)` of the last event dispatched here: keys are unique per
+    /// instant, so the next dispatch must differ from it.
+    #[cfg(debug_assertions)]
+    last_dispatched: Option<(SimTime, u64)>,
     events_processed: u64,
     /// When enabled, every handled event is recorded as `(time, key)` —
     /// the conformance trace the determinism proptests compare across
@@ -398,6 +417,8 @@ impl PartitionCore {
             outbound: (0..partitions).map(|_| OutBundle::default()).collect(),
             clock: SimTime::ZERO,
             cur_key: 0,
+            #[cfg(debug_assertions)]
+            last_dispatched: None,
             events_processed: 0,
             trace: None,
         }
@@ -457,6 +478,17 @@ fn advance_core(
         // Publish the event's key as the core's dispatch position.
         core.clock = time;
         core.cur_key = id.as_u64();
+        #[cfg(debug_assertions)]
+        {
+            let at = Some((time, id.as_u64()));
+            assert!(
+                core.last_dispatched != at,
+                "event key {:#x} dispatched twice at {time} on partition {}",
+                id.as_u64(),
+                core.index
+            );
+            core.last_dispatched = at;
+        }
         core.events_processed += 1;
         if let Some(trace) = &mut core.trace {
             trace.push((time, id.as_u64()));

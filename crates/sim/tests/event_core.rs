@@ -1,5 +1,5 @@
 //! Differential tests of the timing-wheel event core against the
-//! binary-heap reference model ([`HeapEventQueue`]).
+//! binary-heap reference model (`heap_reference/`).
 //!
 //! The determinism contract — pops in lexicographic `(time, seq)` order,
 //! FIFO for timestamp ties, cancellation tombstones, clock advancement —
@@ -9,7 +9,10 @@
 //! far-future (top-level) timestamps — and likewise for the seeded entry
 //! points a `Network` uses, where keys may repeat.
 
-use numfabric_sim::event::{Event, EventId, EventQueue, HeapEventQueue};
+mod heap_reference;
+
+use heap_reference::HeapEventQueue;
+use numfabric_sim::event::{Event, EventId, EventQueue};
 use numfabric_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -34,7 +37,7 @@ fn differential_run(seed: u64, ops: usize) {
     let mut heap = HeapEventQueue::new();
     // Ids of cancellable events that have not been cancelled yet (they may
     // have fired — cancelling a fired id must be a no-op in both).
-    let mut handles: Vec<(EventId, EventId)> = Vec::new();
+    let mut handles: Vec<(EventId, u64)> = Vec::new();
 
     for op in 0..ops {
         match rng.gen_range(0u32..100) {
@@ -45,7 +48,7 @@ fn differential_run(seed: u64, ops: usize) {
                 let at = wheel.now() + delta;
                 let a = wheel.schedule(at, start(op));
                 let b = heap.schedule(at, start(op));
-                assert_eq!(a, b, "seq allocation diverged");
+                assert_eq!(a.as_u64(), b, "seq allocation diverged");
             }
             // Pacing-like spacing: ~1.2 µs with jitter (the DGD/RCP* shape).
             35..=54 => {
@@ -60,7 +63,7 @@ fn differential_run(seed: u64, ops: usize) {
                 let at = wheel.now() + delta;
                 let a = wheel.schedule_cancellable(at, start(op));
                 let b = heap.schedule_cancellable(at, start(op));
-                assert_eq!(a, b);
+                assert_eq!(a.as_u64(), b);
                 handles.push((a, b));
             }
             // Far-future schedule, up to ~2^37.5 ns (wheel level 6).
@@ -92,7 +95,7 @@ fn differential_run(seed: u64, ops: usize) {
                         (None, None) => break,
                         (Some((ta, ia, ea)), Some((tb, ib, eb))) => {
                             assert_eq!(
-                                (ta, ia, flow_of(&ea)),
+                                (ta, ia.as_u64(), flow_of(&ea)),
                                 (tb, ib, flow_of(&eb)),
                                 "pop diverged at op {op}; pre-pop state:\n{state}"
                             );
@@ -120,7 +123,7 @@ fn differential_run(seed: u64, ops: usize) {
             (None, None) => break,
             (Some((ta, ia, ea)), Some((tb, ib, eb))) => {
                 assert_eq!(
-                    (ta, ia, flow_of(&ea)),
+                    (ta, ia.as_u64(), flow_of(&ea)),
                     (tb, ib, flow_of(&eb)),
                     "drain diverged; pre-pop state:\n{state}"
                 );
@@ -165,7 +168,7 @@ proptest! {
 /// (possibly one still pending in the group being drained).
 struct DispatchPolicy {
     rng: ChaCha8Rng,
-    handles: Vec<(EventId, EventId)>,
+    handles: Vec<(EventId, u64)>,
     next_flow: usize,
     budget: usize,
 }
@@ -208,14 +211,14 @@ impl DispatchPolicy {
                 wheel.schedule_cancellable(at, start(flow)),
                 heap.schedule_cancellable(at, start(flow)),
             );
-            assert_eq!(ids.0, ids.1, "seq allocation diverged");
+            assert_eq!(ids.0.as_u64(), ids.1, "seq allocation diverged");
             self.handles.push(ids);
         } else {
             let ids = (
                 wheel.schedule(at, start(flow)),
                 heap.schedule(at, start(flow)),
             );
-            assert_eq!(ids.0, ids.1, "seq allocation diverged");
+            assert_eq!(ids.0.as_u64(), ids.1, "seq allocation diverged");
         }
     }
 }
@@ -248,7 +251,7 @@ fn mid_drain_differential_run(seed: u64, events: usize, budget: usize) {
             (None, None) => break,
             (Some((ta, ia, ea)), Some((tb, ib, eb))) => {
                 assert_eq!(
-                    (ta, ia, flow_of(&ea)),
+                    (ta, ia.as_u64(), flow_of(&ea)),
                     (tb, ib, flow_of(&eb)),
                     "dispatch {k} diverged"
                 );
@@ -306,7 +309,7 @@ fn seeded_differential_run(seed: u64, ops: usize) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed_ed00);
     let mut wheel = EventQueue::new();
     let mut heap = HeapEventQueue::new();
-    let mut handles: Vec<(EventId, EventId)> = Vec::new();
+    let mut handles: Vec<(EventId, u64)> = Vec::new();
     // Peeks and pops are the only operations that move the wheel cursor;
     // `epoch` counts them so wheel-bound repeats stay within one position.
     let mut epoch = 1u64;
@@ -353,7 +356,7 @@ fn seeded_differential_run(seed: u64, ops: usize) {
                 next_unique_key += 1;
                 let a = wheel.schedule_cancellable_seeded(at, start(op), key);
                 let b = heap.schedule_cancellable_seeded(at, start(op), key);
-                assert_eq!(a, b, "id diverged at op {op}");
+                assert_eq!(a.as_u64(), b, "id diverged at op {op}");
                 handles.push((a, b));
                 None
             }
@@ -389,7 +392,7 @@ fn seeded_differential_run(seed: u64, ops: usize) {
                         (None, None) => break,
                         (Some((ta, ia, ea)), Some((tb, ib, eb))) => {
                             assert_eq!(
-                                (ta, ia, flow_of(&ea)),
+                                (ta, ia.as_u64(), flow_of(&ea)),
                                 (tb, ib, flow_of(&eb)),
                                 "pop diverged at op {op}; pre-pop state:\n{state}"
                             );
@@ -409,7 +412,7 @@ fn seeded_differential_run(seed: u64, ops: usize) {
             let at = SimTime::from_nanos(at);
             let a = wheel.schedule_seeded(at, start(op), key);
             let b = heap.schedule_seeded(at, start(op), key);
-            assert_eq!(a, b, "id diverged at op {op}");
+            assert_eq!(a.as_u64(), b, "id diverged at op {op}");
         }
         assert_eq!(wheel.len(), heap.len(), "len diverged at op {op}");
         wheel.debug_validate();
@@ -420,7 +423,7 @@ fn seeded_differential_run(seed: u64, ops: usize) {
         match (wheel.pop_entry(), heap.pop_entry()) {
             (None, None) => break,
             (a, b) => assert_eq!(
-                a.map(|(t, i, e)| (t, i, flow_of(&e))),
+                a.map(|(t, i, e)| (t, i.as_u64(), flow_of(&e))),
                 b.map(|(t, i, e)| (t, i, flow_of(&e))),
                 "drain diverged; pre-pop state:\n{state}"
             ),
@@ -463,8 +466,35 @@ fn peek_ahead_then_schedule_behind_matches_heap() {
         match (wheel.pop_entry(), heap.pop_entry()) {
             (None, None) => break,
             (a, b) => assert_eq!(
-                a.map(|(t, i, e)| (t, i, flow_of(&e))),
+                a.map(|(t, i, e)| (t, i.as_u64(), flow_of(&e))),
                 b.map(|(t, i, e)| (t, i, flow_of(&e)))
+            ),
+        }
+    }
+}
+
+#[test]
+fn heap_reference_matches_on_a_smoke_sequence() {
+    let mut wheel = EventQueue::new();
+    let mut heap = HeapEventQueue::new();
+    let times = [7u64, 3, 3, 900_000, 3, 64, 65, 4096, 1 << 37, 12, u64::MAX];
+    for (i, &t) in times.iter().enumerate() {
+        let at = SimTime::from_nanos(t);
+        wheel.schedule(at, start(i));
+        heap.schedule(at, start(i));
+    }
+    loop {
+        assert_eq!(wheel.peek_time(), heap.peek_time());
+        match (wheel.pop_entry(), heap.pop_entry()) {
+            (None, None) => break,
+            (Some((ta, ia, _)), Some((tb, ib, _))) => {
+                assert_eq!((ta, ia.as_u64()), (tb, ib));
+                assert_eq!(wheel.now(), heap.now());
+            }
+            (a, b) => panic!(
+                "queues diverged: wheel popped {:?}, heap popped {:?}",
+                a.map(|(t, i, _)| (t, i)),
+                b.map(|(t, i, _)| (t, i))
             ),
         }
     }
