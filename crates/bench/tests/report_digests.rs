@@ -9,8 +9,9 @@
 //! A digest may change only in a commit that says why. The recorded set
 //! spans every route-selection path: healthy ECMP on all three fabric
 //! families, symmetric cable-cut re-selection with and without restore
-//! (`recovery`), asymmetric `down-fwd` re-selection, seeded wire loss, the
-//! churn driver and the sweep engine's default mini-grid. A second set
+//! (`recovery`, for NUMFabric and DCTCP), asymmetric `down-fwd`
+//! re-selection, seeded wire loss, the churn driver and the sweep engine's
+//! default mini-grid. A second set
 //! digests the plain-text tables of two hand-built-topology figures and of
 //! the generic `dynamic` and `semi-dynamic` drivers.
 
@@ -57,7 +58,8 @@ fn moved_pins(pins: &[(&str, u64)], digest: fn(&str) -> u64) -> Vec<String> {
 }
 
 /// `(command line, digest)`, recorded at commit adab581 (the parent of the
-/// route-index change).
+/// route-index change). `recovery --protocol dctcp`, the only pinned run of
+/// DCTCP's go-back-N on a cut path, was recorded at f33338d.
 const PINS: &[(&str, u64)] = &[
     (
         "incast --topology fat-tree:k=4 --fanin 4 --size 100000",
@@ -74,6 +76,7 @@ const PINS: &[(&str, u64)] = &[
     ("churn --millis 4 --drain-millis 40", 0x9d5d_04d9_0964_e1bf),
     ("recovery", 0x6e92_224f_d986_ba49),
     ("recovery --restore-us 3000", 0x5eb7_7dd8_43cb_21c0),
+    ("recovery --protocol dctcp", 0xb6fd_0ef7_b4a4_122d),
     (
         "stride --topology fat-tree:k=4 --millis 2 --impair down-fwd@500:64,up@1200:64",
         0x7184_7d17_45a9_7190,
