@@ -49,8 +49,6 @@ pub struct DctcpAgent {
     acks_total: u64,
     window_end_seq: u64,
     cut_this_window: bool,
-    next_seq: u64,
-    highest_ack: u64,
 }
 
 impl DctcpAgent {
@@ -66,8 +64,6 @@ impl DctcpAgent {
             acks_total: 0,
             window_end_seq: 0,
             cut_this_window: false,
-            next_seq: 0,
-            highest_ack: 0,
         }
     }
 
@@ -81,22 +77,14 @@ impl DctcpAgent {
         self.alpha
     }
 
-    fn in_flight(&self) -> u64 {
-        self.next_seq.saturating_sub(self.highest_ack)
-    }
-
     fn send_available(&mut self, ctx: &mut AgentCtx<'_>) {
-        while (self.in_flight() as f64) + DEFAULT_PAYLOAD_BYTES as f64 <= self.cwnd_bytes {
-            let payload = match ctx.remaining_bytes() {
-                Some(0) => break,
-                Some(rem) => rem.min(DEFAULT_PAYLOAD_BYTES as u64) as u32,
-                None => DEFAULT_PAYLOAD_BYTES,
+        while (ctx.in_flight_bytes() as f64) + DEFAULT_PAYLOAD_BYTES as f64 <= self.cwnd_bytes {
+            let Some(payload) = ctx.next_payload() else {
+                break;
             };
-            let seq = self.next_seq;
-            ctx.send_data(seq, payload, |h| {
+            ctx.send_next(payload, |h| {
                 h.ecn_capable = true;
             });
-            self.next_seq += payload as u64;
         }
     }
 
@@ -110,20 +98,17 @@ impl DctcpAgent {
         self.acks_marked = 0;
         self.acks_total = 0;
         self.cut_this_window = false;
-        self.window_end_seq = self.next_seq;
     }
 }
 
 impl FlowAgent for DctcpAgent {
     fn on_start(&mut self, ctx: &mut AgentCtx<'_>) {
-        self.window_end_seq = 0;
         self.send_available(ctx);
-        self.window_end_seq = self.next_seq;
+        self.window_end_seq = ctx.bytes_sent();
     }
 
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>) {
         let ack = packet.ack_header().expect("on_ack is handed ACKs");
-        self.highest_ack = self.highest_ack.max(ack.ack_bytes);
         self.acks_total += 1;
         if ack.ecn_echo {
             self.acks_marked += 1;
@@ -147,14 +132,10 @@ impl FlowAgent for DctcpAgent {
         }
         if ack.ack_bytes >= self.window_end_seq {
             self.end_of_window_update();
+            self.window_end_seq = ctx.bytes_sent();
         }
         self.send_available(ctx);
     }
-
-    // This DCTCP model is purely ACK-clocked (drops on the lossless test
-    // fabrics are recovered by the window stall resolving via later ACKs),
-    // so it arms no flow timers and nothing needs cancelling on completion.
-    fn on_timer(&mut self, _tag: u64, _ctx: &mut AgentCtx<'_>) {}
 
     fn on_reroute(&mut self, path_was_lost: bool, ctx: &mut AgentCtx<'_>) {
         if !path_was_lost {
@@ -166,13 +147,12 @@ impl FlowAgent for DctcpAgent {
         // ACK and slow-start toward half the old window.
         self.ssthresh_bytes = (self.cwnd_bytes / 2.0).max(2.0 * MTU_BYTES as f64);
         self.cwnd_bytes = (self.config.initial_window_packets * MTU_BYTES as u64) as f64;
-        self.next_seq = self.highest_ack;
-        ctx.rewind_sent(self.highest_ack);
+        ctx.go_back_n();
         self.acks_marked = 0;
         self.acks_total = 0;
         self.cut_this_window = false;
         self.send_available(ctx);
-        self.window_end_seq = self.next_seq;
+        self.window_end_seq = ctx.bytes_sent();
     }
 
     fn name(&self) -> &'static str {

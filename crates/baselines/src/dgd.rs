@@ -131,8 +131,6 @@ pub struct DgdAgent {
     utility: UtilityRef,
     path_price: f64,
     rate_bps: f64,
-    next_seq: u64,
-    highest_ack: u64,
     unacked_cap_bytes: u64,
     /// The pending pacing timer, if one is scheduled. Completion cancels it
     /// structurally via the network's timer service.
@@ -152,8 +150,6 @@ impl DgdAgent {
             utility,
             path_price: 0.0,
             rate_bps: 0.0,
-            next_seq: 0,
-            highest_ack: 0,
             unacked_cap_bytes: u64::MAX,
             pacing_timer: None,
         }
@@ -172,29 +168,17 @@ impl DgdAgent {
         self.rate_bps = (rate_gbps * 1e9).clamp(first_hop * 1e-3, first_hop);
     }
 
-    fn unacked_bytes(&self) -> u64 {
-        self.next_seq.saturating_sub(self.highest_ack)
-    }
-
     fn send_one_and_reschedule(&mut self, ctx: &mut AgentCtx<'_>) {
         if self.rate_bps <= 0.0 {
             self.pacing_timer = None;
             return;
         }
-        let under_cap =
-            self.unacked_bytes() + (DEFAULT_PAYLOAD_BYTES as u64) <= self.unacked_cap_bytes;
-        let payload = match ctx.remaining_bytes() {
-            Some(0) => {
-                self.pacing_timer = None;
-                return;
-            }
-            Some(rem) => rem.min(DEFAULT_PAYLOAD_BYTES as u64) as u32,
-            None => DEFAULT_PAYLOAD_BYTES,
+        let Some(payload) = ctx.next_payload() else {
+            self.pacing_timer = None;
+            return;
         };
-        if under_cap {
-            let seq = self.next_seq;
-            ctx.send_data(seq, payload, |_| {});
-            self.next_seq += payload as u64;
+        if ctx.in_flight_bytes() + (DEFAULT_PAYLOAD_BYTES as u64) <= self.unacked_cap_bytes {
+            ctx.send_next(payload, |_| {});
         }
         // Schedule the next transmission opportunity at the paced interval
         // regardless of whether this one was capped, so sending resumes as
@@ -216,7 +200,6 @@ impl FlowAgent for DgdAgent {
 
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>) {
         let ack = packet.ack_header().expect("on_ack is handed ACKs");
-        self.highest_ack = self.highest_ack.max(ack.ack_bytes);
         if ack.reflected_path_len > 0 {
             self.path_price = ack.reflected_path_price;
         }

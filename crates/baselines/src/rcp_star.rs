@@ -15,7 +15,7 @@
 //! unacknowledged bytes.
 
 use numfabric_sim::network::{AgentCtx, Network};
-use numfabric_sim::packet::{Packet, DEFAULT_PAYLOAD_BYTES, MTU_BYTES};
+use numfabric_sim::packet::{Packet, MTU_BYTES};
 use numfabric_sim::queue::DropTailFifo;
 use numfabric_sim::timer::TimerHandle;
 use numfabric_sim::topology::Topology;
@@ -151,8 +151,6 @@ pub struct RcpStarAgent {
     config: RcpStarConfig,
     feedback: f64,
     rate_bps: f64,
-    next_seq: u64,
-    highest_ack: u64,
     unacked_cap_bytes: u64,
     /// The pending pacing timer, if one is scheduled. Completion cancels it
     /// structurally via the network's timer service.
@@ -166,8 +164,6 @@ impl RcpStarAgent {
             config,
             feedback: 0.0,
             rate_bps: 0.0,
-            next_seq: 0,
-            highest_ack: 0,
             unacked_cap_bytes: u64::MAX,
             pacing_timer: None,
         }
@@ -188,23 +184,13 @@ impl RcpStarAgent {
         self.rate_bps = (rate_gbps * 1e9).clamp(first_hop * 1e-3, first_hop);
     }
 
-    fn unacked_bytes(&self) -> u64 {
-        self.next_seq.saturating_sub(self.highest_ack)
-    }
-
     fn send_one_and_reschedule(&mut self, ctx: &mut AgentCtx<'_>) {
-        let payload = match ctx.remaining_bytes() {
-            Some(0) => {
-                self.pacing_timer = None;
-                return;
-            }
-            Some(rem) => rem.min(DEFAULT_PAYLOAD_BYTES as u64) as u32,
-            None => DEFAULT_PAYLOAD_BYTES,
+        let Some(payload) = ctx.next_payload() else {
+            self.pacing_timer = None;
+            return;
         };
-        if self.unacked_bytes() + payload as u64 <= self.unacked_cap_bytes {
-            let seq = self.next_seq;
-            ctx.send_data(seq, payload, |_| {});
-            self.next_seq += payload as u64;
+        if ctx.in_flight_bytes() + payload as u64 <= self.unacked_cap_bytes {
+            ctx.send_next(payload, |_| {});
         }
         let interval = SimDuration::transmission((payload + 40) as u64, self.rate_bps.max(1e6));
         self.pacing_timer = Some(ctx.set_timer(interval, PACING_TIMER));
@@ -225,7 +211,6 @@ impl FlowAgent for RcpStarAgent {
 
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>) {
         let ack = packet.ack_header().expect("on_ack is handed ACKs");
-        self.highest_ack = self.highest_ack.max(ack.ack_bytes);
         if ack.reflected_path_len > 0 {
             self.feedback = ack.reflected_rcp_feedback;
         }
@@ -261,6 +246,7 @@ pub fn rcp_star_network(topo: Topology, config: &RcpStarConfig) -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use numfabric_sim::packet::DEFAULT_PAYLOAD_BYTES;
     use numfabric_sim::topology::LeafSpineConfig;
     use numfabric_sim::FlowPhase;
 

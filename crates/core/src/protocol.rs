@@ -57,8 +57,9 @@ pub struct NumFabricAgent {
     weight: f64,
     path_price: f64,
     path_len_hint: u32,
-    next_seq: u64,
-    highest_ack: u64,
+    /// The cumulative ACK as of the previous `on_ack`, kept only to size
+    /// Swift's rate samples (the engine owns the send cursor).
+    last_ack: u64,
     started: bool,
 }
 
@@ -81,8 +82,7 @@ impl NumFabricAgent {
             weight,
             path_price: 0.0,
             path_len_hint: 1,
-            next_seq: 0,
-            highest_ack: 0,
+            last_ack: 0,
             started: false,
         }
     }
@@ -183,29 +183,14 @@ impl NumFabricAgent {
         window
     }
 
-    fn in_flight_bytes(&self) -> u64 {
-        self.next_seq.saturating_sub(self.highest_ack)
-    }
-
     fn send_available(&mut self, ctx: &mut AgentCtx<'_>) {
         let window = self.window_bytes();
         let residual = self.normalized_residual();
-        let weight = self.weight;
-        loop {
-            if self.in_flight_bytes() >= window {
+        while ctx.in_flight_bytes() < window {
+            let Some(payload) = ctx.next_payload() else {
                 break;
-            }
-            let payload = match ctx.remaining_bytes() {
-                Some(0) => break,
-                Some(rem) => rem.min(DEFAULT_PAYLOAD_BYTES as u64) as u32,
-                None => DEFAULT_PAYLOAD_BYTES,
             };
-            let seq = self.next_seq;
-            ctx.send_data(seq, payload, |h| {
-                h.virtual_packet_len = (payload + 40) as f64 / weight;
-                h.normalized_residual = residual;
-            });
-            self.next_seq += payload as u64;
+            send_stamped(ctx, payload, self.weight, residual);
         }
     }
 
@@ -248,29 +233,20 @@ impl FlowAgent for NumFabricAgent {
         // samples at the receiver — or a full BDP for the FCT experiments.
         let mut to_send = self.initial_burst_bytes(ctx);
         let residual = self.normalized_residual();
-        let weight = self.weight;
         while to_send > 0 {
-            let payload = match ctx.remaining_bytes() {
-                Some(0) => break,
-                Some(rem) => rem.min(DEFAULT_PAYLOAD_BYTES as u64) as u32,
-                None => DEFAULT_PAYLOAD_BYTES,
+            let Some(payload) = ctx.next_payload() else {
+                break;
             };
-            let payload = payload.min(to_send.max(1) as u32);
-            let seq = self.next_seq;
-            ctx.send_data(seq, payload, |h| {
-                h.virtual_packet_len = (payload + 40) as f64 / weight;
-                h.normalized_residual = residual;
-            });
-            self.next_seq += payload as u64;
-            to_send = to_send.saturating_sub(payload as u64);
+            let payload = to_send.min(payload as u64) as u32;
+            send_stamped(ctx, payload, self.weight, residual);
+            to_send -= payload as u64;
         }
     }
 
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>) {
-        let previous_ack = self.highest_ack;
         let ack = packet.ack_header().expect("on_ack is handed ACKs");
-        self.highest_ack = self.highest_ack.max(ack.ack_bytes);
-        let acked_now = self.highest_ack.saturating_sub(previous_ack);
+        let acked_now = ctx.bytes_acked().saturating_sub(self.last_ack);
+        self.last_ack = ctx.bytes_acked();
 
         // Swift rate estimation from the reflected inter-packet time.
         if let Some(ipt) = ack.inter_packet_time {
@@ -294,12 +270,6 @@ impl FlowAgent for NumFabricAgent {
         self.send_available(ctx);
     }
 
-    // NUMFabric is ACK-clocked end to end: the window recomputation rides
-    // on every ACK, so the agent never arms a flow timer (and therefore has
-    // nothing for the timer service to cancel at stop/completion). The xWI
-    // price update runs switch-side on the periodic link timer instead.
-    fn on_timer(&mut self, _tag: u64, _ctx: &mut AgentCtx<'_>) {}
-
     fn on_reroute(&mut self, path_was_lost: bool, ctx: &mut AgentCtx<'_>) {
         if !self.started {
             return;
@@ -312,18 +282,27 @@ impl FlowAgent for NumFabricAgent {
             return;
         }
         // The old path died and took the in-flight window with it. This
-        // agent is purely ACK-clocked (see `on_timer`), so with nothing
-        // left in flight no ACK will ever arrive to reopen the window —
-        // go-back-N from the last cumulative ACK restarts the clock on
-        // the new route.
-        self.next_seq = self.highest_ack;
-        ctx.rewind_sent(self.highest_ack);
+        // agent is ACK-clocked end to end: the window recomputation rides
+        // on every ACK and it arms no flow timer (the xWI price update runs
+        // switch-side on the periodic link timer). With nothing left in
+        // flight no ACK will ever arrive to reopen the window, so go-back-N
+        // from the last cumulative ACK restarts the clock on the new route.
+        ctx.go_back_n();
         self.send_available(ctx);
     }
 
     fn name(&self) -> &'static str {
         "numfabric"
     }
+}
+
+/// Send one packet at the flow's send cursor, stamped for STFQ (`L / w`)
+/// and for the xWI price update (the normalized residual).
+fn send_stamped(ctx: &mut AgentCtx<'_>, payload: u32, weight: f64, residual: f64) {
+    ctx.send_next(payload, |h| {
+        h.virtual_packet_len = (payload + 40) as f64 / weight;
+        h.normalized_residual = residual;
+    });
 }
 
 /// Build a [`Network`] ready for NUMFabric: STFQ queues on every port and an

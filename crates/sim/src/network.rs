@@ -72,7 +72,8 @@ use crate::event::{Event, EventId, EventQueue};
 use crate::flow::{FlowPhase, FlowSpec, FlowStats};
 use crate::impairment::{derive_link_seed, splitmix64_unit, LinkChange, LinkHealth};
 use crate::packet::{
-    AckHeader, DataHeader, FlowId, Packet, PacketKind, SeqNo, HEADER_BYTES, MTU_BYTES,
+    AckHeader, DataHeader, FlowId, Packet, PacketKind, SeqNo, DEFAULT_PAYLOAD_BYTES, HEADER_BYTES,
+    MTU_BYTES,
 };
 use crate::queue::QueueDiscipline;
 use crate::routes::{RouteId, RouteTable};
@@ -2157,19 +2158,32 @@ impl AgentCtx<'_> {
         self.sender().bytes_acked
     }
 
-    /// Payload bytes handed to the network so far.
+    /// Payload bytes handed to the network so far. For an agent that sends
+    /// only through [`Self::send_next`] this is its send cursor: the
+    /// sequence number of the next byte it will send.
     pub fn bytes_sent(&self) -> u64 {
         self.sender().bytes_sent
     }
 
-    /// Rewind the sent-bytes high-water mark to `to` (typically the highest
-    /// cumulative ACK) ahead of a go-back-N retransmission, so that
-    /// [`Self::remaining_bytes`] counts the lost tail as still owed rather
-    /// than treating the dead transmission as spent. A `to` at or beyond
-    /// the current mark is a no-op.
-    pub fn rewind_sent(&mut self, to: u64) {
+    /// The payload of the next packet [`Self::send_next`] should send: one
+    /// MSS, or what is left of a finite flow; `None` once nothing is owed.
+    pub fn next_payload(&self) -> Option<u32> {
+        let remaining = self.remaining_bytes().unwrap_or(u64::MAX);
+        (remaining > 0).then(|| remaining.min(DEFAULT_PAYLOAD_BYTES as u64) as u32)
+    }
+
+    /// Bytes sent past the highest cumulative ACK.
+    pub fn in_flight_bytes(&self) -> u64 {
+        let sender = self.sender();
+        sender.bytes_sent.saturating_sub(sender.bytes_acked)
+    }
+
+    /// Go-back-N: move the send cursor back to the highest cumulative ACK,
+    /// so that everything past it is owed again and the next
+    /// [`Self::send_next`] resends from there.
+    pub fn go_back_n(&mut self) {
         let sender = self.sender_mut();
-        sender.bytes_sent = sender.bytes_sent.min(to);
+        sender.bytes_sent = sender.bytes_acked;
     }
 
     /// The flow's forward route.
@@ -2198,9 +2212,20 @@ impl AgentCtx<'_> {
         self.shared.specs[self.flow].base_rtt
     }
 
+    /// Send a data packet of `payload_bytes` at the send cursor (see
+    /// [`Self::bytes_sent`]), setting its data-only header fields with
+    /// `modify`, and advance the cursor past it. Returns the wire size sent.
+    pub fn send_next(&mut self, payload_bytes: u32, modify: impl FnOnce(&mut DataHeader)) -> u32 {
+        let seq = self.sender().bytes_sent;
+        self.send_data(seq, payload_bytes, modify)
+    }
+
     /// Send a data packet of `payload_bytes` starting at byte offset `seq`,
     /// setting its data-only header fields with `modify`. Returns the wire
-    /// size sent.
+    /// size sent. This is for agents that retransmit individual segments
+    /// (pFabric): every call still adds `payload_bytes` to
+    /// [`Self::bytes_sent`], so such an agent keeps its own sequence
+    /// position. ACK-clocked agents use [`Self::send_next`].
     pub fn send_data(
         &mut self,
         seq: SeqNo,

@@ -8,7 +8,7 @@
 //! to reason about analytically).
 
 use crate::network::AgentCtx;
-use crate::packet::{Packet, DEFAULT_PAYLOAD_BYTES};
+use crate::packet::Packet;
 use crate::transport::FlowAgent;
 
 /// Fixed-window ACK-clocked transport with no congestion control.
@@ -16,7 +16,6 @@ use crate::transport::FlowAgent;
 pub struct SimpleWindowAgent {
     window_packets: usize,
     in_flight: usize,
-    next_seq: u64,
 }
 
 impl SimpleWindowAgent {
@@ -29,20 +28,15 @@ impl SimpleWindowAgent {
         Self {
             window_packets,
             in_flight: 0,
-            next_seq: 0,
         }
     }
 
     fn fill_window(&mut self, ctx: &mut AgentCtx<'_>) {
         while self.in_flight < self.window_packets {
-            let payload = match ctx.remaining_bytes() {
-                Some(0) => break,
-                Some(rem) => rem.min(DEFAULT_PAYLOAD_BYTES as u64) as u32,
-                None => DEFAULT_PAYLOAD_BYTES,
+            let Some(payload) = ctx.next_payload() else {
+                break;
             };
-            let seq = self.next_seq;
-            ctx.send_data(seq, payload, |_| {});
-            self.next_seq += payload as u64;
+            ctx.send_next(payload, |_| {});
             self.in_flight += 1;
         }
     }
@@ -57,8 +51,6 @@ impl FlowAgent for SimpleWindowAgent {
         self.in_flight = self.in_flight.saturating_sub(1);
         self.fill_window(ctx);
     }
-
-    fn on_timer(&mut self, _tag: u64, _ctx: &mut AgentCtx<'_>) {}
 
     fn name(&self) -> &'static str {
         "simple-window"

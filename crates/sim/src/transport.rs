@@ -20,7 +20,14 @@
 //!
 //! Agents interact with the network exclusively through [`AgentCtx`]
 //! (sending packets, setting timers, reading flow state), which keeps them
-//! free of any knowledge of the event queue or link internals. Timers are
+//! free of any knowledge of the event queue or link internals. The engine
+//! owns each flow's send cursor: an ACK-clocked sender asks
+//! [`AgentCtx::next_payload`] what to send, sends it with
+//! [`AgentCtx::send_next`], reads [`AgentCtx::in_flight_bytes`] against
+//! its window, and on a lost path calls [`AgentCtx::go_back_n`] to resend
+//! from the highest cumulative ACK. Only an agent that retransmits
+//! individual segments (pFabric) keeps its own sequence position and sends
+//! with [`AgentCtx::send_data`]. Timers are
 //! handle-based: [`AgentCtx::set_timer`] returns a
 //! [`crate::timer::TimerHandle`] that [`AgentCtx::cancel_timer`] revokes,
 //! and a flow that stops or completes sheds its outstanding timers
@@ -67,8 +74,10 @@ pub trait FlowAgent: Send {
     /// A timer set via [`AgentCtx::set_timer`] fired. The `tag` is the one
     /// passed at arm time (distinguishing timer kinds — RTX vs pacing,
     /// say); the corresponding [`crate::timer::TimerHandle`] is spent by
-    /// the time this runs, so re-arming starts from a clean slate.
-    fn on_timer(&mut self, tag: u64, ctx: &mut AgentCtx<'_>);
+    /// the time this runs, so re-arming starts from a clean slate. The
+    /// default does nothing, which is right for an agent that never arms a
+    /// timer.
+    fn on_timer(&mut self, _tag: u64, _ctx: &mut AgentCtx<'_>) {}
 
     /// The network moved the flow onto a new ECMP route (a link on the old
     /// path failed, or a restore put the original path back). By the time
@@ -76,10 +85,11 @@ pub trait FlowAgent: Send {
     /// describe the new path. `path_was_lost` is true when the old route
     /// traversed a downed link in either direction — every packet in
     /// flight there must be presumed lost. Purely ACK-clocked protocols
-    /// (no retransmission timer) **must** retransmit here: with the whole
-    /// window gone no ACK will ever arrive to reopen it, and the flow
-    /// stalls forever. The default does nothing, which is correct for
-    /// timer-driven protocols that recover via their own RTO.
+    /// (no retransmission timer) **must** call [`AgentCtx::go_back_n`] here
+    /// when `path_was_lost`, and send again: with the whole window gone no
+    /// ACK will ever arrive to reopen it, and the flow stalls forever. The
+    /// default does nothing, which is correct for timer-driven protocols
+    /// that recover via their own RTO.
     fn on_reroute(&mut self, _path_was_lost: bool, _ctx: &mut AgentCtx<'_>) {}
 
     /// A human-readable protocol name (for logs and experiment tables).

@@ -86,7 +86,6 @@ impl FlowAgent for PanicOnStart {
         panic!("agent failed to start");
     }
     fn on_ack(&mut self, _packet: &Packet, _ctx: &mut AgentCtx<'_>) {}
-    fn on_timer(&mut self, _tag: u64, _ctx: &mut AgentCtx<'_>) {}
 }
 
 #[test]

@@ -109,7 +109,6 @@ fn steady_state_enqueue_dequeue_allocates_nothing() {
 struct Windowed {
     window: usize,
     in_flight: usize,
-    next_seq: u64,
     weight: f64,
     rto: Option<TimerHandle>,
 }
@@ -119,7 +118,6 @@ impl Windowed {
         Box::new(Self {
             window: 12,
             in_flight: 0,
-            next_seq: 0,
             weight: (1 + flow % 4) as f64,
             rto: None,
         })
@@ -127,17 +125,15 @@ impl Windowed {
 
     fn fill(&mut self, ctx: &mut AgentCtx<'_>) {
         while self.in_flight < self.window {
-            let remaining = ctx.remaining_bytes().unwrap_or(u64::MAX);
-            if remaining == 0 {
+            let Some(payload) = ctx.next_payload() else {
                 break;
-            }
-            let payload = remaining.min(DEFAULT_PAYLOAD_BYTES as u64) as u32;
+            };
+            let remaining = ctx.remaining_bytes().unwrap_or(u64::MAX);
             let weight = self.weight;
-            ctx.send_data(self.next_seq, payload, |h| {
+            ctx.send_next(payload, |h| {
                 h.virtual_packet_len = payload as f64 / weight;
                 h.pfabric_priority = remaining as f64;
             });
-            self.next_seq += payload as u64;
             self.in_flight += 1;
             if let Some(rto) = self.rto.take() {
                 ctx.cancel_timer(rto);
@@ -160,8 +156,7 @@ impl FlowAgent for Windowed {
     fn on_timer(&mut self, _tag: u64, ctx: &mut AgentCtx<'_>) {
         self.rto = None;
         self.in_flight = 0;
-        self.next_seq = ctx.bytes_acked();
-        ctx.rewind_sent(self.next_seq);
+        ctx.go_back_n();
         self.fill(ctx);
     }
 }
