@@ -279,6 +279,8 @@ pub struct FlowRecord {
     /// Destination-side rate estimate at the end of the run, bits per
     /// second.
     pub rate_bps: f64,
+    /// Packets of this flow dropped anywhere in the network.
+    pub packets_dropped: u64,
 }
 
 impl FlowRecord {
@@ -437,11 +439,15 @@ impl Driver<'_> {
             .iter()
             .zip(&self.sampled)
             .zip(empty_fcts)
-            .map(|((flow, &id), empty_fct)| FlowRecord {
-                size_bytes: flow.size_bytes,
-                fct: self.net.flow_stats(id).fct(),
-                empty_fct,
-                rate_bps: self.net.flow_rate_estimate(id),
+            .map(|((flow, &id), empty_fct)| {
+                let stats = self.net.flow_stats(id);
+                FlowRecord {
+                    size_bytes: flow.size_bytes,
+                    fct: stats.fct(),
+                    empty_fct,
+                    rate_bps: self.net.flow_rate_estimate(id),
+                    packets_dropped: stats.packets_dropped,
+                }
             })
             .collect()
     }
@@ -629,6 +635,7 @@ mod tests {
             fct: Some(SimDuration::from_millis(2)),
             empty_fct: Some(SimDuration::from_micros(800)),
             rate_bps: 0.0,
+            packets_dropped: 0,
         };
         // Measured rate is half the ideal rate → deviation −0.5.
         let ideal = SimDuration::from_millis(1);

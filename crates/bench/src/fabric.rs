@@ -270,6 +270,14 @@ pub fn incast(opts: &ScenarioOptions) {
     report_transfers("incast", &exp, &topology, seed, json, &expected);
 }
 
+/// How many of `records`' unfinished flows had a packet dropped.
+fn unfinished_with_drops(records: &[FlowRecord]) -> usize {
+    records
+        .iter()
+        .filter(|r| r.fct.is_none() && r.packets_dropped > 0)
+        .count()
+}
+
 /// Run a finite-transfer List experiment and print its report — one JSON
 /// document with `json`, else the summary table and the `expected` shape —
 /// then exit 1 if any transfer missed the deadline.
@@ -281,7 +289,8 @@ fn report_transfers(
     json: bool,
     expected: &str,
 ) {
-    let summary = TransferSummary::of(&run_experiment(exp).flows);
+    let records = run_experiment(exp).flows;
+    let summary = TransferSummary::of(&records);
     let size = exp.list()[0].size_bytes.expect("transfers are finite");
     let protocol = exp.protocol.name();
     if json {
@@ -293,12 +302,15 @@ fn report_transfers(
         print_transfer_summary(scenario, &summary);
         println!("\n{expected}");
     }
+    let unfinished = summary.flows - summary.completed;
+    let lossy = unfinished_with_drops(&records);
     exit_if_wedged(
         !summary.all_completed(),
         format!(
-            "{scenario} run wedged: {}/{} transfers unfinished at the deadline",
-            summary.flows - summary.completed,
-            summary.flows
+            "{scenario} run wedged: {unfinished}/{} transfers unfinished at the deadline \
+             ({lossy} dropped packets, {} dropped none)",
+            summary.flows,
+            unfinished - lossy
         ),
     );
 }
@@ -471,6 +483,25 @@ mod tests {
         let goodput = summary.aggregate_goodput_bps();
         assert!(goodput > 4e9, "goodput = {goodput}");
         assert!(goodput < 10e9, "goodput = {goodput}");
+    }
+
+    #[test]
+    fn unfinished_flows_are_split_by_whether_they_dropped_packets() {
+        let record = |fct_us: Option<u64>, packets_dropped| FlowRecord {
+            size_bytes: Some(10_000),
+            fct: fct_us.map(SimDuration::from_micros),
+            empty_fct: None,
+            rate_bps: 0.0,
+            packets_dropped,
+        };
+        let records = [
+            record(Some(50), 0),
+            record(Some(70), 3),
+            record(None, 2),
+            record(None, 1),
+            record(None, 0),
+        ];
+        assert_eq!(unfinished_with_drops(&records), 2);
     }
 
     #[test]
