@@ -199,8 +199,8 @@ impl RcpStarAgent {
 
 impl FlowAgent for RcpStarAgent {
     fn on_start(&mut self, ctx: &mut AgentCtx<'_>) {
-        // Standard RCP behaviour: start at the advertised rate, which before
-        // any feedback is the NIC rate — the 2×BDP cap bounds the burst.
+        // Before any feedback the sender paces at a tenth of its NIC rate;
+        // the 2×BDP cap on unacknowledged bytes bounds the burst.
         let first_hop = ctx.first_hop_capacity_bps();
         self.rate_bps = first_hop * 0.1;
         let bdp = first_hop * ctx.base_rtt().as_secs_f64() / 8.0;

@@ -1041,7 +1041,7 @@ pub fn table2(_opts: &ScenarioOptions) {
         ],
     );
 
-    println!("\nDGD [Eq. 14] (gains adapted to Gbps/byte units; see DESIGN.md)");
+    println!("\nDGD [Eq. 14] (gains adapted to Gbps/byte units; see the DgdConfig docs in numfabric-baselines)");
     print_table(
         &["parameter", "value"],
         &[

@@ -12,8 +12,9 @@
 //! (`recovery`, for NUMFabric and DCTCP), asymmetric `down-fwd`
 //! re-selection, seeded wire loss, the churn driver and the sweep engine's
 //! default mini-grid. A second set
-//! digests the plain-text tables of two hand-built-topology figures and of
-//! the generic `dynamic` and `semi-dynamic` drivers.
+//! digests the plain-text tables of two hand-built-topology figures, of
+//! Table 2's parameter settings and of the generic `dynamic` and
+//! `semi-dynamic` drivers.
 
 use std::process::Command;
 
@@ -93,10 +94,12 @@ const PINS: &[(&str, u64)] = &[
 /// tables, which refuse `--json` — recorded at commit f7c3791 (the parent of
 /// the one-driver change). `dynamic --protocol dgd` is the pin that notices
 /// recycled flow slots: DGD's pacing-timer keys carry the flow id, so a
-/// reused id reorders same-instant timers.
+/// reused id reorders same-instant timers. `table2` was recorded once its
+/// DGD heading pointed at `DgdConfig`'s docs.
 const STDOUT_PINS: &[(&str, u64)] = &[
     ("fig9", 0xdac2_fab0_951f_11bd),
     ("fig10", 0x4c40_4d99_67c5_1f4a),
+    ("table2", 0x458d_9a01_38aa_e201),
     ("dynamic --load 0.3", 0x4aef_e3cd_f22a_d752),
     ("dynamic --protocol dgd --load 0.7", 0x5577_2566_d430_6e99),
     ("semi-dynamic --events 2", 0x83d2_593a_680f_e133),

@@ -105,11 +105,6 @@ impl NumFabricAgent {
         self.path_price
     }
 
-    /// The current Swift rate estimate in bits/s, if initialized.
-    pub fn rate_estimate_bps(&self) -> Option<f64> {
-        self.estimator.rate_bps()
-    }
-
     /// The rate (in Gbps) at which the marginal utility is evaluated: the
     /// flow's own estimate for single-path flows, the aggregate total for
     /// multipath subflows. `None` until a rate measurement exists — computing

@@ -7,10 +7,9 @@
 //! flows (see BwE, \[35\] in the paper).
 //!
 //! This module provides piecewise-linear, non-decreasing bandwidth functions,
-//! their (pseudo-)inverse `F(x)` (fair share as a function of bandwidth), the
-//! single-link water-filling allocation, and the network-wide max-min
-//! fair-share allocation used to validate the NUMFabric experiments of
-//! Figures 9 and 10.
+//! their (pseudo-)inverse `F(x)` (fair share as a function of bandwidth) and
+//! the single-link water-filling allocation that Figure 9 checks NUMFabric
+//! against.
 
 use crate::EPS;
 use serde::{Deserialize, Serialize};
@@ -216,149 +215,6 @@ pub fn single_link_allocation(functions: &[BandwidthFunction], capacity: f64) ->
     )
 }
 
-/// Network-wide bandwidth-function allocation: max-min over fair shares.
-///
-/// `paths[i]` lists the links used by flow `i`; `capacities[l]` is link `l`'s
-/// capacity. The allocation raises every flow's fair share together, freezing
-/// flows at links that saturate (progressive filling), which generalizes the
-/// single-link water-filling procedure the same way BwE does.
-///
-/// Returns per-flow bandwidth allocations.
-///
-/// # Panics
-/// Panics if a path references a link index out of range.
-pub fn network_allocation(
-    functions: &[BandwidthFunction],
-    paths: &[Vec<usize>],
-    capacities: &[f64],
-) -> Vec<f64> {
-    assert_eq!(
-        functions.len(),
-        paths.len(),
-        "one path per bandwidth function"
-    );
-    let n = functions.len();
-    let m = capacities.len();
-    for path in paths {
-        for &l in path {
-            assert!(l < m, "link index {l} out of range ({m} links)");
-        }
-    }
-    let mut frozen = vec![false; n];
-    let mut alloc = vec![0.0_f64; n];
-    let mut remaining: Vec<f64> = capacities.to_vec();
-    // Round workspaces, hoisted so the filling loop allocates nothing per
-    // round (the inner vectors keep their capacity across `clear`).
-    let mut link_flows: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut to_freeze = vec![false; n];
-
-    // Progressive filling over fair shares: in each round, find the smallest
-    // fair share at which some link saturates considering only unfrozen flows,
-    // freeze the flows crossing saturated links at that fair share, repeat.
-    for _ in 0..n {
-        if frozen.iter().all(|&f| f) {
-            break;
-        }
-        // For each link, the unfrozen flows crossing it.
-        for lf in &mut link_flows {
-            lf.clear();
-        }
-        for (i, path) in paths.iter().enumerate() {
-            if frozen[i] {
-                continue;
-            }
-            for &l in path {
-                link_flows[l].push(i);
-            }
-        }
-        let f_cap = functions
-            .iter()
-            .map(|b| b.max_fair_share())
-            .fold(0.0_f64, f64::max);
-
-        // For each link with unfrozen flows, the fair share at which it saturates.
-        let mut bottleneck: Option<(f64, usize)> = None;
-        for l in 0..m {
-            if link_flows[l].is_empty() {
-                continue;
-            }
-            let total_at = |f: f64| -> f64 {
-                link_flows[l]
-                    .iter()
-                    .map(|&i| functions[i].bandwidth(f))
-                    .sum()
-            };
-            let sat_share = if total_at(f_cap) <= remaining[l] + EPS {
-                f64::INFINITY
-            } else {
-                let (mut lo, mut hi) = (0.0_f64, f_cap);
-                for _ in 0..200 {
-                    let mid = 0.5 * (lo + hi);
-                    if total_at(mid) <= remaining[l] {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
-            };
-            match bottleneck {
-                Some((best, _)) if sat_share >= best => {}
-                _ => bottleneck = Some((sat_share, l)),
-            }
-        }
-
-        let Some((f_star, _)) = bottleneck else { break };
-
-        if f_star.is_infinite() {
-            // No link ever saturates: every unfrozen flow gets its maximum.
-            for i in 0..n {
-                if !frozen[i] {
-                    alloc[i] = functions[i].max_bandwidth();
-                    frozen[i] = true;
-                }
-            }
-            break;
-        }
-
-        // Freeze flows that cross any link saturated at f_star.
-        to_freeze.iter_mut().for_each(|t| *t = false);
-        for l in 0..m {
-            if link_flows[l].is_empty() {
-                continue;
-            }
-            let total: f64 = link_flows[l]
-                .iter()
-                .map(|&i| functions[i].bandwidth(f_star))
-                .sum();
-            if total >= remaining[l] - 1e-6 * remaining[l].max(1.0) {
-                for &i in &link_flows[l] {
-                    to_freeze[i] = true;
-                }
-            }
-        }
-        // Guard against numerical stalls: if nothing saturated, freeze everything
-        // at f_star (they have all reached their saturation bandwidth anyway).
-        if !to_freeze.iter().any(|&t| t) {
-            for i in 0..n {
-                if !frozen[i] {
-                    to_freeze[i] = true;
-                }
-            }
-        }
-        for i in 0..n {
-            if to_freeze[i] && !frozen[i] {
-                alloc[i] = functions[i].bandwidth(f_star);
-                frozen[i] = true;
-                for &l in &paths[i] {
-                    remaining[l] = (remaining[l] - alloc[i]).max(0.0);
-                }
-            }
-        }
-    }
-    alloc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -447,47 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn network_allocation_matches_single_link_when_one_link() {
-        let fs = vec![
-            BandwidthFunction::paper_flow1(),
-            BandwidthFunction::paper_flow2(),
-        ];
-        let paths = vec![vec![0], vec![0]];
-        for cap in [5.0, 10.0, 17.0, 25.0, 35.0] {
-            let net = network_allocation(&fs, &paths, &[cap]);
-            let (single, _) = single_link_allocation(&fs, cap);
-            for i in 0..2 {
-                assert!(
-                    close(net[i], single[i], 0.05),
-                    "cap={cap}: {net:?} vs {single:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn network_allocation_figure10_topology() {
-        // Figure 10: flow 1 uses links {top(5G), middle(X)}, flow 2 uses
-        // {bottom(3G), middle(X)} — modelled here as multipath aggregates in
-        // the paper, but the per-link bandwidth-function max-min with the
-        // *aggregate* functions on the shared link captures the expected
-        // totals: X=5 → (10, 3) is not reachable through a single shared link
-        // (flow 1's private 5G link caps it), so we only check feasibility
-        // and priority ordering.
-        let fs = vec![
-            BandwidthFunction::paper_flow1(),
-            BandwidthFunction::paper_flow2(),
-        ];
-        let paths = vec![vec![0, 1], vec![2, 1]];
-        let alloc = network_allocation(&fs, &paths, &[5.0, 5.0, 3.0]);
-        assert!(alloc[0] <= 5.0 + 1e-6);
-        assert!(alloc[1] <= 3.0 + 1e-6);
-        assert!(alloc[0] + alloc[1] <= 5.0 + 3.0 + 1e-6);
-        // Flow 1 has strict priority in its band, so it should hit its 5G cap.
-        assert!(alloc[0] >= 5.0 - 1e-3, "{alloc:?}");
-    }
-
-    #[test]
     fn linear_bandwidth_function_shape() {
         let b = BandwidthFunction::linear(2.0, 10.0);
         assert!(close(b.bandwidth(1.0), 2.0, 1e-12));
@@ -528,32 +343,6 @@ mod tests {
         fn prop_bandwidth_monotone(f1 in 0.0f64..20.0, df in 0.0f64..20.0) {
             let b = BandwidthFunction::paper_flow1();
             prop_assert!(b.bandwidth(f1 + df) + 1e-12 >= b.bandwidth(f1));
-        }
-
-        /// Network allocation respects every link capacity.
-        #[test]
-        fn prop_network_allocation_feasible(
-            c0 in 2.0f64..40.0, c1 in 2.0f64..40.0, c2 in 2.0f64..40.0,
-            s in 0.5f64..4.0,
-        ) {
-            let fs = vec![
-                BandwidthFunction::linear(s, 20.0),
-                BandwidthFunction::linear(1.0, 15.0),
-                BandwidthFunction::paper_flow2(),
-            ];
-            let paths = vec![vec![0, 1], vec![1, 2], vec![0, 2]];
-            let caps = [c0, c1, c2];
-            let alloc = network_allocation(&fs, &paths, &caps);
-            let mut load = [0.0f64; 3];
-            for (i, path) in paths.iter().enumerate() {
-                for &l in path {
-                    load[l] += alloc[i];
-                }
-            }
-            for l in 0..3 {
-                prop_assert!(load[l] <= caps[l] * (1.0 + 1e-6) + 1e-6,
-                    "link {l}: load={} cap={}", load[l], caps[l]);
-            }
         }
     }
 }

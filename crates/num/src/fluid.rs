@@ -14,7 +14,7 @@
 //! are used (a) to study convergence dynamics in isolation from queueing
 //! noise (the paper's extended-version numerical simulations), (b) as
 //! property-test subjects — the xWI fixed point must solve the NUM problem —
-//! and (c) by the benchmark harness for iteration-count comparisons.
+//! and (c) by `fig4a`'s fluid-level table of iterations to the oracle.
 
 use crate::maxmin::{weighted_max_min_into, MaxMinWorkspace};
 use crate::oracle::OracleSolution;

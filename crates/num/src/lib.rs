@@ -7,8 +7,8 @@
 //! queues or simulated time. It provides:
 //!
 //! * [`utility`] — the utility-function catalogue of Table 1 of the paper
-//!   (α-fairness, weighted α-fairness, the linear/FCT objective, bandwidth
-//!   functions, and multipath aggregates), behind the [`Utility`] trait.
+//!   (α-fairness, weighted α-fairness, the linear/FCT objective and bandwidth
+//!   functions), behind the [`Utility`] trait.
 //! * [`bandwidth_function`] — piecewise-linear bandwidth functions in the
 //!   style of Google BwE, their inverses, and the water-filling allocation
 //!   they induce (Figure 2 of the paper).
@@ -43,12 +43,8 @@ pub use bandwidth_function::BandwidthFunction;
 pub use kkt::KktResiduals;
 pub use maxmin::{weighted_max_min, weighted_max_min_into, MaxMinWorkspace};
 pub use oracle::{Oracle, OracleSolution};
-pub use topology::{
-    FlowId, FluidFlow, FluidLink, FluidNetwork, FluidNetworkBuilder, LinkId, MultipathGroups,
-};
-pub use utility::{
-    AlphaFair, BandwidthFunctionUtility, FctUtility, LogUtility, MultipathAggregate, Utility,
-};
+pub use topology::{FlowId, FluidFlow, FluidLink, FluidNetwork, FluidNetworkBuilder, LinkId};
+pub use utility::{AlphaFair, BandwidthFunctionUtility, FctUtility, LogUtility, Utility};
 
 /// Numerical tolerance used across the fluid-model solvers when comparing
 /// rates, prices or capacities.

@@ -18,7 +18,7 @@
 //! Every solution is validated with [`kkt_residuals`] before being returned.
 
 use crate::kkt::{kkt_residuals, KktResiduals};
-use crate::topology::{FluidNetwork, MultipathGroups};
+use crate::topology::FluidNetwork;
 use crate::{EPS, MAX_RATE};
 
 /// Configuration for the oracle solver.
@@ -207,217 +207,6 @@ impl Oracle {
             converged,
         }
     }
-
-    /// Solve a **multipath** NUM problem where subflows are grouped into
-    /// aggregates (resource pooling, row 4 of Table 1).
-    ///
-    /// The objective is `Σ_g U_g(Σ_{p∈g} x_p)`; it is concave but not
-    /// *strictly* concave in the subflow rates, so the subflow split is not
-    /// unique. The solver adds a tiny strictly-concave regularizer
-    /// `ε Σ_p log x_p` (ε = `regularizer`) to pin a unique solution, which is
-    /// the standard trick and matches what the packet-level heuristic
-    /// converges to in practice. The returned rates are per *subflow*;
-    /// aggregate rates can be recovered with
-    /// [`MultipathGroups::aggregate_rates`].
-    pub fn solve_multipath(
-        &self,
-        net: &FluidNetwork,
-        groups: &MultipathGroups,
-        regularizer: f64,
-    ) -> OracleSolution {
-        assert!(regularizer > 0.0, "regularizer must be positive");
-        let n = net.num_flows();
-        let m = net.num_links();
-        if n == 0 {
-            return self.solve(net);
-        }
-        let flows_per_link = net.flows_per_link();
-        let caps = net.capacities();
-
-        // Given link prices, the optimal response of aggregate `g` solves
-        //   maximize U_g(Σ_p x_p) + ε Σ_p log x_p − Σ_p q_p x_p,
-        // whose first-order conditions are U_g'(y) + ε/x_p = q_p. Writing
-        // μ = U_g'(y), this gives x_p = ε/(q_p − μ) and the scalar equation
-        //   U_g'⁻¹(μ) = ε Σ_p 1/(q_p − μ),
-        // which has a unique root μ ∈ (0, min_p q_p) (LHS decreasing in μ,
-        // RHS increasing), found by bisection.
-        let group_response = |g: usize, prices: &[f64], out: &mut [f64]| {
-            let members = groups.members(g);
-            let utility = &net.flows()[members[0]].utility;
-            let qs: Vec<f64> = members
-                .iter()
-                .map(|&i| net.path_price(prices, i).max(1e-12))
-                .collect();
-            let q_min = qs.iter().cloned().fold(f64::INFINITY, f64::min);
-            let total_at =
-                |mu: f64| -> f64 { qs.iter().map(|&q| regularizer / (q - mu)).sum::<f64>() };
-            // f(mu) = U'^{-1}(mu) - ε Σ 1/(q_p - mu): decreasing in mu.
-            let f = |mu: f64| utility.inverse_marginal(mu).min(MAX_RATE) - total_at(mu);
-            let mut lo = q_min * 1e-12;
-            let mut hi = q_min * (1.0 - 1e-12);
-            if f(lo) <= 0.0 {
-                // Even at vanishing marginal the regularizer dominates; the
-                // aggregate is tiny on every path.
-                for (k, &i) in members.iter().enumerate() {
-                    out[i] = regularizer / qs[k];
-                }
-                return;
-            }
-            for _ in 0..self.bisection_iters {
-                let mid = 0.5 * (lo + hi);
-                if f(mid) > 0.0 {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            let mu = 0.5 * (lo + hi);
-            for (k, &i) in members.iter().enumerate() {
-                out[i] = regularizer / (qs[k] - mu).max(1e-15);
-            }
-        };
-
-        let rates_for = |prices: &[f64]| -> Vec<f64> {
-            let mut rates = vec![0.0_f64; n];
-            for g in 0..groups.num_groups() {
-                group_response(g, prices, &mut rates);
-            }
-            rates
-        };
-
-        // Which groups touch each link (their response must be recomputed when
-        // that link's price changes).
-        let mut groups_per_link: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for l in 0..m {
-            let mut gs: Vec<usize> = flows_per_link[l]
-                .iter()
-                .map(|&i| groups.group_of(i))
-                .collect();
-            gs.sort_unstable();
-            gs.dedup();
-            groups_per_link[l] = gs;
-        }
-
-        let mut prices = vec![1e-3_f64; m];
-        let mut sweeps = 0;
-        let mut best: Option<(Vec<f64>, Vec<f64>, KktResiduals)> = None;
-
-        for sweep in 0..self.max_sweeps {
-            sweeps = sweep + 1;
-            for l in 0..m {
-                if flows_per_link[l].is_empty() {
-                    prices[l] = 0.0;
-                    continue;
-                }
-                // Load through link l as a function of its own price, holding
-                // other prices fixed (monotone decreasing by dual convexity).
-                let load_at = |q: f64, prices: &mut Vec<f64>, scratch: &mut Vec<f64>| -> f64 {
-                    let saved = prices[l];
-                    prices[l] = q;
-                    for &g in &groups_per_link[l] {
-                        group_response(g, prices, scratch);
-                    }
-                    prices[l] = saved;
-                    flows_per_link[l].iter().map(|&i| scratch[i]).sum()
-                };
-                let mut scratch = rates_for(&prices);
-                if load_at(0.0, &mut prices, &mut scratch) <= caps[l] + EPS {
-                    prices[l] = 0.0;
-                    continue;
-                }
-                let mut hi = prices[l].max(1e-9);
-                let mut guard = 0;
-                while load_at(hi, &mut prices, &mut scratch) > caps[l] && guard < 200 {
-                    hi *= 2.0;
-                    guard += 1;
-                }
-                let mut lo = 0.0_f64;
-                for _ in 0..self.bisection_iters {
-                    let mid = 0.5 * (lo + hi);
-                    if load_at(mid, &mut prices, &mut scratch) > caps[l] {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                prices[l] = hi;
-            }
-
-            // Gauss–Seidel alone converges slowly here because the aggregate
-            // couples all of a group's path prices: the slow mode is a common
-            // under- or over-pricing of every link. Kill it with a global
-            // rescaling step: find the multiplier `t` on all prices for which
-            // the most-loaded link is exactly saturated (monotone in `t`, so
-            // bisection applies).
-            {
-                let max_util = |t: f64| -> f64 {
-                    let scaled: Vec<f64> = prices.iter().map(|&p| p * t).collect();
-                    let r = rates_for(&scaled);
-                    let loads = net.link_loads(&r);
-                    loads
-                        .iter()
-                        .zip(caps.iter())
-                        .map(|(&ld, &c)| ld / c)
-                        .fold(0.0_f64, f64::max)
-                };
-                let (mut lo, mut hi) = (0.25_f64, 4.0_f64);
-                if max_util(lo) >= 1.0 && max_util(hi) <= 1.0 {
-                    for _ in 0..60 {
-                        let mid = 0.5 * (lo + hi);
-                        if max_util(mid) > 1.0 {
-                            lo = mid;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    let t = hi;
-                    for p in prices.iter_mut() {
-                        *p *= t;
-                    }
-                }
-            }
-
-            let rates = rates_for(&prices);
-            let res = kkt_residuals(net, &rates, &prices);
-            // For the multipath objective the per-subflow stationarity of the
-            // plain KKT check is off by the ε-regularizer, so convergence is
-            // judged on feasibility and complementary slackness only.
-            let err = res.primal_feasibility.max(res.complementary_slackness);
-            let better = match &best {
-                Some((_, _, b)) => err < b.primal_feasibility.max(b.complementary_slackness),
-                None => true,
-            };
-            if better {
-                best = Some((rates.clone(), prices.clone(), res));
-            }
-            // The ε-regularizer itself perturbs the solution by O(ε), so
-            // requiring residuals below ε would never terminate; accept once
-            // the point is within a small multiple of the regularizer.
-            let accept = self.tolerance.max(10.0 * regularizer);
-            if err <= accept {
-                return OracleSolution {
-                    rates,
-                    prices,
-                    residuals: res,
-                    sweeps,
-                    converged: true,
-                };
-            }
-        }
-
-        let (rates, prices, residuals) = best.expect("at least one sweep ran");
-        let converged = residuals
-            .primal_feasibility
-            .max(residuals.complementary_slackness)
-            <= self.tolerance.max(10.0 * regularizer);
-        OracleSolution {
-            rates,
-            prices,
-            residuals,
-            sweeps,
-            converged,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -553,27 +342,6 @@ mod tests {
             let sol = Oracle::new().solve(&net);
             assert!(sol.converged, "seed {seed} residuals {:?}", sol.residuals);
         }
-    }
-
-    #[test]
-    fn multipath_oracle_pools_capacity() {
-        // Two disjoint paths of capacity 10 and 2; a single aggregate with two
-        // subflows (one per path) should end up with total rate ~12 when it is
-        // the only traffic.
-        let mut net = FluidNetwork::new();
-        let a = net.add_link(10.0);
-        let b = net.add_link(2.0);
-        net.add_flow(FluidFlow::new(vec![a], LogUtility::new()).in_group(0));
-        net.add_flow(FluidFlow::new(vec![b], LogUtility::new()).in_group(0));
-        let groups = MultipathGroups::from_network(&net);
-        let sol = Oracle::new().solve_multipath(&net, &groups, 1e-4);
-        let totals = groups.aggregate_rates(&sol.rates);
-        assert!(
-            close(totals[0], 12.0, 0.05),
-            "{totals:?} rates={:?}",
-            sol.rates
-        );
-        assert!(net.is_feasible(&sol.rates, 1e-3));
     }
 
     proptest! {

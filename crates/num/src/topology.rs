@@ -42,10 +42,6 @@ pub struct FluidFlow {
     pub path: Vec<LinkId>,
     /// The flow's utility function.
     pub utility: UtilityRef,
-    /// Optional group identifier: subflows of the same multipath aggregate
-    /// share a group (used by the multipath-aware solvers). `None` for
-    /// ordinary single-path flows.
-    pub group: Option<usize>,
 }
 
 impl FluidFlow {
@@ -54,28 +50,12 @@ impl FluidFlow {
         Self {
             path,
             utility: Arc::new(utility),
-            group: None,
         }
     }
 
     /// A single-path flow from a shared utility handle.
     pub fn with_utility_ref(path: Vec<LinkId>, utility: UtilityRef) -> Self {
-        Self {
-            path,
-            utility,
-            group: None,
-        }
-    }
-
-    /// Mark this flow as a subflow of multipath aggregate `group`.
-    pub fn in_group(mut self, group: usize) -> Self {
-        self.group = Some(group);
-        self
-    }
-
-    /// Number of links on the flow's path.
-    pub fn path_len(&self) -> usize {
-        self.path.len()
+        Self { path, utility }
     }
 }
 
@@ -121,12 +101,6 @@ impl FluidNetwork {
         utility: impl Utility + 'static,
     ) -> FlowId {
         self.add_flow(FluidFlow::new(path, utility))
-    }
-
-    /// Remove all flows, keeping the links (used when the active flow set
-    /// changes between events in the convergence experiments).
-    pub fn clear_flows(&mut self) {
-        self.flows.clear();
     }
 
     /// The links.
@@ -275,72 +249,6 @@ impl FluidNetworkBuilder {
     }
 }
 
-/// Grouping of subflows into multipath aggregates (resource pooling).
-///
-/// Flows whose [`FluidFlow::group`] is `Some(g)` belong to aggregate `g`;
-/// flows with `group == None` each form their own singleton aggregate.
-#[derive(Debug, Clone)]
-pub struct MultipathGroups {
-    /// For each flow, the index of the group it belongs to (dense, 0-based).
-    group_of: Vec<usize>,
-    /// For each group, the member flow ids.
-    members: Vec<Vec<FlowId>>,
-}
-
-impl MultipathGroups {
-    /// Build the grouping from the `group` markers on a network's flows.
-    pub fn from_network(net: &FluidNetwork) -> Self {
-        let mut explicit: std::collections::BTreeMap<usize, usize> =
-            std::collections::BTreeMap::new();
-        let mut group_of = Vec::with_capacity(net.num_flows());
-        let mut members: Vec<Vec<FlowId>> = Vec::new();
-        for (i, f) in net.flows().iter().enumerate() {
-            let g = match f.group {
-                Some(tag) => *explicit.entry(tag).or_insert_with(|| {
-                    members.push(Vec::new());
-                    members.len() - 1
-                }),
-                None => {
-                    members.push(Vec::new());
-                    members.len() - 1
-                }
-            };
-            members[g].push(i);
-            group_of.push(g);
-        }
-        Self { group_of, members }
-    }
-
-    /// Number of aggregates.
-    pub fn num_groups(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The group a flow belongs to.
-    pub fn group_of(&self, flow: FlowId) -> usize {
-        self.group_of[flow]
-    }
-
-    /// The member flows of a group.
-    pub fn members(&self, group: usize) -> &[FlowId] {
-        &self.members[group]
-    }
-
-    /// Sum subflow `rates` into per-aggregate totals.
-    ///
-    /// # Panics
-    /// Panics if `rates.len()` does not match the number of flows the
-    /// grouping was built from.
-    pub fn aggregate_rates(&self, rates: &[f64]) -> Vec<f64> {
-        assert_eq!(rates.len(), self.group_of.len(), "one rate per flow");
-        let mut totals = vec![0.0; self.members.len()];
-        for (i, &g) in self.group_of.iter().enumerate() {
-            totals[g] += rates[i];
-        }
-        totals
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,40 +344,5 @@ mod tests {
             .iter()
             .any(|l| (l.capacity - 10.0).abs() < 1e-12));
         assert!(net.links().iter().any(|l| (l.capacity - 5.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn group_marking_round_trips() {
-        let flow = FluidFlow::new(vec![0], LogUtility::new()).in_group(7);
-        assert_eq!(flow.group, Some(7));
-        assert_eq!(flow.path_len(), 1);
-    }
-
-    #[test]
-    fn multipath_groups_cluster_by_tag_and_singleton_otherwise() {
-        let mut net = FluidNetwork::new();
-        let a = net.add_link(10.0);
-        let b = net.add_link(10.0);
-        net.add_flow(FluidFlow::new(vec![a], LogUtility::new()).in_group(42));
-        net.add_flow(FluidFlow::new(vec![b], LogUtility::new()).in_group(42));
-        net.add_flow(FluidFlow::new(vec![a], LogUtility::new()));
-        let groups = MultipathGroups::from_network(&net);
-        assert_eq!(groups.num_groups(), 2);
-        assert_eq!(groups.group_of(0), groups.group_of(1));
-        assert_ne!(groups.group_of(0), groups.group_of(2));
-        assert_eq!(groups.members(groups.group_of(0)), &[0, 1]);
-        let totals = groups.aggregate_rates(&[3.0, 4.0, 5.0]);
-        assert_eq!(totals[groups.group_of(0)], 7.0);
-        assert_eq!(totals[groups.group_of(2)], 5.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn aggregate_rates_rejects_wrong_length() {
-        let mut net = FluidNetwork::new();
-        let a = net.add_link(10.0);
-        net.add_flow(FluidFlow::new(vec![a], LogUtility::new()));
-        let groups = MultipathGroups::from_network(&net);
-        groups.aggregate_rates(&[1.0, 2.0]);
     }
 }

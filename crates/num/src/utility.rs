@@ -12,7 +12,10 @@
 //! | Proportional fairness (α = 1) | [`LogUtility`] (also `AlphaFair::new(1.0)`) |
 //! | Minimize flow completion time | [`FctUtility`] |
 //! | Bandwidth functions (BwE) | [`BandwidthFunctionUtility`] |
-//! | Resource pooling (multipath) | [`MultipathAggregate`] |
+//!
+//! Resource pooling (the multipath row) has no type here: its utility is an
+//! ordinary one applied to an aggregate's total rate, and the packet-level
+//! `numfabric-core::multipath` module derives each subflow's weight from it.
 //!
 //! The solvers only ever need three operations: the utility value, the
 //! marginal utility `U'(x)` and its inverse `U'⁻¹(p)`. All implementations
@@ -94,11 +97,6 @@ impl AlphaFair {
         assert!(alpha.is_finite() && alpha >= 0.0, "alpha must be >= 0");
         assert!(weight.is_finite() && weight > 0.0, "weight must be > 0");
         Self { alpha, weight }
-    }
-
-    /// Proportional fairness (`α = 1`, weight 1).
-    pub fn proportional_fairness() -> Self {
-        Self::new(1.0)
     }
 
     /// The fairness exponent α.
@@ -378,70 +376,6 @@ impl Utility for BandwidthFunctionUtility {
     }
 }
 
-/// Multipath / resource-pooling aggregate (row 4 of Table 1).
-///
-/// The utility applies to the *total* rate of a multipath flow,
-/// `y = Σ_p x_p` over its subflows. In the fluid solvers the aggregate is
-/// handled by the multipath-aware oracle; in the packet-level protocol
-/// (`numfabric-core::multipath`) each subflow derives its weight from the
-/// aggregate marginal evaluated at the total rate. This type carries the
-/// inner utility and the subflow count so both layers agree on semantics.
-#[derive(Debug, Clone)]
-pub struct MultipathAggregate {
-    inner: UtilityRef,
-    subflows: usize,
-}
-
-impl MultipathAggregate {
-    /// Wrap `inner` as the utility of the aggregate rate of `subflows` subflows.
-    ///
-    /// # Panics
-    /// Panics if `subflows == 0`.
-    pub fn new(inner: UtilityRef, subflows: usize) -> Self {
-        assert!(subflows > 0, "a multipath flow needs at least one subflow");
-        Self { inner, subflows }
-    }
-
-    /// The inner (aggregate-rate) utility.
-    pub fn inner(&self) -> &UtilityRef {
-        &self.inner
-    }
-
-    /// Number of subflows in the aggregate.
-    pub fn subflows(&self) -> usize {
-        self.subflows
-    }
-
-    /// The marginal utility of the aggregate evaluated at total rate `y`.
-    ///
-    /// This is the value every subflow compares against its own path price.
-    pub fn aggregate_marginal(&self, y: f64) -> f64 {
-        self.inner.marginal(y)
-    }
-}
-
-impl Utility for MultipathAggregate {
-    fn value(&self, y: f64) -> f64 {
-        self.inner.value(y)
-    }
-
-    fn marginal(&self, y: f64) -> f64 {
-        self.inner.marginal(y)
-    }
-
-    fn inverse_marginal(&self, p: f64) -> f64 {
-        self.inner.inverse_marginal(p)
-    }
-
-    fn name(&self) -> String {
-        format!("multipath({}x {})", self.subflows, self.inner.name())
-    }
-
-    fn max_useful_rate(&self) -> Option<f64> {
-        self.inner.max_useful_rate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,16 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn multipath_aggregate_delegates_to_inner() {
-        let inner: UtilityRef = Arc::new(LogUtility::new());
-        let mp = MultipathAggregate::new(inner, 4);
-        assert_eq!(mp.subflows(), 4);
-        assert_close(mp.marginal(2.0), 0.5, 1e-12);
-        assert_close(mp.aggregate_marginal(2.0), 0.5, 1e-12);
-        assert_close(mp.inverse_marginal(0.25), 4.0, 1e-12);
-    }
-
-    #[test]
     #[should_panic]
     fn alpha_fair_rejects_negative_alpha() {
         let _ = AlphaFair::new(-0.5);
@@ -538,13 +462,6 @@ mod tests {
     #[should_panic]
     fn fct_rejects_zero_size() {
         let _ = FctUtility::new(0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn multipath_rejects_zero_subflows() {
-        let inner: UtilityRef = Arc::new(LogUtility::new());
-        let _ = MultipathAggregate::new(inner, 0);
     }
 
     proptest! {

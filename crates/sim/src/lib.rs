@@ -103,7 +103,7 @@ pub mod transport;
 pub use event::{Event, EventId, EventQueue};
 pub use flow::{FlowPhase, FlowSpec, FlowStats};
 pub use impairment::{derive_link_seed, LinkChange, LinkHealth};
-pub use network::{AgentCtx, LinkStats, Network, NetworkConfig};
+pub use network::{AgentCtx, LinkStats, Network};
 pub use packet::{AckHeader, DataHeader, FlowId, Packet, PacketKind, Stamps};
 pub use queue::{DropTailFifo, EcnFifo, PfabricQueue, QueueDiscipline, StfqQueue};
 pub use routes::{RouteId, RouteTable};
@@ -112,5 +112,5 @@ pub use timer::{TimerHandle, TimerService};
 pub use topology::{
     FatTreeConfig, LeafSpineConfig, LinkId, NodeId, NodeKind, Partitioning, Route, Topology,
 };
-pub use tracer::{EwmaRateTracer, RateSeries};
+pub use tracer::EwmaRateTracer;
 pub use transport::{AckMode, FlowAgent, LinkController, NullController};

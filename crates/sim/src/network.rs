@@ -118,7 +118,9 @@ pub struct LinkStats {
 //   on it too).
 // - link timer / wake-up: a link holds one controller timer and one
 //   wake-up at a time, each re-armed only when it fires, and a wake-up sits
-//   at the end of a serialization, which lasts at least 1 ns.
+//   at the end of a serialization, which lasts at least 1 ns. A replaced
+//   controller's timer may still be pending; the secondary field is the
+//   link's controller generation, so the two timers' keys differ.
 // - arrival: a link serializes one packet at a time, at least 1 ns each,
 //   and its propagation delay is fixed, so without jitter no two arrivals
 //   on one link share an instant. Jitter moves arrival times, so there
@@ -219,6 +221,10 @@ struct LinkState {
     /// dropped by a discipline, always served before the data queue.
     control_lane: VecDeque<Packet>,
     controller: Option<Box<dyn LinkController>>,
+    /// How many times `controller` was replaced: the secondary field of the
+    /// current controller's timer key. A pending timer with an older
+    /// generation belongs to a replaced controller and is ignored.
+    controller_gen: u64,
     /// The link's **free position**: the `(time, content key)` at which the
     /// serialization in progress ends — its end instant paired with this
     /// link's `TransmitComplete` key. The link is occupied for exactly the
@@ -245,6 +251,7 @@ impl LinkState {
             queue,
             control_lane: VecDeque::new(),
             controller: None,
+            controller_gen: 0,
             free: (SimTime::ZERO, 0),
             wake_pending: false,
             rng,
@@ -503,7 +510,7 @@ fn handle_event(shared: &Shared, core: &mut PartitionCore, id: EventId, event: E
         Event::FlowStart { flow } => handle_flow_start(shared, core, flow),
         Event::FlowStop { flow } => handle_flow_stop(shared, core, flow),
         Event::FlowTimer { flow, tag } => dispatch_timer(shared, core, flow, tag, id),
-        Event::LinkTimer { link } => handle_link_timer(core, link),
+        Event::LinkTimer { link } => handle_link_timer(core, link, id),
         Event::TransmitComplete { link } => {
             // The wake-up sits exactly at the link's free position, so the
             // link reads free; on a link that went down meanwhile (backlog
@@ -575,23 +582,23 @@ fn dispatch_timer(shared: &Shared, core: &mut PartitionCore, flow: FlowId, tag: 
     with_agent(shared, core, flow, |agent, ctx| agent.on_timer(tag, ctx));
 }
 
-fn handle_link_timer(core: &mut PartitionCore, link: LinkId) {
-    let next = {
-        let ls = core.links[link]
-            .as_mut()
-            .expect("link timer on owning core");
-        let backlog = ls.queue.backlog_bytes();
-        match &mut ls.controller {
-            Some(ctrl) => ctrl.on_timer(core.clock, backlog),
-            None => None,
-        }
+fn handle_link_timer(core: &mut PartitionCore, link: LinkId, id: EventId) {
+    let ls = core.links[link]
+        .as_mut()
+        .expect("link timer on owning core");
+    let key = event_key(KIND_LINK_TIMER, link as u64, ls.controller_gen);
+    if id.as_u64() != key {
+        // Armed by a controller that has since been replaced.
+        return;
+    }
+    let backlog = ls.queue.backlog_bytes();
+    let next = match &mut ls.controller {
+        Some(ctrl) => ctrl.on_timer(core.clock, backlog),
+        None => None,
     };
     if let Some(delay) = next {
-        core.events.schedule_seeded(
-            core.clock + delay,
-            Event::LinkTimer { link },
-            event_key(KIND_LINK_TIMER, link as u64, 0),
-        );
+        core.events
+            .schedule_seeded(core.clock + delay, Event::LinkTimer { link }, key);
     }
 }
 
@@ -892,7 +899,6 @@ pub struct Network {
     /// their buffers are reused.
     epochs: Vec<Epoch>,
     clock: SimTime,
-    config: NetworkConfig,
     /// The base impairment seed; per-link streams derive from it.
     impair_seed: u64,
     /// Pending coordinator-level link changes.
@@ -908,38 +914,14 @@ pub struct Network {
     free_flows: Vec<FlowId>,
 }
 
-/// Configuration knobs of the engine itself (not of any protocol).
-#[derive(Debug, Clone)]
-pub struct NetworkConfig {
-    /// Time constant of the destination-side rate measurement filter.
-    pub rate_ewma_tau: SimDuration,
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        Self {
-            rate_ewma_tau: crate::tracer::PAPER_EWMA_TAU,
-        }
-    }
-}
-
 impl Network {
     /// Build a network from a topology, creating one queue per link with
     /// `queue_factory`.
-    pub fn new(topo: Topology, queue_factory: impl Fn(LinkId) -> Box<dyn QueueDiscipline>) -> Self {
-        Self::with_config(topo, queue_factory, NetworkConfig::default())
-    }
-
-    /// Build a network with explicit engine configuration.
     ///
     /// # Panics
     /// Panics if the topology has 2^22 links or more: event keys carry a
     /// 22-bit link id.
-    pub fn with_config(
-        topo: Topology,
-        queue_factory: impl Fn(LinkId) -> Box<dyn QueueDiscipline>,
-        config: NetworkConfig,
-    ) -> Self {
+    pub fn new(topo: Topology, queue_factory: impl Fn(LinkId) -> Box<dyn QueueDiscipline>) -> Self {
         let num_nodes = topo.nodes().len();
         let num_links = topo.links().len();
         assert_fits_key("link count", num_links);
@@ -970,7 +952,6 @@ impl Network {
             pending: Vec::new(),
             epochs: Vec::new(),
             clock: SimTime::ZERO,
-            config,
             impair_seed: 0,
             globals: Vec::new(),
             global_order: 0,
@@ -1143,18 +1124,23 @@ impl Network {
 
     /// Attach a switch-side controller to a link. If the controller requests
     /// a periodic timer it starts `initial_timer()` from the current time.
+    /// A controller it replaces gets no further timer callbacks.
     pub fn set_link_controller(&mut self, link: LinkId, controller: Box<dyn LinkController>) {
         let initial = controller.initial_timer();
         let p = self.shared.link_part[link];
-        self.parts[p].links[link]
+        let ls = self.parts[p].links[link]
             .as_mut()
-            .expect("link state on owning core")
-            .controller = Some(controller);
+            .expect("link state on owning core");
+        if ls.controller.is_some() {
+            ls.controller_gen += 1;
+        }
+        ls.controller = Some(controller);
+        let key = event_key(KIND_LINK_TIMER, link as u64, ls.controller_gen);
         if let Some(delay) = initial {
             self.parts[p].events.schedule_seeded(
                 self.clock + delay,
                 Event::LinkTimer { link },
-                event_key(KIND_LINK_TIMER, link as u64, 0),
+                key,
             );
         }
     }
@@ -1265,7 +1251,7 @@ impl Network {
             bytes_delivered: 0,
             packets_delivered: 0,
             completed_at: None,
-            tracer: EwmaRateTracer::new(self.config.rate_ewma_tau),
+            tracer: EwmaRateTracer::paper_default(),
             last_data_arrival: None,
             ack_mode,
         });
@@ -1831,14 +1817,6 @@ impl Network {
         self.receiver(flow).tracer.rate_bps(self.clock)
     }
 
-    /// Ids of flows currently in the [`FlowPhase::Active`] phase (retired
-    /// slots are skipped).
-    pub fn active_flows(&self) -> Vec<FlowId> {
-        (0..self.shared.specs.len())
-            .filter(|&f| self.flow_phase_opt(f) == Some(FlowPhase::Active))
-            .collect()
-    }
-
     /// Counters for a link. Backlog counts include the control lane;
     /// arrival-side drops charged by other partitions are summed in.
     pub fn link_stats(&self, link: LinkId) -> LinkStats {
@@ -2122,11 +2100,6 @@ impl AgentCtx<'_> {
         self.core.clock
     }
 
-    /// The flow this context belongs to.
-    pub fn flow_id(&self) -> FlowId {
-        self.flow
-    }
-
     /// The flow's static description.
     pub fn spec(&self) -> &FlowSpec {
         &self.shared.specs[self.flow]
@@ -2195,16 +2168,6 @@ impl AgentCtx<'_> {
     pub fn first_hop_capacity_bps(&self) -> f64 {
         let first = self.shared.routes.links(self.shared.specs[self.flow].route)[0];
         self.shared.link_caps[first]
-    }
-
-    /// The smallest link capacity along the flow's path, in bits/s.
-    pub fn bottleneck_capacity_bps(&self) -> f64 {
-        self.shared
-            .routes
-            .links(self.shared.specs[self.flow].route)
-            .iter()
-            .map(|&l| self.shared.link_caps[l])
-            .fold(f64::INFINITY, f64::min)
     }
 
     /// The flow's base (empty-queue) RTT.
@@ -2276,11 +2239,6 @@ impl AgentCtx<'_> {
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
         let core = &mut *self.core;
         core.timers.cancel(&mut core.events, handle)
-    }
-
-    /// Number of this flow's armed, un-fired timers.
-    pub fn pending_timers(&self) -> usize {
-        self.core.timers.pending_count(self.flow)
     }
 }
 

@@ -147,12 +147,6 @@ impl EcnFifo {
             marking_threshold_bytes,
         }
     }
-
-    /// DCTCP's recommended threshold for 10 Gbps links (~65 packets ≈ 97 KB),
-    /// with the paper's 1 MB buffer.
-    pub fn dctcp_10g() -> Self {
-        Self::new(DEFAULT_BUFFER_BYTES, 65 * 1500)
-    }
 }
 
 impl QueueDiscipline for EcnFifo {

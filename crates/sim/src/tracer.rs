@@ -3,12 +3,9 @@
 //! The paper measures flow rates at the destination with an exponentially
 //! weighted moving average over instantaneous per-packet rates, using an
 //! 80 µs time constant, and subtracts the filter's rise time when reporting
-//! convergence times (§6.1). [`EwmaRateTracer`] is that filter;
-//! [`RateSeries`] optionally records the filtered value over time for the
-//! time-series figures (Fig. 4b/4c, Fig. 10).
+//! convergence times (§6.1). [`EwmaRateTracer`] is that filter.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The EWMA time constant the paper uses for convergence measurement.
 pub const PAPER_EWMA_TAU: SimDuration = SimDuration::from_micros(80);
@@ -92,55 +89,10 @@ impl EwmaRateTracer {
         }
     }
 
-    /// The raw EWMA value without idle decay (used by senders that only need
-    /// the latest estimate, e.g. Swift's `R̂`).
-    pub fn raw_rate_bps(&self) -> f64 {
-        self.rate_bps
-    }
-
     /// The filter's 90 % rise time, `ln(10) · τ` — the measurement artifact
     /// the paper subtracts from convergence times.
     pub fn rise_time(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.tau.as_secs_f64() * 10f64.ln())
-    }
-}
-
-/// A recorded time series of rate samples for one flow.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct RateSeries {
-    /// (time, rate in bps) samples.
-    pub samples: Vec<(SimTime, f64)>,
-}
-
-impl RateSeries {
-    /// An empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append a sample.
-    pub fn push(&mut self, at: SimTime, rate_bps: f64) {
-        self.samples.push((at, rate_bps));
-    }
-
-    /// The last sample value, if any.
-    pub fn last_rate(&self) -> Option<f64> {
-        self.samples.last().map(|&(_, r)| r)
-    }
-
-    /// The mean rate over samples within `[from, to)`.
-    pub fn mean_rate_between(&self, from: SimTime, to: SimTime) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .samples
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|&(_, r)| r)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
     }
 }
 
@@ -216,23 +168,6 @@ mod tests {
         tracer.on_arrival(1500, t);
         tracer.on_arrival(1500, t);
         assert_eq!(tracer.rate_bps(t), 0.0);
-    }
-
-    #[test]
-    fn rate_series_bookkeeping() {
-        let mut s = RateSeries::new();
-        assert!(s.last_rate().is_none());
-        s.push(SimTime::from_micros(1), 1e9);
-        s.push(SimTime::from_micros(2), 3e9);
-        s.push(SimTime::from_micros(10), 5e9);
-        assert_eq!(s.last_rate(), Some(5e9));
-        let mean = s
-            .mean_rate_between(SimTime::ZERO, SimTime::from_micros(5))
-            .unwrap();
-        assert!((mean - 2e9).abs() < 1.0);
-        assert!(s
-            .mean_rate_between(SimTime::from_micros(20), SimTime::from_micros(30))
-            .is_none());
     }
 
     #[test]

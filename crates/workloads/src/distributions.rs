@@ -10,12 +10,11 @@
 //!   with 95% of the flows smaller than 10 KB".
 //!
 //! The original trace files are not public, so this module encodes synthetic
-//! piecewise CDFs constructed to match those published summary statistics
-//! (see DESIGN.md for the substitution rationale). The distributional *shape*
-//! — a large count of small flows with the byte volume dominated by a few
-//! elephants — is what drives the results that use them.
+//! piecewise CDFs constructed to match those published summary statistics.
+//! The distributional *shape* — a large count of small flows with the byte
+//! volume dominated by a few elephants — is what drives the results that use
+//! them.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A distribution over flow sizes in bytes.
@@ -180,61 +179,6 @@ impl FlowSizeDistribution for FixedSize {
     }
 }
 
-/// Uniform flow sizes in `[min, max]`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct UniformSize {
-    /// Smallest size (bytes).
-    pub min: u64,
-    /// Largest size (bytes).
-    pub max: u64,
-}
-
-impl FlowSizeDistribution for UniformSize {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> u64 {
-        Rng::gen_range(&mut *rng, self.min..=self.max)
-    }
-    fn mean_bytes(&self) -> f64 {
-        (self.min + self.max) as f64 / 2.0
-    }
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-}
-
-/// Bounded Pareto distribution (another common heavy-tailed model).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct BoundedPareto {
-    /// Smallest size (bytes).
-    pub min: f64,
-    /// Largest size (bytes).
-    pub max: f64,
-    /// Shape parameter (smaller = heavier tail).
-    pub shape: f64,
-}
-
-impl FlowSizeDistribution for BoundedPareto {
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> u64 {
-        let u: f64 = Rng::gen(&mut *rng);
-        let (l, h, a) = (self.min, self.max, self.shape);
-        let num = u * h.powf(a) - u * l.powf(a) - h.powf(a);
-        let x = (-num / (h.powf(a) * l.powf(a))).powf(-1.0 / a);
-        x.round().clamp(l, h) as u64
-    }
-
-    fn mean_bytes(&self) -> f64 {
-        let (l, h, a) = (self.min, self.max, self.shape);
-        if (a - 1.0).abs() < 1e-9 {
-            (h.ln() - l.ln()) * l * h / (h - l)
-        } else {
-            (a / (a - 1.0)) * (l.powf(a) * h - l * h.powf(a)).abs() / (h.powf(a) - l.powf(a))
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "bounded-pareto"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,30 +281,6 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert_eq!(FixedSize(1234).sample(&mut rng), 1234);
         assert_eq!(FixedSize(1234).mean_bytes(), 1234.0);
-        let u = UniformSize { min: 10, max: 20 };
-        for _ in 0..100 {
-            let s = u.sample(&mut rng);
-            assert!((10..=20).contains(&s));
-        }
-        assert_eq!(u.mean_bytes(), 15.0);
-    }
-
-    #[test]
-    fn bounded_pareto_respects_bounds_and_skew() {
-        let p = BoundedPareto {
-            min: 1_000.0,
-            max: 1_000_000.0,
-            shape: 1.2,
-        };
-        let samples = sample_many(&p, 20_000, 4);
-        assert!(samples.iter().all(|&s| (1_000..=1_000_000).contains(&s)));
-        let median = {
-            let mut v = samples.clone();
-            v.sort_unstable();
-            v[v.len() / 2]
-        };
-        let mean = samples.iter().map(|&s| s as f64).sum::<f64>() / samples.len() as f64;
-        assert!(mean > 2.0 * median as f64, "mean {mean} median {median}");
     }
 
     #[test]

@@ -66,9 +66,7 @@ pub use convergence::{
     convergence_stats, fluid_instance, measure_convergence, oracle_rates_bps, ConvergenceCriterion,
     ConvergenceOutcome, ConvergenceStats,
 };
-pub use distributions::{
-    BoundedPareto, EmpiricalCdf, FixedSize, FlowSizeDistribution, UniformSize,
-};
+pub use distributions::{EmpiricalCdf, FixedSize, FlowSizeDistribution};
 pub use fabric::{InvalidTopology, TopologySpec};
 pub use ideal::{empty_network_fct, IdealCompletion, IdealFluidSimulator};
 pub use impairments::{

@@ -6,11 +6,12 @@
 use numfabric::core::{numfabric_network, NumFabricAgent, NumFabricConfig};
 use numfabric::num::utility::{LogUtility, UtilityRef};
 use numfabric::sim::topology::{LeafSpineConfig, Topology};
-use numfabric::sim::{FlowPhase, SimDuration, SimTime};
+use numfabric::sim::{FlowPhase, LinkController, Packet, SimDuration, SimTime};
 use numfabric::workloads::{
     measure_convergence, oracle_rates_bps, poisson_arrivals, random_pairs, ConvergenceCriterion,
     FixedSize, PoissonWorkloadConfig,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn topo() -> Topology {
@@ -168,4 +169,39 @@ fn poisson_workload_completes_under_numfabric() {
         .map(|l| net.link_stats(l).packets_dropped)
         .sum();
     assert_eq!(drops, 0, "unexpected drops under NUMFabric");
+}
+
+/// A link controller that only counts its timer callbacks.
+struct CountingController {
+    interval: SimDuration,
+    fires: Arc<AtomicUsize>,
+}
+
+impl LinkController for CountingController {
+    fn on_enqueue(&mut self, _packet: &mut Packet, _now: SimTime) {}
+    fn on_dequeue(&mut self, _packet: &mut Packet, _now: SimTime, _queue_bytes: usize) {}
+    fn initial_timer(&self) -> Option<SimDuration> {
+        Some(self.interval)
+    }
+    fn on_timer(&mut self, _now: SimTime, _queue_bytes: usize) -> Option<SimDuration> {
+        self.fires.fetch_add(1, Ordering::Relaxed);
+        Some(self.interval)
+    }
+}
+
+#[test]
+fn replacing_a_timed_controller_leaves_one_timer() {
+    let mut net = numfabric_network(topo(), &NumFabricConfig::paper_default());
+    let fires = Arc::new(AtomicUsize::new(0));
+    net.set_link_controller(
+        0,
+        Box::new(CountingController {
+            interval: SimDuration::from_micros(10),
+            fires: Arc::clone(&fires),
+        }),
+    );
+    // Once per interval, at 10, 20, ..., 990 µs: the replaced xWI
+    // controller's pending timer must not call it as well.
+    net.run_until(SimTime::from_micros(995));
+    assert_eq!(fires.load(Ordering::Relaxed), 99);
 }
