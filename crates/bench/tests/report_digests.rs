@@ -11,7 +11,7 @@
 //! families, symmetric cable-cut re-selection with and without restore
 //! (`recovery`, for NUMFabric and DCTCP), asymmetric `down-fwd`
 //! re-selection, seeded wire loss, the churn driver and the sweep engine's
-//! default mini-grid. A second set
+//! default mini-grid, and pFabric's incast and churn. A second set
 //! digests the plain-text tables of two hand-built-topology figures, of
 //! Table 2's parameter settings and of the generic `dynamic` and
 //! `semi-dynamic` drivers.
@@ -60,7 +60,10 @@ fn moved_pins(pins: &[(&str, u64)], digest: fn(&str) -> u64) -> Vec<String> {
 
 /// `(command line, digest)`, recorded at commit adab581 (the parent of the
 /// route-index change). `recovery --protocol dctcp`, the only pinned run of
-/// DCTCP's go-back-N on a cut path, was recorded at f33338d.
+/// DCTCP's go-back-N on a cut path, was recorded at f33338d. The two
+/// pFabric runs, the only pins of its priority queue and agent (the incast
+/// overflows the shallow buffers, so it evicts, drops and resends on RTO),
+/// were recorded at 916427a.
 const PINS: &[(&str, u64)] = &[
     (
         "incast --topology fat-tree:k=4 --fanin 4 --size 100000",
@@ -88,6 +91,14 @@ const PINS: &[(&str, u64)] = &[
         0xe22a_f794_0ec7_6ae2,
     ),
     ("sweep", 0xa2ba_6b87_6070_5b33),
+    (
+        "incast --topology fat-tree:k=4 --fanin 8 --size 100000 --protocol pfabric",
+        0x7195_fac1_9ae0_150e,
+    ),
+    (
+        "churn --protocol pfabric --millis 4 --drain-millis 40",
+        0x0ab2_8714_2520_23cb,
+    ),
 ];
 
 /// `(command line, digest)` of plain stdout — the figure and generic-driver
