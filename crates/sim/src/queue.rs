@@ -230,6 +230,14 @@ impl PacketSlab {
         matches!(self.slots[slot as usize], Slot::Full { seq: stored, .. } if stored == seq)
     }
 
+    /// Wire bytes of the packet in `slot`, which must be occupied.
+    fn wire_bytes(&self, slot: u32) -> usize {
+        match &self.slots[slot as usize] {
+            Slot::Full { packet, .. } => packet.wire_bytes as usize,
+            Slot::Vacant { .. } => unreachable!("wire bytes of a vacant slot"),
+        }
+    }
+
     /// Take the packet stored under `seq` out of `slot`, freeing the slot;
     /// `None` if the slot is vacant or holds another packet.
     fn take(&mut self, slot: u32, seq: u64) -> Option<Packet> {
@@ -556,9 +564,16 @@ impl QueueDiscipline for PfabricQueue {
             self.insert(packet);
             return EnqueueOutcome::Accepted;
         }
-        // Buffer full: find the worst queued packet.
+        // Buffer full: evict the worst queued packet, but only if the
+        // arrival outranks it and evicting it makes room; otherwise the
+        // arrival is dropped and the queue is left as it was.
         match self.worst_queued() {
-            Some(worst) if priority < worst.key => {
+            Some(worst)
+                if priority < worst.key
+                    && self.backlog - self.packets.wire_bytes(worst.slot)
+                        + packet.wire_bytes as usize
+                        <= self.capacity_bytes =>
+            {
                 // Evict the victim; its serve-heap entry becomes a tombstone.
                 let victim = self
                     .packets
@@ -566,16 +581,9 @@ impl QueueDiscipline for PfabricQueue {
                     .expect("victim packet must exist");
                 self.backlog -= victim.wire_bytes as usize;
                 self.worst.pop();
-                // Accept the new packet (there is now room, or at worst we
-                // drop it below).
-                let outcome = if self.backlog + packet.wire_bytes as usize <= self.capacity_bytes {
-                    self.insert(packet);
-                    EnqueueOutcome::AcceptedWithVictim(victim)
-                } else {
-                    EnqueueOutcome::Dropped(packet)
-                };
+                self.insert(packet);
                 self.maybe_prune();
-                outcome
+                EnqueueOutcome::AcceptedWithVictim(victim)
             }
             _ => EnqueueOutcome::Dropped(packet),
         }
@@ -1010,6 +1018,40 @@ mod tests {
         assert_eq!(q.backlog_bytes(), 0);
     }
 
+    /// Evicting the worst packet must make room for the arrival, or the
+    /// queue is left alone: here the worst packet is a 140 B one, and a
+    /// 1 500 B arrival still would not fit without it. The arrival is
+    /// dropped and both queued packets stay, rather than the small victim
+    /// vanishing unreported.
+    #[test]
+    fn pfabric_drops_the_arrival_when_eviction_would_not_make_room() {
+        let mut q = PfabricQueue::new(2_900);
+        q.enqueue(pfabric_pkt(0, 10.0), now());
+        let small = Packet::data(
+            1,
+            0,
+            100,
+            route(),
+            DataHeader {
+                pfabric_priority: 100.0,
+                ..DataHeader::default()
+            },
+        );
+        assert_eq!(small.wire_bytes, 140);
+        assert!(q.enqueue(small, now()).accepted());
+        let outcome = q.enqueue(pfabric_pkt(2, 1.0), now());
+        assert!(
+            matches!(&outcome, EnqueueOutcome::Dropped(p) if p.flow == 2),
+            "expected the arrival dropped, got {outcome:?}"
+        );
+        assert_eq!(q.backlog_bytes(), 1_640);
+        assert_eq!(q.backlog_packets(), 2);
+        let order: Vec<FlowId> = std::iter::from_fn(|| q.dequeue(now()))
+            .map(|p| p.flow)
+            .collect();
+        assert_eq!(order, vec![0, 1]);
+    }
+
     #[test]
     #[should_panic(expected = "flow 5 enqueued a packet whose priority is NaN")]
     fn pfabric_rejects_nan_priority_naming_the_flow() {
@@ -1052,18 +1094,19 @@ mod tests {
                 .max_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
                 .map(|(i, &(p, _, _))| (i, p));
             match worst {
-                Some((i, worst_priority)) if packet.pfabric_priority() < worst_priority => {
+                Some((i, worst_priority))
+                    if packet.pfabric_priority() < worst_priority
+                        && self.backlog - self.queued[i].2.wire_bytes as usize
+                            + packet.wire_bytes as usize
+                            <= self.capacity_bytes =>
+                {
                     let (_, _, victim) = self.queued.remove(i);
                     self.backlog -= victim.wire_bytes as usize;
-                    if self.backlog + packet.wire_bytes as usize <= self.capacity_bytes {
-                        self.backlog += packet.wire_bytes as usize;
-                        self.queued
-                            .push((packet.pfabric_priority(), self.next_seq, packet));
-                        self.next_seq += 1;
-                        EnqueueOutcome::AcceptedWithVictim(victim)
-                    } else {
-                        EnqueueOutcome::Dropped(packet)
-                    }
+                    self.backlog += packet.wire_bytes as usize;
+                    self.queued
+                        .push((packet.pfabric_priority(), self.next_seq, packet));
+                    self.next_seq += 1;
+                    EnqueueOutcome::AcceptedWithVictim(victim)
                 }
                 _ => EnqueueOutcome::Dropped(packet),
             }
