@@ -22,7 +22,6 @@ use numfabric_sim::topology::Topology;
 use numfabric_sim::transport::{AckMode, FlowAgent};
 use numfabric_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Timer tag for the retransmission-timeout check.
 const RTO_TIMER: u64 = 1;
@@ -52,8 +51,10 @@ impl Default for PfabricConfig {
 /// The pFabric flow agent.
 pub struct PfabricAgent {
     config: PfabricConfig,
-    /// Unacknowledged packets: seq → (payload, last transmission time).
-    outstanding: BTreeMap<u64, (u32, SimTime)>,
+    /// Unacknowledged packets as `(seq, payload, last transmission time)`,
+    /// in ascending seq: new data is pushed at the back, an ACK removes its
+    /// packet found by binary search, and the RTO pass resends in place.
+    outstanding: Vec<(u64, u32, SimTime)>,
     /// Bytes of payload acknowledged so far (distinct packets).
     acked_payload: u64,
     next_seq: u64,
@@ -68,7 +69,7 @@ impl PfabricAgent {
     pub fn new(config: PfabricConfig) -> Self {
         Self {
             config,
-            outstanding: BTreeMap::new(),
+            outstanding: Vec::new(),
             acked_payload: 0,
             next_seq: 0,
             flow_size: None,
@@ -76,8 +77,10 @@ impl PfabricAgent {
         }
     }
 
+    /// Payload bytes sent and not yet acknowledged: `outstanding` holds every
+    /// segment below `next_seq` that no ACK has removed.
     fn in_flight(&self) -> u64 {
-        self.outstanding.values().map(|&(p, _)| p as u64).sum()
+        self.next_seq - self.acked_payload
     }
 
     /// The flow's remaining size (the pFabric priority; lower = served first).
@@ -115,7 +118,7 @@ impl PfabricAgent {
             ctx.send_data(seq, payload, |h| {
                 h.pfabric_priority = priority;
             });
-            self.outstanding.insert(seq, (payload, ctx.now()));
+            self.outstanding.push((seq, payload, ctx.now()));
             self.next_seq += payload as u64;
         }
         self.arm_rto(ctx);
@@ -125,18 +128,13 @@ impl PfabricAgent {
         let now = ctx.now();
         let rto = self.config.rto;
         let priority = self.remaining_bytes_priority();
-        let expired: Vec<u64> = self
-            .outstanding
-            .iter()
-            .filter(|(_, &(_, sent))| now.duration_since(sent) >= rto)
-            .map(|(&seq, _)| seq)
-            .collect();
-        for seq in expired {
-            let (payload, _) = self.outstanding[&seq];
-            ctx.send_data(seq, payload, |h| {
-                h.pfabric_priority = priority;
-            });
-            self.outstanding.insert(seq, (payload, now));
+        for (seq, payload, sent_at) in &mut self.outstanding {
+            if now.duration_since(*sent_at) >= rto {
+                ctx.send_data(*seq, *payload, |h| {
+                    h.pfabric_priority = priority;
+                });
+                *sent_at = now;
+            }
         }
     }
 }
@@ -154,7 +152,11 @@ impl FlowAgent for PfabricAgent {
     }
 
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>) {
-        if let Some((payload, _)) = self.outstanding.remove(&packet.seq) {
+        if let Ok(i) = self
+            .outstanding
+            .binary_search_by_key(&packet.seq, |&(seq, ..)| seq)
+        {
+            let (_, payload, _) = self.outstanding.remove(i);
             self.acked_payload += payload as u64;
         }
         self.send_new_data(ctx);

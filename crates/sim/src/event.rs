@@ -1147,8 +1147,7 @@ mod tests {
         q.debug_validate();
     }
 
-    /// The payload-pool twin of `queue::pfabric_tombstones_stay_bounded`:
-    /// on a long schedule/cancel/pop churn the SoA pools must stay sized to
+    /// On a long schedule/cancel/pop churn the SoA pools must stay sized to
     /// the peak *live* population, not the total event count — a free-list
     /// leak would grow them monotonically.
     #[test]

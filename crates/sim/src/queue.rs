@@ -12,6 +12,11 @@
 //!   highest-priority-dequeue and lowest-priority-drop (pFabric).
 //!
 //! All disciplines are byte-capacity bounded (the paper uses 1 MB per port).
+//!
+//! The two FIFOs hold their packets in a `VecDeque`. STFQ and pFabric keep
+//! theirs in a shared slot slab and order them by `(key, seq, slot)`
+//! entries: STFQ in a min-heap on virtual start, pFabric in one deque kept
+//! sorted by priority, whose front is served and whose back is evicted.
 
 use crate::hash::FixedHashMap;
 use crate::packet::{FlowId, Packet};
@@ -173,35 +178,28 @@ impl QueueDiscipline for EcnFifo {
 }
 
 // ---------------------------------------------------------------------------
-// Slot slab and heap entries shared by the heap-ordered disciplines
+// Slot slab and ordering entries shared by STFQ and pFabric
 // ---------------------------------------------------------------------------
 
 /// Packet storage of [`StfqQueue`] and [`PfabricQueue`]: a `Vec` of slots,
-/// each holding `(seq, packet)` or a link of the LIFO free list threaded
-/// through the vacant slots. A heap entry carries its packet's slot beside
-/// its ordering key, so serving the heap's top is one indexed `take` — no
-/// hashing. Freed slots are reused first, so the slab stays sized to the
-/// queue's peak depth, and since the free list lives in the slots
-/// themselves, only that peak ever allocates.
-///
-/// The stored `seq` — not slot occupancy — is a packet's identity: a pFabric
-/// tombstone can name a slot that was freed and since reused by a later
-/// packet, and it must still read as dead.
+/// each holding a packet or a link of the LIFO free list threaded through
+/// the vacant slots. An ordering entry (STFQ's heap, pFabric's sorted
+/// deque) carries its packet's slot beside its key, so serving it is one
+/// indexed `take` — no hashing. Every entry names a live packet, so the
+/// slot alone identifies it. Freed slots are reused first, so the slab
+/// stays sized to the queue's peak depth, and since the free list lives in
+/// the slots themselves, only that peak ever allocates.
 #[derive(Debug, Default)]
 struct PacketSlab {
     slots: Vec<Slot>,
     /// First vacant slot, if any.
     free_head: Option<u32>,
-    live: usize,
 }
 
 /// One slot of a [`PacketSlab`].
 #[derive(Debug)]
 enum Slot {
-    Full {
-        seq: u64,
-        packet: Packet,
-    },
+    Full(Packet),
     /// Vacant; `next` is the next vacant slot, if any.
     Vacant {
         next: Option<u32>,
@@ -209,74 +207,47 @@ enum Slot {
 }
 
 impl PacketSlab {
-    /// Store `packet` under `seq`; returns its slot.
-    fn insert(&mut self, seq: u64, packet: Packet) -> u32 {
-        self.live += 1;
-        let full = Slot::Full { seq, packet };
+    /// Store `packet`; returns its slot.
+    fn insert(&mut self, packet: Packet) -> u32 {
         let Some(slot) = self.free_head else {
             let slot = u32::try_from(self.slots.len()).expect("more than 2^32 queued packets");
-            self.slots.push(full);
+            self.slots.push(Slot::Full(packet));
             return slot;
         };
-        match std::mem::replace(&mut self.slots[slot as usize], full) {
+        match std::mem::replace(&mut self.slots[slot as usize], Slot::Full(packet)) {
             Slot::Vacant { next } => self.free_head = next,
-            Slot::Full { .. } => unreachable!("the free list names an occupied slot"),
+            Slot::Full(_) => unreachable!("the free list names an occupied slot"),
         }
         slot
     }
 
-    /// Whether `slot` still holds the packet stored under `seq`.
-    fn holds(&self, slot: u32, seq: u64) -> bool {
-        matches!(self.slots[slot as usize], Slot::Full { seq: stored, .. } if stored == seq)
-    }
-
-    /// Wire bytes of the packet in `slot`, which must be occupied.
-    fn wire_bytes(&self, slot: u32) -> usize {
+    /// The packet in `slot`, which must be occupied.
+    fn get(&self, slot: u32) -> &Packet {
         match &self.slots[slot as usize] {
-            Slot::Full { packet, .. } => packet.wire_bytes as usize,
-            Slot::Vacant { .. } => unreachable!("wire bytes of a vacant slot"),
+            Slot::Full(packet) => packet,
+            Slot::Vacant { .. } => unreachable!("an ordering entry names a vacant slot"),
         }
     }
 
-    /// Take the packet stored under `seq` out of `slot`, freeing the slot;
-    /// `None` if the slot is vacant or holds another packet.
-    fn take(&mut self, slot: u32, seq: u64) -> Option<Packet> {
-        if !self.holds(slot, seq) {
-            return None;
-        }
+    /// Take the packet out of `slot`, which must be occupied, freeing it.
+    fn take(&mut self, slot: u32) -> Packet {
         let vacant = Slot::Vacant {
             next: self.free_head,
         };
         match std::mem::replace(&mut self.slots[slot as usize], vacant) {
-            Slot::Full { packet, .. } => {
+            Slot::Full(packet) => {
                 self.free_head = Some(slot);
-                self.live -= 1;
-                Some(packet)
+                packet
             }
-            Slot::Vacant { .. } => unreachable!("checked occupied above"),
+            Slot::Vacant { .. } => unreachable!("an ordering entry names a vacant slot"),
         }
-    }
-
-    /// Number of packets stored.
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    /// `(slot, seq, packet)` of every stored packet, in slot order.
-    fn iter(&self) -> impl Iterator<Item = (u32, u64, &Packet)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, stored)| match stored {
-                Slot::Full { seq, packet } => Some((slot as u32, *seq, packet)),
-                Slot::Vacant { .. } => None,
-            })
     }
 }
 
-/// A heap entry: ordered by `(key, seq)` — the scheduling key (STFQ virtual
-/// start, pFabric priority), then arrival order — and carrying the slab
-/// slot of its packet. `Ord` is ascending; min-heaps wrap it in `Reverse`.
+/// An ordering entry: ordered by `(key, seq)` — the scheduling key (STFQ
+/// virtual start, pFabric priority), then arrival order — and carrying the
+/// slab slot of its packet. `Ord` is ascending; STFQ's min-heap wraps it in
+/// `Reverse`.
 #[derive(Debug, Clone, Copy)]
 struct SlotEntry {
     key: f64,
@@ -404,7 +375,7 @@ impl QueueDiscipline for StfqQueue {
         self.backlog += packet.wire_bytes as usize;
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.packets.insert(seq, packet);
+        let slot = self.packets.insert(packet);
         self.heap.push(Reverse(SlotEntry {
             key: start,
             seq,
@@ -415,10 +386,7 @@ impl QueueDiscipline for StfqQueue {
 
     fn dequeue(&mut self, _now: SimTime) -> Option<Packet> {
         let Reverse(entry) = self.heap.pop()?;
-        let packet = self
-            .packets
-            .take(entry.slot, entry.seq)
-            .expect("STFQ heap entry without its packet");
+        let packet = self.packets.take(entry.slot);
         self.backlog -= packet.wire_bytes as usize;
         // Advance the port's virtual time to the served packet's virtual start.
         self.virtual_time = self.virtual_time.max(entry.key);
@@ -430,7 +398,7 @@ impl QueueDiscipline for StfqQueue {
     }
 
     fn backlog_packets(&self) -> usize {
-        self.packets.len()
+        self.heap.len()
     }
 
     fn release_flow(&mut self, flow: FlowId) {
@@ -445,37 +413,25 @@ impl QueueDiscipline for StfqQueue {
 /// pFabric's switch behaviour: dequeue the packet with the smallest priority
 /// value (remaining flow size); when the buffer is full, drop the queued
 /// packet with the *largest* priority value to admit a higher-priority
-/// arrival (or drop the arrival if it is itself the lowest priority).
+/// arrival, provided that makes room for it. Otherwise the arrival itself
+/// is dropped and the queue is left as it was.
 ///
-/// Layout: the packets sit in a slot slab; two heaps of `(priority, seq,
-/// slot)` entries order them — a min-heap for serving and a max-heap for
-/// eviction, whose priority ties evict the youngest (largest seq) packet.
-/// Both heaps use *lazy tombstone deletion*: evicting or serving a packet
-/// leaves a stale entry in the other heap, which is skipped (and discarded)
-/// when it surfaces. An entry is live only while its slot still holds the
-/// packet with the entry's seq — the slot may have been reused by a later
-/// packet. A heap is rebuilt from the live packets once tombstones
-/// outnumber them 2:1 (tombstones at the "far end" of a heap would
-/// otherwise never surface and accumulate for the queue's lifetime). Every
-/// operation is O(log live) amortized, and none hashes.
+/// Layout: the packets sit in a slot slab, and one deque of `(priority,
+/// seq, slot)` entries keeps them in ascending `(priority, seq)` order. The
+/// front is served next; the back is the eviction victim — the largest
+/// priority, ties going to the youngest packet. pFabric buffers hold a few
+/// dozen packets, so an enqueue's binary search and shift cost less than
+/// a heap's upkeep, and serving and evicting are a pop at either end.
 ///
 /// # Panics
 /// [`QueueDiscipline::enqueue`] panics, naming the flow, on a packet whose
 /// `pfabric_priority` is NaN.
 #[derive(Debug)]
 pub struct PfabricQueue {
-    /// Serve order: min-heap on (priority, seq).
-    heap: BinaryHeap<Reverse<SlotEntry>>,
-    /// Evict order: max-heap on (priority, seq).
-    worst: BinaryHeap<SlotEntry>,
-    /// Live packets; a heap entry whose slot no longer holds its seq is a
-    /// tombstone.
+    /// Entries of the queued packets in ascending `(priority, seq)` order.
+    order: VecDeque<SlotEntry>,
+    /// The queued packets, addressed by their entries' slots.
     packets: PacketSlab,
-    /// Persistent rebuild workspace: live entries are gathered here once
-    /// per prune, so a rebuild walks the slab a single time even when both
-    /// heaps need rebuilding, and steady-state pruning allocates nothing
-    /// after warm-up.
-    rebuild_scratch: Vec<SlotEntry>,
     capacity_bytes: usize,
     backlog: usize,
     next_seq: u64,
@@ -486,69 +442,27 @@ impl PfabricQueue {
     /// very shallow buffers (e.g. ~2×BDP), unlike the other schemes.
     pub fn new(capacity_bytes: usize) -> Self {
         Self {
-            heap: BinaryHeap::new(),
-            worst: BinaryHeap::new(),
+            order: VecDeque::new(),
             packets: PacketSlab::default(),
-            rebuild_scratch: Vec::new(),
             capacity_bytes,
             backlog: 0,
             next_seq: 0,
         }
     }
 
-    fn insert(&mut self, packet: Packet) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    /// Queue `packet` under `priority`, after every entry that orders
+    /// before it: all those with a smaller priority or an equal one, since
+    /// its seq is the largest yet.
+    fn insert(&mut self, priority: f64, packet: Packet) {
         self.backlog += packet.wire_bytes as usize;
-        let key = packet.pfabric_priority();
-        let slot = self.packets.insert(seq, packet);
-        let entry = SlotEntry { key, seq, slot };
-        self.heap.push(Reverse(entry));
-        self.worst.push(entry);
-    }
-
-    /// The eviction-heap entry of the worst live packet, discarding any
-    /// stale entries on the way.
-    fn worst_queued(&mut self) -> Option<SlotEntry> {
-        while let Some(&entry) = self.worst.peek() {
-            if self.packets.holds(entry.slot, entry.seq) {
-                return Some(entry);
-            }
-            self.worst.pop();
-        }
-        None
-    }
-
-    /// Rebuild a heap from the live packets once its tombstones outnumber
-    /// them: served packets' eviction-heap entries (lowest priorities) and
-    /// evicted packets' serve-heap entries (highest priorities) sit at the
-    /// far end of their heap and would never surface to be discarded lazily.
-    /// Each rebuild is O(slab) and runs at most once per O(live) stale-making
-    /// operations, so the amortized cost stays O(1); pop order is unaffected
-    /// because every (priority, seq) key is distinct.
-    fn maybe_prune(&mut self) {
-        let cap = 2 * self.packets.len() + 16;
-        let serve_stale = self.heap.len() > cap;
-        let worst_stale = self.worst.len() > cap;
-        if !serve_stale && !worst_stale {
-            return;
-        }
-        self.rebuild_scratch.clear();
-        self.rebuild_scratch
-            .extend(self.packets.iter().map(|(slot, seq, p)| SlotEntry {
-                key: p.pfabric_priority(),
-                seq,
-                slot,
-            }));
-        if serve_stale {
-            self.heap.clear();
-            self.heap
-                .extend(self.rebuild_scratch.iter().copied().map(Reverse));
-        }
-        if worst_stale {
-            self.worst.clear();
-            self.worst.extend(self.rebuild_scratch.iter().copied());
-        }
+        let entry = SlotEntry {
+            key: priority,
+            seq: self.next_seq,
+            slot: self.packets.insert(packet),
+        };
+        self.next_seq += 1;
+        let at = self.order.partition_point(|queued| *queued < entry);
+        self.order.insert(at, entry);
     }
 }
 
@@ -560,29 +474,24 @@ impl QueueDiscipline for PfabricQueue {
             "pFabric: flow {} enqueued a packet whose priority is NaN",
             packet.flow
         );
-        if self.backlog + packet.wire_bytes as usize <= self.capacity_bytes {
-            self.insert(packet);
+        let bytes = packet.wire_bytes as usize;
+        if self.backlog + bytes <= self.capacity_bytes {
+            self.insert(priority, packet);
             return EnqueueOutcome::Accepted;
         }
         // Buffer full: evict the worst queued packet, but only if the
         // arrival outranks it and evicting it makes room; otherwise the
         // arrival is dropped and the queue is left as it was.
-        match self.worst_queued() {
+        match self.order.back() {
             Some(worst)
                 if priority < worst.key
-                    && self.backlog - self.packets.wire_bytes(worst.slot)
-                        + packet.wire_bytes as usize
+                    && self.backlog - self.packets.get(worst.slot).wire_bytes as usize + bytes
                         <= self.capacity_bytes =>
             {
-                // Evict the victim; its serve-heap entry becomes a tombstone.
-                let victim = self
-                    .packets
-                    .take(worst.slot, worst.seq)
-                    .expect("victim packet must exist");
+                let worst = self.order.pop_back().expect("checked non-empty above");
+                let victim = self.packets.take(worst.slot);
                 self.backlog -= victim.wire_bytes as usize;
-                self.worst.pop();
-                self.insert(packet);
-                self.maybe_prune();
+                self.insert(priority, packet);
                 EnqueueOutcome::AcceptedWithVictim(victim)
             }
             _ => EnqueueOutcome::Dropped(packet),
@@ -590,15 +499,9 @@ impl QueueDiscipline for PfabricQueue {
     }
 
     fn dequeue(&mut self, _now: SimTime) -> Option<Packet> {
-        let packet = loop {
-            let Reverse(entry) = self.heap.pop()?;
-            if let Some(packet) = self.packets.take(entry.slot, entry.seq) {
-                break packet;
-            }
-            // Tombstone for an evicted packet; skip it.
-        };
+        let entry = self.order.pop_front()?;
+        let packet = self.packets.take(entry.slot);
         self.backlog -= packet.wire_bytes as usize;
-        self.maybe_prune();
         Some(packet)
     }
 
@@ -607,7 +510,7 @@ impl QueueDiscipline for PfabricQueue {
     }
 
     fn backlog_packets(&self) -> usize {
-        self.packets.len()
+        self.order.len()
     }
 }
 
@@ -981,8 +884,10 @@ mod tests {
         assert_eq!(q.backlog_bytes(), 0);
     }
 
+    /// Back-to-back evictions each take the worst packet queued at the time,
+    /// and the evicted packets never come out of a later dequeue.
     #[test]
-    fn pfabric_handles_stale_heap_entries_after_eviction() {
+    fn pfabric_successive_evictions_each_take_the_worst() {
         let mut q = PfabricQueue::new(3_000);
         q.enqueue(pfabric_pkt(0, 50.0), now());
         q.enqueue(pfabric_pkt(1, 60.0), now());
@@ -994,14 +899,12 @@ mod tests {
         assert_eq!(order, vec![2, 3]);
     }
 
-    /// The slot-reuse trap: a tombstone whose slab slot now holds a
-    /// *different* live packet must stay a tombstone. Here flow 0's serve
-    /// entry (priority 100) is orphaned by eviction, its slot is reused by
-    /// flow 3 (priority 500), and the orphan surfaces while flow 4
-    /// (priority 200) waits; a liveness check by slot occupancy alone would
-    /// serve flow 3 in flow 0's place, ahead of flow 4.
+    /// Serve order follows priority, not slab slots: flows 3 (priority 500)
+    /// and 4 (priority 200) reuse, in that order, the slots that evicted
+    /// flow 0 and served flows 2 and 1 left behind, and flow 4 is still
+    /// served first.
     #[test]
-    fn pfabric_tombstone_stays_dead_after_its_slot_is_reused() {
+    fn pfabric_serve_order_survives_slot_reuse() {
         let mut q = PfabricQueue::new(3_000);
         q.enqueue(pfabric_pkt(0, 100.0), now()); // slot 0
         q.enqueue(pfabric_pkt(1, 10.0), now()); // slot 1
@@ -1060,8 +963,8 @@ mod tests {
     }
 
     /// A straightforward O(n)-scan pFabric model with the same semantics the
-    /// tombstone queue implements: serve smallest (priority, arrival), evict
-    /// largest (priority, arrival).
+    /// sorted queue implements: serve smallest (priority, arrival), evict
+    /// largest (priority, arrival) if that makes room for the arrival.
     struct PfabricReference {
         queued: Vec<(f64, u64, Packet)>,
         capacity_bytes: usize,
@@ -1125,97 +1028,95 @@ mod tests {
         }
     }
 
-    /// Tombstones must not accumulate for the queue's lifetime: served
-    /// packets leave never-surfacing entries at the bottom of the eviction
-    /// max-heap (and evicted packets at the bottom of the serve min-heap),
-    /// so both heaps are periodically rebuilt from the live set.
-    #[test]
-    fn pfabric_tombstones_stay_bounded() {
-        let mut q = PfabricQueue::new(8 * 1500);
-        let mut state = 7u64;
-        for i in 0..50_000u64 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let priority = ((state >> 8) % 1_000_000) as f64;
-            q.enqueue(pfabric_pkt((i % 16) as usize, priority), now());
-            if i % 3 == 0 {
-                q.dequeue(now());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// The sorted queue makes exactly the reference scan's accept /
+        /// evict / drop decisions, with the same victims, serve order and
+        /// backlog, over random enqueue / dequeue sequences: payloads from
+        /// 1 to 1 460 B, buffers of 2 to 30 full-size packets, and
+        /// priorities from a 16-value set, so ties are common. Every
+        /// offered packet comes back exactly once — served, returned as the
+        /// victim or the dropped arrival, or drained at the end.
+        #[test]
+        fn pfabric_sorted_queue_matches_scan_reference(
+            seed in 0u64..u64::MAX,
+            capacity_packets in 2usize..=30,
+            ops in 200usize..3000,
+        ) {
+            let capacity = capacity_packets * MTU_BYTES as usize;
+            let mut q = PfabricQueue::new(capacity);
+            let mut reference = PfabricReference::new(capacity);
+            let mut state = seed;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 17
+            };
+            // Packets are identified by their seq, which is the op that
+            // offered them; each must come back exactly once.
+            let mut returned = vec![false; ops];
+            let mut give_back = |p: &Packet| {
+                prop_assert!(!returned[p.seq as usize], "packet {} came back twice", p.seq);
+                returned[p.seq as usize] = true;
+            };
+            let mut offered = Vec::new();
+            for op in 0..ops {
+                if next() % 10 < 7 {
+                    let payload = 1 + (next() % DEFAULT_PAYLOAD_BYTES as u64) as u32;
+                    let header = DataHeader {
+                        pfabric_priority: (next() % 16) as f64 * 100.0,
+                        ..DataHeader::default()
+                    };
+                    let flow = (next() % 16) as FlowId;
+                    let p = Packet::data(flow, op as u64, payload, route(), header);
+                    offered.push(op);
+                    match (q.enqueue(p.clone(), now()), reference.enqueue(p)) {
+                        (EnqueueOutcome::Accepted, EnqueueOutcome::Accepted) => {}
+                        (
+                            EnqueueOutcome::AcceptedWithVictim(x),
+                            EnqueueOutcome::AcceptedWithVictim(y),
+                        ) => {
+                            prop_assert_eq!(x.seq, y.seq, "victims diverged at op {}", op);
+                            give_back(&x);
+                        }
+                        (EnqueueOutcome::Dropped(x), EnqueueOutcome::Dropped(y)) => {
+                            prop_assert_eq!(x.seq, y.seq, "drops diverged at op {}", op);
+                            give_back(&x);
+                        }
+                        (a, b) => panic!("enqueue outcome diverged at op {op}: {a:?} vs {b:?}"),
+                    }
+                } else {
+                    let a = q.dequeue(now());
+                    let b = reference.dequeue();
+                    prop_assert_eq!(
+                        a.as_ref().map(|p| p.seq),
+                        b.map(|p| p.seq),
+                        "serve order diverged at op {}",
+                        op
+                    );
+                    if let Some(p) = &a {
+                        give_back(p);
+                    }
+                }
+                prop_assert_eq!(q.backlog_bytes(), reference.backlog);
+                prop_assert_eq!(q.backlog_packets(), reference.queued.len());
+                prop_assert!(q.backlog_bytes() <= capacity);
             }
-            let bound = 2 * q.packets.len() + 16;
-            assert!(q.heap.len() <= bound, "serve heap grew to {}", q.heap.len());
-            assert!(
-                q.worst.len() <= bound,
-                "evict heap grew to {}",
-                q.worst.len()
-            );
-        }
-    }
-
-    /// Regression test for the tombstone rewrite: on a long pseudo-random
-    /// overload sequence (the worst-drop path fires constantly), accept /
-    /// evict / drop decisions, victim identities, serve order and backlog
-    /// accounting all match the O(n) reference model packet-for-packet.
-    #[test]
-    fn pfabric_tombstone_matches_reference_scan() {
-        let mut q = PfabricQueue::new(8 * 1500);
-        let mut reference = PfabricReference::new(8 * 1500);
-        // Deterministic pseudo-random priorities with repeats (ties matter).
-        let mut state = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state
-        };
-        for i in 0..4_000u64 {
-            let r = next();
-            if r % 5 == 0 {
-                let a = q.dequeue(now());
-                let b = reference.dequeue();
-                match (&a, &b) {
+            loop {
+                match (q.dequeue(now()), reference.dequeue()) {
                     (Some(x), Some(y)) => {
-                        assert_eq!(x.flow, y.flow, "serve order diverged at op {i}");
-                        assert_eq!(x.seq, y.seq, "serve order diverged at op {i}");
+                        prop_assert_eq!(x.seq, y.seq);
+                        give_back(&x);
                     }
-                    (None, None) => {}
-                    _ => panic!("dequeue presence diverged at op {i}: {a:?} vs {b:?}"),
-                }
-            } else {
-                // Coarse priorities force frequent exact ties.
-                let priority = ((r >> 8) % 32) as f64 * 100.0;
-                let mut p = pfabric_pkt((i % 16) as usize, priority);
-                p.seq = i * 1460;
-                let a = q.enqueue(p.clone(), now());
-                let b = reference.enqueue(p);
-                match (&a, &b) {
-                    (EnqueueOutcome::Accepted, EnqueueOutcome::Accepted) => {}
-                    (
-                        EnqueueOutcome::AcceptedWithVictim(x),
-                        EnqueueOutcome::AcceptedWithVictim(y),
-                    ) => {
-                        assert_eq!(
-                            (x.flow, x.seq),
-                            (y.flow, y.seq),
-                            "victims diverged at op {i}"
-                        );
-                    }
-                    (EnqueueOutcome::Dropped(x), EnqueueOutcome::Dropped(y)) => {
-                        assert_eq!((x.flow, x.seq), (y.flow, y.seq));
-                    }
-                    _ => panic!("enqueue outcome diverged at op {i}: {a:?} vs {b:?}"),
+                    (None, None) => break,
+                    (a, b) => panic!("drain diverged: {a:?} vs {b:?}"),
                 }
             }
-            assert_eq!(q.backlog_bytes(), reference.backlog);
-            assert_eq!(q.backlog_packets(), reference.queued.len());
-        }
-        // Drain and compare the tail.
-        loop {
-            match (q.dequeue(now()), reference.dequeue()) {
-                (Some(x), Some(y)) => assert_eq!((x.flow, x.seq), (y.flow, y.seq)),
-                (None, None) => break,
-                (a, b) => panic!("drain diverged: {a:?} vs {b:?}"),
-            }
+            prop_assert!(
+                offered.iter().all(|&op| returned[op]),
+                "an offered packet never came back"
+            );
         }
     }
 }

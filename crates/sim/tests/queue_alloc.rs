@@ -3,9 +3,9 @@
 //!
 //! 1. **Steady state allocates nothing.** After warm-up, 10 000
 //!    enqueue/dequeue cycles at constant depth allocate exactly 0 times on
-//!    STFQ and on pFabric (whose cycles run at a full buffer, so they evict,
-//!    drop and prune too): packets live in slot slabs with free lists, not
-//!    in hash maps.
+//!    STFQ and on pFabric (whose cycles run at a full buffer, so they evict
+//!    and drop too): packets live in slot slabs with free lists, not in
+//!    hash maps.
 //! 2. **Allocation counts repeat.** A small fat-tree:k=4 run — flows
 //!    arming and cancelling an RTO timer on every send, completed flows
 //!    retired and replaced mid-run — allocates exactly the same number of

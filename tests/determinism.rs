@@ -533,7 +533,7 @@ fn partition_count_never_changes_a_cable_cut_run() {
     }
 }
 
-/// Replay a seeded workload through pFabric's tombstone priority queue with
+/// Replay a seeded workload through pFabric's sorted priority queue with
 /// buffers shallow enough that the worst-drop (evict) path fires constantly;
 /// drop decisions feed back into retransmission timing, so any
 /// nondeterminism in the victim choice would diverge the byte counters.
@@ -580,7 +580,7 @@ fn pfabric_worst_drop_replay_is_bit_identical() {
     let drops: u64 = a.iter().map(|&(_, d, _, _)| d).sum();
     assert!(
         drops > 0,
-        "scenario produced no drops; tombstone path untested"
+        "scenario produced no drops; eviction path untested"
     );
 }
 
