@@ -449,6 +449,11 @@ impl EventQueue {
 
     /// [`Self::schedule_seeded`] with O(1) cancellation via [`Self::cancel`].
     ///
+    /// Contract: `seq` must not repeat while an event scheduled with it is
+    /// pending or tombstoned (cancelled but not yet drained). Both states
+    /// are recorded by seq alone, so a repeat would let one event's
+    /// cancellation reap the other. Debug builds check it.
+    ///
     /// # Panics
     /// Panics if `at` is in the past (before the last popped event).
     pub fn schedule_cancellable_seeded(&mut self, at: SimTime, event: Event, seq: u64) -> EventId {
@@ -483,7 +488,11 @@ impl EventQueue {
             cancellable,
         };
         if cancellable {
-            self.cancellable_pending.insert(seq);
+            let fresh = self.cancellable_pending.insert(seq);
+            debug_assert!(
+                fresh && !self.cancelled.contains(&seq),
+                "cancellable seq {seq:#x} repeats a pending or tombstoned event"
+            );
         }
         if t < self.cursor || self.front.back().is_some_and(|k| k.time == t) {
             // Behind the cursor (which a peek may have advanced), or joining

@@ -113,9 +113,12 @@ pub struct LinkStats {
 // - flow start / stop: one start per flow id, and a recycled id starts only
 //   after its previous flow completed, strictly later; callers of
 //   `Network::stop_flow` stop a flow once.
-// - flow timer: the secondary field is the sender's arm count, so every arm
-//   of a flow has its own key (the timer service's cancellation set relies
-//   on it too).
+// - flow timer: the secondary field is the flow slot's arm count, which
+//   never restarts: a recycled slot's next occupant continues its
+//   predecessor's count. So every arm of a slot has its own key, including
+//   against a predecessor's cancelled timer still waiting in the wheel as a
+//   tombstone, which the wheel's cancellation set requires (see
+//   `EventQueue::schedule_cancellable_seeded`).
 // - link timer / wake-up: a link holds one controller timer and one
 //   wake-up at a time, each re-armed only when it fires, and a wake-up sits
 //   at the end of a serialization, which lasts at least 1 ns. A replaced
@@ -281,9 +284,9 @@ struct SenderState {
     packets_sent: u64,
     bytes_acked: u64,
     started_at: Option<SimTime>,
-    /// Monotone counter giving each armed flow timer a unique wheel key
-    /// (the timer cancellation set is keyed by seq, so flow-timer keys
-    /// must never repeat within a flow).
+    /// The flow slot's arm count: the secondary field of the next timer's
+    /// key. It continues the slot's previous occupant's count (see
+    /// `Network::slot_timer_arms`), so timer keys never repeat per slot.
     timer_arms: u64,
 }
 
@@ -912,6 +915,12 @@ pub struct Network {
     /// churn workloads keep re-touching the same hot slots and the slab's
     /// high-water mark tracks *concurrent* flows, not total flows.
     free_flows: Vec<FlowId>,
+    /// `slot_timer_arms[slot]`: the arm count a retired slot's last
+    /// occupant reached, where its next occupant starts counting. Cancelled
+    /// timers wait in the wheel as tombstones until their deadline, so a
+    /// count restarting at 0 could repeat a key the wheel still holds. Kept
+    /// here, not on a core, so keys are identical for any partitioning.
+    slot_timer_arms: Vec<u64>,
 }
 
 impl Network {
@@ -958,6 +967,7 @@ impl Network {
             sync_events: 0,
             trace_enabled: false,
             free_flows: Vec::new(),
+            slot_timer_arms: Vec::new(),
         };
         net.deal_chunks();
         net
@@ -1223,9 +1233,10 @@ impl Network {
         let ack_mode = agent.ack_mode();
         // Recycle a retired slot when one is free (the flow slab): churn
         // workloads then keep live memory proportional to *concurrent*
-        // flows. A recycled id's previous occupant was fully quiescent
-        // (no packets, timers or events anywhere — see `try_retire_flow`),
-        // so reusing its content-derived event keys is safe.
+        // flows. A recycled id's previous occupant had no packet in flight
+        // and no armed timer (see `try_retire_flow`); its cancelled timers
+        // may still wait in the wheel as tombstones, so the new occupant
+        // continues the slot's timer arm count and never repeats their keys.
         let (id, reused) = match self.free_flows.pop() {
             Some(id) => {
                 self.shared.specs[id] = spec;
@@ -1235,6 +1246,7 @@ impl Network {
                 let id = self.shared.specs.len();
                 assert_fits_key("flow slot", id);
                 self.shared.specs.push(spec);
+                self.slot_timer_arms.push(0);
                 (id, false)
             }
         };
@@ -1245,7 +1257,7 @@ impl Network {
             packets_sent: 0,
             bytes_acked: 0,
             started_at: None,
-            timer_arms: 0,
+            timer_arms: self.slot_timer_arms[id],
         });
         let mut receiver = Some(ReceiverState {
             bytes_delivered: 0,
@@ -1301,7 +1313,10 @@ impl Network {
     /// Quiescence requires all of:
     ///
     /// * the flow is [`FlowPhase::Completed`] or [`FlowPhase::Stopped`];
-    /// * it has no armed timers (stop/completion cancels them structurally);
+    /// * it has no armed timers (stop and completion cancel them; the
+    ///   cancelled ones may wait in the wheel as tombstones, which is why
+    ///   the slot's next occupant continues its timer arm count, so timer
+    ///   keys never repeat per slot);
     /// * no packet of the flow is in flight anywhere — queued, on the wire,
     ///   or buffered as a boundary message. A trailing ACK still propagating
     ///   back to the sender keeps the flow alive until it is consumed, which
@@ -1339,6 +1354,7 @@ impl Network {
         if self.parts[txp].timers.pending_count(flow) != 0 {
             return false;
         }
+        let timer_arms = sender.timer_arms;
         let in_flight: i64 = self.parts.iter().map(|c| c.flow_packets[flow]).sum();
         debug_assert!(in_flight >= 0, "in-flight packet count went negative");
         if in_flight != 0 {
@@ -1351,6 +1367,7 @@ impl Network {
             core.flow_packets[flow] = 0;
             core.timers.reset_flow(flow);
         }
+        self.slot_timer_arms[flow] = timer_arms;
         self.free_flows.push(flow);
         true
     }
@@ -2217,9 +2234,9 @@ impl AgentCtx<'_> {
     /// stops or completes, every outstanding timer is cancelled
     /// automatically.
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerHandle {
-        // Flow-timer keys must be unique (the cancellation set is keyed by
-        // seq), so each arm draws from the sender's monotone counter —
-        // per-flow state, hence partition- and thread-invariant.
+        // The key's secondary field is the slot's arm count, which never
+        // restarts (see the key banner): per-slot state, hence partition-
+        // and thread-invariant.
         let arms = {
             let sender = self.sender_mut();
             let a = sender.timer_arms;
