@@ -57,18 +57,6 @@ impl Default for RcpStarConfig {
 }
 
 impl RcpStarConfig {
-    /// The paper's published gains (a = 3.6, b = 1.8). These are aggressive;
-    /// the defaults of this crate use smaller gains that are stable across
-    /// the repository's test topologies, mirroring the parameter sweep the
-    /// paper performed.
-    pub fn paper_gains() -> Self {
-        Self {
-            a: 3.6,
-            b: 1.8,
-            ..Self::default()
-        }
-    }
-
     /// Same configuration with a different α.
     pub fn with_alpha(mut self, alpha: f64) -> Self {
         assert!(alpha > 0.0, "alpha must be positive");

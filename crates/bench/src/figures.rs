@@ -24,7 +24,7 @@ use numfabric_num::utility::{BandwidthFunctionUtility, LogUtility};
 use numfabric_num::{FluidFlow, FluidNetwork, Oracle};
 use numfabric_sim::queue::StfqQueue;
 use numfabric_sim::topology::{LeafSpineConfig, NodeKind, Topology};
-use numfabric_sim::{Network, SimDuration, SimTime};
+use numfabric_sim::{LinkChange, Network, SimDuration, SimTime};
 use numfabric_workloads::arrivals::{poisson_arrivals, PoissonWorkloadConfig};
 use numfabric_workloads::convergence::{convergence_stats, ConvergenceCriterion};
 use numfabric_workloads::distributions::{EmpiricalCdf, FlowSizeDistribution};
@@ -990,7 +990,7 @@ pub fn fig10(_opts: &ScenarioOptions) {
     while t < end {
         t += SimDuration::from_micros(200);
         if !switched && t >= switch_at {
-            net.set_link_capacity(mid_fwd, 17e9);
+            net.schedule_link_change(net.now(), mid_fwd, LinkChange::Speed(17e9));
             switched = true;
             println!("  -- middle link capacity changed to 17 Gbps --");
         }

@@ -55,8 +55,11 @@
 //! [`EventQueue::schedule_cancellable`] returns an [`EventId`] that
 //! [`EventQueue::cancel`] turns into a tombstone in O(1); cancelled events
 //! are dropped when their bucket drains instead of traversing the dispatch
-//! path. The [`crate::timer::TimerService`] builds flow-timer bookkeeping on
-//! top of this, so stopping a flow structurally removes its pending timers.
+//! path. The cancellation sets are keyed by seq, so a cancellable seq must
+//! not repeat while an event with it is pending or tombstoned (see
+//! [`EventQueue::schedule_cancellable_seeded`]). Flow timers
+//! ([`crate::network::AgentCtx::set_timer`]) build on this, so stopping a
+//! flow removes its pending timers.
 
 use crate::hash::FixedHashSet;
 use crate::packet::{FlowId, Packet};
@@ -106,14 +109,6 @@ pub enum Event {
         /// The flow to stop.
         flow: FlowId,
     },
-    /// A scheduled link impairment takes effect (failure, restore, speed
-    /// change, loss rate, jitter — see [`crate::impairment::LinkChange`]).
-    LinkChange {
-        /// The affected link.
-        link: LinkId,
-        /// The state change to apply.
-        change: crate::impairment::LinkChange,
-    },
 }
 
 // Size budget: an arrival moves by value into the payload pool and out at
@@ -156,26 +151,11 @@ const POOL_IDX_MASK: u32 = POOL_ARRIVAL - 1;
 /// timer/transmit pool entries small and dense.
 #[derive(Debug, Clone, Copy)]
 enum SmallEvent {
-    TransmitComplete {
-        link: LinkId,
-    },
-    FlowTimer {
-        flow: FlowId,
-        tag: u64,
-    },
-    LinkTimer {
-        link: LinkId,
-    },
-    FlowStart {
-        flow: FlowId,
-    },
-    FlowStop {
-        flow: FlowId,
-    },
-    LinkChange {
-        link: LinkId,
-        change: crate::impairment::LinkChange,
-    },
+    TransmitComplete { link: LinkId },
+    FlowTimer { flow: FlowId, tag: u64 },
+    LinkTimer { link: LinkId },
+    FlowStart { flow: FlowId },
+    FlowStop { flow: FlowId },
 }
 
 impl SmallEvent {
@@ -186,7 +166,6 @@ impl SmallEvent {
             SmallEvent::LinkTimer { link } => Event::LinkTimer { link },
             SmallEvent::FlowStart { flow } => Event::FlowStart { flow },
             SmallEvent::FlowStop { flow } => Event::FlowStop { flow },
-            SmallEvent::LinkChange { link, change } => Event::LinkChange { link, change },
         }
     }
 }
@@ -349,9 +328,6 @@ impl EventQueue {
             Event::LinkTimer { link } => self.store_small(SmallEvent::LinkTimer { link }),
             Event::FlowStart { flow } => self.store_small(SmallEvent::FlowStart { flow }),
             Event::FlowStop { flow } => self.store_small(SmallEvent::FlowStop { flow }),
-            Event::LinkChange { link, change } => {
-                self.store_small(SmallEvent::LinkChange { link, change })
-            }
         }
     }
 

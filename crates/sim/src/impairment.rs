@@ -60,7 +60,9 @@ pub enum LinkChange {
     Up,
     /// Change the link's capacity to `bits_per_second` (asymmetric speed
     /// changes: the reverse twin keeps its own capacity). The packet
-    /// currently serializing keeps its old transmission time.
+    /// currently serializing keeps its old transmission time; the link's
+    /// controller hears of it through `on_capacity_change`. Applying a
+    /// capacity that is not strictly positive panics.
     Speed(f64),
     /// Drop each packet leaving this link with the given probability
     /// (`0.0..=1.0`), drawn from the network's seeded impairment stream.

@@ -27,9 +27,10 @@
 //!
 //! * **Event core** ([`event`], [`timer`]) — a hierarchical timing-wheel
 //!   scheduler (same-timestamp buckets drained in one pass, levels
-//!   spanning the whole `u64` clock) and a handle-based [`timer::TimerService`]:
-//!   agents arm timers through [`network::AgentCtx::set_timer`] and stopping
-//!   or completing a flow structurally cancels whatever is still pending.
+//!   spanning the whole `u64` clock) and handle-based flow timers: agents
+//!   arm them through [`network::AgentCtx::set_timer`], which returns a
+//!   [`timer::TimerHandle`], and the flow's sender keeps the armed ids, so
+//!   stopping or completing a flow cancels whatever is still pending.
 //!
 //! Determinism: given the same inputs the simulation produces bit-identical
 //! results — events are ordered by `(time, key)` where the key is a pure
@@ -108,7 +109,7 @@ pub use packet::{AckHeader, DataHeader, FlowId, Packet, PacketKind, Stamps};
 pub use queue::{DropTailFifo, EcnFifo, PfabricQueue, QueueDiscipline, StfqQueue};
 pub use routes::{RouteId, RouteTable};
 pub use time::{SimDuration, SimTime};
-pub use timer::{TimerHandle, TimerService};
+pub use timer::TimerHandle;
 pub use topology::{
     FatTreeConfig, LeafSpineConfig, LinkId, NodeId, NodeKind, Partitioning, Route, Topology,
 };

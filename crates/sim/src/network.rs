@@ -16,9 +16,9 @@
 //! Every run is deterministic: events are processed in `(time, key)` order
 //! with FIFO tie-breaking, and the engine itself uses no randomness. Flow
 //! timers are first-class: [`AgentCtx::set_timer`] returns a
-//! [`TimerHandle`] that [`AgentCtx::cancel_timer`] revokes, and stopping or
-//! completing a flow structurally cancels its outstanding timers (see
-//! [`crate::timer`]).
+//! [`TimerHandle`] that [`AgentCtx::cancel_timer`] revokes, and the sender
+//! keeps the ids of its armed timers, so stopping or completing a flow
+//! cancels every one of them.
 //!
 //! Two further mechanisms ride on the same event loop:
 //!
@@ -39,12 +39,13 @@
 //! Internally the network is **domain-decomposed**:
 //! [`Network::set_partitions`] splits the fabric into spatial partitions
 //! (via [`Topology::partition`]), each owning a disjoint subset of nodes
-//! with its own timing wheel, [`TimerService`], link runtimes and endpoint
-//! state. One epoch loop runs every stretch: cross-partition deliveries are
-//! held by the coordinator and released at conservative time barriers
-//! (lookahead = the minimum propagation delay over boundary links), and
-//! [`Network::set_partition_threads`] only chooses whether the epochs run
-//! on the calling thread or concurrently on scoped worker threads.
+//! with its own timing wheel, link runtimes and endpoint state (a flow's
+//! armed timers live with its sender). One epoch loop runs every stretch:
+//! cross-partition deliveries are held by the coordinator and released at
+//! conservative time barriers (lookahead = the minimum propagation delay
+//! over boundary links), and [`Network::set_partition_threads`] only
+//! chooses whether the epochs run on the calling thread or concurrently on
+//! scoped worker threads.
 //!
 //! Determinism does not rest on a shared counter or on any cross-partition
 //! ordering. Instead every event carries a **content-derived key**: a pure
@@ -78,7 +79,7 @@ use crate::packet::{
 use crate::queue::QueueDiscipline;
 use crate::routes::{RouteId, RouteTable};
 use crate::time::{SimDuration, SimTime};
-use crate::timer::{TimerHandle, TimerService};
+use crate::timer::TimerHandle;
 use crate::topology::{LinkId, NodeId, Route, Topology};
 use crate::tracer::EwmaRateTracer;
 use crate::transport::{AckMode, FlowAgent, LinkController};
@@ -134,8 +135,6 @@ pub struct LinkStats {
 
 const KIND_FLOW_START: u64 = 0;
 const KIND_FLOW_STOP: u64 = 1;
-// kind 2 is reserved for link changes, which never enter a wheel: they are
-// coordinator-level sync events (see `GlobalEvent`).
 const KIND_LINK_TIMER: u64 = 3;
 const KIND_FLOW_TIMER: u64 = 4;
 const KIND_TRANSMIT_COMPLETE: u64 = 5;
@@ -288,6 +287,9 @@ struct SenderState {
     /// key. It continues the slot's previous occupant's count (see
     /// `Network::slot_timer_arms`), so timer keys never repeat per slot.
     timer_arms: u64,
+    /// Ids of the armed, un-fired timers. Flows keep at most a handful, so
+    /// a small Vec beats any map.
+    timers: Vec<EventId>,
 }
 
 /// A flow's receiver-side endpoint state, owned by the destination host's
@@ -350,14 +352,13 @@ struct GlobalEvent {
     change: LinkChange,
 }
 
-/// One spatial partition's event core: its own timing wheel, timer
-/// bookkeeping, link runtimes, endpoint state and outgoing boundary
-/// traffic. `Send` (asserted at compile time below) so an epoch can run on
-/// a worker thread.
+/// One spatial partition's event core: its own timing wheel, link
+/// runtimes, endpoint state and outgoing boundary traffic. `Send`
+/// (asserted at compile time below) so an epoch can run on a worker
+/// thread.
 struct PartitionCore {
     index: usize,
     events: EventQueue,
-    timers: TimerService,
     /// Runtime state of the links this partition owns (`None` elsewhere).
     links: Vec<Option<LinkState>>,
     /// Sender endpoints of flows whose source host lives here.
@@ -418,7 +419,6 @@ impl PartitionCore {
         Self {
             index,
             events,
-            timers: TimerService::new(),
             link_drops: vec![0; links.len()],
             links,
             senders: Vec::new(),
@@ -525,9 +525,6 @@ fn handle_event(shared: &Shared, core: &mut PartitionCore, id: EventId, event: E
             try_transmit(shared, core, link);
         }
         Event::Arrival { link, packet } => handle_arrival(shared, core, link, packet),
-        Event::LinkChange { .. } => {
-            unreachable!("link changes are coordinator-level sync events, never wheel events")
-        }
     }
 }
 
@@ -552,9 +549,16 @@ fn handle_flow_stop(shared: &Shared, core: &mut PartitionCore, flow: FlowId) {
         sender.phase = FlowPhase::Stopped;
     }
     queue_releases(shared, core, flow);
-    // Structural cancellation: a stopped flow leaves no timers behind to
-    // fire into the dispatch path.
-    core.timers.cancel_all(&mut core.events, flow);
+    cancel_timers(core, flow);
+}
+
+/// Cancel every armed timer of a stopped or completed flow, so a dead flow
+/// fires nothing into the dispatch path.
+fn cancel_timers(core: &mut PartitionCore, flow: FlowId) {
+    let sender = core.senders[flow].as_mut().expect("sender on source core");
+    for id in sender.timers.drain(..) {
+        core.events.cancel(id);
+    }
 }
 
 /// Shed a flow's per-queue state on every link of its forward route:
@@ -573,16 +577,23 @@ fn queue_releases(shared: &Shared, core: &mut PartitionCore, flow: FlowId) {
 }
 
 fn dispatch_timer(shared: &Shared, core: &mut PartitionCore, flow: FlowId, tag: u64, id: EventId) {
-    core.timers.fired(flow, id);
-    // Stop/completion cancels outstanding timers structurally; this guard
-    // is defence in depth, not the cancellation mechanism.
-    if core.senders[flow]
-        .as_ref()
-        .is_none_or(|s| s.phase != FlowPhase::Active)
-    {
+    // Forget the fired id before the agent runs, so a re-arm inside the
+    // callback starts from a clean slate.
+    let sender = core.senders[flow].as_mut().expect("sender on source core");
+    forget_timer(sender, id);
+    // Stop/completion cancels outstanding timers; this guard is defence in
+    // depth, not the cancellation mechanism.
+    if sender.phase != FlowPhase::Active {
         return;
     }
     with_agent(shared, core, flow, |agent, ctx| agent.on_timer(tag, ctx));
+}
+
+/// Drop a fired or cancelled timer's id from its sender's armed list.
+fn forget_timer(sender: &mut SenderState, id: EventId) {
+    if let Some(pos) = sender.timers.iter().position(|&t| t == id) {
+        sender.timers.swap_remove(pos);
+    }
 }
 
 fn handle_link_timer(core: &mut PartitionCore, link: LinkId, id: EventId) {
@@ -612,33 +623,29 @@ fn enqueue_on_link(shared: &Shared, core: &mut PartitionCore, link: LinkId, mut 
     );
     if !shared.link_health[link].up {
         // Forwarding onto a failed link drops the packet at the port.
-        core.links[link]
-            .as_mut()
-            .expect("owned link")
-            .stats
-            .packets_dropped += 1;
-        core.flow_drops[packet.flow] += 1;
-        core.flow_packets[packet.flow] -= 1;
+        charge_drop(core, link, packet.flow);
         return;
     }
-    {
+    let dropped_flow = {
         let ls = core.links[link].as_mut().expect("owned link");
         if packet.is_data() {
             if let Some(ctrl) = &mut ls.controller {
                 ctrl.on_enqueue(&mut packet, core.clock);
             }
-            let outcome = ls.queue.enqueue(packet, core.clock);
-            if let Some(dropped) = outcome.dropped() {
-                ls.stats.packets_dropped += 1;
-                core.flow_drops[dropped.flow] += 1;
-                core.flow_packets[dropped.flow] -= 1;
-            }
+            ls.queue
+                .enqueue(packet, core.clock)
+                .dropped()
+                .map(|dropped| dropped.flow)
         } else {
             // ACKs and SYNs ride the strict-priority control lane: they
             // skip the data discipline entirely and are never dropped by
             // buffer pressure.
             ls.control_lane.push_back(packet);
+            None
         }
+    };
+    if let Some(flow) = dropped_flow {
+        charge_drop(core, link, flow);
     }
     try_transmit(shared, core, link);
 }
@@ -718,13 +725,7 @@ fn try_transmit(shared: &Shared, core: &mut PartitionCore, link: LinkId) {
     if lost {
         // Corrupted on the wire: it occupied the link for its full
         // serialization time but never arrives.
-        core.links[link]
-            .as_mut()
-            .expect("owned link")
-            .stats
-            .packets_dropped += 1;
-        core.flow_drops[packet.flow] += 1;
-        core.flow_packets[packet.flow] -= 1;
+        charge_drop(core, link, packet.flow);
     } else {
         let at = now + tx_time + shared.topo.links()[link].delay + jitter;
         let seq = arrival_key(link, &packet);
@@ -743,15 +744,24 @@ fn try_transmit(shared: &Shared, core: &mut PartitionCore, link: LinkId) {
     }
 }
 
+/// Charge one packet of `flow` lost at `link`: to the link's and the flow's
+/// drop counts, and out of the flow's in-flight count. A link owned by
+/// another partition is charged through this core's per-link delta, summed
+/// into `link_stats`.
+fn charge_drop(core: &mut PartitionCore, link: LinkId, flow: FlowId) {
+    match core.links[link].as_mut() {
+        Some(ls) => ls.stats.packets_dropped += 1,
+        None => core.link_drops[link] += 1,
+    }
+    core.flow_drops[flow] += 1;
+    core.flow_packets[flow] -= 1;
+}
+
 fn handle_arrival(shared: &Shared, core: &mut PartitionCore, link: LinkId, mut packet: Packet) {
     // A packet in flight is delivered unless its cable is down at the
-    // arrival instant: failing a link loses whatever was on the wire. The
-    // drop is charged to the (possibly remote) link via this core's
-    // per-link delta, summed into `link_stats`.
+    // arrival instant: failing a link loses whatever was on the wire.
     if !shared.link_health[link].up {
-        core.link_drops[link] += 1;
-        core.flow_drops[packet.flow] += 1;
-        core.flow_packets[packet.flow] -= 1;
+        charge_drop(core, link, packet.flow);
         return;
     }
     packet.advance_hop();
@@ -842,7 +852,7 @@ fn sender_ack(shared: &Shared, core: &mut PartitionCore, ack_bytes: u64, packet:
         // The completing ACK is consumed by the engine, not the agent —
         // the flow is over; shed queue state and outstanding timers.
         queue_releases(shared, core, flow);
-        core.timers.cancel_all(&mut core.events, flow);
+        cancel_timers(core, flow);
     } else {
         with_agent(shared, core, flow, |agent, ctx| agent.on_ack(&packet, ctx));
     }
@@ -974,9 +984,9 @@ impl Network {
     }
 
     /// Re-split the network into `partitions` spatial domains (see the
-    /// module docs). Each partition gets its own timing wheel, timer
-    /// service, link runtimes and endpoint state; events already scheduled
-    /// (e.g. link controller timers installed at construction) migrate to
+    /// module docs). Each partition gets its own timing wheel, link
+    /// runtimes and endpoint state; events already scheduled (e.g. link
+    /// controller timers installed at construction) migrate to
     /// their owning partition's wheel with their original content keys, so
     /// the partition count never perturbs event order.
     ///
@@ -1258,6 +1268,7 @@ impl Network {
             bytes_acked: 0,
             started_at: None,
             timer_arms: self.slot_timer_arms[id],
+            timers: Vec::new(),
         });
         let mut receiver = Some(ReceiverState {
             bytes_delivered: 0,
@@ -1284,7 +1295,6 @@ impl Network {
                 core.receivers.push(rx);
                 core.flow_drops.push(0);
                 core.flow_packets.push(0);
-                core.timers.register_flow();
             }
         }
         self.parts[txp].events.schedule_seeded(
@@ -1351,7 +1361,7 @@ impl Network {
         if !matches!(phase, FlowPhase::Completed | FlowPhase::Stopped) {
             return false;
         }
-        if self.parts[txp].timers.pending_count(flow) != 0 {
+        if !sender.timers.is_empty() {
             return false;
         }
         let timer_arms = sender.timer_arms;
@@ -1365,7 +1375,6 @@ impl Network {
             core.receivers[flow] = None;
             core.flow_drops[flow] = 0;
             core.flow_packets[flow] = 0;
-            core.timers.reset_flow(flow);
         }
         self.slot_timer_arms[flow] = timer_arms;
         self.free_flows.push(flow);
@@ -1439,28 +1448,6 @@ impl Network {
         self.shared.link_health[link]
     }
 
-    /// Change a link's capacity at runtime (used by the bandwidth-function
-    /// experiments, where the bottleneck capacity changes mid-run). The
-    /// packet currently being serialized keeps its old transmission time;
-    /// subsequent packets use the new rate.
-    ///
-    /// # Panics
-    /// Panics if the capacity is not strictly positive.
-    pub fn set_link_capacity(&mut self, link: LinkId, capacity_bps: f64) {
-        assert!(
-            capacity_bps.is_finite() && capacity_bps > 0.0,
-            "capacity must be positive"
-        );
-        self.shared.link_caps[link] = capacity_bps;
-        let p = self.shared.link_part[link];
-        if let Some(ctrl) = self.parts[p].links[link]
-            .as_mut()
-            .and_then(|ls| ls.controller.as_mut())
-        {
-            ctrl.on_capacity_change(capacity_bps);
-        }
-    }
-
     /// A link's current capacity in bits per second.
     pub fn link_capacity_bps(&self, link: LinkId) -> f64 {
         self.shared.link_caps[link]
@@ -1494,7 +1481,20 @@ impl Network {
                 let p = self.shared.link_part[link];
                 try_transmit(&self.shared, &mut self.parts[p], link);
             }
-            LinkChange::Speed(capacity_bps) => self.set_link_capacity(link, capacity_bps),
+            LinkChange::Speed(capacity_bps) => {
+                assert!(
+                    capacity_bps.is_finite() && capacity_bps > 0.0,
+                    "capacity must be positive"
+                );
+                self.shared.link_caps[link] = capacity_bps;
+                let p = self.shared.link_part[link];
+                if let Some(ctrl) = self.parts[p].links[link]
+                    .as_mut()
+                    .and_then(|ls| ls.controller.as_mut())
+                {
+                    ctrl.on_capacity_change(capacity_bps);
+                }
+            }
             LinkChange::Loss(probability) => {
                 assert!(
                     (0.0..=1.0).contains(&probability),
@@ -1509,25 +1509,20 @@ impl Network {
     /// Drop every packet queued on `link` (data queue and control lane),
     /// with full drop accounting.
     fn drop_link_backlog(&mut self, link: LinkId) {
-        let p = self.shared.link_part[link];
-        let core = &mut self.parts[p];
+        let core = &mut self.parts[self.shared.link_part[link]];
         let now = core.clock;
-        let mut dropped_flows = Vec::new();
-        {
+        loop {
             let ls = core.links[link]
                 .as_mut()
                 .expect("link state on owning core");
-            while let Some(pkt) = ls.control_lane.pop_front() {
-                dropped_flows.push(pkt.flow);
-            }
-            while let Some(pkt) = ls.queue.dequeue(now) {
-                dropped_flows.push(pkt.flow);
-            }
-            ls.stats.packets_dropped += dropped_flows.len() as u64;
-        }
-        for flow in dropped_flows {
-            core.flow_drops[flow] += 1;
-            core.flow_packets[flow] -= 1;
+            let Some(packet) = ls
+                .control_lane
+                .pop_front()
+                .or_else(|| ls.queue.dequeue(now))
+            else {
+                break;
+            };
+            charge_drop(core, link, packet.flow);
         }
     }
 
@@ -1881,8 +1876,7 @@ impl Network {
     /// flow cancels all of them, so this drops to zero structurally — the
     /// regression surface for the stale-RTX-timer bug.
     pub fn pending_timer_count(&self, flow: FlowId) -> usize {
-        let p = self.shared.node_part[self.shared.specs[flow].src];
-        self.parts[p].timers.pending_count(flow)
+        self.sender(flow).timers.len()
     }
 
     /// Record every handled event as a `(time, key)` pair, per partition —
@@ -1912,9 +1906,7 @@ impl Network {
 fn event_partition(shared: &Shared, event: &Event) -> usize {
     match event {
         Event::Arrival { link, .. } => shared.node_part[shared.topo.links()[*link].to],
-        Event::TransmitComplete { link }
-        | Event::LinkTimer { link, .. }
-        | Event::LinkChange { link, .. } => shared.link_part[*link],
+        Event::TransmitComplete { link } | Event::LinkTimer { link, .. } => shared.link_part[*link],
         Event::FlowStart { flow } | Event::FlowStop { flow } | Event::FlowTimer { flow, .. } => {
             shared.node_part[shared.specs[*flow].src]
         }
@@ -2237,25 +2229,30 @@ impl AgentCtx<'_> {
         // The key's secondary field is the slot's arm count, which never
         // restarts (see the key banner): per-slot state, hence partition-
         // and thread-invariant.
-        let arms = {
-            let sender = self.sender_mut();
-            let a = sender.timer_arms;
-            sender.timer_arms += 1;
-            a
-        };
-        let seq = event_key(KIND_FLOW_TIMER, self.flow as u64, arms);
-        let now = self.core.clock;
+        let flow = self.flow;
         let core = &mut *self.core;
-        core.timers
-            .arm(&mut core.events, now, seq, self.flow, delay, tag)
+        let sender = core.senders[flow]
+            .as_mut()
+            .expect("agent runs on its sender's core");
+        let key = event_key(KIND_FLOW_TIMER, flow as u64, sender.timer_arms);
+        sender.timer_arms += 1;
+        let at = core.clock + delay;
+        let id = core
+            .events
+            .schedule_cancellable_seeded(at, Event::FlowTimer { flow, tag }, key);
+        sender.timers.push(id);
+        TimerHandle { id }
     }
 
     /// Cancel a timer previously armed with [`Self::set_timer`]. Returns
     /// `true` if the timer was still pending, `false` if it already fired
     /// or was already cancelled.
     pub fn cancel_timer(&mut self, handle: TimerHandle) -> bool {
-        let core = &mut *self.core;
-        core.timers.cancel(&mut core.events, handle)
+        if !self.core.events.cancel(handle.id) {
+            return false;
+        }
+        forget_timer(self.sender_mut(), handle.id);
+        true
     }
 }
 
@@ -2278,7 +2275,6 @@ const _: () = {
     assert_sync::<Shared>();
     assert_send::<Epoch>();
     assert_send::<EventQueue>();
-    assert_send::<crate::timer::TimerService>();
     assert_send::<Topology>();
     assert_send::<crate::routes::RouteTable>();
 };
@@ -2756,13 +2752,56 @@ mod tests {
         assert_eq!(net.flow_stats(flow).packets_dropped, 0);
     }
 
+    /// Records every capacity a link's controller is told about.
+    struct CapacityProbe(std::sync::Arc<Mutex<Vec<f64>>>);
+
+    impl LinkController for CapacityProbe {
+        fn on_enqueue(&mut self, _packet: &mut Packet, _now: SimTime) {}
+        fn on_dequeue(&mut self, _packet: &mut Packet, _now: SimTime, _queue_bytes: usize) {}
+        fn initial_timer(&self) -> Option<SimDuration> {
+            None
+        }
+        fn on_timer(&mut self, _now: SimTime, _queue_bytes: usize) -> Option<SimDuration> {
+            None
+        }
+        fn on_capacity_change(&mut self, capacity_bps: f64) {
+            self.0.lock().unwrap().push(capacity_bps);
+        }
+    }
+
     #[test]
-    fn speed_change_event_matches_direct_capacity_change() {
-        let mut net = small_net();
-        let link = uplink(&net, 0);
-        net.schedule_link_change(SimTime::from_micros(10), link, LinkChange::Speed(1e9));
-        net.run_until(SimTime::from_micros(20));
-        assert_eq!(net.link_capacity_bps(link), 1e9);
+    fn a_scheduled_speed_change_reaches_the_controller_and_the_wire() {
+        // One packet crosses the uplink after an optional 40 -> 1 Gbps
+        // change: the controller hears the new capacity, and the packet's
+        // completion moves by exactly the longer serialization.
+        let fct = |speed: Option<f64>| {
+            let mut net = small_net();
+            let hosts: Vec<_> = net.topology().hosts().to_vec();
+            let link = uplink(&net, 0);
+            let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+            net.set_link_controller(link, Box::new(CapacityProbe(seen.clone())));
+            if let Some(bps) = speed {
+                net.schedule_link_change(SimTime::from_micros(10), link, LinkChange::Speed(bps));
+            }
+            let flow = net.add_flow(
+                hosts[0],
+                hosts[4],
+                Some(DEFAULT_PAYLOAD_BYTES as u64),
+                SimTime::from_micros(20),
+                0,
+                None,
+                Box::new(SimpleWindowAgent::new(1)),
+            );
+            net.run_until(SimTime::from_millis(1));
+            assert_eq!(net.link_stats(link).packets_transmitted, 1);
+            assert_eq!(*seen.lock().unwrap(), Vec::from_iter(speed));
+            assert_eq!(net.link_capacity_bps(link), speed.unwrap_or(40e9));
+            net.flow_stats(flow).fct().expect("completed").as_nanos()
+        };
+        let wire = (DEFAULT_PAYLOAD_BYTES + HEADER_BYTES) as u64;
+        let slower = SimDuration::transmission(wire, 1e9).as_nanos()
+            - SimDuration::transmission(wire, 40e9).as_nanos();
+        assert_eq!(fct(Some(1e9)), fct(None) + slower);
     }
 
     #[test]

@@ -136,9 +136,9 @@ fn timers_fire_in_order_cancel_once_and_stop_spares_other_flows() {
 
 /// A completed flow's cancelled 10 ms timer waits in the wheel as a
 /// tombstone. The flow retires at 1 ms and its slot's next occupant arms a
-/// 100 µs timer, which must fire at 1.1 ms: with timer keys restarting per
-/// occupant, the two timers shared a key, the new one was reaped as if
-/// cancelled and the dead one fired into the new agent at 10 ms instead.
+/// 100 µs timer, which must fire at 1.1 ms. Were timer keys to restart per
+/// occupant, the two timers would share a key: the new one would be reaped
+/// as if cancelled and the dead one would fire into the new agent at 10 ms.
 #[test]
 fn a_recycled_slot_never_inherits_its_predecessors_timers() {
     for partitions in [1, 2] {
