@@ -106,7 +106,9 @@ const PINS: &[(&str, u64)] = &[
 /// the one-driver change). `dynamic --protocol dgd` is the pin that notices
 /// recycled flow slots: DGD's pacing-timer keys carry the flow id, so a
 /// reused id reorders same-instant timers. `table2` was recorded once its
-/// DGD heading pointed at `DgdConfig`'s docs.
+/// DGD heading pointed at `DgdConfig`'s docs. The last four are the human
+/// text of four `PINS` runs, recorded at cd1e654 so that the human half of
+/// a `--json` scenario's report is pinned too.
 const STDOUT_PINS: &[(&str, u64)] = &[
     ("fig9", 0xdac2_fab0_951f_11bd),
     ("fig10", 0x4c40_4d99_67c5_1f4a),
@@ -114,6 +116,19 @@ const STDOUT_PINS: &[(&str, u64)] = &[
     ("dynamic --load 0.3", 0x4aef_e3cd_f22a_d752),
     ("dynamic --protocol dgd --load 0.7", 0x5577_2566_d430_6e99),
     ("semi-dynamic --events 2", 0x83d2_593a_680f_e133),
+    (
+        "incast --topology fat-tree:k=4 --fanin 4 --size 100000",
+        0x47f0_67f8_79aa_0834,
+    ),
+    (
+        "shuffle --topology oversub:4:1 --hosts 4 --size 50000",
+        0xf9cb_fbdf_9bba_4930,
+    ),
+    (
+        "stride --topology leaf-spine --millis 2",
+        0x0a59_7b1a_4330_97b1,
+    ),
+    ("recovery", 0xaf45_b1fb_8d41_538f),
 ];
 
 #[test]
