@@ -25,9 +25,10 @@
 //! [`ChurnStream`]: numfabric_workloads::churn::ChurnStream
 
 use crate::experiment::{run_experiment, Experiment, Flows};
-use crate::fabric::{cli_error, exit_if_wedged, parse_load_fraction};
+use crate::fabric::parse_load_fraction;
 use crate::protocols::{Protocol, RunSetup};
-use crate::report::{churn_report_json, print_table, ChurnSummary};
+use crate::registry::RunError;
+use crate::report::{churn_report_json, ChurnSummary, Report};
 use numfabric_sim::{SimDuration, Topology};
 use numfabric_workloads::churn::{foreground_background, ChurnConfig};
 use numfabric_workloads::registry::ScenarioOptions;
@@ -64,27 +65,25 @@ pub fn churn_flows(
     }
 }
 
-/// The `numfabric-run churn` entry point. With `--json` the run prints one
-/// machine-readable report instead of tables.
-pub fn churn(opts: &ScenarioOptions) {
-    let spec: TopologySpec = opts.parsed_or("--topology", TopologySpec::LeafSpine);
-    let load = parse_load_fraction(opts, 0.6);
-    let fg_share: f64 = opts.parsed_or("--fg-share", 0.25);
+/// The `numfabric-run churn` entry point.
+pub fn churn(opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let spec: TopologySpec = opts.parsed_or("--topology", TopologySpec::LeafSpine)?;
+    let load = parse_load_fraction(opts, 0.6)?;
+    let fg_share: f64 = opts.parsed_or("--fg-share", 0.25)?;
     if !(fg_share > 0.0 && fg_share < 1.0) {
-        cli_error(format!(
+        return Err(RunError::usage(format!(
             "--fg-share {fg_share} must be a fraction in (0, 1)"
-        ));
+        )));
     }
-    let millis: u64 = opts.parsed_or("--millis", 40);
-    let drain_millis: u64 = opts.parsed_or("--drain-millis", 60);
+    let millis: u64 = opts.parsed_or("--millis", 40)?;
+    let drain_millis: u64 = opts.parsed_or("--drain-millis", 60)?;
     if millis == 0 {
-        cli_error("--millis must be at least 1");
+        return Err(RunError::usage("--millis must be at least 1"));
     }
-    let seed: u64 = opts.parsed_or("--seed", 1);
-    let json = opts.flag("--json");
-    let protocol = Protocol::from_options(opts);
+    let seed: u64 = opts.parsed_or("--seed", 1)?;
+    let protocol = opts.parsed_or("--protocol", Protocol::default())?;
     let topo = spec.build(opts.full());
-    let setup = RunSetup::from_options(opts, &topo, seed);
+    let setup = RunSetup::from_options(opts, &topo, seed)?;
     let window = SimDuration::from_millis(millis);
     let flows = churn_flows(&topo, load, fg_share, window, seed);
     let horizon = window + SimDuration::from_millis(drain_millis);
@@ -93,46 +92,44 @@ pub fn churn(opts: &ScenarioOptions) {
         ..Experiment::new(protocol, topo, flows, horizon)
     };
     let topology = spec.to_string();
-    if !json {
-        println!(
-            "Churn: {} on {topology}\nopen-loop Poisson at load {load:.2} for {millis} ms \
-             ({:.0}% web-search fg / {:.0}% data-mining bg), drain {drain_millis} ms (seed {seed})\n",
-            exp.protocol.name(),
-            fg_share * 100.0,
-            (1.0 - fg_share) * 100.0,
-        );
-    }
+    let mut report = Report::default();
+    writeln!(
+        report,
+        "Churn: {} on {topology}\nopen-loop Poisson at load {load:.2} for {millis} ms \
+         ({:.0}% web-search fg / {:.0}% data-mining bg), drain {drain_millis} ms (seed {seed})\n",
+        exp.protocol.name(),
+        fg_share * 100.0,
+        (1.0 - fg_share) * 100.0,
+    );
     let start = std::time::Instant::now();
     let summary = run_experiment(&exp).churn;
     let wall = start.elapsed();
-    if json {
-        println!(
-            "{}",
-            churn_report_json(&topology, exp.protocol.name(), load, millis, seed, &summary)
-                .render()
-        );
-    } else {
-        print_churn_summary(&summary);
-        println!(
-            "\n{} flows offered, {} completed in {:.2} s wall-clock ({:.0} flows/sec);\n\
-             peak {} concurrent flows recycled through {} slab slots. The --json report\n\
-             is bit-identical for any --partitions and --partition-threads value —\n\
-             only this timing line varies.",
-            summary.offered,
-            summary.completed,
-            wall.as_secs_f64(),
-            summary.completed as f64 / wall.as_secs_f64().max(1e-9),
-            summary.peak_concurrent,
-            summary.flow_slots,
-        );
-    }
-    exit_if_wedged(
-        summary.completed == 0,
-        "churn run wedged: no flow completed",
+    let protocol = exp.protocol.name();
+    report.json = Some(churn_report_json(
+        &topology, protocol, load, millis, seed, &summary,
+    ));
+    churn_table(&mut report, &summary);
+    writeln!(
+        report,
+        "\n{} flows offered, {} completed in {:.2} s wall-clock ({:.0} flows/sec);\n\
+         peak {} concurrent flows recycled through {} slab slots. The --json report\n\
+         is bit-identical for any --partitions and --partition-threads value —\n\
+         only this timing line varies.",
+        summary.offered,
+        summary.completed,
+        wall.as_secs_f64(),
+        summary.completed as f64 / wall.as_secs_f64().max(1e-9),
+        summary.peak_concurrent,
+        summary.flow_slots,
     );
+    if summary.completed == 0 {
+        let reason = "churn run wedged: no flow completed".into();
+        return Err(RunError::Wedged { report, reason });
+    }
+    Ok(report)
 }
 
-fn print_churn_summary(summary: &ChurnSummary) {
+fn churn_table(report: &mut Report, summary: &ChurnSummary) {
     let fmt_ms = |v: Option<f64>| v.map_or_else(|| "-".into(), |s| format!("{:.2} ms", s * 1e3));
     let fmt_x = |v: Option<f64>| v.map_or_else(|| "-".into(), |s| format!("{s:.1}x"));
     let mut rows: Vec<Vec<String>> = summary
@@ -160,7 +157,7 @@ fn print_churn_summary(summary: &ChurnSummary) {
         fmt_x(slowdown.quantile(0.5)),
         fmt_x(slowdown.quantile(0.99)),
     ]);
-    print_table(
+    report.table(
         &[
             "class",
             "completed",

@@ -12,9 +12,8 @@
 
 use crate::experiment::{run_experiment, Experiment, FlowRecord, Flows, ListFlow};
 use crate::protocols::{Protocol, RunSetup};
-use crate::report::{
-    mean, percentile, print_table, steady_state_report_json, transfer_report_json,
-};
+use crate::registry::RunError;
+use crate::report::{mean, percentile, steady_state_report_json, transfer_report_json, Report};
 use numfabric_sim::topology::Topology;
 use numfabric_sim::SimDuration;
 use numfabric_workloads::registry::ScenarioOptions;
@@ -116,53 +115,43 @@ impl SteadyStateSummary {
     }
 }
 
-/// Parse `--topology` (default `leaf-spine`). Malformed specs go through
-/// `ScenarioOptions::parsed_or`'s report-and-exit-2 path.
-fn spec_from_options(opts: &ScenarioOptions) -> TopologySpec {
-    opts.parsed_or("--topology", TopologySpec::LeafSpine)
-}
-
 /// Parse `--size` (defaulting to `default`). A zero-byte transfer can never
 /// complete, so it is a usage error (the rule `SweepSpec::validate` applies
 /// to `--sizes`), not a run that reports itself wedged at the deadline.
-fn size_from_options(opts: &ScenarioOptions, default: u64) -> u64 {
-    let size: u64 = opts.parsed_or("--size", default);
-    if size == 0 {
-        cli_error("--size must be at least 1 byte");
+fn size_from_options(opts: &ScenarioOptions, default: u64) -> Result<u64, RunError> {
+    match opts.parsed_or("--size", default)? {
+        0 => Err(RunError::usage("--size must be at least 1 byte")),
+        size => Ok(size),
     }
-    size
 }
 
 /// Parse `--load` (defaulting to `default`) and validate it is a finite
 /// fraction strictly inside `(0, 1)` — the shared contract of every
 /// load-driven scenario (fig5, dynamic, churn): the arrival-rate formula
 /// `λ = load·bps·hosts/(8·mean)` degenerates at 0 and diverges service
-/// time at ≥ 1. Out-of-range values exit 2 like every other usage error.
-pub(crate) fn parse_load_fraction(opts: &ScenarioOptions, default: f64) -> f64 {
-    let load: f64 = opts.parsed_or("--load", default);
+/// time at ≥ 1. Out-of-range values are usage errors.
+pub(crate) fn parse_load_fraction(opts: &ScenarioOptions, default: f64) -> Result<f64, RunError> {
+    let load: f64 = opts.parsed_or("--load", default)?;
     if !load.is_finite() || load <= 0.0 || load >= 1.0 {
-        cli_error(format!(
+        return Err(RunError::usage(format!(
             "--load {load} must be a fraction strictly between 0 and 1"
-        ));
+        )));
     }
-    load
+    Ok(load)
 }
 
-/// Report a semantically invalid option combination and exit non-zero —
-/// the same contract as `ScenarioOptions::parsed_or` for unparsable values.
-pub(crate) fn cli_error(message: impl std::fmt::Display) -> ! {
-    eprintln!("error: {message}");
-    std::process::exit(2);
-}
-
-/// Exit 1 after the report has been printed when the run ended wedged —
-/// unfinished flows or a failed oracle comparison. Exit 0 is reserved for
-/// runs whose report is complete and trustworthy, so CI smoke steps cannot
-/// silently pass on a partial simulation.
-pub(crate) fn exit_if_wedged(wedged: bool, reason: impl std::fmt::Display) {
-    if wedged {
-        eprintln!("error: {reason}");
-        std::process::exit(1);
+/// Parse `--stride` (default half the hosts). A multiple of the host count
+/// would make every flow a self-loop, so it is a usage error.
+pub(crate) fn stride_from_options(
+    opts: &ScenarioOptions,
+    topo: &Topology,
+) -> Result<usize, RunError> {
+    let hosts = topo.hosts().len();
+    match opts.parsed_or("--stride", hosts / 2)? {
+        stride if stride.is_multiple_of(hosts) => Err(RunError::usage(format!(
+            "--stride {stride} is a multiple of the host count {hosts} (flows would be self-loops)"
+        ))),
+        stride => Ok(stride),
     }
 }
 
@@ -196,8 +185,9 @@ pub(crate) fn worst_oversubscription(topo: &Topology) -> f64 {
     worst
 }
 
-fn print_transfer_summary(label: &str, summary: &TransferSummary) {
-    print_table(
+fn transfer_table(report: &mut Report, label: &str, summary: &TransferSummary) {
+    let ms = |s: Option<f64>| s.map_or_else(|| "-".into(), |s| format!("{:.2} ms", s * 1e3));
+    report.table(
         &[
             "scenario",
             "flows",
@@ -211,51 +201,42 @@ fn print_transfer_summary(label: &str, summary: &TransferSummary) {
             label.to_string(),
             format!("{}", summary.flows),
             format!("{}", summary.completed),
-            percentile(&summary.fcts, 0.5)
-                .map(|f| format!("{:.2} ms", f * 1e3))
-                .unwrap_or_else(|| "-".into()),
-            percentile(&summary.fcts, 0.99)
-                .map(|f| format!("{:.2} ms", f * 1e3))
-                .unwrap_or_else(|| "-".into()),
-            summary
-                .makespan
-                .map(|m| format!("{:.2} ms", m.as_secs_f64() * 1e3))
-                .unwrap_or_else(|| "-".into()),
+            ms(percentile(&summary.fcts, 0.5)),
+            ms(percentile(&summary.fcts, 0.99)),
+            ms(summary.makespan.map(|m| m.as_secs_f64())),
             format!("{:.2} Gbps", summary.aggregate_goodput_bps() / 1e9),
         ]],
     );
 }
 
 /// The incast scenario: `--fanin` senders transfer `--size` bytes each to a
-/// single receiver; the receiver's access link is the bottleneck. With
-/// `--json` the run prints one machine-readable report instead of tables.
-pub fn incast(opts: &ScenarioOptions) {
-    let spec = spec_from_options(opts);
-    let fan_in: usize = opts.parsed_or("--fanin", 8);
-    let size = size_from_options(opts, 500_000);
-    let seed: u64 = opts.parsed_or("--seed", 1);
-    let json = opts.flag("--json");
-    let protocol = Protocol::from_options(opts);
+/// single receiver; the receiver's access link is the bottleneck.
+pub fn incast(opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let spec = opts.parsed_or("--topology", TopologySpec::LeafSpine)?;
+    let fan_in: usize = opts.parsed_or("--fanin", 8)?;
+    let size = size_from_options(opts, 500_000)?;
+    let seed: u64 = opts.parsed_or("--seed", 1)?;
+    let protocol = opts.parsed_or("--protocol", Protocol::default())?;
     let topo = spec.build(opts.full());
     if fan_in == 0 || fan_in >= topo.hosts().len() {
-        cli_error(format!(
+        return Err(RunError::usage(format!(
             "--fanin {fan_in} needs 1..{} senders on this {}-host fabric",
             topo.hosts().len() - 1,
             topo.hosts().len()
-        ));
+        )));
     }
     let pairs = incast_pairs(&topo, fan_in, seed);
-    let setup = RunSetup::from_options(opts, &topo, seed);
+    let setup = RunSetup::from_options(opts, &topo, seed)?;
     let host_bps = topo.links()[0].capacity_bps;
     let topology = spec.describe(&topo);
-    if !json {
-        println!(
-            "Incast: {} on {topology}\n{fan_in} senders -> host {} , {} kB each (seed {seed})\n",
-            protocol.name(),
-            pairs[0].dst,
-            size / 1000
-        );
-    }
+    let mut report = Report::default();
+    writeln!(
+        report,
+        "Incast: {} on {topology}\n{fan_in} senders -> host {} , {} kB each (seed {seed})\n",
+        protocol.name(),
+        pairs[0].dst,
+        size / 1000
+    );
     let deadline = transfer_deadline(fan_in as u64 * size, host_bps);
     let flows = Flows::List(ListFlow::pairs(&pairs, Some(size)));
     let exp = Experiment {
@@ -267,7 +248,7 @@ pub fn incast(opts: &ScenarioOptions) {
          approaches its line rate ({:.0} Gbps) and FCTs stack up roughly linearly with fan-in.",
         host_bps / 1e9
     );
-    report_transfers("incast", &exp, &topology, seed, json, &expected);
+    report_transfers(report, "incast", &exp, &topology, seed, &expected)
 }
 
 /// How many of `records`' unfinished flows had a packet dropped.
@@ -278,73 +259,68 @@ fn unfinished_with_drops(records: &[FlowRecord]) -> usize {
         .count()
 }
 
-/// Run a finite-transfer List experiment and print its report — one JSON
-/// document with `json`, else the summary table and the `expected` shape —
-/// then exit 1 if any transfer missed the deadline.
+/// Run a finite-transfer List experiment and complete `report` with it —
+/// the summary table and the `expected` shape, and the JSON document — a
+/// wedged report if any transfer missed the deadline.
 fn report_transfers(
+    mut report: Report,
     scenario: &str,
     exp: &Experiment,
     topology: &str,
     seed: u64,
-    json: bool,
     expected: &str,
-) {
+) -> Result<Report, RunError> {
     let records = run_experiment(exp).flows;
     let summary = TransferSummary::of(&records);
     let size = exp.list()[0].size_bytes.expect("transfers are finite");
     let protocol = exp.protocol.name();
-    if json {
-        println!(
-            "{}",
-            transfer_report_json(scenario, topology, protocol, size, seed, &summary).render()
-        );
-    } else {
-        print_transfer_summary(scenario, &summary);
-        println!("\n{expected}");
+    report.json = Some(transfer_report_json(
+        scenario, topology, protocol, size, seed, &summary,
+    ));
+    transfer_table(&mut report, scenario, &summary);
+    writeln!(report, "\n{expected}");
+    if summary.all_completed() {
+        return Ok(report);
     }
     let unfinished = summary.flows - summary.completed;
     let lossy = unfinished_with_drops(&records);
-    exit_if_wedged(
-        !summary.all_completed(),
-        format!(
-            "{scenario} run wedged: {unfinished}/{} transfers unfinished at the deadline \
-             ({lossy} dropped packets, {} dropped none)",
-            summary.flows,
-            unfinished - lossy
-        ),
+    let reason = format!(
+        "{scenario} run wedged: {unfinished}/{} transfers unfinished at the deadline \
+         ({lossy} dropped packets, {} dropped none)",
+        summary.flows,
+        unfinished - lossy
     );
+    Err(RunError::Wedged { report, reason })
 }
 
 /// The all-to-all shuffle scenario: every ordered pair among `--hosts`
-/// participants transfers `--size` bytes. With `--json` the run prints one
-/// machine-readable report instead of tables.
-pub fn shuffle(opts: &ScenarioOptions) {
-    let spec = spec_from_options(opts);
-    let size = size_from_options(opts, 100_000);
-    let seed: u64 = opts.parsed_or("--seed", 1);
-    let json = opts.flag("--json");
-    let protocol = Protocol::from_options(opts);
+/// participants transfers `--size` bytes.
+pub fn shuffle(opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let spec = opts.parsed_or("--topology", TopologySpec::LeafSpine)?;
+    let size = size_from_options(opts, 100_000)?;
+    let seed: u64 = opts.parsed_or("--seed", 1)?;
+    let protocol = opts.parsed_or("--protocol", Protocol::default())?;
     let topo = spec.build(opts.full());
     let default_participants = topo.hosts().len().min(8);
-    let participants: usize = opts.parsed_or("--hosts", default_participants);
+    let participants: usize = opts.parsed_or("--hosts", default_participants)?;
     if !(2..=topo.hosts().len()).contains(&participants) {
-        cli_error(format!(
+        return Err(RunError::usage(format!(
             "--hosts {participants} needs 2..={} participants on this fabric",
             topo.hosts().len()
-        ));
+        )));
     }
     let pairs = shuffle_pairs(&topo, Some(participants), seed);
-    let setup = RunSetup::from_options(opts, &topo, seed);
+    let setup = RunSetup::from_options(opts, &topo, seed)?;
     let host_bps = topo.links()[0].capacity_bps;
     let topology = spec.describe(&topo);
-    if !json {
-        println!(
-            "Shuffle: {} on {topology}\n{participants} hosts all-to-all = {} flows, {} kB each (seed {seed})\n",
-            protocol.name(),
-            pairs.len(),
-            size / 1000
-        );
-    }
+    let mut report = Report::default();
+    writeln!(
+        report,
+        "Shuffle: {} on {topology}\n{participants} hosts all-to-all = {} flows, {} kB each (seed {seed})\n",
+        protocol.name(),
+        pairs.len(),
+        size / 1000
+    );
     // Each participant must receive (n-1) transfers through its NIC — or,
     // on an oversubscribed fabric, through a leaf uplink up to R times
     // slower for cross-rack traffic.
@@ -358,60 +334,45 @@ pub fn shuffle(opts: &ScenarioOptions) {
     let expected = "Expected shape: on full-bisection fabrics the NICs bound the shuffle; oversubscribed\n\
                     fabrics shift the bottleneck into the spine uplinks and stretch the makespan by ~the\n\
                     oversubscription ratio for cross-rack traffic.";
-    report_transfers("shuffle", &exp, &topology, seed, json, expected);
+    report_transfers(report, "shuffle", &exp, &topology, seed, expected)
 }
 
 /// The stride-permutation scenario: host `i` sends to host `(i + stride) mod
 /// n` as a long-lived flow; measured steady-state rates are compared to the
-/// fluid NUM oracle. With `--json` the run prints one machine-readable
-/// report instead of tables.
-pub fn stride(opts: &ScenarioOptions) {
-    let spec = spec_from_options(opts);
-    let seed: u64 = opts.parsed_or("--seed", 1);
-    let millis: u64 = opts.parsed_or("--millis", 8);
+/// fluid NUM oracle.
+pub fn stride(opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let spec = opts.parsed_or("--topology", TopologySpec::LeafSpine)?;
+    let seed: u64 = opts.parsed_or("--seed", 1)?;
+    let millis: u64 = opts.parsed_or("--millis", 8)?;
     if millis == 0 {
-        cli_error("--millis must be at least 1");
+        return Err(RunError::usage("--millis must be at least 1"));
     }
-    let json = opts.flag("--json");
-    let protocol = Protocol::from_options(opts);
+    let protocol = opts.parsed_or("--protocol", Protocol::default())?;
     let topo = spec.build(opts.full());
-    let default_stride = topo.hosts().len() / 2;
-    let stride_by: usize = opts.parsed_or("--stride", default_stride);
-    if stride_by.is_multiple_of(topo.hosts().len()) {
-        cli_error(format!(
-            "--stride {stride_by} is a multiple of the host count {} (flows would be self-loops)",
-            topo.hosts().len()
-        ));
-    }
+    let stride_by = stride_from_options(opts, &topo)?;
     let pairs = stride_pairs(&topo, stride_by, seed);
-    let setup = RunSetup::from_options(opts, &topo, seed);
+    let setup = RunSetup::from_options(opts, &topo, seed)?;
     let topology = spec.describe(&topo);
-    if !json {
-        println!(
-            "Stride: {} on {topology}\nhost i -> host (i+{stride_by}) mod {}, {} long-lived flows, {millis} ms (seed {seed})\n",
-            protocol.name(),
-            topo.hosts().len(),
-            pairs.len(),
-        );
-    }
+    let mut report = Report::default();
+    writeln!(
+        report,
+        "Stride: {} on {topology}\nhost i -> host (i+{stride_by}) mod {}, {} long-lived flows, {millis} ms (seed {seed})\n",
+        protocol.name(),
+        topo.hosts().len(),
+        pairs.len(),
+    );
     let flows = Flows::List(ListFlow::pairs(&pairs, None));
     let exp = Experiment {
         setup,
         ..Experiment::new(protocol, topo, flows, SimDuration::from_millis(millis))
     };
     let summary = SteadyStateSummary::of(&exp, &run_experiment(&exp).flows);
-    if json {
-        let protocol = exp.protocol.name();
-        println!(
-            "{}",
-            steady_state_report_json("stride", &topology, protocol, seed, millis, &summary)
-                .render()
-        );
-        exit_if_wedged_steady_state(&summary);
-        return;
-    }
+    let protocol = exp.protocol.name();
+    report.json = Some(steady_state_report_json(
+        "stride", &topology, protocol, seed, millis, &summary,
+    ));
     let rates_gbps: Vec<f64> = summary.rates_bps.iter().map(|r| r / 1e9).collect();
-    print_table(
+    report.table(
         &[
             "flows",
             "mean rate",
@@ -432,33 +393,28 @@ pub fn stride(opts: &ScenarioOptions) {
             format!("{:.2}", summary.throughput_ratio()),
         ]],
     );
-    println!(
-        "\nExpected shape: NUMFabric tracks the oracle allocation on every fabric; on\n\
-         oversubscribed leaf-spine the per-flow rates drop to ~1/ratio of the NIC speed, and on\n\
-         fat-trees ECMP collisions split the affected core links evenly."
-    );
-    exit_if_wedged_steady_state(&summary);
-}
-
-/// The steady-state wedge check: a run whose oracle comparison is broken —
-/// non-finite rate estimates, or aggregate throughput collapsed below 30% of
-/// the oracle — exits 1 after its report. The threshold is wedge detection,
-/// not a quality gate: every working protocol clears it with a wide margin
-/// even under impairments, while a stalled simulation (rates ~0) does not.
-fn exit_if_wedged_steady_state(summary: &SteadyStateSummary) {
+    report.text += "\nExpected shape: NUMFabric tracks the oracle allocation on every fabric; on\n\
+                    oversubscribed leaf-spine the per-flow rates drop to ~1/ratio of the NIC speed, and on\n\
+                    fat-trees ECMP collisions split the affected core links evenly.\n";
+    // A run whose oracle comparison is broken — non-finite rate estimates,
+    // or aggregate throughput collapsed below 30% of the oracle — is
+    // wedged. The threshold is wedge detection, not a quality gate: every
+    // working protocol clears it with a wide margin even under impairments,
+    // while a stalled simulation (rates ~0) does not.
     let finite = summary.rates_bps.iter().all(|r| r.is_finite());
     let ratio = summary.throughput_ratio();
-    exit_if_wedged(
-        !finite || ratio < 0.3,
-        format!(
-            "steady-state run wedged: throughput ratio {ratio:.3} vs the fluid oracle{}",
-            if finite {
-                ""
-            } else {
-                " (non-finite rate estimates)"
-            }
-        ),
-    );
+    if !finite || ratio < 0.3 {
+        let why = if finite {
+            ""
+        } else {
+            " (non-finite rate estimates)"
+        };
+        let reason = format!(
+            "steady-state run wedged: throughput ratio {ratio:.3} vs the fluid oracle{why}"
+        );
+        return Err(RunError::Wedged { report, reason });
+    }
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -531,11 +487,11 @@ mod tests {
     #[test]
     fn parse_load_fraction_accepts_fractions_and_uses_the_default() {
         let opts = ScenarioOptions::new(vec!["--load".into(), "0.8".into()]);
-        assert_eq!(parse_load_fraction(&opts, 0.6), 0.8);
+        assert_eq!(parse_load_fraction(&opts, 0.6).unwrap(), 0.8);
         let absent = ScenarioOptions::new(vec![]);
-        assert_eq!(parse_load_fraction(&absent, 0.6), 0.6);
-        // Out-of-range values exit 2 through `cli_error`; that path is
-        // exercised end-to-end by the CLI test in tests/churn_cli.rs.
+        assert_eq!(parse_load_fraction(&absent, 0.6).unwrap(), 0.6);
+        let out_of_range = ScenarioOptions::new(vec!["--load".into(), "1".into()]);
+        assert!(parse_load_fraction(&out_of_range, 0.6).is_err());
     }
 
     #[test]

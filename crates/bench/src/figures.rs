@@ -10,29 +10,31 @@
 //! drive their networks directly.
 
 use crate::experiment::{run_experiment, Experiment, Flows, ListFlow, Objective, Pace};
-use crate::fabric::{cli_error, parse_load_fraction};
+use crate::fabric::parse_load_fraction;
+use crate::registry::{RunError, ScenarioRegistry, ScenarioSpec};
 use crate::report::{
-    fig5_bin, mean, percentile, print_cdf, print_table, quartiles, times_ms, FIG5_BIN_LABELS,
+    fig5_bin, mean, micros, percentile, quartiles, times_ms, Report, FIG5_BIN_LABELS,
 };
 use crate::Protocol;
 use numfabric_baselines::{DctcpConfig, DgdConfig, PfabricConfig, RcpStarConfig};
 use numfabric_core::protocol::{install_numfabric, numfabric_network};
 use numfabric_core::{AggregateState, NumFabricAgent, NumFabricConfig};
 use numfabric_num::bandwidth_function::{single_link_allocation, BandwidthFunction};
-use numfabric_num::fluid::{iterations_to_oracle, DgdFluid, RcpStarFluid, XwiFluid};
+use numfabric_num::fluid::{DgdFluid, FluidAlgorithm, RcpStarFluid, XwiFluid};
 use numfabric_num::utility::{BandwidthFunctionUtility, LogUtility};
 use numfabric_num::{FluidFlow, FluidNetwork, Oracle};
 use numfabric_sim::queue::StfqQueue;
 use numfabric_sim::topology::{LeafSpineConfig, NodeKind, Topology};
-use numfabric_sim::{LinkChange, Network, SimDuration, SimTime};
+use numfabric_sim::{FlowId, LinkChange, Network, SimDuration, SimTime};
 use numfabric_workloads::arrivals::{poisson_arrivals, PoissonWorkloadConfig};
 use numfabric_workloads::convergence::{convergence_stats, ConvergenceCriterion};
 use numfabric_workloads::distributions::{EmpiricalCdf, FlowSizeDistribution};
-use numfabric_workloads::registry::{ScenarioOptions, ScenarioRegistry, ScenarioSpec};
+use numfabric_workloads::registry::ScenarioOptions;
 use numfabric_workloads::scenarios::{permutation_pairs, SemiDynamicConfig, SemiDynamicScenario};
 use numfabric_workloads::TopologySpec;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::str::FromStr;
 
 /// The registry of every runnable scenario: the paper's figures and tables
 /// plus the generic semi-dynamic / dynamic drivers.
@@ -193,14 +195,11 @@ fn semi_dynamic_experiment(
 /// The `scheme | converged | median | p95` row of a semi-dynamic run.
 fn convergence_row(scheme: &str, times: &[Option<SimDuration>]) -> Vec<String> {
     let stats = convergence_stats(times);
-    let us = |d: Option<SimDuration>| {
-        d.map_or_else(|| "-".into(), |d| format!("{:.0} us", d.as_micros_f64()))
-    };
     vec![
         scheme.to_string(),
         format!("{}/{}", stats.converged, stats.total),
-        us(stats.median),
-        us(stats.p95),
+        micros(stats.median),
+        micros(stats.p95),
     ]
 }
 
@@ -234,15 +233,16 @@ fn poisson_experiment(
     }
 }
 
-/// Parse `--workload` (default `websearch`). Any other value is a usage
-/// error, like a malformed `--protocol`.
-fn workload_from_options(opts: &ScenarioOptions) -> EmpiricalCdf {
-    match opts.value("--workload").unwrap_or("websearch") {
-        "websearch" => EmpiricalCdf::web_search(),
-        "enterprise" => EmpiricalCdf::enterprise(),
-        other => cli_error(format!(
-            "invalid value `{other}` for option `--workload`: expected websearch|enterprise"
-        )),
+/// The flow-size CDF that `--workload websearch|enterprise` names.
+struct Workload(EmpiricalCdf);
+
+impl FromStr for Workload {
+    type Err = &'static str;
+
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        let choices = [EmpiricalCdf::web_search(), EmpiricalCdf::enterprise()];
+        let found = choices.into_iter().find(|cdf| cdf.name() == name);
+        found.map(Workload).ok_or("expected websearch|enterprise")
     }
 }
 
@@ -259,14 +259,15 @@ fn bdp_bytes(topo: &Topology) -> f64 {
 // Figure 4a
 // ---------------------------------------------------------------------------
 
-fn fig4a_packet_level(events: usize, full: bool) {
+fn fig4a_packet_level(report: &mut Report, events: usize, full: bool) {
     let protocol = Protocol::NumFabric(NumFabricConfig::default());
     let pf = Objective::ProportionalFairness;
     let mut exp = semi_dynamic_experiment(protocol, pf, events, 1, full);
     let Flows::Events { scenario, .. } = &exp.flows else {
         unreachable!("a semi-dynamic experiment plays events")
     };
-    println!(
+    writeln!(
+        report,
         "Figure 4a (packet level, {} scale): {events} events, {} candidate paths\n",
         if full { "paper" } else { "reduced" },
         scenario.paths.len()
@@ -280,34 +281,27 @@ fn fig4a_packet_level(events: usize, full: bool) {
         rows.push(convergence_row(exp.protocol.name(), &times));
         all.push((exp.protocol.name().to_string(), times_ms(&times)));
     }
-    print_table(&["scheme", "converged", "median", "p95"], &rows);
-    println!();
+    report.table(&["scheme", "converged", "median", "p95"], &rows);
+    report.text += "\n";
     for (name, ms) in &all {
-        print_cdf(&format!("{name} convergence time"), ms, "ms", 12);
-        println!();
+        report.cdf(&format!("{name} convergence time"), ms, "ms", 12);
+        report.text += "\n";
     }
-    // Speed-up summary (the paper reports 2.3x median / 2.7x p95).
-    let median_of = |name: &str| {
-        all.iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, ms)| percentile(ms, 0.5))
-    };
-    if let (Some(nf), Some(dgd), Some(rcp)) =
-        (median_of("NUMFabric"), median_of("DGD"), median_of("RCP*"))
-    {
-        println!(
-            "median speed-up of NUMFabric: {:.1}x vs DGD, {:.1}x vs RCP*",
-            dgd / nf,
-            rcp / nf
+    // Speed-up summary (the paper reports 2.3x median / 2.7x p95). The
+    // contenders run in the order NUMFabric, DGD, RCP*.
+    let medians: Vec<_> = all.iter().map(|(_, ms)| percentile(ms, 0.5)).collect();
+    if let [Some(nf), Some(dgd), Some(rcp)] = medians[..] {
+        let (vs_dgd, vs_rcp) = (dgd / nf, rcp / nf);
+        writeln!(
+            report,
+            "median speed-up of NUMFabric: {vs_dgd:.1}x vs DGD, {vs_rcp:.1}x vs RCP*"
         );
     }
 }
 
-fn fig4a_fluid_level(instances: usize) {
-    println!("\nFluid-model comparison (iterations to reach within 5% of the oracle):");
-    let mut xwi_iters = Vec::new();
-    let mut dgd_iters = Vec::new();
-    let mut rcp_iters = Vec::new();
+fn fig4a_fluid_level(report: &mut Report, instances: usize) {
+    report.text += "\nFluid-model comparison (iterations to reach within 5% of the oracle):\n";
+    let mut iters: [Vec<f64>; 3] = Default::default();
     for seed in 0..instances as u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut net = FluidNetwork::new();
@@ -328,54 +322,46 @@ fn fig4a_fluid_level(instances: usize) {
         if !oracle.converged {
             continue;
         }
-        let mut xwi = XwiFluid::with_defaults(net.clone());
-        let mut dgd = DgdFluid::with_defaults(net.clone());
-        let mut rcp = RcpStarFluid::with_defaults(net.clone());
-        if let Some(i) = iterations_to_oracle(&mut xwi, &oracle, 0.05, 20_000) {
-            xwi_iters.push(i as f64);
-        }
-        if let Some(i) = iterations_to_oracle(&mut dgd, &oracle, 0.05, 20_000) {
-            dgd_iters.push(i as f64);
-        }
-        if let Some(i) = iterations_to_oracle(&mut rcp, &oracle, 0.05, 20_000) {
-            rcp_iters.push(i as f64);
+        let schemes: [&mut dyn FluidAlgorithm; 3] = [
+            &mut XwiFluid::with_defaults(net.clone()),
+            &mut DgdFluid::with_defaults(net.clone()),
+            &mut RcpStarFluid::with_defaults(net.clone()),
+        ];
+        for (scheme, iters) in schemes.into_iter().zip(&mut iters) {
+            let found = scheme.iterations_to_reach(&oracle.rates, 0.05, 20_000);
+            iters.extend(found.map(|i| i as f64));
         }
     }
-    print_table(
+    let rows: Vec<Vec<String>> = ["xWI", "DGD", "RCP*"]
+        .iter()
+        .zip(&iters)
+        .map(|(scheme, iters)| {
+            vec![
+                scheme.to_string(),
+                format!("{}/{instances}", iters.len()),
+                format!("{:.1}", mean(iters).unwrap_or(f64::NAN)),
+                format!("{:.1}", percentile(iters, 0.5).unwrap_or(f64::NAN)),
+            ]
+        })
+        .collect();
+    report.table(
         &["scheme", "converged", "mean iters", "median iters"],
-        &[
-            vec![
-                "xWI".into(),
-                format!("{}/{}", xwi_iters.len(), instances),
-                format!("{:.1}", mean(&xwi_iters).unwrap_or(f64::NAN)),
-                format!("{:.1}", percentile(&xwi_iters, 0.5).unwrap_or(f64::NAN)),
-            ],
-            vec![
-                "DGD".into(),
-                format!("{}/{}", dgd_iters.len(), instances),
-                format!("{:.1}", mean(&dgd_iters).unwrap_or(f64::NAN)),
-                format!("{:.1}", percentile(&dgd_iters, 0.5).unwrap_or(f64::NAN)),
-            ],
-            vec![
-                "RCP*".into(),
-                format!("{}/{}", rcp_iters.len(), instances),
-                format!("{:.1}", mean(&rcp_iters).unwrap_or(f64::NAN)),
-                format!("{:.1}", percentile(&rcp_iters, 0.5).unwrap_or(f64::NAN)),
-            ],
-        ],
+        &rows,
     );
 }
 
 /// Figure 4a: CDF of convergence times for NUMFabric, DGD and RCP* in the
 /// semi-dynamic scenario (proportional fairness). `--fluid` additionally
 /// reports fluid-model iteration counts on random instances.
-pub fn fig4a(opts: &ScenarioOptions) {
+pub fn fig4a(opts: &ScenarioOptions) -> Result<Report, RunError> {
     let full = opts.full();
-    let events = events_option(opts, if full { 100 } else { 8 });
-    fig4a_packet_level(events, full);
+    let events = events_option(opts, if full { 100 } else { 8 })?;
+    let mut report = Report::default();
+    fig4a_packet_level(&mut report, events, full);
     if opts.flag("--fluid") {
-        fig4a_fluid_level(20);
+        fig4a_fluid_level(&mut report, 20);
     }
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -395,7 +381,7 @@ fn coefficient_of_variation(series: &[(f64, f64)], from_ms: f64) -> f64 {
 
 /// Figure 4b/4c: the rate of a typical DCTCP flow vs a typical NUMFabric
 /// flow across several network events, measured with the 80 µs EWMA filter.
-pub fn fig4bc(_opts: &ScenarioOptions) {
+pub fn fig4bc(_opts: &ScenarioOptions) -> Result<Report, RunError> {
     // One tracked flow sampled every 50 µs while the events play out 4 ms
     // apart.
     let protocol = Protocol::Dctcp(DctcpConfig::default());
@@ -404,8 +390,9 @@ pub fn fig4bc(_opts: &ScenarioOptions) {
         *pace = Pace::Every(SimDuration::from_millis(4));
     }
     exp.sample_every = Some(SimDuration::from_micros(50));
+    let mut report = Report::default();
 
-    println!("Figure 4b/4c: rate of one tracked flow across network events\n");
+    report.text += "Figure 4b/4c: rate of one tracked flow across network events\n\n";
     let mut summaries = Vec::new();
     for protocol in [
         Protocol::Dctcp(DctcpConfig::default()),
@@ -418,25 +405,26 @@ pub fn fig4bc(_opts: &ScenarioOptions) {
             .iter()
             .map(|s| (s.at.as_secs_f64() * 1e3, s.rates_bps[0]))
             .collect();
-        println!("{label} rate time series (time_ms, rate_gbps):");
+        writeln!(report, "{label} rate time series (time_ms, rate_gbps):");
         let step = (series.len() / 60).max(1);
         for (i, (t, r)) in series.iter().enumerate() {
             if i % step == 0 {
-                println!("  {:8.2} ms  {:6.2} Gbps", t, r / 1e9);
+                writeln!(report, "  {:8.2} ms  {:6.2} Gbps", t, r / 1e9);
             }
         }
-        println!();
+        report.text += "\n";
         summaries.push(vec![
             label.to_string(),
             format!("{:.3}", coefficient_of_variation(&series, 2.0)),
         ]);
     }
-    println!("Rate noisiness after warm-up (coefficient of variation of the 80us-filtered rate):");
-    print_table(&["scheme", "coeff. of variation"], &summaries);
-    println!(
+    report.text +=
+        "Rate noisiness after warm-up (coefficient of variation of the 80us-filtered rate):\n";
+    report.table(&["scheme", "coeff. of variation"], &summaries);
+    report.text +=
         "\nExpected shape: DCTCP's filtered rate oscillates strongly (large CoV), so it never\n\
-         stays within 10% of a target; NUMFabric's rate is comparatively steady between events."
-    );
+         stays within 10% of a target; NUMFabric's rate is comparatively steady between events.\n";
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -446,14 +434,16 @@ pub fn fig4bc(_opts: &ScenarioOptions) {
 /// Figure 5: normalized deviation from the Oracle's ideal rates, per
 /// flow-size bin (in BDPs), for NUMFabric, DGD and RCP* under the dynamic
 /// workloads.
-pub fn fig5(opts: &ScenarioOptions) {
-    let dist = workload_from_options(opts);
-    let load = parse_load_fraction(opts, 0.6);
+pub fn fig5(opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let Workload(dist) = opts.parsed_or("--workload", Workload(EmpiricalCdf::web_search()))?;
+    let load = parse_load_fraction(opts, 0.6)?;
     let protocol = Protocol::NumFabric(NumFabricConfig::default());
     let pf = Objective::ProportionalFairness;
     let mut exp = poisson_experiment(protocol, pf, &dist, load, 21, opts.full());
     let bdp = bdp_bytes(&exp.topology);
-    println!(
+    let mut report = Report::default();
+    writeln!(
+        report,
         "Figure 5 ({} workload, load {:.0}%): {} flows, BDP = {:.0} kB\n",
         dist.name(),
         load * 100.0,
@@ -465,16 +455,12 @@ pub fn fig5(opts: &ScenarioOptions) {
         .iter()
         .map(|l| vec![l.to_string()])
         .collect();
-    let mut headers = vec!["size (BDPs)"];
+    let mut headers = vec!["size (BDPs)".to_string()];
 
     // The Oracle: ideal fluid completion times of the identical arrivals.
     let ideal_fcts = exp.ideal_fcts();
     for protocol in Protocol::convergence_contenders() {
-        headers.push(match protocol.name() {
-            "NUMFabric" => "NUMFabric  p25/med/p75",
-            "DGD" => "DGD  p25/med/p75",
-            _ => "RCP*  p25/med/p75",
-        });
+        headers.push(format!("{}  p25/med/p75", protocol.name()));
         exp.protocol = protocol;
         let records = run_experiment(&exp).flows;
         // Bin by flow size in BDPs.
@@ -501,12 +487,12 @@ pub fn fig5(opts: &ScenarioOptions) {
         );
     }
 
-    print_table(&headers, &rows);
-    println!(
+    report.table(&headers, &rows);
+    report.text +=
         "\nExpected shape (paper): NUMFabric's median deviation is near zero for every bin above\n\
          ~5 BDP; DGD and RCP* are negatively biased (flows get less than the ideal rate), worst\n\
-         for small flows that finish before those schemes converge."
-    );
+         for small flows that finish before those schemes converge.\n";
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -529,20 +515,20 @@ fn fig6_median_convergence(
     (median, format!("{}/{}", stats.converged, stats.total))
 }
 
-fn fig6_sweep_dt(events: usize) {
-    println!("Figure 6a: sensitivity to the Swift delay slack dt (proportional fairness)\n");
+fn fig6_sweep_dt(report: &mut Report, events: usize) {
+    report.text += "Figure 6a: sensitivity to the Swift delay slack dt (proportional fairness)\n\n";
     let mut rows = Vec::new();
     for dt_us in [3u64, 6, 12, 24] {
         let cfg = NumFabricConfig::default().with_dt(SimDuration::from_micros(dt_us));
         let (median, converged) = fig6_median_convergence(cfg, 1.0, 11, events);
         rows.push(vec![format!("{dt_us} us"), median, converged]);
     }
-    print_table(&["dt", "median convergence", "events converged"], &rows);
-    println!();
+    report.table(&["dt", "median convergence", "events converged"], &rows);
+    report.text += "\n";
 }
 
-fn fig6_sweep_interval(events: usize) {
-    println!("Figure 6b: sensitivity to the xWI price update interval\n");
+fn fig6_sweep_interval(report: &mut Report, events: usize) {
+    report.text += "Figure 6b: sensitivity to the xWI price update interval\n\n";
     let mut rows = Vec::new();
     for us in [30u64, 60, 90, 128] {
         let cfg =
@@ -550,7 +536,7 @@ fn fig6_sweep_interval(events: usize) {
         let (median, converged) = fig6_median_convergence(cfg, 1.0, 12, events);
         rows.push(vec![format!("{us} us"), median, converged]);
     }
-    print_table(
+    report.table(
         &[
             "price update interval",
             "median convergence",
@@ -558,11 +544,12 @@ fn fig6_sweep_interval(events: usize) {
         ],
         &rows,
     );
-    println!();
+    report.text += "\n";
 }
 
-fn fig6_sweep_alpha(events: usize) {
-    println!("Figure 6c: sensitivity to alpha (1x = default parameters, 2x = slowed down)\n");
+fn fig6_sweep_alpha(report: &mut Report, events: usize) {
+    report.text +=
+        "Figure 6c: sensitivity to alpha (1x = default parameters, 2x = slowed down)\n\n";
     let mut rows = Vec::new();
     for &alpha in &[0.25, 0.5, 1.0, 2.0, 4.0] {
         let (median_1x, conv_1x) =
@@ -577,7 +564,7 @@ fn fig6_sweep_alpha(events: usize) {
             conv_2x,
         ]);
     }
-    print_table(
+    report.table(
         &[
             "alpha",
             "1x median",
@@ -587,39 +574,46 @@ fn fig6_sweep_alpha(events: usize) {
         ],
         &rows,
     );
-    println!(
+    report.text +=
         "\nExpected shape (paper): extreme alpha values fail to converge reliably at 1x but\n\
-         converge at 2x slow-down, at a modest cost in median convergence time."
-    );
+         converge at 2x slow-down, at a modest cost in median convergence time.\n";
 }
 
 /// The `--events N` option of the semi-dynamic figures: zero events would
 /// print an empty table, so it is a usage error.
-fn events_option(opts: &ScenarioOptions, default: usize) -> usize {
-    let events: usize = opts.parsed_or("--events", default);
-    if events == 0 {
-        cli_error("--events must be at least 1");
+fn events_option(opts: &ScenarioOptions, default: usize) -> Result<usize, RunError> {
+    match opts.parsed_or("--events", default)? {
+        0 => Err(RunError::usage("--events must be at least 1")),
+        events => Ok(events),
     }
-    events
+}
+
+/// The sweeps of Figure 6 that `--sweep` names, in the order they run.
+struct Fig6Sweeps(Vec<fn(&mut Report, usize)>);
+
+impl FromStr for Fig6Sweeps {
+    type Err = &'static str;
+
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        Ok(Fig6Sweeps(vec![match name {
+            "dt" => fig6_sweep_dt,
+            "interval" => fig6_sweep_interval,
+            "alpha" => fig6_sweep_alpha,
+            _ => return Err("expected dt|interval|alpha"),
+        }]))
+    }
 }
 
 /// Figure 6: NUMFabric parameter sensitivity (`--sweep dt|interval|alpha`,
 /// default all three).
-pub fn fig6(opts: &ScenarioOptions) {
-    let events = events_option(opts, 5);
-    match opts.value("--sweep") {
-        Some("dt") => fig6_sweep_dt(events),
-        Some("interval") => fig6_sweep_interval(events),
-        Some("alpha") => fig6_sweep_alpha(events),
-        None => {
-            fig6_sweep_dt(events);
-            fig6_sweep_interval(events);
-            fig6_sweep_alpha(events);
-        }
-        Some(other) => cli_error(format!(
-            "invalid value `{other}` for option `--sweep`: expected dt|interval|alpha"
-        )),
+pub fn fig6(opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let events = events_option(opts, 5)?;
+    let all = Fig6Sweeps(vec![fig6_sweep_dt, fig6_sweep_interval, fig6_sweep_alpha]);
+    let mut report = Report::default();
+    for sweep in opts.parsed_or("--sweep", all)?.0 {
+        sweep(&mut report, events);
     }
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -628,14 +622,15 @@ pub fn fig6(opts: &ScenarioOptions) {
 
 /// Figure 7: mean normalized FCT vs load for NUMFabric (FCT-minimization
 /// utility, 2× slow-down, BDP initial window) against pFabric.
-pub fn fig7(opts: &ScenarioOptions) {
+pub fn fig7(opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let mut report = Report::default();
     let loads: Vec<f64> = if opts.full() {
         vec![0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
     } else {
         vec![0.2, 0.4, 0.6, 0.8]
     };
     let dist = EmpiricalCdf::web_search();
-    println!("Figure 7: mean normalized FCT vs load (web-search workload)\n");
+    report.text += "Figure 7: mean normalized FCT vs load (web-search workload)\n\n";
 
     // NUMFabric for FCT minimization: 2x slow-down and a BDP initial window
     // (mimicking pFabric), as described in §6.3.
@@ -669,14 +664,14 @@ pub fn fig7(opts: &ScenarioOptions) {
         cells.push(format!("{:.2}", means[0] / means[1]));
         rows.push(cells);
     }
-    print_table(
+    report.table(
         &["load", "flows", "NUMFabric", "pFabric", "NUMFabric/pFabric"],
         &rows,
     );
-    println!(
+    report.text +=
         "\n(* some flows had not completed when the simulation ended and are excluded)\n\
-         Expected shape (paper): NUMFabric tracks pFabric within ~4-20% across loads."
-    );
+         Expected shape (paper): NUMFabric tracks pFabric within ~4-20% across loads.\n";
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -730,7 +725,8 @@ fn fig8_run_permutation(
 
 /// Figure 8: resource pooling with multipath NUMFabric on permutation
 /// traffic — total and per-pair throughput vs number of subflows.
-pub fn fig8(opts: &ScenarioOptions) {
+pub fn fig8(opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let mut report = Report::default();
     let full = opts.full();
     let topo_cfg = if full {
         LeafSpineConfig::resource_pooling()
@@ -748,7 +744,8 @@ pub fn fig8(opts: &ScenarioOptions) {
     let pairs = topo_cfg.hosts / 2;
     let optimal_total = pairs as f64 * topo_cfg.host_link_bps;
 
-    println!(
+    writeln!(
+        report,
         "Figure 8a: total throughput (% of optimal) vs number of subflows ({} pairs)\n",
         pairs
     );
@@ -758,46 +755,39 @@ pub fn fig8(opts: &ScenarioOptions) {
         vec![1, 2, 4, 8]
     };
     let mut rows = Vec::new();
-    let mut pooled_8: Vec<f64> = Vec::new();
-    let mut unpooled_8: Vec<f64> = Vec::new();
+    // The per-pair rates of the last (largest) subflow count.
+    let (mut pooled, mut unpooled) = (Vec::new(), Vec::new());
     for &k in &subflow_counts {
-        let pooled = fig8_run_permutation(&topo_cfg, k, true, 5);
-        let unpooled = fig8_run_permutation(&topo_cfg, k, false, 5);
-        if k == *subflow_counts.last().unwrap() {
-            pooled_8 = pooled.clone();
-            unpooled_8 = unpooled.clone();
-        }
+        pooled = fig8_run_permutation(&topo_cfg, k, true, 5);
+        unpooled = fig8_run_permutation(&topo_cfg, k, false, 5);
+        let percent = |rates: &[f64]| rates.iter().sum::<f64>() / optimal_total * 100.0;
         rows.push(vec![
             format!("{k}"),
-            format!("{:.1}%", pooled.iter().sum::<f64>() / optimal_total * 100.0),
-            format!(
-                "{:.1}%",
-                unpooled.iter().sum::<f64>() / optimal_total * 100.0
-            ),
+            format!("{:.1}%", percent(&pooled)),
+            format!("{:.1}%", percent(&unpooled)),
         ]);
     }
-    print_table(
+    report.table(
         &["subflows", "resource pooling", "no resource pooling"],
         &rows,
     );
 
-    println!(
+    writeln!(
+        report,
         "\nFigure 8b: per-pair throughput (% of optimal), ranked, with {} subflows\n",
         subflow_counts.last().unwrap()
     );
-    let mut ranked_pooled: Vec<f64> = pooled_8
+    let ranked = |rates: &[f64]| {
+        let mut percent: Vec<f64> = rates
+            .iter()
+            .map(|r| r / topo_cfg.host_link_bps * 100.0)
+            .collect();
+        percent.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        percent
+    };
+    let rows: Vec<Vec<String>> = ranked(&pooled)
         .iter()
-        .map(|r| r / topo_cfg.host_link_bps * 100.0)
-        .collect();
-    let mut ranked_unpooled: Vec<f64> = unpooled_8
-        .iter()
-        .map(|r| r / topo_cfg.host_link_bps * 100.0)
-        .collect();
-    ranked_pooled.sort_by(|a, b| b.partial_cmp(a).unwrap());
-    ranked_unpooled.sort_by(|a, b| b.partial_cmp(a).unwrap());
-    let rows: Vec<Vec<String>> = ranked_pooled
-        .iter()
-        .zip(&ranked_unpooled)
+        .zip(&ranked(&unpooled))
         .enumerate()
         .map(|(rank, (p, u))| {
             vec![
@@ -807,12 +797,12 @@ pub fn fig8(opts: &ScenarioOptions) {
             ]
         })
         .collect();
-    print_table(&["rank", "resource pooling", "no resource pooling"], &rows);
-    println!(
+    report.table(&["rank", "resource pooling", "no resource pooling"], &rows);
+    report.text +=
         "\nExpected shape (paper): with 8 subflows, resource pooling reaches close to 100% of the\n\
          optimal total throughput and the per-pair throughputs are nearly equal; without pooling\n\
-         the total is lower and the spread across pairs much wider."
-    );
+         the total is lower and the spread across pairs much wider.\n";
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -836,10 +826,12 @@ fn fig9_build_topology(bottleneck_gbps: f64) -> (Topology, Vec<usize>) {
 
 /// Figure 9: bandwidth-function allocation on a single bottleneck whose
 /// capacity is swept from 5 to 35 Gbps, compared to BwE water-filling.
-pub fn fig9(_opts: &ScenarioOptions) {
+pub fn fig9(_opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let mut report = Report::default();
     let capacities: Vec<f64> = vec![5.0, 10.0, 15.0, 17.0, 20.0, 25.0, 30.0, 35.0];
     let config = NumFabricConfig::default();
-    println!("Figure 9: two flows with the Figure-2 bandwidth functions on one bottleneck\n");
+    report.text +=
+        "Figure 9: two flows with the Figure-2 bandwidth functions on one bottleneck\n\n";
 
     let mut rows = Vec::new();
     for &cap in &capacities {
@@ -848,46 +840,31 @@ pub fn fig9(_opts: &ScenarioOptions) {
         let mut net = Network::new(topo.clone(), |_| Box::new(StfqQueue::with_default_buffer()));
         install_numfabric(&mut net, &config);
 
-        let bwf1 = BandwidthFunction::paper_flow1();
-        let bwf2 = BandwidthFunction::paper_flow2();
-        let f1 = net.add_flow_on_route(
-            src1,
-            dst,
-            topo.route_via(&[src1, sw, dst]),
-            None,
-            SimTime::ZERO,
-            None,
-            Box::new(NumFabricAgent::new(
-                config.clone(),
-                BandwidthFunctionUtility::new(bwf1.clone()),
-            )),
-        );
-        let f2 = net.add_flow_on_route(
-            src2,
-            dst,
-            topo.route_via(&[src2, sw, dst]),
-            None,
-            SimTime::ZERO,
-            None,
-            Box::new(NumFabricAgent::new(
-                config.clone(),
-                BandwidthFunctionUtility::new(bwf2.clone()),
-            )),
-        );
+        let bwfs = [
+            BandwidthFunction::paper_flow1(),
+            BandwidthFunction::paper_flow2(),
+        ];
+        let flows: Vec<_> = [src1, src2]
+            .into_iter()
+            .zip(&bwfs)
+            .map(|(src, bwf)| {
+                let utility = BandwidthFunctionUtility::new(bwf.clone());
+                let agent = Box::new(NumFabricAgent::new(config.clone(), utility));
+                let route = topo.route_via(&[src, sw, dst]);
+                net.add_flow_on_route(src, dst, route, None, SimTime::ZERO, None, agent)
+            })
+            .collect();
         net.run_until(SimTime::from_millis(10));
 
-        let measured1 = net.flow_rate_estimate(f1) / 1e9;
-        let measured2 = net.flow_rate_estimate(f2) / 1e9;
-        let (expected, _) = single_link_allocation(&[bwf1, bwf2], cap);
-        rows.push(vec![
-            format!("{cap:.0} Gbps"),
-            format!("{:.2}", expected[0]),
-            format!("{measured1:.2}"),
-            format!("{:.2}", expected[1]),
-            format!("{measured2:.2}"),
-        ]);
+        let (expected, _) = single_link_allocation(&bwfs, cap);
+        let mut row = vec![format!("{cap:.0} Gbps")];
+        for (expected, &flow) in expected.iter().zip(&flows) {
+            row.push(format!("{expected:.2}"));
+            row.push(format!("{:.2}", net.flow_rate_estimate(flow) / 1e9));
+        }
+        rows.push(row);
     }
-    print_table(
+    report.table(
         &[
             "link capacity",
             "flow1 expected",
@@ -897,11 +874,11 @@ pub fn fig9(_opts: &ScenarioOptions) {
         ],
         &rows,
     );
-    println!(
+    report.text +=
         "\nExpected shape (paper): the measured allocation tracks the bandwidth-function\n\
          water-filling allocation across all capacities (flow 1 takes everything up to 10 Gbps,\n\
-         flow 2 then catches up at twice the slope until it saturates at 10 Gbps)."
-    );
+         flow 2 then catches up at twice the slope until it saturates at 10 Gbps).\n";
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -910,7 +887,8 @@ pub fn fig9(_opts: &ScenarioOptions) {
 
 /// Figure 10: bandwidth functions combined with resource pooling under a
 /// mid-run capacity change on the shared middle link.
-pub fn fig10(_opts: &ScenarioOptions) {
+pub fn fig10(_opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let mut report = Report::default();
     let delay = SimDuration::from_micros(2);
     let mut topo = Topology::new();
     let src1 = topo.add_node(NodeKind::Host, "src1");
@@ -938,51 +916,48 @@ pub fn fig10(_opts: &ScenarioOptions) {
     let mut net = Network::new(topo.clone(), |_| Box::new(StfqQueue::with_default_buffer()));
     install_numfabric(&mut net, &config);
 
-    // Flow 1: aggregate over {top path, middle path} with bandwidth function 1.
-    let handles1 = AggregateState::create(2);
-    let u1 = || BandwidthFunctionUtility::new(BandwidthFunction::paper_flow1());
-    let f1a = net.add_flow_on_route(
-        src1,
-        dst1,
-        topo.route_via(&[src1, sw1, dst1]),
-        None,
-        SimTime::ZERO,
-        Some(1),
-        Box::new(NumFabricAgent::new(config.clone(), u1()).with_aggregate(handles1[0].clone())),
+    // One aggregate flow (`group`) over two paths, with bandwidth function
+    // `bwf`: flow 1 over {top path, middle path}, flow 2 over {bottom path,
+    // middle path}.
+    let mut aggregate = |group, bwf: BandwidthFunction, paths: [&[usize]; 2]| {
+        let subflows = paths
+            .iter()
+            .zip(AggregateState::create(2))
+            .map(|(path, handle)| {
+                let utility = BandwidthFunctionUtility::new(bwf.clone());
+                let agent = NumFabricAgent::new(config.clone(), utility).with_aggregate(handle);
+                let (src, dst, route) = (path[0], path[path.len() - 1], topo.route_via(path));
+                net.add_flow_on_route(
+                    src,
+                    dst,
+                    route,
+                    None,
+                    SimTime::ZERO,
+                    Some(group),
+                    Box::new(agent),
+                )
+            });
+        subflows.collect::<Vec<_>>()
+    };
+    let flow1 = aggregate(
+        1,
+        BandwidthFunction::paper_flow1(),
+        [
+            &[src1, sw1, dst1],
+            &[src1, sw1, sw_mid_in, sw_mid_out, dst1],
+        ],
     );
-    let f1b = net.add_flow_on_route(
-        src1,
-        dst1,
-        topo.route_via(&[src1, sw1, sw_mid_in, sw_mid_out, dst1]),
-        None,
-        SimTime::ZERO,
-        Some(1),
-        Box::new(NumFabricAgent::new(config.clone(), u1()).with_aggregate(handles1[1].clone())),
-    );
-    // Flow 2: aggregate over {bottom path, middle path} with bandwidth function 2.
-    let handles2 = AggregateState::create(2);
-    let u2 = || BandwidthFunctionUtility::new(BandwidthFunction::paper_flow2());
-    let f2a = net.add_flow_on_route(
-        src2,
-        dst2,
-        topo.route_via(&[src2, sw2, dst2]),
-        None,
-        SimTime::ZERO,
-        Some(2),
-        Box::new(NumFabricAgent::new(config.clone(), u2()).with_aggregate(handles2[0].clone())),
-    );
-    let f2b = net.add_flow_on_route(
-        src2,
-        dst2,
-        topo.route_via(&[src2, sw2, sw_mid_in, sw_mid_out, dst2]),
-        None,
-        SimTime::ZERO,
-        Some(2),
-        Box::new(NumFabricAgent::new(config.clone(), u2()).with_aggregate(handles2[1].clone())),
+    let flow2 = aggregate(
+        2,
+        BandwidthFunction::paper_flow2(),
+        [
+            &[src2, sw2, dst2],
+            &[src2, sw2, sw_mid_in, sw_mid_out, dst2],
+        ],
     );
 
-    println!("Figure 10: aggregate throughput of the two flows; middle link 5 Gbps -> 17 Gbps at t = 5 ms\n");
-    println!("  time_ms   flow1_Gbps   flow2_Gbps");
+    report.text += "Figure 10: aggregate throughput of the two flows; middle link 5 Gbps -> 17 Gbps at t = 5 ms\n\n";
+    report.text += "  time_ms   flow1_Gbps   flow2_Gbps\n";
     let switch_at = SimTime::from_millis(5);
     let end = SimTime::from_millis(10);
     let mut t = SimTime::ZERO;
@@ -992,22 +967,19 @@ pub fn fig10(_opts: &ScenarioOptions) {
         if !switched && t >= switch_at {
             net.schedule_link_change(net.now(), mid_fwd, LinkChange::Speed(17e9));
             switched = true;
-            println!("  -- middle link capacity changed to 17 Gbps --");
+            report.text += "  -- middle link capacity changed to 17 Gbps --\n";
         }
         net.run_until(t);
-        let flow1 = (net.flow_rate_estimate(f1a) + net.flow_rate_estimate(f1b)) / 1e9;
-        let flow2 = (net.flow_rate_estimate(f2a) + net.flow_rate_estimate(f2b)) / 1e9;
-        println!(
-            "  {:7.2}   {:10.2}   {:10.2}",
-            t.as_secs_f64() * 1e3,
-            flow1,
-            flow2
-        );
+        let gbps = |subflows: &[FlowId]| {
+            (net.flow_rate_estimate(subflows[0]) + net.flow_rate_estimate(subflows[1])) / 1e9
+        };
+        let (ms, flow1, flow2) = (t.as_secs_f64() * 1e3, gbps(&flow1), gbps(&flow2));
+        writeln!(report, "  {ms:7.2}   {flow1:10.2}   {flow2:10.2}");
     }
-    println!(
+    report.text +=
         "\nExpected shape (paper): ~(10, 3) Gbps while the middle link is 5 Gbps (flow 1 gets the\n\
-         whole middle link), switching quickly to ~(15, 10) Gbps once it becomes 17 Gbps."
-    );
+         whole middle link), switching quickly to ~(15, 10) Gbps once it becomes 17 Gbps.\n";
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -1015,59 +987,52 @@ pub fn fig10(_opts: &ScenarioOptions) {
 // ---------------------------------------------------------------------------
 
 /// Table 2: the default parameter settings of every scheme.
-pub fn table2(_opts: &ScenarioOptions) {
-    println!("Table 2: default parameter settings in simulations\n");
-
+pub fn table2(_opts: &ScenarioOptions) -> Result<Report, RunError> {
     let nf = NumFabricConfig::paper_default();
     let dgd = DgdConfig::default();
     let rcp = RcpStarConfig::default();
+    let row = |parameter: &str, value: String| vec![parameter.to_string(), value];
 
-    println!("NUMFabric [Table 2 of the paper]");
-    print_table(
+    let mut report = Report::default();
+    report.text += "Table 2: default parameter settings in simulations\n\n";
+    report.text += "NUMFabric [Table 2 of the paper]\n";
+    report.table(
         &["parameter", "value"],
         &[
-            vec!["ewmaTime".into(), format!("{}", nf.ewma_time)],
-            vec!["dt".into(), format!("{}", nf.dt)],
-            vec![
-                "priceUpdateInterval".into(),
-                format!("{}", nf.price_update_interval),
-            ],
-            vec!["eta (Eq. 10)".into(), format!("{}", nf.eta)],
-            vec!["beta (Eq. 11)".into(), format!("{}", nf.beta)],
-            vec![
-                "initial burst".into(),
+            row("ewmaTime", nf.ewma_time.to_string()),
+            row("dt", nf.dt.to_string()),
+            row("priceUpdateInterval", nf.price_update_interval.to_string()),
+            row("eta (Eq. 10)", nf.eta.to_string()),
+            row("beta (Eq. 11)", nf.beta.to_string()),
+            row(
+                "initial burst",
                 format!("{} packets", nf.initial_burst_packets),
-            ],
+            ),
         ],
     );
 
-    println!("\nDGD [Eq. 14] (gains adapted to Gbps/byte units; see the DgdConfig docs in numfabric-baselines)");
-    print_table(
+    report.text += "\nDGD [Eq. 14] (gains adapted to Gbps/byte units; see the DgdConfig docs in numfabric-baselines)\n";
+    report.table(
         &["parameter", "value"],
         &[
-            vec![
-                "priceUpdateInterval".into(),
-                format!("{}", dgd.price_update_interval),
-            ],
-            vec!["a".into(), format!("{:e} per Gbps", dgd.a_per_gbps)],
-            vec!["b".into(), format!("{:e} per byte", dgd.b_per_byte)],
-            vec!["unacked cap".into(), format!("{} BDP", dgd.unacked_cap_bdp)],
+            row("priceUpdateInterval", dgd.price_update_interval.to_string()),
+            row("a", format!("{:e} per Gbps", dgd.a_per_gbps)),
+            row("b", format!("{:e} per byte", dgd.b_per_byte)),
+            row("unacked cap", format!("{} BDP", dgd.unacked_cap_bdp)),
         ],
     );
 
-    println!("\nRCP* [Eq. 15]");
-    print_table(
+    report.text += "\nRCP* [Eq. 15]\n";
+    report.table(
         &["parameter", "value"],
         &[
-            vec![
-                "rateUpdateInterval".into(),
-                format!("{}", rcp.rate_update_interval),
-            ],
-            vec!["a".into(), format!("{}", rcp.a)],
-            vec!["b".into(), format!("{}", rcp.b)],
-            vec!["alpha".into(), format!("{}", rcp.alpha)],
+            row("rateUpdateInterval", rcp.rate_update_interval.to_string()),
+            row("a", rcp.a.to_string()),
+            row("b", rcp.b.to_string()),
+            row("alpha", rcp.alpha.to_string()),
         ],
     );
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------------
@@ -1076,11 +1041,11 @@ pub fn table2(_opts: &ScenarioOptions) {
 
 /// Generic semi-dynamic convergence run for one protocol (pick with
 /// `--protocol`).
-pub fn semi_dynamic(opts: &ScenarioOptions) {
+pub fn semi_dynamic(opts: &ScenarioOptions) -> Result<Report, RunError> {
     let full = opts.full();
-    let events = events_option(opts, if full { 100 } else { 8 });
-    let seed: u64 = opts.parsed_or("--seed", 1);
-    let protocol = Protocol::from_options(opts);
+    let events = events_option(opts, if full { 100 } else { 8 })?;
+    let seed: u64 = opts.parsed_or("--seed", 1)?;
+    let protocol = opts.parsed_or("--protocol", Protocol::default())?;
     let exp = semi_dynamic_experiment(
         protocol,
         Objective::ProportionalFairness,
@@ -1088,7 +1053,9 @@ pub fn semi_dynamic(opts: &ScenarioOptions) {
         seed,
         full,
     );
-    println!(
+    let mut report = Report::default();
+    writeln!(
+        report,
         "Semi-dynamic run: {} on {} events, seed {}, {} scale\n",
         exp.protocol.name(),
         events,
@@ -1096,22 +1063,25 @@ pub fn semi_dynamic(opts: &ScenarioOptions) {
         if full { "paper" } else { "reduced" }
     );
     let times = run_experiment(&exp).convergence;
-    print_table(
+    report.table(
         &["scheme", "converged", "median", "p95"],
         &[convergence_row(exp.protocol.name(), &times)],
     );
+    Ok(report)
 }
 
 /// Generic Poisson-arrival dynamic workload for one protocol (pick with
 /// `--protocol`, `--workload`, `--load`).
-pub fn dynamic(opts: &ScenarioOptions) {
-    let load = parse_load_fraction(opts, 0.6);
-    let seed: u64 = opts.parsed_or("--seed", 21);
-    let dist = workload_from_options(opts);
-    let protocol = Protocol::from_options(opts);
+pub fn dynamic(opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let load = parse_load_fraction(opts, 0.6)?;
+    let seed: u64 = opts.parsed_or("--seed", 21)?;
+    let Workload(dist) = opts.parsed_or("--workload", Workload(EmpiricalCdf::web_search()))?;
+    let protocol = opts.parsed_or("--protocol", Protocol::default())?;
     let pf = Objective::ProportionalFairness;
     let exp = poisson_experiment(protocol, pf, &dist, load, seed, opts.full());
-    println!(
+    let mut report = Report::default();
+    writeln!(
+        report,
         "Dynamic run: {} on the {} workload at {:.0}% load, {} flows\n",
         exp.protocol.name(),
         dist.name(),
@@ -1121,7 +1091,7 @@ pub fn dynamic(opts: &ScenarioOptions) {
     let records = run_experiment(&exp).flows;
     let normalized: Vec<f64> = records.iter().filter_map(|r| r.normalized_fct()).collect();
     let finished = records.iter().filter(|r| r.fct.is_some()).count();
-    print_table(
+    report.table(
         &["flows", "completed", "mean norm. FCT", "p95 norm. FCT"],
         &[vec![
             format!("{}", records.len()),
@@ -1130,6 +1100,7 @@ pub fn dynamic(opts: &ScenarioOptions) {
             format!("{:.2}", percentile(&normalized, 0.95).unwrap_or(f64::NAN)),
         ]],
     );
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1165,15 +1136,17 @@ mod tests {
 
     #[test]
     fn protocol_option_maps_names() {
+        let protocol = |opts: ScenarioOptions| opts.parsed_or("--protocol", Protocol::default());
         let opt = |v: &str| ScenarioOptions::new(vec!["--protocol".into(), v.into()]);
-        assert_eq!(Protocol::from_options(&opt("dgd")).name(), "DGD");
-        assert_eq!(Protocol::from_options(&opt("rcp")).name(), "RCP*");
-        assert_eq!(Protocol::from_options(&opt("dctcp")).name(), "DCTCP");
-        assert_eq!(Protocol::from_options(&opt("pfabric")).name(), "pFabric");
+        assert_eq!(protocol(opt("dgd")).unwrap().name(), "DGD");
+        assert_eq!(protocol(opt("rcp")).unwrap().name(), "RCP*");
+        assert_eq!(protocol(opt("dctcp")).unwrap().name(), "DCTCP");
+        assert_eq!(protocol(opt("pfabric")).unwrap().name(), "pFabric");
         assert_eq!(
-            Protocol::from_options(&ScenarioOptions::default()).name(),
+            protocol(ScenarioOptions::default()).unwrap().name(),
             "NUMFabric"
         );
+        assert!(protocol(opt("tcp")).is_err());
     }
 
     #[test]
@@ -1184,6 +1157,14 @@ mod tests {
 
     #[test]
     fn table2_runs_without_panicking() {
-        table2(&ScenarioOptions::default());
+        // The FNV-1a digest `report_digests.rs` pins for `numfabric-run table2`.
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash: u64, &b| {
+                (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let report = table2(&ScenarioOptions::default()).unwrap();
+        assert_eq!(fnv1a(report.text.as_bytes()), 0x458d_9a01_38aa_e201);
+        assert!(report.json.is_none());
     }
 }

@@ -8,6 +8,8 @@
 //! the crate's only binary. Performance numbers come from the standalone
 //! `benchmark/` package (see its README).
 //!
+//! * [`registry`] — [`ScenarioRegistry`]: named scenarios, each run to a
+//!   [`Report`] or a [`RunError`] that only the binary prints or exits on.
 //! * [`experiment`] — the one driver: an [`Experiment`] (topology,
 //!   protocol, [`RunSetup`], objective, flows, horizon, rate grid) and
 //!   [`run_experiment`], which every scenario, sweep cell and figure but
@@ -28,7 +30,8 @@
 //!   cable mid-run and measure each protocol's time to re-converge onto the
 //!   post-failure fluid allocation.
 //! * [`figures`] — every figure/table as a registry-dispatchable function.
-//! * [`report`] — percentiles, CDFs, Fig. 5 bins, table printing, and the
+//! * [`report`] — percentiles, CDFs, Fig. 5 bins, the [`Report`] with its
+//!   aligned tables and `--json` documents, and the
 //!   streaming bounded-stats layer: [`QuantileSketch`] (1 % relative-error
 //!   geometric buckets, exactly mergeable) and per-class accumulators.
 //! * [`sweep`] — the deterministic parallel sweep engine: scoped worker
@@ -51,6 +54,7 @@ pub mod fabric;
 pub mod figures;
 pub mod protocols;
 pub mod recovery;
+pub mod registry;
 pub mod report;
 pub mod sweep;
 
@@ -62,5 +66,6 @@ pub use fabric::{SteadyStateSummary, TransferSummary};
 pub use figures::registry;
 pub use protocols::{Protocol, RunSetup};
 pub use recovery::{recovery_experiment, RecoveryConfig, RecoveryResult};
-pub use report::{churn_report_json, ChurnSummary, ClassStats, QuantileSketch};
+pub use registry::{DispatchError, RunError, ScenarioRegistry, ScenarioSpec};
+pub use report::{churn_report_json, ChurnSummary, ClassStats, QuantileSketch, Report};
 pub use sweep::{execute_cells, markdown_table, run_cell, sweep_report_json, CellResult};

@@ -2,7 +2,7 @@
 //! agents for any of the schemes the paper evaluates, so every experiment
 //! can be run protocol-by-protocol on an identical workload.
 
-use crate::fabric::cli_error;
+use crate::registry::RunError;
 use numfabric_baselines::{
     dctcp_network, dgd_network, pfabric_network, rcp_star_network, DctcpAgent, DctcpConfig,
     DgdAgent, DgdConfig, PfabricAgent, PfabricConfig, RcpStarAgent, RcpStarConfig,
@@ -15,6 +15,7 @@ use numfabric_sim::topology::Topology;
 use numfabric_sim::transport::FlowAgent;
 use numfabric_workloads::impairments::ImpairmentSchedule;
 use numfabric_workloads::registry::ScenarioOptions;
+use std::str::FromStr;
 
 /// How a run is impaired and executed: everything the drivers apply to a
 /// freshly built network before the first flow is added. The two execution
@@ -47,19 +48,18 @@ impl Default for RunSetup {
 impl RunSetup {
     /// Parse `--impair` (validated against `topo`'s links), `--partitions`
     /// and `--partition-threads`; `seed` is the scenario's `--seed`.
-    /// Malformed specs, out-of-range links and zero counts exit 2 like every
-    /// other usage error.
-    pub fn from_options(opts: &ScenarioOptions, topo: &Topology, seed: u64) -> RunSetup {
-        let at_least_one = |name: &str| {
-            let n: usize = opts.parsed_or(name, 1);
-            if n == 0 {
-                cli_error(format!("{name} must be at least 1"));
-            }
-            n
+    /// Malformed specs, out-of-range links and zero counts are usage errors.
+    pub fn from_options(
+        opts: &ScenarioOptions,
+        topo: &Topology,
+        seed: u64,
+    ) -> Result<RunSetup, RunError> {
+        let at_least_one = |name: &str| match opts.parsed_or(name, 1)? {
+            0 => Err(RunError::usage(format!("{name} must be at least 1"))),
+            n => Ok(n),
         };
-        let impairments = match opts.value("--impair") {
-            Some(raw) => raw.parse().unwrap_or_else(|e| cli_error(e)),
-            None if opts.flag("--impair") => cli_error("option --impair: missing value"),
+        let impairments: ImpairmentSchedule = match opts.try_parsed::<String>("--impair")? {
+            Some(raw) => raw.parse().map_err(RunError::usage)?,
             None => ImpairmentSchedule::new(),
         };
         if let Some(event) = impairments
@@ -67,18 +67,18 @@ impl RunSetup {
             .iter()
             .find(|e| e.link >= topo.links().len())
         {
-            cli_error(format!(
+            return Err(RunError::usage(format!(
                 "--impair references link {} but this fabric has links 0..{}",
                 event.link,
                 topo.links().len()
-            ));
+            )));
         }
-        RunSetup {
+        Ok(RunSetup {
             impairments,
             impairment_seed: seed,
-            partitions: at_least_one("--partitions"),
-            partition_threads: at_least_one("--partition-threads"),
-        }
+            partitions: at_least_one("--partitions")?,
+            partition_threads: at_least_one("--partition-threads")?,
+        })
     }
 }
 
@@ -98,10 +98,6 @@ pub enum Protocol {
 }
 
 impl Protocol {
-    /// The spellings [`Protocol::from_name`] accepts, for error messages —
-    /// the single copy every "invalid protocol" report renders.
-    pub const NAMES: &'static str = "numfabric|dgd|rcp|dctcp|pfabric";
-
     /// The scheme's display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -147,33 +143,6 @@ impl Protocol {
         }
     }
 
-    /// Resolve a scheme name (as accepted by `--protocol`) to a protocol
-    /// with default parameters; `None` for unrecognized names.
-    pub fn from_name(name: &str) -> Option<Protocol> {
-        match name {
-            "numfabric" => Some(Protocol::NumFabric(NumFabricConfig::default())),
-            "dgd" => Some(Protocol::Dgd(DgdConfig::default())),
-            "rcp" | "rcp*" | "rcpstar" => Some(Protocol::RcpStar(RcpStarConfig::default())),
-            "dctcp" => Some(Protocol::Dctcp(DctcpConfig::default())),
-            "pfabric" => Some(Protocol::Pfabric(PfabricConfig::default())),
-            _ => None,
-        }
-    }
-
-    /// Map the `--protocol` option to a scheme with default parameters
-    /// (`numfabric` when absent). An unrecognized name is a hard error —
-    /// reported and exiting non-zero, like any other malformed option value —
-    /// so a typo never silently benchmarks the wrong scheme.
-    pub fn from_options(opts: &ScenarioOptions) -> Protocol {
-        let name = opts.value("--protocol").unwrap_or("numfabric");
-        Protocol::from_name(name).unwrap_or_else(|| {
-            cli_error(format!(
-                "invalid value `{name}` for option `--protocol`: expected {}",
-                Protocol::NAMES
-            ))
-        })
-    }
-
     /// The three schemes compared in the convergence experiments (Fig. 4a,
     /// Fig. 5, Fig. 6), with their default configurations.
     pub fn convergence_contenders() -> Vec<Protocol> {
@@ -182,6 +151,30 @@ impl Protocol {
             Protocol::Dgd(DgdConfig::default()),
             Protocol::RcpStar(RcpStarConfig::default()),
         ]
+    }
+}
+
+impl Default for Protocol {
+    /// NUMFabric with its default parameters: the `--protocol` of a
+    /// scenario run without one.
+    fn default() -> Self {
+        Protocol::NumFabric(NumFabricConfig::default())
+    }
+}
+
+/// A scheme name as `--protocol` spells it, with default parameters.
+impl FromStr for Protocol {
+    type Err = &'static str;
+
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        Ok(match name {
+            "numfabric" => Protocol::NumFabric(NumFabricConfig::default()),
+            "dgd" => Protocol::Dgd(DgdConfig::default()),
+            "rcp" | "rcp*" | "rcpstar" => Protocol::RcpStar(RcpStarConfig::default()),
+            "dctcp" => Protocol::Dctcp(DctcpConfig::default()),
+            "pfabric" => Protocol::Pfabric(PfabricConfig::default()),
+            _ => return Err("expected numfabric|dgd|rcp|dctcp|pfabric"),
+        })
     }
 }
 
@@ -227,16 +220,17 @@ mod tests {
 
     #[test]
     fn from_name_resolves_known_schemes_and_rejects_typos() {
+        let name = |s: &str| s.parse::<Protocol>().map(|p| p.name());
+        assert_eq!(name("numfabric"), Ok("NUMFabric"));
+        assert_eq!(name("dgd"), Ok("DGD"));
+        assert_eq!(name("rcp*"), Ok("RCP*"));
+        assert_eq!(name("dctcp"), Ok("DCTCP"));
+        assert_eq!(name("pfabric"), Ok("pFabric"));
         assert_eq!(
-            Protocol::from_name("numfabric").unwrap().name(),
-            "NUMFabric"
+            name("dctpc"),
+            Err("expected numfabric|dgd|rcp|dctcp|pfabric")
         );
-        assert_eq!(Protocol::from_name("dgd").unwrap().name(), "DGD");
-        assert_eq!(Protocol::from_name("rcp*").unwrap().name(), "RCP*");
-        assert_eq!(Protocol::from_name("dctcp").unwrap().name(), "DCTCP");
-        assert_eq!(Protocol::from_name("pfabric").unwrap().name(), "pFabric");
-        assert!(Protocol::from_name("dctpc").is_none());
-        assert!(Protocol::from_name("").is_none());
+        assert!(name("").is_err());
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! function of its options, like every other scenario.
 
 use crate::experiment::{run_experiment, Experiment, Flows, ListFlow, Outcome};
-use crate::fabric::{cli_error, exit_if_wedged};
+use crate::fabric::stride_from_options;
 use crate::protocols::{Protocol, RunSetup};
-use crate::report::{print_table, Json};
+use crate::registry::RunError;
+use crate::report::{micros, Json, Report};
 use numfabric_sim::topology::{LinkId, Topology};
 use numfabric_sim::{SimDuration, SimTime};
 use numfabric_workloads::impairments::{fabric_cables, ImpairmentSchedule};
@@ -275,68 +276,55 @@ fn result_json(topology: &str, config: &RecoveryConfig, result: &RecoveryResult)
 /// The `recovery` scenario entry point: cut the busiest cable under a
 /// stride permutation and report time-to-reconverge, for one `--protocol`
 /// or a `--compare` list.
-pub fn recovery(opts: &ScenarioOptions) {
-    let spec: TopologySpec = opts.parsed_or("--topology", TopologySpec::FatTree { k: 4 });
-    let seed: u64 = opts.parsed_or("--seed", 1);
-    let millis: u64 = opts.parsed_or("--millis", 6);
-    let fail_us: u64 = opts.parsed_or("--fail-us", 1_500);
-    let restore_us: Option<u64> = opts.try_parsed("--restore-us").unwrap_or_else(|e| {
-        cli_error(e);
-    });
-    let json = opts.flag("--json");
-    let protocols: Vec<Protocol> = match opts.value("--compare") {
-        Some(list) => list
+pub fn recovery(opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let spec: TopologySpec = opts.parsed_or("--topology", TopologySpec::FatTree { k: 4 })?;
+    let seed: u64 = opts.parsed_or("--seed", 1)?;
+    let millis: u64 = opts.parsed_or("--millis", 6)?;
+    let fail_us: u64 = opts.parsed_or("--fail-us", 1_500)?;
+    let restore_us: Option<u64> = opts.try_parsed("--restore-us")?;
+    let protocols: Vec<Protocol> = match opts.try_parsed::<String>("--compare") {
+        Ok(Some(list)) => list
             .split(',')
             .map(|name| {
-                Protocol::from_name(name.trim()).unwrap_or_else(|| {
-                    cli_error(format!(
-                        "invalid value `{name}` for option `--compare`: expected {}",
-                        Protocol::NAMES
+                name.trim().parse().map_err(|expected| {
+                    RunError::usage(format!(
+                        "invalid value `{name}` for option `--compare`: {expected}"
                     ))
                 })
             })
+            .collect::<Result<_, _>>()?,
+        // A bare trailing `--compare` compares the default three.
+        Err(_) => ["numfabric", "dctcp", "pfabric"]
+            .iter()
+            .map(|name| name.parse().expect("a known scheme"))
             .collect(),
-        None if opts.flag("--compare") => {
-            vec![
-                Protocol::from_name("numfabric").unwrap(),
-                Protocol::from_name("dctcp").unwrap(),
-                Protocol::from_name("pfabric").unwrap(),
-            ]
-        }
-        None => vec![Protocol::from_options(opts)],
+        Ok(None) => vec![opts.parsed_or("--protocol", Protocol::default())?],
     };
 
     let topo = spec.build(opts.full());
-    let default_stride = topo.hosts().len() / 2;
-    let stride_by: usize = opts.parsed_or("--stride", default_stride);
-    if stride_by.is_multiple_of(topo.hosts().len()) {
-        cli_error(format!(
-            "--stride {stride_by} is a multiple of the host count {} (flows would be self-loops)",
-            topo.hosts().len()
-        ));
-    }
+    let stride_by = stride_from_options(opts, &topo)?;
     let config = RecoveryConfig {
         fail_at: SimTime::from_micros(fail_us),
         restore_at: restore_us.map(SimTime::from_micros),
         run_for: SimDuration::from_millis(millis),
     };
-    let setup = RunSetup::from_options(opts, &topo, seed);
+    let setup = RunSetup::from_options(opts, &topo, seed)?;
     if config.fail_at + SAMPLE_EVERY * SUSTAIN as u64 > SimTime::ZERO + config.run_for {
-        cli_error(format!(
+        return Err(RunError::usage(format!(
             "--fail-us {fail_us} leaves no room to observe recovery in a {millis} ms run"
-        ));
+        )));
     }
     let pairs = stride_pairs(&topo, stride_by, seed);
     let topology = spec.describe(&topo);
 
-    if !json {
-        println!(
-            "Recovery: busiest-cable cut on {topology}\n\
-             stride {stride_by} permutation, {} long-lived flows; fail at {fail_us} us{}, {millis} ms run (seed {seed})\n",
-            pairs.len(),
-            restore_us.map_or(String::new(), |r| format!(", restore at {r} us")),
-        );
-    }
+    let mut report = Report::default();
+    let restore = restore_us.map_or(String::new(), |r| format!(", restore at {r} us"));
+    writeln!(
+        report,
+        "Recovery: busiest-cable cut on {topology}\n\
+         stride {stride_by} permutation, {} long-lived flows; fail at {fail_us} us{restore}, {millis} ms run (seed {seed})\n",
+        pairs.len(),
+    );
     let results: Vec<RecoveryResult> = protocols
         .into_iter()
         .map(|p| {
@@ -345,65 +333,57 @@ pub fn recovery(opts: &ScenarioOptions) {
         })
         .collect();
 
-    if json {
-        let docs: Vec<Json> = results
+    let docs: Vec<Json> = results
+        .iter()
+        .map(|r| result_json(&topology, &config, r))
+        .collect();
+    report.json = Some(match <[Json; 1]>::try_from(docs) {
+        Ok([single]) => single,
+        Err(docs) => Json::Arr(docs),
+    });
+    report.table(
+        &[
+            "protocol",
+            "flows",
+            "victim cable",
+            "reconverge (fail)",
+            "reconverge (restore)",
+            "final within 20%",
+            "final vs oracle",
+        ],
+        &results
             .iter()
-            .map(|r| result_json(&topology, &config, r))
-            .collect();
-        match <[Json; 1]>::try_from(docs) {
-            Ok([single]) => println!("{}", single.render()),
-            Err(docs) => println!("{}", Json::Arr(docs).render()),
-        }
-    } else {
-        let us = |d: Option<SimDuration>| {
-            d.map_or_else(
-                || "-".to_string(),
-                |d| format!("{:.0} us", d.as_micros_f64()),
-            )
-        };
-        print_table(
-            &[
-                "protocol",
-                "flows",
-                "victim cable",
-                "reconverge (fail)",
-                "reconverge (restore)",
-                "final within 20%",
-                "final vs oracle",
-            ],
-            &results
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.protocol.clone(),
-                        format!("{}", r.flows),
-                        format!("{}<->{}", r.victim_forward, r.victim_reverse),
-                        us(r.reconverge_after_failure),
-                        us(r.reconverge_after_restore),
-                        format!("{:.0}%", r.final_fraction_within * 100.0),
-                        format!("{:.2}", r.final_throughput_ratio),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        );
-        println!(
-            "\nExpected shape: xWI re-prices the surviving paths within a few RTTs, so NUMFabric\n\
-             reconverges fastest; DCTCP recovers on ECN feedback more slowly, and restoration is\n\
-             quicker than failure because no retransmission state has to drain."
-        );
-    }
+            .map(|r| {
+                vec![
+                    r.protocol.clone(),
+                    format!("{}", r.flows),
+                    format!("{}<->{}", r.victim_forward, r.victim_reverse),
+                    micros(r.reconverge_after_failure),
+                    micros(r.reconverge_after_restore),
+                    format!("{:.0}%", r.final_fraction_within * 100.0),
+                    format!("{:.2}", r.final_throughput_ratio),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    );
+    report.text +=
+        "\nExpected shape: xWI re-prices the surviving paths within a few RTTs, so NUMFabric\n\
+         reconverges fastest; DCTCP recovers on ECN feedback more slowly, and restoration is\n\
+         quicker than failure because no retransmission state has to drain.\n";
     // A recovery run is wedged when the simulation stalled outright —
     // non-finite estimates or the fabric moving (almost) no traffic vs the
     // final regime's oracle. Slow reconvergence is a *finding*, not a wedge.
-    for r in &results {
-        exit_if_wedged(
-            !r.final_throughput_ratio.is_finite() || r.final_throughput_ratio < 0.1,
-            format!(
-                "recovery run wedged: {} final throughput ratio {:.3} vs the active oracle",
-                r.protocol, r.final_throughput_ratio
-            ),
+    let stalled = results
+        .iter()
+        .map(|r| (&r.protocol, r.final_throughput_ratio))
+        .find(|(_, ratio)| !ratio.is_finite() || *ratio < 0.1);
+    if let Some((protocol, ratio)) = stalled {
+        let reason = format!(
+            "recovery run wedged: {protocol} final throughput ratio {ratio:.3} vs the active oracle"
         );
+        return Err(RunError::Wedged { report, reason });
     }
+    Ok(report)
 }
 
 #[cfg(test)]

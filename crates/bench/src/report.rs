@@ -1,6 +1,7 @@
 //! Small reporting helpers shared by the scenario drivers: percentiles,
-//! CDFs, size bins, aligned-column table printing, and the structured JSON
-//! reports behind `numfabric-run ... --json`.
+//! CDFs, size bins, the [`Report`] every scenario returns (its human text
+//! with aligned-column tables, and the structured JSON document behind
+//! `numfabric-run ... --json`).
 //!
 //! The JSON layer is deliberately minimal and hand-rolled: the offline
 //! `serde` shim provides no real serialization (see `crates/compat`), and
@@ -9,7 +10,7 @@
 
 use crate::fabric::{SteadyStateSummary, TransferSummary};
 use numfabric_sim::SimDuration;
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
 /// The flow-size bins of Fig. 5, in bandwidth-delay products.
 pub const FIG5_BINS: [(f64, f64); 5] = [
@@ -64,21 +65,9 @@ pub fn cdf_points(values: &[f64]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Print a CDF as rows `value  probability`, downsampled to at most
-/// `max_rows` rows.
-pub fn print_cdf(label: &str, values: &[f64], unit: &str, max_rows: usize) {
-    let points = cdf_points(values);
-    if points.is_empty() {
-        println!("{label}: no samples");
-        return;
-    }
-    println!("{label} ({} samples):", points.len());
-    let step = (points.len() / max_rows.max(1)).max(1);
-    for (i, (x, p)) in points.iter().enumerate() {
-        if i % step == 0 || i == points.len() - 1 {
-            println!("  {x:>12.1} {unit}   P = {p:.3}");
-        }
-    }
+/// A duration in whole microseconds (`350 us`), or `-` for none.
+pub fn micros(d: Option<SimDuration>) -> String {
+    d.map_or_else(|| "-".into(), |d| format!("{:.0} us", d.as_micros_f64()))
 }
 
 /// Convert optional convergence times to milliseconds, dropping events that
@@ -559,28 +548,68 @@ pub fn steady_state_report_json(
     ])
 }
 
-/// Print a table with a header row and aligned columns.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+/// What a scenario run produced. `numfabric-run` prints one of its two
+/// halves: the JSON document with `--json` (only a scenario whose usage
+/// declares `--json` builds one), else the human text.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    /// The human-readable report, newline-terminated lines.
+    pub text: String,
+    /// The machine-readable report.
+    pub json: Option<Json>,
+}
+
+impl Report {
+    /// Append to the text: `writeln!(report, ...)` cannot fail.
+    pub fn write_fmt(&mut self, args: fmt::Arguments<'_>) {
+        let _ = self.text.write_fmt(args);
+    }
+
+    /// Append a table with a header row and aligned columns.
+    pub fn table(&mut self, headers: &[impl AsRef<str>], rows: &[Vec<String>]) {
+        let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
+        for row in rows {
+            for (i, cell) in row.iter().enumerate() {
+                if i < widths.len() {
+                    widths[i] = widths[i].max(cell.len());
+                }
             }
         }
+        let mut line = |cells: &[String]| {
+            let formatted: Vec<String> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, c)| format!("{:>width$}", c, width = widths.get(i).copied().unwrap_or(8)))
+                .collect();
+            writeln!(self, "  {}", formatted.join("  "));
+        };
+        line(
+            &headers
+                .iter()
+                .map(|h| h.as_ref().to_string())
+                .collect::<Vec<_>>(),
+        );
+        line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
+        for row in rows {
+            line(row);
+        }
     }
-    let line = |cells: &[String]| {
-        let formatted: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>width$}", c, width = widths.get(i).copied().unwrap_or(8)))
-            .collect();
-        println!("  {}", formatted.join("  "));
-    };
-    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
-    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
+
+    /// Append a CDF as rows `value  probability`, downsampled to at most
+    /// `max_rows` rows.
+    pub fn cdf(&mut self, label: &str, values: &[f64], unit: &str, max_rows: usize) {
+        let points = cdf_points(values);
+        if points.is_empty() {
+            writeln!(self, "{label}: no samples");
+            return;
+        }
+        writeln!(self, "{label} ({} samples):", points.len());
+        let step = (points.len() / max_rows.max(1)).max(1);
+        for (i, (x, p)) in points.iter().enumerate() {
+            if i % step == 0 || i == points.len() - 1 {
+                writeln!(self, "  {x:>12.1} {unit}   P = {p:.3}");
+            }
+        }
     }
 }
 

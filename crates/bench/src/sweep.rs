@@ -18,10 +18,11 @@
 use crate::churn::churn_flows;
 use crate::experiment::{run_experiment, Experiment, Flows, ListFlow};
 use crate::fabric::{
-    cli_error, transfer_deadline, worst_oversubscription, SteadyStateSummary, TransferSummary,
+    transfer_deadline, worst_oversubscription, SteadyStateSummary, TransferSummary,
 };
 use crate::protocols::{Protocol, RunSetup};
-use crate::report::{mean, percentile, ChurnSummary, Json};
+use crate::registry::RunError;
+use crate::report::{mean, percentile, ChurnSummary, Json, Report};
 use numfabric_sim::SimDuration;
 use numfabric_workloads::registry::ScenarioOptions;
 use numfabric_workloads::scenarios::{incast_pairs, shuffle_pairs, stride_pairs, PathSpec};
@@ -130,7 +131,7 @@ impl CellResult {
 /// Errors only on an unknown protocol name — everything else about a cell
 /// is valid by construction of [`SweepSpec::expand`].
 pub fn run_cell(cell: &SweepCell, setup: &RunSetup) -> Result<CellResult, String> {
-    let protocol = Protocol::from_name(&cell.protocol).ok_or_else(|| {
+    let protocol: Protocol = cell.protocol.parse().map_err(|_| {
         format!(
             "unknown protocol `{}` in sweep cell {}",
             cell.protocol, cell.index
@@ -386,55 +387,52 @@ pub fn markdown_table(results: &[CellResult]) -> String {
 }
 
 /// The `numfabric-run sweep` entry point: expand the grid from the options,
-/// execute it on the pool, and print the aggregate (markdown table by
-/// default, the structured JSON document with `--json`).
-pub fn sweep(opts: &ScenarioOptions) {
-    let spec = SweepSpec::try_from_options(opts).unwrap_or_else(|e| cli_error(e));
+/// execute it on the pool, and report the aggregate (a markdown table, and
+/// the structured JSON document).
+pub fn sweep(opts: &ScenarioOptions) -> Result<Report, RunError> {
+    let spec = SweepSpec::try_from_options(opts)?;
     for name in &spec.protocols {
-        if Protocol::from_name(name).is_none() {
-            cli_error(format!(
-                "invalid value `{name}` for option `--protocols`: expected {}",
-                Protocol::NAMES
-            ));
+        if let Err(expected) = name.parse::<Protocol>() {
+            return Err(RunError::usage(format!(
+                "invalid value `{name}` for option `--protocols`: {expected}"
+            )));
         }
     }
-    let cells = spec.expand().unwrap_or_else(|e| cli_error(e));
+    let cells = spec.expand().map_err(RunError::usage)?;
     let default_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads: usize = opts.parsed_or("--threads", default_threads);
+    let threads: usize = opts.parsed_or("--threads", default_threads)?;
     // Impairments are a per-cell axis here (`--impair` is refused above), so
     // the fabric is only what `from_options` would validate one against.
-    let setup = RunSetup::from_options(opts, &spec.topologies[0].build(false), spec.base_seed);
-    let json = opts.flag("--json");
-    if !json {
-        println!(
-            "Sweep: {} cells ({} scenarios x {} topologies x {} protocols x {} loads x {} sizes x {} impairments x {} replicates) on {} threads\n",
-            cells.len(),
-            spec.scenarios.len(),
-            spec.topologies.len(),
-            spec.protocols.len(),
-            spec.loads.len(),
-            spec.sizes.len(),
-            spec.impairments.len(),
-            spec.replicates,
-            threads.clamp(1, cells.len()),
-        );
-    }
+    let setup = RunSetup::from_options(opts, &spec.topologies[0].build(false), spec.base_seed)?;
+    let mut report = Report::default();
+    writeln!(
+        report,
+        "Sweep: {} cells ({} scenarios x {} topologies x {} protocols x {} loads x {} sizes x {} impairments x {} replicates) on {} threads\n",
+        cells.len(),
+        spec.scenarios.len(),
+        spec.topologies.len(),
+        spec.protocols.len(),
+        spec.loads.len(),
+        spec.sizes.len(),
+        spec.impairments.len(),
+        spec.replicates,
+        threads.clamp(1, cells.len()),
+    );
     let start = Instant::now();
-    let results = execute_cells(cells, threads, &setup).unwrap_or_else(|e| cli_error(e));
+    let results = execute_cells(cells, threads, &setup).map_err(RunError::Usage)?;
     let wall = start.elapsed();
-    if json {
-        println!("{}", sweep_report_json(&spec, &results).render());
-    } else {
-        print!("{}", markdown_table(&results));
-        println!(
-            "\n{} cells in {:.2} s wall-clock. The table and the --json report are\n\
-             bit-identical for any --threads, --partitions and --partition-threads\n\
-             value — including under randomized loss/jitter profiles; only this\n\
-             timing line and the thread count in the header vary.",
-            results.len(),
-            wall.as_secs_f64(),
-        );
-    }
+    report.json = Some(sweep_report_json(&spec, &results));
+    report.text += &markdown_table(&results);
+    writeln!(
+        report,
+        "\n{} cells in {:.2} s wall-clock. The table and the --json report are\n\
+         bit-identical for any --threads, --partitions and --partition-threads\n\
+         value — including under randomized loss/jitter profiles; only this\n\
+         timing line and the thread count in the header vary.",
+        results.len(),
+        wall.as_secs_f64(),
+    );
+    Ok(report)
 }
 
 #[cfg(test)]

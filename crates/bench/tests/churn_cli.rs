@@ -1,7 +1,7 @@
 //! End-to-end smokes of the `numfabric-run churn` CLI: the happy path in
 //! human and `--json` forms, and the exit-2 contract for option
-//! validation (the `parse_load_fraction` rejection path, which unit tests
-//! cannot reach because `cli_error` terminates the process).
+//! validation (the `parse_load_fraction` rejection path, as the exit status
+//! it becomes; `fabric::tests` checks the error value itself).
 
 use std::process::Command;
 

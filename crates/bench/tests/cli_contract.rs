@@ -1,11 +1,12 @@
 //! The `numfabric-run` usage contract, end to end: a scenario's usage string
 //! is the enforced list of its options (anything else exits 2 naming the
 //! offender), a zero-byte transfer or a zero-length run is a usage error
-//! rather than a wedged run or an empty report, and every command line the
-//! README and the CI workflow show still exits 0. Exit codes are only
-//! observable from outside the process, hence an integration test.
+//! rather than a wedged run or an empty report, every command line the
+//! README and the CI workflow show still exits 0, and a reader that closes
+//! stdout early does not crash the run. Exit codes are only observable from
+//! outside the process, hence an integration test.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_numfabric-run"))
@@ -131,4 +132,21 @@ fn every_readme_command_line_exits_zero() {
 #[test]
 fn every_ci_command_line_exits_zero() {
     assert_documented_lines_succeed(".github/workflows/ci.yml", 15);
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // `numfabric-run fig9 | head -1`: the reader is gone before the report
+    // is written, so the write fails with a broken pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_numfabric-run"))
+        .arg("fig9")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn numfabric-run");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for numfabric-run");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {err}");
+    assert!(!err.contains("panicked"), "stderr: {err}");
 }

@@ -16,6 +16,8 @@
 //! Table 2's parameter settings and of the generic `dynamic` and
 //! `semi-dynamic` drivers.
 
+use numfabric_bench::RunError;
+use numfabric_workloads::registry::ScenarioOptions;
 use std::process::Command;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -145,6 +147,27 @@ fn json_reports_are_byte_identical_to_the_recorded_commit() {
 fn figure_tables_are_byte_identical_to_the_recorded_commit() {
     let moved = moved_pins(STDOUT_PINS, stdout_digest);
     assert!(moved.is_empty(), "table bytes moved:\n{}", moved.join("\n"));
+}
+
+/// The same contract without a process: a scenario returns its report, or
+/// its usage error, as a value.
+#[test]
+fn scenarios_return_their_report_or_their_error_in_process() {
+    let run = |args: &str| {
+        let mut args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        let name = args.remove(0);
+        numfabric_bench::registry().run(&name, &ScenarioOptions::new(args))
+    };
+    let err = run("incast --size 0").unwrap_err();
+    assert!(matches!(err, RunError::Usage(_)), "{err:?}");
+    assert_eq!(err.to_string(), "--size must be at least 1 byte");
+    let report = run("table2").expect("table2 runs");
+    let (_, pinned) = STDOUT_PINS
+        .iter()
+        .find(|(args, _)| *args == "table2")
+        .unwrap();
+    assert_eq!(fnv1a(report.text.as_bytes()), *pinned);
+    assert!(report.json.is_none(), "table2 declares no --json");
 }
 
 #[test]

@@ -30,9 +30,9 @@
 //! * [`ideal`] — the Oracle reference for dynamic workloads: a fluid event
 //!   simulation that re-solves the NUM problem at every arrival/departure,
 //!   and the empty-network FCT bound used to normalize Fig. 7.
-//! * [`registry`] — a registry of named, runnable scenarios; the
-//!   `numfabric-run` CLI in `numfabric-bench` lists and dispatches every
-//!   figure scenario through it.
+//! * [`registry`] — the options a scenario runs with ([`ScenarioOptions`])
+//!   and the [`InvalidOption`] a malformed value returns; the scenario
+//!   registry that dispatches them is `numfabric-bench`'s.
 //! * [`sweep`] — parameter-sweep grids: [`SweepSpec`] names axes (scenarios
 //!   × topologies × protocols × loads × sizes × impairments × seed
 //!   replicates) and
@@ -73,7 +73,7 @@ pub use impairments::{
     fabric_cables, ImpairmentEvent, ImpairmentProfile, ImpairmentSchedule, InvalidImpairment,
     InvalidProfile,
 };
-pub use registry::{DispatchError, InvalidOption, ScenarioOptions, ScenarioRegistry, ScenarioSpec};
+pub use registry::{InvalidOption, ScenarioOptions};
 pub use scenarios::{
     incast_pairs, permutation_pairs, random_pairs, shuffle_pairs, stride_pairs, EventKind,
     NetworkEvent, PathSpec, SemiDynamicConfig, SemiDynamicScenario,

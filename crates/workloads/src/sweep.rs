@@ -313,11 +313,8 @@ impl SweepSpec {
             ("--impair", "--impairments"),
         ] {
             if opts.flag(singular) {
-                return Err(InvalidOption {
-                    name: singular.to_string(),
-                    value: String::new(),
-                    reason: format!("sweep axes are plural: use {plural} <comma-separated list>"),
-                });
+                let reason = format!("sweep axes are plural: use {plural} <comma-separated list>");
+                return Err(InvalidOption::new(singular, "", reason));
             }
         }
         let defaults = SweepSpec::default();
@@ -328,10 +325,8 @@ impl SweepSpec {
             loads: parse_csv(opts, "--loads")?.unwrap_or(defaults.loads),
             sizes: parse_csv(opts, "--sizes")?.unwrap_or(defaults.sizes),
             impairments: parse_csv(opts, "--impairments")?.unwrap_or(defaults.impairments),
-            replicates: opts
-                .try_parsed("--replicates")?
-                .unwrap_or(defaults.replicates),
-            base_seed: opts.try_parsed("--seed")?.unwrap_or(defaults.base_seed),
+            replicates: opts.parsed_or("--replicates", defaults.replicates)?,
+            base_seed: opts.parsed_or("--seed", defaults.base_seed)?,
         })
     }
 }
@@ -346,35 +341,21 @@ fn parse_csv<T: FromStr>(
 where
     T::Err: fmt::Display,
 {
-    let Some(raw) = opts.value(name) else {
-        // Present-but-valueless (last token on the line) is a hard error,
-        // like try_parsed — never a silent fall-through to the default grid.
-        if opts.flag(name) {
-            return Err(InvalidOption {
-                name: name.to_string(),
-                value: String::new(),
-                reason: "missing value".to_string(),
-            });
-        }
+    // A missing value is an error here too, never the default grid.
+    let Some(raw) = opts.try_parsed::<String>(name)? else {
         return Ok(None);
     };
-    let mut out = Vec::new();
-    for part in raw.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            return Err(InvalidOption {
-                name: name.to_string(),
-                value: raw.to_string(),
-                reason: "empty element in comma-separated list".to_string(),
-            });
-        }
-        out.push(part.parse().map_err(|e: T::Err| InvalidOption {
-            name: name.to_string(),
-            value: part.to_string(),
-            reason: e.to_string(),
-        })?);
-    }
-    Ok(Some(out))
+    raw.split(',')
+        .map(|part| match part.trim() {
+            "" => Err(InvalidOption::new(
+                name,
+                &raw,
+                "empty element in comma-separated list",
+            )),
+            part => part.parse().map_err(|e| InvalidOption::new(name, part, e)),
+        })
+        .collect::<Result<_, _>>()
+        .map(Some)
 }
 
 #[cfg(test)]
