@@ -8,7 +8,7 @@
 //! the crate's only binary. Performance numbers come from the standalone
 //! `benchmark/` package (see its README).
 //!
-//! * [`registry`] — [`ScenarioRegistry`]: named scenarios, each run to a
+//! * [`registry`](mod@registry) — [`ScenarioRegistry`]: named scenarios, each run to a
 //!   [`Report`] or a [`RunError`] that only the binary prints or exits on.
 //! * [`experiment`] — the one driver: an [`Experiment`] (topology,
 //!   protocol, [`RunSetup`], objective, flows, horizon, rate grid) and

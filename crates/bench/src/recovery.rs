@@ -283,7 +283,7 @@ pub fn recovery(opts: &ScenarioOptions) -> Result<Report, RunError> {
     let fail_us: u64 = opts.parsed_or("--fail-us", 1_500)?;
     let restore_us: Option<u64> = opts.try_parsed("--restore-us")?;
     let protocols: Vec<Protocol> = match opts.try_parsed::<String>("--compare") {
-        Ok(Some(list)) => list
+        Ok(Some(list)) if !list.starts_with("--") => list
             .split(',')
             .map(|name| {
                 name.trim().parse().map_err(|expected| {
@@ -293,8 +293,9 @@ pub fn recovery(opts: &ScenarioOptions) -> Result<Report, RunError> {
                 })
             })
             .collect::<Result<_, _>>()?,
-        // A bare trailing `--compare` compares the default three.
-        Err(_) => ["numfabric", "dctcp", "pfabric"]
+        // A bare `--compare` — the last token, or followed by another
+        // option — compares the default three.
+        Ok(Some(_)) | Err(_) => ["numfabric", "dctcp", "pfabric"]
             .iter()
             .map(|name| name.parse().expect("a known scheme"))
             .collect(),

@@ -2,8 +2,9 @@
 //! is the enforced list of its options (anything else exits 2 naming the
 //! offender), a zero-byte transfer or a zero-length run is a usage error
 //! rather than a wedged run or an empty report, every command line the
-//! README and the CI workflow show still exits 0, and a reader that closes
-//! stdout early does not crash the run. Exit codes are only observable from
+//! README and the CI workflow show still exits 0, a bare flag means the
+//! same wherever it stands, and a reader that closes stdout early does not
+//! crash the run. Exit codes are only observable from
 //! outside the process, hence an integration test.
 
 use std::process::{Command, Output, Stdio};
@@ -132,6 +133,24 @@ fn every_readme_command_line_exits_zero() {
 #[test]
 fn every_ci_command_line_exits_zero() {
     assert_documented_lines_succeed(".github/workflows/ci.yml", 15);
+}
+
+#[test]
+fn a_bare_compare_means_the_default_three_wherever_it_stands() {
+    let first = run(&["recovery", "--compare", "--millis", "3"]);
+    let last = run(&["recovery", "--millis", "3", "--compare"]);
+    for out in [&first, &last] {
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    assert_eq!(
+        String::from_utf8_lossy(&first.stdout),
+        String::from_utf8_lossy(&last.stdout)
+    );
 }
 
 #[test]

@@ -12,24 +12,37 @@
 //! with heavy schedule/pop churn — is exactly what calendar-queue schedulers
 //! were designed for. The layout:
 //!
-//! * **Levels.** `LEVELS` wheels of `SLOTS` (a power of two) buckets
-//!   each. A level-`l` slot spans `SLOTS^l` nanosecond ticks, so level 0
-//!   resolves single nanoseconds and the top level reaches the end of the
-//!   `u64` clock: every timestamp has a slot, and there is no horizon.
-//!   Scheduling picks the level from the magnitude of the delay
-//!   (`floor(log2(delta) / log2(SLOTS))`) and the slot from the absolute
-//!   timestamp's bits — both O(1).
+//! * **Levels.** Level 0 is `L0_SLOTS` (4096) one-nanosecond slots: every
+//!   key due within 4096 ns of the cursor goes straight to the slot of its
+//!   own timestamp, so each level-0 slot holds keys of exactly one
+//!   timestamp. That covers every hop of a packet (a serialization plus a
+//!   propagation delay, 2–3.2 µs at the paper's speeds) and every link
+//!   wake-up. The `LEVELS − 1` levels above have `SLOTS` (64) slots each,
+//!   a level-`l` slot spanning `2^(12 + 6(l − 1))` ns, so the top level
+//!   reaches the end of the `u64` clock: every timestamp has a slot, and
+//!   there is no horizon. Scheduling picks the level from the magnitude of
+//!   the delay and the slot from the absolute timestamp's bits — both O(1).
+//! * **Level-0 storage.** A level-0 slot is a singly linked list threaded
+//!   through one key arena (a `u32` head per slot; freed nodes go on a LIFO
+//!   free list), found through a two-level occupancy bitmap: 64 words of
+//!   slot bits plus one summary word of non-empty words. The first occupied
+//!   slot after the cursor is two `trailing_zeros` away.
 //! * **Cascading.** When the cursor reaches a higher-level slot whose range
-//!   may hide the next event, the slot's events are redistributed one level
-//!   down (their remaining delay now fits the finer wheel). Each event
-//!   cascades at most `LEVELS − 1` times, so scheduling stays amortized
-//!   O(1).
+//!   may hide the next event, the slot's keys are redistributed to finer
+//!   levels (their remaining delay now fits them); the slot's buffer is
+//!   swapped out whole, not copied. Each key cascades at most `LEVELS − 1`
+//!   times, so scheduling stays amortized O(1), and only keys due more
+//!   than 4096 ns ahead (timers, flow starts) cascade at all. A bit mask
+//!   of occupied levels keeps the search for the next higher-level slot to
+//!   the levels that hold keys.
 //! * **The front.** Every pending key at or behind the cursor waits in one
-//!   deque sorted by `(time, seq)`: the same-timestamp bucket last drained
-//!   from the wheel, plus anything scheduled behind the cursor after
-//!   [`EventQueue::peek_time`] advanced it (but never behind
-//!   [`EventQueue::now`] — scheduling into the past still panics). Pops
-//!   read the front and refill it from the wheel only when it is empty.
+//!   `Vec` sorted by `(time, seq)` and read through an index: the
+//!   same-timestamp bucket last drained from the wheel, plus anything
+//!   scheduled behind the cursor after [`EventQueue::peek_time`] advanced
+//!   it (but never behind [`EventQueue::now`] — scheduling into the past
+//!   still panics). Pops read the front and refill it from the wheel only
+//!   when it is exhausted; a refill walks one level-0 list straight into
+//!   it.
 //! * **SoA payload pools.** [`Event`]s are large (a [`Packet`] rides
 //!   inline), and an `enum` slab would pad every timer to packet size. The
 //!   payloads are split structure-of-arrays style into two free-listed
@@ -37,9 +50,10 @@
 //!   path) and a compact pool for everything else (timers, transmit
 //!   completions, flow starts/stops, link changes — a few words each). The
 //!   pool is encoded in the top bit of the payload index, so everything
-//!   that moves through wheel slots, cascades and the front is a 24-byte
-//!   key `(time, seq, packed pool index)`, and popping a timer no longer
-//!   drags a cacheline-spanning union through memory.
+//!   that moves through the level-0 arena, higher-level slots, cascades
+//!   and the front is a 24-byte key `(time, seq, packed pool index)`, and
+//!   popping a timer no longer drags a cacheline-spanning union through
+//!   memory.
 //!
 //! # Determinism contract: bucket FIFO == seq FIFO
 //!
@@ -65,7 +79,6 @@ use crate::hash::FixedHashSet;
 use crate::packet::{FlowId, Packet};
 use crate::time::SimTime;
 use crate::topology::LinkId;
-use std::collections::VecDeque;
 
 /// The kinds of events the simulator processes.
 #[derive(Debug)]
@@ -170,29 +183,75 @@ impl SmallEvent {
     }
 }
 
-/// log2 of the number of slots per wheel level.
+/// log2 of the number of level-0 slots.
+const L0_BITS: u32 = 12;
+/// Level-0 slots, one nanosecond each: the level-0 window is `[cursor,
+/// cursor + L0_SLOTS)`.
+const L0_SLOTS: usize = 1 << L0_BITS;
+/// Bitmask extracting a level-0 slot index from a timestamp.
+const L0_MASK: u64 = (L0_SLOTS - 1) as u64;
+/// log2 of the number of slots per higher wheel level.
 const LEVEL_BITS: u32 = 6;
-/// Slots per wheel level.
+/// Slots per higher wheel level.
 const SLOTS: usize = 1 << LEVEL_BITS;
 /// Bitmask extracting a slot index from a timestamp.
 const SLOT_MASK: u64 = (SLOTS - 1) as u64;
-/// Number of wheel levels: enough that the top level's slots span the
-/// whole `u64` nanosecond clock (`LEVEL_BITS * LEVELS >= 64`).
-const LEVELS: usize = 11;
+/// Number of wheel levels: level 0 plus enough higher levels that the top
+/// level's slots span the whole `u64` nanosecond clock (`L0_BITS +
+/// LEVEL_BITS * (LEVELS - 1) >= 64`).
+const LEVELS: usize = 10;
+/// 64-bit level-0 occupancy words; one summary word covers them all.
+const L0_WORDS: usize = L0_SLOTS / 64;
+const _: () = assert!(L0_WORDS <= 64);
+/// The end of a level-0 list (and of the arena's free list).
+const NIL: u32 = u32::MAX;
+
+/// The bit position where level `level >= 1`'s slot index starts.
+const fn level_shift(level: usize) -> u32 {
+    L0_BITS + LEVEL_BITS * (level as u32 - 1)
+}
+
+/// Index of higher-level slot `(level, slot)` in the flat per-slot arrays.
+const fn higher_index(level: usize, slot: usize) -> usize {
+    (level - 1) * SLOTS + slot
+}
+
+/// A level-0 list node in the key arena.
+#[derive(Clone, Copy)]
+struct Node {
+    key: Key,
+    /// The next node of the same slot's list (or of the free list).
+    next: u32,
+}
 
 /// A deterministic priority queue of simulation events, implemented as a
 /// hierarchical timing wheel (see the module docs for the layout and the
 /// determinism contract).
 pub struct EventQueue {
-    /// `levels[l][s]`: the event keys of slot `s` of wheel level `l`.
-    levels: Vec<Vec<Vec<Key>>>,
-    /// One occupancy bit per slot, per level (bit `s` set ⇔ slot non-empty).
+    /// `l0_head[s]`: the arena index of the first key of level-0 slot `s`,
+    /// or `NIL`. A list runs newest key first.
+    l0_head: Vec<u32>,
+    /// Level-0 occupancy: bit `b` of word `w` set ⇔ slot `64w + b` is
+    /// non-empty.
+    l0_words: [u64; L0_WORDS],
+    /// Bit `w` set ⇔ `l0_words[w]` is non-zero.
+    l0_summary: u64,
+    /// The level-0 key arena: list nodes, live or on the free list.
+    nodes: Vec<Node>,
+    /// Head of the arena's LIFO free list, threaded through `Node::next`.
+    free_node: u32,
+    /// `levels[higher_index(l, s)]`: the keys of slot `s` of level `l >= 1`.
+    levels: Vec<Vec<Key>>,
+    /// One occupancy bit per slot, per level `>= 1` (bit `s` set ⇔ slot
+    /// non-empty); entry 0 stays zero.
     occupancy: [u64; LEVELS],
-    /// `slot_min[l][s]`: minimum timestamp in that slot (`u64::MAX` when
-    /// empty). Maintained on push and slot drain, so the cursor's own slot
-    /// — whose lower bound is its actual minimum, not its range start —
-    /// never needs scanning.
-    slot_min: Vec<[u64; SLOTS]>,
+    /// Bit `l` set ⇔ `occupancy[l]` is non-zero.
+    level_mask: u32,
+    /// `slot_min[higher_index(l, s)]`: minimum timestamp in that slot
+    /// (`u64::MAX` when empty). Maintained on push and slot drain, so the
+    /// cursor's own slot — whose lower bound is its actual minimum, not its
+    /// range start — never needs scanning.
+    slot_min: Vec<u64>,
     /// Total keys across all wheel levels (excludes the front).
     wheel_count: usize,
     /// Arrival payloads (the hot path), written at schedule time and taken
@@ -207,16 +266,19 @@ pub struct EventQueue {
     /// Free small-pool indices.
     small_free: Vec<u32>,
     /// Every pending key at or behind the cursor (`now <= time <=
-    /// cursor`), sorted by `(time, seq)`: the bucket last drained from the
-    /// wheel plus whatever was scheduled behind the cursor. Always popped
-    /// before the wheel.
-    front: VecDeque<Key>,
+    /// cursor`), from `front_read` on, sorted by `(time, seq)`: the bucket
+    /// last drained from the wheel plus whatever was scheduled behind the
+    /// cursor. Always popped before the wheel; entries before `front_read`
+    /// were popped already and go at the next refill.
+    front: Vec<Key>,
+    /// Index of the front's next key.
+    front_read: usize,
     /// Sequence numbers of cancellable events that are still pending (not
     /// fired, not cancelled) — what makes [`Self::cancel`] O(1).
     cancellable_pending: FixedHashSet<u64>,
     /// Sequence numbers of cancelled-but-not-yet-drained events.
     cancelled: FixedHashSet<u64>,
-    /// Scratch buffer reused by cascades (avoids per-cascade allocation).
+    /// The spare slot buffer a cascade swaps in for the slot it empties.
     scratch: Vec<Key>,
     /// Wheel cursor: `now <= cursor <=` the earliest pending wheel event.
     cursor: u64,
@@ -225,6 +287,9 @@ pub struct EventQueue {
     next_seq: u64,
     /// Pending (scheduled − popped − cancelled) events.
     live: usize,
+    /// Keys a cascade has moved to a finer level, over the queue's life.
+    #[cfg(test)]
+    cascaded: u64,
 }
 
 impl Default for EventQueue {
@@ -237,17 +302,22 @@ impl EventQueue {
     /// An empty queue at time zero.
     pub fn new() -> Self {
         Self {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
+            l0_head: vec![NIL; L0_SLOTS],
+            l0_words: [0; L0_WORDS],
+            l0_summary: 0,
+            nodes: Vec::new(),
+            free_node: NIL,
+            levels: (0..(LEVELS - 1) * SLOTS).map(|_| Vec::new()).collect(),
             occupancy: [0; LEVELS],
-            slot_min: vec![[u64::MAX; SLOTS]; LEVELS],
+            level_mask: 0,
+            slot_min: vec![u64::MAX; (LEVELS - 1) * SLOTS],
             wheel_count: 0,
             arrivals: Vec::new(),
             arrivals_free: Vec::new(),
             small: Vec::new(),
             small_free: Vec::new(),
-            front: VecDeque::new(),
+            front: Vec::new(),
+            front_read: 0,
             cancellable_pending: FixedHashSet::default(),
             cancelled: FixedHashSet::default(),
             scratch: Vec::new(),
@@ -255,6 +325,8 @@ impl EventQueue {
             now: 0,
             next_seq: 0,
             live: 0,
+            #[cfg(test)]
+            cascaded: 0,
         }
     }
 
@@ -270,21 +342,24 @@ impl EventQueue {
     /// before this existed, callers dropped the queue and re-grew a fresh
     /// one from empty every cell.
     pub fn reset(&mut self) {
-        for level in &mut self.levels {
-            for slot in level {
-                slot.clear();
-            }
+        self.l0_head.fill(NIL);
+        self.l0_words = [0; L0_WORDS];
+        self.l0_summary = 0;
+        self.nodes.clear();
+        self.free_node = NIL;
+        for slot in &mut self.levels {
+            slot.clear();
         }
         self.occupancy = [0; LEVELS];
-        for sm in &mut self.slot_min {
-            *sm = [u64::MAX; SLOTS];
-        }
+        self.level_mask = 0;
+        self.slot_min.fill(u64::MAX);
         self.wheel_count = 0;
         self.arrivals.clear();
         self.arrivals_free.clear();
         self.small.clear();
         self.small_free.clear();
         self.front.clear();
+        self.front_read = 0;
         self.cancellable_pending.clear();
         self.cancelled.clear();
         self.scratch.clear();
@@ -294,12 +369,13 @@ impl EventQueue {
         self.live = 0;
     }
 
-    /// `(arrival pool entries, small pool entries)` currently allocated —
-    /// the memory footprint of the payload stores, free or live, for the
-    /// bounded-memory regression tests.
+    /// `(arrival pool entries, small pool entries, key arena nodes)`
+    /// currently allocated — the memory footprint of the payload stores and
+    /// the level-0 arena, free or live, for the bounded-memory regression
+    /// tests.
     #[cfg(test)]
-    fn debug_pool_sizes(&self) -> (usize, usize) {
-        (self.arrivals.len(), self.small.len())
+    fn debug_pool_sizes(&self) -> (usize, usize, usize) {
+        (self.arrivals.len(), self.small.len(), self.nodes.len())
     }
 
     /// Park `event` in its pool and return the packed index.
@@ -470,7 +546,8 @@ impl EventQueue {
                 "cancellable seq {seq:#x} repeats a pending or tombstoned event"
             );
         }
-        if t < self.cursor || self.front.back().is_some_and(|k| k.time == t) {
+        let pending = &self.front[self.front_read..];
+        if t < self.cursor || pending.last().is_some_and(|k| k.time == t) {
             // Behind the cursor (which a peek may have advanced), or joining
             // the bucket being drained. With the queue's own counter at the
             // bucket's time this is a plain append; seeded keys (boundary
@@ -478,8 +555,8 @@ impl EventQueue {
             // earlier, so insert at the `(time, seq)`-sorted position —
             // *after* any equal key, so content-keyed duplicates pop in FIFO
             // (schedule) order.
-            let pos = self.front.partition_point(|k| (k.time, k.seq) <= (t, seq));
-            self.front.insert(pos, key);
+            let pos = pending.partition_point(|k| (k.time, k.seq) <= (t, seq));
+            self.front.insert(self.front_read + pos, key);
         } else {
             self.insert_into_wheel(key);
         }
@@ -529,15 +606,16 @@ impl EventQueue {
     }
 
     /// Take the earliest live key off the front (refilling it from the
-    /// wheel when empty) and advance the clock to it.
+    /// wheel when exhausted) and advance the clock to it.
     fn pop_key(&mut self) -> Option<Key> {
         loop {
-            let Some(key) = self.front.pop_front() else {
+            let Some(&key) = self.front.get(self.front_read) else {
                 if !self.refill_front() {
                     return None;
                 }
                 continue;
             };
+            self.front_read += 1;
             if self.reap_if_cancelled(&key) {
                 continue;
             }
@@ -559,7 +637,7 @@ impl EventQueue {
         loop {
             // Purge cancelled tombstones so the reported time is that of a
             // live event.
-            let Some(&key) = self.front.front() else {
+            let Some(&key) = self.front.get(self.front_read) else {
                 if !self.refill_front() {
                     return None;
                 }
@@ -568,7 +646,7 @@ impl EventQueue {
             if !self.reap_if_cancelled(&key) {
                 return Some(SimTime::from_nanos(key.time));
             }
-            self.front.pop_front();
+            self.front_read += 1;
         }
     }
 
@@ -604,16 +682,78 @@ impl EventQueue {
     }
 
     /// Check every internal invariant of the wheel (slot residency, bitmap
-    /// consistency, revolution bounds, slab/key agreement). Test-only
-    /// diagnostic; panics with a description on the first violation.
+    /// consistency, revolution bounds, arena and slab/key agreement).
+    /// Test-only diagnostic; panics with a description on the first
+    /// violation.
     #[doc(hidden)]
     pub fn debug_validate(&self) {
+        let check_payload = |k: &Key| {
+            assert!(
+                self.payload_exists(k.idx),
+                "key seq={} points at an empty pool slot",
+                k.seq
+            );
+        };
         let mut counted = 0usize;
-        for level in 0..LEVELS {
-            let shift = LEVEL_BITS * level as u32;
+        let mut listed_nodes = 0usize;
+        for slot in 0..L0_SLOTS {
+            let occupied = self.l0_words[slot / 64] & (1 << (slot % 64)) != 0;
+            assert_eq!(
+                occupied,
+                self.l0_head[slot] != NIL,
+                "level 0 slot {slot}: occupancy bit {occupied} but head {}",
+                self.l0_head[slot]
+            );
+            for k in self.level0_keys(slot) {
+                counted += 1;
+                listed_nodes += 1;
+                assert!(
+                    k.time >= self.cursor && k.time - self.cursor < L0_SLOTS as u64,
+                    "level 0 slot {slot}: entry t={} seq={} outside [cursor {}, cursor + {L0_SLOTS})",
+                    k.time,
+                    k.seq,
+                    self.cursor
+                );
+                assert_eq!(
+                    (k.time & L0_MASK) as usize,
+                    slot,
+                    "entry t={} seq={} in wrong slot of level 0",
+                    k.time,
+                    k.seq
+                );
+                check_payload(k);
+            }
+        }
+        for (w, &word) in self.l0_words.iter().enumerate() {
+            assert_eq!(
+                self.l0_summary & (1 << w) != 0,
+                word != 0,
+                "level 0 summary bit {w} disagrees with occupancy word {word:#x}"
+            );
+        }
+        let mut free_nodes = 0usize;
+        let mut i = self.free_node;
+        while i != NIL {
+            free_nodes += 1;
+            assert!(free_nodes <= self.nodes.len(), "free list cycles");
+            i = self.nodes[i as usize].next;
+        }
+        assert_eq!(
+            listed_nodes + free_nodes,
+            self.nodes.len(),
+            "key arena leaks: {listed_nodes} listed + {free_nodes} free nodes of {}",
+            self.nodes.len()
+        );
+        for level in 1..LEVELS {
+            let shift = level_shift(level);
+            assert_eq!(
+                self.level_mask & (1 << level) != 0,
+                self.occupancy[level] != 0,
+                "level {level}: level mask disagrees with occupancy"
+            );
             for slot in 0..SLOTS {
                 let occupied = self.occupancy[level] & (1 << slot) != 0;
-                let keys = &self.levels[level][slot];
+                let keys = &self.levels[higher_index(level, slot)];
                 counted += keys.len();
                 assert_eq!(
                     occupied,
@@ -622,7 +762,7 @@ impl EventQueue {
                     keys.len()
                 );
                 assert_eq!(
-                    self.slot_min[level][slot],
+                    self.slot_min[higher_index(level, slot)],
                     keys.iter().map(|k| k.time).min().unwrap_or(u64::MAX),
                     "level {level} slot {slot}: stale slot_min"
                 );
@@ -650,16 +790,14 @@ impl EventQueue {
                         k.seq,
                         self.cursor
                     );
-                    assert!(
-                        self.payload_exists(k.idx),
-                        "key seq={} points at an empty pool slot",
-                        k.seq
-                    );
+                    check_payload(k);
                 }
             }
         }
+        assert_eq!(self.occupancy[0], 0, "level 0 lives in the bitmap");
         assert_eq!(counted, self.wheel_count, "wheel_count out of sync");
-        for k in &self.front {
+        let pending = &self.front[self.front_read..];
+        for k in pending {
             assert!(
                 self.now <= k.time && k.time <= self.cursor,
                 "front entry t={} seq={} outside [now {}, cursor {}]",
@@ -668,13 +806,9 @@ impl EventQueue {
                 self.now,
                 self.cursor
             );
-            assert!(
-                self.payload_exists(k.idx),
-                "key seq={} points at an empty pool slot",
-                k.seq
-            );
+            check_payload(k);
         }
-        for (a, b) in self.front.iter().zip(self.front.iter().skip(1)) {
+        for (a, b) in pending.iter().zip(pending.iter().skip(1)) {
             assert!(
                 (a.time, a.seq) <= (b.time, b.seq),
                 "front out of (time, seq) order: (t={},seq={}) before (t={},seq={})",
@@ -684,6 +818,16 @@ impl EventQueue {
                 b.seq
             );
         }
+    }
+
+    /// The keys of level-0 slot `slot`, newest first (diagnostics only).
+    fn level0_keys(&self, slot: usize) -> impl Iterator<Item = &Key> + '_ {
+        let mut i = self.l0_head[slot];
+        std::iter::from_fn(move || {
+            let node = self.nodes.get(i as usize)?;
+            i = node.next;
+            Some(&node.key)
+        })
     }
 
     /// Render the full internal state (test-only diagnostic).
@@ -701,18 +845,20 @@ impl EventQueue {
                 .collect::<Vec<_>>()
                 .join(" ")
         }
-        for level in 0..LEVELS {
+        for slot in 0..L0_SLOTS {
+            if self.l0_head[slot] != NIL {
+                let _ = writeln!(s, "  L0 slot {slot}: {}", fmt(self.level0_keys(slot)));
+            }
+        }
+        for level in 1..LEVELS {
             for slot in 0..SLOTS {
-                if !self.levels[level][slot].is_empty() {
-                    let _ = writeln!(
-                        s,
-                        "  L{level} slot {slot}: {}",
-                        fmt(self.levels[level][slot].iter())
-                    );
+                let keys = &self.levels[higher_index(level, slot)];
+                if !keys.is_empty() {
+                    let _ = writeln!(s, "  L{level} slot {slot}: {}", fmt(keys.iter()));
                 }
             }
         }
-        let _ = writeln!(s, "  front: {}", fmt(self.front.iter()));
+        let _ = writeln!(s, "  front: {}", fmt(self.front[self.front_read..].iter()));
         s
     }
 
@@ -726,51 +872,86 @@ impl EventQueue {
             key.seq,
             self.cursor
         );
-        let delta = key.time - self.cursor;
-        let level = if delta == 0 {
-            0
-        } else {
-            ((63 - delta.leading_zeros()) / LEVEL_BITS) as usize
-        };
-        let slot = ((key.time >> (LEVEL_BITS * level as u32)) & SLOT_MASK) as usize;
-        let min = &mut self.slot_min[level][slot];
-        if key.time < *min {
-            *min = key.time;
-        }
-        self.levels[level][slot].push(key);
-        self.occupancy[level] |= 1 << slot;
         self.wheel_count += 1;
+        let delta = key.time - self.cursor;
+        if delta < L0_SLOTS as u64 {
+            let slot = (key.time & L0_MASK) as usize;
+            let next = self.l0_head[slot];
+            let node = Node { key, next };
+            self.l0_head[slot] = if self.free_node != NIL {
+                let i = self.free_node;
+                self.free_node = self.nodes[i as usize].next;
+                self.nodes[i as usize] = node;
+                i
+            } else {
+                let i = self.nodes.len();
+                assert!(i < NIL as usize, "more than 2^32 - 1 keys in level 0");
+                self.nodes.push(node);
+                i as u32
+            };
+            self.l0_words[slot / 64] |= 1 << (slot % 64);
+            self.l0_summary |= 1 << (slot / 64);
+            return;
+        }
+        let level = 1 + ((63 - delta.leading_zeros() - L0_BITS) / LEVEL_BITS) as usize;
+        let slot = ((key.time >> level_shift(level)) & SLOT_MASK) as usize;
+        let i = higher_index(level, slot);
+        self.slot_min[i] = self.slot_min[i].min(key.time);
+        self.levels[i].push(key);
+        self.occupancy[level] |= 1 << slot;
+        self.level_mask |= 1 << level;
     }
 
-    /// Redistribute one slot of level `l` into finer levels. The cursor must
-    /// already be inside the slot's time range, which guarantees every
+    /// Redistribute one slot of level `l >= 1` into finer levels. The cursor
+    /// must already be inside the slot's time range, which guarantees every
     /// non-wrapped event strictly descends.
     fn cascade(&mut self, level: usize, slot: usize) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.append(&mut self.levels[level][slot]);
+        let i = higher_index(level, slot);
+        // Swap the spare buffer in: keys that wrap back into this very slot
+        // land in it, and the emptied buffer becomes the next spare.
+        let mut keys = std::mem::take(&mut self.scratch);
+        std::mem::swap(&mut keys, &mut self.levels[i]);
         self.occupancy[level] &= !(1 << slot);
-        self.slot_min[level][slot] = u64::MAX;
-        self.wheel_count -= scratch.len();
-        for key in scratch.drain(..) {
+        if self.occupancy[level] == 0 {
+            self.level_mask &= !(1 << level);
+        }
+        self.slot_min[i] = u64::MAX;
+        self.wheel_count -= keys.len();
+        for key in keys.drain(..) {
             if self.reap_if_cancelled(&key) {
                 continue;
             }
+            #[cfg(test)]
+            {
+                self.cascaded += 1;
+            }
             self.insert_into_wheel(key);
         }
-        self.scratch = scratch;
+        self.scratch = keys;
     }
 
     /// The exact tick of the earliest occupied level-0 slot, if any. Within
-    /// the active 64-tick window each level-0 slot holds events of exactly
-    /// one timestamp.
+    /// the level-0 window each slot holds keys of exactly one timestamp.
     fn level0_first_tick(&self) -> Option<u64> {
-        let occ = self.occupancy[0];
-        if occ == 0 {
+        if self.l0_summary == 0 {
             return None;
         }
-        let base = (self.cursor & SLOT_MASK) as u32;
-        let distance = occ.rotate_right(base).trailing_zeros() as u64;
-        Some(self.cursor + distance)
+        let base = (self.cursor & L0_MASK) as usize;
+        let word = base / 64;
+        // The cursor's own word, from the cursor's bit on.
+        let own = self.l0_words[word] & (u64::MAX << (base % 64));
+        let slot = if own != 0 {
+            word * 64 + own.trailing_zeros() as usize
+        } else {
+            // The next non-empty word in cyclic order. It may be the
+            // cursor's own word again, whose bits below the cursor's are
+            // the window's last ticks.
+            let after = (word + 1) % L0_WORDS;
+            let distance = self.l0_summary.rotate_right(after as u32).trailing_zeros() as usize;
+            let next = (after + distance) % L0_WORDS;
+            next * 64 + self.l0_words[next].trailing_zeros() as usize
+        };
+        Some(self.cursor + ((slot as u64).wrapping_sub(base as u64) & L0_MASK))
     }
 
     /// The `(lower bound, level, slot)` of the earliest-bounded occupied
@@ -793,17 +974,22 @@ impl EventQueue {
                 *best = Some((bound, level, slot));
             }
         };
-        for level in 1..LEVELS {
+        let mut levels = self.level_mask;
+        while levels != 0 {
+            let level = levels.trailing_zeros() as usize;
+            levels &= levels - 1;
             let occ = self.occupancy[level];
-            if occ == 0 {
-                continue;
-            }
-            let shift = LEVEL_BITS * level as u32;
+            let shift = level_shift(level);
             let base_slot = (self.cursor >> shift) & SLOT_MASK;
             let mut rotated = occ.rotate_right(base_slot as u32);
             if rotated & 1 != 0 {
                 let slot = base_slot as usize;
-                consider(self.slot_min[level][slot], level, slot, &mut best);
+                consider(
+                    self.slot_min[higher_index(level, slot)],
+                    level,
+                    slot,
+                    &mut best,
+                );
                 rotated &= !1;
             }
             if rotated != 0 {
@@ -819,11 +1005,13 @@ impl EventQueue {
         best
     }
 
-    /// Refill the empty front with the wheel's next same-timestamp bucket,
-    /// sorted by sequence number. Returns `false` when the queue is
+    /// Refill the exhausted front with the wheel's next same-timestamp
+    /// bucket, sorted by sequence number. Returns `false` when the queue is
     /// exhausted.
     fn refill_front(&mut self) -> bool {
-        debug_assert!(self.front.is_empty());
+        debug_assert_eq!(self.front_read, self.front.len());
+        self.front.clear();
+        self.front_read = 0;
         let mut iterations = 0u64;
         loop {
             // Defensive livelock guard: every iteration either returns,
@@ -855,31 +1043,39 @@ impl EventQueue {
                 return false;
             };
 
-            let slot = (tick & SLOT_MASK) as usize;
-            self.occupancy[0] &= !(1 << slot);
-            self.slot_min[0][slot] = u64::MAX;
-            let mut bucket = std::mem::take(&mut self.scratch);
-            bucket.append(&mut self.levels[0][slot]);
-            self.wheel_count -= bucket.len();
-            for key in bucket.drain(..) {
-                debug_assert_eq!(key.time, tick);
-                if self.reap_if_cancelled(&key) {
-                    continue;
-                }
-                self.front.push_back(key);
+            let slot = (tick & L0_MASK) as usize;
+            let word = slot / 64;
+            self.l0_words[word] &= !(1 << (slot % 64));
+            if self.l0_words[word] == 0 {
+                self.l0_summary &= !(1 << word);
             }
-            self.scratch = bucket;
+            // Walk the slot's list straight into the front, handing each
+            // node back to the free list.
+            let mut i = std::mem::replace(&mut self.l0_head[slot], NIL);
+            while i != NIL {
+                let Node { key, next } = self.nodes[i as usize];
+                self.nodes[i as usize].next = self.free_node;
+                self.free_node = i;
+                i = next;
+                self.wheel_count -= 1;
+                debug_assert_eq!(key.time, tick);
+                if !self.reap_if_cancelled(&key) {
+                    self.front.push(key);
+                }
+            }
             self.cursor = tick;
             if self.front.is_empty() {
                 continue; // the whole bucket had been cancelled
             }
-            // Bucket FIFO == seq FIFO: direct inserts and cascades may have
-            // interleaved, so restore the heap's (time, seq) order within
-            // the same-timestamp bucket. Nearly always already sorted. The
-            // sort must be *stable*: seeded (content-derived) keys may
-            // repeat, and equal keys keep the order they reached the bucket
-            // in.
-            self.front.make_contiguous().sort_by_key(|k| k.seq);
+            // Bucket FIFO == seq FIFO: the list ran newest first, so reverse
+            // it into arrival order; direct inserts and cascades may have
+            // interleaved, so then restore the heap's (time, seq) order
+            // within the same-timestamp bucket. Nearly always already
+            // sorted. The sort must be *stable*: seeded (content-derived)
+            // keys may repeat, and equal keys keep the order they reached
+            // the bucket in.
+            self.front.reverse();
+            self.front.sort_by_key(|k| k.seq);
             return true;
         }
     }
@@ -930,19 +1126,83 @@ mod tests {
 
     #[test]
     fn ties_across_wheel_levels_still_pop_in_seq_order() {
-        // Event 0 lands on wheel level 1 (delta 1000 ns) and stays there
-        // while the cursor advances past 936 ns via two level-0 pops. Event
-        // 3 then schedules at the same 1000 ns timestamp with delta < 64,
+        // Event 0 lands on wheel level 1 (delta 5000 ns) and stays there
+        // while the cursor advances past 904 ns via two level-0 pops. Event
+        // 3 then schedules at the same 5000 ns timestamp with delta < 4096,
         // going straight into the level-0 bucket — *before* event 0 cascades
         // into it. The drain must still pop seq 0 first.
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(1000), start(0));
+        q.schedule(SimTime::from_nanos(5000), start(0));
         q.schedule(SimTime::from_nanos(900), start(1));
         q.schedule(SimTime::from_nanos(950), start(2));
         assert_eq!(q.pop().map(|(t, _)| t.as_nanos()), Some(900));
         assert_eq!(q.pop().map(|(t, _)| t.as_nanos()), Some(950));
-        q.schedule(SimTime::from_nanos(1000), start(3));
-        assert_eq!(popped_flows(&mut q), vec![(1000, 0), (1000, 3)]);
+        q.schedule(SimTime::from_nanos(5000), start(3));
+        assert_eq!(popped_flows(&mut q), vec![(5000, 0), (5000, 3)]);
+        assert_eq!(q.cascaded, 1);
+    }
+
+    #[test]
+    fn only_keys_beyond_the_level0_window_cascade() {
+        // From a cursor at 1000 ns, keys due 1, 2100 and 4095 ns ahead go
+        // straight to their final level-0 slot; 4096 ns ahead is the first
+        // delay past the window, parked on level 1 and cascaded once.
+        for (delta, cascades) in [(1, 0), (2_100, 0), (4_095, 0), (4_096, 1)] {
+            let mut q = EventQueue::new();
+            q.schedule(SimTime::from_nanos(1_000), start(0));
+            q.pop();
+            q.schedule(SimTime::from_nanos(1_000 + delta), start(1));
+            q.debug_validate();
+            assert_eq!(popped_flows(&mut q), vec![(1_000 + delta, 1)]);
+            assert_eq!(q.cascaded, cascades, "delta {delta}");
+        }
+        // All four at once, with ties, still pop in (time, seq) order.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(1_000), start(0));
+        q.pop();
+        for (flow, delta) in [4_096, 1, 4_095, 2_100, 1, 4_096].into_iter().enumerate() {
+            q.schedule(SimTime::from_nanos(1_000 + delta), start(flow + 1));
+        }
+        q.debug_validate();
+        assert_eq!(
+            popped_flows(&mut q),
+            vec![
+                (1_001, 2),
+                (1_001, 5),
+                (3_100, 4),
+                (5_095, 3),
+                (5_096, 1),
+                (5_096, 6)
+            ]
+        );
+        assert_eq!(q.cascaded, 2);
+    }
+
+    #[test]
+    fn cancelled_tombstones_in_a_level0_list_are_reaped_at_drain() {
+        // Five keys share one level-0 instant (no cascade reaps them on the
+        // way down); cancelling three leaves tombstones in the slot's list
+        // that the drain into the front must drop, payloads and all.
+        let mut q = EventQueue::new();
+        let at = SimTime::from_nanos(2_000);
+        let ids: Vec<_> = (0..5)
+            .map(|f| q.schedule_cancellable(at, start(f)))
+            .collect();
+        q.schedule(SimTime::from_nanos(2_001), start(9));
+        for &i in &[0, 2, 3] {
+            assert!(q.cancel(ids[i]));
+        }
+        assert_eq!(q.cancelled.len(), 3);
+        q.debug_validate();
+        assert_eq!(
+            popped_flows(&mut q),
+            vec![(2_000, 1), (2_000, 4), (2_001, 9)]
+        );
+        assert_eq!(q.cascaded, 0);
+        assert!(q.cancelled.is_empty(), "every tombstone was reaped");
+        assert!(q.cancellable_pending.is_empty());
+        assert_eq!(q.small_free.len(), q.small.len(), "every payload freed");
+        q.debug_validate();
     }
 
     #[test]
@@ -985,7 +1245,7 @@ mod tests {
 
     #[test]
     fn far_future_events_cascade_down_from_the_top_levels() {
-        // 100 s and 200 s (~2^36.5 and ~2^37.5 ns) sit on level 6; both
+        // 100 s and 200 s (~2^36.5 and ~2^37.5 ns) sit on level 5; both
         // must cascade level by level into the near wheels in (time, seq)
         // order, interleaved with near events.
         let mut q = EventQueue::new();
@@ -1011,7 +1271,7 @@ mod tests {
 
     #[test]
     fn an_event_at_the_end_of_the_clock_pops_last() {
-        // u64::MAX ns lands on the top level (10); it must wait there while
+        // u64::MAX ns lands on the top level (9); it must wait there while
         // near and 100 s events drain, then cascade all the way down.
         let mut q = EventQueue::new();
         let end = SimTime::from_nanos(u64::MAX);
@@ -1069,14 +1329,15 @@ mod tests {
         // event in that slot, and schedule an earlier event that maps to a
         // *different* slot. The earlier event must still pop first.
         let mut q = EventQueue::new();
-        // Cursor to 2111 (the last tick of level-1 slot [2048, 2112)).
-        q.schedule(SimTime::from_nanos(2111), start(0));
+        // Cursor to 8191 (the last tick of level-1 slot [4096, 8192)).
+        q.schedule(SimTime::from_nanos(8191), start(0));
         q.pop();
-        // 6200 ∈ [2048, 2112) + 4096 → wraps into the cursor's own slot.
-        q.schedule(SimTime::from_nanos(6200), start(1));
-        // 4300 maps elsewhere and precedes 6200.
-        q.schedule(SimTime::from_nanos(4300), start(2));
-        assert_eq!(popped_flows(&mut q), vec![(4300, 2), (6200, 1)]);
+        // 267000 ∈ [4096, 8192) + 2^18 → wraps into the cursor's own slot.
+        q.schedule(SimTime::from_nanos(267_000), start(1));
+        // 20000 maps elsewhere and precedes 267000.
+        q.schedule(SimTime::from_nanos(20_000), start(2));
+        q.debug_validate();
+        assert_eq!(popped_flows(&mut q), vec![(20_000, 2), (267_000, 1)]);
     }
 
     #[test]
@@ -1182,17 +1443,24 @@ mod tests {
                 q.pop();
             }
             if round % 100 == 0 {
-                let (arrivals, small) = q.debug_pool_sizes();
+                let (arrivals, small, arena) = q.debug_pool_sizes();
                 let bound = 2 * live_peak + 16;
                 assert!(
                     arrivals + small <= bound,
                     "pools grew to {arrivals}+{small} (live peak {live_peak})"
                 );
+                assert!(
+                    arena <= bound,
+                    "key arena grew to {arena} (live peak {live_peak})"
+                );
+                q.debug_validate();
             }
         }
         while q.pop().is_some() {}
-        let (arrivals, small) = q.debug_pool_sizes();
+        let (arrivals, small, arena) = q.debug_pool_sizes();
         assert!(arrivals + small <= 2 * live_peak + 16);
+        assert!(arena <= 2 * live_peak + 16);
+        assert!(arena > 0, "the churn ran through the level-0 arena");
         q.debug_validate();
     }
 
@@ -1204,8 +1472,10 @@ mod tests {
         let mut q = EventQueue::new();
         let mut footprint_after_first = None;
         for _cycle in 0..50 {
+            // Half inside the level-0 window (the key arena), half beyond
+            // it (higher-level slots).
             for i in 0..64 {
-                q.schedule(SimTime::from_nanos(100 + i as u64 * 37), start(i));
+                q.schedule(SimTime::from_nanos(100 + i as u64 * 137), start(i));
             }
             for _ in 0..20 {
                 q.pop();
@@ -1215,7 +1485,9 @@ mod tests {
             assert_eq!(q.len(), 0);
             assert_eq!(q.now(), SimTime::ZERO);
             assert_eq!(q.peek_time(), None);
-            let fp = q.debug_pool_sizes();
+            let fp = (q.debug_pool_sizes(), q.nodes.capacity());
+            assert_eq!(fp.0, (0, 0, 0), "reset empties the pools and the key arena");
+            assert!(fp.1 >= 30, "and keeps the arena's allocation");
             match footprint_after_first {
                 None => footprint_after_first = Some(fp),
                 Some(first) => assert_eq!(fp, first, "reset cycles must not grow the pools"),

@@ -6,8 +6,10 @@
 //! must be bit-identical between the two implementations on *any* sequence
 //! of schedule / schedule_cancellable / cancel / pop / peek operations,
 //! including timestamp ties, zero-delay schedules, pacing-like spacings and
-//! far-future (top-level) timestamps — and likewise for the seeded entry
-//! points a `Network` uses, where keys may repeat.
+//! far-future (top-level) timestamps, and timestamps concentrated on the
+//! wheel's own edges (the end of the 4096 ns level-0 window, the 64-slot
+//! words of its occupancy bitmap, the wrap of its slot ring) — and likewise
+//! for the seeded entry points a `Network` uses, where keys may repeat.
 
 mod heap_reference;
 
@@ -151,6 +153,127 @@ proptest! {
     #[test]
     fn wheel_matches_heap_reference_long_runs(seed in 0u64..u64::MAX) {
         differential_run(seed ^ 0xdead_beef, 6_000);
+    }
+}
+
+// ---- the wheel's own edges -------------------------------------------------
+//
+// Level 0 holds every key due within 4096 ns of the cursor, one slot per
+// nanosecond, found through 64-bit occupancy words and a summary word; the
+// slot ring wraps every 4096 ns. Off-by-one errors live at those edges, so
+// these runs draw their timestamps there.
+
+/// The level-0 window's length in ns.
+const WINDOW: u64 = 4096;
+
+/// An absolute timestamp at or after `now` on one of the wheel's edges:
+/// just inside or just past the end of the level-0 window (and of the
+/// first level-1 slot), on the boundary of a 64-slot bitmap word, or
+/// around the wrap of the 4096-slot ring.
+fn geometry_edge_time(rng: &mut ChaCha8Rng, now: u64) -> u64 {
+    let near = |rng: &mut ChaCha8Rng, edge: u64| -> u64 {
+        edge.saturating_add(rng.gen_range(0u64..5))
+            .saturating_sub(2)
+    };
+    let at = match rng.gen_range(0u32..4) {
+        // Delays of 4094..=4098 ns, and the same past one more window.
+        0 => near(rng, now.saturating_add(WINDOW)),
+        1 => near(rng, now.saturating_add(2 * WINDOW)),
+        // Slots 64k − 2 ..= 64k + 2 of the ring, within the window.
+        2 => {
+            let word_start = now.saturating_add(rng.gen_range(0..WINDOW)) & !63;
+            near(rng, word_start)
+        }
+        // Slots 4094..=4095 and 0..=2 of the next ring revolution.
+        _ => near(rng, (now | (WINDOW - 1)).saturating_add(1)),
+    };
+    at.max(now)
+}
+
+/// A differential run whose schedules sit on the wheel's edges, through
+/// the unseeded entry points, with cancellations, peeks and pop bursts.
+fn geometry_differential_run(seed: u64, ops: usize) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x0ed9_e5ed);
+    let mut wheel = EventQueue::new();
+    let mut heap = HeapEventQueue::new();
+    let mut handles: Vec<(EventId, u64)> = Vec::new();
+    for op in 0..ops {
+        match rng.gen_range(0u32..100) {
+            0..=49 => {
+                let at = SimTime::from_nanos(geometry_edge_time(&mut rng, wheel.now().as_nanos()));
+                let a = wheel.schedule(at, start(op));
+                let b = heap.schedule(at, start(op));
+                assert_eq!(a.as_u64(), b, "seq allocation diverged");
+            }
+            50..=64 => {
+                let at = SimTime::from_nanos(geometry_edge_time(&mut rng, wheel.now().as_nanos()));
+                let a = wheel.schedule_cancellable(at, start(op));
+                let b = heap.schedule_cancellable(at, start(op));
+                assert_eq!(a.as_u64(), b, "seq allocation diverged");
+                handles.push((a, b));
+            }
+            65..=72 => {
+                if !handles.is_empty() {
+                    let i = rng.gen_range(0..handles.len());
+                    let (a, b) = handles.swap_remove(i);
+                    assert_eq!(
+                        wheel.cancel(a),
+                        heap.cancel(b),
+                        "cancel diverged at op {op}"
+                    );
+                }
+            }
+            73..=79 => {
+                assert_eq!(
+                    wheel.peek_time(),
+                    heap.peek_time(),
+                    "peek diverged at op {op}"
+                );
+            }
+            _ => {
+                for _ in 0..rng.gen_range(1usize..6) {
+                    let state = wheel.debug_dump();
+                    match (wheel.pop_entry(), heap.pop_entry()) {
+                        (None, None) => break,
+                        (a, b) => assert_eq!(
+                            a.map(|(t, i, e)| (t, i.as_u64(), flow_of(&e))),
+                            b.map(|(t, i, e)| (t, i, flow_of(&e))),
+                            "pop diverged at op {op}; pre-pop state:\n{state}"
+                        ),
+                    }
+                    assert_eq!(wheel.now(), heap.now());
+                }
+            }
+        }
+        assert_eq!(wheel.len(), heap.len(), "len diverged at op {op}");
+        wheel.debug_validate();
+    }
+    loop {
+        match (wheel.pop_entry(), heap.pop_entry()) {
+            (None, None) => break,
+            (a, b) => assert_eq!(
+                a.map(|(t, i, e)| (t, i.as_u64(), flow_of(&e))),
+                b.map(|(t, i, e)| (t, i, flow_of(&e))),
+                "drain diverged"
+            ),
+        }
+    }
+    assert!(wheel.is_empty() && heap.is_empty());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn wheel_matches_heap_on_its_edges(seed in 0u64..u64::MAX) {
+        geometry_differential_run(seed, 400);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+    #[test]
+    fn wheel_matches_heap_on_its_edges_long_runs(seed in 0u64..u64::MAX) {
+        geometry_differential_run(seed ^ 0x1e7e_1000, 6_000);
     }
 }
 
@@ -321,7 +444,9 @@ fn seeded_differential_run(seed: u64, ops: usize) {
         let epoch_key = epoch * REPEATED_KEYS + rng.gen_range(0..REPEATED_KEYS);
         let plain: Option<(u64, u64)> = match rng.gen_range(0u32..100) {
             // Tie-prone near-future schedule under a repeated key.
-            0..=34 => Some((now.saturating_add(rng.gen_range(0u64..20) * 400), epoch_key)),
+            0..=24 => Some((now.saturating_add(rng.gen_range(0u64..20) * 400), epoch_key)),
+            // The same on the wheel's edges.
+            25..=34 => Some((geometry_edge_time(&mut rng, now), epoch_key)),
             // Behind the cursor right after a peek (the peek drains the next
             // bucket into the front and moves the cursor to it), often at
             // the peeked instant itself.
