@@ -32,9 +32,7 @@
 //!   levels (their remaining delay now fits them); the slot's buffer is
 //!   swapped out whole, not copied. Each key cascades at most `LEVELS − 1`
 //!   times, so scheduling stays amortized O(1), and only keys due more
-//!   than 4096 ns ahead (timers, flow starts) cascade at all. A bit mask
-//!   of occupied levels keeps the search for the next higher-level slot to
-//!   the levels that hold keys.
+//!   than 4096 ns ahead (timers, flow starts) cascade at all.
 //! * **The front.** Every pending key at or behind the cursor waits in one
 //!   `Vec` sorted by `(time, seq)` and read through an index: the
 //!   same-timestamp bucket last drained from the wheel, plus anything
@@ -245,8 +243,6 @@ pub struct EventQueue {
     /// One occupancy bit per slot, per level `>= 1` (bit `s` set ⇔ slot
     /// non-empty); entry 0 stays zero.
     occupancy: [u64; LEVELS],
-    /// Bit `l` set ⇔ `occupancy[l]` is non-zero.
-    level_mask: u32,
     /// `slot_min[higher_index(l, s)]`: minimum timestamp in that slot
     /// (`u64::MAX` when empty). Maintained on push and slot drain, so the
     /// cursor's own slot — whose lower bound is its actual minimum, not its
@@ -309,7 +305,6 @@ impl EventQueue {
             free_node: NIL,
             levels: (0..(LEVELS - 1) * SLOTS).map(|_| Vec::new()).collect(),
             occupancy: [0; LEVELS],
-            level_mask: 0,
             slot_min: vec![u64::MAX; (LEVELS - 1) * SLOTS],
             wheel_count: 0,
             arrivals: Vec::new(),
@@ -351,7 +346,6 @@ impl EventQueue {
             slot.clear();
         }
         self.occupancy = [0; LEVELS];
-        self.level_mask = 0;
         self.slot_min.fill(u64::MAX);
         self.wheel_count = 0;
         self.arrivals.clear();
@@ -746,11 +740,6 @@ impl EventQueue {
         );
         for level in 1..LEVELS {
             let shift = level_shift(level);
-            assert_eq!(
-                self.level_mask & (1 << level) != 0,
-                self.occupancy[level] != 0,
-                "level {level}: level mask disagrees with occupancy"
-            );
             for slot in 0..SLOTS {
                 let occupied = self.occupancy[level] & (1 << slot) != 0;
                 let keys = &self.levels[higher_index(level, slot)];
@@ -899,7 +888,6 @@ impl EventQueue {
         self.slot_min[i] = self.slot_min[i].min(key.time);
         self.levels[i].push(key);
         self.occupancy[level] |= 1 << slot;
-        self.level_mask |= 1 << level;
     }
 
     /// Redistribute one slot of level `l >= 1` into finer levels. The cursor
@@ -912,9 +900,6 @@ impl EventQueue {
         let mut keys = std::mem::take(&mut self.scratch);
         std::mem::swap(&mut keys, &mut self.levels[i]);
         self.occupancy[level] &= !(1 << slot);
-        if self.occupancy[level] == 0 {
-            self.level_mask &= !(1 << level);
-        }
         self.slot_min[i] = u64::MAX;
         self.wheel_count -= keys.len();
         for key in keys.drain(..) {
@@ -974,11 +959,11 @@ impl EventQueue {
                 *best = Some((bound, level, slot));
             }
         };
-        let mut levels = self.level_mask;
-        while levels != 0 {
-            let level = levels.trailing_zeros() as usize;
-            levels &= levels - 1;
+        for level in 1..LEVELS {
             let occ = self.occupancy[level];
+            if occ == 0 {
+                continue;
+            }
             let shift = level_shift(level);
             let base_slot = (self.cursor >> shift) & SLOT_MASK;
             let mut rotated = occ.rotate_right(base_slot as u32);

@@ -244,11 +244,6 @@ struct LinkState {
     /// transmissions are serialized by its own queue, so the draw sequence
     /// is invariant under partitioning and threading.
     rng: u64,
-    /// The serialization times of the last two wire sizes sent, most
-    /// recent first, at the link's current capacity (reset when it
-    /// changes). Zero bytes serialize in zero time at any capacity, so the
-    /// initial entries are already correct.
-    tx_memo: [(u32, SimDuration); 2],
     stats: LinkStats,
 }
 
@@ -262,25 +257,8 @@ impl LinkState {
             free: (SimTime::ZERO, 0),
             wake_pending: false,
             rng,
-            tx_memo: [(0, SimDuration::ZERO); 2],
             stats: LinkStats::default(),
         }
-    }
-
-    /// [`SimDuration::transmission`] of `wire_bytes` at `capacity_bps`, the
-    /// link's current capacity, memoized for the last two sizes.
-    fn transmission(&mut self, wire_bytes: u32, capacity_bps: f64) -> SimDuration {
-        let [last, before] = self.tx_memo;
-        if last.0 == wire_bytes {
-            return last.1;
-        }
-        if before.0 == wire_bytes {
-            self.tx_memo = [before, last];
-            return before.1;
-        }
-        let tx_time = SimDuration::transmission(wire_bytes as u64, capacity_bps);
-        self.tx_memo = [(wire_bytes, tx_time), last];
-        tx_time
     }
 
     /// Whether any packet, data or control, is waiting for the wire.
@@ -722,7 +700,7 @@ fn try_transmit(shared: &Shared, core: &mut PartitionCore, link: LinkId) {
         }
         ls.stats.bytes_transmitted += packet.wire_bytes as u64;
         ls.stats.packets_transmitted += 1;
-        let tx_time = ls.transmission(packet.wire_bytes, shared.link_caps[link]);
+        let tx_time = SimDuration::transmission(packet.wire_bytes as u64, shared.link_caps[link]);
         debug_assert!(!tx_time.is_zero(), "a packet occupies the link ≥ 1 ns");
         ls.free = (
             now + tx_time,
@@ -1510,11 +1488,11 @@ impl Network {
                 );
                 self.shared.link_caps[link] = capacity_bps;
                 let p = self.shared.link_part[link];
-                if let Some(ls) = self.parts[p].links[link].as_mut() {
-                    ls.tx_memo = [(0, SimDuration::ZERO); 2];
-                    if let Some(ctrl) = ls.controller.as_mut() {
-                        ctrl.on_capacity_change(capacity_bps);
-                    }
+                if let Some(ctrl) = self.parts[p].links[link]
+                    .as_mut()
+                    .and_then(|ls| ls.controller.as_mut())
+                {
+                    ctrl.on_capacity_change(capacity_bps);
                 }
             }
             LinkChange::Loss(probability) => {
@@ -2831,8 +2809,7 @@ mod tests {
         // Two one-packet flows of one wire size cross the uplink, at 0 and
         // 20 µs, around an optional 40 -> 1 Gbps change at 10 µs: the first
         // serializes at 40 Gbps either way, the second at the new speed —
-        // the link's memoized serialization time does not outlive the
-        // change.
+        // a size the link already sent is not timed at its old capacity.
         let fcts = |speed: Option<f64>| {
             let mut net = small_net();
             let hosts: Vec<_> = net.topology().hosts().to_vec();
