@@ -298,7 +298,6 @@ mod tests {
         let topo = net.topology().clone();
         let (fwd, rev) = net
             .route(original)
-            .links()
             .iter()
             .find_map(|&l| {
                 let spec = &topo.links()[l];

@@ -613,7 +613,6 @@ mod tests {
         let topo = net.topology().clone();
         let (fwd, rev) = net
             .route(original)
-            .links()
             .iter()
             .find_map(|&l| {
                 let spec = &topo.links()[l];
@@ -627,7 +626,7 @@ mod tests {
         net.run_until(SimTime::from_millis(5));
         let detour = net.flow_spec(flow).route;
         assert_ne!(detour, original, "the flow must move off the dead cable");
-        assert!(!net.route(detour).links().contains(&fwd));
+        assert!(!net.route(detour).contains(&fwd));
         // The clock restarted: the flow is back at (close to) its NIC rate.
         let rate = net.flow_rate_estimate(flow);
         assert!(rate > 8.5e9, "flow stalled after the cut: {rate:.3e} bps");

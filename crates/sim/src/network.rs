@@ -356,6 +356,13 @@ struct GlobalEvent {
 /// runtimes, endpoint state and outgoing boundary traffic. `Send`
 /// (asserted at compile time below) so an epoch can run on a worker
 /// thread.
+///
+/// Aligned to a 64-byte cache line: the cores sit side by side in
+/// `Network::parts` and each worker writes its own core's clock and
+/// wheel on every event, so two cores must never share a line. Unaligned,
+/// whether they did depended on where the allocator put the vector, and
+/// the threaded run's CPU time moved with unrelated heap changes.
+#[repr(align(64))]
 struct PartitionCore {
     index: usize,
     events: EventQueue,
@@ -616,6 +623,15 @@ fn handle_link_timer(core: &mut PartitionCore, link: LinkId, id: EventId) {
     }
 }
 
+/// The link a packet of `route` is sent on first; flow routes are never
+/// empty ([`Network::add_flow`] refuses one).
+#[inline]
+fn first_hop(routes: &RouteTable, route: RouteId) -> LinkId {
+    routes
+        .hop(route, 0)
+        .expect("a flow route has at least one link")
+}
+
 fn enqueue_on_link(shared: &Shared, core: &mut PartitionCore, link: LinkId, mut packet: Packet) {
     debug_assert_eq!(
         shared.link_part[link], core.index,
@@ -825,7 +841,7 @@ fn receiver_deliver(shared: &Shared, core: &mut PartitionCore, packet: Packet) {
         },
     );
     core.flow_packets[flow] += 1;
-    let first = shared.routes.links(reverse)[0];
+    let first = first_hop(&shared.routes, reverse);
     enqueue_on_link(shared, core, first, ack);
 }
 
@@ -1127,9 +1143,9 @@ impl Network {
     }
 
     /// Resolve an interned route id (from a [`FlowSpec`] or [`Packet`]) to
-    /// the route itself.
-    pub fn route(&self, id: RouteId) -> &Route {
-        self.shared.routes.get(id)
+    /// its links, in traversal order.
+    pub fn route(&self, id: RouteId) -> &[LinkId] {
+        self.shared.routes.links(id)
     }
 
     /// The network's route arena (interned, deduplicated flow routes).
@@ -1220,10 +1236,10 @@ impl Network {
             "flow route must traverse at least one link"
         );
         let reverse = self.shared.topo.reverse_route(&route);
-        let base_rtt = self
-            .shared
-            .topo
-            .base_rtt(&route, MTU_BYTES as u64, HEADER_BYTES as u64);
+        let base_rtt =
+            self.shared
+                .topo
+                .base_rtt(route.links(), MTU_BYTES as u64, HEADER_BYTES as u64);
         let route = self.shared.routes.intern(route);
         let reverse_route = self.shared.routes.intern(reverse);
         let spec = FlowSpec {
@@ -1599,7 +1615,7 @@ impl Network {
             let base_rtt =
                 self.shared
                     .topo
-                    .base_rtt(&new_route, MTU_BYTES as u64, HEADER_BYTES as u64);
+                    .base_rtt(new_route.links(), MTU_BYTES as u64, HEADER_BYTES as u64);
             let route_id = self.shared.routes.intern(new_route);
             let reverse_id = self.shared.routes.intern(reverse);
             let spec = &mut self.shared.specs[flow];
@@ -2168,14 +2184,14 @@ impl AgentCtx<'_> {
         sender.bytes_sent = sender.bytes_acked;
     }
 
-    /// The flow's forward route.
-    pub fn route(&self) -> &Route {
-        self.shared.routes.get(self.shared.specs[self.flow].route)
+    /// The links of the flow's forward route, in traversal order.
+    pub fn route(&self) -> &[LinkId] {
+        self.shared.routes.links(self.shared.specs[self.flow].route)
     }
 
     /// Capacity of the flow's first-hop (host NIC) link, in bits/s.
     pub fn first_hop_capacity_bps(&self) -> f64 {
-        let first = self.shared.routes.links(self.shared.specs[self.flow].route)[0];
+        let first = first_hop(&self.shared.routes, self.shared.specs[self.flow].route);
         self.shared.link_caps[first]
     }
 
@@ -2215,7 +2231,7 @@ impl AgentCtx<'_> {
             sender.packets_sent += 1;
         }
         self.core.flow_packets[self.flow] += 1;
-        let first = self.shared.routes.links(route)[0];
+        let first = first_hop(&self.shared.routes, route);
         enqueue_on_link(self.shared, self.core, first, packet);
         wire
     }
@@ -2284,7 +2300,7 @@ mod tests {
     use super::*;
     use crate::queue::DropTailFifo;
     use crate::reference::SimpleWindowAgent;
-    use crate::topology::{LeafSpineConfig, NodeKind};
+    use crate::topology::{FatTreeConfig, LeafSpineConfig, NodeKind};
     use crate::transport::NullController;
 
     fn small_net() -> Network {
@@ -2439,7 +2455,7 @@ mod tests {
         );
         net.run_until(SimTime::from_millis(20));
         assert_eq!(net.flow_phase(flow), FlowPhase::Completed);
-        let first_link = net.route(net.flow_spec(flow).route).links()[0];
+        let first_link = net.route(net.flow_spec(flow).route)[0];
         let stats = net.link_stats(first_link);
         assert!(stats.packets_transmitted >= 100);
         assert!(stats.bytes_transmitted >= 150_000);
@@ -2636,13 +2652,61 @@ mod tests {
         net.run_until(SimTime::from_millis(2));
         let detour = net.flow_spec(flow).route;
         assert_ne!(detour, original, "failure must move the flow off spine 0");
-        assert!(!net.route(detour).links().contains(&failed));
+        assert!(!net.route(detour).contains(&failed));
         let delivered_at_2ms = net.flow_stats(flow).bytes_delivered;
         net.run_until(SimTime::from_millis(4));
         // The restore puts the ECMP choice back on its original path, and
         // the flow kept making progress across the whole flap.
         assert_eq!(net.flow_spec(flow).route, original);
         assert!(net.flow_stats(flow).bytes_delivered > delivered_at_2ms);
+    }
+
+    #[test]
+    fn a_flapping_cable_reuses_the_routes_of_its_first_flap() {
+        // The route arena only grows: the detours and restored paths of a
+        // second down/up cycle must all be routes the first one interned.
+        let topo = Topology::fat_tree(&FatTreeConfig::new(4));
+        let mut net = Network::new(topo, |_| Box::new(DropTailFifo::with_default_buffer()));
+        let hosts: Vec<_> = net.topology().hosts().to_vec();
+        let flows: Vec<FlowId> = (0..4)
+            .flat_map(|src| (4..16).map(move |dst| (src, dst)))
+            .map(|(src, dst)| {
+                net.add_flow(
+                    hosts[src],
+                    hosts[dst],
+                    None,
+                    SimTime::ZERO,
+                    src + dst, // spread the ECMP pins
+                    None,
+                    Box::new(SimpleWindowAgent::new(4)),
+                )
+            })
+            .collect();
+        let original: Vec<RouteId> = flows.iter().map(|&f| net.flow_spec(f).route).collect();
+        let interned = net.routes().len();
+        // Hop 1 of an inter-pod route is an edge-to-aggregation cable.
+        let cable = net.route(original[0])[1];
+        for (ms, change) in [
+            (1, LinkChange::Down),
+            (2, LinkChange::Up),
+            (3, LinkChange::Down),
+            (4, LinkChange::Up),
+        ] {
+            net.schedule_link_change(SimTime::from_millis(ms), cable, change);
+        }
+        net.run_until(SimTime::from_micros(1_500));
+        let on_cable = flows
+            .iter()
+            .filter(|&&f| net.route(net.flow_spec(f).route).contains(&cable))
+            .count();
+        assert_eq!(on_cable, 0, "every flow must avoid the cut cable");
+        net.run_until(SimTime::from_micros(2_500));
+        let after_first = net.routes().len();
+        assert!(after_first > interned, "the first cut must intern detours");
+        net.run_until(SimTime::from_micros(4_500));
+        assert_eq!(net.routes().len(), after_first);
+        let restored: Vec<RouteId> = flows.iter().map(|&f| net.flow_spec(f).route).collect();
+        assert_eq!(restored, original);
     }
 
     #[test]
@@ -2681,10 +2745,7 @@ mod tests {
             let fwd_moved = net.flow_spec(fwd_flow).route != fwd_route;
             let rev_moved = net.flow_spec(rev_flow).route != rev_route;
             assert!(fwd_moved, "the dead direction is always avoided");
-            assert!(!net
-                .route(net.flow_spec(fwd_flow).route)
-                .links()
-                .contains(&dead));
+            assert!(!net.route(net.flow_spec(fwd_flow).route).contains(&dead));
             rev_moved
         };
         assert!(

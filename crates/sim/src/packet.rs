@@ -230,13 +230,13 @@ impl Packet {
     /// destination yet.
     #[inline]
     pub fn next_link(&self, routes: &RouteTable) -> Option<crate::topology::LinkId> {
-        routes.links(self.route).get(self.hop as usize).copied()
+        routes.hop(self.route, self.hop as usize)
     }
 
     /// Whether the packet has traversed its entire route.
     #[inline]
     pub fn at_destination(&self, routes: &RouteTable) -> bool {
-        self.hop as usize >= routes.links(self.route).len()
+        routes.hop(self.route, self.hop as usize).is_none()
     }
 
     /// Advance to the next hop (called by the network when the packet finishes

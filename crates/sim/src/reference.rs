@@ -107,7 +107,7 @@ mod tests {
         assert!(rate > 9e9, "rate = {rate}");
         assert!(rate < 10e9, "rate = {rate}");
         // Window larger than the BDP keeps a standing queue at the bottleneck.
-        let first_link = net.route(net.flow_spec(flow).route).links()[0];
+        let first_link = net.route(net.flow_spec(flow).route)[0];
         let _ = net.link_stats(first_link);
         net.run_for(SimDuration::from_micros(100));
     }

@@ -136,8 +136,8 @@ pub const ROUTE_INLINE_HOPS: usize = 8;
 /// Internal hop storage of a [`Route`]: a fixed inline array for the
 /// overwhelmingly common short path, a heap vector only when a path exceeds
 /// [`ROUTE_INLINE_HOPS`]. The representation is canonical — `len <=
-/// ROUTE_INLINE_HOPS` is always `Inline` — but equality and hashing go
-/// through [`Route::links`] regardless, so only the hop sequence matters.
+/// ROUTE_INLINE_HOPS` is always `Inline` — but equality goes through
+/// [`Route::links`] regardless, so only the hop sequence matters.
 #[derive(Debug, Clone)]
 enum Hops {
     Inline {
@@ -149,11 +149,13 @@ enum Hops {
 
 /// A precomputed route: the sequence of links a packet traverses.
 ///
-/// Hops are stored inline (no heap allocation) for paths of up to
-/// [`ROUTE_INLINE_HOPS`] links — every route on the supported fabrics — so
-/// building, cloning and interning candidate routes during ECMP enumeration
-/// and failure re-selection never allocates; longer paths transparently
-/// spill to a heap vector.
+/// A `Route` is a transient value: flow admission and failure re-selection
+/// build one, derive its reverse and base RTT, and hand it to
+/// [`crate::RouteTable::intern`], which copies the hops into its flat
+/// arena (a route already interned allocates nothing there). Hops are
+/// stored inline for paths of up to [`ROUTE_INLINE_HOPS`] links — every
+/// route on the supported fabrics — so building and cloning these values
+/// never allocates; longer paths transparently spill to a heap vector.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Route {
     hops: Hops,
@@ -245,12 +247,6 @@ impl PartialEq for Route {
     }
 }
 impl Eq for Route {}
-
-impl std::hash::Hash for Route {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.links().hash(state);
-    }
-}
 
 /// One adjacency entry: `link` joins the owning node and `peer`.
 #[derive(Debug, Clone, Copy)]
@@ -1127,15 +1123,15 @@ impl Topology {
             .expect("every link must have a reverse twin for ACK routing")
     }
 
-    /// Base (zero-queue) round-trip time along `route` and back for a packet
-    /// of `data_bytes` and an ACK of `ack_bytes`: propagation both ways plus
-    /// serialization at every hop.
-    pub fn base_rtt(&self, route: &Route, data_bytes: u64, ack_bytes: u64) -> SimDuration {
+    /// Base (zero-queue) round-trip time along the route `links` and back
+    /// for a packet of `data_bytes` and an ACK of `ack_bytes`: propagation
+    /// both ways plus serialization at every hop.
+    pub fn base_rtt(&self, links: &[LinkId], data_bytes: u64, ack_bytes: u64) -> SimDuration {
         let hop = |link: LinkId, bytes: u64| {
             let spec = &self.links[link];
             spec.delay + SimDuration::transmission(bytes, spec.capacity_bps)
         };
-        route.links().iter().fold(SimDuration::ZERO, |total, &l| {
+        links.iter().fold(SimDuration::ZERO, |total, &l| {
             total + hop(l, data_bytes) + hop(self.ack_link(l), ack_bytes)
         })
     }
@@ -1291,7 +1287,7 @@ mod tests {
         let topo = Topology::leaf_spine(&LeafSpineConfig::paper_default());
         let hosts = topo.hosts();
         let route = topo.host_route(hosts[0], hosts[127], 0);
-        let rtt = topo.base_rtt(&route, 40, 40);
+        let rtt = topo.base_rtt(route.links(), 40, 40);
         assert!(rtt >= SimDuration::from_micros(16), "rtt = {rtt}");
         assert!(rtt < SimDuration::from_micros(18), "rtt = {rtt}");
     }

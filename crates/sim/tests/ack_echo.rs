@@ -125,8 +125,8 @@ fn run(mode: AckMode) {
     net.run_until(SimTime::from_nanos(200_000));
 
     let spec = net.flow_spec(flow);
-    let forward = net.route(spec.route).links().to_vec();
-    let reverse = net.route(spec.reverse_route).links().to_vec();
+    let forward = net.route(spec.route).to_vec();
+    let reverse = net.route(spec.reverse_route).to_vec();
     assert_eq!((forward.len(), reverse.len()), (2, 2), "a two-link path");
     let echoed = stamps_over(&forward, true);
     let own = stamps_over(&reverse, false);

@@ -197,7 +197,7 @@ impl Rig {
 
     /// The `hop`-th link of a flow's current forward route.
     fn hop(&self, flow: FlowId, hop: usize) -> LinkId {
-        self.net.route(self.net.flow_spec(flow).route).links()[hop]
+        self.net.route(self.net.flow_spec(flow).route)[hop]
     }
 
     fn run_until_ns(&mut self, ns: u64) {

@@ -11,7 +11,7 @@
 use crate::arrivals::FlowArrival;
 use numfabric_num::utility::UtilityRef;
 use numfabric_num::{FluidNetworkBuilder, Oracle};
-use numfabric_sim::topology::{Route, Topology};
+use numfabric_sim::topology::{LinkId, Route, Topology};
 use numfabric_sim::{SimDuration, SimTime};
 
 /// The ideal completion results of one flow.
@@ -161,20 +161,20 @@ impl<'a> IdealFluidSimulator<'a> {
     }
 }
 
-/// The lowest possible FCT for a flow of `size_bytes` on `route` in an
-/// otherwise empty network: serialization at the bottleneck plus one base
-/// RTT of latency. This is the normalization used for Fig. 7 ("the results
-/// are normalized to the lowest possible FCT for each flow given its size").
-pub fn empty_network_fct(topo: &Topology, route: &Route, size_bytes: u64) -> SimDuration {
-    let bottleneck_bps = route
-        .links()
+/// The lowest possible FCT for a flow of `size_bytes` on the route `links`
+/// in an otherwise empty network: serialization at the bottleneck plus one
+/// base RTT of latency. This is the normalization used for Fig. 7 ("the
+/// results are normalized to the lowest possible FCT for each flow given its
+/// size").
+pub fn empty_network_fct(topo: &Topology, links: &[LinkId], size_bytes: u64) -> SimDuration {
+    let bottleneck_bps = links
         .iter()
         .map(|&l| topo.links()[l].capacity_bps)
         .fold(f64::INFINITY, f64::min);
     let packets = size_bytes.div_ceil(1460).max(1);
     let wire_bytes = size_bytes + packets * 40;
     let serialization = SimDuration::transmission(wire_bytes, bottleneck_bps);
-    let rtt = topo.base_rtt(route, 1500, 40);
+    let rtt = topo.base_rtt(links, 1500, 40);
     serialization + rtt
 }
 
@@ -272,7 +272,7 @@ mod tests {
         let hosts = topo.hosts().to_vec();
         let route = topo.host_route(hosts[0], hosts[7], 0);
         // 146 kB = 100 packets: 150 kB wire at 10 Gbps = 120 µs, plus ~16 µs RTT.
-        let fct = empty_network_fct(&topo, &route, 146_000);
+        let fct = empty_network_fct(&topo, route.links(), 146_000);
         assert!(fct >= SimDuration::from_micros(130), "fct = {fct}");
         assert!(fct <= SimDuration::from_micros(145), "fct = {fct}");
     }

@@ -59,8 +59,7 @@ fn main() {
     );
     for (id, size, label, _) in &flows {
         let fct = net.flow_stats(*id).fct().expect("flow completed");
-        let route = net.route(net.flow_spec(*id).route).clone();
-        let ideal = empty_network_fct(&topo, &route, *size);
+        let ideal = empty_network_fct(&topo, net.route(net.flow_spec(*id).route), *size);
         println!(
             "{:<10} {:>8} B {:>10.1} us {:>10.1} us {:>9.2}x",
             label,
