@@ -17,13 +17,12 @@ use crate::report::{
 };
 use crate::Protocol;
 use numfabric_baselines::{DctcpConfig, DgdConfig, PfabricConfig, RcpStarConfig};
-use numfabric_core::protocol::{install_numfabric, numfabric_network};
+use numfabric_core::protocol::numfabric_network;
 use numfabric_core::{AggregateState, NumFabricAgent, NumFabricConfig};
 use numfabric_num::bandwidth_function::{single_link_allocation, BandwidthFunction};
 use numfabric_num::fluid::{DgdFluid, FluidAlgorithm, RcpStarFluid, XwiFluid};
 use numfabric_num::utility::{BandwidthFunctionUtility, LogUtility};
 use numfabric_num::{FluidFlow, FluidNetwork, Oracle};
-use numfabric_sim::queue::StfqQueue;
 use numfabric_sim::topology::{LeafSpineConfig, NodeKind, Topology};
 use numfabric_sim::{FlowId, LinkChange, Network, SimDuration, SimTime};
 use numfabric_workloads::arrivals::{poisson_arrivals, PoissonWorkloadConfig};
@@ -837,8 +836,7 @@ pub fn fig9(_opts: &ScenarioOptions) -> Result<Report, RunError> {
     for &cap in &capacities {
         let (topo, nodes) = fig9_build_topology(cap);
         let (src1, src2, sw, dst) = (nodes[0], nodes[1], nodes[2], nodes[3]);
-        let mut net = Network::new(topo.clone(), |_| Box::new(StfqQueue::with_default_buffer()));
-        install_numfabric(&mut net, &config);
+        let mut net = numfabric_network(topo.clone(), &config);
 
         let bwfs = [
             BandwidthFunction::paper_flow1(),
@@ -913,8 +911,7 @@ pub fn fig10(_opts: &ScenarioOptions) -> Result<Report, RunError> {
     topo.add_duplex_link(sw_mid_out, dst2, 100e9, delay);
 
     let config = NumFabricConfig::default();
-    let mut net = Network::new(topo.clone(), |_| Box::new(StfqQueue::with_default_buffer()));
-    install_numfabric(&mut net, &config);
+    let mut net = numfabric_network(topo.clone(), &config);
 
     // One aggregate flow (`group`) over two paths, with bandwidth function
     // `bwf`: flow 1 over {top path, middle path}, flow 2 over {bottom path,
