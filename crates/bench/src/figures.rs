@@ -962,7 +962,7 @@ pub fn fig10(_opts: &ScenarioOptions) -> Result<Report, RunError> {
     while t < end {
         t += SimDuration::from_micros(200);
         if !switched && t >= switch_at {
-            net.schedule_link_change(net.now(), mid_fwd, LinkChange::Speed(17e9));
+            net.schedule_link_change(switch_at, mid_fwd, LinkChange::Speed(17e9));
             switched = true;
             report.text += "  -- middle link capacity changed to 17 Gbps --\n";
         }
