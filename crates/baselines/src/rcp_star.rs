@@ -261,8 +261,7 @@ mod tests {
             0,
             0,
             DEFAULT_PAYLOAD_BYTES,
-            numfabric_sim::RouteTable::new()
-                .intern(numfabric_sim::topology::Route::from_links(vec![0])),
+            numfabric_sim::RouteTable::new().intern(&[0]),
             Default::default(),
         );
         ctrl.on_dequeue(&mut p, SimTime::ZERO, 0);

@@ -233,7 +233,7 @@ mod tests {
         let mut core_flows = vec![0usize; topo.nodes().len()];
         for a in ChurnStream::new(topo.hosts(), mix, config) {
             let route = topo.host_route(a.arrival.src, a.arrival.dst, a.arrival.spine_choice);
-            for &l in route.links() {
+            for &l in &route {
                 core_flows[topo.links()[l].to] += 1;
             }
         }

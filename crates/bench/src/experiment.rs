@@ -217,12 +217,19 @@ impl Experiment {
         down: &HashSet<LinkId>,
     ) -> Vec<f64> {
         let topo = &self.topology;
+        // A failed cable is banned in both directions: a flow cannot use a
+        // path its ACKs cannot retrace.
+        let banned: HashSet<LinkId> = down
+            .iter()
+            .flat_map(|&id| [Some(id), topo.reverse_link(id)])
+            .flatten()
+            .collect();
         let routes: Vec<_> = paths
             .map(|p| {
-                if down.is_empty() {
+                if banned.is_empty() {
                     Some(topo.host_route(p.src, p.dst, p.spine_choice))
                 } else {
-                    topo.host_route_avoiding(p.src, p.dst, p.spine_choice, down)
+                    topo.host_route_avoiding(p.src, p.dst, p.spine_choice, &banned)
                 }
             })
             .collect();

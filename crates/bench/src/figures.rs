@@ -692,7 +692,7 @@ fn fig8_run_permutation(
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xf1f0);
 
     let mut pair_flows: Vec<Vec<usize>> = Vec::with_capacity(pairs.len());
-    for (pair_idx, pair) in pairs.iter().enumerate() {
+    for pair in &pairs {
         let handles = AggregateState::create(subflows);
         let mut ids = Vec::with_capacity(subflows);
         for handle in handles {
@@ -708,7 +708,7 @@ fn fig8_run_permutation(
                 None,
                 SimTime::ZERO,
                 spine,
-                Some(pair_idx),
+                None,
                 Box::new(agent),
             );
             ids.push(id);
@@ -849,7 +849,7 @@ pub fn fig9(_opts: &ScenarioOptions) -> Result<Report, RunError> {
                 let utility = BandwidthFunctionUtility::new(bwf.clone());
                 let agent = Box::new(NumFabricAgent::new(config.clone(), utility));
                 let route = topo.route_via(&[src, sw, dst]);
-                net.add_flow_on_route(src, dst, route, None, SimTime::ZERO, None, agent)
+                net.add_flow_on_route(src, dst, &route, None, SimTime::ZERO, agent)
             })
             .collect();
         net.run_until(SimTime::from_millis(10));
@@ -913,10 +913,10 @@ pub fn fig10(_opts: &ScenarioOptions) -> Result<Report, RunError> {
     let config = NumFabricConfig::default();
     let mut net = numfabric_network(topo.clone(), &config);
 
-    // One aggregate flow (`group`) over two paths, with bandwidth function
-    // `bwf`: flow 1 over {top path, middle path}, flow 2 over {bottom path,
-    // middle path}.
-    let mut aggregate = |group, bwf: BandwidthFunction, paths: [&[usize]; 2]| {
+    // One aggregate flow over two paths, with bandwidth function `bwf`:
+    // flow 1 over {top path, middle path}, flow 2 over {bottom path, middle
+    // path}.
+    let mut aggregate = |bwf: BandwidthFunction, paths: [&[usize]; 2]| {
         let subflows = paths
             .iter()
             .zip(AggregateState::create(2))
@@ -924,20 +924,11 @@ pub fn fig10(_opts: &ScenarioOptions) -> Result<Report, RunError> {
                 let utility = BandwidthFunctionUtility::new(bwf.clone());
                 let agent = NumFabricAgent::new(config.clone(), utility).with_aggregate(handle);
                 let (src, dst, route) = (path[0], path[path.len() - 1], topo.route_via(path));
-                net.add_flow_on_route(
-                    src,
-                    dst,
-                    route,
-                    None,
-                    SimTime::ZERO,
-                    Some(group),
-                    Box::new(agent),
-                )
+                net.add_flow_on_route(src, dst, &route, None, SimTime::ZERO, Box::new(agent))
             });
         subflows.collect::<Vec<_>>()
     };
     let flow1 = aggregate(
-        1,
         BandwidthFunction::paper_flow1(),
         [
             &[src1, sw1, dst1],
@@ -945,7 +936,6 @@ pub fn fig10(_opts: &ScenarioOptions) -> Result<Report, RunError> {
         ],
     );
     let flow2 = aggregate(
-        2,
         BandwidthFunction::paper_flow2(),
         [
             &[src2, sw2, dst2],

@@ -111,7 +111,7 @@ pub struct RecoveryResult {
 pub fn busiest_cable(topo: &Topology, pairs: &[PathSpec]) -> (LinkId, LinkId) {
     let mut usage = vec![0usize; topo.links().len()];
     for p in pairs {
-        for &l in topo.host_route(p.src, p.dst, p.spine_choice).links() {
+        for l in topo.host_route(p.src, p.dst, p.spine_choice) {
             usage[l] += 1;
         }
     }

@@ -127,7 +127,6 @@ impl LinkController for XwiPriceController {
 mod tests {
     use super::*;
     use numfabric_sim::packet::DEFAULT_PAYLOAD_BYTES;
-    use numfabric_sim::topology::Route;
     use numfabric_sim::{AckHeader, DataHeader, RouteId, RouteTable};
 
     fn controller() -> XwiPriceController {
@@ -135,7 +134,7 @@ mod tests {
     }
 
     fn route() -> RouteId {
-        RouteTable::new().intern(Route::from_links(vec![0]))
+        RouteTable::new().intern(&[0])
     }
 
     fn data_packet(residual: f64) -> Packet {

@@ -1391,8 +1391,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             rng >> 33
         };
-        let route =
-            crate::routes::RouteTable::new().intern(crate::topology::Route::from_links(vec![0]));
+        let route = crate::routes::RouteTable::new().intern(&[0]);
         let mut live_peak = 0usize;
         for round in 0..2000u64 {
             let base = q.now().as_nanos();

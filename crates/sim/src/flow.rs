@@ -38,12 +38,10 @@ pub struct FlowSpec {
     /// Base round-trip time along the route with empty queues (`d0` in the
     /// Swift window computation).
     pub base_rtt: SimDuration,
-    /// Multipath aggregate this flow belongs to, if any (resource pooling).
-    pub group: Option<usize>,
     /// The ECMP choice index the flow was pinned with, when it was added via
     /// [`crate::network::Network::add_flow`]. Link failures re-select the
-    /// flow's route as `host_route_avoiding(src, dst, choice, down)`; flows
-    /// added with an explicit route (`None`) are never re-routed.
+    /// flow's route as `host_route_avoiding(src, dst, choice, banned)`;
+    /// flows added with an explicit route (`None`) are never re-routed.
     pub ecmp_choice: Option<usize>,
 }
 

@@ -111,7 +111,7 @@ pub use routes::{RouteId, RouteTable};
 pub use time::{SimDuration, SimTime};
 pub use timer::TimerHandle;
 pub use topology::{
-    FatTreeConfig, LeafSpineConfig, LinkId, NodeId, NodeKind, Partitioning, Route, Topology,
+    FatTreeConfig, LeafSpineConfig, LinkId, NodeId, NodeKind, Partitioning, Topology,
 };
 pub use tracer::EwmaRateTracer;
 pub use transport::{AckMode, FlowAgent, LinkController, NullController};

@@ -80,7 +80,7 @@ use crate::queue::QueueDiscipline;
 use crate::routes::{RouteId, RouteTable};
 use crate::time::{SimDuration, SimTime};
 use crate::timer::TimerHandle;
-use crate::topology::{LinkId, NodeId, Route, Topology};
+use crate::topology::{LinkId, NodeId, Topology};
 use crate::tracer::EwmaRateTracer;
 use crate::transport::{AckMode, FlowAgent, LinkController};
 use std::collections::VecDeque;
@@ -947,6 +947,10 @@ pub struct Network {
     /// count restarting at 0 could repeat a key the wheel still holds. Kept
     /// here, not on a core, so keys are identical for any partitioning.
     slot_timer_arms: Vec<u64>,
+    /// The forward route of the flow being admitted and its reverse, reused
+    /// across admissions so a warm [`Network::add_flow`] allocates nothing.
+    route_buf: Vec<LinkId>,
+    reverse_buf: Vec<LinkId>,
 }
 
 impl Network {
@@ -994,6 +998,8 @@ impl Network {
             trace_enabled: false,
             free_flows: Vec::new(),
             slot_timer_arms: Vec::new(),
+            route_buf: Vec::new(),
+            reverse_buf: Vec::new(),
         };
         net.deal_chunks();
         net
@@ -1196,6 +1202,8 @@ impl Network {
     /// Add a flow between two hosts of a leaf-spine topology, pinning it to
     /// the spine chosen by `spine_choice` (ECMP hash stand-in). Returns the
     /// flow id. The flow starts at `start_time` (scheduled automatically).
+    /// `_group` is ignored: it stays only because existing callers pass it
+    /// positionally.
     #[allow(clippy::too_many_arguments)]
     pub fn add_flow(
         &mut self,
@@ -1204,44 +1212,42 @@ impl Network {
         size_bytes: Option<u64>,
         start_time: SimTime,
         spine_choice: usize,
-        group: Option<usize>,
+        _group: Option<usize>,
         agent: Box<dyn FlowAgent>,
     ) -> FlowId {
-        let route = self.shared.topo.host_route(src, dst, spine_choice);
-        let id = self.add_flow_on_route(src, dst, route, size_bytes, start_time, group, agent);
+        let mut route = std::mem::take(&mut self.route_buf);
+        route.clear();
+        self.shared
+            .topo
+            .host_route_into(src, dst, spine_choice, &mut route);
+        let id = self.add_flow_on_route(src, dst, &route, size_bytes, start_time, agent);
+        self.route_buf = route;
         // Remember the ECMP pin so link failures can re-select the route
         // over the surviving paths; explicit-route flows stay `None`.
         self.shared.specs[id].ecmp_choice = Some(spine_choice);
         id
     }
 
-    /// Add a flow with an explicit route (for custom topologies).
+    /// Add a flow with an explicit route, the links it traverses in order
+    /// (for custom topologies).
     ///
     /// # Panics
     /// Panics if the route is empty, or if 2^22 flow slots are already live
     /// (event keys carry a 22-bit flow id; retired slots are reused).
-    #[allow(clippy::too_many_arguments)]
     pub fn add_flow_on_route(
         &mut self,
         src: NodeId,
         dst: NodeId,
-        route: Route,
+        route: &[LinkId],
         size_bytes: Option<u64>,
         start_time: SimTime,
-        group: Option<usize>,
         agent: Box<dyn FlowAgent>,
     ) -> FlowId {
         assert!(
             !route.is_empty(),
             "flow route must traverse at least one link"
         );
-        let reverse = self.shared.topo.reverse_route(&route);
-        let base_rtt =
-            self.shared
-                .topo
-                .base_rtt(route.links(), MTU_BYTES as u64, HEADER_BYTES as u64);
-        let route = self.shared.routes.intern(route);
-        let reverse_route = self.shared.routes.intern(reverse);
+        let (route, reverse_route, base_rtt) = self.intern_route(route);
         let spec = FlowSpec {
             src,
             dst,
@@ -1250,7 +1256,6 @@ impl Network {
             route,
             reverse_route,
             base_rtt,
-            group,
             ecmp_choice: None,
         };
         let start = spec.start_time;
@@ -1542,6 +1547,21 @@ impl Network {
         }
     }
 
+    /// Intern `route` and its reverse (built in the reused reverse buffer),
+    /// and compute its base RTT: what a flow's spec keeps of its route.
+    fn intern_route(&mut self, route: &[LinkId]) -> (RouteId, RouteId, SimDuration) {
+        let topo = &self.shared.topo;
+        self.reverse_buf.clear();
+        topo.reverse_route_into(route, &mut self.reverse_buf);
+        let base_rtt = topo.base_rtt(route, MTU_BYTES as u64, HEADER_BYTES as u64);
+        let routes = &mut self.shared.routes;
+        (
+            routes.intern(route),
+            routes.intern(&self.reverse_buf),
+            base_rtt,
+        )
+    }
+
     /// Re-select the route of every live ECMP-pinned flow over the links
     /// that survive the current failure set. Flows whose surviving choice
     /// is unchanged keep their route (and their in-flight packets); a
@@ -1590,11 +1610,11 @@ impl Network {
             let Some(new_route) = self
                 .shared
                 .topo
-                .host_route_avoiding_directed(src, dst, choice, &banned)
+                .host_route_avoiding(src, dst, choice, &banned)
             else {
                 continue;
             };
-            if self.shared.routes.links(old) == new_route.links() {
+            if self.shared.routes.links(old) == new_route {
                 continue;
             }
             // Old in-flight and queued packets carry the old interned
@@ -1611,13 +1631,7 @@ impl Network {
                 .iter()
                 .chain(self.shared.routes.links(old_reverse))
                 .any(|l| down.contains(l));
-            let reverse = self.shared.topo.reverse_route(&new_route);
-            let base_rtt =
-                self.shared
-                    .topo
-                    .base_rtt(new_route.links(), MTU_BYTES as u64, HEADER_BYTES as u64);
-            let route_id = self.shared.routes.intern(new_route);
-            let reverse_id = self.shared.routes.intern(reverse);
+            let (route_id, reverse_id, base_rtt) = self.intern_route(&new_route);
             let spec = &mut self.shared.specs[flow];
             spec.base_rtt = base_rtt;
             spec.route = route_id;
@@ -2610,10 +2624,9 @@ mod tests {
         let flow = net.add_flow_on_route(
             hosts[0],
             hosts[4],
-            route,
+            &route,
             None,
             SimTime::ZERO,
-            None,
             Box::new(SimpleWindowAgent::new(32)),
         );
         net.run_until(SimTime::from_millis(1));
@@ -2770,10 +2783,9 @@ mod tests {
             let flow = net.add_flow_on_route(
                 hosts[0],
                 hosts[4],
-                route,
+                &route,
                 None,
                 SimTime::ZERO,
-                None,
                 Box::new(SimpleWindowAgent::new(32)),
             );
             net.run_until(SimTime::from_millis(2));
@@ -2802,10 +2814,9 @@ mod tests {
         let flow = net.add_flow_on_route(
             hosts[0],
             hosts[4],
-            route,
+            &route,
             Some(150_000),
             SimTime::ZERO,
-            None,
             Box::new(SimpleWindowAgent::new(16)),
         );
         net.run_until(SimTime::from_millis(20));
@@ -3040,10 +3051,9 @@ mod tests {
             let flow = net.add_flow_on_route(
                 hosts[0],
                 hosts[4],
-                route,
+                &route,
                 None,
                 SimTime::ZERO,
-                None,
                 Box::new(SimpleWindowAgent::new(32)),
             );
             net.run_until(SimTime::from_millis(2));

@@ -249,11 +249,10 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Route;
 
     fn route(links: Vec<usize>) -> (RouteTable, RouteId) {
         let mut table = RouteTable::new();
-        let id = table.intern(Route::from_links(links));
+        let id = table.intern(&links);
         (table, id)
     }
 

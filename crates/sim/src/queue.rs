@@ -519,12 +519,11 @@ mod tests {
     use super::*;
     use crate::packet::{AckHeader, DataHeader, Packet, DEFAULT_PAYLOAD_BYTES, MTU_BYTES};
     use crate::routes::{RouteId, RouteTable};
-    use crate::topology::Route;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
     fn route() -> RouteId {
-        RouteTable::new().intern(Route::from_links(vec![0]))
+        RouteTable::new().intern(&[0])
     }
 
     fn packet(flow: FlowId, header: DataHeader) -> Packet {

@@ -15,12 +15,17 @@
 //! 30 796 distinct routes. So each route's hops are stored exactly once, in
 //! one flat vector, and the dedup index holds only ids keyed by a hash of
 //! the hops; a lookup compares candidates against the arena itself.
+//!
+//! [`RouteTable::intern`] takes a borrowed `&[LinkId]`. Flow admission
+//! builds the forward and reverse routes in two buffers the network reuses,
+//! interns both and keeps only the ids, so admitting a flow on a known
+//! route allocates nothing.
 
 use std::collections::hash_map::Entry;
 use std::hash::{BuildHasher, BuildHasherDefault};
 
 use crate::hash::{FixedHashMap, FixedHasher};
-use crate::topology::{LinkId, Partitioning, Route, Topology};
+use crate::topology::LinkId;
 
 /// A copyable handle to a route interned in a [`RouteTable`].
 ///
@@ -77,16 +82,15 @@ impl RouteTable {
         Self::default()
     }
 
-    /// Intern `route`, returning the id of the existing entry if an identical
-    /// route was interned before. A new route's hops are appended to the
-    /// arena; a known one allocates nothing.
+    /// Intern the route `links`, returning the id of the existing entry if
+    /// an identical route was interned before. A new route's hops are
+    /// appended to the arena; a known one allocates nothing.
     ///
     /// # Panics
     /// Panics, in release builds too, on a route longer than `u16::MAX`
     /// links: a packet's hop index is a `u16`, and incrementing it past
     /// its range would wrap silently.
-    pub fn intern(&mut self, route: Route) -> RouteId {
-        let links = route.links();
+    pub fn intern(&mut self, links: &[LinkId]) -> RouteId {
         assert!(
             links.len() <= u16::MAX as usize,
             "a route of {} links is longer than a packet's u16 hop index can address",
@@ -157,28 +161,6 @@ impl RouteTable {
     pub fn is_empty(&self) -> bool {
         self.chain.is_empty()
     }
-
-    /// The hop indices of `route` that cross a partition boundary under
-    /// `parts` — the hops where a packet following this route becomes a
-    /// boundary message between per-partition event cores. An empty result
-    /// means the whole path stays inside one partition (always the case for
-    /// a single-partition network).
-    pub fn crossing_hops(
-        &self,
-        route: RouteId,
-        topo: &Topology,
-        parts: &Partitioning,
-    ) -> Vec<usize> {
-        self.links(route)
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| {
-                let spec = &topo.links()[l];
-                parts.of(spec.from) != parts.of(spec.to)
-            })
-            .map(|(hop, _)| hop)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -189,9 +171,9 @@ mod tests {
     #[test]
     fn interning_deduplicates_identical_routes() {
         let mut table = RouteTable::new();
-        let a = table.intern(Route::from_links(vec![1, 2, 3]));
-        let b = table.intern(Route::from_links(vec![4]));
-        let c = table.intern(Route::from_links(vec![1, 2, 3]));
+        let a = table.intern(&[1, 2, 3]);
+        let b = table.intern(&[4]);
+        let c = table.intern(&[1, 2, 3]);
         assert_eq!(a, c);
         assert_ne!(a, b);
         assert_eq!(table.len(), 2);
@@ -204,7 +186,7 @@ mod tests {
         let mut table = RouteTable::new();
         assert!(table.is_empty());
         for i in 0..10usize {
-            let id = table.intern(Route::from_links(vec![i]));
+            let id = table.intern(&[i]);
             assert_eq!(id.index(), i);
         }
         assert_eq!(table.len(), 10);
@@ -214,41 +196,18 @@ mod tests {
     #[should_panic(expected = "a route of 65536 links is longer than a packet's u16 hop index")]
     fn a_route_beyond_the_hop_index_is_a_hard_error() {
         let mut table = RouteTable::new();
-        table.intern(Route::from_links(vec![0; u16::MAX as usize]));
-        table.intern(Route::from_links(vec![0; u16::MAX as usize + 1]));
-    }
-
-    #[test]
-    fn crossing_hops_marks_exactly_the_boundary_links() {
-        use crate::topology::LeafSpineConfig;
-        let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
-        let hosts = topo.hosts().to_vec();
-        let mut table = RouteTable::new();
-        // Inter-rack: host in rack 0 to host in rack 1, via a spine.
-        let inter = table.intern(topo.host_route(hosts[0], hosts[7], 0));
-        // Intra-rack: both endpoints under leaf 0.
-        let intra = table.intern(topo.host_route(hosts[0], hosts[1], 0));
-        let one = topo.partition(1);
-        assert!(table.crossing_hops(inter, &topo, &one).is_empty());
-        let two = topo.partition(2);
-        assert!(table.crossing_hops(intra, &topo, &two).is_empty());
-        let crossings = table.crossing_hops(inter, &topo, &two);
-        assert!(!crossings.is_empty(), "inter-rack route must cross the cut");
-        for hop in crossings {
-            let l = table.links(inter)[hop];
-            let spec = &topo.links()[l];
-            assert_ne!(two.of(spec.from), two.of(spec.to));
-        }
+        table.intern(&vec![0; u16::MAX as usize]);
+        table.intern(&vec![0; u16::MAX as usize + 1]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// Interning random routes of 1–20 hops (so both sides of
-        /// `ROUTE_INLINE_HOPS`) over a small link alphabet, with repeats:
-        /// equal hop sequences get equal ids and only those, every id's
-        /// slice round-trips, `hop` agrees with the slice up to one past its
-        /// end, and `len` counts the distinct routes. `one_bucket` hashes
-        /// every route alike, so each lookup walks one collision chain.
+        /// Interning random routes of 1–20 hops over a small link alphabet,
+        /// with repeats: equal hop sequences get equal ids and only those,
+        /// every id's slice round-trips, `hop` agrees with the slice up to
+        /// one past its end, and `len` counts the distinct routes.
+        /// `one_bucket` hashes every route alike, so each lookup walks one
+        /// collision chain.
         #[test]
         fn arena_interning_round_trips(
             seed in 0u64..u64::MAX,
@@ -269,7 +228,7 @@ mod tests {
             for _ in 0..count {
                 let len = 1 + (next() % 20) as usize;
                 let links: Vec<LinkId> = (0..len).map(|_| (next() % alphabet) as LinkId).collect();
-                let id = table.intern(Route::from_links(links.clone()));
+                let id = table.intern(&links);
                 for (other, other_id) in &seen {
                     prop_assert_eq!(*other == links, *other_id == id);
                 }

@@ -13,7 +13,10 @@
 //! Links are unidirectional; the builders create both directions of every
 //! physical cable. Routes are precomputed per flow (the simulator does not
 //! model hop-by-hop forwarding-table lookups), which matches how the paper
-//! pins each flow or subflow to a path chosen by ECMP hashing.
+//! pins each flow or subflow to a path chosen by ECMP hashing. A route is
+//! a plain link sequence, `&[LinkId]` or `Vec<LinkId>`, in traversal
+//! order: [`Topology::host_route_into`] appends one to a caller's buffer,
+//! and the other queries return new vectors.
 //!
 //! # ECMP: the ordering contract
 //!
@@ -38,14 +41,16 @@
 //! destination, the first query towards it runs one breadth-first search
 //! and keeps, for every node, its hop distance to the destination and the
 //! number of shortest paths from there (saturating at `u32::MAX` on
-//! adversarial graphs). `host_route` then walks straight to path number
-//! `choice % n`: at each hop it scans the neighbours one hop closer in
-//! ascending id order, subtracting each one's path count until the
-//! remaining index falls inside a neighbour's sub-DAG. Nothing is
-//! enumerated and nothing is allocated (routes of up to
-//! [`ROUTE_INLINE_HOPS`] links are inline). A single-homed destination
-//! shares the table of its attachment switch, so a fabric keeps one 8-byte
-//! entry per (node, edge switch), not per (node, host).
+//! adversarial graphs). `host_route_into` then walks straight to path
+//! number `choice % n`: at each hop it scans the neighbours one hop closer
+//! in ascending id order, subtracting each one's path count until the
+//! remaining index falls inside a neighbour's sub-DAG, and appends the
+//! link it takes. Nothing is enumerated, and nothing is allocated once the
+//! caller's buffer has room — flow admission reuses two buffers (forward
+//! and reverse), so a warm admission asks the allocator for nothing. A
+//! single-homed destination shares the table of its attachment switch, so
+//! a fabric keeps one 8-byte entry per (node, edge switch), not per
+//! (node, host).
 //!
 //! The index is **lazy** — building a topology or a `Network` costs
 //! nothing extra; the index is born on the first query — and it is
@@ -53,10 +58,12 @@
 //! [`Topology::add_link`] drop it, and the next query rebuilds it. A cloned
 //! topology owns an independent copy.
 //!
-//! Failure re-selection ([`Topology::host_route_avoiding`] and friends) runs
-//! the same search and the same walker over a *valley-free* state graph
-//! that skips banned links; its tables depend on the ban set and are not
-//! cached.
+//! Failure re-selection ([`Topology::host_route_avoiding`] and
+//! [`Topology::host_routes_avoiding`]) runs the same search and the same
+//! walker over a *valley-free* state graph that skips the links of a ban
+//! set taken literally — the caller decides whether a failed link's
+//! reverse twin is banned too. Its tables depend on the ban set and are
+//! not cached.
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -125,128 +132,6 @@ pub struct LinkSpec {
     /// Propagation delay.
     pub delay: SimDuration,
 }
-
-/// Hops stored inline in a [`Route`] before it spills to the heap. Every
-/// supported fabric (leaf-spine, oversubscribed leaf-spine, k-ary fat-tree)
-/// produces host routes of at most `2·tiers + 1 ≤ 7` hops, so eight inline
-/// slots cover them all with headroom; exotic topologies with longer paths
-/// still work via the spill variant.
-pub const ROUTE_INLINE_HOPS: usize = 8;
-
-/// Internal hop storage of a [`Route`]: a fixed inline array for the
-/// overwhelmingly common short path, a heap vector only when a path exceeds
-/// [`ROUTE_INLINE_HOPS`]. The representation is canonical — `len <=
-/// ROUTE_INLINE_HOPS` is always `Inline` — but equality goes through
-/// [`Route::links`] regardless, so only the hop sequence matters.
-#[derive(Debug, Clone)]
-enum Hops {
-    Inline {
-        len: u8,
-        hops: [LinkId; ROUTE_INLINE_HOPS],
-    },
-    Spilled(Vec<LinkId>),
-}
-
-/// A precomputed route: the sequence of links a packet traverses.
-///
-/// A `Route` is a transient value: flow admission and failure re-selection
-/// build one, derive its reverse and base RTT, and hand it to
-/// [`crate::RouteTable::intern`], which copies the hops into its flat
-/// arena (a route already interned allocates nothing there). Hops are
-/// stored inline for paths of up to [`ROUTE_INLINE_HOPS`] links — every
-/// route on the supported fabrics — so building and cloning these values
-/// never allocates; longer paths transparently spill to a heap vector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Route {
-    hops: Hops,
-}
-
-impl Route {
-    /// The empty route (same-host communication).
-    pub fn new() -> Self {
-        Route {
-            hops: Hops::Inline {
-                len: 0,
-                hops: [0; ROUTE_INLINE_HOPS],
-            },
-        }
-    }
-
-    /// A route over `links` in traversal order. Reuses the given vector as
-    /// spill storage when the path is longer than [`ROUTE_INLINE_HOPS`].
-    pub fn from_links(links: Vec<LinkId>) -> Self {
-        if links.len() <= ROUTE_INLINE_HOPS {
-            links.iter().copied().collect()
-        } else {
-            Route {
-                hops: Hops::Spilled(links),
-            }
-        }
-    }
-
-    /// The links of the route, in traversal order.
-    #[inline]
-    pub fn links(&self) -> &[LinkId] {
-        match &self.hops {
-            Hops::Inline { len, hops } => &hops[..*len as usize],
-            Hops::Spilled(v) => v,
-        }
-    }
-
-    /// Append one link to the route, spilling to the heap if the inline
-    /// capacity is exceeded.
-    pub fn push(&mut self, link: LinkId) {
-        match &mut self.hops {
-            Hops::Inline { len, hops } => {
-                if (*len as usize) < ROUTE_INLINE_HOPS {
-                    hops[*len as usize] = link;
-                    *len += 1;
-                } else {
-                    let mut v = hops.to_vec();
-                    v.push(link);
-                    self.hops = Hops::Spilled(v);
-                }
-            }
-            Hops::Spilled(v) => v.push(link),
-        }
-    }
-
-    /// Number of links on the route.
-    pub fn len(&self) -> usize {
-        match &self.hops {
-            Hops::Inline { len, .. } => *len as usize,
-            Hops::Spilled(v) => v.len(),
-        }
-    }
-
-    /// Whether the route is empty (same-host communication).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for Route {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl FromIterator<LinkId> for Route {
-    fn from_iter<I: IntoIterator<Item = LinkId>>(iter: I) -> Self {
-        let mut route = Route::new();
-        for link in iter {
-            route.push(link);
-        }
-        route
-    }
-}
-
-impl PartialEq for Route {
-    fn eq(&self, other: &Self) -> bool {
-        self.links() == other.links()
-    }
-}
-impl Eq for Route {}
 
 /// One adjacency entry: `link` joins the owning node and `peer`.
 #[derive(Debug, Clone, Copy)]
@@ -474,7 +359,14 @@ impl<'a> Search<'a> {
     /// `goal`, in lexicographic node order: at each hop, skip whole
     /// sub-DAGs (by their path counts) until `k` falls inside one. Exact
     /// for every `k` below the saturation point of the counts.
-    fn walk(&self, table: &[ToGoal], mut at: usize, goal: usize, mut k: u32, route: &mut Route) {
+    fn walk(
+        &self,
+        table: &[ToGoal],
+        mut at: usize,
+        goal: usize,
+        mut k: u32,
+        route: &mut Vec<LinkId>,
+    ) {
         debug_assert!(k < table[at].paths);
         while at != goal {
             let closer = table[at].hops - 1;
@@ -519,24 +411,27 @@ impl PathSet<'_> {
         self.table[self.start].paths
     }
 
-    /// Path number `k < len()` in lexicographic node order.
-    fn route(&self, k: u32) -> Route {
-        let mut route = Route::new();
+    /// Append path number `k < len()`, in lexicographic node order, to
+    /// `route`.
+    fn route_into(&self, k: u32, route: &mut Vec<LinkId>) {
         self.search
-            .walk(&self.table, self.start, self.goal, k, &mut route);
-        if let Some(last) = self.last {
-            route.push(last);
-        }
+            .walk(&self.table, self.start, self.goal, k, route);
+        route.extend(self.last);
+    }
+
+    fn route(&self, k: u32) -> Vec<LinkId> {
+        let mut route = Vec::new();
+        self.route_into(k, &mut route);
         route
     }
 
     /// Path number `choice % len()`, or `None` if there is no path.
-    fn pinned(&self, choice: usize) -> Option<Route> {
+    fn pinned(&self, choice: usize) -> Option<Vec<LinkId>> {
         let len = self.len() as usize;
         (len > 0).then(|| self.route((choice % len) as u32))
     }
 
-    fn all(&self) -> Vec<Route> {
+    fn all(&self) -> Vec<Vec<LinkId>> {
         (0..self.len()).map(|k| self.route(k)).collect()
     }
 }
@@ -812,7 +707,7 @@ impl Topology {
 
     /// Build a route as the concatenation of links along the node sequence
     /// `path` (panics if some consecutive pair has no link).
-    pub fn route_via(&self, path: &[NodeId]) -> Route {
+    pub fn route_via(&self, path: &[NodeId]) -> Vec<LinkId> {
         path.windows(2)
             .map(|w| {
                 self.link_between(w[0], w[1])
@@ -984,19 +879,32 @@ impl Topology {
         self.healthy(src, dst).len() as usize
     }
 
-    /// The route from `src` host to `dst` host pinned to equal-cost path
-    /// number `choice % num_paths` (ECMP hash stand-in) in the module's
-    /// lexicographic path order. On a leaf-spine fabric inter-rack flows
-    /// pick spine `choice % spines` and intra-rack flows route through the
-    /// shared leaf regardless of `choice`.
+    /// Append to `route` the links from `src` host to `dst` host along
+    /// equal-cost path number `choice % num_paths` (ECMP hash stand-in) in
+    /// the module's lexicographic path order. On a leaf-spine fabric
+    /// inter-rack flows pick spine `choice % spines` and intra-rack flows
+    /// route through the shared leaf regardless of `choice`. Allocates
+    /// nothing once the destination's table is warm and `route` has room.
     ///
     /// # Panics
     /// Panics if `src` or `dst` is not a host, `src == dst`, or no path
     /// exists.
-    pub fn host_route(&self, src: NodeId, dst: NodeId, choice: usize) -> Route {
-        self.healthy(src, dst)
-            .pinned(choice)
-            .expect("`healthy` checked that a path exists")
+    pub fn host_route_into(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        choice: usize,
+        route: &mut Vec<LinkId>,
+    ) {
+        let paths = self.healthy(src, dst);
+        paths.route_into((choice % paths.len() as usize) as u32, route);
+    }
+
+    /// [`Topology::host_route_into`] into a new vector.
+    pub fn host_route(&self, src: NodeId, dst: NodeId, choice: usize) -> Vec<LinkId> {
+        let mut route = Vec::new();
+        self.host_route_into(src, dst, choice, &mut route);
+        route
     }
 
     /// All distinct equal-cost routes from `src` to `dst` (one per spine for
@@ -1006,31 +914,25 @@ impl Topology {
     ///
     /// # Panics
     /// As [`Topology::host_route`].
-    pub fn host_routes(&self, src: NodeId, dst: NodeId) -> Vec<Route> {
+    pub fn host_routes(&self, src: NodeId, dst: NodeId) -> Vec<Vec<LinkId>> {
         self.healthy(src, dst).all()
     }
 
-    /// Expand `down` with each member's reverse twin — the conservative ban
-    /// set for symmetric failures (a flow cannot use a path its ACKs cannot
-    /// retrace). Asymmetric ([`crate::impairment::LinkChange::DownFwd`])
-    /// failures skip this expansion and ban only the dead direction.
-    fn twin_expanded(&self, down: &HashSet<LinkId>) -> HashSet<LinkId> {
-        let mut banned = down.clone();
-        banned.extend(down.iter().filter_map(|&id| self.reverse_link(id)));
-        banned
-    }
-
-    /// All surviving equal-cost routes between two hosts after the links in
-    /// `down` (and their reverse twins) failed: the shortest **valley-free**
-    /// paths over the remaining links, in lexicographic node order. Paths
-    /// must ascend the tier hierarchy monotonically to a single peak and
-    /// then descend (up/down routing — no valleys, no flat hops). On a
-    /// healthy hierarchical fabric every shortest path is valley-free, so an
-    /// empty `down` set reproduces [`Topology::host_routes`] exactly. Empty
-    /// when the failures disconnect the pair (in the valley-free sense).
+    /// All surviving equal-cost routes between two hosts over the links
+    /// outside `banned`: the shortest **valley-free** paths, in
+    /// lexicographic node order. Paths must ascend the tier hierarchy
+    /// monotonically to a single peak and then descend (up/down routing —
+    /// no valleys, no flat hops). On a healthy hierarchical fabric every
+    /// shortest path is valley-free, so an empty `banned` set reproduces
+    /// [`Topology::host_routes`] exactly. Empty when the ban set
+    /// disconnects the pair (in the valley-free sense).
     ///
-    /// Where parallel links join two nodes a route takes the lowest
-    /// *surviving* link id.
+    /// The ban set is taken **literally**: a directed link is unusable
+    /// exactly when it is in `banned`. A caller that fails a whole cable
+    /// bans both directions itself (see [`Topology::reverse_link`]); an
+    /// asymmetric ([`crate::impairment::LinkChange::DownFwd`]) failure
+    /// bans only the dead direction. Where parallel links join two nodes a
+    /// route takes the lowest *usable* link id.
     ///
     /// # Panics
     /// Panics if `src` or `dst` is not a host, or `src == dst`.
@@ -1038,49 +940,23 @@ impl Topology {
         &self,
         src: NodeId,
         dst: NodeId,
-        down: &HashSet<LinkId>,
-    ) -> Vec<Route> {
-        self.host_routes_avoiding_directed(src, dst, &self.twin_expanded(down))
-    }
-
-    /// [`Topology::host_routes_avoiding`] with the ban set taken
-    /// **literally**: a directed link is unusable exactly when it is in
-    /// `banned`, with no reverse-twin expansion. This is the
-    /// asymmetric-failure primitive — the caller decides per failed link
-    /// whether its twin is banned too.
-    pub fn host_routes_avoiding_directed(
-        &self,
-        src: NodeId,
-        dst: NodeId,
         banned: &HashSet<LinkId>,
-    ) -> Vec<Route> {
+    ) -> Vec<Vec<LinkId>> {
         self.survivors(src, dst, banned).all()
     }
 
-    /// The surviving route pinned to ECMP choice `choice % num_surviving`,
-    /// or `None` when the failures disconnect the pair. With an empty `down`
-    /// set this is exactly [`Topology::host_route`] on a hierarchical
-    /// fabric.
+    /// The surviving route pinned to ECMP choice `choice % num_surviving`
+    /// over the links outside `banned` (taken literally, as in
+    /// [`Topology::host_routes_avoiding`]), or `None` when the ban set
+    /// disconnects the pair. With an empty ban set this is exactly
+    /// [`Topology::host_route`] on a hierarchical fabric.
     pub fn host_route_avoiding(
         &self,
         src: NodeId,
         dst: NodeId,
         choice: usize,
-        down: &HashSet<LinkId>,
-    ) -> Option<Route> {
-        self.host_route_avoiding_directed(src, dst, choice, &self.twin_expanded(down))
-    }
-
-    /// [`Topology::host_route_avoiding`] with the ban set taken literally
-    /// (no reverse-twin expansion) — the asymmetric-failure route
-    /// re-selection used for [`crate::impairment::LinkChange::DownFwd`].
-    pub fn host_route_avoiding_directed(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        choice: usize,
         banned: &HashSet<LinkId>,
-    ) -> Option<Route> {
+    ) -> Option<Vec<LinkId>> {
         self.survivors(src, dst, banned).pinned(choice)
     }
 
@@ -1106,15 +982,18 @@ impl Topology {
         }
     }
 
-    /// The reverse of `route` (the path ACKs take), assuming every link has a
-    /// reverse twin.
-    pub fn reverse_route(&self, route: &Route) -> Route {
-        route
-            .links()
-            .iter()
-            .rev()
-            .map(|&l| self.ack_link(l))
-            .collect()
+    /// Append to `reverse` the reverse of `route` (the path ACKs take),
+    /// assuming every link has a reverse twin. Allocates nothing when
+    /// `reverse` has room.
+    pub fn reverse_route_into(&self, route: &[LinkId], reverse: &mut Vec<LinkId>) {
+        reverse.extend(route.iter().rev().map(|&l| self.ack_link(l)));
+    }
+
+    /// [`Topology::reverse_route_into`] into a new vector.
+    pub fn reverse_route(&self, route: &[LinkId]) -> Vec<LinkId> {
+        let mut reverse = Vec::new();
+        self.reverse_route_into(route, &mut reverse);
+        reverse
     }
 
     /// The link ACKs of data on `link` travel.
@@ -1274,8 +1153,8 @@ mod tests {
         // The reverse of the reverse is the original.
         assert_eq!(topo.reverse_route(&rev), fwd);
         // First reverse link starts where the forward route ended.
-        let last_fwd = &topo.links()[*fwd.links().last().unwrap()];
-        let first_rev = &topo.links()[rev.links()[0]];
+        let last_fwd = &topo.links()[*fwd.last().unwrap()];
+        let first_rev = &topo.links()[rev[0]];
         assert_eq!(first_rev.from, last_fwd.to);
     }
 
@@ -1287,7 +1166,7 @@ mod tests {
         let topo = Topology::leaf_spine(&LeafSpineConfig::paper_default());
         let hosts = topo.hosts();
         let route = topo.host_route(hosts[0], hosts[127], 0);
-        let rtt = topo.base_rtt(route.links(), 40, 40);
+        let rtt = topo.base_rtt(&route, 40, 40);
         assert!(rtt >= SimDuration::from_micros(16), "rtt = {rtt}");
         assert!(rtt < SimDuration::from_micros(18), "rtt = {rtt}");
     }
@@ -1302,8 +1181,8 @@ mod tests {
         topo.add_duplex_link(s, b, 10e9, SimDuration::from_micros(1));
         let r = topo.route_via(&[a, s, b]);
         assert_eq!(r.len(), 2);
-        assert_eq!(topo.links()[r.links()[0]].from, a);
-        assert_eq!(topo.links()[r.links()[1]].to, b);
+        assert_eq!(topo.links()[r[0]].from, a);
+        assert_eq!(topo.links()[r[1]].to, b);
         assert_eq!(topo.leaf_of(a), Some(s));
     }
 

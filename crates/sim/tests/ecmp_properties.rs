@@ -18,28 +18,24 @@
 //!    failed.
 
 use numfabric_sim::routes::RouteTable;
-use numfabric_sim::topology::{FatTreeConfig, LeafSpineConfig, NodeId, Topology};
+use numfabric_sim::topology::{FatTreeConfig, LeafSpineConfig, LinkId, NodeId, Topology};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Check the route invariants of satellite pin #1 for one route.
-fn assert_valid_route(topo: &Topology, src: NodeId, dst: NodeId, route: &numfabric_sim::Route) {
+fn assert_valid_route(topo: &Topology, src: NodeId, dst: NodeId, route: &[LinkId]) {
     assert!(!route.is_empty(), "route must traverse at least one link");
     let links = topo.links();
     // First link leaves the source, last link enters the destination.
+    assert_eq!(links[route[0]].from, src, "first link must leave src");
     assert_eq!(
-        links[route.links()[0]].from,
-        src,
-        "first link must leave src"
-    );
-    assert_eq!(
-        links[*route.links().last().unwrap()].to,
+        links[*route.last().unwrap()].to,
         dst,
         "last link must enter dst"
     );
     // Contiguity: consecutive links share a node.
-    for w in route.links().windows(2) {
+    for w in route.windows(2) {
         assert_eq!(
             links[w[0]].to, links[w[1]].from,
             "consecutive links must share a node"
@@ -48,7 +44,7 @@ fn assert_valid_route(topo: &Topology, src: NodeId, dst: NodeId, route: &numfabr
     // Valley-freedom: the tier sequence rises strictly to one peak, then
     // falls strictly — once the path starts descending it never ascends.
     let mut tiers = vec![topo.nodes()[src].kind.tier()];
-    for &l in route.links() {
+    for &l in route {
         tiers.push(topo.nodes()[links[l].to].kind.tier());
     }
     let mut descending = false;
@@ -137,13 +133,13 @@ proptest! {
             }
             let mut table = RouteTable::new();
             let first = topo.host_route(src, dst, choice);
-            let id = table.intern(first.clone());
+            let id = table.intern(&first);
             // Re-deriving the route must produce the identical link sequence
             // and re-interning must return the identical id.
             for _ in 0..3 {
                 let again = topo.host_route(src, dst, choice);
                 assert_eq!(again, first, "route derivation is not stable");
-                assert_eq!(table.intern(again), id, "interning is not stable");
+                assert_eq!(table.intern(&again), id, "interning is not stable");
             }
         }
     }
@@ -195,14 +191,20 @@ proptest! {
                         .link_between(spec.to, spec.from)
                         .is_some_and(|twin| down.contains(&twin))
             };
-            let surviving = topo.host_routes_avoiding(src, dst, &down);
+            // A failed cable is banned in both directions.
+            let with_twins: std::collections::HashSet<LinkId> = down
+                .iter()
+                .flat_map(|&id| [Some(id), topo.reverse_link(id)])
+                .flatten()
+                .collect();
+            let surviving = topo.host_routes_avoiding(src, dst, &with_twins);
             for route in &surviving {
                 assert_valid_route(&topo, src, dst, route);
-                for &l in route.links() {
+                for &l in route {
                     prop_assert!(!banned(l), "surviving route uses banned link {l}");
                 }
             }
-            match topo.host_route_avoiding(src, dst, choice, &down) {
+            match topo.host_route_avoiding(src, dst, choice, &with_twins) {
                 Some(route) => {
                     prop_assert!(!surviving.is_empty());
                     prop_assert_eq!(&route, &surviving[choice % surviving.len()]);
@@ -267,7 +269,7 @@ proptest! {
             let mut counts = std::collections::HashMap::new();
             for _ in 0..10_000 {
                 let choice = rng.gen_range(0..1 << 30);
-                let id = table.intern(topo.host_route(src, dst, choice));
+                let id = table.intern(&topo.host_route(src, dst, choice));
                 *counts.entry(id).or_insert(0u32) += 1;
             }
             prop_assert_eq!(counts.len(), num_paths, "all equal-cost paths must be hit");

@@ -19,7 +19,7 @@ use alloc_counter::counted;
 use numfabric_sim::packet::DEFAULT_PAYLOAD_BYTES;
 use numfabric_sim::queue::{PfabricQueue, QueueDiscipline, StfqQueue};
 use numfabric_sim::routes::{RouteId, RouteTable};
-use numfabric_sim::topology::{FatTreeConfig, Route, Topology};
+use numfabric_sim::topology::{FatTreeConfig, Topology};
 use numfabric_sim::{
     AgentCtx, DataHeader, FlowAgent, FlowId, Network, Packet, SimDuration, SimTime, TimerHandle,
 };
@@ -74,7 +74,7 @@ fn cycle(
 
 #[test]
 fn steady_state_enqueue_dequeue_allocates_nothing() {
-    let route = RouteTable::new().intern(Route::from_links(vec![0]));
+    let route = RouteTable::new().intern(&[0]);
     let disciplines: [(&str, Box<dyn QueueDiscipline>); 2] = [
         ("STFQ", Box::new(StfqQueue::new(64 * 1500))),
         ("pFabric", Box::new(PfabricQueue::new(24 * 1500))),

@@ -15,7 +15,7 @@
 use numfabric_num::utility::UtilityRef;
 use numfabric_num::{FluidNetwork, FluidNetworkBuilder, Oracle};
 use numfabric_sim::network::Network;
-use numfabric_sim::topology::{Route, Topology};
+use numfabric_sim::topology::{LinkId, Topology};
 use numfabric_sim::tracer::PAPER_EWMA_TAU;
 use numfabric_sim::{FlowId, SimDuration, SimTime};
 
@@ -27,12 +27,11 @@ use numfabric_sim::{FlowId, SimDuration, SimTime};
 /// by [`FluidNetworkBuilder`] (so it works over any topology — leaf-spine,
 /// fat-tree, oversubscribed or custom) and the returned instance's flows are
 /// in the same order as `flows`.
-pub fn fluid_instance(topo: &Topology, flows: &[(Route, UtilityRef)]) -> FluidNetwork {
+pub fn fluid_instance(topo: &Topology, flows: &[(Vec<LinkId>, UtilityRef)]) -> FluidNetwork {
     let mut builder = FluidNetworkBuilder::new();
     for (route, utility) in flows {
         builder.add_flow_on(
             route
-                .links()
                 .iter()
                 .map(|&l| (l, topo.links()[l].capacity_bps / 1e9)),
             utility.clone(),
@@ -43,7 +42,7 @@ pub fn fluid_instance(topo: &Topology, flows: &[(Route, UtilityRef)]) -> FluidNe
 
 /// Solve the NUM instance for `flows` and return the optimal rate of each, in
 /// bits per second (same order as the input).
-pub fn oracle_rates_bps(topo: &Topology, flows: &[(Route, UtilityRef)]) -> Vec<f64> {
+pub fn oracle_rates_bps(topo: &Topology, flows: &[(Vec<LinkId>, UtilityRef)]) -> Vec<f64> {
     let net = fluid_instance(topo, flows);
     let solution = Oracle::with_tolerance(1e-4).solve(&net);
     solution.rates.iter().map(|r| r * 1e9).collect()

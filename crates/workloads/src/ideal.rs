@@ -11,7 +11,7 @@
 use crate::arrivals::FlowArrival;
 use numfabric_num::utility::UtilityRef;
 use numfabric_num::{FluidNetworkBuilder, Oracle};
-use numfabric_sim::topology::{LinkId, Route, Topology};
+use numfabric_sim::topology::{LinkId, Topology};
 use numfabric_sim::{SimDuration, SimTime};
 
 /// The ideal completion results of one flow.
@@ -33,7 +33,7 @@ pub struct IdealFluidSimulator<'a> {
 
 struct ActiveFlow {
     index: usize,
-    route: Route,
+    route: Vec<LinkId>,
     utility: UtilityRef,
     remaining_bytes: f64,
     started: SimTime,
@@ -146,7 +146,6 @@ impl<'a> IdealFluidSimulator<'a> {
         for f in active {
             builder.add_flow_on(
                 f.route
-                    .links()
                     .iter()
                     .map(|&l| (l, self.topo.links()[l].capacity_bps / 1e9)),
                 f.utility.clone(),
@@ -272,7 +271,7 @@ mod tests {
         let hosts = topo.hosts().to_vec();
         let route = topo.host_route(hosts[0], hosts[7], 0);
         // 146 kB = 100 packets: 150 kB wire at 10 Gbps = 120 µs, plus ~16 µs RTT.
-        let fct = empty_network_fct(&topo, route.links(), 146_000);
+        let fct = empty_network_fct(&topo, &route, 146_000);
         assert!(fct >= SimDuration::from_micros(130), "fct = {fct}");
         assert!(fct <= SimDuration::from_micros(145), "fct = {fct}");
     }

@@ -40,10 +40,9 @@ fn main() {
         let f1 = net.add_flow_on_route(
             src1,
             dst,
-            topo.route_via(&[src1, sw, dst]),
+            &topo.route_via(&[src1, sw, dst]),
             None,
             SimTime::ZERO,
-            None,
             Box::new(NumFabricAgent::new(
                 config.clone(),
                 BandwidthFunctionUtility::new(bwf1.clone()),
@@ -52,10 +51,9 @@ fn main() {
         let f2 = net.add_flow_on_route(
             src2,
             dst,
-            topo.route_via(&[src2, sw, dst]),
+            &topo.route_via(&[src2, sw, dst]),
             None,
             SimTime::ZERO,
-            None,
             Box::new(NumFabricAgent::new(
                 config.clone(),
                 BandwidthFunctionUtility::new(bwf2.clone()),

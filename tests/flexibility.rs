@@ -173,10 +173,9 @@ fn bandwidth_functions_realize_the_bwe_allocation_at_25gbps() {
     let f1 = net.add_flow_on_route(
         src1,
         dst,
-        topo.route_via(&[src1, sw, dst]),
+        &topo.route_via(&[src1, sw, dst]),
         None,
         SimTime::ZERO,
-        None,
         Box::new(NumFabricAgent::new(
             config.clone(),
             BandwidthFunctionUtility::new(bwf1.clone()),
@@ -185,10 +184,9 @@ fn bandwidth_functions_realize_the_bwe_allocation_at_25gbps() {
     let f2 = net.add_flow_on_route(
         src2,
         dst,
-        topo.route_via(&[src2, sw, dst]),
+        &topo.route_via(&[src2, sw, dst]),
         None,
         SimTime::ZERO,
-        None,
         Box::new(NumFabricAgent::new(
             config.clone(),
             BandwidthFunctionUtility::new(bwf2.clone()),

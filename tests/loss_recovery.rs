@@ -129,7 +129,7 @@ fn a_reroute_after_a_loss_completes_a_flow_with_a_hole() {
     let (src, dst) = (hosts[0], hosts[3]);
     let route = topo.host_route(src, dst, 0);
     assert_eq!(route.len(), 4, "host, leaf-spine, spine-leaf, host hops");
-    let (nic, uplink, downlink) = (route.links()[0], route.links()[1], route.links()[3]);
+    let (nic, uplink, downlink) = (route[0], route[1], route[3]);
 
     let config = NumFabricConfig::paper_default();
     let mut net = Network::new(topo, |link| {
