@@ -219,11 +219,8 @@ impl Experiment {
         let topo = &self.topology;
         // A failed cable is banned in both directions: a flow cannot use a
         // path its ACKs cannot retrace.
-        let banned: HashSet<LinkId> = down
-            .iter()
-            .flat_map(|&id| [Some(id), topo.reverse_link(id)])
-            .flatten()
-            .collect();
+        let mut banned = down.clone();
+        banned.extend(down.iter().filter_map(|&id| topo.reverse_link(id)));
         let routes: Vec<_> = paths
             .map(|p| {
                 if banned.is_empty() {
