@@ -913,7 +913,7 @@ impl Topology {
     /// path order. Subflows of a multipath flow are spread across these.
     ///
     /// # Panics
-    /// As [`Topology::host_route`].
+    /// As [`Topology::host_route_into`].
     pub fn host_routes(&self, src: NodeId, dst: NodeId) -> Vec<Vec<LinkId>> {
         self.healthy(src, dst).all()
     }
