@@ -17,7 +17,7 @@
 //! The run itself is a Stream [`Experiment`]: arrivals are injected in
 //! batches whose boundaries are arrival times — pure functions of the seed
 //! — so the run (and its `--json` report, which carries no wall-clock) is
-//! bit-identical for every `--partitions × --partition-threads` choice.
+//! bit-identical from one replay to the next.
 //!
 //! [`Network::try_retire_flow`]: numfabric_sim::Network::try_retire_flow
 //! [`QuantileSketch`]: crate::report::QuantileSketch
@@ -26,7 +26,7 @@
 
 use crate::experiment::{run_experiment, Experiment, Flows};
 use crate::fabric::parse_load_fraction;
-use crate::protocols::{Protocol, RunSetup};
+use crate::protocols::{impairments_from_options, Protocol};
 use crate::registry::RunError;
 use crate::report::{churn_report_json, ChurnSummary, Report};
 use numfabric_sim::{SimDuration, Topology};
@@ -83,12 +83,12 @@ pub fn churn(opts: &ScenarioOptions) -> Result<Report, RunError> {
     let seed: u64 = opts.parsed_or("--seed", 1)?;
     let protocol = opts.parsed_or("--protocol", Protocol::default())?;
     let topo = spec.build(opts.full());
-    let setup = RunSetup::from_options(opts, &topo, seed)?;
+    let impairments = impairments_from_options(opts, &topo, seed)?;
     let window = SimDuration::from_millis(millis);
     let flows = churn_flows(&topo, load, fg_share, window, seed);
     let horizon = window + SimDuration::from_millis(drain_millis);
     let exp = Experiment {
-        setup,
+        impairments,
         ..Experiment::new(protocol, topo, flows, horizon)
     };
     let topology = spec.to_string();
@@ -113,8 +113,8 @@ pub fn churn(opts: &ScenarioOptions) -> Result<Report, RunError> {
         report,
         "\n{} flows offered, {} completed in {:.2} s wall-clock ({:.0} flows/sec);\n\
          peak {} concurrent flows recycled through {} slab slots. The --json report\n\
-         is bit-identical for any --partitions and --partition-threads value —\n\
-         only this timing line varies.",
+         is bit-identical from run to run for the same --seed — only this timing\n\
+         line varies.",
         summary.offered,
         summary.completed,
         wall.as_secs_f64(),
@@ -243,28 +243,5 @@ mod tests {
         // And the driver itself runs on it.
         let summary = run_experiment(&exp).churn;
         assert!(summary.completed > 0, "offered {}", summary.offered);
-    }
-
-    #[test]
-    fn churn_summary_is_partition_invariant() {
-        let report = |partitions, partition_threads| {
-            let exp = Experiment {
-                setup: RunSetup {
-                    partitions,
-                    partition_threads,
-                    ..RunSetup::default()
-                },
-                ..quick(TopologySpec::LeafSpine, 8, 11)
-            };
-            churn_report_json("t", "p", 0.5, 8, 11, &run_experiment(&exp).churn).render()
-        };
-        let base = report(1, 1);
-        for (partitions, threads) in [(2, 1), (4, 2)] {
-            assert_eq!(
-                base,
-                report(partitions, threads),
-                "diverged at {partitions}x{threads}"
-            );
-        }
     }
 }

@@ -1,6 +1,6 @@
-//! The one experiment driver. Every scenario, figure and sweep cell
-//! describes its run as an [`Experiment`] and hands it to
-//! [`run_experiment`], the only place the harness builds a network, injects
+//! The one experiment driver. Every scenario, sweep cell and figure but
+//! the bespoke Figures 8–10 describes its run as an [`Experiment`] and
+//! hands it to [`run_experiment`], which builds the network, injects the
 //! flows, advances time and harvests per-flow results.
 //!
 //! An experiment's [`Flows`] decide how flows enter and leave the run:
@@ -24,7 +24,7 @@
 //! [`Experiment::oracle_bps`] (the static NUM oracle) and
 //! [`Experiment::ideal_fcts`] (the `IdealFluidSimulator`).
 
-use crate::protocols::{Protocol, RunSetup};
+use crate::protocols::Protocol;
 use crate::report::{ChurnSummary, ClassStats};
 use numfabric_num::utility::{AlphaFair, FctUtility, LogUtility, UtilityRef};
 use numfabric_sim::topology::{LinkId, Topology};
@@ -35,6 +35,7 @@ use numfabric_workloads::convergence::{
     measure_convergence, oracle_rates_bps, ConvergenceCriterion,
 };
 use numfabric_workloads::ideal::{empty_network_fct, IdealFluidSimulator};
+use numfabric_workloads::impairments::ImpairmentSchedule;
 use numfabric_workloads::scenarios::{EventKind, PathSpec, SemiDynamicScenario};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -150,15 +151,16 @@ pub enum Flows {
     },
 }
 
-/// One run: a fabric, a scheme, how the network is set up, what the flows
+/// One run: a fabric, a scheme, how the fabric is impaired, what the flows
 /// optimize, how they arrive, and how long it lasts.
 pub struct Experiment {
     /// The fabric.
     pub topology: Topology,
     /// The scheme under test.
     pub protocol: Protocol,
-    /// Impairments and execution knobs applied to the built network.
-    pub setup: RunSetup,
+    /// Timed link changes, and the seed of their loss/jitter draws,
+    /// applied to the built network.
+    pub impairments: ImpairmentSchedule,
     /// The NUM objective of every flow.
     pub objective: Objective,
     /// The workload.
@@ -173,8 +175,7 @@ pub struct Experiment {
 
 impl Experiment {
     /// `flows` for `protocol` on `topology` until `horizon`, under
-    /// proportional fairness, on a healthy single-core network, without
-    /// rate samples.
+    /// proportional fairness, on a healthy network, without rate samples.
     pub fn new(
         protocol: Protocol,
         topology: Topology,
@@ -184,7 +185,7 @@ impl Experiment {
         Experiment {
             topology,
             protocol,
-            setup: RunSetup::default(),
+            impairments: ImpairmentSchedule::new(),
             objective: Objective::ProportionalFairness,
             flows,
             horizon,
@@ -335,18 +336,13 @@ pub struct Outcome {
     pub churn: ChurnSummary,
 }
 
-/// Run `exp` to its end on a network built by
-/// [`Protocol::build_network_with`].
-///
-/// The execution knobs in `exp.setup` never change a measured byte: flow
-/// start keys are content-derived, batch boundaries and retire decisions
-/// derive from simulation content, and impairment draws come from per-link
-/// streams.
+/// Run `exp` to its end on a network built by [`Protocol::build_network`]
+/// and impaired by `exp.impairments`.
 pub fn run_experiment(exp: &Experiment) -> Outcome {
+    let mut net = exp.protocol.build_network(exp.topology.clone());
+    exp.impairments.apply(&mut net);
     let mut driver = Driver {
-        net: exp
-            .protocol
-            .build_network_with(exp.topology.clone(), &exp.setup),
+        net,
         exp,
         sampled: Vec::new(),
         samples: Vec::new(),
@@ -386,8 +382,8 @@ struct LiveFlow {
 }
 
 impl Driver<'_> {
-    /// Add `flow` to the network: the harness's one `Network::add_flow`
-    /// call site.
+    /// Add `flow` to the network: the one `Network::add_flow` call site of
+    /// every run but Figures 8–10, which drive their own networks.
     fn inject(&mut self, flow: &ListFlow) -> FlowId {
         let utility = self.exp.objective.utility_for(flow.size_bytes.unwrap_or(0));
         self.net.add_flow(

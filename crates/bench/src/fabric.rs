@@ -11,7 +11,7 @@
 //! simulation against the fluid solution on non-leaf-spine fabrics.
 
 use crate::experiment::{run_experiment, Experiment, FlowRecord, Flows, ListFlow};
-use crate::protocols::{Protocol, RunSetup};
+use crate::protocols::{impairments_from_options, Protocol};
 use crate::registry::RunError;
 use crate::report::{mean, percentile, steady_state_report_json, transfer_report_json, Report};
 use numfabric_sim::topology::Topology;
@@ -226,7 +226,7 @@ pub fn incast(opts: &ScenarioOptions) -> Result<Report, RunError> {
         )));
     }
     let pairs = incast_pairs(&topo, fan_in, seed);
-    let setup = RunSetup::from_options(opts, &topo, seed)?;
+    let impairments = impairments_from_options(opts, &topo, seed)?;
     let host_bps = topo.links()[0].capacity_bps;
     let topology = spec.describe(&topo);
     let mut report = Report::default();
@@ -240,7 +240,7 @@ pub fn incast(opts: &ScenarioOptions) -> Result<Report, RunError> {
     let deadline = transfer_deadline(fan_in as u64 * size, host_bps);
     let flows = Flows::List(ListFlow::pairs(&pairs, Some(size)));
     let exp = Experiment {
-        setup,
+        impairments,
         ..Experiment::new(protocol, topo, flows, deadline)
     };
     let expected = format!(
@@ -310,7 +310,7 @@ pub fn shuffle(opts: &ScenarioOptions) -> Result<Report, RunError> {
         )));
     }
     let pairs = shuffle_pairs(&topo, Some(participants), seed);
-    let setup = RunSetup::from_options(opts, &topo, seed)?;
+    let impairments = impairments_from_options(opts, &topo, seed)?;
     let host_bps = topo.links()[0].capacity_bps;
     let topology = spec.describe(&topo);
     let mut report = Report::default();
@@ -328,7 +328,7 @@ pub fn shuffle(opts: &ScenarioOptions) -> Result<Report, RunError> {
     let deadline = transfer_deadline((participants as u64 - 1) * size, host_bps / slowdown);
     let flows = Flows::List(ListFlow::pairs(&pairs, Some(size)));
     let exp = Experiment {
-        setup,
+        impairments,
         ..Experiment::new(protocol, topo, flows, deadline)
     };
     let expected = "Expected shape: on full-bisection fabrics the NICs bound the shuffle; oversubscribed\n\
@@ -351,7 +351,7 @@ pub fn stride(opts: &ScenarioOptions) -> Result<Report, RunError> {
     let topo = spec.build(opts.full());
     let stride_by = stride_from_options(opts, &topo)?;
     let pairs = stride_pairs(&topo, stride_by, seed);
-    let setup = RunSetup::from_options(opts, &topo, seed)?;
+    let impairments = impairments_from_options(opts, &topo, seed)?;
     let topology = spec.describe(&topo);
     let mut report = Report::default();
     writeln!(
@@ -363,7 +363,7 @@ pub fn stride(opts: &ScenarioOptions) -> Result<Report, RunError> {
     );
     let flows = Flows::List(ListFlow::pairs(&pairs, None));
     let exp = Experiment {
-        setup,
+        impairments,
         ..Experiment::new(protocol, topo, flows, SimDuration::from_millis(millis))
     };
     let summary = SteadyStateSummary::of(&exp, &run_experiment(&exp).flows);

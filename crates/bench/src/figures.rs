@@ -96,37 +96,37 @@ pub fn registry() -> ScenarioRegistry {
     registry.register(ScenarioSpec {
         name: "incast",
         summary: "N-to-1 incast transfers on any fabric (receiver NIC bottleneck)",
-        usage: "[--topology fat-tree:k=4|leaf-spine|oversub:4:1] [--protocol ...] [--fanin N] [--size BYTES] [--impair SPEC] [--seed S] [--partitions N: per-partition event cores] [--partition-threads T: worker threads per epoch; both bit-identical for any value] [--json] [--full]",
+        usage: "[--topology fat-tree:k=4|leaf-spine|oversub:4:1] [--protocol ...] [--fanin N] [--size BYTES] [--impair SPEC] [--seed S] [--json] [--full]",
         run: crate::fabric::incast,
     });
     registry.register(ScenarioSpec {
         name: "shuffle",
         summary: "All-to-all shuffle transfers among N hosts on any fabric",
-        usage: "[--topology fat-tree:k=4|leaf-spine|oversub:4:1] [--protocol ...] [--hosts N] [--size BYTES] [--impair SPEC] [--seed S] [--partitions N: per-partition event cores] [--partition-threads T: worker threads per epoch; both bit-identical for any value] [--json] [--full]",
+        usage: "[--topology fat-tree:k=4|leaf-spine|oversub:4:1] [--protocol ...] [--hosts N] [--size BYTES] [--impair SPEC] [--seed S] [--json] [--full]",
         run: crate::fabric::shuffle,
     });
     registry.register(ScenarioSpec {
         name: "stride",
         summary: "Stride permutation: steady-state rates vs the fluid oracle on any fabric",
-        usage: "[--topology fat-tree:k=4|leaf-spine|oversub:4:1] [--protocol ...] [--stride N] [--millis MS] [--impair SPEC] [--seed S] [--partitions N: per-partition event cores] [--partition-threads T: worker threads per epoch; both bit-identical for any value] [--json] [--full]",
+        usage: "[--topology fat-tree:k=4|leaf-spine|oversub:4:1] [--protocol ...] [--stride N] [--millis MS] [--impair SPEC] [--seed S] [--json] [--full]",
         run: crate::fabric::stride,
     });
     registry.register(ScenarioSpec {
         name: "recovery",
         summary: "Failure recovery: cut the busiest cable, measure time-to-reconverge vs the fluid oracle",
-        usage: "[--topology fat-tree:k=4|leaf-spine|oversub:4:1] [--protocol ...|--compare numfabric,dctcp,...] [--stride N] [--millis MS] [--fail-us US] [--restore-us US] [--seed S] [--partitions N: per-partition event cores] [--partition-threads T: worker threads per epoch; both bit-identical for any value] [--json] [--full]",
+        usage: "[--topology fat-tree:k=4|leaf-spine|oversub:4:1] [--protocol ...|--compare numfabric,dctcp,...] [--stride N] [--millis MS] [--fail-us US] [--restore-us US] [--seed S] [--json] [--full]",
         run: crate::recovery::recovery,
     });
     registry.register(ScenarioSpec {
         name: "churn",
         summary: "Open-loop Poisson churn with a fg/bg heavy-tail mix, streaming bounded stats on any fabric",
-        usage: "[--topology fat-tree:k=8|leaf-spine|oversub:4:1] [--protocol ...] [--load F] [--fg-share F] [--millis MS] [--drain-millis MS] [--impair SPEC] [--seed S] [--partitions N: per-partition event cores] [--partition-threads T: worker threads per epoch; both bit-identical for any value] [--json] [--full]",
+        usage: "[--topology fat-tree:k=8|leaf-spine|oversub:4:1] [--protocol ...] [--load F] [--fg-share F] [--millis MS] [--drain-millis MS] [--impair SPEC] [--seed S] [--json] [--full]",
         run: crate::churn::churn,
     });
     registry.register(ScenarioSpec {
         name: "sweep",
         summary: "Parameter-sweep grid (scenarios x topologies x protocols x loads x sizes x impairments) on a thread pool",
-        usage: "[--scenarios incast,shuffle,stride] [--topologies leaf-spine,fat-tree:k=4,oversub:4:1] [--protocols numfabric,dctcp,...] [--loads 0.5,...] [--sizes BYTES,...] [--impairments none,flap,loss,jitter] [--replicates N] [--seed S] [--threads N: worker threads, bit-identical report for any value] [--partitions N: per-partition event cores] [--partition-threads T: worker threads per epoch; both bit-identical for any value] [--json] (axes are plural: --scenario/--topology/--protocol/--load/--size/--impair are refused with a pointer to the plural)",
+        usage: "[--scenarios incast,shuffle,stride] [--topologies leaf-spine,fat-tree:k=4,oversub:4:1] [--protocols numfabric,dctcp,...] [--loads 0.5,...] [--sizes BYTES,...] [--impairments none,flap,loss,jitter] [--replicates N] [--seed S] [--threads N: worker threads, bit-identical report for any value] [--json] (axes are plural: --scenario/--topology/--protocol/--load/--size/--impair are refused with a pointer to the plural)",
         run: crate::sweep::sweep,
     });
     registry.register(ScenarioSpec {

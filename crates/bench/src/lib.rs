@@ -11,15 +11,14 @@
 //! * [`registry`](mod@registry) — [`ScenarioRegistry`]: named scenarios, each run to a
 //!   [`Report`] or a [`RunError`] that only the binary prints or exits on.
 //! * [`experiment`] — the one driver: an [`Experiment`] (topology,
-//!   protocol, [`RunSetup`], objective, flows, horizon, rate grid) and
+//!   protocol, impairments, objective, flows, horizon, rate grid) and
 //!   [`run_experiment`], which every scenario, sweep cell and figure but
 //!   the bespoke Figures 8–10 runs through. Flows are a List (injected up
 //!   front, never retired), a Stream (batched, harvested and recycled) or
 //!   semi-dynamic Events.
 //! * [`protocols`] — build any of the compared schemes (NUMFabric, DGD,
-//!   RCP*, DCTCP, pFabric) on a given topology, and [`RunSetup`]: the
-//!   impairments, impairment seed, partition and thread counts every
-//!   network is built with through the one [`Protocol::build_network_with`].
+//!   RCP*, DCTCP, pFabric) on a given topology
+//!   ([`Protocol::build_network`]).
 //! * [`churn`] — the production-scale churn scenario: streaming arrivals +
 //!   flow-slab recycling + fixed-size per-class sketches keep peak memory
 //!   O(concurrent flows) over million-flow horizons.
@@ -39,6 +38,12 @@
 //!   protocols × loads × sizes × seeds) cell-by-cell and aggregates the
 //!   results into one JSON document + markdown comparison table whose bytes
 //!   are independent of `--threads`.
+//!
+//! Parallelism lives between simulations: `sweep --threads` spreads whole
+//! cells over workers, and the same seed gives the same bytes for any
+//! `--threads`. Each simulation runs on one event core: the engine's
+//! partitioned mode is reachable only from its own tests and the
+//! `benchmark/` package.
 //!
 //! Scenarios that list `--full` in their usage run at the paper's scale
 //! with it (128 hosts, 1000 paths, 100 events, …); the default is a
@@ -64,7 +69,7 @@ pub use experiment::{
 };
 pub use fabric::{SteadyStateSummary, TransferSummary};
 pub use figures::registry;
-pub use protocols::{Protocol, RunSetup};
+pub use protocols::Protocol;
 pub use recovery::{recovery_experiment, RecoveryConfig, RecoveryResult};
 pub use registry::{DispatchError, RunError, ScenarioRegistry, ScenarioSpec};
 pub use report::{churn_report_json, ChurnSummary, ClassStats, QuantileSketch, Report};

@@ -17,69 +17,32 @@ use numfabric_workloads::impairments::ImpairmentSchedule;
 use numfabric_workloads::registry::ScenarioOptions;
 use std::str::FromStr;
 
-/// How a run is impaired and executed: everything the drivers apply to a
-/// freshly built network before the first flow is added. The two execution
-/// knobs never change a report byte — impairment draws come from per-link
-/// streams — so any value is safe for replay.
-#[derive(Debug, Clone)]
-pub struct RunSetup {
-    /// Timed link changes injected before the run starts.
-    pub impairments: ImpairmentSchedule,
-    /// Seeds the network's loss/jitter draws.
-    pub impairment_seed: u64,
-    /// Number of per-partition event cores the network is decomposed into.
-    pub partitions: usize,
-    /// Number of worker threads the partition cores run on each epoch.
-    pub partition_threads: usize,
-}
-
-impl Default for RunSetup {
-    /// A healthy run on one event core.
-    fn default() -> Self {
-        Self {
-            impairments: ImpairmentSchedule::new(),
-            impairment_seed: 0,
-            partitions: 1,
-            partition_threads: 1,
-        }
+/// The `--impair` schedule of a scenario run on `topo`, its loss/jitter
+/// draws seeded with the scenario's `--seed`; a healthy schedule without
+/// the option. A malformed spec or a link `topo` does not have is a usage
+/// error.
+pub(crate) fn impairments_from_options(
+    opts: &ScenarioOptions,
+    topo: &Topology,
+    seed: u64,
+) -> Result<ImpairmentSchedule, RunError> {
+    let mut impairments: ImpairmentSchedule = match opts.try_parsed::<String>("--impair")? {
+        Some(raw) => raw.parse().map_err(RunError::usage)?,
+        None => ImpairmentSchedule::new(),
+    };
+    if let Some(event) = impairments
+        .events
+        .iter()
+        .find(|e| e.link >= topo.links().len())
+    {
+        return Err(RunError::usage(format!(
+            "--impair references link {} but this fabric has links 0..{}",
+            event.link,
+            topo.links().len()
+        )));
     }
-}
-
-impl RunSetup {
-    /// Parse `--impair` (validated against `topo`'s links), `--partitions`
-    /// and `--partition-threads`; `seed` is the scenario's `--seed`.
-    /// Malformed specs, out-of-range links and zero counts are usage errors.
-    pub fn from_options(
-        opts: &ScenarioOptions,
-        topo: &Topology,
-        seed: u64,
-    ) -> Result<RunSetup, RunError> {
-        let at_least_one = |name: &str| match opts.parsed_or(name, 1)? {
-            0 => Err(RunError::usage(format!("{name} must be at least 1"))),
-            n => Ok(n),
-        };
-        let impairments: ImpairmentSchedule = match opts.try_parsed::<String>("--impair")? {
-            Some(raw) => raw.parse().map_err(RunError::usage)?,
-            None => ImpairmentSchedule::new(),
-        };
-        if let Some(event) = impairments
-            .events
-            .iter()
-            .find(|e| e.link >= topo.links().len())
-        {
-            return Err(RunError::usage(format!(
-                "--impair references link {} but this fabric has links 0..{}",
-                event.link,
-                topo.links().len()
-            )));
-        }
-        Ok(RunSetup {
-            impairments,
-            impairment_seed: seed,
-            partitions: at_least_one("--partitions")?,
-            partition_threads: at_least_one("--partition-threads")?,
-        })
-    }
+    impairments.seed = seed;
+    Ok(impairments)
 }
 
 /// A transport scheme under test.
@@ -110,22 +73,15 @@ impl Protocol {
     }
 
     /// Build a simulator network with this scheme's queue discipline and
-    /// switch-side controllers installed on every link, then apply `setup`
-    /// — the one place a driver's network is built, partitioned, threaded,
-    /// seeded and impaired.
-    pub fn build_network_with(&self, topo: Topology, setup: &RunSetup) -> Network {
-        let mut net = match self {
+    /// switch-side controllers installed on every link.
+    pub fn build_network(&self, topo: Topology) -> Network {
+        match self {
             Protocol::NumFabric(cfg) => numfabric_network(topo, cfg),
             Protocol::Dgd(cfg) => dgd_network(topo, cfg),
             Protocol::RcpStar(cfg) => rcp_star_network(topo, cfg),
             Protocol::Dctcp(cfg) => dctcp_network(topo, cfg),
             Protocol::Pfabric(cfg) => pfabric_network(topo, cfg),
-        };
-        net.set_partitions(setup.partitions);
-        net.set_partition_threads(setup.partition_threads);
-        net.set_impairment_seed(setup.impairment_seed);
-        setup.impairments.apply(&mut net);
-        net
+        }
     }
 
     /// Build one flow agent. `utility` is used by the utility-driven schemes
@@ -196,7 +152,7 @@ mod tests {
             Protocol::Pfabric(PfabricConfig::default()),
         ] {
             let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
-            let mut net = protocol.build_network_with(topo, &RunSetup::default());
+            let mut net = protocol.build_network(topo);
             let hosts: Vec<_> = net.topology().hosts().to_vec();
             let util: UtilityRef = Arc::new(LogUtility::new());
             let flow = net.add_flow(

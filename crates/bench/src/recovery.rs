@@ -19,7 +19,7 @@
 
 use crate::experiment::{run_experiment, Experiment, Flows, ListFlow, Outcome};
 use crate::fabric::stride_from_options;
-use crate::protocols::{Protocol, RunSetup};
+use crate::protocols::Protocol;
 use crate::registry::RunError;
 use crate::report::{micros, Json, Report};
 use numfabric_sim::topology::{LinkId, Topology};
@@ -135,22 +135,20 @@ fn fraction_within(rates: &[f64], oracle: &[f64]) -> f64 {
 
 /// The recovery experiment for `protocol`: one long-lived flow per pair,
 /// rates sampled every 25 µs, and the busiest cable cut (both directions)
-/// at `config.fail_at` on top of whatever `setup` already impairs. A cut is
-/// deterministic, so the run is bit-identical for every partition and
-/// thread count in `setup`.
+/// at `config.fail_at`. A cut draws nothing at random, so the run is a pure
+/// function of its arguments.
 pub fn recovery_experiment(
     protocol: Protocol,
     topo: Topology,
     pairs: &[PathSpec],
     config: &RecoveryConfig,
-    mut setup: RunSetup,
 ) -> Experiment {
     let (victim, _) = busiest_cable(&topo, pairs);
-    let cut = ImpairmentSchedule::cable_cut(&topo, victim, config.fail_at, config.restore_at);
-    setup.impairments.events.extend(cut.events);
+    let impairments =
+        ImpairmentSchedule::cable_cut(&topo, victim, config.fail_at, config.restore_at);
     let flows = Flows::List(ListFlow::pairs(pairs, None));
     Experiment {
-        setup,
+        impairments,
         sample_every: Some(SAMPLE_EVERY),
         ..Experiment::new(protocol, topo, flows, config.run_for)
     }
@@ -309,7 +307,6 @@ pub fn recovery(opts: &ScenarioOptions) -> Result<Report, RunError> {
         restore_at: restore_us.map(SimTime::from_micros),
         run_for: SimDuration::from_millis(millis),
     };
-    let setup = RunSetup::from_options(opts, &topo, seed)?;
     if config.fail_at + SAMPLE_EVERY * SUSTAIN as u64 > SimTime::ZERO + config.run_for {
         return Err(RunError::usage(format!(
             "--fail-us {fail_us} leaves no room to observe recovery in a {millis} ms run"
@@ -329,7 +326,7 @@ pub fn recovery(opts: &ScenarioOptions) -> Result<Report, RunError> {
     let results: Vec<RecoveryResult> = protocols
         .into_iter()
         .map(|p| {
-            let exp = recovery_experiment(p, topo.clone(), &pairs, &config, setup.clone());
+            let exp = recovery_experiment(p, topo.clone(), &pairs, &config);
             RecoveryResult::judge(&exp, &run_experiment(&exp), &config)
         })
         .collect();
@@ -402,7 +399,7 @@ mod tests {
     fn recover(config: &RecoveryConfig) -> RecoveryResult {
         let (topo, pairs) = setup();
         let protocol = Protocol::NumFabric(NumFabricConfig::default());
-        let exp = recovery_experiment(protocol, topo, &pairs, config, RunSetup::default());
+        let exp = recovery_experiment(protocol, topo, &pairs, config);
         RecoveryResult::judge(&exp, &run_experiment(&exp), config)
     }
 

@@ -252,20 +252,21 @@ mod tests {
     #[test]
     fn usage_matcher_compares_whole_option_names() {
         let usage = "[--protocol ...|--compare a,b] [--load F] [--impair SPEC] \
-                     [--partitions N: event cores] [--partition-threads T: workers; any value]";
+                     [--millis MS] [--drain-millis MS: after the window]";
         for declared in [
             "--protocol",
             "--compare",
             "--load",
             "--impair",
-            "--partitions",
-            "--partition-threads",
+            "--millis",
+            "--drain-millis",
         ] {
             assert!(usage_declares(usage, declared), "{declared}");
         }
         for undeclared in [
-            "--partition",
-            "--partition-thread",
+            "--milli",
+            "--drain",
+            "--drain-milli",
             "--loads",
             "--",
             "--impai",

@@ -329,8 +329,8 @@ impl ChurnSummary {
 }
 
 /// The structured report of a churn run. Contains only simulation-derived
-/// quantities (never wall-clock), so the rendered bytes are bit-identical
-/// across every `--partitions × --partition-threads` choice.
+/// quantities (never wall-clock), so the rendered bytes are a pure
+/// function of the run's options.
 pub fn churn_report_json(
     topology: &str,
     protocol: &str,

@@ -20,7 +20,7 @@ use crate::experiment::{run_experiment, Experiment, Flows, ListFlow};
 use crate::fabric::{
     transfer_deadline, worst_oversubscription, SteadyStateSummary, TransferSummary,
 };
-use crate::protocols::{Protocol, RunSetup};
+use crate::protocols::Protocol;
 use crate::registry::RunError;
 use crate::report::{mean, percentile, ChurnSummary, Json, Report};
 use numfabric_sim::SimDuration;
@@ -125,12 +125,11 @@ impl CellResult {
 /// axis — sizes come from the mix's heavy-tail distributions. The
 /// impairment axis expands its named profile into a schedule on the cell's
 /// own fabric, seeded and windowed by the cell, before the simulation
-/// starts — so of `setup` only the partition and thread counts apply, and
-/// like `--threads` they never change a byte of the result.
+/// starts.
 ///
 /// Errors only on an unknown protocol name — everything else about a cell
 /// is valid by construction of [`SweepSpec::expand`].
-pub fn run_cell(cell: &SweepCell, setup: &RunSetup) -> Result<CellResult, String> {
+pub fn run_cell(cell: &SweepCell) -> Result<CellResult, String> {
     let protocol: Protocol = cell.protocol.parse().map_err(|_| {
         format!(
             "unknown protocol `{}` in sweep cell {}",
@@ -170,13 +169,8 @@ pub fn run_cell(cell: &SweepCell, setup: &RunSetup) -> Result<CellResult, String
             (flows, CHURN_WINDOW + CHURN_DRAIN, CHURN_WINDOW)
         }
     };
-    let setup = RunSetup {
-        impairments: cell.impairment.schedule(&topo, cell.seed, impaired_window),
-        impairment_seed: cell.seed,
-        ..setup.clone()
-    };
     let exp = Experiment {
-        setup,
+        impairments: cell.impairment.schedule(&topo, cell.seed, impaired_window),
         ..Experiment::new(protocol, topo, flows, horizon)
     };
     let outcome = run_experiment(&exp);
@@ -205,8 +199,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// Run one cell with panics converted into structured errors that name the
 /// cell and its scenario, so one failing cell neither takes its worker (and
 /// the cells that worker would have claimed) down nor loses its identity.
-fn run_cell_caught(cell: &SweepCell, setup: &RunSetup) -> Result<CellResult, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_cell(cell, setup))).unwrap_or_else(
+fn run_cell_caught(cell: &SweepCell) -> Result<CellResult, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_cell(cell))).unwrap_or_else(
         |payload| {
             Err(format!(
                 "sweep cell {} ({}) panicked: {}",
@@ -225,14 +219,8 @@ fn run_cell_caught(cell: &SweepCell, setup: &RunSetup) -> Result<CellResult, Str
 /// lowest-index one, so the error path does not depend on scheduling either.
 ///
 /// `threads` is clamped to `1..=cells.len()`; with one thread the cells run
-/// inline on the caller's thread through the identical per-cell path. The
-/// parallelism knobs compose: `threads` spreads whole cells across workers,
-/// `setup`'s partition and thread counts decompose each cell's fabric.
-pub fn execute_cells(
-    cells: Vec<SweepCell>,
-    threads: usize,
-    setup: &RunSetup,
-) -> Result<Vec<CellResult>, String> {
+/// inline on the caller's thread through the identical per-cell path.
+pub fn execute_cells(cells: Vec<SweepCell>, threads: usize) -> Result<Vec<CellResult>, String> {
     let next = AtomicUsize::new(0);
     let worker = || {
         let mut finished = Vec::new();
@@ -243,7 +231,7 @@ pub fn execute_cells(
             let Some(cell) = cells.get(index) else {
                 return finished;
             };
-            finished.push((index, run_cell_caught(cell, setup)));
+            finished.push((index, run_cell_caught(cell)));
         }
     };
     let mut finished = match threads.clamp(1, cells.len().max(1)) {
@@ -401,9 +389,6 @@ pub fn sweep(opts: &ScenarioOptions) -> Result<Report, RunError> {
     let cells = spec.expand().map_err(RunError::usage)?;
     let default_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads: usize = opts.parsed_or("--threads", default_threads)?;
-    // Impairments are a per-cell axis here (`--impair` is refused above), so
-    // the fabric is only what `from_options` would validate one against.
-    let setup = RunSetup::from_options(opts, &spec.topologies[0].build(false), spec.base_seed)?;
     let mut report = Report::default();
     writeln!(
         report,
@@ -419,16 +404,16 @@ pub fn sweep(opts: &ScenarioOptions) -> Result<Report, RunError> {
         threads.clamp(1, cells.len()),
     );
     let start = Instant::now();
-    let results = execute_cells(cells, threads, &setup).map_err(RunError::Usage)?;
+    let results = execute_cells(cells, threads).map_err(RunError::Usage)?;
     let wall = start.elapsed();
     report.json = Some(sweep_report_json(&spec, &results));
     report.text += &markdown_table(&results);
     writeln!(
         report,
         "\n{} cells in {:.2} s wall-clock. The table and the --json report are\n\
-         bit-identical for any --threads, --partitions and --partition-threads\n\
-         value — including under randomized loss/jitter profiles; only this\n\
-         timing line and the thread count in the header vary.",
+         bit-identical for any --threads value — including under randomized\n\
+         loss/jitter profiles; only this timing line and the thread count in\n\
+         the header vary.",
         results.len(),
         wall.as_secs_f64(),
     );
@@ -441,15 +426,6 @@ mod tests {
     use numfabric_workloads::fabric::TopologySpec;
     use numfabric_workloads::impairments::ImpairmentProfile;
     use numfabric_workloads::sweep::derive_cell_seed;
-
-    /// `run_cell` / `execute_cells` on one healthy event core.
-    fn run(cell: &SweepCell) -> Result<CellResult, String> {
-        run_cell(cell, &RunSetup::default())
-    }
-
-    fn execute(cells: Vec<SweepCell>, threads: usize) -> Result<Vec<CellResult>, String> {
-        execute_cells(cells, threads, &RunSetup::default())
-    }
 
     fn mini_cell(scenario: SweepScenario, index: usize) -> SweepCell {
         SweepCell {
@@ -467,7 +443,7 @@ mod tests {
 
     #[test]
     fn incast_cell_runs_and_reports_fcts() {
-        let result = run(&mini_cell(SweepScenario::Incast, 0)).unwrap();
+        let result = run_cell(&mini_cell(SweepScenario::Incast, 0)).unwrap();
         // load 0.25 of 15 eligible senders on the 16-host fat-tree: 4 senders.
         assert_eq!(result.flows, 4);
         assert_eq!(result.completed, Some(4));
@@ -478,7 +454,7 @@ mod tests {
 
     #[test]
     fn stride_cell_reports_oracle_error_not_fcts() {
-        let result = run(&mini_cell(SweepScenario::Stride, 1)).unwrap();
+        let result = run_cell(&mini_cell(SweepScenario::Stride, 1)).unwrap();
         assert_eq!(result.flows, 16);
         assert_eq!(result.completed, None);
         assert!(result.median_fct_seconds.is_none());
@@ -496,8 +472,8 @@ mod tests {
         ] {
             let mut cell = mini_cell(SweepScenario::Incast, 2);
             cell.impairment = profile;
-            let a = run(&cell).unwrap();
-            let b = run(&cell).unwrap();
+            let a = run_cell(&cell).unwrap();
+            let b = run_cell(&cell).unwrap();
             assert_eq!(a.flows, b.flows, "{profile:?}");
             assert_eq!(a.completed, b.completed, "{profile:?}");
             assert_eq!(
@@ -517,10 +493,10 @@ mod tests {
     fn unknown_protocol_is_an_error_not_a_panic() {
         let mut cell = mini_cell(SweepScenario::Incast, 0);
         cell.protocol = "tcp-reno".to_string();
-        let err = run(&cell).unwrap_err();
+        let err = run_cell(&cell).unwrap_err();
         assert!(err.contains("tcp-reno"));
         // And the pool surfaces it instead of hanging.
-        let err = execute(vec![cell], 4).unwrap_err();
+        let err = execute_cells(vec![cell], 4).unwrap_err();
         assert!(err.contains("tcp-reno"));
     }
 
@@ -536,7 +512,7 @@ mod tests {
             .collect();
         cells[2].topology = TopologySpec::FatTree { k: 3 };
         for threads in [1, 2, 4] {
-            let err = execute(cells.clone(), threads).unwrap_err();
+            let err = execute_cells(cells.clone(), threads).unwrap_err();
             assert!(
                 err.contains("sweep cell 2") && err.contains("incast") && err.contains("panicked"),
                 "threads={threads}: {err}"
@@ -558,7 +534,7 @@ mod tests {
         cells[1].protocol = "bad-one".to_string();
         cells[3].protocol = "bad-three".to_string();
         for threads in [1, 2, 4] {
-            let err = execute(cells.clone(), threads).unwrap_err();
+            let err = execute_cells(cells.clone(), threads).unwrap_err();
             assert!(
                 err.contains("bad-one") && err.contains("cell 1"),
                 "threads={threads}: {err}"
@@ -571,20 +547,20 @@ mod tests {
         let cells: Vec<SweepCell> = (0..4)
             .map(|i| mini_cell(SweepScenario::Incast, i))
             .collect();
-        let results = execute(cells, 3).unwrap();
+        let results = execute_cells(cells, 3).unwrap();
         let indices: Vec<usize> = results.iter().map(|r| r.cell.index).collect();
         assert_eq!(indices, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn empty_grid_is_an_empty_report() {
-        assert!(execute(Vec::new(), 8).unwrap().is_empty());
+        assert!(execute_cells(Vec::new(), 8).unwrap().is_empty());
     }
 
     #[test]
     fn markdown_table_has_one_row_per_cell_and_dashes_where_not_applicable() {
-        let transfer = run(&mini_cell(SweepScenario::Incast, 0)).unwrap();
-        let steady = run(&mini_cell(SweepScenario::Stride, 1)).unwrap();
+        let transfer = run_cell(&mini_cell(SweepScenario::Incast, 0)).unwrap();
+        let steady = run_cell(&mini_cell(SweepScenario::Stride, 1)).unwrap();
         let table = markdown_table(&[transfer, steady]);
         let rows: Vec<&str> = table.lines().collect();
         assert_eq!(rows.len(), 2 + 2, "header + separator + 2 cells");

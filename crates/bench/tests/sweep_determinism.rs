@@ -9,7 +9,6 @@
 //! parallelism lives strictly *between* simulations, never inside one.
 
 use numfabric_bench::sweep::{execute_cells, markdown_table, sweep_report_json};
-use numfabric_bench::RunSetup;
 use numfabric_workloads::fabric::TopologySpec;
 use numfabric_workloads::impairments::ImpairmentProfile;
 use numfabric_workloads::sweep::{derive_cell_seed, SweepScenario, SweepSpec};
@@ -52,7 +51,7 @@ fn impaired_grid() -> SweepSpec {
 
 fn aggregate_with_threads(spec: &SweepSpec, threads: usize) -> (String, String) {
     let cells = spec.expand().expect("valid spec");
-    let results = execute_cells(cells, threads, &RunSetup::default()).expect("all cells run");
+    let results = execute_cells(cells, threads).expect("all cells run");
     (
         sweep_report_json(spec, &results).render(),
         markdown_table(&results),
@@ -105,7 +104,7 @@ fn impaired_grid_is_bit_identical_across_thread_counts() {
 #[test]
 fn every_cell_reports_and_completes_on_the_mini_grid() {
     let spec = mini_grid();
-    let results = execute_cells(spec.expand().unwrap(), 4, &RunSetup::default()).unwrap();
+    let results = execute_cells(spec.expand().unwrap(), 4).unwrap();
     assert_eq!(results.len(), 8);
     for r in &results {
         assert_eq!(

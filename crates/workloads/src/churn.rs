@@ -15,8 +15,7 @@
 //! Determinism: each class derives its own RNG stream from
 //! `(seed, class index)`, and the merge breaks start-time ties by class
 //! index — the sequence is a pure function of the configuration, so every
-//! protocol (and every `--partitions × --partition-threads` choice
-//! downstream) sees the identical trace.
+//! protocol sees the identical trace.
 
 use crate::arrivals::{ArrivalStream, FlowArrival, PoissonWorkloadConfig};
 use crate::distributions::{EmpiricalCdf, FlowSizeDistribution};

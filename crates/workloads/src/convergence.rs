@@ -16,7 +16,7 @@ use numfabric_num::utility::UtilityRef;
 use numfabric_num::{FluidNetwork, FluidNetworkBuilder, Oracle};
 use numfabric_sim::network::Network;
 use numfabric_sim::topology::{LinkId, Topology};
-use numfabric_sim::tracer::PAPER_EWMA_TAU;
+use numfabric_sim::tracer::EwmaRateTracer;
 use numfabric_sim::{FlowId, SimDuration, SimTime};
 
 /// Build a fluid NUM instance for a set of flows on a packet topology.
@@ -71,7 +71,7 @@ impl Default for ConvergenceCriterion {
             tolerance: 0.10,
             hold: SimDuration::from_millis(5),
             poll_interval: SimDuration::from_micros(10),
-            filter_rise_time: SimDuration::from_secs_f64(PAPER_EWMA_TAU.as_secs_f64() * 10f64.ln()),
+            filter_rise_time: EwmaRateTracer::paper_default().rise_time(),
         }
     }
 }

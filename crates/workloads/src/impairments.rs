@@ -14,10 +14,11 @@
 //!   `loss`, `jitter`) the sweep engine uses as a grid axis, each expanding
 //!   to a seeded, topology-aware schedule.
 //!
-//! Determinism: a schedule is pure data; applying it injects ordinary
-//! events into the timing wheel, and the seeded victim selection below uses
-//! the same ChaCha8 streams as every other workload generator. Replays of
-//! an impaired scenario are bit-identical.
+//! Determinism: a schedule is pure data — its changes plus the seed of
+//! the network's loss/jitter draws; applying it hands each change to the
+//! network as a coordinator-level link change, and the seeded victim
+//! selection below uses the same ChaCha8 streams as every other workload
+//! generator. Replays of an impaired scenario are bit-identical.
 
 use numfabric_sim::network::Network;
 use numfabric_sim::topology::{LinkId, Topology};
@@ -38,14 +39,19 @@ pub struct ImpairmentEvent {
     pub change: LinkChange,
 }
 
-/// A list of timed link changes, applied to a [`Network`] as ordinary
-/// scheduled events.
+/// A list of timed link changes and the seed of the loss/jitter draws they
+/// cause. [`apply`](Self::apply) hands them to a [`Network`] as
+/// coordinator-level link changes: each takes effect at its instant, before
+/// any wheel event of that instant.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ImpairmentSchedule {
-    /// The scheduled changes, in the order they were added (the event wheel
-    /// orders same-time entries by insertion, so this order is meaningful
-    /// for same-instant changes).
+    /// The scheduled changes, in the order they were added. Changes due at
+    /// the same instant apply in this order.
     pub events: Vec<ImpairmentEvent>,
+    /// Seeds the network's per-link loss and jitter streams
+    /// ([`Network::set_impairment_seed`]). A schedule without `loss` or
+    /// `jitter` changes never draws from them, so its seed changes nothing.
+    pub seed: u64,
 }
 
 impl ImpairmentSchedule {
@@ -88,8 +94,10 @@ impl ImpairmentSchedule {
         schedule
     }
 
-    /// Schedule every event onto `net` (then just run the simulation).
+    /// Seed `net`'s impairment streams and schedule every change onto it
+    /// (then just run the simulation).
     pub fn apply(&self, net: &mut Network) {
+        net.set_impairment_seed(self.seed);
         for e in &self.events {
             net.schedule_link_change(e.at, e.link, e.change);
         }
@@ -235,11 +243,16 @@ impl ImpairmentProfile {
     }
 
     /// Expand the profile into a concrete schedule for `topo`: the victim
-    /// cable is drawn from a ChaCha8 stream seeded with `seed`, and timed
-    /// relative to the run `window`.
+    /// cable is drawn from a ChaCha8 stream seeded with `seed`, timed
+    /// relative to the run `window`, and the schedule's loss/jitter draws
+    /// are seeded with `seed` too.
     pub fn schedule(&self, topo: &Topology, seed: u64, window: SimDuration) -> ImpairmentSchedule {
+        let mut schedule = ImpairmentSchedule {
+            seed,
+            ..ImpairmentSchedule::new()
+        };
         if *self == ImpairmentProfile::None {
-            return ImpairmentSchedule::new();
+            return schedule;
         }
         let cables = fabric_cables(topo);
         assert!(
@@ -248,7 +261,6 @@ impl ImpairmentProfile {
         );
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let (fwd, rev) = cables[rng.gen_range(0..cables.len())];
-        let mut schedule = ImpairmentSchedule::new();
         match self {
             ImpairmentProfile::None => unreachable!("handled above"),
             ImpairmentProfile::Flap => {
@@ -422,9 +434,9 @@ mod tests {
 
         let topo = TopologySpec::FatTree { k: 4 }.build(false);
         let window = SimDuration::from_millis(4);
-        assert!(ImpairmentProfile::None
-            .schedule(&topo, 1, window)
-            .is_empty());
+        let healthy = ImpairmentProfile::None.schedule(&topo, 1, window);
+        assert!(healthy.is_empty());
+        assert_eq!(healthy.seed, 1, "even a healthy schedule carries its seed");
         for p in [
             ImpairmentProfile::Flap,
             ImpairmentProfile::Loss,
@@ -433,6 +445,7 @@ mod tests {
             let a = p.schedule(&topo, 5, window);
             assert_eq!(a.len(), if p == ImpairmentProfile::Flap { 4 } else { 2 });
             assert_eq!(a, p.schedule(&topo, 5, window), "same seed, same victim");
+            assert_eq!(a.seed, 5, "{p}: loss/jitter draws share the seed");
         }
         // Across many seeds the victim cable varies.
         let victims: std::collections::HashSet<LinkId> = (0..32)

@@ -584,55 +584,29 @@ fn pfabric_worst_drop_replay_is_bit_identical() {
     );
 }
 
-/// Render the churn engine's full `--json` report for one execution-knob
-/// combination. Everything observable — per-class sketches, slab
-/// high-water, goodput — is folded into the rendered bytes.
-fn churn_engine_report(seed: u64, partitions: usize, partition_threads: usize) -> String {
+/// Render the churn engine's full `--json` report for one seed.
+/// Everything observable — per-class sketches, slab high-water, goodput —
+/// is folded into the rendered bytes.
+fn churn_engine_report(seed: u64) -> String {
     use numfabric::workloads::TopologySpec;
-    use numfabric_bench::{
-        churn_flows, churn_report_json, run_experiment, Experiment, Protocol, RunSetup,
-    };
+    use numfabric_bench::{churn_flows, churn_report_json, run_experiment, Experiment, Protocol};
     let topo = TopologySpec::LeafSpine.build(false);
     let window = SimDuration::from_millis(6);
     let flows = churn_flows(&topo, 0.6, 0.25, window, seed);
     let protocol = Protocol::NumFabric(NumFabricConfig::default());
-    let exp = Experiment {
-        setup: RunSetup {
-            partitions,
-            partition_threads,
-            ..RunSetup::default()
-        },
-        ..Experiment::new(protocol, topo, flows, window + SimDuration::from_millis(40))
-    };
+    let exp = Experiment::new(protocol, topo, flows, window + SimDuration::from_millis(40));
     let summary = run_experiment(&exp).churn;
     assert!(summary.completed > 0, "churn run completed no flows");
     churn_report_json("leaf-spine", exp.protocol.name(), 0.6, 6, seed, &summary).render()
 }
 
 #[test]
-fn partition_matrix_never_changes_a_churn_report() {
-    let baseline = churn_engine_report(21, 1, 1);
-    for partitions in [1usize, 2, 4] {
-        for threads in [1usize, 2] {
-            if (partitions, threads) == (1, 1) {
-                continue;
-            }
-            let got = churn_engine_report(21, partitions, threads);
-            assert_eq!(
-                baseline, got,
-                "churn report bytes changed at partitions={partitions} threads={threads}"
-            );
-        }
-    }
-}
-
-#[test]
 fn churn_report_is_seed_sensitive() {
-    // The matrix invariance above must not be vacuous: a different seed
-    // has to produce a genuinely different trace.
+    // The seed drives the churn trace: a different seed has to produce a
+    // genuinely different report.
     assert_ne!(
-        churn_engine_report(21, 2, 2),
-        churn_engine_report(22, 2, 2),
+        churn_engine_report(21),
+        churn_engine_report(22),
         "different seeds produced identical churn reports"
     );
 }
