@@ -80,6 +80,22 @@ fn unknown_option_values_exit_two_and_name_the_accepted_ones() {
 }
 
 #[test]
+fn an_unknown_protocol_in_a_list_names_itself_and_the_accepted_ones() {
+    for (scenario, option) in [("sweep", "--protocols"), ("recovery", "--compare")] {
+        assert_usage_error(
+            &[scenario, option, "numfabric,tcp"],
+            &format!(
+                "invalid value `tcp` for option `{option}`: expected numfabric|dgd|rcp|dctcp|pfabric"
+            ),
+        );
+    }
+    assert_usage_error(
+        &["sweep", "--protocols", "tcp"],
+        "invalid value `tcp` for option `--protocols`: expected numfabric|dgd|rcp|dctcp|pfabric",
+    );
+}
+
+#[test]
 fn sweep_still_points_singular_axes_at_the_plural() {
     assert_usage_error(&["sweep", "--topology", "fat-tree:k=4"], "--topologies");
     assert_usage_error(&["sweep", "--impair", "flap"], "--impairments");

@@ -10,8 +10,9 @@
 //! spans every route-selection path: healthy ECMP on all three fabric
 //! families, symmetric cable-cut re-selection with and without restore
 //! (`recovery`, for NUMFabric and DCTCP), asymmetric `down-fwd`
-//! re-selection, seeded wire loss, the churn driver and the sweep engine's
-//! default mini-grid, and pFabric's incast and churn. A second set
+//! re-selection, seeded wire loss, the churn driver, the sweep engine's
+//! default mini-grid and a grid of its other protocols, and pFabric's
+//! incast and churn. A second set
 //! digests the plain-text tables of two hand-built-topology figures, of
 //! Table 2's parameter settings and of the generic `dynamic` and
 //! `semi-dynamic` drivers.
@@ -65,7 +66,9 @@ fn moved_pins(pins: &[(&str, u64)], digest: fn(&str) -> u64) -> Vec<String> {
 /// DCTCP's go-back-N on a cut path, was recorded at f33338d. The two
 /// pFabric runs, the only pins of its priority queue and agent (the incast
 /// overflows the shallow buffers, so it evicts, drops and resends on RTO),
-/// were recorded at 916427a.
+/// were recorded at 916427a. The non-default-protocol sweep, the only pin
+/// of the sweep's protocol axis beyond its default two, was recorded at
+/// 994640b.
 const PINS: &[(&str, u64)] = &[
     (
         "incast --topology fat-tree:k=4 --fanin 4 --size 100000",
@@ -100,6 +103,11 @@ const PINS: &[(&str, u64)] = &[
     (
         "churn --protocol pfabric --millis 4 --drain-millis 40",
         0x0ab2_8714_2520_23cb,
+    ),
+    (
+        "sweep --scenarios incast,stride --topologies fat-tree:k=4 \
+         --protocols dgd,rcp,pfabric --loads 0.25 --sizes 50000",
+        0x53c1_f889_3cea_eb73,
     ),
 ];
 
