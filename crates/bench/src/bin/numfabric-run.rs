@@ -15,8 +15,7 @@
 //! and picks the exit status: 0 for a trustworthy report, 1 for a wedged
 //! run (after its report) or an unknown scenario, 2 for a usage error.
 
-use numfabric_bench::{registry, DispatchError, RunError};
-use numfabric_workloads::registry::ScenarioOptions;
+use numfabric_bench::{registry, DispatchError, RunError, ScenarioOptions};
 use std::io::{self, Write};
 use std::process::ExitCode;
 

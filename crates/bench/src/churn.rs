@@ -27,11 +27,10 @@
 use crate::experiment::{run_experiment, Experiment, Flows};
 use crate::fabric::parse_load_fraction;
 use crate::protocols::{impairments_from_options, Protocol};
-use crate::registry::RunError;
+use crate::registry::{RunError, ScenarioOptions};
 use crate::report::{churn_report_json, ChurnSummary, Report};
 use numfabric_sim::{SimDuration, Topology};
 use numfabric_workloads::churn::{foreground_background, ChurnConfig};
-use numfabric_workloads::registry::ScenarioOptions;
 use numfabric_workloads::TopologySpec;
 
 /// The churn Stream on `topo`: the foreground/background mix at `load`

@@ -3,20 +3,20 @@
 //! leaf-spine, oversubscribed leaf-spine, k-ary fat-tree) under any
 //! protocol.
 //!
-//! Each scenario is a List [`Experiment`] of fixed pairs at t = 0 plus a
-//! formatter: incast and shuffle inject finite flows and report completion
-//! statistics ([`TransferSummary`]); stride runs long-lived flows and
-//! compares measured rates to the fluid NUM oracle
+//! Each scenario is a List [`Experiment`] of fixed pairs at t = 0, built by
+//! one constructor per family that the CLI scenario and the sweep's cells
+//! share, plus a formatter: incast and shuffle inject finite flows and
+//! report completion statistics ([`TransferSummary`]); stride runs
+//! long-lived flows and compares measured rates to the fluid NUM oracle
 //! ([`SteadyStateSummary`]) — the cross-check that pins the packet
 //! simulation against the fluid solution on non-leaf-spine fabrics.
 
 use crate::experiment::{run_experiment, Experiment, FlowRecord, Flows, ListFlow};
 use crate::protocols::{impairments_from_options, Protocol};
-use crate::registry::RunError;
+use crate::registry::{RunError, ScenarioOptions};
 use crate::report::{mean, percentile, steady_state_report_json, transfer_report_json, Report};
 use numfabric_sim::topology::Topology;
 use numfabric_sim::SimDuration;
-use numfabric_workloads::registry::ScenarioOptions;
 use numfabric_workloads::scenarios::{incast_pairs, shuffle_pairs, stride_pairs};
 use numfabric_workloads::TopologySpec;
 use std::collections::HashSet;
@@ -98,13 +98,7 @@ impl SteadyStateSummary {
     /// Fraction of flows whose measured rate is within `tol` (relative) of
     /// the oracle allocation.
     pub fn fraction_within(&self, tol: f64) -> f64 {
-        let ok = self
-            .rates_bps
-            .iter()
-            .zip(&self.oracle_bps)
-            .filter(|(&r, &o)| (r - o).abs() <= tol * o.max(1.0))
-            .count();
-        ok as f64 / self.rates_bps.len().max(1) as f64
+        fraction_within(&self.rates_bps, &self.oracle_bps, tol)
     }
 
     /// Total measured throughput over total oracle throughput.
@@ -113,6 +107,18 @@ impl SteadyStateSummary {
         let oracle: f64 = self.oracle_bps.iter().sum();
         measured / oracle.max(1.0)
     }
+}
+
+/// Fraction of `rates` within `tol` (relative, with a 1 bps floor) of the
+/// matching `oracle` rate. A zero-oracle flow counts only when it is
+/// stalled too.
+pub(crate) fn fraction_within(rates: &[f64], oracle: &[f64], tol: f64) -> f64 {
+    let ok = rates
+        .iter()
+        .zip(oracle)
+        .filter(|(&r, &o)| (r - o).abs() <= tol * o.max(1.0))
+        .count();
+    ok as f64 / rates.len().max(1) as f64
 }
 
 /// Parse `--size` (defaulting to `default`). A zero-byte transfer can never
@@ -157,7 +163,7 @@ pub(crate) fn stride_from_options(
 
 /// A deadline generous enough for `total_bytes` through one `bottleneck_bps`
 /// link, with convergence slack.
-pub(crate) fn transfer_deadline(total_bytes: u64, bottleneck_bps: f64) -> SimDuration {
+fn transfer_deadline(total_bytes: u64, bottleneck_bps: f64) -> SimDuration {
     let drain = total_bytes as f64 * 8.0 / bottleneck_bps;
     SimDuration::from_secs_f64(4.0 * drain) + SimDuration::from_millis(10)
 }
@@ -166,7 +172,7 @@ pub(crate) fn transfer_deadline(total_bytes: u64, bottleneck_bps: f64) -> SimDur
 /// leaf is oversubscribed, or when there is no fabric tier at all). Deadline
 /// heuristics multiply by this: on an R:1 oversubscribed fabric, cross-rack
 /// transfers drain up to R times slower than the NIC bound suggests.
-pub(crate) fn worst_oversubscription(topo: &Topology) -> f64 {
+fn worst_oversubscription(topo: &Topology) -> f64 {
     use numfabric_sim::topology::NodeKind;
     let mut worst: f64 = 1.0;
     for &leaf in topo.leaves() {
@@ -183,6 +189,55 @@ pub(crate) fn worst_oversubscription(topo: &Topology) -> f64 {
         }
     }
     worst
+}
+
+/// The incast experiment: `fan_in` senders, drawn from `seed`, each send
+/// `size` bytes to one receiver, whose access link is the bottleneck. It
+/// ends at a deadline generous enough to drain every byte through that link.
+pub(crate) fn incast_experiment(
+    protocol: Protocol,
+    topo: Topology,
+    fan_in: usize,
+    size: u64,
+    seed: u64,
+) -> Experiment {
+    let pairs = incast_pairs(&topo, fan_in, seed);
+    let deadline = transfer_deadline(fan_in as u64 * size, topo.links()[0].capacity_bps);
+    let flows = Flows::List(ListFlow::pairs(&pairs, Some(size)));
+    Experiment::new(protocol, topo, flows, deadline)
+}
+
+/// The all-to-all shuffle experiment: every ordered pair among
+/// `participants` hosts, drawn from `seed`, transfers `size` bytes. Each
+/// participant receives `participants - 1` transfers through its NIC — or,
+/// on an oversubscribed fabric, through a leaf uplink up to R times slower
+/// for cross-rack traffic — and the deadline allows for that.
+pub(crate) fn shuffle_experiment(
+    protocol: Protocol,
+    topo: Topology,
+    participants: usize,
+    size: u64,
+    seed: u64,
+) -> Experiment {
+    let pairs = shuffle_pairs(&topo, Some(participants), seed);
+    let bottleneck_bps = topo.links()[0].capacity_bps / worst_oversubscription(&topo);
+    let deadline = transfer_deadline((participants as u64 - 1) * size, bottleneck_bps);
+    let flows = Flows::List(ListFlow::pairs(&pairs, Some(size)));
+    Experiment::new(protocol, topo, flows, deadline)
+}
+
+/// The stride experiment: host `i` sends to host `(i + stride) mod n` (pairs
+/// drawn from `seed`) as a long-lived flow, for `run_for`.
+pub(crate) fn stride_experiment(
+    protocol: Protocol,
+    topo: Topology,
+    stride: usize,
+    seed: u64,
+    run_for: SimDuration,
+) -> Experiment {
+    let pairs = stride_pairs(&topo, stride, seed);
+    let flows = Flows::List(ListFlow::pairs(&pairs, None));
+    Experiment::new(protocol, topo, flows, run_for)
 }
 
 fn transfer_table(report: &mut Report, label: &str, summary: &TransferSummary) {
@@ -225,24 +280,18 @@ pub fn incast(opts: &ScenarioOptions) -> Result<Report, RunError> {
             topo.hosts().len()
         )));
     }
-    let pairs = incast_pairs(&topo, fan_in, seed);
-    let impairments = impairments_from_options(opts, &topo, seed)?;
     let host_bps = topo.links()[0].capacity_bps;
     let topology = spec.describe(&topo);
+    let mut exp = incast_experiment(protocol, topo, fan_in, size, seed);
+    exp.impairments = impairments_from_options(opts, &exp.topology, seed)?;
     let mut report = Report::default();
     writeln!(
         report,
         "Incast: {} on {topology}\n{fan_in} senders -> host {} , {} kB each (seed {seed})\n",
-        protocol.name(),
-        pairs[0].dst,
+        exp.protocol.name(),
+        exp.list()[0].path.dst,
         size / 1000
     );
-    let deadline = transfer_deadline(fan_in as u64 * size, host_bps);
-    let flows = Flows::List(ListFlow::pairs(&pairs, Some(size)));
-    let exp = Experiment {
-        impairments,
-        ..Experiment::new(protocol, topo, flows, deadline)
-    };
     let expected = format!(
         "Expected shape: the receiver's access link is the bottleneck, so aggregate goodput\n\
          approaches its line rate ({:.0} Gbps) and FCTs stack up roughly linearly with fan-in.",
@@ -309,28 +358,17 @@ pub fn shuffle(opts: &ScenarioOptions) -> Result<Report, RunError> {
             topo.hosts().len()
         )));
     }
-    let pairs = shuffle_pairs(&topo, Some(participants), seed);
-    let impairments = impairments_from_options(opts, &topo, seed)?;
-    let host_bps = topo.links()[0].capacity_bps;
     let topology = spec.describe(&topo);
+    let mut exp = shuffle_experiment(protocol, topo, participants, size, seed);
+    exp.impairments = impairments_from_options(opts, &exp.topology, seed)?;
     let mut report = Report::default();
     writeln!(
         report,
         "Shuffle: {} on {topology}\n{participants} hosts all-to-all = {} flows, {} kB each (seed {seed})\n",
-        protocol.name(),
-        pairs.len(),
+        exp.protocol.name(),
+        exp.list().len(),
         size / 1000
     );
-    // Each participant must receive (n-1) transfers through its NIC — or,
-    // on an oversubscribed fabric, through a leaf uplink up to R times
-    // slower for cross-rack traffic.
-    let slowdown = worst_oversubscription(&topo);
-    let deadline = transfer_deadline((participants as u64 - 1) * size, host_bps / slowdown);
-    let flows = Flows::List(ListFlow::pairs(&pairs, Some(size)));
-    let exp = Experiment {
-        impairments,
-        ..Experiment::new(protocol, topo, flows, deadline)
-    };
     let expected = "Expected shape: on full-bisection fabrics the NICs bound the shuffle; oversubscribed\n\
                     fabrics shift the bottleneck into the spine uplinks and stretch the makespan by ~the\n\
                     oversubscription ratio for cross-rack traffic.";
@@ -350,22 +388,18 @@ pub fn stride(opts: &ScenarioOptions) -> Result<Report, RunError> {
     let protocol = opts.parsed_or("--protocol", Protocol::default())?;
     let topo = spec.build(opts.full());
     let stride_by = stride_from_options(opts, &topo)?;
-    let pairs = stride_pairs(&topo, stride_by, seed);
-    let impairments = impairments_from_options(opts, &topo, seed)?;
     let topology = spec.describe(&topo);
+    let run_for = SimDuration::from_millis(millis);
+    let mut exp = stride_experiment(protocol, topo, stride_by, seed, run_for);
+    exp.impairments = impairments_from_options(opts, &exp.topology, seed)?;
     let mut report = Report::default();
     writeln!(
         report,
         "Stride: {} on {topology}\nhost i -> host (i+{stride_by}) mod {}, {} long-lived flows, {millis} ms (seed {seed})\n",
-        protocol.name(),
-        topo.hosts().len(),
-        pairs.len(),
+        exp.protocol.name(),
+        exp.topology.hosts().len(),
+        exp.list().len(),
     );
-    let flows = Flows::List(ListFlow::pairs(&pairs, None));
-    let exp = Experiment {
-        impairments,
-        ..Experiment::new(protocol, topo, flows, SimDuration::from_millis(millis))
-    };
     let summary = SteadyStateSummary::of(&exp, &run_experiment(&exp).flows);
     let protocol = exp.protocol.name();
     report.json = Some(steady_state_report_json(
@@ -426,11 +460,8 @@ mod tests {
     #[test]
     fn incast_transfers_complete_and_saturate_the_receiver() {
         let topo = Topology::leaf_spine(&LeafSpineConfig::small(16, 2, 2));
-        let pairs = incast_pairs(&topo, 4, 7);
         let protocol = Protocol::NumFabric(NumFabricConfig::default());
-        let deadline = transfer_deadline(4 * 200_000, 10e9);
-        let flows = Flows::List(ListFlow::pairs(&pairs, Some(200_000)));
-        let exp = Experiment::new(protocol, topo, flows, deadline);
+        let exp = incast_experiment(protocol, topo, 4, 200_000, 7);
         let summary = TransferSummary::of(&run_experiment(&exp).flows);
         assert!(summary.all_completed(), "{summary:?}");
         assert_eq!(summary.completed_bytes, 4 * 200_000);
@@ -497,10 +528,8 @@ mod tests {
     #[test]
     fn stride_on_a_fat_tree_runs_and_reports_rates() {
         let topo = Topology::fat_tree(&FatTreeConfig::new(4));
-        let pairs = stride_pairs(&topo, 8, 3);
         let protocol = Protocol::NumFabric(NumFabricConfig::default());
-        let flows = Flows::List(ListFlow::pairs(&pairs, None));
-        let exp = Experiment::new(protocol, topo, flows, SimDuration::from_millis(4));
+        let exp = stride_experiment(protocol, topo, 8, 3, SimDuration::from_millis(4));
         let summary = SteadyStateSummary::of(&exp, &run_experiment(&exp).flows);
         assert_eq!(summary.rates_bps.len(), 16);
         assert_eq!(summary.oracle_bps.len(), 16);

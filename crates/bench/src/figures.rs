@@ -11,7 +11,7 @@
 
 use crate::experiment::{run_experiment, Experiment, Flows, ListFlow, Objective, Pace};
 use crate::fabric::parse_load_fraction;
-use crate::registry::{RunError, ScenarioRegistry, ScenarioSpec};
+use crate::registry::{RunError, ScenarioOptions, ScenarioRegistry, ScenarioSpec};
 use crate::report::{
     fig5_bin, mean, micros, percentile, quartiles, times_ms, Report, FIG5_BIN_LABELS,
 };
@@ -28,7 +28,6 @@ use numfabric_sim::{FlowId, LinkChange, Network, SimDuration, SimTime};
 use numfabric_workloads::arrivals::{poisson_arrivals, PoissonWorkloadConfig};
 use numfabric_workloads::convergence::{convergence_stats, ConvergenceCriterion};
 use numfabric_workloads::distributions::{EmpiricalCdf, FlowSizeDistribution};
-use numfabric_workloads::registry::ScenarioOptions;
 use numfabric_workloads::scenarios::{permutation_pairs, SemiDynamicConfig, SemiDynamicScenario};
 use numfabric_workloads::TopologySpec;
 use rand::{Rng, SeedableRng};

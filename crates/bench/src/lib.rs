@@ -8,8 +8,10 @@
 //! the crate's only binary. Performance numbers come from the standalone
 //! `benchmark/` package (see its README).
 //!
-//! * [`registry`](mod@registry) — [`ScenarioRegistry`]: named scenarios, each run to a
-//!   [`Report`] or a [`RunError`] that only the binary prints or exits on.
+//! * [`registry`](mod@registry) — the CLI contract: the [`ScenarioOptions`] a
+//!   scenario runs with, the [`InvalidOption`] a malformed value returns,
+//!   and [`ScenarioRegistry`]: named scenarios, each run to a [`Report`] or
+//!   a [`RunError`] that only the binary prints or exits on.
 //! * [`experiment`] — the one driver: an [`Experiment`] (topology,
 //!   protocol, impairments, objective, flows, horizon, rate grid) and
 //!   [`run_experiment`], which every scenario, sweep cell and figure but
@@ -33,11 +35,12 @@
 //!   aligned tables and `--json` documents, and the
 //!   streaming bounded-stats layer: [`QuantileSketch`] (1 % relative-error
 //!   geometric buckets, exactly mergeable) and per-class accumulators.
-//! * [`sweep`] — the deterministic parallel sweep engine: scoped worker
-//!   threads sharing one cursor execute a `SweepSpec` grid (scenarios × topologies ×
-//!   protocols × loads × sizes × seeds) cell-by-cell and aggregates the
-//!   results into one JSON document + markdown comparison table whose bytes
-//!   are independent of `--threads`.
+//! * [`sweep`] — parameter sweeps: a [`SweepSpec`] grid (scenarios ×
+//!   topologies × protocols × loads × sizes × impairments × seeds) expands
+//!   into self-contained [`SweepCell`]s, and scoped worker threads sharing
+//!   one cursor execute them and aggregate the results into one JSON
+//!   document + markdown comparison table whose bytes are independent of
+//!   `--threads`.
 //!
 //! Parallelism lives between simulations: `sweep --threads` spreads whole
 //! cells over workers, and the same seed gives the same bytes for any
@@ -71,6 +74,11 @@ pub use fabric::{SteadyStateSummary, TransferSummary};
 pub use figures::registry;
 pub use protocols::Protocol;
 pub use recovery::{recovery_experiment, RecoveryConfig, RecoveryResult};
-pub use registry::{DispatchError, RunError, ScenarioRegistry, ScenarioSpec};
+pub use registry::{
+    DispatchError, InvalidOption, RunError, ScenarioOptions, ScenarioRegistry, ScenarioSpec,
+};
 pub use report::{churn_report_json, ChurnSummary, ClassStats, QuantileSketch, Report};
-pub use sweep::{execute_cells, markdown_table, run_cell, sweep_report_json, CellResult};
+pub use sweep::{
+    derive_cell_seed, execute_cells, markdown_table, run_cell, sweep_report_json, CellResult,
+    SweepCell, SweepScenario, SweepSpec,
+};

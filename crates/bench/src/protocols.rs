@@ -2,7 +2,7 @@
 //! agents for any of the schemes the paper evaluates, so every experiment
 //! can be run protocol-by-protocol on an identical workload.
 
-use crate::registry::RunError;
+use crate::registry::{RunError, ScenarioOptions};
 use numfabric_baselines::{
     dctcp_network, dgd_network, pfabric_network, rcp_star_network, DctcpAgent, DctcpConfig,
     DgdAgent, DgdConfig, PfabricAgent, PfabricConfig, RcpStarAgent, RcpStarConfig,
@@ -14,7 +14,6 @@ use numfabric_sim::network::Network;
 use numfabric_sim::topology::Topology;
 use numfabric_sim::transport::FlowAgent;
 use numfabric_workloads::impairments::ImpairmentSchedule;
-use numfabric_workloads::registry::ScenarioOptions;
 use std::str::FromStr;
 
 /// The `--impair` schedule of a scenario run on `topo`, its loss/jitter
@@ -46,7 +45,7 @@ pub(crate) fn impairments_from_options(
 }
 
 /// A transport scheme under test.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Protocol {
     /// NUMFabric (Swift + xWI) with the given configuration.
     NumFabric(NumFabricConfig),
@@ -70,6 +69,29 @@ impl Protocol {
             Protocol::Dctcp(_) => "DCTCP",
             Protocol::Pfabric(_) => "pFabric",
         }
+    }
+
+    /// The scheme's `--protocol` spelling: the one table of names, which
+    /// [`FromStr`] parses and the sweep prints.
+    pub(crate) fn cli_name(&self) -> &'static str {
+        match self {
+            Protocol::NumFabric(_) => "numfabric",
+            Protocol::Dgd(_) => "dgd",
+            Protocol::RcpStar(_) => "rcp",
+            Protocol::Dctcp(_) => "dctcp",
+            Protocol::Pfabric(_) => "pfabric",
+        }
+    }
+
+    /// Every scheme with its default configuration, in `--protocol` order.
+    fn every_default() -> [Protocol; 5] {
+        [
+            Protocol::NumFabric(NumFabricConfig::default()),
+            Protocol::Dgd(DgdConfig::default()),
+            Protocol::RcpStar(RcpStarConfig::default()),
+            Protocol::Dctcp(DctcpConfig::default()),
+            Protocol::Pfabric(PfabricConfig::default()),
+        ]
     }
 
     /// Build a simulator network with this scheme's queue discipline and
@@ -118,19 +140,22 @@ impl Default for Protocol {
     }
 }
 
-/// A scheme name as `--protocol` spells it, with default parameters.
+/// A scheme name as `--protocol` spells it, or the alias `rcp*`/`rcpstar`
+/// of `rcp`, with default parameters.
 impl FromStr for Protocol {
-    type Err = &'static str;
+    type Err = String;
 
     fn from_str(name: &str) -> Result<Self, Self::Err> {
-        Ok(match name {
-            "numfabric" => Protocol::NumFabric(NumFabricConfig::default()),
-            "dgd" => Protocol::Dgd(DgdConfig::default()),
-            "rcp" | "rcp*" | "rcpstar" => Protocol::RcpStar(RcpStarConfig::default()),
-            "dctcp" => Protocol::Dctcp(DctcpConfig::default()),
-            "pfabric" => Protocol::Pfabric(PfabricConfig::default()),
-            _ => return Err("expected numfabric|dgd|rcp|dctcp|pfabric"),
-        })
+        let name = match name {
+            "rcp*" | "rcpstar" => "rcp",
+            name => name,
+        };
+        let schemes = Protocol::every_default();
+        let names: Vec<&str> = schemes.iter().map(Protocol::cli_name).collect();
+        schemes
+            .into_iter()
+            .find(|p| p.cli_name() == name)
+            .ok_or_else(|| format!("expected {}", names.join("|")))
     }
 }
 
@@ -144,13 +169,7 @@ mod tests {
 
     #[test]
     fn every_protocol_can_run_a_small_transfer() {
-        for protocol in [
-            Protocol::NumFabric(NumFabricConfig::default()),
-            Protocol::Dgd(DgdConfig::default()),
-            Protocol::RcpStar(RcpStarConfig::default()),
-            Protocol::Dctcp(DctcpConfig::default()),
-            Protocol::Pfabric(PfabricConfig::default()),
-        ] {
+        for protocol in Protocol::every_default() {
             let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
             let mut net = protocol.build_network(topo);
             let hosts: Vec<_> = net.topology().hosts().to_vec();
@@ -184,8 +203,12 @@ mod tests {
         assert_eq!(name("pfabric"), Ok("pFabric"));
         assert_eq!(
             name("dctpc"),
-            Err("expected numfabric|dgd|rcp|dctcp|pfabric")
+            Err("expected numfabric|dgd|rcp|dctcp|pfabric".to_string())
         );
+        // Every alias parses to the scheme `rcp` names.
+        for alias in ["rcp", "rcp*", "rcpstar"] {
+            assert_eq!(alias.parse::<Protocol>().unwrap().cli_name(), "rcp");
+        }
         assert!(name("").is_err());
     }
 

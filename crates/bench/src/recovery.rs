@@ -18,14 +18,15 @@
 //! function of its options, like every other scenario.
 
 use crate::experiment::{run_experiment, Experiment, Flows, ListFlow, Outcome};
-use crate::fabric::stride_from_options;
+use crate::fabric::{fraction_within, stride_from_options};
 use crate::protocols::Protocol;
-use crate::registry::RunError;
+use crate::registry::{RunError, ScenarioOptions};
 use crate::report::{micros, Json, Report};
+use numfabric_baselines::{DctcpConfig, PfabricConfig};
+use numfabric_core::NumFabricConfig;
 use numfabric_sim::topology::{LinkId, Topology};
 use numfabric_sim::{SimDuration, SimTime};
 use numfabric_workloads::impairments::{fabric_cables, ImpairmentSchedule};
-use numfabric_workloads::registry::ScenarioOptions;
 use numfabric_workloads::scenarios::{stride_pairs, PathSpec};
 use numfabric_workloads::TopologySpec;
 use std::collections::HashSet;
@@ -121,18 +122,6 @@ pub fn busiest_cable(topo: &Topology, pairs: &[PathSpec]) -> (LinkId, LinkId) {
         .expect("topology has no fabric cables")
 }
 
-/// Fraction of flows whose measured rate is within [`TOLERANCE`] of the
-/// oracle. A zero-oracle (partitioned) flow counts as within tolerance only
-/// when it is actually stalled.
-fn fraction_within(rates: &[f64], oracle: &[f64]) -> f64 {
-    let ok = rates
-        .iter()
-        .zip(oracle)
-        .filter(|(&r, &o)| (r - o).abs() <= TOLERANCE * o.max(1.0))
-        .count();
-    ok as f64 / rates.len().max(1) as f64
-}
-
 /// The recovery experiment for `protocol`: one long-lived flow per pair,
 /// rates sampled every 25 µs, and the busiest cable cut (both directions)
 /// at `config.fail_at`. A cut draws nothing at random, so the run is a pure
@@ -177,7 +166,7 @@ impl RecoveryResult {
                 };
                 RecoverySample {
                     at: s.at,
-                    fraction_within: fraction_within(&s.rates_bps, oracle),
+                    fraction_within: fraction_within(&s.rates_bps, oracle, TOLERANCE),
                 }
             })
             .collect();
@@ -280,24 +269,17 @@ pub fn recovery(opts: &ScenarioOptions) -> Result<Report, RunError> {
     let millis: u64 = opts.parsed_or("--millis", 6)?;
     let fail_us: u64 = opts.parsed_or("--fail-us", 1_500)?;
     let restore_us: Option<u64> = opts.try_parsed("--restore-us")?;
-    let protocols: Vec<Protocol> = match opts.try_parsed::<String>("--compare") {
-        Ok(Some(list)) if !list.starts_with("--") => list
-            .split(',')
-            .map(|name| {
-                name.trim().parse().map_err(|expected| {
-                    RunError::usage(format!(
-                        "invalid value `{name}` for option `--compare`: {expected}"
-                    ))
-                })
-            })
-            .collect::<Result<_, _>>()?,
+    let protocols: Vec<Protocol> = match opts.parse_csv("--compare") {
+        Ok(Some(list)) => list,
+        Ok(None) => vec![opts.parsed_or("--protocol", Protocol::default())?],
         // A bare `--compare` — the last token, or followed by another
         // option — compares the default three.
-        Ok(Some(_)) | Err(_) => ["numfabric", "dctcp", "pfabric"]
-            .iter()
-            .map(|name| name.parse().expect("a known scheme"))
-            .collect(),
-        Ok(None) => vec![opts.parsed_or("--protocol", Protocol::default())?],
+        Err(bare) if bare.value.is_empty() || bare.value.starts_with("--") => vec![
+            Protocol::NumFabric(NumFabricConfig::default()),
+            Protocol::Dctcp(DctcpConfig::default()),
+            Protocol::Pfabric(PfabricConfig::default()),
+        ],
+        Err(invalid) => return Err(invalid.into()),
     };
 
     let topo = spec.build(opts.full());
@@ -387,7 +369,6 @@ pub fn recovery(opts: &ScenarioOptions) -> Result<Report, RunError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numfabric_core::NumFabricConfig;
 
     fn setup() -> (Topology, Vec<PathSpec>) {
         let topo = TopologySpec::FatTree { k: 4 }.build(false);

@@ -1,13 +1,137 @@
-//! A registry of named, runnable scenarios: every figure of the paper's
+//! The `numfabric-run` contract: the options a scenario runs with, and a
+//! registry of named, runnable scenarios. Every figure of the paper's
 //! evaluation (and any future workload) is one [`ScenarioSpec`] in
-//! [`registry`](crate::registry()), listed and dispatched by `numfabric-run`.
-//! A run function returns its [`Report`] or a [`RunError`]; it never prints
-//! to stdout or ends the process. `numfabric-run` alone writes the report
-//! and maps each [`RunError`] to an exit status.
+//! [`registry`](crate::registry()), listed and dispatched by `numfabric-run`,
+//! which hands every token after the scenario's name to its run function as
+//! one [`ScenarioOptions`]. A run function returns its [`Report`] or a
+//! [`RunError`]; it never prints to stdout or ends the process. A value that
+//! does not parse is an [`InvalidOption`], which becomes the usage error.
+//! `numfabric-run` alone writes the report and maps each [`RunError`] to an
+//! exit status.
 
 use crate::report::Report;
-use numfabric_workloads::registry::{InvalidOption, ScenarioOptions};
 use std::fmt;
+use std::str::FromStr;
+
+/// Parsed command-line style options handed to a scenario's run function.
+///
+/// Options are a flat list of tokens; flags are `--name`, valued options are
+/// `--name value`. Scenarios with more than one scale accept `--full`
+/// (paper scale) by convention and list it in their usage string.
+#[derive(Debug, Clone, Default)]
+pub struct ScenarioOptions {
+    /// The tokens, in command-line order.
+    pub args: Vec<String>,
+}
+
+impl ScenarioOptions {
+    /// Options from an explicit token list.
+    pub fn new(args: Vec<String>) -> Self {
+        Self { args }
+    }
+
+    /// Whether the bare flag `name` (e.g. `--full`) is present.
+    pub fn flag(&self, name: &str) -> bool {
+        self.args.iter().any(|a| a == name)
+    }
+
+    /// Parse the value of `name`: `Ok(None)` when the option is absent,
+    /// `Ok(Some(v))` on success, and an [`InvalidOption`] when the option is
+    /// present but its value is missing or unparsable.
+    pub fn try_parsed<T: FromStr>(&self, name: &str) -> Result<Option<T>, InvalidOption>
+    where
+        T::Err: fmt::Display,
+    {
+        let Some(pos) = self.args.iter().position(|a| a == name) else {
+            return Ok(None);
+        };
+        let Some(raw) = self.args.get(pos + 1) else {
+            return Err(InvalidOption::new(name, "", "missing value"));
+        };
+        raw.parse()
+            .map(Some)
+            .map_err(|e| InvalidOption::new(name, raw, e))
+    }
+
+    /// Parse the value of `name`, falling back to `default` when the option
+    /// is absent. A malformed value (e.g. `--hosts banana`) is an error, not
+    /// the default: a scenario must never silently run with a default the
+    /// user tried to override.
+    pub fn parsed_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, InvalidOption>
+    where
+        T::Err: fmt::Display,
+    {
+        Ok(self.try_parsed(name)?.unwrap_or(default))
+    }
+
+    /// Parse the comma-separated list value of `name`: `Ok(None)` when the
+    /// option is absent, and an [`InvalidOption`] naming the offending
+    /// element when an element is empty or does not parse. A missing value
+    /// is an error too, never the default.
+    pub(crate) fn parse_csv<T: FromStr>(&self, name: &str) -> Result<Option<Vec<T>>, InvalidOption>
+    where
+        T::Err: fmt::Display,
+    {
+        let Some(raw) = self.try_parsed::<String>(name)? else {
+            return Ok(None);
+        };
+        raw.split(',')
+            .map(|part| match part.trim() {
+                "" => Err(InvalidOption::new(
+                    name,
+                    &raw,
+                    "empty element in comma-separated list",
+                )),
+                part => part.parse().map_err(|e| InvalidOption::new(name, part, e)),
+            })
+            .collect::<Result<_, _>>()
+            .map(Some)
+    }
+
+    /// The conventional `--full` flag: run at the paper's scale.
+    pub fn full(&self) -> bool {
+        self.flag("--full")
+    }
+}
+
+/// Error produced when an option is present but its value is missing or
+/// does not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InvalidOption {
+    /// The option's name (e.g. `--hosts`).
+    pub name: String,
+    /// The offending raw value (empty when the value token was missing).
+    pub value: String,
+    /// Why it failed to parse.
+    pub reason: String,
+}
+
+impl InvalidOption {
+    /// `value` (empty when missing) is not a valid `name`, because `reason`.
+    pub fn new(name: &str, value: &str, reason: impl fmt::Display) -> Self {
+        InvalidOption {
+            name: name.into(),
+            value: value.into(),
+            reason: reason.to_string(),
+        }
+    }
+}
+
+impl fmt::Display for InvalidOption {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.value.is_empty() {
+            write!(f, "option `{}`: {}", self.name, self.reason)
+        } else {
+            write!(
+                f,
+                "invalid value `{}` for option `{}`: {}",
+                self.value, self.name, self.reason
+            )
+        }
+    }
+}
+
+impl std::error::Error for InvalidOption {}
 
 /// The run function of a scenario.
 pub type ScenarioFn = fn(&ScenarioOptions) -> Result<Report, RunError>;
@@ -295,5 +419,63 @@ mod tests {
 
     fn opts(args: &[&str]) -> ScenarioOptions {
         ScenarioOptions::new(args.iter().map(|s| s.to_string()).collect())
+    }
+
+    #[test]
+    fn options_parse_flags_and_values() {
+        let opts = ScenarioOptions::new(
+            ["--full", "--load", "0.6", "--events", "12", "--bad"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
+        );
+        assert!(opts.full());
+        assert!(opts.flag("--bad"));
+        assert!(!opts.flag("--missing"));
+        assert_eq!(opts.try_parsed("--load"), Ok(Some("0.6".to_string())));
+        assert_eq!(opts.parsed_or("--load", 0.0), Ok(0.6));
+        assert_eq!(opts.parsed_or("--events", 5usize), Ok(12));
+        assert_eq!(opts.parsed_or("--missing", 7u32), Ok(7));
+        // `--bad` has no following value token.
+        assert!(opts.try_parsed::<String>("--bad").is_err());
+        assert!(opts.parsed_or("--bad", 1u32).is_err());
+    }
+
+    #[test]
+    fn try_parsed_absent_option_is_ok_none() {
+        assert_eq!(opts(&["--full"]).try_parsed::<usize>("--hosts"), Ok(None));
+    }
+
+    #[test]
+    fn try_parsed_valid_value_parses() {
+        assert_eq!(
+            opts(&["--hosts", "32"]).try_parsed("--hosts"),
+            Ok(Some(32usize))
+        );
+        assert_eq!(
+            opts(&["--load", "0.6"]).try_parsed("--load"),
+            Ok(Some(0.6f64))
+        );
+    }
+
+    #[test]
+    fn try_parsed_malformed_value_is_an_error() {
+        // The exact regression of the silent-fallback bug: `--hosts banana`
+        // must NOT fall back to the default.
+        let err = opts(&["--hosts", "banana"])
+            .try_parsed::<usize>("--hosts")
+            .unwrap_err();
+        assert_eq!(err.name, "--hosts");
+        assert_eq!(err.value, "banana");
+        assert!(err.to_string().contains("invalid value `banana`"));
+    }
+
+    #[test]
+    fn try_parsed_trailing_flag_without_value_is_an_error() {
+        let err = opts(&["--hosts"])
+            .try_parsed::<usize>("--hosts")
+            .unwrap_err();
+        assert!(err.value.is_empty());
+        assert!(err.to_string().contains("missing value"));
     }
 }

@@ -96,6 +96,11 @@ fn an_unknown_protocol_in_a_list_names_itself_and_the_accepted_ones() {
 }
 
 #[test]
+fn a_sweep_on_zero_threads_is_a_usage_error() {
+    assert_usage_error(&["sweep", "--threads", "0"], "--threads must be at least 1");
+}
+
+#[test]
 fn sweep_still_points_singular_axes_at_the_plural() {
     assert_usage_error(&["sweep", "--topology", "fat-tree:k=4"], "--topologies");
     assert_usage_error(&["sweep", "--impair", "flap"], "--impairments");

@@ -17,8 +17,7 @@
 //! Table 2's parameter settings and of the generic `dynamic` and
 //! `semi-dynamic` drivers.
 
-use numfabric_bench::RunError;
-use numfabric_workloads::registry::ScenarioOptions;
+use numfabric_bench::{RunError, ScenarioOptions};
 use std::process::Command;
 
 fn fnv1a(bytes: &[u8]) -> u64 {

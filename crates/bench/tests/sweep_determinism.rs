@@ -8,10 +8,12 @@
 //! (ROADMAP: every parallelism PR must preserve it) survives concurrency:
 //! parallelism lives strictly *between* simulations, never inside one.
 
-use numfabric_bench::sweep::{execute_cells, markdown_table, sweep_report_json};
+use numfabric_bench::sweep::{
+    derive_cell_seed, execute_cells, markdown_table, sweep_report_json, SweepScenario, SweepSpec,
+};
+use numfabric_bench::Protocol;
 use numfabric_workloads::fabric::TopologySpec;
 use numfabric_workloads::impairments::ImpairmentProfile;
-use numfabric_workloads::sweep::{derive_cell_seed, SweepScenario, SweepSpec};
 
 /// The ISSUE's mini-grid: incast × shuffle on leaf-spine × fat-tree:k=4,
 /// 8 cells. Small transfers keep the whole grid fast enough to run twice.
@@ -19,7 +21,7 @@ fn mini_grid() -> SweepSpec {
     SweepSpec {
         scenarios: vec![SweepScenario::Incast, SweepScenario::Shuffle],
         topologies: vec![TopologySpec::LeafSpine, TopologySpec::FatTree { k: 4 }],
-        protocols: vec!["numfabric".to_string()],
+        protocols: vec![Protocol::default()],
         loads: vec![0.25],
         sizes: vec![50_000],
         impairments: vec![ImpairmentProfile::None],
@@ -36,7 +38,7 @@ fn impaired_grid() -> SweepSpec {
     SweepSpec {
         scenarios: vec![SweepScenario::Incast, SweepScenario::Stride],
         topologies: vec![TopologySpec::FatTree { k: 4 }],
-        protocols: vec!["numfabric".to_string()],
+        protocols: vec![Protocol::default()],
         loads: vec![0.25],
         sizes: vec![50_000],
         impairments: vec![

@@ -17,29 +17,14 @@
 //! and (c) by `fig4a`'s fluid-level table of iterations to the oracle.
 
 use crate::maxmin::{weighted_max_min_into, MaxMinWorkspace};
-use crate::oracle::OracleSolution;
 use crate::topology::FluidNetwork;
 use crate::{clamp_rate, MAX_RATE};
-
-/// A snapshot of one fluid-model iteration.
-#[derive(Debug, Clone)]
-pub struct FluidState {
-    /// Iteration counter (0 = initial state).
-    pub iteration: usize,
-    /// Current flow rates.
-    pub rates: Vec<f64>,
-    /// Current link prices (or per-link fair-share rates for RCP*).
-    pub prices: Vec<f64>,
-}
 
 /// A fluid-model NUM algorithm that can be stepped one synchronous iteration
 /// at a time.
 ///
 /// Implementors provide the allocation-free [`Self::step_in_place`] plus
-/// borrowing accessors; the snapshot-returning [`Self::step`] / [`Self::state`]
-/// conveniences are derived from them, so hot loops (convergence counting,
-/// benchmarks) can iterate without per-step clones while observers still get
-/// owned [`FluidState`]s.
+/// borrowing accessors, so a loop iterates without per-step clones.
 pub trait FluidAlgorithm {
     /// Advance one iteration, updating the internal rate and price vectors
     /// without allocating.
@@ -56,21 +41,6 @@ pub trait FluidAlgorithm {
 
     /// A short name for reports.
     fn name(&self) -> &'static str;
-
-    /// Advance one iteration and return a snapshot of the new state.
-    fn step(&mut self) -> FluidState {
-        self.step_in_place();
-        self.state()
-    }
-
-    /// A snapshot of the current state without stepping.
-    fn state(&self) -> FluidState {
-        FluidState {
-            iteration: self.iteration(),
-            rates: self.rates().to_vec(),
-            prices: self.prices().to_vec(),
-        }
-    }
 
     /// Run until the rates are within `rel_tol` of `target` for every flow
     /// (relative to the target, with an absolute floor), or until `max_iters`
@@ -489,18 +459,6 @@ impl FluidAlgorithm for RcpStarFluid {
     }
 }
 
-/// Run `alg` until its rates are within `rel_tol` of the oracle solution for
-/// its own network, returning the iteration count (`None` if `max_iters` is
-/// exhausted first). Convenience wrapper used by tests and figures.
-pub fn iterations_to_oracle<A: FluidAlgorithm>(
-    alg: &mut A,
-    oracle: &OracleSolution,
-    rel_tol: f64,
-    max_iters: usize,
-) -> Option<usize> {
-    alg.iterations_to_reach(&oracle.rates, rel_tol, max_iters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,11 +503,13 @@ mod tests {
         let net = parking_lot(1.0);
         let oracle = Oracle::new().solve(&net);
         let mut xwi = XwiFluid::with_defaults(net);
-        let iters = iterations_to_oracle(&mut xwi, &oracle, 0.01, 500)
+        let iters = xwi
+            .iterations_to_reach(&oracle.rates, 0.01, 500)
             .expect("xWI should converge on the parking lot");
         assert!(iters < 200, "took {iters} iterations");
-        let state = xwi.state();
-        assert!(close(state.rates[0], 1.0 / 3.0, 0.02), "{:?}", state.rates);
+        assert_eq!(xwi.iteration(), iters);
+        let rates = xwi.rates();
+        assert!(close(rates[0], 1.0 / 3.0, 0.02), "{rates:?}");
     }
 
     #[test]
@@ -559,8 +519,8 @@ mod tests {
         let net = random_network(7, 5, 12);
         let mut xwi = XwiFluid::with_defaults(net.clone());
         for _ in 0..100 {
-            let state = xwi.step();
-            assert!(net.is_feasible(&state.rates, 1e-6));
+            xwi.step_in_place();
+            assert!(net.is_feasible(xwi.rates(), 1e-6));
         }
     }
 
@@ -571,8 +531,8 @@ mod tests {
         let mut dgd = DgdFluid::new(net.clone(), DgdParams { gamma: 0.05 }, 1.0);
         let mut oversubscribed = false;
         for _ in 0..500 {
-            let state = dgd.step();
-            if !net.is_feasible(&state.rates, 1e-6) {
+            dgd.step_in_place();
+            if !net.is_feasible(dgd.rates(), 1e-6) {
                 oversubscribed = true;
             }
         }
@@ -581,14 +541,9 @@ mod tests {
             oversubscribed,
             "DGD never oversubscribed — unexpected for a cold start"
         );
-        let state = dgd.state();
-        for (x, t) in state.rates.iter().zip(oracle.rates.iter()) {
-            assert!(
-                close(*x, *t, 0.05),
-                "{:?} vs {:?}",
-                state.rates,
-                oracle.rates
-            );
+        let rates = dgd.rates();
+        for (x, t) in rates.iter().zip(oracle.rates.iter()) {
+            assert!(close(*x, *t, 0.05), "{rates:?} vs {:?}", oracle.rates);
         }
     }
 
@@ -599,7 +554,7 @@ mod tests {
         let net = parking_lot(1.0);
         let oracle = Oracle::new().solve(&net);
         let mut dgd = DgdFluid::new(net, DgdParams { gamma: 50.0 }, 1.0);
-        let converged = iterations_to_oracle(&mut dgd, &oracle, 0.01, 2_000);
+        let converged = dgd.iterations_to_reach(&oracle.rates, 0.01, 2_000);
         assert!(
             converged.is_none(),
             "huge step size should not converge cleanly"
@@ -616,12 +571,11 @@ mod tests {
             net.add_simple_flow(vec![l], LogUtility::new());
         }
         let mut rcp = RcpStarFluid::with_defaults(net);
-        let mut last = rcp.state();
         for _ in 0..300 {
-            last = rcp.step();
+            rcp.step_in_place();
         }
-        for &r in &last.rates {
-            assert!(close(r, 2.5, 0.02), "{:?}", last.rates);
+        for &r in rcp.rates() {
+            assert!(close(r, 2.5, 0.02), "{:?}", rcp.rates());
         }
     }
 
@@ -638,8 +592,8 @@ mod tests {
             }
             let mut xwi = XwiFluid::with_defaults(net.clone());
             let mut dgd = DgdFluid::with_defaults(net.clone());
-            let xi = iterations_to_oracle(&mut xwi, &oracle, 0.05, 5_000);
-            let di = iterations_to_oracle(&mut dgd, &oracle, 0.05, 5_000);
+            let xi = xwi.iterations_to_reach(&oracle.rates, 0.05, 5_000);
+            let di = dgd.iterations_to_reach(&oracle.rates, 0.05, 5_000);
             total += 1;
             match (xi, di) {
                 (Some(x), Some(d)) if x <= d => xwi_wins += 1,
@@ -661,11 +615,10 @@ mod tests {
         for seed in [1, 3, 9] {
             let net = random_network(seed, 4, 8);
             let mut xwi = XwiFluid::with_defaults(net.clone());
-            let mut state = xwi.state();
             for _ in 0..3_000 {
-                state = xwi.step();
+                xwi.step_in_place();
             }
-            let res = crate::kkt::kkt_residuals(&net, &state.rates, &state.prices);
+            let res = crate::kkt::kkt_residuals(&net, xwi.rates(), xwi.prices());
             assert!(
                 res.within(0.05),
                 "seed {seed}: xWI fixed point violates KKT: {res:?}"
@@ -687,7 +640,7 @@ mod tests {
             let mut net = random_network(seed, 4, 8);
             let mut xwi = XwiFluid::with_defaults(net.clone());
             for _ in 0..500 {
-                xwi.step();
+                xwi.step_in_place();
             }
             // Add one flow on links 0 and 1.
             net.add_simple_flow(vec![0, 1], LogUtility::new());
@@ -698,10 +651,10 @@ mod tests {
 
             let mut warm = xwi.clone();
             warm.replace_flows(net.clone());
-            let warm_iters = iterations_to_oracle(&mut warm, &oracle, 0.05, 5_000);
+            let warm_iters = warm.iterations_to_reach(&oracle.rates, 0.05, 5_000);
 
             let mut cold = XwiFluid::with_defaults(net.clone());
-            let cold_iters = iterations_to_oracle(&mut cold, &oracle, 0.05, 5_000);
+            let cold_iters = cold.iterations_to_reach(&oracle.rates, 0.05, 5_000);
 
             let (Some(w), Some(c)) = (warm_iters, cold_iters) else {
                 panic!(
@@ -731,12 +684,13 @@ mod tests {
         let mut net = FluidNetwork::new();
         net.add_link(10.0);
         let mut xwi = XwiFluid::with_defaults(net.clone());
-        let s = xwi.step();
-        assert!(s.rates.is_empty());
+        xwi.step_in_place();
+        assert!(xwi.rates().is_empty());
+        assert_eq!(xwi.iteration(), 1);
         let mut dgd = DgdFluid::with_defaults(net.clone());
-        dgd.step();
+        dgd.step_in_place();
         let mut rcp = RcpStarFluid::with_defaults(net);
-        rcp.step();
+        rcp.step_in_place();
     }
 
     #[test]
@@ -749,7 +703,7 @@ mod tests {
         net.add_simple_flow(vec![l1], AlphaFair::new(2.0));
         let oracle = Oracle::new().solve(&net);
         let mut xwi = XwiFluid::with_defaults(net);
-        let iters = iterations_to_oracle(&mut xwi, &oracle, 0.02, 2_000);
+        let iters = xwi.iterations_to_reach(&oracle.rates, 0.02, 2_000);
         assert!(iters.is_some(), "xWI did not reach the α=2 oracle");
     }
 }

@@ -26,8 +26,11 @@ use numfabric_sim::{FlowId, SimDuration, SimTime};
 /// flow are included, keeping the oracle solve small; the mapping is interned
 /// by [`FluidNetworkBuilder`] (so it works over any topology — leaf-spine,
 /// fat-tree, oversubscribed or custom) and the returned instance's flows are
-/// in the same order as `flows`.
-pub fn fluid_instance(topo: &Topology, flows: &[(Vec<LinkId>, UtilityRef)]) -> FluidNetwork {
+/// in the same order as `flows`, each a borrowed `(route, utility)` pair.
+pub fn fluid_instance<'a>(
+    topo: &Topology,
+    flows: impl IntoIterator<Item = (&'a [LinkId], &'a UtilityRef)>,
+) -> FluidNetwork {
     let mut builder = FluidNetworkBuilder::new();
     for (route, utility) in flows {
         builder.add_flow_on(
@@ -43,7 +46,7 @@ pub fn fluid_instance(topo: &Topology, flows: &[(Vec<LinkId>, UtilityRef)]) -> F
 /// Solve the NUM instance for `flows` and return the optimal rate of each, in
 /// bits per second (same order as the input).
 pub fn oracle_rates_bps(topo: &Topology, flows: &[(Vec<LinkId>, UtilityRef)]) -> Vec<f64> {
-    let net = fluid_instance(topo, flows);
+    let net = fluid_instance(topo, flows.iter().map(|(route, u)| (route.as_slice(), u)));
     let solution = Oracle::with_tolerance(1e-4).solve(&net);
     solution.rates.iter().map(|r| r * 1e9).collect()
 }
@@ -203,11 +206,11 @@ mod tests {
         let topo = topo();
         let hosts = topo.hosts().to_vec();
         let util: UtilityRef = Arc::new(LogUtility::new());
-        let flows = vec![
+        let flows = [
             (topo.host_route(hosts[0], hosts[4], 0), util.clone()),
             (topo.host_route(hosts[1], hosts[4], 0), util.clone()),
         ];
-        let fluid = fluid_instance(&topo, &flows);
+        let fluid = fluid_instance(&topo, flows.iter().map(|(r, u)| (r.as_slice(), u)));
         assert_eq!(fluid.num_flows(), 2);
         // Far fewer links than the full topology (only traversed ones).
         assert!(fluid.num_links() < topo.num_links());

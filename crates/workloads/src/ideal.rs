@@ -9,8 +9,9 @@
 //! population; bytes then drain at those rates until the next event.
 
 use crate::arrivals::FlowArrival;
+use crate::convergence::fluid_instance;
 use numfabric_num::utility::UtilityRef;
-use numfabric_num::{FluidNetworkBuilder, Oracle};
+use numfabric_num::Oracle;
 use numfabric_sim::topology::{LinkId, Topology};
 use numfabric_sim::{SimDuration, SimTime};
 
@@ -142,17 +143,9 @@ impl<'a> IdealFluidSimulator<'a> {
     }
 
     fn solve_rates(&self, active: &[ActiveFlow]) -> Vec<f64> {
-        let mut builder = FluidNetworkBuilder::new();
-        for f in active {
-            builder.add_flow_on(
-                f.route
-                    .iter()
-                    .map(|&l| (l, self.topo.links()[l].capacity_bps / 1e9)),
-                f.utility.clone(),
-            );
-        }
+        let flows = active.iter().map(|f| (f.route.as_slice(), &f.utility));
         self.oracle
-            .solve(&builder.finish())
+            .solve(&fluid_instance(self.topo, flows))
             .rates
             .iter()
             .map(|r| r * 1e9)

@@ -4,8 +4,8 @@
 //! (SIGCOMM 2016, §6):
 //!
 //! * [`distributions`] — flow-size distributions: synthetic empirical CDFs
-//!   matching the published web-search and enterprise workload statistics,
-//!   plus fixed/uniform/Pareto helpers.
+//!   matching the published web-search and enterprise workload statistics
+//!   ([`EmpiricalCdf`]), plus a [`FixedSize`] helper.
 //! * [`arrivals`] — Poisson flow arrivals at a target load, both collected
 //!   ([`poisson_arrivals`]) and streaming ([`ArrivalStream`]).
 //! * [`churn`] — open-loop trace-driven churn mixes: per-class Poisson
@@ -30,15 +30,6 @@
 //! * [`ideal`] — the Oracle reference for dynamic workloads: a fluid event
 //!   simulation that re-solves the NUM problem at every arrival/departure,
 //!   and the empty-network FCT bound used to normalize Fig. 7.
-//! * [`registry`] — the options a scenario runs with ([`ScenarioOptions`])
-//!   and the [`InvalidOption`] a malformed value returns; the scenario
-//!   registry that dispatches them is `numfabric-bench`'s.
-//! * [`sweep`] — parameter-sweep grids: [`SweepSpec`] names axes (scenarios
-//!   × topologies × protocols × loads × sizes × impairments × seed
-//!   replicates) and
-//!   expands their cartesian product into self-contained [`SweepCell`]s,
-//!   each with a seed derived from `(base_seed, cell_index)` — the
-//!   specification half of the parallel sweep engine in `numfabric-bench`.
 //!
 //! Everything is deterministic given the seeds embedded in the
 //! configuration structs, so every protocol under comparison sees an
@@ -54,9 +45,7 @@ pub mod distributions;
 pub mod fabric;
 pub mod ideal;
 pub mod impairments;
-pub mod registry;
 pub mod scenarios;
-pub mod sweep;
 
 pub use arrivals::{poisson_arrivals, ArrivalStream, FlowArrival, PoissonWorkloadConfig};
 pub use churn::{
@@ -73,9 +62,7 @@ pub use impairments::{
     fabric_cables, ImpairmentEvent, ImpairmentProfile, ImpairmentSchedule, InvalidImpairment,
     InvalidProfile,
 };
-pub use registry::{InvalidOption, ScenarioOptions};
 pub use scenarios::{
     incast_pairs, permutation_pairs, random_pairs, shuffle_pairs, stride_pairs, EventKind,
     NetworkEvent, PathSpec, SemiDynamicConfig, SemiDynamicScenario,
 };
-pub use sweep::{derive_cell_seed, InvalidSweep, SweepCell, SweepScenario, SweepSpec};

@@ -15,13 +15,15 @@
 //!   the xWI explicit weight inference protocol (§4–§5 of the paper).
 //! * [`baselines`] — DGD, RCP*, DCTCP and pFabric.
 //! * [`workloads`] — flow-size distributions, Poisson arrivals, the
-//!   semi-dynamic convergence scenario, permutation traffic, the convergence
-//!   criterion, the ideal (oracle) fluid reference, and parameter-sweep
-//!   grids ([`workloads::sweep`]): `SweepSpec` expands scenario × topology
-//!   × protocol × load × size × seed axes into self-contained cells, each
-//!   deterministically seeded from `(base_seed, cell_index)`, which the
-//!   `numfabric-bench` sweep engine executes on a pool of worker threads
-//!   (`numfabric-run sweep`) with `--threads`-independent aggregate output.
+//!   semi-dynamic convergence scenario, permutation traffic, topology and
+//!   impairment specs, the convergence criterion, and the ideal (oracle)
+//!   fluid reference.
+//!
+//! Parameter sweeps live in `numfabric-bench` (`numfabric-run sweep`): its
+//! `sweep` module expands scenario × topology × protocol × load × size ×
+//! impairment × seed axes into self-contained cells, each deterministically
+//! seeded from `(base_seed, cell_index)`, and executes them on a pool of
+//! worker threads with `--threads`-independent aggregate output.
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and the
 //! `numfabric-bench` crate for `numfabric-run`, the one binary that
