@@ -15,7 +15,7 @@
 //! long flows, which does not influence the workloads reproduced here.
 
 use numfabric_sim::network::{AgentCtx, Network};
-use numfabric_sim::packet::{Packet, DEFAULT_PAYLOAD_BYTES, MTU_BYTES};
+use numfabric_sim::packet::{Packet, DEFAULT_PAYLOAD_BYTES};
 use numfabric_sim::queue::PfabricQueue;
 use numfabric_sim::timer::TimerHandle;
 use numfabric_sim::topology::Topology;
@@ -181,12 +181,6 @@ impl FlowAgent for PfabricAgent {
 pub fn pfabric_network(topo: Topology, config: &PfabricConfig) -> Network {
     let buffer = config.buffer_bytes;
     Network::new(topo, move |_| Box::new(PfabricQueue::new(buffer)))
-}
-
-/// The pFabric window for a fabric of `rate_bps` and base RTT `rtt`
-/// (one bandwidth-delay product, at least two packets).
-pub fn bdp_window_bytes(rate_bps: f64, rtt: SimDuration) -> u64 {
-    ((rate_bps * rtt.as_secs_f64() / 8.0).ceil() as u64).max(2 * MTU_BYTES as u64)
 }
 
 #[cfg(test)]
@@ -361,13 +355,5 @@ mod tests {
         net.run_until(SimTime::from_millis(2));
         assert_eq!(net.flow_phase(flow), FlowPhase::Stopped);
         assert_eq!(net.flow_stats(flow).packets_sent, sent_at_stop);
-    }
-
-    #[test]
-    fn bdp_window_helper_matches_paper_fabric() {
-        // 10 Gbps × 16 µs = 20 kB.
-        assert_eq!(bdp_window_bytes(10e9, SimDuration::from_micros(16)), 20_000);
-        // Tiny fabrics still get a two-packet floor.
-        assert_eq!(bdp_window_bytes(1e6, SimDuration::from_micros(1)), 3_000);
     }
 }

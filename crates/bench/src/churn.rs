@@ -30,7 +30,8 @@ use crate::protocols::{impairments_from_options, Protocol};
 use crate::registry::{RunError, ScenarioOptions};
 use crate::report::{churn_report_json, ChurnSummary, Report};
 use numfabric_sim::{SimDuration, Topology};
-use numfabric_workloads::churn::{foreground_background, ChurnConfig};
+use numfabric_workloads::arrivals::PoissonWorkloadConfig;
+use numfabric_workloads::churn::foreground_background;
 use numfabric_workloads::TopologySpec;
 
 /// The churn Stream on `topo`: the foreground/background mix at `load`
@@ -54,7 +55,7 @@ pub fn churn_flows(
         .unwrap_or(1);
     Flows::Stream {
         mix: foreground_background(fg_share),
-        config: ChurnConfig {
+        config: PoissonWorkloadConfig {
             load,
             duration: window,
             seed,

@@ -29,8 +29,8 @@ use crate::report::{ChurnSummary, ClassStats};
 use numfabric_num::utility::{AlphaFair, FctUtility, LogUtility, UtilityRef};
 use numfabric_sim::topology::{LinkId, Topology};
 use numfabric_sim::{FlowId, Network, SimDuration, SimTime};
-use numfabric_workloads::arrivals::FlowArrival;
-use numfabric_workloads::churn::{ChurnClass, ChurnConfig, ChurnStream};
+use numfabric_workloads::arrivals::{FlowArrival, PoissonWorkloadConfig};
+use numfabric_workloads::churn::{ChurnClass, ChurnStream};
 use numfabric_workloads::convergence::{
     measure_convergence, oracle_rates_bps, ConvergenceCriterion,
 };
@@ -138,7 +138,7 @@ pub enum Flows {
         /// The traffic classes, in report order.
         mix: Vec<ChurnClass>,
         /// Load, horizon, seed and ECMP fan-out of the arrivals.
-        config: ChurnConfig,
+        config: PoissonWorkloadConfig,
     },
     /// Semi-dynamic start/stop events over long-lived flows.
     Events {
@@ -456,7 +456,7 @@ impl Driver<'_> {
     /// [`HARVEST_SLICE`] of simulated time, whichever fills first; simulate
     /// up to each batch's last start; harvest. Batch boundaries are arrival
     /// times — pure functions of the seed.
-    fn run_stream(&mut self, mix: &[ChurnClass], config: &ChurnConfig) -> ChurnSummary {
+    fn run_stream(&mut self, mix: &[ChurnClass], config: &PoissonWorkloadConfig) -> ChurnSummary {
         let mut classes: Vec<ClassStats> = mix.iter().map(|c| ClassStats::new(c.name)).collect();
         let mut live: Vec<LiveFlow> = Vec::new();
         let mut stream = ChurnStream::new(self.exp.topology.hosts(), mix, config).peekable();
@@ -581,7 +581,7 @@ mod tests {
     use super::*;
     use numfabric_core::NumFabricConfig;
     use numfabric_sim::topology::LeafSpineConfig;
-    use numfabric_workloads::arrivals::{poisson_arrivals, PoissonWorkloadConfig};
+    use numfabric_workloads::arrivals::poisson_arrivals;
     use numfabric_workloads::convergence::convergence_stats;
     use numfabric_workloads::distributions::FixedSize;
     use numfabric_workloads::scenarios::SemiDynamicConfig;

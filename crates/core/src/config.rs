@@ -86,19 +86,6 @@ impl NumFabricConfig {
         self
     }
 
-    /// Override the under-utilization gain η.
-    pub fn with_eta(mut self, eta: f64) -> Self {
-        self.eta = eta;
-        self
-    }
-
-    /// Override the averaging factor β.
-    pub fn with_beta(mut self, beta: f64) -> Self {
-        assert!((0.0..1.0).contains(&beta), "beta must be in [0, 1)");
-        self.beta = beta;
-        self
-    }
-
     /// Set the initial window to one bandwidth-delay product of `rate_bps`
     /// and `rtt` (used by the FCT experiments).
     pub fn with_bdp_initial_window(mut self, rate_bps: f64, rtt: SimDuration) -> Self {
@@ -141,21 +128,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn beta_out_of_range_rejected() {
-        NumFabricConfig::default().with_beta(1.5);
-    }
-
-    #[test]
     fn builder_overrides_apply() {
         let c = NumFabricConfig::default()
             .with_dt(SimDuration::from_micros(12))
-            .with_price_update_interval(SimDuration::from_micros(64))
-            .with_eta(2.0)
-            .with_beta(0.25);
+            .with_price_update_interval(SimDuration::from_micros(64));
         assert_eq!(c.dt, SimDuration::from_micros(12));
         assert_eq!(c.price_update_interval, SimDuration::from_micros(64));
-        assert_eq!(c.eta, 2.0);
-        assert_eq!(c.beta, 0.25);
     }
 }

@@ -85,11 +85,6 @@ impl SwiftRateEstimator {
     pub fn rate_bps(&self) -> Option<f64> {
         self.rate_bps
     }
-
-    /// Whether the estimator has been initialized.
-    pub fn is_initialized(&self) -> bool {
-        self.rate_bps.is_some()
-    }
 }
 
 /// The Swift window computation `W = R̂ · (d0 + dt)`.
@@ -147,7 +142,7 @@ mod tests {
     #[test]
     fn first_sample_initializes_directly() {
         let mut est = SwiftRateEstimator::new(us(20));
-        assert!(!est.is_initialized());
+        assert!(est.rate_bps().is_none());
         // 1500 bytes spaced 1.2 µs apart = 10 Gbps.
         est.on_sample(
             1500,
@@ -180,9 +175,9 @@ mod tests {
     fn zero_spacing_samples_are_ignored() {
         let mut est = SwiftRateEstimator::new(us(20));
         est.on_sample(1500, SimDuration::ZERO, SimTime::from_micros(1));
-        assert!(!est.is_initialized());
+        assert!(est.rate_bps().is_none());
         est.on_sample(0, SimDuration::from_nanos(1200), SimTime::from_micros(2));
-        assert!(!est.is_initialized());
+        assert!(est.rate_bps().is_none());
     }
 
     #[test]

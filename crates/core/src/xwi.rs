@@ -197,7 +197,10 @@ mod tests {
     #[test]
     fn underutilized_link_decays_faster_with_larger_eta() {
         let run_decay = |eta: f64| {
-            let cfg = NumFabricConfig::default().with_eta(eta);
+            let cfg = NumFabricConfig {
+                eta,
+                ..NumFabricConfig::default()
+            };
             let mut ctrl = XwiPriceController::new(&cfg, 10e9);
             // Build the price up at full utilization.
             for _ in 0..4 {

@@ -281,14 +281,6 @@ impl DgdFluid {
     pub fn with_defaults(net: FluidNetwork) -> Self {
         Self::new(net, DgdParams::default(), 1e-3)
     }
-
-    /// Replace the flow population, keeping prices (flow churn event).
-    pub fn replace_flows(&mut self, net: FluidNetwork) {
-        assert_eq!(net.num_links(), self.net.num_links());
-        self.rates.clear();
-        self.rates.resize(net.num_flows(), 0.0);
-        self.net = net;
-    }
 }
 
 impl FluidAlgorithm for DgdFluid {
@@ -399,14 +391,6 @@ impl RcpStarFluid {
     /// Default parameters (α = 1).
     pub fn with_defaults(net: FluidNetwork) -> Self {
         Self::new(net, RcpStarParams::default())
-    }
-
-    /// Replace the flow population, keeping advertised rates.
-    pub fn replace_flows(&mut self, net: FluidNetwork) {
-        assert_eq!(net.num_links(), self.net.num_links());
-        self.rates.clear();
-        self.rates.resize(net.num_flows(), 0.0);
-        self.net = net;
     }
 }
 

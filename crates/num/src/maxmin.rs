@@ -188,11 +188,6 @@ pub fn weighted_max_min_into(
     }
 }
 
-/// The max-min fair allocation (all weights equal to 1).
-pub fn max_min(net: &FluidNetwork) -> Vec<f64> {
-    weighted_max_min(net, &vec![1.0; net.num_flows()])
-}
-
 /// Check whether `rates` is a weighted max-min allocation for `weights` on
 /// `net`, up to relative tolerance `rel_tol`.
 ///
@@ -269,7 +264,7 @@ mod tests {
         for &l in &links {
             net.add_simple_flow(vec![l], LogUtility::new());
         }
-        let rates = max_min(&net);
+        let rates = weighted_max_min(&net, &[1.0; 4]);
         assert!(close(rates[0], 5.0, 1e-9), "{rates:?}");
         for i in 1..4 {
             assert!(close(rates[i], 5.0, 1e-9), "{rates:?}");
@@ -286,7 +281,7 @@ mod tests {
         let l1 = net.add_link(10.0);
         net.add_simple_flow(vec![l0, l1], LogUtility::new());
         net.add_simple_flow(vec![l1], LogUtility::new());
-        let rates = max_min(&net);
+        let rates = weighted_max_min(&net, &[1.0; 2]);
         assert!(close(rates[0], 2.0, 1e-9), "{rates:?}");
         assert!(close(rates[1], 8.0, 1e-9), "{rates:?}");
     }

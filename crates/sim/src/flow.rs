@@ -75,16 +75,6 @@ impl FlowStats {
             _ => None,
         }
     }
-
-    /// Average throughput in bits per second over the flow's lifetime
-    /// (delivered bytes / completion time), if completed.
-    pub fn average_rate_bps(&self) -> Option<f64> {
-        let fct = self.fct()?;
-        if fct.is_zero() {
-            return None;
-        }
-        Some(self.bytes_delivered as f64 * 8.0 / fct.as_secs_f64())
-    }
 }
 
 #[cfg(test)]
@@ -99,18 +89,5 @@ mod tests {
         stats.completed_at = Some(SimTime::from_micros(900));
         stats.bytes_delivered = 1_000_000;
         assert_eq!(stats.fct(), Some(SimDuration::from_micros(800)));
-        let rate = stats.average_rate_bps().unwrap();
-        assert!((rate - 1_000_000.0 * 8.0 / 800e-6).abs() / rate < 1e-9);
-    }
-
-    #[test]
-    fn zero_duration_fct_gives_no_rate() {
-        let stats = FlowStats {
-            started_at: Some(SimTime::from_micros(5)),
-            completed_at: Some(SimTime::from_micros(5)),
-            bytes_delivered: 100,
-            ..Default::default()
-        };
-        assert!(stats.average_rate_bps().is_none());
     }
 }

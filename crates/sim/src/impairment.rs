@@ -19,7 +19,7 @@
 //! and a link's transmissions are serialized by its own queue regardless of
 //! how the fabric is partitioned, so the draw sequence — and with it every
 //! loss decision and jitter offset — is a pure function of the seed and the
-//! scenario for **any** partition count and any worker-thread count. The
+//! scenario for **any** partition count and any sweep `--threads`. The
 //! engine keeps its no-ambient-randomness property: an unimpaired
 //! simulation never touches any stream.
 //!
@@ -102,13 +102,6 @@ impl Default for LinkHealth {
     }
 }
 
-impl LinkHealth {
-    /// Whether this link needs a random draw per transmitted packet.
-    pub fn is_randomized(&self) -> bool {
-        self.loss > 0.0 || !self.jitter.is_zero()
-    }
-}
-
 /// Advance a SplitMix64 state and return the next `u64`.
 ///
 /// Spelled out here (rather than borrowed from the offline `rand` shim's
@@ -136,8 +129,8 @@ pub(crate) fn splitmix64_unit(state: &mut u64) -> f64 {
 /// stream, so no two links can collide with each other or with the raw
 /// seed). Because the stream is keyed by the link — not by whichever
 /// partition happens to own it — the draw sequence is invariant under
-/// domain decomposition: `--partitions N` and `--partition-threads T` never
-/// change a loss decision or a jitter offset.
+/// domain decomposition: the partition count never changes a loss decision
+/// or a jitter offset.
 pub fn derive_link_seed(seed: u64, link: usize) -> u64 {
     // Mix the link index through one SplitMix64 step of a state offset by
     // golden-ratio multiples — the same construction the sweep engine uses
@@ -158,17 +151,6 @@ mod tests {
     fn default_health_is_pristine() {
         let h = LinkHealth::default();
         assert!(h.up && h.loss == 0.0 && h.jitter.is_zero());
-        assert!(!h.is_randomized());
-        assert!(LinkHealth {
-            loss: 0.01,
-            ..Default::default()
-        }
-        .is_randomized());
-        assert!(LinkHealth {
-            jitter: SimDuration::from_micros(1),
-            ..Default::default()
-        }
-        .is_randomized());
     }
 
     #[test]

@@ -52,14 +52,14 @@
 //! *Inside* one simulation, the network is domain-decomposed: a
 //! deterministic graph partitioner ([`topology::Topology::partition`])
 //! assigns every node to one of `N` partitions, each partition owns its own
-//! timing wheel and timer service, and cross-cut packet deliveries travel
+//! timing wheel and flow timers, and cross-cut packet deliveries travel
 //! as boundary messages merged at conservative time barriers. Each epoch
-//! the partition cores advance to the barrier **concurrently** on a pool of
-//! worker threads ([`network::Network::set_partition_threads`]); because
-//! event keys are content-derived rather than allocated from any shared
-//! counter, the merged pop order — and every report byte — is a pure
-//! function of the seed, independent of both the partition count and the
-//! thread count ([`network::Network::set_partitions`]).
+//! the partition cores advance to the barrier one after another on the
+//! calling thread; because event keys are content-derived rather than
+//! allocated from any shared counter, the merged pop order — and every
+//! report byte — is a pure function of the seed, independent of the
+//! partition count ([`network::Network::set_partitions`]) and of the sweep
+//! engine's thread count.
 //!
 //! ## Quick example
 //!

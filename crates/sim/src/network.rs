@@ -34,18 +34,19 @@
 //!   [`crate::impairment`] for the determinism story and [`LinkChange`] for
 //!   per-variant semantics.
 //!
-//! # Domain decomposition and threading
+//! # Domain decomposition
 //!
 //! Internally the network is **domain-decomposed**:
 //! [`Network::set_partitions`] splits the fabric into spatial partitions
 //! (via [`Topology::partition`]), each owning a disjoint subset of nodes
 //! with its own timing wheel, link runtimes and endpoint state (a flow's
-//! armed timers live with its sender). One epoch loop runs every stretch:
-//! cross-partition deliveries are held by the coordinator and released at
-//! conservative time barriers (lookahead = the minimum propagation delay
-//! over boundary links), and [`Network::set_partition_threads`] only
-//! chooses whether the epochs run on the calling thread or concurrently on
-//! scoped worker threads.
+//! armed timers live with its sender). Every stretch runs one epoch loop on
+//! the calling thread: cross-partition deliveries are held by the
+//! coordinator and released at conservative time barriers (lookahead = the
+//! minimum propagation delay over boundary links), and within an epoch the
+//! partitions advance one after another in index order. A `Network` is
+//! `Send`, so concurrency lives one level up: a sweep runs one network per
+//! thread.
 //!
 //! Determinism does not rest on a shared counter or on any cross-partition
 //! ordering. Instead every event carries a **content-derived key**: a pure
@@ -55,19 +56,16 @@
 //! order; across partitions no ordering is needed at all, because each
 //! partition touches only state it owns and boundary messages are released
 //! only at barriers both sides have reached. The observable report is
-//! therefore a pure function of the seed for **any** `--partitions N ×
-//! --partition-threads T` combination — threads change wall-clock time,
-//! never a byte of output. The default single partition *is* the historical
-//! single-queue engine; the public API is unchanged either way.
+//! therefore a pure function of the seed for **any** partition count, and
+//! for any sweep `--threads`. The default single partition *is* the
+//! historical single-queue engine; the public API is unchanged either way.
 //!
 //! Link changes are **coordinator-level sync events**: they apply between
 //! epochs, at their scheduled instant, before any same-instant partition
-//! events — never from inside a worker — so reroutes and backlog drops
-//! mutate the shared tables only while every partition is parked at the
-//! barrier. That is also why data races are structurally impossible: during
-//! an epoch workers hold `&mut` to disjoint `PartitionCore`s and `&` to
-//! the frozen `Shared` tables, and the borrow checker enforces exactly
-//! that split.
+//! events, so reroutes and backlog drops mutate the shared tables only
+//! while every partition is parked at the barrier. During an epoch a
+//! partition holds `&mut` to its own `PartitionCore` and `&` to the frozen
+//! `Shared` tables, and the borrow checker enforces exactly that split.
 
 use crate::event::{Event, EventId, EventQueue};
 use crate::flow::{FlowPhase, FlowSpec, FlowStats};
@@ -84,7 +82,6 @@ use crate::topology::{LinkId, NodeId, Topology};
 use crate::tracer::EwmaRateTracer;
 use crate::transport::{AckMode, FlowAgent, LinkController};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Snapshot of one link's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -106,8 +103,7 @@ pub struct LinkStats {
 // Each event's wheel key encodes what the event *is*, not when it was
 // allocated: `(kind << 61) | (primary << 39) | secondary`. Because the key
 // is derived from content, it is identical whichever partition schedules
-// it and whether the epoch ran inline or on a worker thread — this is what
-// replaced the globally shared sequence counter.
+// it — this is what replaced the globally shared sequence counter.
 //
 // Keys are unique per instant, so dispatch order never rests on the
 // wheel's tie-break (`advance_core` checks this in debug builds). Per kind:
@@ -190,9 +186,8 @@ fn arrival_key(link: LinkId, packet: &Packet) -> u64 {
 /// The read-only-during-epochs tables every partition shares: topology,
 /// routes, flow specs, ownership maps and link health/capacity. The
 /// coordinator holds `&mut` and mutates these only *between* epochs (at
-/// setup time or at a link-change sync point); during an epoch workers see
-/// `&Shared`, so a data race on them is a compile error, not a test
-/// failure.
+/// setup time or at a link-change sync point); during an epoch the
+/// partitions see `&Shared`, so none can change what another reads.
 struct Shared {
     topo: Topology,
     routes: RouteTable,
@@ -242,7 +237,7 @@ struct LinkState {
     /// link, derived from `(impairment_seed, link)`. The stream advances
     /// only when this link transmits while impaired, and a link's
     /// transmissions are serialized by its own queue, so the draw sequence
-    /// is invariant under partitioning and threading.
+    /// is invariant under partitioning.
     rng: u64,
     stats: LinkStats,
 }
@@ -353,15 +348,13 @@ struct GlobalEvent {
 }
 
 /// One spatial partition's event core: its own timing wheel, link
-/// runtimes, endpoint state and outgoing boundary traffic. `Send`
-/// (asserted at compile time below) so an epoch can run on a worker
-/// thread.
+/// runtimes, endpoint state and outgoing boundary traffic.
 ///
-/// Aligned to a 64-byte cache line: the cores sit side by side in
-/// `Network::parts` and each worker writes its own core's clock and
-/// wheel on every event, so two cores must never share a line. Unaligned,
-/// whether they did depended on where the allocator put the vector, and
-/// the threaded run's CPU time moved with unrelated heap changes.
+/// Aligned to a 64-byte cache line, so a core's hot head (clock, dispatch
+/// key, wheel) starts a line of its own wherever the allocator puts
+/// `Network::parts`. Without it a single-partition pFabric churn run
+/// measured slower in 6 of 8 paired rounds on a 2-vCPU Xeon (medians
+/// 1.37 s against 1.20 s).
 #[repr(align(64))]
 struct PartitionCore {
     index: usize,
@@ -402,8 +395,8 @@ struct PartitionCore {
     last_dispatched: Option<(SimTime, u64)>,
     events_processed: u64,
     /// When enabled, every handled event is recorded as `(time, key)` —
-    /// the conformance trace the determinism proptests compare across
-    /// partition/thread counts.
+    /// the conformance trace the determinism tests compare across
+    /// partition counts.
     trace: Option<Vec<(SimTime, u64)>>,
 }
 
@@ -446,10 +439,8 @@ impl PartitionCore {
 // ---- per-partition event handling -----------------------------------------
 //
 // Everything below runs with `&Shared` + `&mut PartitionCore`: the exact
-// capability a worker thread holds during an epoch. Every epoch, on the
-// calling thread or on a worker, runs these functions through the one
-// `epoch_step`, which is the whole equivalence argument for thread-count
-// invariance.
+// capability a partition holds during an epoch, so a partition's events
+// can touch no state another partition owns.
 
 /// `true` when `t` lies outside the stretch bound.
 fn beyond(t: SimTime, bound: SimTime, inclusive: bool) -> bool {
@@ -907,8 +898,8 @@ fn with_agent(
 /// (asserted at compile time below): move it to a worker thread and run it
 /// there. Concurrent sweeps exploit this, one `Network` per thread. It is
 /// also the epoch coordinator: it owns all boundary traffic and runs every
-/// stretch through one epoch loop, on scoped workers when
-/// [`Network::set_partition_threads`] asks (see the module docs).
+/// stretch through one epoch loop on the calling thread (see the module
+/// docs).
 pub struct Network {
     shared: Shared,
     /// The per-partition event cores. Always at least one; index 0 is the
@@ -918,15 +909,10 @@ pub struct Network {
     /// links. `None` when no link crosses a cut (single partition), in
     /// which case an epoch spans the whole stretch.
     lookahead: Option<SimDuration>,
-    /// Worker threads for epoch execution (1 = inline).
-    threads: usize,
-    /// Boundary traffic not yet delivered, per destination partition. The
-    /// coordinator owns it across epochs *and* stretches: traffic due
-    /// beyond one stretch's bound waits here for the next.
+    /// Boundary traffic not yet delivered, one bundle per destination
+    /// partition. The coordinator owns it across epochs *and* stretches:
+    /// traffic due beyond one stretch's bound waits here for the next.
     pending: Vec<OutBundle>,
-    /// One [`Epoch`] per chunk of partitions, kept between stretches so
-    /// their buffers are reused.
-    epochs: Vec<Epoch>,
     clock: SimTime,
     /// The base impairment seed; per-link streams derive from it.
     impair_seed: u64,
@@ -983,13 +969,11 @@ impl Network {
                 derive_link_seed(0, link),
             ));
         }
-        let mut net = Self {
+        Self {
             shared,
             parts: vec![core],
             lookahead: None,
-            threads: 1,
-            pending: Vec::new(),
-            epochs: Vec::new(),
+            pending: vec![OutBundle::default()],
             clock: SimTime::ZERO,
             impair_seed: 0,
             globals: Vec::new(),
@@ -1000,9 +984,7 @@ impl Network {
             slot_timer_arms: Vec::new(),
             route_buf: Vec::new(),
             reverse_buf: Vec::new(),
-        };
-        net.deal_chunks();
-        net
+        }
     }
 
     /// Re-split the network into `partitions` spatial domains (see the
@@ -1096,7 +1078,7 @@ impl Network {
                 }
             }
         }
-        self.deal_chunks();
+        self.pending.resize_with(partitions, OutBundle::default);
         for (at, seq, event, cancellable) in pending {
             let p = event_partition(&self.shared, &event);
             let wheel = &mut self.parts[p].events;
@@ -1108,39 +1090,14 @@ impl Network {
         }
     }
 
-    /// Run each epoch's partitions on `threads` worker threads (clamped to
-    /// at least 1; 1 means inline execution on the calling thread). Safe to
-    /// change at any time — thread count affects wall-clock speed only,
-    /// never a byte of output, so there is no setup-phase restriction.
-    pub fn set_partition_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-        self.deal_chunks();
-    }
-
-    /// Deal the partitions to `min(threads, partitions)` contiguous chunks
-    /// and return the chunk size. Also sizes the coordinator's buffers to
-    /// match — a bundle per partition in `pending` and in each chunk's
-    /// [`Epoch`] — so when set-up calls this a run finds them in place.
-    fn deal_chunks(&mut self) -> usize {
-        let nparts = self.parts.len();
-        let chunk_size = nparts.div_ceil(self.threads.min(nparts));
-        self.pending.resize_with(nparts, OutBundle::default);
-        self.epochs
-            .resize_with(nparts.div_ceil(chunk_size), Epoch::default);
-        for epoch in &mut self.epochs {
-            epoch.traffic.resize_with(nparts, OutBundle::default);
-        }
-        chunk_size
-    }
+    /// Ignored: partitions always advance on the calling thread. Kept with
+    /// its signature only because the benchmark harness still calls it;
+    /// it goes when the benchmark stops asking for partitions.
+    pub fn set_partition_threads(&mut self, _threads: usize) {}
 
     /// The number of spatial partitions this network is decomposed into.
     pub fn partitions(&self) -> usize {
         self.parts.len()
-    }
-
-    /// The worker-thread count epochs run on (1 = inline).
-    pub fn partition_threads(&self) -> usize {
-        self.threads
     }
 
     /// The topology this network was built from.
@@ -1354,11 +1311,11 @@ impl Network {
     ///   is what makes recycling safe: a recycled id can never be touched by
     ///   a stray packet of its previous occupant.
     ///
-    /// Call this between runs (it takes `&mut self`, so it cannot race an
-    /// epoch). Because every event up to the current time has been processed
-    /// identically for any `--partitions × --partition-threads`, the retire
-    /// decision — and therefore the id-reuse sequence — is partition- and
-    /// thread-invariant. Retiring an already-retired flow returns `false`.
+    /// Call this between runs. Because every event up to the current time
+    /// has been processed identically for any partition count, the retire
+    /// decision — and therefore the id-reuse sequence — is
+    /// partition-invariant. Retiring an already-retired flow returns
+    /// `false`.
     ///
     /// Statistics of a retired flow are gone; harvest [`Self::flow_stats`]
     /// first. [`Self::num_flows`] counts slots (the slab high-water mark),
@@ -1446,8 +1403,8 @@ impl Network {
     /// Seed the impairment streams that randomized [`LinkChange::Loss`] and
     /// [`LinkChange::Jitter`] draws come from — one stream per **link**,
     /// derived via [`derive_link_seed`], so the draw sequence is invariant
-    /// under partitioning and threading. Runs that never impair a link
-    /// never touch any stream, so the seed is irrelevant to them.
+    /// under partitioning. Runs that never impair a link never touch any
+    /// stream, so the seed is irrelevant to them.
     pub fn set_impairment_seed(&mut self, seed: u64) {
         self.impair_seed = seed;
         for core in &mut self.parts {
@@ -1692,7 +1649,7 @@ impl Network {
     /// messages produced meanwhile. The lookahead (minimum boundary-link
     /// propagation delay) guarantees no boundary message can be due before
     /// the barrier, so each partition's pop order — and every observable
-    /// byte — is independent of the partition count and the thread count.
+    /// byte — is independent of the partition count.
     pub fn run_until(&mut self, until: SimTime) {
         loop {
             match self.next_global_time() {
@@ -1720,65 +1677,52 @@ impl Network {
     /// Run every partition through epochs until all pending work lies
     /// beyond `bound`. A "stretch" is the span between two sync points.
     ///
-    /// Every stretch runs the one [`epoch_loop`], whatever `--partitions ×
-    /// --partition-threads`: the partitions are dealt to `min(threads,
-    /// partitions)` contiguous chunks, one [`Epoch`] each. Only *where*
-    /// [`epoch_step`] runs differs: on this thread when one chunk covers
-    /// every partition, otherwise on one scoped worker per chunk.
+    /// Each epoch starts at the earliest pending instant `t` (wheel heads
+    /// plus undelivered boundary traffic) and the stretch ends once `t` lies
+    /// beyond the bound. Otherwise every partition receives its boundary
+    /// traffic, then each in index order runs to the barrier `t +
+    /// lookahead` and its outbound traffic is merged into `pending` — a
+    /// fixed order, so the merge depends on nothing but the partitioning.
     fn run_stretch(&mut self, bound: SimTime, inclusive: bool) {
-        let chunk_size = self.deal_chunks();
         let Self {
             shared,
             parts,
             pending,
-            epochs,
             lookahead,
             ..
         } = self;
-        let (shared, lookahead) = (&*shared, *lookahead);
-        for (epoch, chunk) in epochs.iter_mut().zip(parts.chunks_mut(chunk_size)) {
-            epoch.bound = bound;
-            epoch.inclusive = inclusive;
-            epoch.next = chunk
+        let shared = &*shared;
+        let mut next = parts
+            .iter_mut()
+            .filter_map(|core| {
+                // Boundary traffic produced at the last sync point (a
+                // restore re-kicking transmission, reroute retransmits
+                // crossing a cut) counts before the first barrier.
+                merge_traffic(pending, &mut core.outbound);
+                core.events.peek_time()
+            })
+            .min();
+        loop {
+            let boundary = pending
+                .iter()
+                .flat_map(|b| b.events.iter().map(|&(at, ..)| at));
+            let t = match next.into_iter().chain(boundary).min() {
+                Some(t) if !beyond(t, bound, inclusive) => t,
+                _ => return,
+            };
+            let barrier = lookahead.map(|la| t + la);
+            for (core, bundle) in parts.iter_mut().zip(pending.iter_mut()) {
+                deliver_boundary(core, bundle);
+            }
+            next = parts
                 .iter_mut()
                 .filter_map(|core| {
-                    // Boundary traffic produced at the last sync point (a
-                    // restore re-kicking transmission, reroute retransmits
-                    // crossing a cut) counts before the first barrier.
+                    let next = advance_core(shared, core, barrier, bound, inclusive);
                     merge_traffic(pending, &mut core.outbound);
-                    core.events.peek_time()
+                    next
                 })
                 .min();
         }
-        if epochs.len() == 1 {
-            epoch_loop(pending, epochs, chunk_size, lookahead, |epochs| {
-                epochs[0] = epoch_step(shared, parts, std::mem::take(&mut epochs[0]));
-            });
-            return;
-        }
-        let mailboxes: Vec<(Mailbox<Epoch>, Mailbox<Epoch>)> = (0..epochs.len())
-            .map(|_| (Mailbox::new(), Mailbox::new()))
-            .collect();
-        std::thread::scope(|scope| {
-            // Closing the boxes — on the way out, or while a coordinator
-            // panic unwinds — is what stops the workers.
-            let _stop = CloseOnDrop(&mailboxes);
-            for (boxes, chunk) in mailboxes.iter().zip(parts.chunks_mut(chunk_size)) {
-                scope.spawn(move || worker_loop(shared, chunk, boxes));
-            }
-            epoch_loop(pending, epochs, chunk_size, lookahead, |epochs| {
-                for ((cmds, _), epoch) in mailboxes.iter().zip(epochs.iter_mut()) {
-                    // A worker that is gone closed both its boxes, so the
-                    // reply wait below names it.
-                    cmds.send(std::mem::take(epoch));
-                }
-                for (w, ((_, replies), epoch)) in mailboxes.iter().zip(epochs).enumerate() {
-                    *epoch = replies
-                        .recv()
-                        .unwrap_or_else(|| panic!("partition worker {w} panicked"));
-                }
-            });
-        });
     }
 
     // ---- statistics -------------------------------------------------------
@@ -1910,8 +1854,8 @@ impl Network {
     }
 
     /// Record every handled event as a `(time, key)` pair, per partition —
-    /// the conformance trace the determinism proptests compare across
-    /// partition and thread counts. Clears any previously recorded trace.
+    /// the conformance trace the determinism tests compare across
+    /// partition counts. Clears any previously recorded trace.
     pub fn set_event_trace(&mut self, enabled: bool) {
         self.trace_enabled = enabled;
         for core in &mut self.parts {
@@ -1943,190 +1887,13 @@ fn event_partition(shared: &Shared, event: &Event) -> usize {
     }
 }
 
-// ---- the epoch protocol ---------------------------------------------------
-
-/// One epoch of one chunk of partitions: the command on the way to whatever
-/// runs the chunk, the reply on the way back. The same value makes the
-/// round trip every epoch and is kept between stretches, so a steady-state
-/// epoch allocates nothing.
-#[derive(Default)]
-struct Epoch {
-    /// Advance to events strictly before this instant (`None`: no link is
-    /// cut, so the epoch spans the stretch).
-    barrier: Option<SimTime>,
-    bound: SimTime,
-    inclusive: bool,
-    /// Boundary traffic, one bundle per destination partition: on the way
-    /// out the traffic for the chunk's partitions, on the way back the
-    /// traffic the chunk produced.
-    traffic: Vec<OutBundle>,
-    /// The chunk's earliest pending event time.
-    next: Option<SimTime>,
-}
-
-/// The epoch loop every stretch runs, to the bound its epochs carry. Each
-/// epoch starts at the earliest pending instant `t` (wheel heads plus
-/// undelivered boundary traffic) and stops the stretch once `t` lies beyond
-/// the bound. Otherwise it hands every chunk its boundary traffic and the
-/// barrier `t + lookahead`, lets `execute` run [`epoch_step`] on every
-/// chunk, and merges the traffic they produced into `pending` in chunk
-/// order — a fixed order, so the merge never depends on which thread
-/// finished first.
-fn epoch_loop(
-    pending: &mut [OutBundle],
-    epochs: &mut [Epoch],
-    chunk_size: usize,
-    lookahead: Option<SimDuration>,
-    mut execute: impl FnMut(&mut [Epoch]),
-) {
-    let (bound, inclusive) = (epochs[0].bound, epochs[0].inclusive);
-    loop {
-        let boundary = pending
-            .iter()
-            .flat_map(|b| b.events.iter().map(|&(at, ..)| at));
-        let t = match epochs.iter().filter_map(|e| e.next).chain(boundary).min() {
-            Some(t) if !beyond(t, bound, inclusive) => t,
-            _ => return,
-        };
-        for (p, bundle) in pending.iter_mut().enumerate() {
-            epochs[p / chunk_size].traffic[p].absorb(bundle);
-        }
-        for epoch in epochs.iter_mut() {
-            epoch.barrier = lookahead.map(|la| t + la);
-        }
-        execute(epochs);
-        for epoch in epochs.iter_mut() {
-            merge_traffic(pending, &mut epoch.traffic);
-        }
-    }
-}
-
-/// One epoch of one contiguous chunk of partition cores, and the only code
-/// that advances a core: deliver the boundary traffic `epoch` carries for
-/// the chunk, run each core to the barrier, and return `epoch` carrying
-/// the traffic the chunk produced and its earliest pending event time.
-fn epoch_step(shared: &Shared, chunk: &mut [PartitionCore], mut epoch: Epoch) -> Epoch {
-    for core in chunk.iter_mut() {
-        deliver_boundary(core, &mut epoch.traffic[core.index]);
-    }
-    epoch.next = chunk
-        .iter_mut()
-        .filter_map(|core| {
-            let next = advance_core(shared, core, epoch.barrier, epoch.bound, epoch.inclusive);
-            merge_traffic(&mut epoch.traffic, &mut core.outbound);
-            next
-        })
-        .min();
-    epoch
-}
-
-/// A one-message rendezvous between the coordinator and one epoch worker
-/// (the protocol never has more than one message in flight each way),
-/// built on a mutex and a condition variable so that neither sending nor
-/// waiting allocates. `std::sync::mpsc` allocates waker entries only when a
-/// receiver happens to block, which made a threaded run's allocation count
-/// depend on thread timing.
-struct Mailbox<T> {
-    slot: Mutex<Mail<T>>,
-    changed: Condvar,
-}
-
-enum Mail<T> {
-    Empty,
-    Full(T),
-    /// The other side is gone: no message will arrive or be taken.
-    Closed,
-}
-
-impl<T> Mailbox<T> {
-    fn new() -> Self {
-        Self {
-            slot: Mutex::new(Mail::Empty),
-            changed: Condvar::new(),
-        }
-    }
-
-    /// Every update leaves the slot valid, so a poisoned lock is still sound.
-    fn lock(&self) -> MutexGuard<'_, Mail<T>> {
-        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Hand over `msg`; `false` if the box is closed.
-    fn send(&self, msg: T) -> bool {
-        let mut slot = self.lock();
-        if matches!(*slot, Mail::Closed) {
-            return false;
-        }
-        debug_assert!(matches!(*slot, Mail::Empty), "one message in flight");
-        *slot = Mail::Full(msg);
-        self.changed.notify_one();
-        true
-    }
-
-    /// Wait for the next message; `None` once the box is closed.
-    fn recv(&self) -> Option<T> {
-        let mut slot = self.lock();
-        loop {
-            match std::mem::replace(&mut *slot, Mail::Empty) {
-                Mail::Full(msg) => return Some(msg),
-                Mail::Closed => {
-                    *slot = Mail::Closed;
-                    return None;
-                }
-                Mail::Empty => {
-                    slot = self
-                        .changed
-                        .wait(slot)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
-        }
-    }
-
-    fn close(&self) {
-        *self.lock() = Mail::Closed;
-        self.changed.notify_all();
-    }
-}
-
-/// Closes both boxes of every `(commands, replies)` pair when dropped,
-/// including during a panic, so the other side of each never waits forever.
-struct CloseOnDrop<'a>(&'a [(Mailbox<Epoch>, Mailbox<Epoch>)]);
-
-impl Drop for CloseOnDrop<'_> {
-    fn drop(&mut self) {
-        for (cmds, replies) in self.0 {
-            cmds.close();
-            replies.close();
-        }
-    }
-}
-
-/// An epoch worker: owns a contiguous chunk of partition cores for the
-/// duration of one stretch and runs [`epoch_step`] on each epoch it is
-/// sent, until its boxes close.
-fn worker_loop(
-    shared: &Shared,
-    chunk: &mut [PartitionCore],
-    boxes: &(Mailbox<Epoch>, Mailbox<Epoch>),
-) {
-    // On exit — a panic included — the coordinator must not wait for us.
-    let _exit = CloseOnDrop(std::slice::from_ref(boxes));
-    let (cmds, replies) = boxes;
-    while let Some(epoch) = cmds.recv() {
-        if !replies.send(epoch_step(shared, chunk, epoch)) {
-            break;
-        }
-    }
-}
-
 // ---- the agent-facing API -------------------------------------------------
 
 /// The interface through which a [`FlowAgent`] interacts with the network
 /// during one of its callbacks. It carries exactly the capability an epoch
 /// grants: read access to the shared tables and mutable access to the
-/// partition the flow's sender lives on — which is why agent code can run
-/// on a worker thread without further ceremony.
+/// partition the flow's sender lives on, so an agent can touch no state
+/// another partition owns.
 pub struct AgentCtx<'a> {
     shared: &'a Shared,
     core: &'a mut PartitionCore,
@@ -2257,8 +2024,8 @@ impl AgentCtx<'_> {
     /// automatically.
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerHandle {
         // The key's secondary field is the slot's arm count, which never
-        // restarts (see the key banner): per-slot state, hence partition-
-        // and thread-invariant.
+        // restarts (see the key banner): per-slot state, hence
+        // partition-invariant.
         let flow = self.flow;
         let core = &mut *self.core;
         let sender = core.senders[flow]
@@ -2286,24 +2053,16 @@ impl AgentCtx<'_> {
     }
 }
 
-// The concurrency contract, pinned at compile time. Two layers:
-//
-// * A `Network` owns its entire simulation (topology, route arena, queues,
-//   agents, controllers, event wheels, timers — no `Rc`, no interior
-//   sharing), so a sweep worker thread can own one outright.
-// * Inside a network, an epoch worker holds `&mut PartitionCore` (must be
-//   `Send`: it moves to the worker for the stretch) and `&Shared` (must be
-//   `Sync`: every worker reads it concurrently). `FlowAgent`,
-//   `QueueDiscipline` and `LinkController` carry `Send` bounds for exactly
-//   this reason; if a future change smuggles in a non-`Send` field, this
-//   is the line that fails to compile.
+// The concurrency contract, pinned at compile time: a `Network` owns its
+// entire simulation (topology, route arena, queues, agents, controllers,
+// event wheels, timers — no `Rc`, no interior sharing), so a sweep worker
+// thread can own one outright. `FlowAgent`, `QueueDiscipline` and
+// `LinkController` carry `Send` bounds for exactly this reason; if a future
+// change smuggles in a non-`Send` field, this is the line that fails to
+// compile.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    const fn assert_sync<T: Sync>() {}
     assert_send::<Network>();
-    assert_send::<PartitionCore>();
-    assert_sync::<Shared>();
-    assert_send::<Epoch>();
     assert_send::<EventQueue>();
     assert_send::<Topology>();
     assert_send::<crate::routes::RouteTable>();
@@ -2316,6 +2075,7 @@ mod tests {
     use crate::reference::SimpleWindowAgent;
     use crate::topology::{FatTreeConfig, LeafSpineConfig, NodeKind};
     use crate::transport::NullController;
+    use std::sync::{Arc, Mutex};
 
     fn small_net() -> Network {
         let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
@@ -2524,7 +2284,7 @@ mod tests {
     /// for structural timer cancellation.
     struct TimerProbe {
         delay: SimDuration,
-        fired: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+        fired: Arc<std::sync::atomic::AtomicUsize>,
     }
 
     impl FlowAgent for TimerProbe {
@@ -2541,7 +2301,6 @@ mod tests {
     #[test]
     fn stopping_a_flow_cancels_its_pending_timers() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
         let fired = Arc::new(AtomicUsize::new(0));
         let mut net = small_net();
         let hosts: Vec<_> = net.topology().hosts().to_vec();
@@ -2574,7 +2333,6 @@ mod tests {
     #[test]
     fn unstopped_timers_still_fire_and_can_be_cancelled_by_handle() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
         let fired = Arc::new(AtomicUsize::new(0));
         let mut net = small_net();
         let hosts: Vec<_> = net.topology().hosts().to_vec();
@@ -2825,7 +2583,7 @@ mod tests {
     }
 
     /// Records every capacity a link's controller is told about.
-    struct CapacityProbe(std::sync::Arc<Mutex<Vec<f64>>>);
+    struct CapacityProbe(Arc<Mutex<Vec<f64>>>);
 
     impl LinkController for CapacityProbe {
         fn on_enqueue(&mut self, _packet: &mut Packet, _now: SimTime) {}
@@ -2850,7 +2608,7 @@ mod tests {
             let mut net = small_net();
             let hosts: Vec<_> = net.topology().hosts().to_vec();
             let link = uplink(&net, 0);
-            let seen = std::sync::Arc::new(Mutex::new(Vec::new()));
+            let seen = Arc::new(Mutex::new(Vec::new()));
             net.set_link_controller(link, Box::new(CapacityProbe(seen.clone())));
             if let Some(bps) = speed {
                 net.schedule_link_change(SimTime::from_micros(10), link, LinkChange::Speed(bps));
@@ -2987,11 +2745,10 @@ mod tests {
     }
 
     /// A full cross-rack report: every flow's counters plus FCT, the
-    /// regression surface for partition/thread invariance.
-    fn partitioned_report(partitions: usize, threads: usize) -> Vec<(u64, u64, u64, Option<u64>)> {
+    /// regression surface for partition invariance.
+    fn partitioned_report(partitions: usize) -> Vec<(u64, u64, u64, Option<u64>)> {
         let mut net = small_net();
         net.set_partitions(partitions);
-        net.set_partition_threads(threads);
         let hosts: Vec<_> = net.topology().hosts().to_vec();
         for i in 0..4 {
             net.add_flow(
@@ -3020,24 +2777,21 @@ mod tests {
 
     #[test]
     fn threaded_partitioned_run_matches_sequential() {
-        let base = partitioned_report(1, 1);
+        let base = partitioned_report(1);
         for partitions in [2, 4] {
-            for threads in [1, 2, 4] {
-                assert_eq!(
-                    partitioned_report(partitions, threads),
-                    base,
-                    "report differs at partitions={partitions} threads={threads}"
-                );
-            }
+            assert_eq!(
+                partitioned_report(partitions),
+                base,
+                "report differs at partitions={partitions}"
+            );
         }
     }
 
     #[test]
     fn impaired_draws_are_partition_and_thread_invariant() {
-        let run = |partitions: usize, threads: usize| {
+        let run = |partitions: usize| {
             let mut net = small_net();
             net.set_partitions(partitions);
-            net.set_partition_threads(threads);
             net.set_impairment_seed(9);
             let hosts: Vec<_> = net.topology().hosts().to_vec();
             let link = uplink(&net, 0);
@@ -3064,13 +2818,13 @@ mod tests {
                 stats.bytes_acked,
             )
         };
-        let base = run(1, 1);
+        let base = run(1);
         assert!(base.0 > 0, "10% wire loss must drop something");
-        for (partitions, threads) in [(2, 1), (2, 2), (4, 2), (4, 4)] {
+        for partitions in [2, 4] {
             assert_eq!(
-                run(partitions, threads),
+                run(partitions),
                 base,
-                "impaired draws differ at partitions={partitions} threads={threads}"
+                "impaired draws differ at partitions={partitions}"
             );
         }
     }

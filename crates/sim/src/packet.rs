@@ -233,12 +233,6 @@ impl Packet {
         routes.hop(self.route, self.hop as usize)
     }
 
-    /// Whether the packet has traversed its entire route.
-    #[inline]
-    pub fn at_destination(&self, routes: &RouteTable) -> bool {
-        routes.hop(self.route, self.hop as usize).is_none()
-    }
-
     /// Advance to the next hop (called by the network when the packet finishes
     /// traversing a link).
     pub fn advance_hop(&mut self) {
@@ -285,14 +279,12 @@ mod tests {
         let (table, rid) = route(vec![5, 7, 9]);
         let mut p = Packet::data(0, 0, 1000, rid, DataHeader::default());
         assert_eq!(p.next_link(&table), Some(5));
-        assert!(!p.at_destination(&table));
         p.advance_hop();
         assert_eq!(p.next_link(&table), Some(7));
         p.advance_hop();
         assert_eq!(p.next_link(&table), Some(9));
         p.advance_hop();
         assert_eq!(p.next_link(&table), None);
-        assert!(p.at_destination(&table));
     }
 
     #[test]

@@ -535,13 +535,6 @@ impl LeafSpineConfig {
             link_delay: SimDuration::from_micros(2),
         }
     }
-
-    /// The leaf downlink : uplink bandwidth ratio this configuration yields
-    /// (1.0 = full bisection, larger = oversubscribed).
-    pub fn oversubscription_ratio(&self) -> f64 {
-        let per_leaf = (self.hosts / self.leaves) as f64;
-        per_leaf * self.host_link_bps / (self.spines as f64 * self.fabric_link_bps)
-    }
 }
 
 /// Parameters for [`Topology::fat_tree`]: a canonical k-ary fat-tree
@@ -1292,10 +1285,8 @@ mod tests {
         let cfg = LeafSpineConfig::oversubscribed(32, 4, 2, 4.0);
         // 8 hosts/leaf * 10G down, 20G up => 10G per spine link.
         assert_eq!(cfg.fabric_link_bps, 10e9);
-        assert!((cfg.oversubscription_ratio() - 4.0).abs() < 1e-9);
         let full = LeafSpineConfig::oversubscribed(32, 4, 2, 1.0);
         assert_eq!(full.fabric_link_bps, 40e9);
-        assert!((LeafSpineConfig::paper_default().oversubscription_ratio() - 1.0).abs() < 1e-9);
         let topo = Topology::leaf_spine(&cfg);
         let leaf0 = topo.leaves()[0];
         let up: f64 = topo

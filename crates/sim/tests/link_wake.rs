@@ -7,8 +7,8 @@
 //! Each test pins one trap of that rule with hand-computed dequeue
 //! sequences, and the last two are the exact work-counter gate: an idle
 //! paced path handles **zero** wake-ups, a saturated one exactly one per
-//! packet that waited. Every scenario runs on a small `partitions ×
-//! threads` matrix and must read the same on all of it.
+//! packet that waited. Every scenario runs on 1, 2 and 4 partitions and
+//! must read the same on each.
 //!
 //! Fabric used throughout: `LeafSpineConfig::small(8, 2, 2)` — hosts 0–3 on
 //! leaf 0, hosts 4–7 on leaf 1, 10 Gb/s host links (a 1500-byte packet
@@ -32,8 +32,8 @@ const KIND_FLOW_TIMER: u64 = 4;
 const KIND_WAKE_UP: u64 = 5;
 const KIND_ARRIVAL: u64 = 6;
 
-/// `(partitions, threads)` cells every scenario runs on.
-const ENGINES: [(usize, usize); 3] = [(1, 1), (2, 2), (4, 1)];
+/// The partition counts every scenario runs on.
+const PARTITIONS: [usize; 3] = [1, 2, 4];
 
 /// One data packet leaving a queue for the wire, as its link's controller
 /// saw it.
@@ -155,8 +155,7 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(engine: (usize, usize), queue: impl Fn() -> Box<dyn QueueDiscipline>) -> Self {
-        let (partitions, threads) = engine;
+    fn new(partitions: usize, queue: impl Fn() -> Box<dyn QueueDiscipline>) -> Self {
         let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
         let hosts = topo.hosts().to_vec();
         let mut net = Network::new(topo, |_| queue());
@@ -169,7 +168,6 @@ impl Rig {
             })
         });
         net.set_partitions(partitions);
-        net.set_partition_threads(threads);
         net.set_event_trace(true);
         Self { net, hosts, log }
     }
@@ -215,7 +213,7 @@ impl Rig {
     }
 
     /// Every recorded dequeue, ordered by `(time, link)` so the log reads
-    /// the same whichever worker thread appended first.
+    /// the same whichever partition appended first.
     fn dequeues(&self) -> Vec<Dequeue> {
         let mut all = self.log.lock().unwrap().clone();
         all.sort_by_key(|d| (d.at_ns, d.link));
@@ -260,8 +258,8 @@ fn count_kind(handled: &[(u64, u64, usize)], kind: u64) -> usize {
 /// flow 0's second packet take the wire the moment its timer fires.
 #[test]
 fn a_timer_at_the_end_instant_still_queues_behind_the_wake_up() {
-    for engine in ENGINES {
-        let mut rig = Rig::new(engine, || Box::new(StfqQueue::with_default_buffer()));
+    for partitions in PARTITIONS {
+        let mut rig = Rig::new(partitions, || Box::new(StfqQueue::with_default_buffer()));
         let f0 = rig.flow(0, 4, 0, 0, Scripted::new(&[(0, 10.0), (TX, 10.0)]));
         let f1 = rig.flow(0, 5, 1, 0, Scripted::new(&[(TX, 1.0)]));
         let uplink = rig.hop(f0, 0);
@@ -270,12 +268,16 @@ fn a_timer_at_the_end_instant_still_queues_behind_the_wake_up() {
         assert_eq!(
             rig.wire_order(uplink),
             vec![(f0, 0, 0), (f1, 0, TX), (f0, PAYLOAD as u64, 2 * TX)],
-            "engine {engine:?}"
+            "partitions {partitions}"
         );
         // One lazily scheduled wake-up at 1200 (two packets waiting), one
         // scheduled at transmit start for 2400 (one left), none after.
         let handled = rig.handled();
-        assert_eq!(wake_ups(&handled, uplink), vec![TX, 2 * TX], "{engine:?}");
+        assert_eq!(
+            wake_ups(&handled, uplink),
+            vec![TX, 2 * TX],
+            "partitions {partitions}"
+        );
     }
 }
 
@@ -290,8 +292,8 @@ fn a_timer_at_the_end_instant_still_queues_behind_the_wake_up() {
 /// already be marked.
 #[test]
 fn the_first_packet_at_time_zero_goes_straight_to_the_wire() {
-    for engine in ENGINES {
-        let mut rig = Rig::new(engine, || Box::new(EcnFifo::new(1_000_000, 3_000)));
+    for partitions in PARTITIONS {
+        let mut rig = Rig::new(partitions, || Box::new(EcnFifo::new(1_000_000, 3_000)));
         let burst = [(0, 1.0); 3];
         let f0 = rig.flow(0, 4, 0, 0, Scripted::new(&burst));
         let f1 = rig.flow(0, 5, 1, 0, Scripted::new(&burst));
@@ -314,12 +316,16 @@ fn the_first_packet_at_time_zero_goes_straight_to_the_wire() {
                 (f1, 1, 4 * TX, 3000, true),
                 (f1, 2, 5 * TX, 1500, true),
             ],
-            "engine {engine:?}"
+            "partitions {partitions}"
         );
         // Five packets waited; five wake-ups, one per end of serialization.
         let handled = rig.handled();
         let expect: Vec<u64> = (1..=5).map(|k| k * TX).collect();
-        assert_eq!(wake_ups(&handled, uplink), expect, "{engine:?}");
+        assert_eq!(
+            wake_ups(&handled, uplink),
+            expect,
+            "partitions {partitions}"
+        );
     }
 }
 
@@ -333,12 +339,12 @@ fn the_first_packet_at_time_zero_goes_straight_to_the_wire() {
 ///
 /// Returns the uplink's wire order, its wake-up instants and its drop count.
 fn flap(
-    engine: (usize, usize),
+    partitions: usize,
     up_at: u64,
     send_at: u64,
     queued_before_down: bool,
 ) -> (Vec<(u64, u64)>, Vec<u64>, u64) {
-    let mut rig = Rig::new(engine, || Box::new(DropTailFifo::with_default_buffer()));
+    let mut rig = Rig::new(partitions, || Box::new(DropTailFifo::with_default_buffer()));
     let mut steps = vec![(0, 1.0)];
     if queued_before_down {
         steps.push((0, 1.0));
@@ -373,15 +379,15 @@ fn flap(
 /// still reads occupied and the timer's enqueue at `(1200, kind 4)` too).
 #[test]
 fn a_flap_inside_one_serialization_resumes_the_backlog_at_its_end_once() {
-    for engine in ENGINES {
+    for partitions in PARTITIONS {
         for (up_at, send_at) in [(600, 900), (TX, TX)] {
-            let case = format!("engine {engine:?}, up at {up_at}, send at {send_at}");
-            let (wire, wakes, drops) = flap(engine, up_at, send_at, false);
+            let case = format!("partitions {partitions}, up at {up_at}, send at {send_at}");
+            let (wire, wakes, drops) = flap(partitions, up_at, send_at, false);
             assert_eq!(wire, vec![(0, 0), (1, TX)], "{case}");
             assert_eq!(wakes, vec![TX], "{case}");
             assert_eq!(drops, 0, "{case}");
 
-            let (wire, wakes, drops) = flap(engine, up_at, send_at, true);
+            let (wire, wakes, drops) = flap(partitions, up_at, send_at, true);
             assert_eq!(wire, vec![(0, 0), (2, TX)], "{case}, queued before down");
             assert_eq!(wakes, vec![TX], "{case}, queued before down");
             assert_eq!(drops, 1, "{case}, queued before down");
@@ -393,13 +399,13 @@ fn a_flap_inside_one_serialization_resumes_the_backlog_at_its_end_once() {
 /// sent, nothing is rescheduled, and the restore starts from a free link.
 #[test]
 fn a_wake_up_on_a_downed_link_is_a_no_op() {
-    for engine in ENGINES {
-        let (wire, wakes, drops) = flap(engine, 5_000, 6_000, true);
-        assert_eq!(wire, vec![(0, 0), (2, 6_000)], "engine {engine:?}");
-        assert_eq!(wakes, vec![TX], "engine {engine:?}");
+    for partitions in PARTITIONS {
+        let (wire, wakes, drops) = flap(partitions, 5_000, 6_000, true);
+        assert_eq!(wire, vec![(0, 0), (2, 6_000)], "partitions {partitions}");
+        assert_eq!(wakes, vec![TX], "partitions {partitions}");
         // The queued packet, plus the one on the wire: it reaches leaf 0
         // at 3200 ns over a cable that is still down.
-        assert_eq!(drops, 2, "engine {engine:?}");
+        assert_eq!(drops, 2, "partitions {partitions}");
     }
 }
 
@@ -413,8 +419,8 @@ fn a_wake_up_on_a_downed_link_is_a_no_op() {
 /// timer at 1200 ns then queues a better pFabric priority, which must win.
 #[test]
 fn a_reroute_resend_at_the_end_instant_queues_like_any_earlier_event() {
-    for engine in ENGINES {
-        let mut rig = Rig::new(engine, || Box::new(PfabricQueue::new(1_000_000)));
+    for partitions in PARTITIONS {
+        let mut rig = Rig::new(partitions, || Box::new(PfabricQueue::new(1_000_000)));
         let a = rig.flow(0, 4, 0, 0, Scripted::resending_on_reroute(&[(0, 5.0)], 9.0));
         let b = rig.flow(0, 5, 1, 0, Scripted::new(&[(TX, 1.0)]));
         let uplink = rig.hop(a, 0);
@@ -426,10 +432,14 @@ fn a_reroute_resend_at_the_end_instant_queues_like_any_earlier_event() {
         assert_eq!(
             rig.wire_order(uplink),
             vec![(a, 0, 0), (b, 0, TX), (a, PAYLOAD as u64, 2 * TX)],
-            "engine {engine:?}"
+            "partitions {partitions}"
         );
         let handled = rig.handled();
-        assert_eq!(wake_ups(&handled, uplink), vec![TX, 2 * TX], "{engine:?}");
+        assert_eq!(
+            wake_ups(&handled, uplink),
+            vec![TX, 2 * TX],
+            "partitions {partitions}"
+        );
     }
 }
 
@@ -443,8 +453,8 @@ fn a_reroute_resend_at_the_end_instant_queues_like_any_earlier_event() {
 /// from the single-run case, with no wake-up at 1200 ns at all.
 #[test]
 fn a_change_at_the_instant_the_previous_run_ended_finds_the_link_free() {
-    for engine in ENGINES {
-        let mut rig = Rig::new(engine, || Box::new(PfabricQueue::new(1_000_000)));
+    for partitions in PARTITIONS {
+        let mut rig = Rig::new(partitions, || Box::new(PfabricQueue::new(1_000_000)));
         let a = rig.flow(0, 4, 0, 0, Scripted::resending_on_reroute(&[(0, 5.0)], 9.0));
         let uplink = rig.hop(a, 0);
         let leaf_to_spine = rig.hop(a, 1);
@@ -456,10 +466,14 @@ fn a_change_at_the_instant_the_previous_run_ended_finds_the_link_free() {
         assert_eq!(
             rig.wire_order(uplink),
             vec![(a, 0, 0), (a, PAYLOAD as u64, TX), (b, 0, 2 * TX)],
-            "engine {engine:?}"
+            "partitions {partitions}"
         );
         let handled = rig.handled();
-        assert_eq!(wake_ups(&handled, uplink), vec![2 * TX], "{engine:?}");
+        assert_eq!(
+            wake_ups(&handled, uplink),
+            vec![2 * TX],
+            "partitions {partitions}"
+        );
     }
 }
 
@@ -470,8 +484,8 @@ fn a_change_at_the_instant_the_previous_run_ended_finds_the_link_free() {
 /// even though a `FlowStart` key sorts below the wake-up key.
 #[test]
 fn a_flow_started_at_a_settled_instant_finds_the_link_free() {
-    for engine in ENGINES {
-        let mut rig = Rig::new(engine, || Box::new(PfabricQueue::new(1_000_000)));
+    for partitions in PARTITIONS {
+        let mut rig = Rig::new(partitions, || Box::new(PfabricQueue::new(1_000_000)));
         let a = rig.flow(0, 4, 0, 0, Scripted::new(&[(0, 5.0)]));
         let uplink = rig.hop(a, 0);
         rig.run_until_ns(TX);
@@ -480,7 +494,7 @@ fn a_flow_started_at_a_settled_instant_finds_the_link_free() {
         assert_eq!(
             rig.wire_order(uplink),
             vec![(a, 0, 0), (b, 0, TX), (b, PAYLOAD as u64, 2 * TX)],
-            "engine {engine:?}"
+            "partitions {partitions}"
         );
     }
 }
@@ -495,20 +509,24 @@ fn a_flow_started_at_a_settled_instant_finds_the_link_free() {
 #[test]
 fn an_idle_paced_path_handles_no_wake_ups() {
     const PACKETS: u64 = 50;
-    for engine in ENGINES {
-        let mut rig = Rig::new(engine, || Box::new(StfqQueue::with_default_buffer()));
+    for partitions in PARTITIONS {
+        let mut rig = Rig::new(partitions, || Box::new(StfqQueue::with_default_buffer()));
         let pacing: Vec<(u64, f64)> = (0..PACKETS).map(|k| (k * 2_000, 1.0)).collect();
         let flow = rig.flow(0, 4, 0, 0, Scripted::new(&pacing));
         rig.run_until_ns(1_000_000);
         assert_eq!(rig.net.flow_stats(flow).packets_delivered, PACKETS);
         assert_eq!(rig.net.pending_events(), 0);
         let handled = rig.handled();
-        assert_eq!(count_kind(&handled, KIND_WAKE_UP), 0, "engine {engine:?}");
+        assert_eq!(
+            count_kind(&handled, KIND_WAKE_UP),
+            0,
+            "partitions {partitions}"
+        );
         assert_eq!(count_kind(&handled, KIND_FLOW_START), 1);
         assert_eq!(count_kind(&handled, KIND_FLOW_TIMER), 49);
         assert_eq!(count_kind(&handled, KIND_ARRIVAL), 400);
-        assert_eq!(handled.len(), 450, "engine {engine:?}");
-        assert_eq!(rig.net.events_processed(), 450, "engine {engine:?}");
+        assert_eq!(handled.len(), 450, "partitions {partitions}");
+        assert_eq!(rig.net.events_processed(), 450, "partitions {partitions}");
     }
 }
 
@@ -529,8 +547,8 @@ fn an_idle_paced_path_handles_no_wake_ups() {
 /// 2 flow starts and 16 × 8 arrivals.
 #[test]
 fn a_saturated_bottleneck_handles_one_wake_up_per_packet_that_waited() {
-    for engine in ENGINES {
-        let mut rig = Rig::new(engine, || Box::new(DropTailFifo::with_default_buffer()));
+    for partitions in PARTITIONS {
+        let mut rig = Rig::new(partitions, || Box::new(DropTailFifo::with_default_buffer()));
         let burst = [(0, 1.0); 8];
         let f0 = rig.flow(0, 4, 0, 0, Scripted::new(&burst));
         let f1 = rig.flow(1, 4, 0, 0, Scripted::new(&burst));
@@ -551,7 +569,7 @@ fn a_saturated_bottleneck_handles_one_wake_up_per_packet_that_waited() {
             assert_eq!(
                 wake_ups(&handled, link).len(),
                 waited_on(link),
-                "engine {engine:?}, link {link}"
+                "partitions {partitions}, link {link}"
             );
         }
         let path: Vec<LinkId> = (0..4).map(|hop| rig.hop(f0, hop)).collect();
@@ -561,9 +579,13 @@ fn a_saturated_bottleneck_handles_one_wake_up_per_packet_that_waited() {
         assert_eq!(waited_on(path[1]), 8);
         assert_eq!(waited_on(path[2]), 0);
         assert_eq!(waited_on(path[3]), 15);
-        assert_eq!(count_kind(&handled, KIND_WAKE_UP), 37, "engine {engine:?}");
+        assert_eq!(
+            count_kind(&handled, KIND_WAKE_UP),
+            37,
+            "partitions {partitions}"
+        );
         assert_eq!(count_kind(&handled, KIND_ARRIVAL), 128);
-        assert_eq!(handled.len(), 2 + 128 + 37, "engine {engine:?}");
-        assert_eq!(rig.net.events_processed(), 167, "engine {engine:?}");
+        assert_eq!(handled.len(), 2 + 128 + 37, "partitions {partitions}");
+        assert_eq!(rig.net.events_processed(), 167, "partitions {partitions}");
     }
 }

@@ -1,8 +1,5 @@
 //! Property tests for the deterministic graph partitioner behind the
-//! domain-decomposed network (`Topology::partition`), plus the epoch-worker
-//! conformance contract: running the partition cores on a thread pool must
-//! pop the exact same `(time, key)` event sequence as the sequential
-//! barrier loop.
+//! domain-decomposed network (`Topology::partition`).
 //!
 //! The partitioner is the root of the partition-conformance contract: event
 //! ownership, timer routing and the per-link impairment streams all key
@@ -12,10 +9,7 @@
 //! partition as the chunked `i * n / num_hosts` rule promises, so the
 //! assignment never depends on construction order or hashing.
 
-use numfabric_sim::queue::DropTailFifo;
-use numfabric_sim::reference::SimpleWindowAgent;
 use numfabric_sim::topology::{FatTreeConfig, LeafSpineConfig, Topology};
-use numfabric_sim::{Network, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Assert the coverage contract on one topology/partition-count pair:
@@ -86,66 +80,4 @@ fn single_partition_owns_everything() {
     let topo = Topology::fat_tree(&FatTreeConfig::new(4));
     let parts = topo.partition(1);
     assert!(parts.assignment().iter().all(|&p| p == 0));
-}
-
-/// Run a small leaf-spine fabric carrying `flows` stride-patterned window
-/// flows for 300 µs, decomposed into `partitions` cores advancing on
-/// `threads` epoch workers, and return the per-partition `(time, key)`
-/// event traces.
-fn traced_run(
-    flows: usize,
-    window: usize,
-    partitions: usize,
-    threads: usize,
-) -> Vec<Vec<(SimTime, u64)>> {
-    let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
-    let hosts = topo.hosts().to_vec();
-    let mut net = Network::new(topo, |_| Box::new(DropTailFifo::with_default_buffer()));
-    net.set_partitions(partitions);
-    net.set_partition_threads(threads);
-    net.set_event_trace(true);
-    for i in 0..flows {
-        let src = hosts[i % hosts.len()];
-        let dst = hosts[(i + hosts.len() / 2) % hosts.len()];
-        net.add_flow(
-            src,
-            dst,
-            None,
-            SimTime::ZERO,
-            i,
-            None,
-            Box::new(SimpleWindowAgent::new(window)),
-        );
-    }
-    net.run_until(SimTime::ZERO + SimDuration::from_micros(300));
-    net.take_event_traces()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Threaded epoch execution is a pure scheduling change: for any flow
-    /// mix and any worker count, every partition core pops the exact same
-    /// `(time, key)` event sequence as the sequential barrier loop.
-    #[test]
-    fn prop_threaded_epochs_pop_the_sequential_event_trace(
-        flows in 1usize..=8,
-        window in 1usize..=4,
-        partitions in 1usize..=4,
-        threads in 2usize..=4,
-    ) {
-        let sequential = traced_run(flows, window, partitions, 1);
-        let threaded = traced_run(flows, window, partitions, threads);
-        prop_assert!(
-            sequential.iter().map(|t| t.len()).sum::<usize>() > 0,
-            "run popped no events"
-        );
-        prop_assert_eq!(
-            sequential,
-            threaded,
-            "event traces diverged at {} partitions x {} threads",
-            partitions,
-            threads
-        );
-    }
 }

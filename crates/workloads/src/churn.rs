@@ -19,7 +19,7 @@
 
 use crate::arrivals::{ArrivalStream, FlowArrival, PoissonWorkloadConfig};
 use crate::distributions::{EmpiricalCdf, FlowSizeDistribution};
-use numfabric_sim::{NodeId, SimDuration};
+use numfabric_sim::NodeId;
 use std::iter::Peekable;
 
 /// One traffic class of a churn mix: a name for reports, a size
@@ -32,37 +32,6 @@ pub struct ChurnClass {
     /// Fraction of the total target load offered by this class, in `(0, 1]`.
     /// Shares must sum to 1 across the mix.
     pub load_share: f64,
-}
-
-/// Configuration of a churn workload (the class mix is supplied
-/// separately, see [`ChurnStream::new`]).
-#[derive(Debug, Clone)]
-pub struct ChurnConfig {
-    /// Total target load on the host access links, in `(0, 1)` — the
-    /// paper's dynamic experiments run 40–80 %.
-    pub load: f64,
-    /// Generation horizon (arrivals stop after this instant).
-    pub duration: SimDuration,
-    /// Base RNG seed; class `c` derives its stream from `(seed, c)`.
-    pub seed: u64,
-    /// Number of spine choices for ECMP pinning.
-    pub num_spines: usize,
-    /// Access link capacity in bits per second.
-    pub host_link_bps: f64,
-}
-
-impl ChurnConfig {
-    /// A churn workload at `load` on 10 Gbps access links for `duration`.
-    pub fn new(load: f64, duration: SimDuration, seed: u64) -> Self {
-        assert!(load > 0.0 && load < 1.0, "load must be in (0, 1)");
-        Self {
-            load,
-            duration,
-            seed,
-            num_spines: 4,
-            host_link_bps: 10e9,
-        }
-    }
 }
 
 /// The canonical two-class mix: a `fg` foreground class drawing from the
@@ -113,12 +82,18 @@ pub struct ChurnStream<'a> {
 }
 
 impl<'a> ChurnStream<'a> {
-    /// Build the merged stream of `classes` over `hosts` under `config`.
+    /// Build the merged stream of `classes` over `hosts` under `config`,
+    /// whose `load` is the total over the mix: class `c` offers `load ·
+    /// load_share` and draws its stream from `(config.seed, c)`.
     ///
     /// # Panics
     /// Panics if the mix is empty, a share is outside `(0, 1]`, or the
     /// shares do not sum to 1.
-    pub fn new(hosts: &'a [NodeId], classes: &'a [ChurnClass], config: &ChurnConfig) -> Self {
+    pub fn new(
+        hosts: &'a [NodeId],
+        classes: &'a [ChurnClass],
+        config: &PoissonWorkloadConfig,
+    ) -> Self {
         assert!(!classes.is_empty(), "churn mix needs at least one class");
         let total_share: f64 = classes.iter().map(|c| c.load_share).sum();
         assert!(
@@ -174,7 +149,7 @@ impl Iterator for ChurnStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use numfabric_sim::SimTime;
+    use numfabric_sim::{SimDuration, SimTime};
 
     fn hosts(n: usize) -> Vec<NodeId> {
         (0..n).collect()
@@ -184,7 +159,7 @@ mod tests {
     fn merged_stream_is_sorted_and_mixes_classes() {
         let hosts = hosts(16);
         let classes = foreground_background(0.3);
-        let config = ChurnConfig::new(0.6, SimDuration::from_millis(20), 42);
+        let config = PoissonWorkloadConfig::new(0.6, SimDuration::from_millis(20), 42);
         let arrivals: Vec<_> = ChurnStream::new(&hosts, &classes, &config).collect();
         assert!(arrivals.len() > 50);
         for w in arrivals.windows(2) {
@@ -201,11 +176,11 @@ mod tests {
     fn same_seed_reproduces_different_seed_diverges() {
         let hosts = hosts(8);
         let classes = foreground_background(0.25);
-        let config = ChurnConfig::new(0.5, SimDuration::from_millis(10), 7);
+        let config = PoissonWorkloadConfig::new(0.5, SimDuration::from_millis(10), 7);
         let a: Vec<_> = ChurnStream::new(&hosts, &classes, &config).collect();
         let b: Vec<_> = ChurnStream::new(&hosts, &classes, &config).collect();
         assert_eq!(a, b);
-        let other = ChurnConfig { seed: 8, ..config };
+        let other = PoissonWorkloadConfig { seed: 8, ..config };
         let c: Vec<_> = ChurnStream::new(&hosts, &classes, &other).collect();
         assert_ne!(a, c);
     }
@@ -218,7 +193,7 @@ mod tests {
         // `load·share / mean`, so the count ratio pins the share split.
         let hosts = hosts(16);
         let classes = foreground_background(0.25);
-        let config = ChurnConfig::new(0.6, SimDuration::from_millis(200), 3);
+        let config = PoissonWorkloadConfig::new(0.6, SimDuration::from_millis(200), 3);
         let (mut fg, mut bg) = (0u64, 0u64);
         for a in ChurnStream::new(&hosts, &classes, &config) {
             match a.class {
@@ -244,7 +219,7 @@ mod tests {
             dist: Box::new(crate::distributions::FixedSize(1000)),
             load_share: 0.5,
         }];
-        let config = ChurnConfig::new(0.5, SimDuration::from_millis(1), 0);
+        let config = PoissonWorkloadConfig::new(0.5, SimDuration::from_millis(1), 0);
         let _ = ChurnStream::new(&hosts, &classes, &config);
     }
 }

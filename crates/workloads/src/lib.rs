@@ -48,9 +48,7 @@ pub mod impairments;
 pub mod scenarios;
 
 pub use arrivals::{poisson_arrivals, ArrivalStream, FlowArrival, PoissonWorkloadConfig};
-pub use churn::{
-    derive_class_seed, foreground_background, ChurnArrival, ChurnClass, ChurnConfig, ChurnStream,
-};
+pub use churn::{derive_class_seed, foreground_background, ChurnArrival, ChurnClass, ChurnStream};
 pub use convergence::{
     convergence_stats, fluid_instance, measure_convergence, oracle_rates_bps, ConvergenceCriterion,
     ConvergenceOutcome, ConvergenceStats,

@@ -260,11 +260,11 @@ fn replaying_a_fat_tree_shuffle_scenario_is_bit_identical() {
 /// jitter consume the network's seeded impairment RNG — every piece of the
 /// failure layer that could plausibly break the replay contract.
 fn run_impaired_scenario(seed: u64, impair_seed: u64) -> (Vec<TracePoint>, Vec<(u64, u64)>) {
-    run_impaired_partitioned(seed, impair_seed, 1, 1)
+    run_impaired_partitioned(seed, impair_seed, 1)
 }
 
 /// [`run_impaired_scenario`] with the network decomposed into `partitions`
-/// event cores advancing on `partition_threads` epoch workers. Loss and
+/// event cores. Loss and
 /// jitter draw from per-link impairment streams, so even the randomized
 /// pieces of the failure layer must reproduce the single-core run
 /// bit-for-bit at any decomposition.
@@ -272,7 +272,6 @@ fn run_impaired_partitioned(
     seed: u64,
     impair_seed: u64,
     partitions: usize,
-    partition_threads: usize,
 ) -> (Vec<TracePoint>, Vec<(u64, u64)>) {
     use numfabric::sim::{LinkChange, SimDuration as Dur};
     use numfabric::workloads::impairments::fabric_cables;
@@ -288,7 +287,6 @@ fn run_impaired_partitioned(
     let config = NumFabricConfig::paper_default();
     let mut net = numfabric_network(topo, &config);
     net.set_partitions(partitions);
-    net.set_partition_threads(partition_threads);
     net.set_impairment_seed(impair_seed);
     for link in [flap_fwd, flap_rev] {
         net.schedule_link_change(SimTime::from_micros(500), link, LinkChange::Down);
@@ -346,35 +344,24 @@ fn impairment_seed_actually_drives_the_loss_and_jitter_draws() {
     assert_ne!(trace_a, trace_b, "impairment seed has no effect");
 }
 
-/// The `--partitions × --partition-threads` grid every partitioned replay
-/// pin sweeps: each combo must reproduce the `(1, 1)` run bit-for-bit.
-const PARTITION_MATRIX: [(usize, usize); 8] = [
-    (1, 2),
-    (1, 4),
-    (2, 1),
-    (2, 2),
-    (2, 4),
-    (4, 1),
-    (4, 2),
-    (4, 4),
-];
+/// The partition counts every partitioned replay pin sweeps: each must
+/// reproduce a fresh single-partition run bit-for-bit.
+const PARTITION_MATRIX: [usize; 3] = [1, 2, 4];
 
 /// [`run_pairs_scenario`] with the network domain-decomposed into
-/// `partitions` per-partition event cores advancing on `partition_threads`
-/// epoch workers. The partition-conformance contract: the trace and the
-/// byte counters are a pure function of the seed, so *any* partition and
-/// thread count must reproduce the single-queue run bit-for-bit.
+/// `partitions` per-partition event cores. The partition-conformance
+/// contract: the trace and the byte counters are a pure function of the
+/// seed, so *any* partition count must reproduce the single-queue run
+/// bit-for-bit.
 fn run_pairs_partitioned(
     topo: Topology,
     pairs: &[PathSpec],
     size_bytes: u64,
     partitions: usize,
-    partition_threads: usize,
 ) -> (Vec<TracePoint>, Vec<(u64, u64)>) {
     let config = NumFabricConfig::paper_default();
     let mut net = numfabric_network(topo, &config);
     net.set_partitions(partitions);
-    net.set_partition_threads(partition_threads);
     let ids: Vec<FlowId> = pairs
         .iter()
         .map(|p| {
@@ -403,44 +390,44 @@ fn run_pairs_partitioned(
 
 #[test]
 fn partition_matrix_never_changes_a_leaf_spine_report() {
-    let run = |partitions, threads| {
+    let run = |partitions| {
         let topo = Topology::leaf_spine(&LeafSpineConfig::small(16, 2, 2));
         let pairs = incast_pairs(&topo, 8, 5);
-        run_pairs_partitioned(topo, &pairs, 120_000, partitions, threads)
+        run_pairs_partitioned(topo, &pairs, 120_000, partitions)
     };
-    let (trace_1, bytes_1) = run(1, 1);
+    let (trace_1, bytes_1) = run(1);
     assert!(bytes_1.iter().all(|&(sent, _)| sent > 0));
-    for (partitions, threads) in PARTITION_MATRIX {
-        let (trace_n, bytes_n) = run(partitions, threads);
+    for partitions in PARTITION_MATRIX {
+        let (trace_n, bytes_n) = run(partitions);
         assert_eq!(
             trace_1, trace_n,
-            "leaf-spine trace diverged at {partitions} partitions x {threads} threads"
+            "leaf-spine trace diverged at {partitions} partitions"
         );
         assert_eq!(
             bytes_1, bytes_n,
-            "leaf-spine byte counters diverged at {partitions} partitions x {threads} threads"
+            "leaf-spine byte counters diverged at {partitions} partitions"
         );
     }
 }
 
 #[test]
 fn partition_matrix_never_changes_a_fat_tree_report() {
-    let run = |partitions, threads| {
+    let run = |partitions| {
         let topo = Topology::fat_tree(&FatTreeConfig::new(4));
         let pairs = shuffle_pairs(&topo, Some(6), 11);
-        run_pairs_partitioned(topo, &pairs, 60_000, partitions, threads)
+        run_pairs_partitioned(topo, &pairs, 60_000, partitions)
     };
-    let (trace_1, bytes_1) = run(1, 1);
+    let (trace_1, bytes_1) = run(1);
     assert!(bytes_1.iter().all(|&(sent, _)| sent > 0));
-    for (partitions, threads) in PARTITION_MATRIX {
-        let (trace_n, bytes_n) = run(partitions, threads);
+    for partitions in PARTITION_MATRIX {
+        let (trace_n, bytes_n) = run(partitions);
         assert_eq!(
             trace_1, trace_n,
-            "fat-tree trace diverged at {partitions} partitions x {threads} threads"
+            "fat-tree trace diverged at {partitions} partitions"
         );
         assert_eq!(
             bytes_1, bytes_n,
-            "fat-tree byte counters diverged at {partitions} partitions x {threads} threads"
+            "fat-tree byte counters diverged at {partitions} partitions"
         );
     }
 }
@@ -450,30 +437,26 @@ fn partition_matrix_never_changes_a_seeded_loss_jitter_run() {
     // The headline fix of the per-link impairment streams: randomized
     // loss/jitter draws used to vary with the partition split; now the
     // whole impaired report is pinned across the matrix too.
-    let (trace_1, bytes_1) = run_impaired_partitioned(9, 1234, 1, 1);
+    let (trace_1, bytes_1) = run_impaired_partitioned(9, 1234, 1);
     assert!(bytes_1.iter().all(|&(sent, _)| sent > 0));
-    for (partitions, threads) in PARTITION_MATRIX {
-        let (trace_n, bytes_n) = run_impaired_partitioned(9, 1234, partitions, threads);
+    for partitions in PARTITION_MATRIX {
+        let (trace_n, bytes_n) = run_impaired_partitioned(9, 1234, partitions);
         assert_eq!(
             trace_1, trace_n,
-            "impaired trace diverged at {partitions} partitions x {threads} threads"
+            "impaired trace diverged at {partitions} partitions"
         );
         assert_eq!(
             bytes_1, bytes_n,
-            "impaired byte counters diverged at {partitions} partitions x {threads} threads"
+            "impaired byte counters diverged at {partitions} partitions"
         );
     }
 }
 
-/// A cable-cut run on a fat-tree, decomposed into `partitions` cores on
-/// `partition_threads` epoch workers: the busiest-cable flap (down +
-/// restore, both directions) drains queues, reroutes ECMP flows and
-/// crosses partition boundaries — and must stay bit-identical for every
-/// partition and thread count.
-fn run_cable_cut_partitioned(
-    partitions: usize,
-    partition_threads: usize,
-) -> (Vec<TracePoint>, Vec<(u64, u64)>) {
+/// A cable-cut run on a fat-tree, decomposed into `partitions` cores: the
+/// busiest-cable flap (down + restore, both directions) drains queues,
+/// reroutes ECMP flows and crosses partition boundaries — and must stay
+/// bit-identical for every partition count.
+fn run_cable_cut_partitioned(partitions: usize) -> (Vec<TracePoint>, Vec<(u64, u64)>) {
     use numfabric::sim::LinkChange;
     use numfabric::workloads::impairments::fabric_cables;
     use numfabric::workloads::stride_pairs;
@@ -485,7 +468,6 @@ fn run_cable_cut_partitioned(
     let config = NumFabricConfig::paper_default();
     let mut net = numfabric_network(topo, &config);
     net.set_partitions(partitions);
-    net.set_partition_threads(partition_threads);
     for link in [cut_fwd, cut_rev] {
         net.schedule_link_change(SimTime::from_micros(500), link, LinkChange::Down);
         net.schedule_link_change(SimTime::from_micros(1_500), link, LinkChange::Up);
@@ -518,17 +500,17 @@ fn run_cable_cut_partitioned(
 
 #[test]
 fn partition_count_never_changes_a_cable_cut_run() {
-    let (trace_1, bytes_1) = run_cable_cut_partitioned(1, 1);
+    let (trace_1, bytes_1) = run_cable_cut_partitioned(1);
     assert!(bytes_1.iter().all(|&(sent, _)| sent > 0));
-    for (partitions, threads) in [(2, 1), (2, 2), (4, 4)] {
-        let (trace_n, bytes_n) = run_cable_cut_partitioned(partitions, threads);
+    for partitions in [2, 4] {
+        let (trace_n, bytes_n) = run_cable_cut_partitioned(partitions);
         assert_eq!(
             trace_1, trace_n,
-            "cable-cut trace diverged at {partitions} partitions x {threads} threads"
+            "cable-cut trace diverged at {partitions} partitions"
         );
         assert_eq!(
             bytes_1, bytes_n,
-            "cable-cut byte counters diverged at {partitions} partitions x {threads} threads"
+            "cable-cut byte counters diverged at {partitions} partitions"
         );
     }
 }
