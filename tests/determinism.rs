@@ -5,10 +5,11 @@
 //! `numfabric::sim`). Every scaling PR is measured against this baseline:
 //! parallelism or batching changes must preserve it or explicitly revise it.
 //!
-//! These are *replay* pins (a build agrees with itself). The cross-commit
-//! pins — FNV-1a digests of whole `numfabric-run … --json` reports recorded
-//! at a named parent commit — live in `crates/bench/tests/report_digests.rs`,
-//! the package that owns the binary.
+//! Most of these are *replay* pins (a build agrees with itself). Four
+//! scenarios also carry a cross-commit pin, an FNV-1a digest of their trace
+//! and byte counters recorded at a named commit (see `assert_recorded`).
+//! The cross-commit pins of whole `numfabric-run … --json` reports live in
+//! `crates/bench/tests/report_digests.rs`, the package that owns the binary.
 
 use numfabric::baselines::{pfabric_network, PfabricAgent, PfabricConfig};
 use numfabric::core::{numfabric_network, NumFabricAgent, NumFabricConfig};
@@ -348,6 +349,31 @@ fn impairment_seed_actually_drives_the_loss_and_jitter_draws() {
 /// reproduce a fresh single-partition run bit-for-bit.
 const PARTITION_MATRIX: [usize; 3] = [1, 2, 4];
 
+/// FNV-1a over a run's trace points and byte counters, each field as
+/// little-endian `u64` words: the cross-commit form of a replay pin.
+fn run_digest(trace: &[TracePoint], bytes: &[(u64, u64)]) -> u64 {
+    trace
+        .iter()
+        .flat_map(|p| [p.at_nanos as u64, p.flow as u64, p.rate_bits])
+        .chain(bytes.iter().flat_map(|&(sent, acked)| [sent, acked]))
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+            (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Assert that a run's trace and byte counters digest to `recorded`. The recorded digests were
+/// taken at commit a556c4c, where 1, 2 and 4 partitions reproduced each
+/// run bit-for-bit; a digest may move only in a commit that says why
+/// (re-record by copying the "got" value).
+fn assert_recorded(what: &str, trace: &[TracePoint], bytes: &[(u64, u64)], recorded: u64) {
+    let got = run_digest(trace, bytes);
+    assert_eq!(
+        got, recorded,
+        "{what}: recorded {recorded:#018x}, got {got:#018x}"
+    );
+}
+
 /// [`run_pairs_scenario`] with the network domain-decomposed into
 /// `partitions` per-partition event cores. The partition-conformance
 /// contract: the trace and the byte counters are a pure function of the
@@ -397,6 +423,12 @@ fn partition_matrix_never_changes_a_leaf_spine_report() {
     };
     let (trace_1, bytes_1) = run(1);
     assert!(bytes_1.iter().all(|&(sent, _)| sent > 0));
+    assert_recorded(
+        "leaf-spine incast",
+        &trace_1,
+        &bytes_1,
+        0x9010_71e9_afea_659d,
+    );
     for partitions in PARTITION_MATRIX {
         let (trace_n, bytes_n) = run(partitions);
         assert_eq!(
@@ -419,6 +451,12 @@ fn partition_matrix_never_changes_a_fat_tree_report() {
     };
     let (trace_1, bytes_1) = run(1);
     assert!(bytes_1.iter().all(|&(sent, _)| sent > 0));
+    assert_recorded(
+        "fat-tree shuffle",
+        &trace_1,
+        &bytes_1,
+        0x9b80_5166_a38d_e6d7,
+    );
     for partitions in PARTITION_MATRIX {
         let (trace_n, bytes_n) = run(partitions);
         assert_eq!(
@@ -439,6 +477,12 @@ fn partition_matrix_never_changes_a_seeded_loss_jitter_run() {
     // whole impaired report is pinned across the matrix too.
     let (trace_1, bytes_1) = run_impaired_partitioned(9, 1234, 1);
     assert!(bytes_1.iter().all(|&(sent, _)| sent > 0));
+    assert_recorded(
+        "seeded loss/jitter",
+        &trace_1,
+        &bytes_1,
+        0xc8e9_b5a5_51e6_af5d,
+    );
     for partitions in PARTITION_MATRIX {
         let (trace_n, bytes_n) = run_impaired_partitioned(9, 1234, partitions);
         assert_eq!(
@@ -502,6 +546,7 @@ fn run_cable_cut_partitioned(partitions: usize) -> (Vec<TracePoint>, Vec<(u64, u
 fn partition_count_never_changes_a_cable_cut_run() {
     let (trace_1, bytes_1) = run_cable_cut_partitioned(1);
     assert!(bytes_1.iter().all(|&(sent, _)| sent > 0));
+    assert_recorded("cable cut", &trace_1, &bytes_1, 0xf3c2_c006_ddd4_185d);
     for partitions in [2, 4] {
         let (trace_n, bytes_n) = run_cable_cut_partitioned(partitions);
         assert_eq!(
