@@ -644,27 +644,6 @@ impl EventQueue {
         }
     }
 
-    /// Remove every pending entry, returning `(time, seq, event,
-    /// cancellable)` tuples in `(time, seq)` order and leaving the queue
-    /// empty with its clock unchanged. Used when a network is re-partitioned
-    /// before running: pending events migrate to the new per-partition
-    /// wheels with their original sequence numbers.
-    pub(crate) fn drain_entries(&mut self) -> Vec<(SimTime, u64, Event, bool)> {
-        let saved_now = self.now;
-        let mut out = Vec::with_capacity(self.live);
-        while let Some(key) = self.pop_key() {
-            let event = self.take_payload(key.idx);
-            out.push((
-                SimTime::from_nanos(key.time),
-                key.seq,
-                event,
-                key.cancellable,
-            ));
-        }
-        self.now = saved_now;
-        out
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.live

@@ -49,17 +49,11 @@
 //! [`network`]). Independent simulations therefore parallelize across
 //! threads with no locks in the hot path and no effect on determinism —
 //! the `numfabric-bench` sweep engine runs one owned `Network` per worker.
-//! *Inside* one simulation, the network is domain-decomposed: a
-//! deterministic graph partitioner ([`topology::Topology::partition`])
-//! assigns every node to one of `N` partitions, each partition owns its own
-//! timing wheel and flow timers, and cross-cut packet deliveries travel
-//! as boundary messages merged at conservative time barriers. Each epoch
-//! the partition cores advance to the barrier one after another on the
-//! calling thread; because event keys are content-derived rather than
-//! allocated from any shared counter, the merged pop order — and every
-//! report byte — is a pure function of the seed, independent of the
-//! partition count ([`network::Network::set_partitions`]) and of the sweep
-//! engine's thread count.
+//! *Inside* one simulation there is one event core, advanced on the
+//! calling thread: one timing wheel whose event keys are content-derived
+//! rather than allocated from a shared counter, so every report byte is a
+//! pure function of the seed. Parallelism lives between simulations, and
+//! the same seed gives the same bytes for any sweep `--threads`.
 //!
 //! ## Quick example
 //!
@@ -110,8 +104,6 @@ pub use queue::{DropTailFifo, EcnFifo, PfabricQueue, QueueDiscipline, StfqQueue}
 pub use routes::{RouteId, RouteTable};
 pub use time::{SimDuration, SimTime};
 pub use timer::TimerHandle;
-pub use topology::{
-    FatTreeConfig, LeafSpineConfig, LinkId, NodeId, NodeKind, Partitioning, Topology,
-};
+pub use topology::{FatTreeConfig, LeafSpineConfig, LinkId, NodeId, NodeKind, Topology};
 pub use tracer::EwmaRateTracer;
 pub use transport::{AckMode, FlowAgent, LinkController, NullController};

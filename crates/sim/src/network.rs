@@ -34,38 +34,26 @@
 //!   [`crate::impairment`] for the determinism story and [`LinkChange`] for
 //!   per-variant semantics.
 //!
-//! # Domain decomposition
+//! # One event core
 //!
-//! Internally the network is **domain-decomposed**:
-//! [`Network::set_partitions`] splits the fabric into spatial partitions
-//! (via [`Topology::partition`]), each owning a disjoint subset of nodes
-//! with its own timing wheel, link runtimes and endpoint state (a flow's
-//! armed timers live with its sender). Every stretch runs one epoch loop on
-//! the calling thread: cross-partition deliveries are held by the
-//! coordinator and released at conservative time barriers (lookahead = the
-//! minimum propagation delay over boundary links), and within an epoch the
-//! partitions advance one after another in index order. A `Network` is
-//! `Send`, so concurrency lives one level up: a sweep runs one network per
-//! thread.
+//! A network runs on **one event core**: one timing wheel, one table of
+//! link runtimes and one set of flow endpoints, advanced on the calling
+//! thread. Parallelism lives *between* simulations: a `Network` is `Send`,
+//! so a sweep runs one network per thread, and the same seed gives the same
+//! bytes for any sweep `--threads`.
 //!
-//! Determinism does not rest on a shared counter or on any cross-partition
-//! ordering. Instead every event carries a **content-derived key**: a pure
-//! function of *what the event is* (its kind, its link or flow, and a
-//! per-event discriminator — see `event_key`). Within one partition's wheel
-//! the `(time, key)` order plus FIFO tie-breaking reproduces the schedule
-//! order; across partitions no ordering is needed at all, because each
-//! partition touches only state it owns and boundary messages are released
-//! only at barriers both sides have reached. The observable report is
-//! therefore a pure function of the seed for **any** partition count, and
-//! for any sweep `--threads`. The default single partition *is* the
-//! historical single-queue engine; the public API is unchanged either way.
+//! Every event carries a **content-derived key**: a pure function of *what
+//! the event is* (its kind, its link or flow, and a per-event
+//! discriminator — see `event_key`). The wheel's `(time, key)` order plus
+//! FIFO tie-breaking reproduces the schedule order, and a link's free
+//! position is compared in that same order (see `try_transmit`), so no
+//! shared sequence counter decides what runs first.
 //!
-//! Link changes are **coordinator-level sync events**: they apply between
-//! epochs, at their scheduled instant, before any same-instant partition
-//! events, so reroutes and backlog drops mutate the shared tables only
-//! while every partition is parked at the barrier. During an epoch a
-//! partition holds `&mut` to its own `PartitionCore` and `&` to the frozen
-//! `Shared` tables, and the borrow checker enforces exactly that split.
+//! Link changes are **sync events** outside the wheel: a run stops just
+//! before the change's instant, applies it ahead of every wheel event of
+//! that instant, then resumes. While the core dispatches wheel events it
+//! holds `&mut` to its own `Core` and `&` to the `Shared` tables, so a
+//! handler can change no topology, route or link health it reads.
 
 use crate::event::{Event, EventId, EventQueue};
 use crate::flow::{FlowPhase, FlowSpec, FlowStats};
@@ -102,8 +90,8 @@ pub struct LinkStats {
 //
 // Each event's wheel key encodes what the event *is*, not when it was
 // allocated: `(kind << 61) | (primary << 39) | secondary`. Because the key
-// is derived from content, it is identical whichever partition schedules
-// it — this is what replaced the globally shared sequence counter.
+// is derived from content, no shared sequence counter decides dispatch
+// order, and a link's free position can be compared against any event.
 //
 // Keys are unique per instant, so dispatch order never rests on the
 // wheel's tie-break (`advance_core` checks this in debug builds). Per kind:
@@ -183,23 +171,14 @@ fn arrival_key(link: LinkId, packet: &Packet) -> u64 {
 
 // ---- state layout ---------------------------------------------------------
 
-/// The read-only-during-epochs tables every partition shares: topology,
-/// routes, flow specs, ownership maps and link health/capacity. The
-/// coordinator holds `&mut` and mutates these only *between* epochs (at
-/// setup time or at a link-change sync point); during an epoch the
-/// partitions see `&Shared`, so none can change what another reads.
+/// The tables the event handlers read but never write: topology, routes,
+/// flow specs and link health/capacity. The network changes them only
+/// between wheel events (at setup time or at a link-change sync point);
+/// a handler sees `&Shared`.
 struct Shared {
     topo: Topology,
     routes: RouteTable,
     specs: Vec<FlowSpec>,
-    /// Partition owning each node.
-    node_part: Vec<usize>,
-    /// Partition owning each link's runtime state (its tail node's).
-    link_part: Vec<usize>,
-    /// Whether each link crosses a partition boundary (its endpoints live
-    /// in different partitions) — the links whose deliveries become
-    /// boundary messages.
-    link_cut: Vec<bool>,
     /// Current capacity of each link in bits/s.
     link_caps: Vec<f64>,
     /// Current impairment state of each link.
@@ -211,7 +190,7 @@ struct Shared {
     settled_at: Option<SimTime>,
 }
 
-/// One link's mutable runtime, owned by the partition of its tail node.
+/// One link's mutable runtime.
 struct LinkState {
     queue: Box<dyn QueueDiscipline>,
     /// Strict-priority lane for non-data packets (ACKs, SYNs): never
@@ -235,9 +214,8 @@ struct LinkState {
     wake_pending: bool,
     /// SplitMix64 state for randomized impairments (loss, jitter) on this
     /// link, derived from `(impairment_seed, link)`. The stream advances
-    /// only when this link transmits while impaired, and a link's
-    /// transmissions are serialized by its own queue, so the draw sequence
-    /// is invariant under partitioning.
+    /// only when this link transmits while impaired, so the draw sequence
+    /// follows this link's own serialization order and nothing else.
     rng: u64,
     stats: LinkStats,
 }
@@ -269,8 +247,7 @@ impl LinkState {
     }
 }
 
-/// A flow's sender-side endpoint state, owned by the source host's
-/// partition.
+/// A flow's sender-side endpoint state.
 struct SenderState {
     agent: Option<Box<dyn FlowAgent>>,
     phase: FlowPhase,
@@ -287,10 +264,9 @@ struct SenderState {
     timers: Vec<EventId>,
 }
 
-/// A flow's receiver-side endpoint state, owned by the destination host's
-/// partition. The receiver is universal (see [`crate::transport::AckMode`]):
-/// it counts delivery, tracks the EWMA rate, detects completion and
-/// reflects an ACK per data packet.
+/// A flow's receiver-side endpoint state. The receiver is universal (see
+/// [`crate::transport::AckMode`]): it counts delivery, tracks the EWMA
+/// rate, detects completion and reflects an ACK per data packet.
 struct ReceiverState {
     bytes_delivered: u64,
     packets_delivered: u64,
@@ -303,42 +279,8 @@ struct ReceiverState {
     ack_mode: AckMode,
 }
 
-/// Boundary traffic addressed to one destination partition, accumulated
-/// during an epoch and exchanged at the barrier.
-#[derive(Default)]
-struct OutBundle {
-    /// Cross-cut arrivals, stamped `(deliver_time, key)` at creation. The
-    /// conservative lookahead guarantees every deliver time is at or past
-    /// the barrier that releases it.
-    events: Vec<(SimTime, u64, Event)>,
-    /// Per-queue flow-state releases for links owned by the destination
-    /// partition (a flow that stopped or completed sheds its WFQ state on
-    /// every link of its route). Releases are idempotent and commutative,
-    /// so applying them at the barrier is order-insensitive.
-    releases: Vec<(LinkId, FlowId)>,
-}
-
-impl OutBundle {
-    fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.releases.is_empty()
-    }
-
-    /// Move `other`'s traffic onto the end of this bundle, leaving `other`
-    /// empty. Into an empty bundle the two just trade buffers: nothing is
-    /// copied, and once the buffers have grown nothing is allocated.
-    fn absorb(&mut self, other: &mut OutBundle) {
-        if self.is_empty() {
-            std::mem::swap(self, other);
-        } else {
-            self.events.append(&mut other.events);
-            self.releases.append(&mut other.releases);
-        }
-    }
-}
-
-/// A link change waiting to apply at coordinator level. Not a wheel event:
-/// the coordinator runs every partition up to (excluding) the change's
-/// instant, applies the change while all partitions are parked, then
+/// A link change waiting to apply at a sync point. Not a wheel event: the
+/// run stops before the change's instant, applies the change, then
 /// resumes. `order` preserves schedule order among same-instant changes.
 struct GlobalEvent {
     at: SimTime,
@@ -347,141 +289,60 @@ struct GlobalEvent {
     change: LinkChange,
 }
 
-/// One spatial partition's event core: its own timing wheel, link
-/// runtimes, endpoint state and outgoing boundary traffic.
+/// The event core: the timing wheel, link runtimes and flow endpoints.
 ///
-/// Aligned to a 64-byte cache line, so a core's hot head (clock, dispatch
-/// key, wheel) starts a line of its own wherever the allocator puts
-/// `Network::parts`. Without it a single-partition pFabric churn run
-/// measured slower in 6 of 8 paired rounds on a 2-vCPU Xeon (medians
-/// 1.37 s against 1.20 s).
+/// Aligned to a 64-byte cache line, so the core's hot head (clock, dispatch
+/// key, wheel) starts a line of its own wherever the allocator puts it.
+/// Without it a pFabric churn run measured slower in 6 of 8 paired rounds
+/// on a 2-vCPU Xeon (medians 1.37 s against 1.20 s).
 #[repr(align(64))]
-struct PartitionCore {
-    index: usize,
+struct Core {
     events: EventQueue,
-    /// Runtime state of the links this partition owns (`None` elsewhere).
-    links: Vec<Option<LinkState>>,
-    /// Sender endpoints of flows whose source host lives here.
+    /// Runtime state of every link.
+    links: Vec<LinkState>,
+    /// Sender endpoints, by flow slot (`None` once the slot is retired).
     senders: Vec<Option<SenderState>>,
-    /// Receiver endpoints of flows whose destination host lives here.
+    /// Receiver endpoints, by flow slot (`None` once the slot is retired).
     receivers: Vec<Option<ReceiverState>>,
-    /// Per-flow drop counts charged by *this* partition (a flow's packets
-    /// can be dropped far from its endpoints; report totals sum cores).
+    /// Per-flow drop counts (a flow's packets can be dropped far from its
+    /// endpoints).
     flow_drops: Vec<u64>,
-    /// Per-flow in-flight packet *delta* charged by this partition:
-    /// incremented where a packet is created (data send, ACK reflection),
-    /// decremented where one leaves the network (endpoint delivery or any
-    /// drop site). A flow's true in-flight count is the sum over cores —
-    /// zero means no packet of the flow exists anywhere, the quiescence
-    /// condition [`Network::try_retire_flow`] requires before recycling
-    /// the flow's slot.
+    /// Per-flow in-flight packet count: incremented where a packet is
+    /// created (data send, ACK reflection), decremented where one leaves
+    /// the network (endpoint delivery or any drop site). Zero means no
+    /// packet of the flow exists anywhere, the quiescence condition
+    /// [`Network::try_retire_flow`] requires before recycling the flow's
+    /// slot.
     flow_packets: Vec<i64>,
-    /// Per-link drop counts charged by this partition for links it does
-    /// *not* own (in-flight packets lost at a downed link's head end).
-    link_drops: Vec<u64>,
-    /// Boundary traffic produced by this partition since the coordinator
-    /// last collected it, per destination partition.
-    outbound: Vec<OutBundle>,
-    /// This partition's local clock (the time of its last handled event,
-    /// or the last sync point).
+    /// The core's clock (the time of its last handled event, or the last
+    /// sync point).
     clock: SimTime,
     /// Content key of the event being dispatched (0 at a sync point, which
     /// precedes every wheel event of its instant): with `clock`, the
     /// position [`try_transmit`] compares against a link's free position.
     cur_key: u64,
-    /// `(time, key)` of the last event dispatched here: keys are unique per
+    /// `(time, key)` of the last event dispatched: keys are unique per
     /// instant, so the next dispatch must differ from it.
     #[cfg(debug_assertions)]
     last_dispatched: Option<(SimTime, u64)>,
     events_processed: u64,
     /// When enabled, every handled event is recorded as `(time, key)` —
-    /// the conformance trace the determinism tests compare across
-    /// partition counts.
+    /// the conformance trace the link wake-up tests read.
     trace: Option<Vec<(SimTime, u64)>>,
 }
 
-impl PartitionCore {
-    fn new(index: usize, partitions: usize, num_links: usize) -> Self {
-        let links = (0..num_links).map(|_| None).collect();
-        Self::with_storage(index, partitions, links, EventQueue::new())
-    }
-
-    /// A core with no events handled and no flows, built around a given
-    /// link table (its length is the network's link count) and an empty
-    /// wheel.
-    fn with_storage(
-        index: usize,
-        partitions: usize,
-        links: Vec<Option<LinkState>>,
-        events: EventQueue,
-    ) -> Self {
-        debug_assert!(events.is_empty());
-        Self {
-            index,
-            events,
-            link_drops: vec![0; links.len()],
-            links,
-            senders: Vec::new(),
-            receivers: Vec::new(),
-            flow_drops: Vec::new(),
-            flow_packets: Vec::new(),
-            outbound: (0..partitions).map(|_| OutBundle::default()).collect(),
-            clock: SimTime::ZERO,
-            cur_key: 0,
-            #[cfg(debug_assertions)]
-            last_dispatched: None,
-            events_processed: 0,
-            trace: None,
-        }
-    }
-}
-
-// ---- per-partition event handling -----------------------------------------
+// ---- event handling -------------------------------------------------------
 //
-// Everything below runs with `&Shared` + `&mut PartitionCore`: the exact
-// capability a partition holds during an epoch, so a partition's events
-// can touch no state another partition owns.
+// Everything below runs with `&Shared` + `&mut Core`: a handler changes
+// the core's state and none of the tables it reads.
 
-/// `true` when `t` lies outside the stretch bound.
-fn beyond(t: SimTime, bound: SimTime, inclusive: bool) -> bool {
-    t > bound || (!inclusive && t == bound)
-}
-
-/// Merge boundary traffic released to this partition into its wheel,
-/// leaving `bundle` empty (its buffers are kept for reuse).
-fn deliver_boundary(core: &mut PartitionCore, bundle: &mut OutBundle) {
-    for (link, flow) in bundle.releases.drain(..) {
-        if let Some(ls) = core.links[link].as_mut() {
-            ls.queue.release_flow(flow);
-        }
-    }
-    for (at, seq, event) in bundle.events.drain(..) {
-        core.events.schedule_seeded(at, event, seq);
-    }
-}
-
-/// Move boundary traffic from one set of per-destination bundles onto the
-/// end of another's, destination by destination.
-fn merge_traffic(into: &mut [OutBundle], from: &mut [OutBundle]) {
-    for (to, from) in into.iter_mut().zip(from) {
-        to.absorb(from);
-    }
-}
-
-/// Run one partition up to the epoch barrier (exclusive) and the stretch
-/// bound, popping and dispatching one event at a time in the wheel's
-/// `(time, key)` order. Returns the time of the next pending event, if any.
-fn advance_core(
-    shared: &Shared,
-    core: &mut PartitionCore,
-    barrier: Option<SimTime>,
-    bound: SimTime,
-    inclusive: bool,
-) -> Option<SimTime> {
-    loop {
-        let t = core.events.peek_time()?;
-        if beyond(t, bound, inclusive) || barrier.is_some_and(|b| t >= b) {
-            return Some(t);
+/// Run the core through every wheel event up to the bound, popping and
+/// dispatching one event at a time in the wheel's `(time, key)` order.
+/// `inclusive` says whether events at the bound itself run.
+fn advance_core(shared: &Shared, core: &mut Core, bound: SimTime, inclusive: bool) {
+    while let Some(t) = core.events.peek_time() {
+        if t > bound || (!inclusive && t == bound) {
+            return;
         }
         let (time, id, event) = core.events.pop_entry().expect("peeked event must exist");
         // Publish the event's key as the core's dispatch position.
@@ -492,9 +353,8 @@ fn advance_core(
             let at = Some((time, id.as_u64()));
             assert!(
                 core.last_dispatched != at,
-                "event key {:#x} dispatched twice at {time} on partition {}",
-                id.as_u64(),
-                core.index
+                "event key {:#x} dispatched twice at {time}",
+                id.as_u64()
             );
             core.last_dispatched = at;
         }
@@ -506,7 +366,7 @@ fn advance_core(
     }
 }
 
-fn handle_event(shared: &Shared, core: &mut PartitionCore, id: EventId, event: Event) {
+fn handle_event(shared: &Shared, core: &mut Core, id: EventId, event: Event) {
     match event {
         Event::FlowStart { flow } => handle_flow_start(shared, core, flow),
         Event::FlowStop { flow } => handle_flow_stop(shared, core, flow),
@@ -516,19 +376,18 @@ fn handle_event(shared: &Shared, core: &mut PartitionCore, id: EventId, event: E
             // The wake-up sits exactly at the link's free position, so the
             // link reads free; on a link that went down meanwhile (backlog
             // dropped) `try_transmit` is a no-op.
-            core.links[link]
-                .as_mut()
-                .expect("wake-up on owning core")
-                .wake_pending = false;
+            core.links[link].wake_pending = false;
             try_transmit(shared, core, link);
         }
         Event::Arrival { link, packet } => handle_arrival(shared, core, link, packet),
     }
 }
 
-fn handle_flow_start(shared: &Shared, core: &mut PartitionCore, flow: FlowId) {
+fn handle_flow_start(shared: &Shared, core: &mut Core, flow: FlowId) {
     {
-        let sender = core.senders[flow].as_mut().expect("sender on source core");
+        let sender = core.senders[flow]
+            .as_mut()
+            .expect("a live flow has a sender");
         if sender.phase != FlowPhase::Pending {
             return;
         }
@@ -538,9 +397,11 @@ fn handle_flow_start(shared: &Shared, core: &mut PartitionCore, flow: FlowId) {
     with_agent(shared, core, flow, |agent, ctx| agent.on_start(ctx));
 }
 
-fn handle_flow_stop(shared: &Shared, core: &mut PartitionCore, flow: FlowId) {
+fn handle_flow_stop(shared: &Shared, core: &mut Core, flow: FlowId) {
     {
-        let sender = core.senders[flow].as_mut().expect("sender on source core");
+        let sender = core.senders[flow]
+            .as_mut()
+            .expect("a live flow has a sender");
         if sender.phase != FlowPhase::Active {
             return;
         }
@@ -552,32 +413,28 @@ fn handle_flow_stop(shared: &Shared, core: &mut PartitionCore, flow: FlowId) {
 
 /// Cancel every armed timer of a stopped or completed flow, so a dead flow
 /// fires nothing into the dispatch path.
-fn cancel_timers(core: &mut PartitionCore, flow: FlowId) {
-    let sender = core.senders[flow].as_mut().expect("sender on source core");
+fn cancel_timers(core: &mut Core, flow: FlowId) {
+    let sender = core.senders[flow]
+        .as_mut()
+        .expect("a live flow has a sender");
     for id in sender.timers.drain(..) {
         core.events.cancel(id);
     }
 }
 
-/// Shed a flow's per-queue state on every link of its forward route:
-/// locally for links this partition owns, via a boundary release otherwise.
-fn queue_releases(shared: &Shared, core: &mut PartitionCore, flow: FlowId) {
+/// Shed a flow's per-queue state on every link of its forward route.
+fn queue_releases(shared: &Shared, core: &mut Core, flow: FlowId) {
     for &l in shared.routes.links(shared.specs[flow].route) {
-        let owner = shared.link_part[l];
-        if owner == core.index {
-            if let Some(ls) = core.links[l].as_mut() {
-                ls.queue.release_flow(flow);
-            }
-        } else {
-            core.outbound[owner].releases.push((l, flow));
-        }
+        core.links[l].queue.release_flow(flow);
     }
 }
 
-fn dispatch_timer(shared: &Shared, core: &mut PartitionCore, flow: FlowId, tag: u64, id: EventId) {
+fn dispatch_timer(shared: &Shared, core: &mut Core, flow: FlowId, tag: u64, id: EventId) {
     // Forget the fired id before the agent runs, so a re-arm inside the
     // callback starts from a clean slate.
-    let sender = core.senders[flow].as_mut().expect("sender on source core");
+    let sender = core.senders[flow]
+        .as_mut()
+        .expect("a live flow has a sender");
     forget_timer(sender, id);
     // Stop/completion cancels outstanding timers; this guard is defence in
     // depth, not the cancellation mechanism.
@@ -594,10 +451,8 @@ fn forget_timer(sender: &mut SenderState, id: EventId) {
     }
 }
 
-fn handle_link_timer(core: &mut PartitionCore, link: LinkId, id: EventId) {
-    let ls = core.links[link]
-        .as_mut()
-        .expect("link timer on owning core");
+fn handle_link_timer(core: &mut Core, link: LinkId, id: EventId) {
+    let ls = &mut core.links[link];
     let key = event_key(KIND_LINK_TIMER, link as u64, ls.controller_gen);
     if id.as_u64() != key {
         // Armed by a controller that has since been replaced.
@@ -623,18 +478,14 @@ fn first_hop(routes: &RouteTable, route: RouteId) -> LinkId {
         .expect("a flow route has at least one link")
 }
 
-fn enqueue_on_link(shared: &Shared, core: &mut PartitionCore, link: LinkId, mut packet: Packet) {
-    debug_assert_eq!(
-        shared.link_part[link], core.index,
-        "enqueue must run on the link's owning partition"
-    );
+fn enqueue_on_link(shared: &Shared, core: &mut Core, link: LinkId, mut packet: Packet) {
     if !shared.link_health[link].up {
         // Forwarding onto a failed link drops the packet at the port.
         charge_drop(core, link, packet.flow);
         return;
     }
     let dropped_flow = {
-        let ls = core.links[link].as_mut().expect("owned link");
+        let ls = &mut core.links[link];
         if packet.is_data() {
             if let Some(ctrl) = &mut ls.controller {
                 ctrl.on_enqueue(&mut packet, core.clock);
@@ -666,8 +517,7 @@ fn enqueue_on_link(shared: &Shared, core: &mut PartitionCore, link: LinkId, mut 
 /// strictly before it in the wheel's own `(time, content key)` order. So at
 /// the end instant itself start- and timer-driven sends (kinds 0/4, below
 /// the wake-up's kind 5) still queue and leave the choice to the
-/// discipline, while arrivals (kind 6) find the link free — on every
-/// partitioning, because content keys do not depend on it. The one
+/// discipline, while arrivals (kind 6) find the link free. The one
 /// exception is the settled instant (`Shared::settled_at`): a previous run
 /// already handled every event there, so whatever is dispatched at it now
 /// is behind the link's end of serialization whatever its key.
@@ -676,14 +526,14 @@ fn enqueue_on_link(shared: &Shared, core: &mut PartitionCore, link: LinkId, mut 
 /// behind the packet on the wire: here if backlog remains after the
 /// dequeue, otherwise by the first caller that finds the link occupied with
 /// backlog and no wake-up pending.
-fn try_transmit(shared: &Shared, core: &mut PartitionCore, link: LinkId) {
+fn try_transmit(shared: &Shared, core: &mut Core, link: LinkId) {
     let now = core.clock;
     let health = shared.link_health[link];
     if !health.up {
         return;
     }
     let (packet, tx_time, lost, jitter) = {
-        let ls = core.links[link].as_mut().expect("transmit on owning core");
+        let ls = &mut core.links[link];
         if (now, core.cur_key) < ls.free && (now < ls.free.0 || shared.settled_at != Some(now)) {
             if !ls.wake_pending && ls.has_backlog() {
                 ls.schedule_wake_up(&mut core.events, link);
@@ -719,7 +569,7 @@ fn try_transmit(shared: &Shared, core: &mut PartitionCore, link: LinkId) {
         // Randomized impairments: one draw per decision from this link's
         // own stream, taken only while the link is impaired — unimpaired
         // runs never touch the stream, and the draw sequence follows the
-        // link's serialization order, which no partitioning can change.
+        // link's serialization order.
         let lost = health.loss > 0.0 && splitmix64_unit(&mut ls.rng) < health.loss;
         let jitter = if !lost && !health.jitter.is_zero() {
             let unit = splitmix64_unit(&mut ls.rng);
@@ -736,35 +586,20 @@ fn try_transmit(shared: &Shared, core: &mut PartitionCore, link: LinkId) {
     } else {
         let at = now + tx_time + shared.topo.links()[link].delay + jitter;
         let seq = arrival_key(link, &packet);
-        let event = Event::Arrival { link, packet };
-        if shared.link_cut[link] {
-            // Boundary message: the arrival belongs to the partition on
-            // the far side of the cut. It is buffered with its key and
-            // released into that partition's wheel at the next barrier —
-            // safe because `at >= barrier`: the cut link's propagation
-            // delay is at least the lookahead window by construction.
-            let dest = shared.node_part[shared.topo.links()[link].to];
-            core.outbound[dest].events.push((at, seq, event));
-        } else {
-            core.events.schedule_seeded(at, event, seq);
-        }
+        core.events
+            .schedule_seeded(at, Event::Arrival { link, packet }, seq);
     }
 }
 
 /// Charge one packet of `flow` lost at `link`: to the link's and the flow's
-/// drop counts, and out of the flow's in-flight count. A link owned by
-/// another partition is charged through this core's per-link delta, summed
-/// into `link_stats`.
-fn charge_drop(core: &mut PartitionCore, link: LinkId, flow: FlowId) {
-    match core.links[link].as_mut() {
-        Some(ls) => ls.stats.packets_dropped += 1,
-        None => core.link_drops[link] += 1,
-    }
+/// drop counts, and out of the flow's in-flight count.
+fn charge_drop(core: &mut Core, link: LinkId, flow: FlowId) {
+    core.links[link].stats.packets_dropped += 1;
     core.flow_drops[flow] += 1;
     core.flow_packets[flow] -= 1;
 }
 
-fn handle_arrival(shared: &Shared, core: &mut PartitionCore, link: LinkId, mut packet: Packet) {
+fn handle_arrival(shared: &Shared, core: &mut Core, link: LinkId, mut packet: Packet) {
     // A packet in flight is delivered unless its cable is down at the
     // arrival instant: failing a link loses whatever was on the wire.
     if !shared.link_health[link].up {
@@ -786,7 +621,7 @@ fn handle_arrival(shared: &Shared, core: &mut PartitionCore, link: LinkId, mut p
 /// The universal receiver: count delivery, track the rate, detect
 /// completion, and reflect an ACK echoing the data packet's feedback
 /// fields. SYNs are delivered silently (no payload, no ACK).
-fn receiver_deliver(shared: &Shared, core: &mut PartitionCore, packet: Packet) {
+fn receiver_deliver(shared: &Shared, core: &mut Core, packet: Packet) {
     // The packet (data or SYN) is consumed at the end host.
     core.flow_packets[packet.flow] -= 1;
     if !packet.is_data() {
@@ -797,7 +632,7 @@ fn receiver_deliver(shared: &Shared, core: &mut PartitionCore, packet: Packet) {
     let (delivered, inter, ack_seq) = {
         let rx = core.receivers[flow]
             .as_mut()
-            .expect("receiver on destination core");
+            .expect("a live flow has a receiver");
         rx.bytes_delivered += packet.payload_bytes as u64;
         rx.packets_delivered += 1;
         rx.tracer.on_arrival(packet.payload_bytes as u64, now);
@@ -838,11 +673,13 @@ fn receiver_deliver(shared: &Shared, core: &mut PartitionCore, packet: Packet) {
 
 /// An ACK reached the source host: advance the acked high-water mark,
 /// detect sender-side completion, and otherwise hand the ACK to the agent.
-fn sender_ack(shared: &Shared, core: &mut PartitionCore, ack_bytes: u64, packet: Packet) {
+fn sender_ack(shared: &Shared, core: &mut Core, ack_bytes: u64, packet: Packet) {
     let flow = packet.flow;
     core.flow_packets[flow] -= 1;
     let completed_now = {
-        let sender = core.senders[flow].as_mut().expect("sender on source core");
+        let sender = core.senders[flow]
+            .as_mut()
+            .expect("a live flow has a sender");
         sender.bytes_acked = sender.bytes_acked.max(ack_bytes);
         if sender.phase != FlowPhase::Active {
             return;
@@ -869,7 +706,7 @@ fn sender_ack(shared: &Shared, core: &mut PartitionCore, ack_bytes: u64, packet:
 /// reattach. No-op if the agent is already detached (re-entrancy guard).
 fn with_agent(
     shared: &Shared,
-    core: &mut PartitionCore,
+    core: &mut Core,
     flow: FlowId,
     f: impl FnOnce(&mut Box<dyn FlowAgent>, &mut AgentCtx<'_>),
 ) {
@@ -886,42 +723,28 @@ fn with_agent(
     }
     core.senders[flow]
         .as_mut()
-        .expect("sender on source core")
+        .expect("a live flow has a sender")
         .agent = Some(agent);
 }
 
-// ---- the coordinator ------------------------------------------------------
+// ---- the network ----------------------------------------------------------
 
 /// The packet-level network simulator.
 ///
 /// A `Network` owns every piece of its simulation state and is `Send`
 /// (asserted at compile time below): move it to a worker thread and run it
-/// there. Concurrent sweeps exploit this, one `Network` per thread. It is
-/// also the epoch coordinator: it owns all boundary traffic and runs every
-/// stretch through one epoch loop on the calling thread (see the module
-/// docs).
+/// there. Concurrent sweeps exploit this, one `Network` per thread. Each
+/// runs one event core on the calling thread and applies link changes
+/// between its wheel events (see the module docs).
 pub struct Network {
     shared: Shared,
-    /// The per-partition event cores. Always at least one; index 0 is the
-    /// whole network until [`Network::set_partitions`] says otherwise.
-    parts: Vec<PartitionCore>,
-    /// Conservative lookahead: the minimum propagation delay over boundary
-    /// links. `None` when no link crosses a cut (single partition), in
-    /// which case an epoch spans the whole stretch.
-    lookahead: Option<SimDuration>,
-    /// Boundary traffic not yet delivered, one bundle per destination
-    /// partition. The coordinator owns it across epochs *and* stretches:
-    /// traffic due beyond one stretch's bound waits here for the next.
-    pending: Vec<OutBundle>,
+    core: Core,
     clock: SimTime,
-    /// The base impairment seed; per-link streams derive from it.
-    impair_seed: u64,
-    /// Pending coordinator-level link changes.
+    /// Pending link changes, applied at sync points.
     globals: Vec<GlobalEvent>,
     global_order: u64,
     /// Link changes applied so far (counted into `events_processed`).
     sync_events: u64,
-    trace_enabled: bool,
     /// Flow ids whose slots were retired by [`Network::try_retire_flow`]
     /// and are free for reuse by the next [`Network::add_flow`]. LIFO, so
     /// churn workloads keep re-touching the same hot slots and the slab's
@@ -930,8 +753,7 @@ pub struct Network {
     /// `slot_timer_arms[slot]`: the arm count a retired slot's last
     /// occupant reached, where its next occupant starts counting. Cancelled
     /// timers wait in the wheel as tombstones until their deadline, so a
-    /// count restarting at 0 could repeat a key the wheel still holds. Kept
-    /// here, not on a core, so keys are identical for any partitioning.
+    /// count restarting at 0 could repeat a key the wheel still holds.
     slot_timer_arms: Vec<u64>,
     /// The forward route of the flow being admitted and its reverse, reused
     /// across admissions so a warm [`Network::add_flow`] allocates nothing.
@@ -947,7 +769,6 @@ impl Network {
     /// Panics if the topology has 2^22 links or more: event keys carry a
     /// 22-bit link id.
     pub fn new(topo: Topology, queue_factory: impl Fn(LinkId) -> Box<dyn QueueDiscipline>) -> Self {
-        let num_nodes = topo.nodes().len();
         let num_links = topo.links().len();
         assert_fits_key("link count", num_links);
         let link_caps = topo.links().iter().map(|s| s.capacity_bps).collect();
@@ -955,31 +776,34 @@ impl Network {
             topo,
             routes: RouteTable::new(),
             specs: Vec::new(),
-            node_part: vec![0; num_nodes],
-            link_part: vec![0; num_links],
-            link_cut: vec![false; num_links],
             link_caps,
             link_health: vec![LinkHealth::default(); num_links],
             settled_at: None,
         };
-        let mut core = PartitionCore::new(0, 1, num_links);
-        for link in 0..num_links {
-            core.links[link] = Some(LinkState::new(
-                queue_factory(link),
-                derive_link_seed(0, link),
-            ));
-        }
+        let links = (0..num_links)
+            .map(|link| LinkState::new(queue_factory(link), derive_link_seed(0, link)))
+            .collect();
+        let core = Core {
+            events: EventQueue::new(),
+            links,
+            senders: Vec::new(),
+            receivers: Vec::new(),
+            flow_drops: Vec::new(),
+            flow_packets: Vec::new(),
+            clock: SimTime::ZERO,
+            cur_key: 0,
+            #[cfg(debug_assertions)]
+            last_dispatched: None,
+            events_processed: 0,
+            trace: None,
+        };
         Self {
             shared,
-            parts: vec![core],
-            lookahead: None,
-            pending: vec![OutBundle::default()],
+            core,
             clock: SimTime::ZERO,
-            impair_seed: 0,
             globals: Vec::new(),
             global_order: 0,
             sync_events: 0,
-            trace_enabled: false,
             free_flows: Vec::new(),
             slot_timer_arms: Vec::new(),
             route_buf: Vec::new(),
@@ -987,118 +811,15 @@ impl Network {
         }
     }
 
-    /// Re-split the network into `partitions` spatial domains (see the
-    /// module docs). Each partition gets its own timing wheel, link
-    /// runtimes and endpoint state; events already scheduled (e.g. link
-    /// controller timers installed at construction) migrate to
-    /// their owning partition's wheel with their original content keys, so
-    /// the partition count never perturbs event order.
-    ///
-    /// Must be called during setup: after construction and controller
-    /// installation, before any flow is added or the simulation runs.
-    ///
-    /// # Panics
-    /// Panics if `partitions` is zero, or if flows exist or events have
-    /// already been processed.
-    pub fn set_partitions(&mut self, partitions: usize) {
-        assert!(partitions >= 1, "partition count must be at least 1");
-        assert!(
-            self.shared.specs.is_empty() && self.events_processed() == 0,
-            "set_partitions must be called before flows are added or the simulation runs"
-        );
-        let num_links = self.shared.topo.links().len();
-        let partitioning = self.shared.topo.partition(partitions);
-        self.shared.node_part = partitioning.assignment().to_vec();
-        self.shared.link_part = self
-            .shared
-            .topo
-            .links()
-            .iter()
-            .map(|spec| self.shared.node_part[spec.from])
-            .collect();
-        self.shared.link_cut = self
-            .shared
-            .topo
-            .links()
-            .iter()
-            .map(|spec| self.shared.node_part[spec.from] != self.shared.node_part[spec.to])
-            .collect();
-        self.lookahead = self
-            .shared
-            .topo
-            .links()
-            .iter()
-            .enumerate()
-            .filter(|&(l, _)| self.shared.link_cut[l])
-            .map(|(_, spec)| spec.delay.max(SimDuration::from_nanos(1)))
-            .min();
-        // Migrate pending events (setup-time controller timers) and link
-        // runtimes into the new per-partition cores, keeping keys intact.
-        let mut old_parts = std::mem::take(&mut self.parts);
-        let mut pending: Vec<(SimTime, u64, Event, bool)> = Vec::new();
-        for core in &mut old_parts {
-            let drained = core.events.drain_entries();
-            if pending.is_empty() {
-                pending = drained;
-            } else {
-                pending.extend(drained);
-            }
-        }
-        pending.sort_by_key(|&(t, seq, ..)| (t, seq));
-        // Partition 0 recycles the first old core's link table and wheel
-        // (rewound by `EventQueue::reset`), so set-up allocates only the
-        // cores it adds. Rebuilding every core, plus staging copies, made
-        // set-up's transient heap large enough for the allocator to return
-        // it to the OS and re-fault it on every build.
-        let mut old_parts = old_parts.into_iter();
-        let first = old_parts.next().expect("a network always has a partition");
-        let mut wheel = first.events;
-        wheel.reset();
-        self.parts = std::iter::once(PartitionCore::with_storage(
-            0,
-            partitions,
-            first.links,
-            wheel,
-        ))
-        .chain((1..partitions).map(|p| PartitionCore::new(p, partitions, num_links)))
-        .map(|mut core| {
-            core.trace = self.trace_enabled.then(Vec::new);
-            core
-        })
-        .collect();
-        for (l, &p) in self.shared.link_part.iter().enumerate() {
-            if p != 0 {
-                self.parts[p].links[l] = self.parts[0].links[l].take();
-            }
-        }
-        for mut core in old_parts {
-            for (l, slot) in core.links.iter_mut().enumerate() {
-                if let Some(ls) = slot.take() {
-                    self.parts[self.shared.link_part[l]].links[l] = Some(ls);
-                }
-            }
-        }
-        self.pending.resize_with(partitions, OutBundle::default);
-        for (at, seq, event, cancellable) in pending {
-            let p = event_partition(&self.shared, &event);
-            let wheel = &mut self.parts[p].events;
-            if cancellable {
-                wheel.schedule_cancellable_seeded(at, event, seq);
-            } else {
-                wheel.schedule_seeded(at, event, seq);
-            }
-        }
-    }
+    /// Ignored: a network runs one event core, whatever the count. Kept
+    /// with its signature only because the benchmark harness
+    /// (`benchmark/src/run.rs`) still calls it; it goes, with the thread
+    /// setter below, when the benchmark stops asking for partitions.
+    pub fn set_partitions(&mut self, _partitions: usize) {}
 
-    /// Ignored: partitions always advance on the calling thread. Kept with
-    /// its signature only because the benchmark harness still calls it;
-    /// it goes when the benchmark stops asking for partitions.
+    /// Ignored, like the partition setter above, and kept for the same
+    /// benchmark call.
     pub fn set_partition_threads(&mut self, _threads: usize) {}
-
-    /// The number of spatial partitions this network is decomposed into.
-    pub fn partitions(&self) -> usize {
-        self.parts.len()
-    }
 
     /// The topology this network was built from.
     pub fn topology(&self) -> &Topology {
@@ -1126,21 +847,16 @@ impl Network {
     /// A controller it replaces gets no further timer callbacks.
     pub fn set_link_controller(&mut self, link: LinkId, controller: Box<dyn LinkController>) {
         let initial = controller.initial_timer();
-        let p = self.shared.link_part[link];
-        let ls = self.parts[p].links[link]
-            .as_mut()
-            .expect("link state on owning core");
+        let ls = &mut self.core.links[link];
         if ls.controller.is_some() {
             ls.controller_gen += 1;
         }
         ls.controller = Some(controller);
         let key = event_key(KIND_LINK_TIMER, link as u64, ls.controller_gen);
         if let Some(delay) = initial {
-            self.parts[p].events.schedule_seeded(
-                self.clock + delay,
-                Event::LinkTimer { link },
-                key,
-            );
+            self.core
+                .events
+                .schedule_seeded(self.clock + delay, Event::LinkTimer { link }, key);
         }
     }
 
@@ -1216,8 +932,6 @@ impl Network {
             ecmp_choice: None,
         };
         let start = spec.start_time;
-        let txp = self.shared.node_part[src];
-        let rxp = self.shared.node_part[dst];
         let ack_mode = agent.ack_mode();
         // Recycle a retired slot when one is free (the flow slab): churn
         // workloads then keep live memory proportional to *concurrent*
@@ -1225,20 +939,28 @@ impl Network {
         // and no armed timer (see `try_retire_flow`); its cancelled timers
         // may still wait in the wheel as tombstones, so the new occupant
         // continues the slot's timer arm count and never repeats their keys.
-        let (id, reused) = match self.free_flows.pop() {
+        let core = &mut self.core;
+        let id = match self.free_flows.pop() {
             Some(id) => {
                 self.shared.specs[id] = spec;
-                (id, true)
+                id
             }
             None => {
                 let id = self.shared.specs.len();
                 assert_fits_key("flow slot", id);
                 self.shared.specs.push(spec);
                 self.slot_timer_arms.push(0);
-                (id, false)
+                core.senders.push(None);
+                core.receivers.push(None);
+                core.flow_drops.push(0);
+                core.flow_packets.push(0);
+                id
             }
         };
-        let mut sender = Some(SenderState {
+        // A retired slot's drop and in-flight counts were zeroed when it
+        // retired.
+        debug_assert!(core.senders[id].is_none() && core.receivers[id].is_none());
+        core.senders[id] = Some(SenderState {
             agent: Some(agent),
             phase: FlowPhase::Pending,
             bytes_sent: 0,
@@ -1248,7 +970,7 @@ impl Network {
             timer_arms: self.slot_timer_arms[id],
             timers: Vec::new(),
         });
-        let mut receiver = Some(ReceiverState {
+        core.receivers[id] = Some(ReceiverState {
             bytes_delivered: 0,
             packets_delivered: 0,
             completed_at: None,
@@ -1256,26 +978,7 @@ impl Network {
             last_data_arrival: None,
             ack_mode,
         });
-        // Dense per-flow bookkeeping on every partition: endpoint state
-        // lives only where it is owned, but the flow id must index into
-        // all of them.
-        for (p, core) in self.parts.iter_mut().enumerate() {
-            let tx = if p == txp { sender.take() } else { None };
-            let rx = if p == rxp { receiver.take() } else { None };
-            if reused {
-                debug_assert!(core.senders[id].is_none() && core.receivers[id].is_none());
-                core.senders[id] = tx;
-                core.receivers[id] = rx;
-                core.flow_drops[id] = 0;
-                core.flow_packets[id] = 0;
-            } else {
-                core.senders.push(tx);
-                core.receivers.push(rx);
-                core.flow_drops.push(0);
-                core.flow_packets.push(0);
-            }
-        }
-        self.parts[txp].events.schedule_seeded(
+        core.events.schedule_seeded(
             start,
             Event::FlowStart { flow: id },
             event_key(KIND_FLOW_START, id as u64, 0),
@@ -1285,8 +988,7 @@ impl Network {
 
     /// Stop an active flow (it stops sending; in-flight packets still drain).
     pub fn stop_flow(&mut self, flow: FlowId) {
-        let p = self.shared.node_part[self.shared.specs[flow].src];
-        self.parts[p].events.schedule_seeded(
+        self.core.events.schedule_seeded(
             self.clock,
             Event::FlowStop { flow },
             event_key(KIND_FLOW_STOP, flow as u64, 0),
@@ -1305,55 +1007,43 @@ impl Network {
     ///   cancelled ones may wait in the wheel as tombstones, which is why
     ///   the slot's next occupant continues its timer arm count, so timer
     ///   keys never repeat per slot);
-    /// * no packet of the flow is in flight anywhere — queued, on the wire,
-    ///   or buffered as a boundary message. A trailing ACK still propagating
+    /// * no packet of the flow is in flight anywhere — queued or on the
+    ///   wire. A trailing ACK still propagating
     ///   back to the sender keeps the flow alive until it is consumed, which
     ///   is what makes recycling safe: a recycled id can never be touched by
     ///   a stray packet of its previous occupant.
     ///
-    /// Call this between runs. Because every event up to the current time
-    /// has been processed identically for any partition count, the retire
-    /// decision — and therefore the id-reuse sequence — is
-    /// partition-invariant. Retiring an already-retired flow returns
-    /// `false`.
+    /// Call this between runs: the decision reads only state that every
+    /// event up to the current time has settled, so the id-reuse sequence
+    /// is a pure function of the run's inputs. Retiring an already-retired
+    /// flow returns `false`.
     ///
     /// Statistics of a retired flow are gone; harvest [`Self::flow_stats`]
     /// first. [`Self::num_flows`] counts slots (the slab high-water mark),
     /// not flows ever added.
     pub fn try_retire_flow(&mut self, flow: FlowId) -> bool {
-        let txp = self.shared.node_part[self.shared.specs[flow].src];
-        let rxp = self.shared.node_part[self.shared.specs[flow].dst];
-        let Some(sender) = self.parts[txp].senders[flow].as_ref() else {
+        let Some(phase) = self.flow_phase_opt(flow) else {
             return false; // already retired
-        };
-        let completed = self.parts[rxp].receivers[flow]
-            .as_ref()
-            .expect("receiver on destination core")
-            .completed_at
-            .is_some();
-        let phase = if completed {
-            FlowPhase::Completed
-        } else {
-            sender.phase
         };
         if !matches!(phase, FlowPhase::Completed | FlowPhase::Stopped) {
             return false;
         }
+        let sender = self.sender(flow);
         if !sender.timers.is_empty() {
             return false;
         }
         let timer_arms = sender.timer_arms;
-        let in_flight: i64 = self.parts.iter().map(|c| c.flow_packets[flow]).sum();
-        debug_assert!(in_flight >= 0, "in-flight packet count went negative");
-        if in_flight != 0 {
+        let core = &mut self.core;
+        debug_assert!(
+            core.flow_packets[flow] >= 0,
+            "in-flight packet count went negative"
+        );
+        if core.flow_packets[flow] != 0 {
             return false;
         }
-        for core in &mut self.parts {
-            core.senders[flow] = None;
-            core.receivers[flow] = None;
-            core.flow_drops[flow] = 0;
-            core.flow_packets[flow] = 0;
-        }
+        core.senders[flow] = None;
+        core.receivers[flow] = None;
+        core.flow_drops[flow] = 0;
         self.slot_timer_arms[flow] = timer_arms;
         self.free_flows.push(flow);
         true
@@ -1362,8 +1052,7 @@ impl Network {
     /// Whether `flow`'s slot has been retired (and possibly not yet reused).
     /// The per-flow statistics accessors panic on a retired id.
     pub fn flow_is_retired(&self, flow: FlowId) -> bool {
-        let txp = self.shared.node_part[self.shared.specs[flow].src];
-        self.parts[txp].senders[flow].is_none()
+        self.core.senders[flow].is_none()
     }
 
     /// Number of retired flow slots currently free for reuse.
@@ -1371,19 +1060,18 @@ impl Network {
         self.free_flows.len()
     }
 
-    /// Packets of `flow` currently in the network (queued, serializing, on
-    /// the wire, or buffered at a partition boundary), summed over cores.
+    /// Packets of `flow` currently in the network (queued, serializing or
+    /// on the wire).
     pub fn flow_in_flight_packets(&self, flow: FlowId) -> i64 {
-        self.parts.iter().map(|c| c.flow_packets[flow]).sum()
+        self.core.flow_packets[flow]
     }
 
     // ---- impairments ------------------------------------------------------
 
     /// Schedule a [`LinkChange`] to take effect at `at` (clamped to the
-    /// current time). Link changes are coordinator-level sync events: the
-    /// simulation runs every partition up to the change's instant, applies
-    /// it while all partitions are parked at that barrier (before any
-    /// same-instant partition events), then resumes. Impairment schedules
+    /// current time). Link changes are sync events outside the wheel: the
+    /// simulation runs up to the change's instant, applies it ahead of
+    /// every wheel event of that instant, then resumes. Impairment schedules
     /// built by `numfabric-workloads` reduce to a sequence of these calls.
     pub fn schedule_link_change(&mut self, at: SimTime, link: LinkId, change: LinkChange) {
         assert!(
@@ -1402,17 +1090,12 @@ impl Network {
 
     /// Seed the impairment streams that randomized [`LinkChange::Loss`] and
     /// [`LinkChange::Jitter`] draws come from — one stream per **link**,
-    /// derived via [`derive_link_seed`], so the draw sequence is invariant
-    /// under partitioning. Runs that never impair a link never touch any
-    /// stream, so the seed is irrelevant to them.
+    /// derived via [`derive_link_seed`], so a link's draws follow its own
+    /// transmissions and nothing else. Runs that never impair a link never
+    /// touch any stream, so the seed is irrelevant to them.
     pub fn set_impairment_seed(&mut self, seed: u64) {
-        self.impair_seed = seed;
-        for core in &mut self.parts {
-            for (l, slot) in core.links.iter_mut().enumerate() {
-                if let Some(ls) = slot {
-                    ls.rng = derive_link_seed(seed, l);
-                }
-            }
+        for (l, ls) in self.core.links.iter_mut().enumerate() {
+            ls.rng = derive_link_seed(seed, l);
         }
     }
 
@@ -1431,7 +1114,7 @@ impl Network {
         self.shared.link_caps[link]
     }
 
-    /// Apply one link change at coordinator level (all partitions parked).
+    /// Apply one link change at a sync point, between wheel events.
     fn apply_link_change(&mut self, link: LinkId, change: LinkChange) {
         match change {
             LinkChange::Down | LinkChange::DownFwd => {
@@ -1456,8 +1139,7 @@ impl Network {
                 self.shared.link_health[link].up = true;
                 self.shared.link_health[link].asymmetric_down = false;
                 self.reroute_ecmp_flows();
-                let p = self.shared.link_part[link];
-                try_transmit(&self.shared, &mut self.parts[p], link);
+                try_transmit(&self.shared, &mut self.core, link);
             }
             LinkChange::Speed(capacity_bps) => {
                 assert!(
@@ -1465,11 +1147,7 @@ impl Network {
                     "capacity must be positive"
                 );
                 self.shared.link_caps[link] = capacity_bps;
-                let p = self.shared.link_part[link];
-                if let Some(ctrl) = self.parts[p].links[link]
-                    .as_mut()
-                    .and_then(|ls| ls.controller.as_mut())
-                {
+                if let Some(ctrl) = self.core.links[link].controller.as_mut() {
                     ctrl.on_capacity_change(capacity_bps);
                 }
             }
@@ -1487,12 +1165,10 @@ impl Network {
     /// Drop every packet queued on `link` (data queue and control lane),
     /// with full drop accounting.
     fn drop_link_backlog(&mut self, link: LinkId) {
-        let core = &mut self.parts[self.shared.link_part[link]];
+        let core = &mut self.core;
         let now = core.clock;
         loop {
-            let ls = core.links[link]
-                .as_mut()
-                .expect("link state on owning core");
+            let ls = &mut core.links[link];
             let Some(packet) = ls
                 .control_lane
                 .pop_front()
@@ -1522,7 +1198,8 @@ impl Network {
     /// Re-select the route of every live ECMP-pinned flow over the links
     /// that survive the current failure set. Flows whose surviving choice
     /// is unchanged keep their route (and their in-flight packets); a
-    /// partitioned flow keeps its dead route and stalls until a restore.
+    /// flow with no surviving path keeps its dead route and stalls until a
+    /// restore.
     ///
     /// Every rerouted *active* flow is then told via
     /// [`FlowAgent::on_reroute`], with `path_was_lost` reporting whether
@@ -1577,12 +1254,9 @@ impl Network {
             // Old in-flight and queued packets carry the old interned
             // route and keep following it (dying at the failed hop); the
             // flow's own per-queue state moves to the new path.
-            let old_links: Vec<LinkId> = self.shared.routes.links(old).to_vec();
-            for &l in &old_links {
-                let p = self.shared.link_part[l];
-                if let Some(ls) = self.parts[p].links[l].as_mut() {
-                    ls.queue.release_flow(flow);
-                }
+            let old_links = self.shared.routes.links(old);
+            for &l in old_links {
+                self.core.links[l].queue.release_flow(flow);
             }
             let path_was_lost = old_links
                 .iter()
@@ -1601,12 +1275,10 @@ impl Network {
             // The inter-arrival clock at the receiver restarts on the new
             // path: the first post-reroute delivery must not report a gap
             // that straddles the route change.
-            let rxp = self.shared.node_part[self.shared.specs[flow].dst];
-            if let Some(rx) = self.parts[rxp].receivers[flow].as_mut() {
+            if let Some(rx) = self.core.receivers[flow].as_mut() {
                 rx.last_data_arrival = None;
             }
-            let txp = self.shared.node_part[self.shared.specs[flow].src];
-            with_agent(&self.shared, &mut self.parts[txp], flow, |agent, ctx| {
+            with_agent(&self.shared, &mut self.core, flow, |agent, ctx| {
                 agent.on_reroute(path_was_lost, ctx)
             });
         }
@@ -1614,13 +1286,13 @@ impl Network {
 
     // ---- run loops --------------------------------------------------------
 
-    /// The instant of the earliest pending coordinator-level link change.
+    /// The instant of the earliest pending link change.
     fn next_global_time(&self) -> Option<SimTime> {
         self.globals.iter().map(|g| g.at).min()
     }
 
     /// Apply every pending link change scheduled for instant `g`, in
-    /// schedule order, with all partitions parked at `g`.
+    /// schedule order, at the sync point `g`.
     fn apply_globals_at(&mut self, g: SimTime) {
         let (mut due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.globals)
             .into_iter()
@@ -1630,10 +1302,8 @@ impl Network {
         // A sync point precedes every wheel event of its instant: position
         // `(g, 0)`, so a link whose serialization ends exactly at `g` is
         // still occupied for the changes below (unless `g` is settled).
-        for core in &mut self.parts {
-            core.clock = g;
-            core.cur_key = 0;
-        }
+        self.core.clock = g;
+        self.core.cur_key = 0;
         for e in due {
             self.sync_events += 1;
             self.apply_link_change(e.link, e.change);
@@ -1642,24 +1312,20 @@ impl Network {
 
     /// Run the simulation until (and including) time `until`.
     ///
-    /// With multiple partitions the loop runs in **epochs**: each epoch
-    /// starts at the earliest pending event time `t` across all partitions,
-    /// advances every partition independently through events strictly
-    /// before the barrier `t + lookahead`, then exchanges the boundary
-    /// messages produced meanwhile. The lookahead (minimum boundary-link
-    /// propagation delay) guarantees no boundary message can be due before
-    /// the barrier, so each partition's pop order — and every observable
-    /// byte — is independent of the partition count.
+    /// The core dispatches wheel events in `(time, key)` order. A pending
+    /// link change splits the run: every wheel event strictly before its
+    /// instant runs, the change applies, and the run resumes. Splitting one
+    /// call into several changes no byte.
     pub fn run_until(&mut self, until: SimTime) {
         loop {
             match self.next_global_time() {
                 Some(g) if g <= until => {
-                    self.run_stretch(g, false);
+                    advance_core(&self.shared, &mut self.core, g, false);
                     self.clock = g;
                     self.apply_globals_at(g);
                 }
                 _ => {
-                    self.run_stretch(until, true);
+                    advance_core(&self.shared, &mut self.core, until, true);
                     break;
                 }
             }
@@ -1672,57 +1338,6 @@ impl Network {
     pub fn run_for(&mut self, duration: SimDuration) {
         let until = self.clock + duration;
         self.run_until(until);
-    }
-
-    /// Run every partition through epochs until all pending work lies
-    /// beyond `bound`. A "stretch" is the span between two sync points.
-    ///
-    /// Each epoch starts at the earliest pending instant `t` (wheel heads
-    /// plus undelivered boundary traffic) and the stretch ends once `t` lies
-    /// beyond the bound. Otherwise every partition receives its boundary
-    /// traffic, then each in index order runs to the barrier `t +
-    /// lookahead` and its outbound traffic is merged into `pending` — a
-    /// fixed order, so the merge depends on nothing but the partitioning.
-    fn run_stretch(&mut self, bound: SimTime, inclusive: bool) {
-        let Self {
-            shared,
-            parts,
-            pending,
-            lookahead,
-            ..
-        } = self;
-        let shared = &*shared;
-        let mut next = parts
-            .iter_mut()
-            .filter_map(|core| {
-                // Boundary traffic produced at the last sync point (a
-                // restore re-kicking transmission, reroute retransmits
-                // crossing a cut) counts before the first barrier.
-                merge_traffic(pending, &mut core.outbound);
-                core.events.peek_time()
-            })
-            .min();
-        loop {
-            let boundary = pending
-                .iter()
-                .flat_map(|b| b.events.iter().map(|&(at, ..)| at));
-            let t = match next.into_iter().chain(boundary).min() {
-                Some(t) if !beyond(t, bound, inclusive) => t,
-                _ => return,
-            };
-            let barrier = lookahead.map(|la| t + la);
-            for (core, bundle) in parts.iter_mut().zip(pending.iter_mut()) {
-                deliver_boundary(core, bundle);
-            }
-            next = parts
-                .iter_mut()
-                .filter_map(|core| {
-                    let next = advance_core(shared, core, barrier, bound, inclusive);
-                    merge_traffic(pending, &mut core.outbound);
-                    next
-                })
-                .min();
-        }
     }
 
     // ---- statistics -------------------------------------------------------
@@ -1740,21 +1355,18 @@ impl Network {
     }
 
     fn sender(&self, flow: FlowId) -> &SenderState {
-        let p = self.shared.node_part[self.shared.specs[flow].src];
-        self.parts[p].senders[flow]
+        self.core.senders[flow]
             .as_ref()
-            .expect("sender on source core")
+            .expect("a live flow has a sender")
     }
 
     fn receiver(&self, flow: FlowId) -> &ReceiverState {
-        let p = self.shared.node_part[self.shared.specs[flow].dst];
-        self.parts[p].receivers[flow]
+        self.core.receivers[flow]
             .as_ref()
-            .expect("receiver on destination core")
+            .expect("a live flow has a receiver")
     }
 
-    /// A flow's counters, assembled from its sender and receiver endpoints
-    /// plus per-partition drop deltas.
+    /// A flow's counters, assembled from its sender and receiver endpoints.
     pub fn flow_stats(&self, flow: FlowId) -> FlowStats {
         let tx = self.sender(flow);
         let rx = self.receiver(flow);
@@ -1764,7 +1376,7 @@ impl Network {
             bytes_delivered: rx.bytes_delivered,
             packets_sent: tx.packets_sent,
             packets_delivered: rx.packets_delivered,
-            packets_dropped: self.parts.iter().map(|c| c.flow_drops[flow]).sum(),
+            packets_dropped: self.core.flow_drops[flow],
             started_at: tx.started_at,
             completed_at: rx.completed_at,
         }
@@ -1783,19 +1395,8 @@ impl Network {
 
     /// [`Self::flow_phase`], returning `None` for a retired flow slot.
     fn flow_phase_opt(&self, flow: FlowId) -> Option<FlowPhase> {
-        let txp = self.shared.node_part[self.shared.specs[flow].src];
-        let sender = self.parts[txp].senders[flow].as_ref()?;
-        let rxp = self.shared.node_part[self.shared.specs[flow].dst];
-        let completed = self.parts[rxp].receivers[flow]
-            .as_ref()
-            .expect("receiver on destination core")
-            .completed_at
-            .is_some();
-        Some(if completed {
-            FlowPhase::Completed
-        } else {
-            sender.phase
-        })
+        self.core.senders[flow].as_ref()?;
+        Some(self.flow_phase(flow))
     }
 
     /// The destination-side EWMA rate estimate for a flow, in bits/s.
@@ -1803,21 +1404,15 @@ impl Network {
         self.receiver(flow).tracer.rate_bps(self.clock)
     }
 
-    /// Counters for a link. Backlog counts include the control lane;
-    /// arrival-side drops charged by other partitions are summed in.
+    /// Counters for a link. Backlog counts include the control lane.
     pub fn link_stats(&self, link: LinkId) -> LinkStats {
-        let p = self.shared.link_part[link];
-        let ls = self.parts[p].links[link]
-            .as_ref()
-            .expect("link state on owning core");
+        let ls = &self.core.links[link];
         let lane_bytes: usize = ls
             .control_lane
             .iter()
             .map(|pk| pk.wire_bytes as usize)
             .sum();
-        let arrival_drops: u64 = self.parts.iter().map(|c| c.link_drops[link]).sum();
         LinkStats {
-            packets_dropped: ls.stats.packets_dropped + arrival_drops,
             queue_bytes: ls.queue.backlog_bytes() + lane_bytes,
             queue_packets: ls.queue.backlog_packets() + ls.control_lane.len(),
             ..ls.stats
@@ -1829,21 +1424,17 @@ impl Network {
         self.shared.topo.links().len()
     }
 
-    /// Total number of events dispatched so far, coordinator-level link
-    /// changes included (the `event_core` benchmark divides this by wall
-    /// time to report events/sec).
+    /// Total number of events dispatched so far, link changes included
+    /// (the benchmark divides this by wall time to report events/sec).
     pub fn events_processed(&self) -> u64 {
-        self.sync_events + self.parts.iter().map(|c| c.events_processed).sum::<u64>()
+        self.sync_events + self.core.events_processed
     }
 
-    /// Number of events currently pending across every partition's wheel,
-    /// undelivered boundary traffic, and the coordinator's link-change
+    /// Number of events currently pending in the wheel and the link-change
     /// schedule. Structurally cancelled timers (see
     /// [`AgentCtx::cancel_timer`]) do not count.
     pub fn pending_events(&self) -> usize {
-        self.globals.len()
-            + self.parts.iter().map(|c| c.events.len()).sum::<usize>()
-            + self.pending.iter().map(|b| b.events.len()).sum::<usize>()
+        self.globals.len() + self.core.events.len()
     }
 
     /// Number of armed, un-fired timers of `flow`. Stopping or completing a
@@ -1853,50 +1444,33 @@ impl Network {
         self.sender(flow).timers.len()
     }
 
-    /// Record every handled event as a `(time, key)` pair, per partition —
-    /// the conformance trace the determinism tests compare across
-    /// partition counts. Clears any previously recorded trace.
+    /// Record every handled event as a `(time, key)` pair — the
+    /// conformance trace the link wake-up tests read. Clears any
+    /// previously recorded trace.
     pub fn set_event_trace(&mut self, enabled: bool) {
-        self.trace_enabled = enabled;
-        for core in &mut self.parts {
-            core.trace = enabled.then(Vec::new);
-        }
+        self.core.trace = enabled.then(Vec::new);
     }
 
-    /// Take the per-partition `(time, key)` traces recorded since
-    /// [`Self::set_event_trace`] was enabled (empty for partitions that
-    /// recorded nothing, or when tracing is off).
-    pub fn take_event_traces(&mut self) -> Vec<Vec<(SimTime, u64)>> {
-        self.parts
-            .iter_mut()
-            .map(|c| c.trace.as_mut().map(std::mem::take).unwrap_or_default())
-            .collect()
-    }
-}
-
-/// The partition that owns (handles events of) `event`: arrivals belong to
-/// the receiving end of their link, link-scoped events to the transmitting
-/// end, and flow-scoped events to the source host.
-fn event_partition(shared: &Shared, event: &Event) -> usize {
-    match event {
-        Event::Arrival { link, .. } => shared.node_part[shared.topo.links()[*link].to],
-        Event::TransmitComplete { link } | Event::LinkTimer { link, .. } => shared.link_part[*link],
-        Event::FlowStart { flow } | Event::FlowStop { flow } | Event::FlowTimer { flow, .. } => {
-            shared.node_part[shared.specs[*flow].src]
-        }
+    /// Take the `(time, key)` trace recorded since [`Self::set_event_trace`]
+    /// was enabled (empty when tracing is off).
+    pub fn take_event_trace(&mut self) -> Vec<(SimTime, u64)> {
+        self.core
+            .trace
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 }
 
 // ---- the agent-facing API -------------------------------------------------
 
 /// The interface through which a [`FlowAgent`] interacts with the network
-/// during one of its callbacks. It carries exactly the capability an epoch
-/// grants: read access to the shared tables and mutable access to the
-/// partition the flow's sender lives on, so an agent can touch no state
-/// another partition owns.
+/// during one of its callbacks: read access to the shared tables and
+/// mutable access to the event core, the capability every event handler
+/// holds.
 pub struct AgentCtx<'a> {
     shared: &'a Shared,
-    core: &'a mut PartitionCore,
+    core: &'a mut Core,
     flow: FlowId,
 }
 
@@ -1914,13 +1488,13 @@ impl AgentCtx<'_> {
     fn sender(&self) -> &SenderState {
         self.core.senders[self.flow]
             .as_ref()
-            .expect("agent runs on its sender's core")
+            .expect("an agent's flow has a sender")
     }
 
     fn sender_mut(&mut self) -> &mut SenderState {
         self.core.senders[self.flow]
             .as_mut()
-            .expect("agent runs on its sender's core")
+            .expect("an agent's flow has a sender")
     }
 
     /// Payload bytes not yet handed to the network (`None` for long-running
@@ -2024,13 +1598,12 @@ impl AgentCtx<'_> {
     /// automatically.
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerHandle {
         // The key's secondary field is the slot's arm count, which never
-        // restarts (see the key banner): per-slot state, hence
-        // partition-invariant.
+        // restarts (see the key banner).
         let flow = self.flow;
         let core = &mut *self.core;
         let sender = core.senders[flow]
             .as_mut()
-            .expect("agent runs on its sender's core");
+            .expect("an agent's flow has a sender");
         let key = event_key(KIND_FLOW_TIMER, flow as u64, sender.timer_arms);
         sender.timer_arms += 1;
         let at = core.clock + delay;
@@ -2742,90 +2315,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
-    }
-
-    /// A full cross-rack report: every flow's counters plus FCT, the
-    /// regression surface for partition invariance.
-    fn partitioned_report(partitions: usize) -> Vec<(u64, u64, u64, Option<u64>)> {
-        let mut net = small_net();
-        net.set_partitions(partitions);
-        let hosts: Vec<_> = net.topology().hosts().to_vec();
-        for i in 0..4 {
-            net.add_flow(
-                hosts[i],
-                hosts[7 - i],
-                Some(50_000 + i as u64 * 10_000),
-                SimTime::from_micros(i as u64 * 10),
-                i,
-                None,
-                Box::new(SimpleWindowAgent::new(8)),
-            );
-        }
-        net.run_until(SimTime::from_millis(10));
-        (0..net.num_flows())
-            .map(|f| {
-                let s = net.flow_stats(f);
-                (
-                    s.packets_sent,
-                    s.bytes_delivered,
-                    s.packets_dropped,
-                    s.fct().map(|d| d.as_nanos()),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn threaded_partitioned_run_matches_sequential() {
-        let base = partitioned_report(1);
-        for partitions in [2, 4] {
-            assert_eq!(
-                partitioned_report(partitions),
-                base,
-                "report differs at partitions={partitions}"
-            );
-        }
-    }
-
-    #[test]
-    fn impaired_draws_are_partition_and_thread_invariant() {
-        let run = |partitions: usize| {
-            let mut net = small_net();
-            net.set_partitions(partitions);
-            net.set_impairment_seed(9);
-            let hosts: Vec<_> = net.topology().hosts().to_vec();
-            let link = uplink(&net, 0);
-            net.schedule_link_change(SimTime::ZERO, link, LinkChange::Loss(0.1));
-            net.schedule_link_change(
-                SimTime::ZERO,
-                link,
-                LinkChange::Jitter(SimDuration::from_micros(5)),
-            );
-            let route = net.topology().host_route(hosts[0], hosts[4], 0);
-            let flow = net.add_flow_on_route(
-                hosts[0],
-                hosts[4],
-                &route,
-                None,
-                SimTime::ZERO,
-                Box::new(SimpleWindowAgent::new(32)),
-            );
-            net.run_until(SimTime::from_millis(2));
-            let stats = net.flow_stats(flow);
-            (
-                stats.packets_dropped,
-                stats.bytes_delivered,
-                stats.bytes_acked,
-            )
-        };
-        let base = run(1);
-        assert!(base.0 > 0, "10% wire loss must drop something");
-        for partitions in [2, 4] {
-            assert_eq!(
-                run(partitions),
-                base,
-                "impaired draws differ at partitions={partitions}"
-            );
-        }
     }
 }

@@ -1007,88 +1007,6 @@ impl Topology {
             total + hop(l, data_bytes) + hop(self.ack_link(l), ack_bytes)
         })
     }
-
-    /// Deterministically assign every node to one of `partitions` spatial
-    /// domains — the graph partitioner behind the partitioned `Network`.
-    ///
-    /// The assignment is a pure function of the topology and the partition
-    /// count (no randomness, no iteration-order dependence):
-    ///
-    /// 1. Hosts are chunked contiguously by host index — host `h` of `H`
-    ///    goes to partition `h·n / H` — so a rack's hosts stay together.
-    /// 2. Switches are processed in ascending tier order and join the
-    ///    partition of their lowest-id neighbor in a strictly lower tier
-    ///    (a leaf follows its hosts, an aggregation its first leaf, a
-    ///    core its first aggregation).
-    /// 3. A switch with no lower-tier neighbor (degenerate topologies)
-    ///    falls back to `node_id % n`.
-    ///
-    /// Every node is covered exactly once; partitions may be empty when
-    /// `partitions` exceeds the host count.
-    ///
-    /// # Panics
-    /// Panics if `partitions` is zero.
-    pub fn partition(&self, partitions: usize) -> Partitioning {
-        assert!(partitions >= 1, "partition count must be at least 1");
-        let mut assignment = vec![usize::MAX; self.nodes.len()];
-        let num_hosts = self.hosts.len().max(1);
-        for (i, &h) in self.hosts.iter().enumerate() {
-            assignment[h] = i * partitions / num_hosts;
-        }
-        let mut switches: Vec<NodeId> = (0..self.nodes.len())
-            .filter(|&n| self.nodes[n].kind.is_switch())
-            .collect();
-        switches.sort_by_key(|&n| (self.nodes[n].kind.tier(), n));
-        for node in switches {
-            let tier = self.nodes[node].kind.tier();
-            let anchor = self
-                .links
-                .iter()
-                .filter(|spec| spec.from == node && self.nodes[spec.to].kind.tier() < tier)
-                .map(|spec| spec.to)
-                .min();
-            assignment[node] = match anchor {
-                // Lower tiers are assigned before higher ones, so the
-                // anchor's slot is always filled by now.
-                Some(n) => assignment[n],
-                None => node % partitions,
-            };
-        }
-        debug_assert!(assignment.iter().all(|&p| p < partitions));
-        Partitioning {
-            assignment,
-            partitions,
-        }
-    }
-}
-
-/// A deterministic assignment of every topology node to one of a fixed
-/// number of spatial partitions, produced by [`Topology::partition`]. The
-/// partitioned `Network` derives everything else from it: link ownership
-/// (a link belongs to its tail node's partition), the boundary-link set
-/// (links whose endpoints differ), and the conservative lookahead window
-/// (the minimum propagation delay over boundary links).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Partitioning {
-    assignment: Vec<usize>,
-    partitions: usize,
-}
-
-impl Partitioning {
-    /// Number of partitions (some may own no nodes).
-    pub fn partitions(&self) -> usize {
-        self.partitions
-    }
-
-    /// The partition that owns `node`.
-    pub fn of(&self, node: NodeId) -> usize {
-        self.assignment[node]
-    }
-
-    /// The full node → partition assignment, indexed by node id.
-    pub fn assignment(&self) -> &[usize] {
-        &self.assignment
-    }
 }
 
 #[cfg(test)]
@@ -1316,45 +1234,5 @@ mod tests {
             .collect();
         assert_eq!(up.len(), 16);
         assert!(up.iter().all(|l| l.capacity_bps == 10e9));
-    }
-
-    #[test]
-    fn partitioner_covers_every_node_exactly_once() {
-        for topo in [
-            Topology::leaf_spine(&LeafSpineConfig::small(32, 4, 2)),
-            Topology::fat_tree(&FatTreeConfig::new(4)),
-        ] {
-            for n in [1, 2, 3, 4, 7] {
-                let parts = topo.partition(n);
-                assert_eq!(parts.partitions(), n);
-                assert_eq!(parts.assignment().len(), topo.nodes().len());
-                assert!(parts.assignment().iter().all(|&p| p < n));
-                // Deterministic: same topology, same count, same assignment.
-                assert_eq!(parts, topo.partition(n));
-            }
-        }
-    }
-
-    #[test]
-    fn single_partition_owns_everything_and_hosts_chunk_contiguously() {
-        let topo = Topology::leaf_spine(&LeafSpineConfig::small(32, 4, 2));
-        let one = topo.partition(1);
-        assert!(one.assignment().iter().all(|&p| p == 0));
-        let two = topo.partition(2);
-        // Host chunks are contiguous and both halves are used.
-        let host_parts: Vec<usize> = topo.hosts().iter().map(|&h| two.of(h)).collect();
-        assert!(host_parts.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(host_parts.first(), Some(&0));
-        assert_eq!(host_parts.last(), Some(&1));
-        // A leaf sits with its own hosts' partition.
-        for &leaf in topo.leaves() {
-            let first_host = topo
-                .hosts()
-                .iter()
-                .copied()
-                .find(|&h| topo.leaf_of(h) == Some(leaf))
-                .unwrap();
-            assert_eq!(two.of(leaf), two.of(first_host));
-        }
     }
 }

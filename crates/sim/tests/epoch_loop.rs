@@ -1,33 +1,25 @@
-//! The epoch loop at the edges of a stretch.
+//! `run_until` at the edges of a run.
 //!
-//! A stretch (the span `run_until` covers between sync points) ends
-//! wherever the caller says, not where an epoch would: boundary traffic
-//! produced before the end but due after it must wait, with the
-//! coordinator, for the next stretch. Splitting one `run_until` into many
-//! must therefore change no byte, on one partition or on several.
+//! A run ends wherever the caller says, not where the next event falls:
+//! steps that end inside a serialization, inside a propagation delay or
+//! across several of each leave the rest of the work pending for the next
+//! call. Splitting one `run_until` into many must therefore change no byte.
 //!
-//! Fabric: `LeafSpineConfig::small(8, 2, 2)`, 2 µs per hop, so the
-//! lookahead of any partitioning is 2 µs.
+//! Fabric: `LeafSpineConfig::small(8, 2, 2)`, 2 µs per hop.
 
 use numfabric_sim::queue::DropTailFifo;
 use numfabric_sim::reference::SimpleWindowAgent;
 use numfabric_sim::topology::{LeafSpineConfig, Topology};
 use numfabric_sim::{Network, SimDuration, SimTime};
 
-fn small_net(partitions: usize) -> Network {
-    let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
-    let mut net = Network::new(topo, |_| Box::new(DropTailFifo::with_default_buffer()));
-    net.set_partitions(partitions);
-    net
-}
-
 /// Per-flow `(packets sent, bytes delivered, drops, FCT)`, plus the
 /// event count, of four cross-rack flows run to `until` in `run_until`
 /// calls `step_ns` apart.
 type Report = (Vec<(u64, u64, u64, Option<u64>)>, u64);
 
-fn report(partitions: usize, until: SimTime, step_ns: u64) -> Report {
-    let mut net = small_net(partitions);
+fn report(until: SimTime, step_ns: u64) -> Report {
+    let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
+    let mut net = Network::new(topo, |_| Box::new(DropTailFifo::with_default_buffer()));
     let hosts = net.topology().hosts().to_vec();
     for i in 0..4 {
         net.add_flow(
@@ -59,18 +51,15 @@ fn report(partitions: usize, until: SimTime, step_ns: u64) -> Report {
 fn splitting_run_until_changes_no_byte_on_either_executor() {
     // Mid-transfer: some flows have finished, some have not.
     let until = SimTime::from_micros(150);
-    let whole = report(1, until, 150_000);
+    let whole = report(until, 150_000);
     assert!(whole.0.iter().any(|f| f.3.is_some()) && whole.0.iter().any(|f| f.3.is_none()));
-    // Steps shorter than the lookahead end stretches inside an epoch, so
-    // boundary traffic is still pending when `run_until` returns; longer
-    // steps end them after several epochs.
-    for partitions in [1, 2, 4] {
-        for step_ns in [150_000, 733, 7_919] {
-            assert_eq!(
-                report(partitions, until, step_ns),
-                whole,
-                "report differs at {partitions} partitions, step {step_ns} ns"
-            );
-        }
+    // Steps shorter than one hop's 2 µs end runs between a packet's send
+    // and its arrival; longer ones end them several hops later.
+    for step_ns in [733, 7_919] {
+        assert_eq!(
+            report(until, step_ns),
+            whole,
+            "report differs at step {step_ns} ns"
+        );
     }
 }

@@ -11,11 +11,9 @@ use numfabric_sim::reference::SimpleWindowAgent;
 use numfabric_sim::time::{SimDuration, SimTime};
 use numfabric_sim::topology::{LeafSpineConfig, Topology};
 
-fn churn_net(partitions: usize) -> Network {
+fn churn_net() -> Network {
     let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
-    let mut net = Network::new(topo, |_| Box::new(DropTailFifo::with_default_buffer()));
-    net.set_partitions(partitions);
-    net
+    Network::new(topo, |_| Box::new(DropTailFifo::with_default_buffer()))
 }
 
 /// ≥100k one-packet flow completions through an 8-host leaf-spine, retiring
@@ -25,7 +23,7 @@ fn churn_net(partitions: usize) -> Network {
 fn flow_slab_stays_bounded_under_churn() {
     const WAVE: usize = 8; // concurrent flows per round
     const ROUNDS: usize = 12_500; // 100k completions in all
-    let mut net = churn_net(1);
+    let mut net = churn_net();
     let hosts: Vec<_> = net.topology().hosts().to_vec();
     let mut completed_total: u64 = 0;
     let mut live: Vec<usize> = Vec::new();
@@ -84,7 +82,7 @@ fn flow_slab_stays_bounded_under_churn() {
 /// and the recycled slot runs a brand-new flow to completion.
 #[test]
 fn retire_requires_quiescence_and_slots_recycle_cleanly() {
-    let mut net = churn_net(2);
+    let mut net = churn_net();
     let hosts: Vec<_> = net.topology().hosts().to_vec();
     let id = net.add_flow(
         hosts[0],
@@ -122,37 +120,4 @@ fn retire_requires_quiescence_and_slots_recycle_cleanly() {
     let stats = net.flow_stats(id2);
     assert_eq!(stats.bytes_delivered, 2920, "recycled slot state is fresh");
     assert_eq!(stats.packets_dropped, 0);
-}
-
-/// The retire decision (and so the id-reuse sequence) is identical for any
-/// partition count: in-flight accounting sums per-core deltas that the
-/// deterministic event order fully determines.
-#[test]
-fn retirement_is_partition_invariant() {
-    let ids_for = |partitions: usize| -> Vec<(usize, bool)> {
-        let mut net = churn_net(partitions);
-        let hosts: Vec<_> = net.topology().hosts().to_vec();
-        let mut out = Vec::new();
-        for round in 0..40 {
-            let id = net.add_flow(
-                hosts[round % 8],
-                hosts[(round + 3) % 8],
-                Some(4380),
-                net.now(),
-                round % 2,
-                None,
-                Box::new(SimpleWindowAgent::new(4)),
-            );
-            // A deliberately short slice: some rounds retire, some don't,
-            // and the pattern must match across partitionings.
-            net.run_for(SimDuration::from_micros(25));
-            let retired = net.try_retire_flow(id);
-            out.push((id, retired));
-        }
-        out
-    };
-    let base = ids_for(1);
-    for parts in [2, 4] {
-        assert_eq!(base, ids_for(parts), "partitions={parts}");
-    }
 }

@@ -68,11 +68,9 @@ impl FlowAgent for TimerScript {
     }
 }
 
-fn net(partitions: usize) -> Network {
+fn net() -> Network {
     let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
-    let mut net = Network::new(topo, |_| Box::new(DropTailFifo::with_default_buffer()));
-    net.set_partitions(partitions);
-    net
+    Network::new(topo, |_| Box::new(DropTailFifo::with_default_buffer()))
 }
 
 fn fired(log: &FireLog) -> Vec<(u64, u64)> {
@@ -86,52 +84,50 @@ fn fired(log: &FireLog) -> Vec<(u64, u64)> {
 /// as if cancelled and the dead one would fire into the new agent at 10 ms.
 #[test]
 fn a_recycled_slot_never_inherits_its_predecessors_timers() {
-    for partitions in [1, 2] {
-        let mut net = net(partitions);
-        let hosts: Vec<_> = net.topology().hosts().to_vec();
-        // Background traffic keeps events flowing at every instant, so the
-        // wheel never cascades ahead of the clock.
-        net.add_flow(
-            hosts[2],
-            hosts[5],
-            None,
-            SimTime::ZERO,
-            0,
-            None,
-            Box::new(SimpleWindowAgent::new(4)),
-        );
-        let (log_old, log_new) = (FireLog::default(), FireLog::default());
-        let mut old = TimerScript::new(&[(10_000, 1)], &log_old);
-        old.payload = Some(1_000);
-        let slot = net.add_flow(
-            hosts[0],
-            hosts[7],
-            Some(1_000),
-            SimTime::ZERO,
-            0,
-            None,
-            Box::new(old),
-        );
-        net.run_until(SimTime::from_millis(1));
-        assert_eq!(net.flow_phase(slot), FlowPhase::Completed);
-        assert_eq!(net.pending_timer_count(slot), 0);
-        assert!(net.try_retire_flow(slot), "a quiescent flow retires");
-        let reused = net.add_flow(
-            hosts[0],
-            hosts[7],
-            None,
-            net.now(),
-            0,
-            None,
-            Box::new(TimerScript::new(&[(100, 2)], &log_new)),
-        );
-        assert_eq!(reused, slot, "the retired slot is recycled");
-        net.run_until(SimTime::from_millis(20));
-        assert!(fired(&log_old).is_empty(), "{partitions} partitions");
-        assert_eq!(
-            fired(&log_new),
-            vec![(1_100_000, 2)],
-            "{partitions} partitions: the new occupant's timer fires at 1.1 ms"
-        );
-    }
+    let mut net = net();
+    let hosts: Vec<_> = net.topology().hosts().to_vec();
+    // Background traffic keeps events flowing at every instant, so the
+    // wheel never cascades ahead of the clock.
+    net.add_flow(
+        hosts[2],
+        hosts[5],
+        None,
+        SimTime::ZERO,
+        0,
+        None,
+        Box::new(SimpleWindowAgent::new(4)),
+    );
+    let (log_old, log_new) = (FireLog::default(), FireLog::default());
+    let mut old = TimerScript::new(&[(10_000, 1)], &log_old);
+    old.payload = Some(1_000);
+    let slot = net.add_flow(
+        hosts[0],
+        hosts[7],
+        Some(1_000),
+        SimTime::ZERO,
+        0,
+        None,
+        Box::new(old),
+    );
+    net.run_until(SimTime::from_millis(1));
+    assert_eq!(net.flow_phase(slot), FlowPhase::Completed);
+    assert_eq!(net.pending_timer_count(slot), 0);
+    assert!(net.try_retire_flow(slot), "a quiescent flow retires");
+    let reused = net.add_flow(
+        hosts[0],
+        hosts[7],
+        None,
+        net.now(),
+        0,
+        None,
+        Box::new(TimerScript::new(&[(100, 2)], &log_new)),
+    );
+    assert_eq!(reused, slot, "the retired slot is recycled");
+    net.run_until(SimTime::from_millis(20));
+    assert!(fired(&log_old).is_empty());
+    assert_eq!(
+        fired(&log_new),
+        vec![(1_100_000, 2)],
+        "the new occupant's timer fires at 1.1 ms"
+    );
 }

@@ -7,8 +7,7 @@
 //! Each test pins one trap of that rule with hand-computed dequeue
 //! sequences, and the last two are the exact work-counter gate: an idle
 //! paced path handles **zero** wake-ups, a saturated one exactly one per
-//! packet that waited. Every scenario runs on 1, 2 and 4 partitions and
-//! must read the same on each.
+//! packet that waited.
 //!
 //! Fabric used throughout: `LeafSpineConfig::small(8, 2, 2)` — hosts 0–3 on
 //! leaf 0, hosts 4–7 on leaf 1, 10 Gb/s host links (a 1500-byte packet
@@ -31,9 +30,6 @@ const KIND_FLOW_START: u64 = 0;
 const KIND_FLOW_TIMER: u64 = 4;
 const KIND_WAKE_UP: u64 = 5;
 const KIND_ARRIVAL: u64 = 6;
-
-/// The partition counts every scenario runs on.
-const PARTITIONS: [usize; 3] = [1, 2, 4];
 
 /// One data packet leaving a queue for the wire, as its link's controller
 /// saw it.
@@ -155,7 +151,7 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(partitions: usize, queue: impl Fn() -> Box<dyn QueueDiscipline>) -> Self {
+    fn new(queue: impl Fn() -> Box<dyn QueueDiscipline>) -> Self {
         let topo = Topology::leaf_spine(&LeafSpineConfig::small(8, 2, 2));
         let hosts = topo.hosts().to_vec();
         let mut net = Network::new(topo, |_| queue());
@@ -167,7 +163,6 @@ impl Rig {
                 log: log.clone(),
             })
         });
-        net.set_partitions(partitions);
         net.set_event_trace(true);
         Self { net, hosts, log }
     }
@@ -212,20 +207,16 @@ impl Rig {
             .collect()
     }
 
-    /// Every recorded dequeue, ordered by `(time, link)` so the log reads
-    /// the same whichever partition appended first.
+    /// Every recorded dequeue, in dispatch order.
     fn dequeues(&self) -> Vec<Dequeue> {
-        let mut all = self.log.lock().unwrap().clone();
-        all.sort_by_key(|d| (d.at_ns, d.link));
-        all
+        self.log.lock().unwrap().clone()
     }
 
-    /// Drain the event traces into `(time ns, kind, link-or-flow id)`.
+    /// Drain the event trace into `(time ns, kind, link-or-flow id)`.
     fn handled(&mut self) -> Vec<(u64, u64, usize)> {
         self.net
-            .take_event_traces()
+            .take_event_trace()
             .into_iter()
-            .flatten()
             .map(|(t, key)| (t.as_nanos(), key >> 61, ((key >> 39) & 0x3F_FFFF) as usize))
             .collect()
     }
@@ -258,27 +249,20 @@ fn count_kind(handled: &[(u64, u64, usize)], kind: u64) -> usize {
 /// flow 0's second packet take the wire the moment its timer fires.
 #[test]
 fn a_timer_at_the_end_instant_still_queues_behind_the_wake_up() {
-    for partitions in PARTITIONS {
-        let mut rig = Rig::new(partitions, || Box::new(StfqQueue::with_default_buffer()));
-        let f0 = rig.flow(0, 4, 0, 0, Scripted::new(&[(0, 10.0), (TX, 10.0)]));
-        let f1 = rig.flow(0, 5, 1, 0, Scripted::new(&[(TX, 1.0)]));
-        let uplink = rig.hop(f0, 0);
-        assert_eq!(uplink, rig.hop(f1, 0), "both flows leave through host 0");
-        rig.run_until_ns(20_000);
-        assert_eq!(
-            rig.wire_order(uplink),
-            vec![(f0, 0, 0), (f1, 0, TX), (f0, PAYLOAD as u64, 2 * TX)],
-            "partitions {partitions}"
-        );
-        // One lazily scheduled wake-up at 1200 (two packets waiting), one
-        // scheduled at transmit start for 2400 (one left), none after.
-        let handled = rig.handled();
-        assert_eq!(
-            wake_ups(&handled, uplink),
-            vec![TX, 2 * TX],
-            "partitions {partitions}"
-        );
-    }
+    let mut rig = Rig::new(|| Box::new(StfqQueue::with_default_buffer()));
+    let f0 = rig.flow(0, 4, 0, 0, Scripted::new(&[(0, 10.0), (TX, 10.0)]));
+    let f1 = rig.flow(0, 5, 1, 0, Scripted::new(&[(TX, 1.0)]));
+    let uplink = rig.hop(f0, 0);
+    assert_eq!(uplink, rig.hop(f1, 0), "both flows leave through host 0");
+    rig.run_until_ns(20_000);
+    assert_eq!(
+        rig.wire_order(uplink),
+        vec![(f0, 0, 0), (f1, 0, TX), (f0, PAYLOAD as u64, 2 * TX)]
+    );
+    // One lazily scheduled wake-up at 1200 (two packets waiting), one
+    // scheduled at transmit start for 2400 (one left), none after.
+    let handled = rig.handled();
+    assert_eq!(wake_ups(&handled, uplink), vec![TX, 2 * TX]);
 }
 
 // ---- (b) a link that never transmitted is free at t = 0 -------------------
@@ -292,41 +276,34 @@ fn a_timer_at_the_end_instant_still_queues_behind_the_wake_up() {
 /// already be marked.
 #[test]
 fn the_first_packet_at_time_zero_goes_straight_to_the_wire() {
-    for partitions in PARTITIONS {
-        let mut rig = Rig::new(partitions, || Box::new(EcnFifo::new(1_000_000, 3_000)));
-        let burst = [(0, 1.0); 3];
-        let f0 = rig.flow(0, 4, 0, 0, Scripted::new(&burst));
-        let f1 = rig.flow(0, 5, 1, 0, Scripted::new(&burst));
-        let uplink = rig.hop(f0, 0);
-        rig.run_until_ns(20_000);
-        let seen: Vec<_> = rig
-            .dequeues()
-            .into_iter()
-            .filter(|d| d.link == uplink)
-            .map(|d| (d.flow, d.seq / PAYLOAD as u64, d.at_ns, d.backlog, d.marked))
-            .collect();
-        assert_eq!(
-            seen,
-            vec![
-                // flow, packet, dequeued at, data backlog before the pop, marked
-                (f0, 0, 0, 1500, false),
-                (f0, 1, TX, 7500, false),
-                (f0, 2, 2 * TX, 6000, false),
-                (f1, 0, 3 * TX, 4500, true),
-                (f1, 1, 4 * TX, 3000, true),
-                (f1, 2, 5 * TX, 1500, true),
-            ],
-            "partitions {partitions}"
-        );
-        // Five packets waited; five wake-ups, one per end of serialization.
-        let handled = rig.handled();
-        let expect: Vec<u64> = (1..=5).map(|k| k * TX).collect();
-        assert_eq!(
-            wake_ups(&handled, uplink),
-            expect,
-            "partitions {partitions}"
-        );
-    }
+    let mut rig = Rig::new(|| Box::new(EcnFifo::new(1_000_000, 3_000)));
+    let burst = [(0, 1.0); 3];
+    let f0 = rig.flow(0, 4, 0, 0, Scripted::new(&burst));
+    let f1 = rig.flow(0, 5, 1, 0, Scripted::new(&burst));
+    let uplink = rig.hop(f0, 0);
+    rig.run_until_ns(20_000);
+    let seen: Vec<_> = rig
+        .dequeues()
+        .into_iter()
+        .filter(|d| d.link == uplink)
+        .map(|d| (d.flow, d.seq / PAYLOAD as u64, d.at_ns, d.backlog, d.marked))
+        .collect();
+    assert_eq!(
+        seen,
+        vec![
+            // flow, packet, dequeued at, data backlog before the pop, marked
+            (f0, 0, 0, 1500, false),
+            (f0, 1, TX, 7500, false),
+            (f0, 2, 2 * TX, 6000, false),
+            (f1, 0, 3 * TX, 4500, true),
+            (f1, 1, 4 * TX, 3000, true),
+            (f1, 2, 5 * TX, 1500, true),
+        ]
+    );
+    // Five packets waited; five wake-ups, one per end of serialization.
+    let handled = rig.handled();
+    let expect: Vec<u64> = (1..=5).map(|k| k * TX).collect();
+    assert_eq!(wake_ups(&handled, uplink), expect);
 }
 
 // ---- (c) Down / Up around a serialization in progress ---------------------
@@ -338,13 +315,8 @@ fn the_first_packet_at_time_zero_goes_straight_to_the_wire() {
 /// and the failure drops the packet it was for.
 ///
 /// Returns the uplink's wire order, its wake-up instants and its drop count.
-fn flap(
-    partitions: usize,
-    up_at: u64,
-    send_at: u64,
-    queued_before_down: bool,
-) -> (Vec<(u64, u64)>, Vec<u64>, u64) {
-    let mut rig = Rig::new(partitions, || Box::new(DropTailFifo::with_default_buffer()));
+fn flap(up_at: u64, send_at: u64, queued_before_down: bool) -> (Vec<(u64, u64)>, Vec<u64>, u64) {
+    let mut rig = Rig::new(|| Box::new(DropTailFifo::with_default_buffer()));
     let mut steps = vec![(0, 1.0)];
     if queued_before_down {
         steps.push((0, 1.0));
@@ -375,23 +347,21 @@ fn flap(
 /// one wake-up — whether that wake-up was scheduled before the failure
 /// (and outlived the backlog it was for) or lazily by the post-restore
 /// enqueue, and whether the restore lands inside the serialization or on
-/// its very last instant (where the coordinator's position `(1200, 0)`
+/// its very last instant (where the sync point's position `(1200, 0)`
 /// still reads occupied and the timer's enqueue at `(1200, kind 4)` too).
 #[test]
 fn a_flap_inside_one_serialization_resumes_the_backlog_at_its_end_once() {
-    for partitions in PARTITIONS {
-        for (up_at, send_at) in [(600, 900), (TX, TX)] {
-            let case = format!("partitions {partitions}, up at {up_at}, send at {send_at}");
-            let (wire, wakes, drops) = flap(partitions, up_at, send_at, false);
-            assert_eq!(wire, vec![(0, 0), (1, TX)], "{case}");
-            assert_eq!(wakes, vec![TX], "{case}");
-            assert_eq!(drops, 0, "{case}");
+    for (up_at, send_at) in [(600, 900), (TX, TX)] {
+        let case = format!("up at {up_at}, send at {send_at}");
+        let (wire, wakes, drops) = flap(up_at, send_at, false);
+        assert_eq!(wire, vec![(0, 0), (1, TX)], "{case}");
+        assert_eq!(wakes, vec![TX], "{case}");
+        assert_eq!(drops, 0, "{case}");
 
-            let (wire, wakes, drops) = flap(partitions, up_at, send_at, true);
-            assert_eq!(wire, vec![(0, 0), (2, TX)], "{case}, queued before down");
-            assert_eq!(wakes, vec![TX], "{case}, queued before down");
-            assert_eq!(drops, 1, "{case}, queued before down");
-        }
+        let (wire, wakes, drops) = flap(up_at, send_at, true);
+        assert_eq!(wire, vec![(0, 0), (2, TX)], "{case}, queued before down");
+        assert_eq!(wakes, vec![TX], "{case}, queued before down");
+        assert_eq!(drops, 1, "{case}, queued before down");
     }
 }
 
@@ -399,48 +369,39 @@ fn a_flap_inside_one_serialization_resumes_the_backlog_at_its_end_once() {
 /// sent, nothing is rescheduled, and the restore starts from a free link.
 #[test]
 fn a_wake_up_on_a_downed_link_is_a_no_op() {
-    for partitions in PARTITIONS {
-        let (wire, wakes, drops) = flap(partitions, 5_000, 6_000, true);
-        assert_eq!(wire, vec![(0, 0), (2, 6_000)], "partitions {partitions}");
-        assert_eq!(wakes, vec![TX], "partitions {partitions}");
-        // The queued packet, plus the one on the wire: it reaches leaf 0
-        // at 3200 ns over a cable that is still down.
-        assert_eq!(drops, 2, "partitions {partitions}");
-    }
+    let (wire, wakes, drops) = flap(5_000, 6_000, true);
+    assert_eq!(wire, vec![(0, 0), (2, 6_000)]);
+    assert_eq!(wakes, vec![TX]);
+    // The queued packet, plus the one on the wire: it reaches leaf 0
+    // at 3200 ns over a cable that is still down.
+    assert_eq!(drops, 2);
 }
 
-// ---- coordinator-level senders sit at (g, 0) -------------------------------
+// ---- link-change senders sit at (g, 0) ------------------------------------
 
 /// Flow A has a packet on host 0's uplink from t = 0; at 1200 ns — the
 /// uplink's end instant — the leaf-0 → spine-0 link fails, A is rerouted and
-/// resends from `on_reroute` at coordinator level, i.e. before every wheel
+/// resends from `on_reroute` at the sync point, i.e. before every wheel
 /// event of that instant. Its position `(1200, 0)` precedes the uplink's
 /// free position, so the resend must queue (and ask for a wake-up); flow B's
 /// timer at 1200 ns then queues a better pFabric priority, which must win.
 #[test]
 fn a_reroute_resend_at_the_end_instant_queues_like_any_earlier_event() {
-    for partitions in PARTITIONS {
-        let mut rig = Rig::new(partitions, || Box::new(PfabricQueue::new(1_000_000)));
-        let a = rig.flow(0, 4, 0, 0, Scripted::resending_on_reroute(&[(0, 5.0)], 9.0));
-        let b = rig.flow(0, 5, 1, 0, Scripted::new(&[(TX, 1.0)]));
-        let uplink = rig.hop(a, 0);
-        let leaf_to_spine = rig.hop(a, 1);
-        rig.net
-            .schedule_link_change(SimTime::from_nanos(TX), leaf_to_spine, LinkChange::Down);
-        rig.run_until_ns(20_000);
-        assert_ne!(rig.hop(a, 1), leaf_to_spine, "A must have been rerouted");
-        assert_eq!(
-            rig.wire_order(uplink),
-            vec![(a, 0, 0), (b, 0, TX), (a, PAYLOAD as u64, 2 * TX)],
-            "partitions {partitions}"
-        );
-        let handled = rig.handled();
-        assert_eq!(
-            wake_ups(&handled, uplink),
-            vec![TX, 2 * TX],
-            "partitions {partitions}"
-        );
-    }
+    let mut rig = Rig::new(|| Box::new(PfabricQueue::new(1_000_000)));
+    let a = rig.flow(0, 4, 0, 0, Scripted::resending_on_reroute(&[(0, 5.0)], 9.0));
+    let b = rig.flow(0, 5, 1, 0, Scripted::new(&[(TX, 1.0)]));
+    let uplink = rig.hop(a, 0);
+    let leaf_to_spine = rig.hop(a, 1);
+    rig.net
+        .schedule_link_change(SimTime::from_nanos(TX), leaf_to_spine, LinkChange::Down);
+    rig.run_until_ns(20_000);
+    assert_ne!(rig.hop(a, 1), leaf_to_spine, "A must have been rerouted");
+    assert_eq!(
+        rig.wire_order(uplink),
+        vec![(a, 0, 0), (b, 0, TX), (a, PAYLOAD as u64, 2 * TX)]
+    );
+    let handled = rig.handled();
+    assert_eq!(wake_ups(&handled, uplink), vec![TX, 2 * TX]);
 }
 
 // ---- (d) the instant an inclusive run just finished is settled ------------
@@ -453,28 +414,21 @@ fn a_reroute_resend_at_the_end_instant_queues_like_any_earlier_event() {
 /// from the single-run case, with no wake-up at 1200 ns at all.
 #[test]
 fn a_change_at_the_instant_the_previous_run_ended_finds_the_link_free() {
-    for partitions in PARTITIONS {
-        let mut rig = Rig::new(partitions, || Box::new(PfabricQueue::new(1_000_000)));
-        let a = rig.flow(0, 4, 0, 0, Scripted::resending_on_reroute(&[(0, 5.0)], 9.0));
-        let uplink = rig.hop(a, 0);
-        let leaf_to_spine = rig.hop(a, 1);
-        rig.run_until_ns(TX);
-        rig.net
-            .schedule_link_change(SimTime::from_nanos(TX), leaf_to_spine, LinkChange::Down);
-        let b = rig.flow(0, 5, 1, TX, Scripted::new(&[(0, 1.0)]));
-        rig.run_until_ns(20_000);
-        assert_eq!(
-            rig.wire_order(uplink),
-            vec![(a, 0, 0), (a, PAYLOAD as u64, TX), (b, 0, 2 * TX)],
-            "partitions {partitions}"
-        );
-        let handled = rig.handled();
-        assert_eq!(
-            wake_ups(&handled, uplink),
-            vec![2 * TX],
-            "partitions {partitions}"
-        );
-    }
+    let mut rig = Rig::new(|| Box::new(PfabricQueue::new(1_000_000)));
+    let a = rig.flow(0, 4, 0, 0, Scripted::resending_on_reroute(&[(0, 5.0)], 9.0));
+    let uplink = rig.hop(a, 0);
+    let leaf_to_spine = rig.hop(a, 1);
+    rig.run_until_ns(TX);
+    rig.net
+        .schedule_link_change(SimTime::from_nanos(TX), leaf_to_spine, LinkChange::Down);
+    let b = rig.flow(0, 5, 1, TX, Scripted::new(&[(0, 1.0)]));
+    rig.run_until_ns(20_000);
+    assert_eq!(
+        rig.wire_order(uplink),
+        vec![(a, 0, 0), (a, PAYLOAD as u64, TX), (b, 0, 2 * TX)]
+    );
+    let handled = rig.handled();
+    assert_eq!(wake_ups(&handled, uplink), vec![2 * TX]);
 }
 
 /// The settled instant covers flow starts too: a flow added for "now" after
@@ -484,19 +438,16 @@ fn a_change_at_the_instant_the_previous_run_ended_finds_the_link_free() {
 /// even though a `FlowStart` key sorts below the wake-up key.
 #[test]
 fn a_flow_started_at_a_settled_instant_finds_the_link_free() {
-    for partitions in PARTITIONS {
-        let mut rig = Rig::new(partitions, || Box::new(PfabricQueue::new(1_000_000)));
-        let a = rig.flow(0, 4, 0, 0, Scripted::new(&[(0, 5.0)]));
-        let uplink = rig.hop(a, 0);
-        rig.run_until_ns(TX);
-        let b = rig.flow(0, 5, 1, TX, Scripted::new(&[(0, 5.0), (0, 1.0)]));
-        rig.run_until_ns(20_000);
-        assert_eq!(
-            rig.wire_order(uplink),
-            vec![(a, 0, 0), (b, 0, TX), (b, PAYLOAD as u64, 2 * TX)],
-            "partitions {partitions}"
-        );
-    }
+    let mut rig = Rig::new(|| Box::new(PfabricQueue::new(1_000_000)));
+    let a = rig.flow(0, 4, 0, 0, Scripted::new(&[(0, 5.0)]));
+    let uplink = rig.hop(a, 0);
+    rig.run_until_ns(TX);
+    let b = rig.flow(0, 5, 1, TX, Scripted::new(&[(0, 5.0), (0, 1.0)]));
+    rig.run_until_ns(20_000);
+    assert_eq!(
+        rig.wire_order(uplink),
+        vec![(a, 0, 0), (b, 0, TX), (b, PAYLOAD as u64, 2 * TX)]
+    );
 }
 
 // ---- the exact work-counter gate -------------------------------------------
@@ -509,25 +460,19 @@ fn a_flow_started_at_a_settled_instant_finds_the_link_free() {
 #[test]
 fn an_idle_paced_path_handles_no_wake_ups() {
     const PACKETS: u64 = 50;
-    for partitions in PARTITIONS {
-        let mut rig = Rig::new(partitions, || Box::new(StfqQueue::with_default_buffer()));
-        let pacing: Vec<(u64, f64)> = (0..PACKETS).map(|k| (k * 2_000, 1.0)).collect();
-        let flow = rig.flow(0, 4, 0, 0, Scripted::new(&pacing));
-        rig.run_until_ns(1_000_000);
-        assert_eq!(rig.net.flow_stats(flow).packets_delivered, PACKETS);
-        assert_eq!(rig.net.pending_events(), 0);
-        let handled = rig.handled();
-        assert_eq!(
-            count_kind(&handled, KIND_WAKE_UP),
-            0,
-            "partitions {partitions}"
-        );
-        assert_eq!(count_kind(&handled, KIND_FLOW_START), 1);
-        assert_eq!(count_kind(&handled, KIND_FLOW_TIMER), 49);
-        assert_eq!(count_kind(&handled, KIND_ARRIVAL), 400);
-        assert_eq!(handled.len(), 450, "partitions {partitions}");
-        assert_eq!(rig.net.events_processed(), 450, "partitions {partitions}");
-    }
+    let mut rig = Rig::new(|| Box::new(StfqQueue::with_default_buffer()));
+    let pacing: Vec<(u64, f64)> = (0..PACKETS).map(|k| (k * 2_000, 1.0)).collect();
+    let flow = rig.flow(0, 4, 0, 0, Scripted::new(&pacing));
+    rig.run_until_ns(1_000_000);
+    assert_eq!(rig.net.flow_stats(flow).packets_delivered, PACKETS);
+    assert_eq!(rig.net.pending_events(), 0);
+    let handled = rig.handled();
+    assert_eq!(count_kind(&handled, KIND_WAKE_UP), 0);
+    assert_eq!(count_kind(&handled, KIND_FLOW_START), 1);
+    assert_eq!(count_kind(&handled, KIND_FLOW_TIMER), 49);
+    assert_eq!(count_kind(&handled, KIND_ARRIVAL), 400);
+    assert_eq!(handled.len(), 450);
+    assert_eq!(rig.net.events_processed(), 450);
 }
 
 /// Two 8-packet bursts from hosts 0 and 1 converge on host 4: queues build
@@ -547,45 +492,39 @@ fn an_idle_paced_path_handles_no_wake_ups() {
 /// 2 flow starts and 16 × 8 arrivals.
 #[test]
 fn a_saturated_bottleneck_handles_one_wake_up_per_packet_that_waited() {
-    for partitions in PARTITIONS {
-        let mut rig = Rig::new(partitions, || Box::new(DropTailFifo::with_default_buffer()));
-        let burst = [(0, 1.0); 8];
-        let f0 = rig.flow(0, 4, 0, 0, Scripted::new(&burst));
-        let f1 = rig.flow(1, 4, 0, 0, Scripted::new(&burst));
-        rig.run_until_ns(1_000_000);
-        assert_eq!(rig.net.flow_stats(f0).packets_delivered, 8);
-        assert_eq!(rig.net.flow_stats(f1).packets_delivered, 8);
-        assert_eq!(rig.net.pending_events(), 0);
+    let mut rig = Rig::new(|| Box::new(DropTailFifo::with_default_buffer()));
+    let burst = [(0, 1.0); 8];
+    let f0 = rig.flow(0, 4, 0, 0, Scripted::new(&burst));
+    let f1 = rig.flow(1, 4, 0, 0, Scripted::new(&burst));
+    rig.run_until_ns(1_000_000);
+    assert_eq!(rig.net.flow_stats(f0).packets_delivered, 8);
+    assert_eq!(rig.net.flow_stats(f1).packets_delivered, 8);
+    assert_eq!(rig.net.pending_events(), 0);
 
-        let handled = rig.handled();
-        let dequeues = rig.dequeues();
-        let waited_on = |link: LinkId| {
-            dequeues
-                .iter()
-                .filter(|d| d.link == link && d.waited)
-                .count()
-        };
-        for link in 0..rig.net.num_links() {
-            assert_eq!(
-                wake_ups(&handled, link).len(),
-                waited_on(link),
-                "partitions {partitions}, link {link}"
-            );
-        }
-        let path: Vec<LinkId> = (0..4).map(|hop| rig.hop(f0, hop)).collect();
-        assert_eq!(rig.hop(f1, 1), path[1], "the bursts share the fabric path");
-        assert_eq!(waited_on(path[0]), 7);
-        assert_eq!(waited_on(rig.hop(f1, 0)), 7);
-        assert_eq!(waited_on(path[1]), 8);
-        assert_eq!(waited_on(path[2]), 0);
-        assert_eq!(waited_on(path[3]), 15);
+    let handled = rig.handled();
+    let dequeues = rig.dequeues();
+    let waited_on = |link: LinkId| {
+        dequeues
+            .iter()
+            .filter(|d| d.link == link && d.waited)
+            .count()
+    };
+    for link in 0..rig.net.num_links() {
         assert_eq!(
-            count_kind(&handled, KIND_WAKE_UP),
-            37,
-            "partitions {partitions}"
+            wake_ups(&handled, link).len(),
+            waited_on(link),
+            "link {link}"
         );
-        assert_eq!(count_kind(&handled, KIND_ARRIVAL), 128);
-        assert_eq!(handled.len(), 2 + 128 + 37, "partitions {partitions}");
-        assert_eq!(rig.net.events_processed(), 167, "partitions {partitions}");
     }
+    let path: Vec<LinkId> = (0..4).map(|hop| rig.hop(f0, hop)).collect();
+    assert_eq!(rig.hop(f1, 1), path[1], "the bursts share the fabric path");
+    assert_eq!(waited_on(path[0]), 7);
+    assert_eq!(waited_on(rig.hop(f1, 0)), 7);
+    assert_eq!(waited_on(path[1]), 8);
+    assert_eq!(waited_on(path[2]), 0);
+    assert_eq!(waited_on(path[3]), 15);
+    assert_eq!(count_kind(&handled, KIND_WAKE_UP), 37);
+    assert_eq!(count_kind(&handled, KIND_ARRIVAL), 128);
+    assert_eq!(handled.len(), 2 + 128 + 37);
+    assert_eq!(rig.net.events_processed(), 167);
 }

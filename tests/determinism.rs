@@ -261,19 +261,6 @@ fn replaying_a_fat_tree_shuffle_scenario_is_bit_identical() {
 /// jitter consume the network's seeded impairment RNG — every piece of the
 /// failure layer that could plausibly break the replay contract.
 fn run_impaired_scenario(seed: u64, impair_seed: u64) -> (Vec<TracePoint>, Vec<(u64, u64)>) {
-    run_impaired_partitioned(seed, impair_seed, 1)
-}
-
-/// [`run_impaired_scenario`] with the network decomposed into `partitions`
-/// event cores. Loss and
-/// jitter draw from per-link impairment streams, so even the randomized
-/// pieces of the failure layer must reproduce the single-core run
-/// bit-for-bit at any decomposition.
-fn run_impaired_partitioned(
-    seed: u64,
-    impair_seed: u64,
-    partitions: usize,
-) -> (Vec<TracePoint>, Vec<(u64, u64)>) {
     use numfabric::sim::{LinkChange, SimDuration as Dur};
     use numfabric::workloads::impairments::fabric_cables;
     use numfabric::workloads::stride_pairs;
@@ -287,7 +274,6 @@ fn run_impaired_partitioned(
 
     let config = NumFabricConfig::paper_default();
     let mut net = numfabric_network(topo, &config);
-    net.set_partitions(partitions);
     net.set_impairment_seed(impair_seed);
     for link in [flap_fwd, flap_rev] {
         net.schedule_link_change(SimTime::from_micros(500), link, LinkChange::Down);
@@ -345,10 +331,6 @@ fn impairment_seed_actually_drives_the_loss_and_jitter_draws() {
     assert_ne!(trace_a, trace_b, "impairment seed has no effect");
 }
 
-/// The partition counts every partitioned replay pin sweeps: each must
-/// reproduce a fresh single-partition run bit-for-bit.
-const PARTITION_MATRIX: [usize; 3] = [1, 2, 4];
-
 /// FNV-1a over a run's trace points and byte counters, each field as
 /// little-endian `u64` words: the cross-commit form of a replay pin.
 fn run_digest(trace: &[TracePoint], bytes: &[(u64, u64)]) -> u64 {
@@ -362,145 +344,47 @@ fn run_digest(trace: &[TracePoint], bytes: &[(u64, u64)]) -> u64 {
         })
 }
 
-/// Assert that a run's trace and byte counters digest to `recorded`. The recorded digests were
-/// taken at commit a556c4c, where 1, 2 and 4 partitions reproduced each
-/// run bit-for-bit; a digest may move only in a commit that says why
-/// (re-record by copying the "got" value).
-fn assert_recorded(what: &str, trace: &[TracePoint], bytes: &[(u64, u64)], recorded: u64) {
-    let got = run_digest(trace, bytes);
+/// Assert that a run moved bytes on every flow and that its trace and byte
+/// counters digest to `recorded`. The recorded digests were taken at commit
+/// a556c4c, whose partitioned event cores reproduced each run bit-for-bit
+/// at 1, 2 and 4 partitions; a digest may move only in a commit that says
+/// why (re-record by copying the "got" value).
+fn assert_recorded(what: &str, (trace, bytes): (Vec<TracePoint>, Vec<(u64, u64)>), recorded: u64) {
+    assert!(bytes.iter().all(|&(sent, _)| sent > 0), "{what}: idle flow");
+    let got = run_digest(&trace, &bytes);
     assert_eq!(
         got, recorded,
         "{what}: recorded {recorded:#018x}, got {got:#018x}"
     );
 }
 
-/// [`run_pairs_scenario`] with the network domain-decomposed into
-/// `partitions` per-partition event cores. The partition-conformance
-/// contract: the trace and the byte counters are a pure function of the
-/// seed, so *any* partition count must reproduce the single-queue run
-/// bit-for-bit.
-fn run_pairs_partitioned(
-    topo: Topology,
-    pairs: &[PathSpec],
-    size_bytes: u64,
-    partitions: usize,
-) -> (Vec<TracePoint>, Vec<(u64, u64)>) {
-    let config = NumFabricConfig::paper_default();
-    let mut net = numfabric_network(topo, &config);
-    net.set_partitions(partitions);
-    let ids: Vec<FlowId> = pairs
-        .iter()
-        .map(|p| {
-            net.add_flow(
-                p.src,
-                p.dst,
-                Some(size_bytes),
-                SimTime::ZERO,
-                p.spine_choice,
-                None,
-                Box::new(NumFabricAgent::new(config.clone(), LogUtility::new())),
-            )
-        })
-        .collect();
-    let mut trace = Vec::new();
-    sample_rates(&mut net, &ids, &mut trace);
-    let bytes = ids
-        .iter()
-        .map(|&f| {
-            let st = net.flow_stats(f);
-            (st.bytes_sent, st.bytes_acked)
-        })
-        .collect();
-    (trace, bytes)
+#[test]
+fn a_leaf_spine_incast_matches_its_recorded_digest() {
+    let topo = Topology::leaf_spine(&LeafSpineConfig::small(16, 2, 2));
+    let pairs = incast_pairs(&topo, 8, 5);
+    let run = run_pairs_scenario(topo, &pairs, 120_000);
+    assert_recorded("leaf-spine incast", run, 0x9010_71e9_afea_659d);
 }
 
 #[test]
-fn partition_matrix_never_changes_a_leaf_spine_report() {
-    let run = |partitions| {
-        let topo = Topology::leaf_spine(&LeafSpineConfig::small(16, 2, 2));
-        let pairs = incast_pairs(&topo, 8, 5);
-        run_pairs_partitioned(topo, &pairs, 120_000, partitions)
-    };
-    let (trace_1, bytes_1) = run(1);
-    assert!(bytes_1.iter().all(|&(sent, _)| sent > 0));
-    assert_recorded(
-        "leaf-spine incast",
-        &trace_1,
-        &bytes_1,
-        0x9010_71e9_afea_659d,
-    );
-    for partitions in PARTITION_MATRIX {
-        let (trace_n, bytes_n) = run(partitions);
-        assert_eq!(
-            trace_1, trace_n,
-            "leaf-spine trace diverged at {partitions} partitions"
-        );
-        assert_eq!(
-            bytes_1, bytes_n,
-            "leaf-spine byte counters diverged at {partitions} partitions"
-        );
-    }
+fn a_fat_tree_shuffle_matches_its_recorded_digest() {
+    let topo = Topology::fat_tree(&FatTreeConfig::new(4));
+    let pairs = shuffle_pairs(&topo, Some(6), 11);
+    let run = run_pairs_scenario(topo, &pairs, 60_000);
+    assert_recorded("fat-tree shuffle", run, 0x9b80_5166_a38d_e6d7);
 }
 
 #[test]
-fn partition_matrix_never_changes_a_fat_tree_report() {
-    let run = |partitions| {
-        let topo = Topology::fat_tree(&FatTreeConfig::new(4));
-        let pairs = shuffle_pairs(&topo, Some(6), 11);
-        run_pairs_partitioned(topo, &pairs, 60_000, partitions)
-    };
-    let (trace_1, bytes_1) = run(1);
-    assert!(bytes_1.iter().all(|&(sent, _)| sent > 0));
-    assert_recorded(
-        "fat-tree shuffle",
-        &trace_1,
-        &bytes_1,
-        0x9b80_5166_a38d_e6d7,
-    );
-    for partitions in PARTITION_MATRIX {
-        let (trace_n, bytes_n) = run(partitions);
-        assert_eq!(
-            trace_1, trace_n,
-            "fat-tree trace diverged at {partitions} partitions"
-        );
-        assert_eq!(
-            bytes_1, bytes_n,
-            "fat-tree byte counters diverged at {partitions} partitions"
-        );
-    }
+fn a_seeded_loss_jitter_run_matches_its_recorded_digest() {
+    // Randomized loss and jitter draw from per-link impairment streams, so
+    // the whole impaired report is a pure function of the two seeds.
+    let run = run_impaired_scenario(9, 1234);
+    assert_recorded("seeded loss/jitter", run, 0xc8e9_b5a5_51e6_af5d);
 }
 
-#[test]
-fn partition_matrix_never_changes_a_seeded_loss_jitter_run() {
-    // The headline fix of the per-link impairment streams: randomized
-    // loss/jitter draws used to vary with the partition split; now the
-    // whole impaired report is pinned across the matrix too.
-    let (trace_1, bytes_1) = run_impaired_partitioned(9, 1234, 1);
-    assert!(bytes_1.iter().all(|&(sent, _)| sent > 0));
-    assert_recorded(
-        "seeded loss/jitter",
-        &trace_1,
-        &bytes_1,
-        0xc8e9_b5a5_51e6_af5d,
-    );
-    for partitions in PARTITION_MATRIX {
-        let (trace_n, bytes_n) = run_impaired_partitioned(9, 1234, partitions);
-        assert_eq!(
-            trace_1, trace_n,
-            "impaired trace diverged at {partitions} partitions"
-        );
-        assert_eq!(
-            bytes_1, bytes_n,
-            "impaired byte counters diverged at {partitions} partitions"
-        );
-    }
-}
-
-/// A cable-cut run on a fat-tree, decomposed into `partitions` cores: the
-/// busiest-cable flap (down + restore, both directions) drains queues,
-/// reroutes ECMP flows and crosses partition boundaries — and must stay
-/// bit-identical for every partition count.
-fn run_cable_cut_partitioned(partitions: usize) -> (Vec<TracePoint>, Vec<(u64, u64)>) {
+/// A cable-cut run on a fat-tree: the busiest-cable flap (down + restore,
+/// both directions) drains queues and reroutes ECMP flows.
+fn run_cable_cut_scenario() -> (Vec<TracePoint>, Vec<(u64, u64)>) {
     use numfabric::sim::LinkChange;
     use numfabric::workloads::impairments::fabric_cables;
     use numfabric::workloads::stride_pairs;
@@ -511,7 +395,6 @@ fn run_cable_cut_partitioned(partitions: usize) -> (Vec<TracePoint>, Vec<(u64, u
 
     let config = NumFabricConfig::paper_default();
     let mut net = numfabric_network(topo, &config);
-    net.set_partitions(partitions);
     for link in [cut_fwd, cut_rev] {
         net.schedule_link_change(SimTime::from_micros(500), link, LinkChange::Down);
         net.schedule_link_change(SimTime::from_micros(1_500), link, LinkChange::Up);
@@ -543,21 +426,8 @@ fn run_cable_cut_partitioned(partitions: usize) -> (Vec<TracePoint>, Vec<(u64, u
 }
 
 #[test]
-fn partition_count_never_changes_a_cable_cut_run() {
-    let (trace_1, bytes_1) = run_cable_cut_partitioned(1);
-    assert!(bytes_1.iter().all(|&(sent, _)| sent > 0));
-    assert_recorded("cable cut", &trace_1, &bytes_1, 0xf3c2_c006_ddd4_185d);
-    for partitions in [2, 4] {
-        let (trace_n, bytes_n) = run_cable_cut_partitioned(partitions);
-        assert_eq!(
-            trace_1, trace_n,
-            "cable-cut trace diverged at {partitions} partitions"
-        );
-        assert_eq!(
-            bytes_1, bytes_n,
-            "cable-cut byte counters diverged at {partitions} partitions"
-        );
-    }
+fn a_cable_cut_run_matches_its_recorded_digest() {
+    assert_recorded("cable cut", run_cable_cut_scenario(), 0xf3c2_c006_ddd4_185d);
 }
 
 /// Replay a seeded workload through pFabric's sorted priority queue with
