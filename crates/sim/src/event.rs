@@ -330,39 +330,6 @@ impl EventQueue {
         SimTime::from_nanos(self.now)
     }
 
-    /// Remove every pending event and rewind the clock to zero, retaining
-    /// every internal allocation (wheel slots, payload pools, free lists,
-    /// front) at peak capacity. This is what lets one queue be reused across
-    /// sweep cells or repartitions with zero steady-state allocation —
-    /// before this existed, callers dropped the queue and re-grew a fresh
-    /// one from empty every cell.
-    pub fn reset(&mut self) {
-        self.l0_head.fill(NIL);
-        self.l0_words = [0; L0_WORDS];
-        self.l0_summary = 0;
-        self.nodes.clear();
-        self.free_node = NIL;
-        for slot in &mut self.levels {
-            slot.clear();
-        }
-        self.occupancy = [0; LEVELS];
-        self.slot_min.fill(u64::MAX);
-        self.wheel_count = 0;
-        self.arrivals.clear();
-        self.arrivals_free.clear();
-        self.small.clear();
-        self.small_free.clear();
-        self.front.clear();
-        self.front_read = 0;
-        self.cancellable_pending.clear();
-        self.cancelled.clear();
-        self.scratch.clear();
-        self.cursor = 0;
-        self.now = 0;
-        self.next_seq = 0;
-        self.live = 0;
-    }
-
     /// `(arrival pool entries, small pool entries, key arena nodes)`
     /// currently allocated — the memory footprint of the payload stores and
     /// the level-0 arena, free or live, for the bounded-memory regression
@@ -1425,40 +1392,5 @@ mod tests {
         assert!(arena <= 2 * live_peak + 16);
         assert!(arena > 0, "the churn ran through the level-0 arena");
         q.debug_validate();
-    }
-
-    /// `reset()` rewinds a queue for reuse (the arena-per-simulation story):
-    /// pending events vanish, the clock rewinds, and repeated
-    /// fill/reset cycles never grow the pools past one cycle's footprint.
-    #[test]
-    fn reset_rewinds_and_keeps_memory_bounded() {
-        let mut q = EventQueue::new();
-        let mut footprint_after_first = None;
-        for _cycle in 0..50 {
-            // Half inside the level-0 window (the key arena), half beyond
-            // it (higher-level slots).
-            for i in 0..64 {
-                q.schedule(SimTime::from_nanos(100 + i as u64 * 137), start(i));
-            }
-            for _ in 0..20 {
-                q.pop();
-            }
-            q.reset();
-            assert!(q.is_empty());
-            assert_eq!(q.len(), 0);
-            assert_eq!(q.now(), SimTime::ZERO);
-            assert_eq!(q.peek_time(), None);
-            let fp = (q.debug_pool_sizes(), q.nodes.capacity());
-            assert_eq!(fp.0, (0, 0, 0), "reset empties the pools and the key arena");
-            assert!(fp.1 >= 30, "and keeps the arena's allocation");
-            match footprint_after_first {
-                None => footprint_after_first = Some(fp),
-                Some(first) => assert_eq!(fp, first, "reset cycles must not grow the pools"),
-            }
-            // The rewound clock accepts early timestamps again.
-            q.schedule(SimTime::from_nanos(1), start(0));
-            assert_eq!(q.pop().map(|(t, _)| t.as_nanos()), Some(1));
-            q.reset();
-        }
     }
 }
