@@ -44,9 +44,7 @@
 //!
 //! Parallelism lives between simulations: `sweep --threads` spreads whole
 //! cells over workers, and the same seed gives the same bytes for any
-//! `--threads`. Each simulation runs on one event core: the engine's
-//! partitioned mode is reachable only from its own tests and the
-//! `benchmark/` package.
+//! `--threads`. Each simulation runs on one event core, on one thread.
 //!
 //! Scenarios that list `--full` in their usage run at the paper's scale
 //! with it (128 hosts, 1000 paths, 100 events, …); the default is a

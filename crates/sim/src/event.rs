@@ -445,14 +445,14 @@ impl EventQueue {
 
     /// Schedule `event` at `at` under an externally allocated sequence
     /// number — the only way a `Network` schedules. Its keys are derived
-    /// from event content and shared by every partition's wheel, so the
-    /// cross-partition merge order `(time, seq)` is identical to the
-    /// single-queue pop order. Equal keys pop in schedule order when they
-    /// share a slot (scheduled under one cursor position) or the front
-    /// (scheduled behind the cursor); equal keys scheduled into the wheel
-    /// under different cursor positions may land on different levels, and
-    /// the finer level drains first. The queue's own counter is untouched
-    /// — do not mix seeded and unseeded scheduling on one queue.
+    /// from event content, so the pop order `(time, seq)` depends on what
+    /// the events are, not on when they were scheduled. Equal keys pop in
+    /// schedule order when they share a slot (scheduled under one cursor
+    /// position) or the front (scheduled behind the cursor); equal keys
+    /// scheduled into the wheel under different cursor positions may land
+    /// on different levels, and the finer level drains first. The queue's
+    /// own counter is untouched — do not mix seeded and unseeded
+    /// scheduling on one queue.
     ///
     /// # Panics
     /// Panics if `at` is in the past (before the last popped event).

@@ -16,17 +16,11 @@
 //! **per link**, derived from the seed passed to
 //! [`crate::network::Network::set_impairment_seed`] via [`derive_link_seed`].
 //! A link's stream advances only when that link transmits while impaired,
-//! and a link's transmissions are serialized by its own queue regardless of
-//! how the fabric is partitioned, so the draw sequence — and with it every
-//! loss decision and jitter offset — is a pure function of the seed and the
-//! scenario for **any** partition count and any sweep `--threads`. The
+//! and a link's transmissions are serialized by its own queue, so the draw
+//! sequence — and with it every loss decision and jitter offset — is a pure
+//! function of the seed and the scenario, for any sweep `--threads`. The
 //! engine keeps its no-ambient-randomness property: an unimpaired
 //! simulation never touches any stream.
-//!
-//! (Earlier revisions keyed the streams per *partition*, which made
-//! randomized draws legitimately vary with `--partitions`. Per-link streams
-//! removed that caveat: impaired reports are now bit-identical across
-//! partition counts, and the determinism suite pins it.)
 //!
 //! Schedule construction (which link, when, how long) lives one layer up in
 //! `numfabric-workloads`, next to the other seeded scenario builders; this
@@ -127,10 +121,8 @@ pub(crate) fn splitmix64_unit(state: &mut u64) -> f64 {
 /// seed. Every link gets an independent SplitMix64-mixed stream (including
 /// link 0 — mixing unconditionally keeps the base seed itself out of any
 /// stream, so no two links can collide with each other or with the raw
-/// seed). Because the stream is keyed by the link — not by whichever
-/// partition happens to own it — the draw sequence is invariant under
-/// domain decomposition: the partition count never changes a loss decision
-/// or a jitter offset.
+/// seed). Because the stream is keyed by the link, a loss decision or a
+/// jitter offset depends only on that link's own transmissions.
 pub fn derive_link_seed(seed: u64, link: usize) -> u64 {
     // Mix the link index through one SplitMix64 step of a state offset by
     // golden-ratio multiples — the same construction the sweep engine uses
