@@ -19,7 +19,7 @@
 
 use numfabric_num::utility::{Utility, UtilityRef};
 use numfabric_sim::network::{AgentCtx, Network};
-use numfabric_sim::packet::{Packet, DEFAULT_PAYLOAD_BYTES, MTU_BYTES};
+use numfabric_sim::packet::{Packet, MTU_BYTES};
 use numfabric_sim::queue::DropTailFifo;
 use numfabric_sim::timer::TimerHandle;
 use numfabric_sim::topology::Topology;
@@ -177,7 +177,7 @@ impl DgdAgent {
             self.pacing_timer = None;
             return;
         };
-        if ctx.in_flight_bytes() + (DEFAULT_PAYLOAD_BYTES as u64) <= self.unacked_cap_bytes {
+        if ctx.in_flight_bytes() + payload as u64 <= self.unacked_cap_bytes {
             ctx.send_next(payload, |_| {});
         }
         // Schedule the next transmission opportunity at the paced interval

@@ -114,7 +114,9 @@ const PINS: &[(&str, u64)] = &[
 /// tables, which refuse `--json` — recorded at commit f7c3791 (the parent of
 /// the one-driver change). `dynamic --protocol dgd` is the pin that notices
 /// recycled flow slots: DGD's pacing-timer keys carry the flow id, so a
-/// reused id reorders same-instant timers. `table2` was recorded once its
+/// reused id reorders same-instant timers; it was re-recorded when DGD's
+/// unacked-bytes cap began checking the real payload rather than a full
+/// segment. `table2` was recorded once its
 /// DGD heading pointed at `DgdConfig`'s docs. `fig10` was re-recorded when
 /// its capacity change moved from the 4.8 ms sample to the 5 ms its header
 /// states. The last four are the human text of four `PINS` runs, recorded
@@ -125,7 +127,7 @@ const STDOUT_PINS: &[(&str, u64)] = &[
     ("fig10", 0xf882_4ebb_d912_f7c9),
     ("table2", 0x458d_9a01_38aa_e201),
     ("dynamic --load 0.3", 0x4aef_e3cd_f22a_d752),
-    ("dynamic --protocol dgd --load 0.7", 0x5577_2566_d430_6e99),
+    ("dynamic --protocol dgd --load 0.7", 0x3efc_21b1_867d_3abf),
     ("semi-dynamic --events 2", 0x83d2_593a_680f_e133),
     (
         "incast --topology fat-tree:k=4 --fanin 4 --size 100000",
