@@ -385,9 +385,7 @@ fn handle_event(shared: &Shared, core: &mut Core, id: EventId, event: Event) {
 
 fn handle_flow_start(shared: &Shared, core: &mut Core, flow: FlowId) {
     {
-        let sender = core.senders[flow]
-            .as_mut()
-            .expect("a live flow has a sender");
+        let sender = core.senders[flow].as_mut().expect("sender of a live flow");
         if sender.phase != FlowPhase::Pending {
             return;
         }
@@ -399,9 +397,7 @@ fn handle_flow_start(shared: &Shared, core: &mut Core, flow: FlowId) {
 
 fn handle_flow_stop(shared: &Shared, core: &mut Core, flow: FlowId) {
     {
-        let sender = core.senders[flow]
-            .as_mut()
-            .expect("a live flow has a sender");
+        let sender = core.senders[flow].as_mut().expect("sender of a live flow");
         if sender.phase != FlowPhase::Active {
             return;
         }
@@ -414,9 +410,7 @@ fn handle_flow_stop(shared: &Shared, core: &mut Core, flow: FlowId) {
 /// Cancel every armed timer of a stopped or completed flow, so a dead flow
 /// fires nothing into the dispatch path.
 fn cancel_timers(core: &mut Core, flow: FlowId) {
-    let sender = core.senders[flow]
-        .as_mut()
-        .expect("a live flow has a sender");
+    let sender = core.senders[flow].as_mut().expect("sender of a live flow");
     for id in sender.timers.drain(..) {
         core.events.cancel(id);
     }
@@ -432,9 +426,7 @@ fn queue_releases(shared: &Shared, core: &mut Core, flow: FlowId) {
 fn dispatch_timer(shared: &Shared, core: &mut Core, flow: FlowId, tag: u64, id: EventId) {
     // Forget the fired id before the agent runs, so a re-arm inside the
     // callback starts from a clean slate.
-    let sender = core.senders[flow]
-        .as_mut()
-        .expect("a live flow has a sender");
+    let sender = core.senders[flow].as_mut().expect("sender of a live flow");
     forget_timer(sender, id);
     // Stop/completion cancels outstanding timers; this guard is defence in
     // depth, not the cancellation mechanism.
@@ -632,7 +624,7 @@ fn receiver_deliver(shared: &Shared, core: &mut Core, packet: Packet) {
     let (delivered, inter, ack_seq) = {
         let rx = core.receivers[flow]
             .as_mut()
-            .expect("a live flow has a receiver");
+            .expect("receiver of a live flow");
         rx.bytes_delivered += packet.payload_bytes as u64;
         rx.packets_delivered += 1;
         rx.tracer.on_arrival(packet.payload_bytes as u64, now);
@@ -677,9 +669,7 @@ fn sender_ack(shared: &Shared, core: &mut Core, ack_bytes: u64, packet: Packet) 
     let flow = packet.flow;
     core.flow_packets[flow] -= 1;
     let completed_now = {
-        let sender = core.senders[flow]
-            .as_mut()
-            .expect("a live flow has a sender");
+        let sender = core.senders[flow].as_mut().expect("sender of a live flow");
         sender.bytes_acked = sender.bytes_acked.max(ack_bytes);
         if sender.phase != FlowPhase::Active {
             return;
@@ -723,7 +713,7 @@ fn with_agent(
     }
     core.senders[flow]
         .as_mut()
-        .expect("a live flow has a sender")
+        .expect("sender of a live flow")
         .agent = Some(agent);
 }
 
@@ -1357,13 +1347,13 @@ impl Network {
     fn sender(&self, flow: FlowId) -> &SenderState {
         self.core.senders[flow]
             .as_ref()
-            .expect("a live flow has a sender")
+            .expect("sender of a live flow")
     }
 
     fn receiver(&self, flow: FlowId) -> &ReceiverState {
         self.core.receivers[flow]
             .as_ref()
-            .expect("a live flow has a receiver")
+            .expect("receiver of a live flow")
     }
 
     /// A flow's counters, assembled from its sender and receiver endpoints.
@@ -1488,13 +1478,13 @@ impl AgentCtx<'_> {
     fn sender(&self) -> &SenderState {
         self.core.senders[self.flow]
             .as_ref()
-            .expect("an agent's flow has a sender")
+            .expect("sender of a live flow")
     }
 
     fn sender_mut(&mut self) -> &mut SenderState {
         self.core.senders[self.flow]
             .as_mut()
-            .expect("an agent's flow has a sender")
+            .expect("sender of a live flow")
     }
 
     /// Payload bytes not yet handed to the network (`None` for long-running
@@ -1601,9 +1591,7 @@ impl AgentCtx<'_> {
         // restarts (see the key banner).
         let flow = self.flow;
         let core = &mut *self.core;
-        let sender = core.senders[flow]
-            .as_mut()
-            .expect("an agent's flow has a sender");
+        let sender = core.senders[flow].as_mut().expect("sender of a live flow");
         let key = event_key(KIND_FLOW_TIMER, flow as u64, sender.timer_arms);
         sender.timer_arms += 1;
         let at = core.clock + delay;
