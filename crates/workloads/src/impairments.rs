@@ -16,7 +16,7 @@
 //!
 //! Determinism: a schedule is pure data — its changes plus the seed of
 //! the network's loss/jitter draws; applying it hands each change to the
-//! network as a coordinator-level link change, and the seeded victim
+//! network as a sync-point link change, and the seeded victim
 //! selection below uses the same ChaCha8 streams as every other workload
 //! generator. Replays of an impaired scenario are bit-identical.
 
@@ -41,7 +41,7 @@ pub struct ImpairmentEvent {
 
 /// A list of timed link changes and the seed of the loss/jitter draws they
 /// cause. [`apply`](Self::apply) hands them to a [`Network`] as
-/// coordinator-level link changes: each takes effect at its instant, before
+/// sync-point link changes: each takes effect at its instant, before
 /// any wheel event of that instant.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ImpairmentSchedule {
