@@ -67,7 +67,10 @@ fn moved_pins(pins: &[(&str, u64)], digest: fn(&str) -> u64) -> Vec<String> {
 /// overflows the shallow buffers, so it evicts, drops and resends on RTO),
 /// were recorded at 916427a. The non-default-protocol sweep, the only pin
 /// of the sweep's protocol axis beyond its default two, was recorded at
-/// 994640b.
+/// 994640b. The all-variant `--impair` stride, the one pin that runs every
+/// `LinkChange` variant (same-instant changes on one link among them), was
+/// recorded at 2a6ee82, the parent of the change that made link changes
+/// wheel events.
 const PINS: &[(&str, u64)] = &[
     (
         "incast --topology fat-tree:k=4 --fanin 4 --size 100000",
@@ -107,6 +110,11 @@ const PINS: &[(&str, u64)] = &[
         "sweep --scenarios incast,stride --topologies fat-tree:k=4 \
          --protocols dgd,rcp,pfabric --loads 0.25 --sizes 50000",
         0x53c1_f889_3cea_eb73,
+    ),
+    (
+        "stride --topology fat-tree:k=4 --millis 2 --impair speed@300:22=2.5e9,jitter@0:22=2,\
+         loss@100:64=0.01,down@500:64,up@1200:64,down-fwd@700:30,up@900:30,down@700:31,up@700:31",
+        0x5c97_3305_72e2_b75b,
     ),
 ];
 

@@ -404,6 +404,51 @@ fn a_reroute_resend_at_the_end_instant_queues_like_any_earlier_event() {
     assert_eq!(wake_ups(&handled, uplink), vec![TX, 2 * TX]);
 }
 
+/// Changes of one instant apply in schedule order, also on one link: the
+/// later speed wins, and a `Down` followed by an `Up` leaves the link up
+/// (the reverse order leaves it down).
+#[test]
+fn same_instant_changes_apply_in_schedule_order() {
+    let mut rig = Rig::new(|| Box::new(DropTailFifo::with_default_buffer()));
+    let at = SimTime::from_nanos(500);
+    let script = [
+        (0, LinkChange::Speed(2e9)),
+        (1, LinkChange::Down),
+        (0, LinkChange::Speed(5e9)),
+        (2, LinkChange::Up),
+        (1, LinkChange::Up),
+        (2, LinkChange::Down),
+    ];
+    for (link, change) in script {
+        rig.net.schedule_link_change(at, link, change);
+    }
+    rig.run_until_ns(499);
+    let built = rig.net.topology().links()[0].capacity_bps;
+    assert_eq!(rig.net.link_capacity_bps(0), built);
+    assert!(rig.net.link_is_up(1) && rig.net.link_is_up(2));
+    rig.run_until_ns(500);
+    assert_eq!(rig.net.link_capacity_bps(0), 5e9);
+    assert!(rig.net.link_is_up(1));
+    assert!(!rig.net.link_is_up(2));
+}
+
+/// A change precedes the flow starts of its instant, whichever was
+/// scheduled first: `Loss(1.0)` on host 0's uplink at t = 0 drops the
+/// packet that a t = 0 flow sends from `on_start`.
+#[test]
+fn a_change_at_a_flow_start_instant_applies_before_the_start() {
+    let mut rig = Rig::new(|| Box::new(DropTailFifo::with_default_buffer()));
+    let flow = rig.flow(0, 4, 0, 0, Scripted::new(&[(0, 1.0)]));
+    let uplink = rig.hop(flow, 0);
+    rig.net
+        .schedule_link_change(SimTime::ZERO, uplink, LinkChange::Loss(1.0));
+    rig.run_until_ns(0);
+    assert_eq!(rig.net.flow_stats(flow).packets_dropped, 1);
+    assert_eq!(rig.net.link_stats(uplink).packets_dropped, 1);
+    rig.run_until_ns(20_000);
+    assert_eq!(rig.net.flow_stats(flow).bytes_delivered, 0);
+}
+
 // ---- (d) the instant an inclusive run just finished is settled ------------
 
 /// The same schedule as above, except that the failure is scheduled only
