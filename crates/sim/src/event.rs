@@ -74,6 +74,7 @@
 //! flow removes its pending timers.
 
 use crate::hash::FixedHashSet;
+use crate::impairment::LinkChange;
 use crate::packet::{FlowId, Packet};
 use crate::time::SimTime;
 use crate::topology::LinkId;
@@ -119,6 +120,14 @@ pub enum Event {
     FlowStop {
         /// The flow to stop.
         flow: FlowId,
+    },
+    /// A scheduled [`LinkChange`] takes effect (see
+    /// [`crate::network::Network::schedule_link_change`]).
+    LinkChange {
+        /// The changed link.
+        link: LinkId,
+        /// Its new state.
+        change: LinkChange,
     },
 }
 
@@ -167,7 +176,11 @@ enum SmallEvent {
     LinkTimer { link: LinkId },
     FlowStart { flow: FlowId },
     FlowStop { flow: FlowId },
+    LinkChange { link: LinkId, change: LinkChange },
 }
+
+// A link change fits the small pool's existing 24-byte entries.
+const _: () = assert!(std::mem::size_of::<Option<SmallEvent>>() == 24);
 
 impl SmallEvent {
     fn into_event(self) -> Event {
@@ -177,6 +190,7 @@ impl SmallEvent {
             SmallEvent::LinkTimer { link } => Event::LinkTimer { link },
             SmallEvent::FlowStart { flow } => Event::FlowStart { flow },
             SmallEvent::FlowStop { flow } => Event::FlowStop { flow },
+            SmallEvent::LinkChange { link, change } => Event::LinkChange { link, change },
         }
     }
 }
@@ -365,6 +379,9 @@ impl EventQueue {
             Event::LinkTimer { link } => self.store_small(SmallEvent::LinkTimer { link }),
             Event::FlowStart { flow } => self.store_small(SmallEvent::FlowStart { flow }),
             Event::FlowStop { flow } => self.store_small(SmallEvent::FlowStop { flow }),
+            Event::LinkChange { link, change } => {
+                self.store_small(SmallEvent::LinkChange { link, change })
+            }
         }
     }
 
@@ -511,11 +528,10 @@ impl EventQueue {
         if t < self.cursor || pending.last().is_some_and(|k| k.time == t) {
             // Behind the cursor (which a peek may have advanced), or joining
             // the bucket being drained. With the queue's own counter at the
-            // bucket's time this is a plain append; seeded keys (boundary
-            // messages drained at a barrier, inserts after a peek) may sort
-            // earlier, so insert at the `(time, seq)`-sorted position —
-            // *after* any equal key, so content-keyed duplicates pop in FIFO
-            // (schedule) order.
+            // bucket's time this is a plain append; seeded keys (content
+            // keys, inserts after a peek) may sort earlier, so insert at the
+            // `(time, seq)`-sorted position — *after* any equal key, so
+            // content-keyed duplicates pop in FIFO (schedule) order.
             let pos = pending.partition_point(|k| (k.time, k.seq) <= (t, seq));
             self.front.insert(self.front_read + pos, key);
         } else {

@@ -49,11 +49,13 @@
 //! position is compared in that same order (see `try_transmit`), so no
 //! shared sequence counter decides what runs first.
 //!
-//! Link changes are **sync events** outside the wheel: a run stops just
-//! before the change's instant, applies it ahead of every wheel event of
-//! that instant, then resumes. While the core dispatches wheel events it
-//! holds `&mut` to its own `Core` and `&` to the `Shared` tables, so a
-//! handler can change no topology, route or link health it reads.
+//! Link changes are wheel events too, of the kind that sorts first at its
+//! instant: a change applies ahead of every other event of that instant,
+//! and same-instant changes apply in schedule order. The dispatch loop
+//! hands a popped change back to [`Network::run_until`], the one place
+//! that writes the `Shared` tables; every other handler holds `&mut` to
+//! the `Core` and `&` to `Shared`, so it can change no topology, route or
+//! link health it reads.
 
 use crate::event::{Event, EventId, EventQueue};
 use crate::flow::{FlowPhase, FlowSpec, FlowStats};
@@ -95,6 +97,9 @@ pub struct LinkStats {
 //
 // Keys are unique per instant, so dispatch order never rests on the
 // wheel's tie-break (`advance_core` checks this in debug builds). Per kind:
+// - link change: the secondary field is the network's count of changes
+//   scheduled so far, so same-instant changes apply in schedule order,
+//   whichever links they touch.
 // - flow start / stop: one start per flow id, and a recycled id starts only
 //   after its previous flow completed, strictly later; callers of
 //   `Network::stop_flow` stop a flow once.
@@ -117,8 +122,9 @@ pub struct LinkStats {
 //   a retransmission meeting its original, two duplicate ACKs, or data
 //   offsets a multiple of 32 KiB apart.
 
-const KIND_FLOW_START: u64 = 0;
-const KIND_FLOW_STOP: u64 = 1;
+const KIND_LINK_CHANGE: u64 = 0;
+const KIND_FLOW_START: u64 = 1;
+const KIND_FLOW_STOP: u64 = 2;
 const KIND_LINK_TIMER: u64 = 3;
 const KIND_FLOW_TIMER: u64 = 4;
 const KIND_TRANSMIT_COMPLETE: u64 = 5;
@@ -172,9 +178,9 @@ fn arrival_key(link: LinkId, packet: &Packet) -> u64 {
 // ---- state layout ---------------------------------------------------------
 
 /// The tables the event handlers read but never write: topology, routes,
-/// flow specs and link health/capacity. The network changes them only
-/// between wheel events (at setup time or at a link-change sync point);
-/// a handler sees `&Shared`.
+/// flow specs and link health/capacity. The network changes them only at
+/// setup time or when [`Network::run_until`] applies a link change; a
+/// handler sees `&Shared`.
 struct Shared {
     topo: Topology,
     routes: RouteTable,
@@ -183,7 +189,7 @@ struct Shared {
     link_caps: Vec<f64>,
     /// Current impairment state of each link.
     link_health: Vec<LinkHealth>,
-    /// The instant the last inclusive stretch ran through: every wheel
+    /// The instant the last [`Network::run_until`] ended at: every wheel
     /// event at it, wake-ups included, has been handled, so whatever is
     /// dispatched at that instant afterwards (a link change or flow start
     /// scheduled for "now" between runs) sits behind all of them.
@@ -255,10 +261,6 @@ struct SenderState {
     packets_sent: u64,
     bytes_acked: u64,
     started_at: Option<SimTime>,
-    /// The flow slot's arm count: the secondary field of the next timer's
-    /// key. It continues the slot's previous occupant's count (see
-    /// `Network::slot_timer_arms`), so timer keys never repeat per slot.
-    timer_arms: u64,
     /// Ids of the armed, un-fired timers. Flows keep at most a handful, so
     /// a small Vec beats any map.
     timers: Vec<EventId>,
@@ -277,16 +279,6 @@ struct ReceiverState {
     /// Reset when the flow is rerouted.
     last_data_arrival: Option<SimTime>,
     ack_mode: AckMode,
-}
-
-/// A link change waiting to apply at a sync point. Not a wheel event: the
-/// run stops before the change's instant, applies the change, then
-/// resumes. `order` preserves schedule order among same-instant changes.
-struct GlobalEvent {
-    at: SimTime,
-    order: u64,
-    link: LinkId,
-    change: LinkChange,
 }
 
 /// The event core: the timing wheel, link runtimes and flow endpoints.
@@ -314,11 +306,16 @@ struct Core {
     /// [`Network::try_retire_flow`] requires before recycling the flow's
     /// slot.
     flow_packets: Vec<i64>,
-    /// The core's clock (the time of its last handled event, or the last
-    /// sync point).
+    /// `timer_arms[slot]`: the slot's timer arm count, the secondary field
+    /// of its next timer's key. A recycled slot's next occupant continues
+    /// it: cancelled timers wait in the wheel as tombstones until their
+    /// deadline, so a count restarting at 0 could repeat a key the wheel
+    /// still holds.
+    timer_arms: Vec<u64>,
+    /// The network's clock: the time of the event being dispatched, or,
+    /// between runs, the end of the last run.
     clock: SimTime,
-    /// Content key of the event being dispatched (0 at a sync point, which
-    /// precedes every wheel event of its instant): with `clock`, the
+    /// Content key of the event being dispatched: with `clock`, the
     /// position [`try_transmit`] compares against a link's free position.
     cur_key: u64,
     /// `(time, key)` of the last event dispatched: keys are unique per
@@ -336,14 +333,12 @@ struct Core {
 // Everything below runs with `&Shared` + `&mut Core`: a handler changes
 // the core's state and none of the tables it reads.
 
-/// Run the core through every wheel event up to the bound, popping and
-/// dispatching one event at a time in the wheel's `(time, key)` order.
-/// `inclusive` says whether events at the bound itself run.
-fn advance_core(shared: &Shared, core: &mut Core, bound: SimTime, inclusive: bool) {
-    while let Some(t) = core.events.peek_time() {
-        if t > bound || (!inclusive && t == bound) {
-            return;
-        }
+/// Run the core through every wheel event up to and including `until`,
+/// popping and dispatching one event at a time in the wheel's `(time, key)`
+/// order. Stops early at a link change, which it returns for the caller to
+/// apply: a change writes the tables a handler only reads.
+fn advance_core(shared: &Shared, core: &mut Core, until: SimTime) -> Option<(LinkId, LinkChange)> {
+    while core.events.peek_time()? <= until {
         let (time, id, event) = core.events.pop_entry().expect("peeked event must exist");
         // Publish the event's key as the core's dispatch position.
         core.clock = time;
@@ -362,8 +357,12 @@ fn advance_core(shared: &Shared, core: &mut Core, bound: SimTime, inclusive: boo
         if let Some(trace) = &mut core.trace {
             trace.push((time, id.as_u64()));
         }
+        if let Event::LinkChange { link, change } = event {
+            return Some((link, change));
+        }
         handle_event(shared, core, id, event);
     }
+    None
 }
 
 fn handle_event(shared: &Shared, core: &mut Core, id: EventId, event: Event) {
@@ -380,6 +379,7 @@ fn handle_event(shared: &Shared, core: &mut Core, id: EventId, event: Event) {
             try_transmit(shared, core, link);
         }
         Event::Arrival { link, packet } => handle_arrival(shared, core, link, packet),
+        Event::LinkChange { .. } => unreachable!("run_until applies link changes"),
     }
 }
 
@@ -507,9 +507,9 @@ fn enqueue_on_link(shared: &Shared, core: &mut Core, link: LinkId, mut packet: P
 /// serialization: the link records its free position `(end instant, its
 /// wake-up key)` and is occupied iff the event being dispatched sits
 /// strictly before it in the wheel's own `(time, content key)` order. So at
-/// the end instant itself start- and timer-driven sends (kinds 0/4, below
-/// the wake-up's kind 5) still queue and leave the choice to the
-/// discipline, while arrivals (kind 6) find the link free. The one
+/// the end instant itself change-, start- and timer-driven sends (kinds 0,
+/// 1 and 4, below the wake-up's kind 5) still queue and leave the choice
+/// to the discipline, while arrivals (kind 6) find the link free. The one
 /// exception is the settled instant (`Shared::settled_at`): a previous run
 /// already handled every event there, so whatever is dispatched at it now
 /// is behind the link's end of serialization whatever its key.
@@ -724,27 +724,18 @@ fn with_agent(
 /// A `Network` owns every piece of its simulation state and is `Send`
 /// (asserted at compile time below): move it to a worker thread and run it
 /// there. Concurrent sweeps exploit this, one `Network` per thread. Each
-/// runs one event core on the calling thread and applies link changes
-/// between its wheel events (see the module docs).
+/// runs one event core on the calling thread (see the module docs).
 pub struct Network {
     shared: Shared,
     core: Core,
-    clock: SimTime,
-    /// Pending link changes, applied at sync points.
-    globals: Vec<GlobalEvent>,
-    global_order: u64,
-    /// Link changes applied so far (counted into `events_processed`).
-    sync_events: u64,
+    /// Link changes scheduled so far: the secondary field of the next
+    /// change's key.
+    link_changes: u64,
     /// Flow ids whose slots were retired by [`Network::try_retire_flow`]
     /// and are free for reuse by the next [`Network::add_flow`]. LIFO, so
     /// churn workloads keep re-touching the same hot slots and the slab's
     /// high-water mark tracks *concurrent* flows, not total flows.
     free_flows: Vec<FlowId>,
-    /// `slot_timer_arms[slot]`: the arm count a retired slot's last
-    /// occupant reached, where its next occupant starts counting. Cancelled
-    /// timers wait in the wheel as tombstones until their deadline, so a
-    /// count restarting at 0 could repeat a key the wheel still holds.
-    slot_timer_arms: Vec<u64>,
     /// The forward route of the flow being admitted and its reverse, reused
     /// across admissions so a warm [`Network::add_flow`] allocates nothing.
     route_buf: Vec<LinkId>,
@@ -780,6 +771,7 @@ impl Network {
             receivers: Vec::new(),
             flow_drops: Vec::new(),
             flow_packets: Vec::new(),
+            timer_arms: Vec::new(),
             clock: SimTime::ZERO,
             cur_key: 0,
             #[cfg(debug_assertions)]
@@ -790,12 +782,8 @@ impl Network {
         Self {
             shared,
             core,
-            clock: SimTime::ZERO,
-            globals: Vec::new(),
-            global_order: 0,
-            sync_events: 0,
+            link_changes: 0,
             free_flows: Vec::new(),
-            slot_timer_arms: Vec::new(),
             route_buf: Vec::new(),
             reverse_buf: Vec::new(),
         }
@@ -829,7 +817,7 @@ impl Network {
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.clock
+        self.core.clock
     }
 
     /// Attach a switch-side controller to a link. If the controller requests
@@ -844,9 +832,11 @@ impl Network {
         ls.controller = Some(controller);
         let key = event_key(KIND_LINK_TIMER, link as u64, ls.controller_gen);
         if let Some(delay) = initial {
-            self.core
-                .events
-                .schedule_seeded(self.clock + delay, Event::LinkTimer { link }, key);
+            self.core.events.schedule_seeded(
+                self.core.clock + delay,
+                Event::LinkTimer { link },
+                key,
+            );
         }
     }
 
@@ -915,7 +905,7 @@ impl Network {
             src,
             dst,
             size_bytes,
-            start_time: start_time.max(self.clock),
+            start_time: start_time.max(self.core.clock),
             route,
             reverse_route,
             base_rtt,
@@ -939,16 +929,16 @@ impl Network {
                 let id = self.shared.specs.len();
                 assert_fits_key("flow slot", id);
                 self.shared.specs.push(spec);
-                self.slot_timer_arms.push(0);
                 core.senders.push(None);
                 core.receivers.push(None);
                 core.flow_drops.push(0);
                 core.flow_packets.push(0);
+                core.timer_arms.push(0);
                 id
             }
         };
         // A retired slot's drop and in-flight counts were zeroed when it
-        // retired.
+        // retired; its timer arm count carries on.
         debug_assert!(core.senders[id].is_none() && core.receivers[id].is_none());
         core.senders[id] = Some(SenderState {
             agent: Some(agent),
@@ -957,7 +947,6 @@ impl Network {
             packets_sent: 0,
             bytes_acked: 0,
             started_at: None,
-            timer_arms: self.slot_timer_arms[id],
             timers: Vec::new(),
         });
         core.receivers[id] = Some(ReceiverState {
@@ -979,7 +968,7 @@ impl Network {
     /// Stop an active flow (it stops sending; in-flight packets still drain).
     pub fn stop_flow(&mut self, flow: FlowId) {
         self.core.events.schedule_seeded(
-            self.clock,
+            self.core.clock,
             Event::FlowStop { flow },
             event_key(KIND_FLOW_STOP, flow as u64, 0),
         );
@@ -1018,11 +1007,9 @@ impl Network {
         if !matches!(phase, FlowPhase::Completed | FlowPhase::Stopped) {
             return false;
         }
-        let sender = self.sender(flow);
-        if !sender.timers.is_empty() {
+        if !self.sender(flow).timers.is_empty() {
             return false;
         }
-        let timer_arms = sender.timer_arms;
         let core = &mut self.core;
         debug_assert!(
             core.flow_packets[flow] >= 0,
@@ -1034,7 +1021,6 @@ impl Network {
         core.senders[flow] = None;
         core.receivers[flow] = None;
         core.flow_drops[flow] = 0;
-        self.slot_timer_arms[flow] = timer_arms;
         self.free_flows.push(flow);
         true
     }
@@ -1059,23 +1045,22 @@ impl Network {
     // ---- impairments ------------------------------------------------------
 
     /// Schedule a [`LinkChange`] to take effect at `at` (clamped to the
-    /// current time). Link changes are sync events outside the wheel: the
-    /// simulation runs up to the change's instant, applies it ahead of
-    /// every wheel event of that instant, then resumes. Impairment schedules
-    /// built by `numfabric-workloads` reduce to a sequence of these calls.
+    /// current time). The change is a wheel event that applies ahead of
+    /// every other event of its instant, after the changes scheduled
+    /// before it for that instant. Impairment schedules built by
+    /// `numfabric-workloads` reduce to a sequence of these calls.
     pub fn schedule_link_change(&mut self, at: SimTime, link: LinkId, change: LinkChange) {
         assert!(
             link < self.shared.topo.links().len(),
             "no such link: {link}"
         );
-        let order = self.global_order;
-        self.global_order += 1;
-        self.globals.push(GlobalEvent {
-            at: at.max(self.clock),
-            order,
-            link,
-            change,
-        });
+        let key = event_key(KIND_LINK_CHANGE, 0, self.link_changes);
+        self.link_changes += 1;
+        self.core.events.schedule_seeded(
+            at.max(self.core.clock),
+            Event::LinkChange { link, change },
+            key,
+        );
     }
 
     /// Seed the impairment streams that randomized [`LinkChange::Loss`] and
@@ -1104,7 +1089,7 @@ impl Network {
         self.shared.link_caps[link]
     }
 
-    /// Apply one link change at a sync point, between wheel events.
+    /// Apply one link change, popped from the wheel by [`advance_core`].
     fn apply_link_change(&mut self, link: LinkId, change: LinkChange) {
         match change {
             LinkChange::Down | LinkChange::DownFwd => {
@@ -1276,57 +1261,24 @@ impl Network {
 
     // ---- run loops --------------------------------------------------------
 
-    /// The instant of the earliest pending link change.
-    fn next_global_time(&self) -> Option<SimTime> {
-        self.globals.iter().map(|g| g.at).min()
-    }
-
-    /// Apply every pending link change scheduled for instant `g`, in
-    /// schedule order, at the sync point `g`.
-    fn apply_globals_at(&mut self, g: SimTime) {
-        let (mut due, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.globals)
-            .into_iter()
-            .partition(|e| e.at == g);
-        self.globals = rest;
-        due.sort_by_key(|e| e.order);
-        // A sync point precedes every wheel event of its instant: position
-        // `(g, 0)`, so a link whose serialization ends exactly at `g` is
-        // still occupied for the changes below (unless `g` is settled).
-        self.core.clock = g;
-        self.core.cur_key = 0;
-        for e in due {
-            self.sync_events += 1;
-            self.apply_link_change(e.link, e.change);
-        }
-    }
-
     /// Run the simulation until (and including) time `until`.
     ///
-    /// The core dispatches wheel events in `(time, key)` order. A pending
-    /// link change splits the run: every wheel event strictly before its
-    /// instant runs, the change applies, and the run resumes. Splitting one
-    /// call into several changes no byte.
+    /// The core dispatches wheel events in `(time, key)` order and applies
+    /// each link change it pops, at the change's position: a link whose
+    /// serialization ends at the change's instant is still occupied for it
+    /// (unless that instant is settled). Splitting one call into several
+    /// changes no byte.
     pub fn run_until(&mut self, until: SimTime) {
-        loop {
-            match self.next_global_time() {
-                Some(g) if g <= until => {
-                    advance_core(&self.shared, &mut self.core, g, false);
-                    self.clock = g;
-                    self.apply_globals_at(g);
-                }
-                _ => {
-                    advance_core(&self.shared, &mut self.core, until, true);
-                    break;
-                }
-            }
+        while let Some((link, change)) = advance_core(&self.shared, &mut self.core, until) {
+            self.apply_link_change(link, change);
         }
-        self.clock = self.clock.max(until);
-        self.shared.settled_at = Some(self.clock);
+        self.core.clock = self.core.clock.max(until);
+        self.shared.settled_at = Some(self.core.clock);
     }
 
     /// Run the simulation for `duration` beyond the current time.
     pub fn run_for(&mut self, duration: SimDuration) {
-        let until = self.clock + duration;
+        let until = self.core.clock + duration;
         self.run_until(until);
     }
 
@@ -1391,7 +1343,7 @@ impl Network {
 
     /// The destination-side EWMA rate estimate for a flow, in bits/s.
     pub fn flow_rate_estimate(&self, flow: FlowId) -> f64 {
-        self.receiver(flow).tracer.rate_bps(self.clock)
+        self.receiver(flow).tracer.rate_bps(self.core.clock)
     }
 
     /// Counters for a link. Backlog counts include the control lane.
@@ -1417,14 +1369,14 @@ impl Network {
     /// Total number of events dispatched so far, link changes included
     /// (the benchmark divides this by wall time to report events/sec).
     pub fn events_processed(&self) -> u64 {
-        self.sync_events + self.core.events_processed
+        self.core.events_processed
     }
 
-    /// Number of events currently pending in the wheel and the link-change
-    /// schedule. Structurally cancelled timers (see
+    /// Number of events currently pending in the wheel, link changes
+    /// included. Structurally cancelled timers (see
     /// [`AgentCtx::cancel_timer`]) do not count.
     pub fn pending_events(&self) -> usize {
-        self.globals.len() + self.core.events.len()
+        self.core.events.len()
     }
 
     /// Number of armed, un-fired timers of `flow`. Stopping or completing a
@@ -1591,14 +1543,13 @@ impl AgentCtx<'_> {
         // restarts (see the key banner).
         let flow = self.flow;
         let core = &mut *self.core;
-        let sender = core.senders[flow].as_mut().expect("sender of a live flow");
-        let key = event_key(KIND_FLOW_TIMER, flow as u64, sender.timer_arms);
-        sender.timer_arms += 1;
+        let key = event_key(KIND_FLOW_TIMER, flow as u64, core.timer_arms[flow]);
+        core.timer_arms[flow] += 1;
         let at = core.clock + delay;
         let id = core
             .events
             .schedule_cancellable_seeded(at, Event::FlowTimer { flow, tag }, key);
-        sender.timers.push(id);
+        self.sender_mut().timers.push(id);
         TimerHandle { id }
     }
 

@@ -26,7 +26,7 @@ const TX: u64 = 1200;
 const PAYLOAD: u32 = 1460;
 
 // Event kinds, as encoded in the top three bits of a content key.
-const KIND_FLOW_START: u64 = 0;
+const KIND_FLOW_START: u64 = 1;
 const KIND_FLOW_TIMER: u64 = 4;
 const KIND_WAKE_UP: u64 = 5;
 const KIND_ARRIVAL: u64 = 6;
@@ -347,7 +347,7 @@ fn flap(up_at: u64, send_at: u64, queued_before_down: bool) -> (Vec<(u64, u64)>,
 /// one wake-up — whether that wake-up was scheduled before the failure
 /// (and outlived the backlog it was for) or lazily by the post-restore
 /// enqueue, and whether the restore lands inside the serialization or on
-/// its very last instant (where the sync point's position `(1200, 0)`
+/// its very last instant (where the change's position `(1200, kind 0)`
 /// still reads occupied and the timer's enqueue at `(1200, kind 4)` too).
 #[test]
 fn a_flap_inside_one_serialization_resumes_the_backlog_at_its_end_once() {
@@ -377,12 +377,12 @@ fn a_wake_up_on_a_downed_link_is_a_no_op() {
     assert_eq!(drops, 2);
 }
 
-// ---- link-change senders sit at (g, 0) ------------------------------------
+// ---- link changes sort first at their instant (kind 0) -------------------
 
 /// Flow A has a packet on host 0's uplink from t = 0; at 1200 ns — the
 /// uplink's end instant — the leaf-0 → spine-0 link fails, A is rerouted and
-/// resends from `on_reroute` at the sync point, i.e. before every wheel
-/// event of that instant. Its position `(1200, 0)` precedes the uplink's
+/// resends from `on_reroute` as the change applies, i.e. before every other
+/// event of that instant. Its position `(1200, kind 0)` precedes the uplink's
 /// free position, so the resend must queue (and ask for a wake-up); flow B's
 /// timer at 1200 ns then queues a better pFabric priority, which must win.
 #[test]
@@ -449,7 +449,7 @@ fn a_change_at_a_flow_start_instant_applies_before_the_start() {
     assert_eq!(rig.net.flow_stats(flow).bytes_delivered, 0);
 }
 
-// ---- (d) the instant an inclusive run just finished is settled ------------
+// ---- (d) the instant the previous run ended at is settled -----------------
 
 /// The same schedule as above, except that the failure is scheduled only
 /// after `run_until(1200 ns)` returned — for that very instant. Every wheel
