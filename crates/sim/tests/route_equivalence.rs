@@ -389,8 +389,8 @@ fn mutation_invalidates_the_index_and_a_clone_keeps_its_own() {
 fn a_shared_topology_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Topology>();
-    // Partition workers share one `&Topology`; concurrent first queries
-    // race to fill the same tables and must agree.
+    // Threads that share one `&Topology` race to fill the same tables
+    // with their first queries, and must agree.
     let topo = Topology::fat_tree(&FatTreeConfig::new(4));
     let want = reference_routes(&topo, &reference_node_paths(&topo, 0, 15));
     std::thread::scope(|scope| {
