@@ -15,8 +15,8 @@
 //!   to a seeded, topology-aware schedule.
 //!
 //! Determinism: a schedule is pure data — its changes plus the seed of
-//! the network's loss/jitter draws; applying it hands each change to the
-//! network as a sync-point link change, and the seeded victim
+//! the network's loss/jitter draws; applying it schedules each change on
+//! the network as a link-change event, and the seeded victim
 //! selection below uses the same ChaCha8 streams as every other workload
 //! generator. Replays of an impaired scenario are bit-identical.
 
@@ -40,9 +40,8 @@ pub struct ImpairmentEvent {
 }
 
 /// A list of timed link changes and the seed of the loss/jitter draws they
-/// cause. [`apply`](Self::apply) hands them to a [`Network`] as
-/// sync-point link changes: each takes effect at its instant, before
-/// any wheel event of that instant.
+/// cause. [`apply`](Self::apply) schedules them on a [`Network`]: each
+/// takes effect at its instant, before any other event of that instant.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ImpairmentSchedule {
     /// The scheduled changes, in the order they were added. Changes due at
