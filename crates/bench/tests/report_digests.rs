@@ -129,7 +129,9 @@ const PINS: &[(&str, u64)] = &[
 /// its capacity change moved from the 4.8 ms sample to the 5 ms its header
 /// states. The last four are the human text of four `PINS` runs, recorded
 /// at cd1e654 so that the human half of a `--json` scenario's report is
-/// pinned too.
+/// pinned too. The RCP* `dynamic` run and the DGD and RCP* `semi-dynamic`
+/// runs, the only debug-mode pins of the two price-feedback senders'
+/// convergence paths, were recorded at 6ab8e8f.
 const STDOUT_PINS: &[(&str, u64)] = &[
     ("fig9", 0xdac2_fab0_951f_11bd),
     ("fig10", 0xf882_4ebb_d912_f7c9),
@@ -150,6 +152,15 @@ const STDOUT_PINS: &[(&str, u64)] = &[
         0x0a59_7b1a_4330_97b1,
     ),
     ("recovery", 0xaf45_b1fb_8d41_538f),
+    ("dynamic --protocol rcp --load 0.7", 0x2175_cd3d_d65c_f31d),
+    (
+        "semi-dynamic --events 2 --protocol dgd",
+        0xa634_c218_07be_2c0f,
+    ),
+    (
+        "semi-dynamic --events 2 --protocol rcp",
+        0xe6fe_9350_82b7_146f,
+    ),
 ];
 
 #[test]
