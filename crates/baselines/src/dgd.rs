@@ -10,6 +10,7 @@
 //!   exactly `x = U'⁻¹(Σ p_l)` (Eq. 3), paced packet by packet, with the
 //!   number of unacknowledged bytes capped at 2× the bandwidth-delay product
 //!   (the enhancement described in the paper's "Note on the implementation").
+//!   RCP* sends through the same paced sender.
 //!
 //! Prices and rates use the same Gbps-based units as NUMFabric so the same
 //! utility-function objects can be used. The gains `a` and `b` are expressed
@@ -17,19 +18,16 @@
 //! workload — [`DgdConfig::default`] holds values tuned for the 10/40 Gbps
 //! fabrics used in this repository's experiments.
 
+use crate::paced::PacedSender;
 use numfabric_num::utility::{Utility, UtilityRef};
 use numfabric_sim::network::{AgentCtx, Network};
-use numfabric_sim::packet::{Packet, MTU_BYTES};
+use numfabric_sim::packet::Packet;
 use numfabric_sim::queue::DropTailFifo;
-use numfabric_sim::timer::TimerHandle;
 use numfabric_sim::topology::Topology;
 use numfabric_sim::transport::{FlowAgent, LinkController};
 use numfabric_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Timer tag used by the DGD sender's pacing loop.
-const PACING_TIMER: u64 = 1;
 
 /// DGD parameters (Table 2, adapted to this repository's Gbps-based units).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -42,8 +40,8 @@ pub struct DgdConfig {
     pub b_per_byte: f64,
     /// Cap on unacknowledged data, in units of the bandwidth-delay product.
     pub unacked_cap_bdp: f64,
-    /// Initial sending rate as a fraction of the first-hop capacity, used
-    /// until the first price feedback arrives.
+    /// Initial sending rate as a fraction of the first-hop capacity, in
+    /// (0, 1], used until the first price feedback arrives.
     pub initial_rate_fraction: f64,
 }
 
@@ -125,16 +123,13 @@ impl LinkController for DgdPriceController {
     }
 }
 
-/// The DGD flow agent: rate-paced sender plus feedback-reflecting receiver.
+/// The DGD flow agent: sends at `U'⁻¹(path price)` through the shared
+/// paced sender.
 pub struct DgdAgent {
     config: DgdConfig,
     utility: UtilityRef,
     path_price: f64,
-    rate_bps: f64,
-    unacked_cap_bytes: u64,
-    /// The pending pacing timer, if one is scheduled. Completion cancels it
-    /// structurally via the network's timer service.
-    pacing_timer: Option<TimerHandle>,
+    sender: PacedSender,
 }
 
 impl DgdAgent {
@@ -144,58 +139,30 @@ impl DgdAgent {
     }
 
     /// An agent sharing an already-constructed utility handle.
+    ///
+    /// # Panics
+    /// If `config.initial_rate_fraction` is not in (0, 1]: a flow that
+    /// starts at rate zero sends nothing, hears nothing and never starts.
     pub fn with_utility_ref(config: DgdConfig, utility: UtilityRef) -> Self {
+        let fraction = config.initial_rate_fraction;
+        assert!(
+            fraction > 0.0 && fraction <= 1.0,
+            "initial rate fraction must be in (0, 1], got {fraction}"
+        );
         Self {
             config,
             utility,
             path_price: 0.0,
-            rate_bps: 0.0,
-            unacked_cap_bytes: u64::MAX,
-            pacing_timer: None,
+            sender: PacedSender::default(),
         }
-    }
-
-    /// The sender's current target rate (for tests and tracing).
-    pub fn rate_bps(&self) -> f64 {
-        self.rate_bps
-    }
-
-    fn recompute_rate(&mut self, ctx: &AgentCtx<'_>) {
-        let first_hop = ctx.first_hop_capacity_bps();
-        let rate_gbps = self.utility.inverse_marginal(self.path_price.max(0.0));
-        // Never exceed the NIC speed; never stall completely (a tiny floor
-        // keeps price discovery alive when prices overshoot).
-        self.rate_bps = (rate_gbps * 1e9).clamp(first_hop * 1e-3, first_hop);
-    }
-
-    fn send_one_and_reschedule(&mut self, ctx: &mut AgentCtx<'_>) {
-        if self.rate_bps <= 0.0 {
-            self.pacing_timer = None;
-            return;
-        }
-        let Some(payload) = ctx.next_payload() else {
-            self.pacing_timer = None;
-            return;
-        };
-        if ctx.in_flight_bytes() + payload as u64 <= self.unacked_cap_bytes {
-            ctx.send_next(payload, |_| {});
-        }
-        // Schedule the next transmission opportunity at the paced interval
-        // regardless of whether this one was capped, so sending resumes as
-        // soon as ACKs free up the cap.
-        let interval = SimDuration::transmission((payload + 40) as u64, self.rate_bps.max(1e6));
-        self.pacing_timer = Some(ctx.set_timer(interval, PACING_TIMER));
     }
 }
 
 impl FlowAgent for DgdAgent {
     fn on_start(&mut self, ctx: &mut AgentCtx<'_>) {
-        let first_hop = ctx.first_hop_capacity_bps();
-        self.rate_bps = first_hop * self.config.initial_rate_fraction;
-        let bdp = first_hop * ctx.base_rtt().as_secs_f64() / 8.0;
-        self.unacked_cap_bytes =
-            ((bdp * self.config.unacked_cap_bdp) as u64).max(2 * MTU_BYTES as u64);
-        self.send_one_and_reschedule(ctx);
+        let cfg = &self.config;
+        self.sender
+            .start(cfg.initial_rate_fraction, cfg.unacked_cap_bdp, ctx);
     }
 
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>) {
@@ -203,17 +170,12 @@ impl FlowAgent for DgdAgent {
         if ack.reflected_path_len > 0 {
             self.path_price = ack.reflected_path_price;
         }
-        self.recompute_rate(ctx);
-        if self.pacing_timer.is_none() {
-            self.send_one_and_reschedule(ctx);
-        }
+        let rate_gbps = self.utility.inverse_marginal(self.path_price.max(0.0));
+        self.sender.set_rate_gbps(rate_gbps, ctx);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut AgentCtx<'_>) {
-        if tag == PACING_TIMER {
-            self.pacing_timer = None;
-            self.send_one_and_reschedule(ctx);
-        }
+        self.sender.on_timer(tag, ctx);
     }
 
     fn name(&self) -> &'static str {

@@ -16,13 +16,16 @@
 //!
 //! Each module provides a `FlowAgent` (host logic), a `LinkController` where
 //! the protocol needs switch support, and a `*_network` helper that builds a
-//! simulator `Network` with the right queue discipline on every port.
+//! simulator `Network` with the right queue discipline on every port. DGD
+//! and RCP* share one paced sender (`paced.rs`) and keep only their
+//! feedback laws.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod dctcp;
 pub mod dgd;
+mod paced;
 pub mod pfabric;
 pub mod rcp_star;
 

@@ -12,19 +12,16 @@
 //! source sets its rate to `(Σ_l R_l^{-α})^{-1/α}`, which for α = 1 reduces
 //! to the classic RCP rate `(Σ 1/R_l)^{-1}` and as α → ∞ approaches
 //! max-min. Like DGD, senders are rate-paced with a 2×BDP cap on
-//! unacknowledged bytes.
+//! unacknowledged bytes, by the same paced sender.
 
+use crate::paced::PacedSender;
 use numfabric_sim::network::{AgentCtx, Network};
-use numfabric_sim::packet::{Packet, MTU_BYTES};
+use numfabric_sim::packet::Packet;
 use numfabric_sim::queue::DropTailFifo;
-use numfabric_sim::timer::TimerHandle;
 use numfabric_sim::topology::Topology;
 use numfabric_sim::transport::{FlowAgent, LinkController};
 use numfabric_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-
-/// Timer tag used by the RCP* sender's pacing loop.
-const PACING_TIMER: u64 = 1;
 
 /// RCP* parameters (Table 2).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -134,15 +131,12 @@ impl LinkController for RcpStarController {
     }
 }
 
-/// The RCP* flow agent: paced sender plus feedback-reflecting receiver.
+/// The RCP* flow agent: sends at `(Σ_l R_l^{-α})^{-1/α}` through the shared
+/// paced sender.
 pub struct RcpStarAgent {
     config: RcpStarConfig,
     feedback: f64,
-    rate_bps: f64,
-    unacked_cap_bytes: u64,
-    /// The pending pacing timer, if one is scheduled. Completion cancels it
-    /// structurally via the network's timer service.
-    pacing_timer: Option<TimerHandle>,
+    sender: PacedSender,
 }
 
 impl RcpStarAgent {
@@ -151,37 +145,8 @@ impl RcpStarAgent {
         Self {
             config,
             feedback: 0.0,
-            rate_bps: 0.0,
-            unacked_cap_bytes: u64::MAX,
-            pacing_timer: None,
+            sender: PacedSender::default(),
         }
-    }
-
-    /// The sender's current target rate (for tests and tracing).
-    pub fn rate_bps(&self) -> f64 {
-        self.rate_bps
-    }
-
-    fn recompute_rate(&mut self, ctx: &AgentCtx<'_>) {
-        let first_hop = ctx.first_hop_capacity_bps();
-        let rate_gbps = if self.feedback > 0.0 {
-            self.feedback.powf(-1.0 / self.config.alpha)
-        } else {
-            first_hop / 1e9
-        };
-        self.rate_bps = (rate_gbps * 1e9).clamp(first_hop * 1e-3, first_hop);
-    }
-
-    fn send_one_and_reschedule(&mut self, ctx: &mut AgentCtx<'_>) {
-        let Some(payload) = ctx.next_payload() else {
-            self.pacing_timer = None;
-            return;
-        };
-        if ctx.in_flight_bytes() + payload as u64 <= self.unacked_cap_bytes {
-            ctx.send_next(payload, |_| {});
-        }
-        let interval = SimDuration::transmission((payload + 40) as u64, self.rate_bps.max(1e6));
-        self.pacing_timer = Some(ctx.set_timer(interval, PACING_TIMER));
     }
 }
 
@@ -189,12 +154,7 @@ impl FlowAgent for RcpStarAgent {
     fn on_start(&mut self, ctx: &mut AgentCtx<'_>) {
         // Before any feedback the sender paces at a tenth of its NIC rate;
         // the 2×BDP cap on unacknowledged bytes bounds the burst.
-        let first_hop = ctx.first_hop_capacity_bps();
-        self.rate_bps = first_hop * 0.1;
-        let bdp = first_hop * ctx.base_rtt().as_secs_f64() / 8.0;
-        self.unacked_cap_bytes =
-            ((bdp * self.config.unacked_cap_bdp) as u64).max(2 * MTU_BYTES as u64);
-        self.send_one_and_reschedule(ctx);
+        self.sender.start(0.1, self.config.unacked_cap_bdp, ctx);
     }
 
     fn on_ack(&mut self, packet: &Packet, ctx: &mut AgentCtx<'_>) {
@@ -202,17 +162,16 @@ impl FlowAgent for RcpStarAgent {
         if ack.reflected_path_len > 0 {
             self.feedback = ack.reflected_rcp_feedback;
         }
-        self.recompute_rate(ctx);
-        if self.pacing_timer.is_none() {
-            self.send_one_and_reschedule(ctx);
-        }
+        let rate_gbps = if self.feedback > 0.0 {
+            self.feedback.powf(-1.0 / self.config.alpha)
+        } else {
+            ctx.first_hop_capacity_bps() / 1e9
+        };
+        self.sender.set_rate_gbps(rate_gbps, ctx);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut AgentCtx<'_>) {
-        if tag == PACING_TIMER {
-            self.pacing_timer = None;
-            self.send_one_and_reschedule(ctx);
-        }
+        self.sender.on_timer(tag, ctx);
     }
 
     fn name(&self) -> &'static str {

@@ -244,13 +244,11 @@ mod tests {
     #[test]
     fn control_packets_do_not_affect_the_minimum_residual() {
         let mut ctrl = controller();
-        // An ACK carries no residual and a SYN none either; had either counted
-        // as a zero residual, the price would have stayed at zero instead of
-        // following the data packets' 0.4.
+        // An ACK carries no residual; had it counted as a zero residual, the
+        // price would have stayed at zero instead of following the data
+        // packets' 0.4.
         let mut ack = Packet::ack(0, 0, route(), AckHeader::default());
-        let mut syn = Packet::syn(0, route());
         ctrl.on_enqueue(&mut ack, SimTime::ZERO);
-        ctrl.on_enqueue(&mut syn, SimTime::ZERO);
         run_interval(&mut ctrl, 25, 0.4);
         assert!(ctrl.price() > 0.1);
     }

@@ -22,10 +22,9 @@
 //!
 //! Two further mechanisms ride on the same event loop:
 //!
-//! * **A control lane per link.** Non-data packets (ACKs, SYNs) bypass the
-//!   data queue discipline at every egress and are served with strict
-//!   priority, modeling the highest-priority control class real fabrics
-//!   configure. An ACK therefore waits at most one data serialization per
+//! * **A control lane per link.** ACKs bypass the data queue discipline at
+//!   every egress and are served with strict priority, modeling the
+//!   highest-priority control class real fabrics configure. An ACK therefore waits at most one data serialization per
 //!   hop instead of a full reverse-path data backlog — the fix for the
 //!   bidirectional ACK-queueing rate gap. Link controllers still observe
 //!   every dequeued packet, so price stamping on reverse paths is intact.
@@ -163,7 +162,6 @@ fn event_key(kind: u64, primary: u64, secondary: u64) -> u64 {
 /// a deterministic order and FIFO-tie-break in that order.
 fn arrival_key(link: LinkId, packet: &Packet) -> u64 {
     let (rank, ident): (u64, u64) = match &packet.kind {
-        PacketKind::Syn => (0, packet.seq),
         PacketKind::Data(_) => (1, packet.seq),
         PacketKind::Ack(ack) => (2, ack.ack_bytes),
     };
@@ -199,8 +197,8 @@ struct Shared {
 /// One link's mutable runtime.
 struct LinkState {
     queue: Box<dyn QueueDiscipline>,
-    /// Strict-priority lane for non-data packets (ACKs, SYNs): never
-    /// dropped by a discipline, always served before the data queue.
+    /// Strict-priority lane for ACKs: never dropped by a discipline, always
+    /// served before the data queue.
     control_lane: VecDeque<Packet>,
     controller: Option<Box<dyn LinkController>>,
     /// How many times `controller` was replaced: the secondary field of the
@@ -487,9 +485,8 @@ fn enqueue_on_link(shared: &Shared, core: &mut Core, link: LinkId, mut packet: P
                 .dropped()
                 .map(|dropped| dropped.flow)
         } else {
-            // ACKs and SYNs ride the strict-priority control lane: they
-            // skip the data discipline entirely and are never dropped by
-            // buffer pressure.
+            // ACKs ride the strict-priority control lane: they skip the data
+            // discipline entirely and are never dropped by buffer pressure.
             ls.control_lane.push_back(packet);
             None
         }
@@ -605,21 +602,18 @@ fn handle_arrival(shared: &Shared, core: &mut Core, link: LinkId, mut packet: Pa
     }
     // Delivered to the end host.
     match packet.kind {
-        PacketKind::Data(_) | PacketKind::Syn => receiver_deliver(shared, core, packet),
+        PacketKind::Data(_) => receiver_deliver(shared, core, packet),
         PacketKind::Ack(AckHeader { ack_bytes, .. }) => sender_ack(shared, core, ack_bytes, packet),
     }
 }
 
 /// The universal receiver: count delivery, track the rate, detect
 /// completion, and reflect an ACK echoing the data packet's feedback
-/// fields. SYNs are delivered silently (no payload, no ACK).
+/// fields.
 fn receiver_deliver(shared: &Shared, core: &mut Core, packet: Packet) {
-    // The packet (data or SYN) is consumed at the end host.
-    core.flow_packets[packet.flow] -= 1;
-    if !packet.is_data() {
-        return;
-    }
     let flow = packet.flow;
+    // The data packet is consumed at the end host.
+    core.flow_packets[flow] -= 1;
     let now = core.clock;
     let (delivered, inter, ack_seq) = {
         let rx = core.receivers[flow]

@@ -105,8 +105,6 @@ pub struct AckHeader {
 /// carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PacketKind {
-    /// Connection setup (treated as a control packet by WFQ).
-    Syn,
     /// A data segment.
     Data(DataHeader),
     /// A (pure) acknowledgment, carrying the reflected feedback fields.
@@ -120,9 +118,9 @@ pub struct Packet {
     pub flow: FlowId,
     /// Data: byte offset of the first payload byte. ACK: the acknowledged
     /// sequence number, formed as the flow's
-    /// [`crate::transport::AckMode`] says. SYN: 0.
+    /// [`crate::transport::AckMode`] says.
     pub seq: SeqNo,
-    /// Payload bytes carried (0 for SYN/ACK).
+    /// Payload bytes carried (0 for an ACK).
     pub payload_bytes: u32,
     /// Total wire size in bytes (payload + headers).
     pub wire_bytes: u32,
@@ -180,20 +178,6 @@ impl Packet {
             hop: 0,
             stamps: Stamps::default(),
             kind: PacketKind::Ack(header),
-        }
-    }
-
-    /// Create a SYN packet.
-    pub fn syn(flow: FlowId, route: RouteId) -> Self {
-        Self {
-            flow,
-            seq: 0,
-            payload_bytes: 0,
-            wire_bytes: HEADER_BYTES,
-            route,
-            hop: 0,
-            stamps: Stamps::default(),
-            kind: PacketKind::Syn,
         }
     }
 
@@ -264,13 +248,10 @@ mod tests {
     fn control_packets_are_header_only() {
         let (_table, rid) = route(vec![0]);
         let a = Packet::ack(1, 0, rid, AckHeader::default());
-        let s = Packet::syn(1, rid);
         assert_eq!(a.wire_bytes, HEADER_BYTES);
-        assert_eq!(s.wire_bytes, HEADER_BYTES);
         assert!(!a.is_data());
-        assert!(!s.is_data());
-        assert!(a.data_header().is_none() && s.data_header().is_none());
-        assert!(a.ack_header().is_some() && s.ack_header().is_none());
+        assert!(a.data_header().is_none());
+        assert!(a.ack_header().is_some());
         assert_eq!(a.pfabric_priority(), f64::MAX);
     }
 
