@@ -17,7 +17,6 @@
 use numfabric_sim::network::{AgentCtx, Network};
 use numfabric_sim::packet::{Packet, DEFAULT_PAYLOAD_BYTES};
 use numfabric_sim::queue::PfabricQueue;
-use numfabric_sim::timer::TimerHandle;
 use numfabric_sim::topology::Topology;
 use numfabric_sim::transport::{AckMode, FlowAgent};
 use numfabric_sim::{SimDuration, SimTime};
@@ -59,9 +58,9 @@ pub struct PfabricAgent {
     acked_payload: u64,
     next_seq: u64,
     flow_size: Option<u64>,
-    /// The pending RTX timer, if armed. Held as a handle so the timer has
-    /// identity; flow stop/completion cancels it structurally.
-    rto_timer: Option<TimerHandle>,
+    /// Whether the RTX timer is pending. Nothing cancels it: the engine
+    /// drops a flow's timers when the flow stops or completes.
+    rto_armed: bool,
 }
 
 impl PfabricAgent {
@@ -73,7 +72,7 @@ impl PfabricAgent {
             acked_payload: 0,
             next_seq: 0,
             flow_size: None,
-            rto_timer: None,
+            rto_armed: false,
         }
     }
 
@@ -94,8 +93,9 @@ impl PfabricAgent {
     }
 
     fn arm_rto(&mut self, ctx: &mut AgentCtx<'_>) {
-        if self.rto_timer.is_none() && !self.outstanding.is_empty() {
-            self.rto_timer = Some(ctx.set_timer(self.config.rto, RTO_TIMER));
+        if !self.rto_armed && !self.outstanding.is_empty() {
+            ctx.set_timer(self.config.rto, RTO_TIMER);
+            self.rto_armed = true;
         }
     }
 
@@ -166,7 +166,7 @@ impl FlowAgent for PfabricAgent {
         if tag != RTO_TIMER {
             return;
         }
-        self.rto_timer = None;
+        self.rto_armed = false;
         self.retransmit_expired(ctx);
         self.send_new_data(ctx);
         self.arm_rto(ctx);
@@ -322,8 +322,8 @@ mod tests {
     fn stopping_a_flow_with_a_pending_rtx_timer_cancels_it() {
         // Regression: stale FlowTimer events for stopped flows used to stay
         // in the queue and fire into the (phase-guarded) dispatch path.
-        // With handle-based timers the stop cancels the armed RTO
-        // structurally.
+        // The engine keeps every armed timer's id, so the stop cancels the
+        // armed RTO structurally.
         let mut net = small_pfabric();
         let hosts: Vec<_> = net.topology().hosts().to_vec();
         // A long-running flow always has unacknowledged data in flight, so

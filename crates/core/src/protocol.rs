@@ -1,12 +1,11 @@
-//! The NUMFabric protocol agent: the complete sender/receiver logic of §5.
+//! The NUMFabric protocol agent: the sender logic of §5.
 //!
-//! One [`NumFabricAgent`] handles both endpoints of a flow:
+//! The receiver half is the engine's universal receiver
+//! ([`numfabric_sim::transport`]): on each data packet it measures the
+//! inter-packet time and reflects it, together with the packet's
+//! accumulated `pathPrice` and `pathLen`, back to the sender in an ACK.
 //!
-//! **Receiver.** On each data packet it measures the inter-packet time and
-//! reflects it, together with the packet's accumulated `pathPrice` and
-//! `pathLen`, back to the sender in an ACK.
-//!
-//! **Sender.** On each ACK it
+//! On each ACK the [`NumFabricAgent`]
 //! 1. feeds the reflected inter-packet time into the Swift rate estimator
 //!    (`R̂`, [`crate::swift::SwiftRateEstimator`]);
 //! 2. computes the flow's weight `w = U'⁻¹(pathPrice)` (Eq. 7) — for
@@ -26,7 +25,7 @@ use crate::swift::{SwiftRateEstimator, SwiftWindow};
 use crate::xwi::XwiPriceController;
 use numfabric_num::utility::{Utility, UtilityRef};
 use numfabric_sim::network::{AgentCtx, Network};
-use numfabric_sim::packet::{Packet, DEFAULT_PAYLOAD_BYTES, MTU_BYTES};
+use numfabric_sim::packet::{Packet, DEFAULT_PAYLOAD_BYTES, HEADER_BYTES, MTU_BYTES};
 use numfabric_sim::queue::StfqQueue;
 use numfabric_sim::topology::Topology;
 use numfabric_sim::transport::FlowAgent;
@@ -45,7 +44,7 @@ fn to_gbps(bps: f64) -> f64 {
     bps / 1e9
 }
 
-/// The NUMFabric flow agent (sender and receiver logic).
+/// The NUMFabric flow agent (the sender; the engine reflects the ACKs).
 pub struct NumFabricAgent {
     config: NumFabricConfig,
     utility: UtilityRef,
@@ -295,7 +294,7 @@ impl FlowAgent for NumFabricAgent {
 /// and for the xWI price update (the normalized residual).
 fn send_stamped(ctx: &mut AgentCtx<'_>, payload: u32, weight: f64, residual: f64) {
     ctx.send_next(payload, |h| {
-        h.virtual_packet_len = (payload + 40) as f64 / weight;
+        h.virtual_packet_len = (payload + HEADER_BYTES) as f64 / weight;
         h.normalized_residual = residual;
     });
 }

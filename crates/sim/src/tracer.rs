@@ -5,6 +5,7 @@
 //! 80 µs time constant, and subtracts the filter's rise time when reporting
 //! convergence times (§6.1). [`EwmaRateTracer`] is that filter.
 
+use crate::packet::MTU_BYTES;
 use crate::time::{SimDuration, SimTime};
 
 /// The EWMA time constant the paper uses for convergence measurement.
@@ -74,7 +75,7 @@ impl EwmaRateTracer {
                 // spacing implied by the current estimate (otherwise we would
                 // penalize perfectly paced flows between packets).
                 let expected_gap = if self.rate_bps > 0.0 {
-                    SimDuration::from_secs_f64((1500.0 * 8.0 / self.rate_bps).min(1.0))
+                    SimDuration::from_secs_f64((MTU_BYTES as f64 * 8.0 / self.rate_bps).min(1.0))
                 } else {
                     SimDuration::from_millis(1)
                 };

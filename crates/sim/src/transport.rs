@@ -57,8 +57,8 @@ pub enum AckMode {
 /// Per-flow transport logic (the sender side; the receiver is universal,
 /// see [`AckMode`]).
 pub trait FlowAgent: Send {
-    /// The flow reached its start time. Typically sends a SYN or the initial
-    /// burst/window of data.
+    /// The flow reached its start time. Typically sends the initial
+    /// burst/window of data, or the first paced packet.
     fn on_start(&mut self, ctx: &mut AgentCtx<'_>);
 
     /// An ACK arrived back at the source. Typically updates rate/window state

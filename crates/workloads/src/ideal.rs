@@ -12,6 +12,7 @@ use crate::arrivals::FlowArrival;
 use crate::convergence::fluid_instance;
 use numfabric_num::utility::UtilityRef;
 use numfabric_num::Oracle;
+use numfabric_sim::packet::{DEFAULT_PAYLOAD_BYTES, HEADER_BYTES, MTU_BYTES};
 use numfabric_sim::topology::{LinkId, Topology};
 use numfabric_sim::{SimDuration, SimTime};
 
@@ -163,10 +164,10 @@ pub fn empty_network_fct(topo: &Topology, links: &[LinkId], size_bytes: u64) -> 
         .iter()
         .map(|&l| topo.links()[l].capacity_bps)
         .fold(f64::INFINITY, f64::min);
-    let packets = size_bytes.div_ceil(1460).max(1);
-    let wire_bytes = size_bytes + packets * 40;
+    let packets = size_bytes.div_ceil(DEFAULT_PAYLOAD_BYTES as u64).max(1);
+    let wire_bytes = size_bytes + packets * HEADER_BYTES as u64;
     let serialization = SimDuration::transmission(wire_bytes, bottleneck_bps);
-    let rtt = topo.base_rtt(links, 1500, 40);
+    let rtt = topo.base_rtt(links, MTU_BYTES as u64, HEADER_BYTES as u64);
     serialization + rtt
 }
 

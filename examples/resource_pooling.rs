@@ -27,7 +27,8 @@ fn main() {
     let mut net = numfabric_network(topo, &config);
     let hosts: Vec<_> = net.topology().hosts().to_vec();
 
-    // A multipath aggregate from host0 to host4 with one subflow per spine.
+    // A multipath aggregate from host0 to host4 with one subflow per spine;
+    // the shared `AggregateState` is what groups the subflows.
     let handles = AggregateState::create(4);
     let mut subflows = Vec::new();
     for (spine, handle) in handles.into_iter().enumerate() {
@@ -37,7 +38,7 @@ fn main() {
             None,
             SimTime::ZERO,
             spine,
-            Some(0),
+            None,
             Box::new(NumFabricAgent::new(config.clone(), LogUtility::new()).with_aggregate(handle)),
         );
         subflows.push(id);
